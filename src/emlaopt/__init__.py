@@ -11,6 +11,7 @@ from .bilevel import (
     map_eta_fns,
     outer_cost,
     quartile_occupancy,
+    samples_outside_map,
     solve_outer,
     total_efficiency,
 )

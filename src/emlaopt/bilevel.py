@@ -123,6 +123,21 @@ def quartile_occupancy(v_x, f_x, maps: list[EfficiencyMap], quantile: float = 0.
     return out
 
 
+def samples_outside_map(v_x, f_x, maps: list[EfficiencyMap]) -> list:
+    """Per joint, the motoring samples whose (|f|, |v|) lies beyond the map's
+    axes, where ``EfficiencyMap.interp_eta`` rates them at the clipped edge."""
+    v = np.asarray(v_x, dtype=float)
+    f = np.asarray(f_x, dtype=float)
+    out = []
+    for i, emap in enumerate(maps):
+        mask = f[:, i] * v[:, i] > 0
+        fi, vi = np.abs(f[mask, i]), np.abs(v[mask, i])
+        fa, va = emap.force_axis, emap.velocity_axis
+        outside = (fi < fa[0]) | (fi > fa[-1]) | (vi < va[0]) | (vi > va[-1])
+        out.append(int(outside.sum()))
+    return out
+
+
 @dataclass(frozen=True)
 class BilevelConfig:
     """Outer-search settings: weight box, method and budget."""
@@ -132,7 +147,6 @@ class BilevelConfig:
     method: str = "grid"  # "grid" or "nelder-mead"
     grid_points: int = 5
     maxiter: int = 40
-    seed: int = 0
     warm_start: bool = True
 
     def __post_init__(self):
@@ -208,17 +222,11 @@ def outer_cost(
     return value, result, eta, flagged
 
 
-def _solve_point(model, problem, weights, eta_maps, initial_guess):
-    dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
-    eta_fns = map_eta_fns(eta_maps)
-    value, result, eta, flagged = outer_cost(weights, problem, dynamics, eta_fns, initial_guess)
-    return value, result, eta, flagged
-
-
-def _grid_worker(args):
+def _solve_point(args):
+    """outer_cost at one weight vector; module-level so worker processes can run it."""
     model, problem, weights, eta_maps, initial_guess = args
-    value, result, eta, flagged = _solve_point(model, problem, weights, eta_maps, initial_guess)
-    return value, result, eta, flagged
+    dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
+    return outer_cost(weights, problem, dynamics, map_eta_fns(eta_maps), initial_guess)
 
 
 def solve_outer(
@@ -257,9 +265,9 @@ def solve_outer(
         tasks = [(model, problem, w, eta_maps, warm) for w in mesh]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_grid_worker, tasks))
+                results = list(pool.map(_solve_point, tasks))
         else:
-            results = [_grid_worker(t) for t in tasks]
+            results = [_solve_point(t) for t in tasks]
         for w, (value, result, eta, flagged) in zip(mesh, results):
             ok = result.converged
             trace.append((np.array(w), value if ok else float("-inf"), ok))
@@ -269,7 +277,7 @@ def solve_outer(
 
         def neg_f(w_raw):
             w = np.clip(w_raw, lo, hi)
-            value, result, eta, flagged = _solve_point(model, problem, w, eta_maps, warm)
+            value, result, eta, flagged = _solve_point((model, problem, w, eta_maps, warm))
             ok = result.converged
             trace.append((w.copy(), value if ok else float("-inf"), ok))
             evaluations.append((w.copy(), value, result, eta, flagged, ok))

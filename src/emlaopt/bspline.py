@@ -1,10 +1,10 @@
 """Clamped B-spline bases and spline trajectories.
 
-The basis is evaluated with the Cox-de Boor recursion on a clamped uniform
-knot vector over [0, 1]; derivatives come from the standard degree-lowering
-recurrence, so they are analytic (no differencing).  Trajectories map the
-normalized parameter to physical time through the final time t_M, which
-multiplies the derivative bases by 1/t_M and 1/t_M^2.
+The basis is de Boor's B-spline basis on a clamped uniform knot vector over
+[0, 1], evaluated by ``scipy.interpolate.BSpline``, so its derivatives are
+analytic (no differencing).  Trajectories map the normalized parameter to
+physical time through the final time t_M, which multiplies the derivative
+bases by 1/t_M and 1/t_M^2.
 """
 
 from dataclasses import dataclass
@@ -26,70 +26,20 @@ def clamped_knots(n_ctrl: int, degree: int) -> np.ndarray:
     )
 
 
-def _basis_all_degrees(knots: np.ndarray, degree: int, s: np.ndarray) -> list:
-    """Zeroth through ``degree`` order bases at normalized parameters s."""
-    n_knots = len(knots)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    # degree-0: indicator of the half-open knot span, closed at the right end
-    b = np.zeros((len(s), n_knots - 1))
-    for i in range(n_knots - 1):
-        if knots[i + 1] > knots[i]:
-            b[:, i] = (knots[i] <= s) & (s < knots[i + 1])
-    last = np.searchsorted(knots, knots[-1], side="left") - 1
-    b[s >= knots[-1], last] = 1.0
-    tables = [b]
-    for p in range(1, degree + 1):
-        prev = tables[-1]
-        cur = np.zeros((len(s), n_knots - 1 - p))
-        for i in range(n_knots - 1 - p):
-            denom1 = knots[i + p] - knots[i]
-            denom2 = knots[i + p + 1] - knots[i + 1]
-            if denom1 > 0:
-                cur[:, i] += (s - knots[i]) / denom1 * prev[:, i]
-            if denom2 > 0:
-                cur[:, i] += (knots[i + p + 1] - s) / denom2 * prev[:, i + 1]
-        tables.append(cur)
-    return tables
-
-
 def basis_matrices(n_ctrl: int, degree: int, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Basis rows and their first two parameter derivatives at s in [0, 1].
 
     Returns three (len(s), n_ctrl) matrices (B, dB/ds, d2B/ds2); rows of B
     sum to one, rows of the derivatives to zero.
     """
+    from scipy.interpolate import BSpline
+
     if degree < 2:
         raise ValueError("degree must be >= 2 for acceleration evaluation")
-    knots = clamped_knots(n_ctrl, degree)
-    tables = _basis_all_degrees(knots, degree, s)
-    b = tables[degree]
-
-    def derivative(table, p):
-        # d/ds B_{i,p} = p/(u_{i+p}-u_i) B_{i,p-1} - p/(u_{i+p+1}-u_{i+1}) B_{i+1,p-1}
-        n = table.shape[1] - 1
-        out = np.zeros((table.shape[0], n))
-        for i in range(n):
-            d1 = knots[i + p] - knots[i]
-            d2 = knots[i + p + 1] - knots[i + 1]
-            if d1 > 0:
-                out[:, i] += p / d1 * table[:, i]
-            if d2 > 0:
-                out[:, i] -= p / d2 * table[:, i + 1]
-        return out
-
-    db = derivative(tables[degree - 1], degree)
-    # second derivative: differentiate the degree-1-lowered table twice
-    inner = derivative(tables[degree - 2], degree - 1)
-    n = inner.shape[1] - 1
-    d2b = np.zeros((inner.shape[0], n))
-    for i in range(n):
-        d1 = knots[i + degree] - knots[i]
-        d2 = knots[i + degree + 1] - knots[i + 1]
-        if d1 > 0:
-            d2b[:, i] += degree / d1 * inner[:, i]
-        if d2 > 0:
-            d2b[:, i] -= degree / d2 * inner[:, i + 1]
-    return b, db, d2b
+    # one spline per basis function: control points are the identity
+    basis = BSpline(clamped_knots(n_ctrl, degree), np.eye(n_ctrl), degree)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    return basis(s), basis(s, nu=1), basis(s, nu=2)
 
 
 @dataclass(frozen=True)

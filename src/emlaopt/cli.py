@@ -24,6 +24,7 @@ from .bilevel import (
     efficiency_summary,
     map_eta_fns,
     quartile_occupancy,
+    samples_outside_map,
     solve_outer,
 )
 from .configio import ConfigError, load_json, write_artifacts
@@ -61,7 +62,6 @@ def run_map(config: dict, out_dir, seed: int, jobs: int) -> dict:
     emap = build_efficiency_map(
         actuator, force, velocity,
         allow_regeneration=bool(config.get("allow_regeneration", False)),
-        jobs=jobs,
     )
     files = {
         "efficiency_map.csv": map_to_csv(emap),
@@ -75,9 +75,10 @@ def run_trajopt(config: dict, out_dir, seed: int, jobs: int) -> dict:
     problem = configio.build_problem(config.get("problem", {"preset": "benchmark"}), model)
     weights = config.get("weights")
     weights = None if weights is None else np.asarray(weights, dtype=float)
+    if config.get("method", "slsqp") != "slsqp":
+        raise ConfigError(f"method: unknown NLP method {config['method']!r}; use 'slsqp'")
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
-    result = solve_inner(problem, dynamics, weights=weights,
-                         method=config.get("method", "slsqp"))
+    result = solve_inner(problem, dynamics, weights=weights)
     return {
         "trajectory.csv": result.to_csv(),
         "trajectory.json": result.to_json(),
@@ -109,13 +110,12 @@ def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
         method=outer.get("method", "grid"),
         grid_points=int(outer.get("grid_points", 5)),
         maxiter=int(outer.get("maxiter", 40)),
-        seed=seed,
         warm_start=bool(outer.get("warm_start", True)),
     )
     result = solve_outer(cfg, problem, model, maps, jobs=jobs)
-    occupancy = quartile_occupancy(result.inner.v_x, result.inner.f_x, maps)
     doc = json.loads(result.to_json())
-    doc["quartile_occupancy"] = occupancy
+    doc["quartile_occupancy"] = quartile_occupancy(result.inner.v_x, result.inner.f_x, maps)
+    doc["samples_outside_map"] = samples_outside_map(result.inner.v_x, result.inner.f_x, maps)
     return {
         "bilevel.json": json.dumps(doc, indent=2),
         "trajectory.csv": result.inner.to_csv(),
@@ -183,8 +183,9 @@ def run_report(config: dict, out_dir, seed: int, jobs: int) -> dict:
         report["weights_opt"] = doc["weights_opt"]
         report["outer_value"] = doc["outer_value"]
         report["efficiency"] = doc["summary"]
-        if "quartile_occupancy" in doc:
-            report["quartile_occupancy"] = doc["quartile_occupancy"]
+        for key in ("quartile_occupancy", "samples_outside_map"):
+            if key in doc:
+                report[key] = doc[key]
     elif traj_path.exists():
         traj = check_not_empty(TrajectoryResult.from_dict(load_json(traj_path)))
         actuators = configio.build_actuators(config.get("actuators", {"preset": "default"}))
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help="bilevel grid worker processes")
     args = parser.parse_args(argv)
 
     try:
@@ -239,10 +240,8 @@ def main(argv=None) -> int:
         config = load_json(args.config)
         files = RUNNERS[args.command](config, args.out, args.seed, args.jobs)
         write_artifacts(args.out, files, config_text, args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, RuntimeError, FileNotFoundError) as exc:
+        # ConfigError is a ValueError; model and solver errors exit 2 without a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{args.command}: wrote {len(files) + 1} artifacts to {args.out}")

@@ -13,12 +13,11 @@ at the published gains, so the simulation integrates the full ODE with an
 implicit stiff solver rather than fixed explicit stepping.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .bspline import SplineTrajectory
 from .drivetrain import equivalent_params
 from .effmap import EmlaModel
 from .pmsm import electromagnetic_torque

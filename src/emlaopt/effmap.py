@@ -10,7 +10,6 @@ never clamped or zeroed.
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,14 +149,8 @@ def build_efficiency_map(
     force_grid,
     velocity_grid,
     allow_regeneration: bool = False,
-    jobs: int = 1,
 ) -> EfficiencyMap:
-    """Evaluate the steady-state efficiency over a rectangular grid.
-
-    Rows (fixed force) are independent, so they may be computed by a worker
-    pool; the assembled map is identical for any worker count because each
-    row is placed by index.
-    """
+    """Evaluate the steady-state efficiency over a rectangular grid, row by row."""
     force_axis = np.asarray(force_grid, dtype=float)
     velocity_axis = np.asarray(velocity_grid, dtype=float)
     if np.any(np.diff(force_axis) <= 0) or np.any(np.diff(velocity_axis) <= 0):
@@ -168,22 +161,10 @@ def build_efficiency_map(
     feasible = np.zeros((nf, nv), dtype=bool)
     losses = {k: np.zeros((nf, nv)) for k in ("p_cu", "p_co", "p_sw", "p_d", "p_mech", "p_sc")}
 
-    def fill(i, row):
-        eta[i], feasible[i], loss_rows = row
+    for i, f in enumerate(force_axis):
+        eta[i], feasible[i], loss_rows = _map_row(model, f, velocity_axis, allow_regeneration)
         for k in losses:
             losses[k][i] = loss_rows[k]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = pool.map(
-                lambda i: _map_row(model, force_axis[i], velocity_axis, allow_regeneration),
-                range(nf),
-            )
-            for i, row in enumerate(rows):
-                fill(i, row)
-    else:
-        for i in range(nf):
-            fill(i, _map_row(model, force_axis[i], velocity_axis, allow_regeneration))
 
     return EfficiencyMap(force_axis, velocity_axis, eta, losses, feasible)
 

@@ -3,19 +3,18 @@
 The configuration (piston strokes) is a clamped B-spline; bounds on
 positions, rates, piston velocities and forces are enforced at M+1 uniform
 collocation points, boundary states as equalities, and the final time is a
-free variable inside its box.  The transcribed problem is solved with the
-augmented Lagrangian minimizer; gradients combine analytic basis chain
-rules with batched central differences of the inverse dynamics.
+free variable inside its box.  The transcribed problem is solved with
+SLSQP; gradients combine analytic basis chain rules with batched central
+differences of the inverse dynamics.
 """
 
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auglag import minimize_auglag
 from .bspline import basis_matrices
 
 FD_STEP = 1e-5
@@ -150,7 +149,6 @@ class TrajectoryResult:
     outer_iterations: int
     degree: int
     initial_guess: np.ndarray = None
-    multipliers: tuple = None
 
     def to_dict(self) -> dict:
         return {
@@ -220,11 +218,10 @@ class TrajectoryResult:
 
 
 def _solve_slsqp(kern, z0, ctol, maxiter):
+    """SLSQP from z0; returns (x, converged, nit, max constraint violation)."""
     import warnings
 
     from scipy.optimize import minimize as scipy_minimize
-
-    from .auglag import AuglagResult
 
     cons = [
         {"type": "eq", "fun": kern.eq, "jac": kern.eq_jac},
@@ -245,20 +242,8 @@ def _solve_slsqp(kern, z0, ctol, maxiter):
             constraints=cons,
             options={"maxiter": maxiter, "ftol": 1e-10},
         )
-    eq_res = kern.eq(res.x)
-    ineq_v = np.maximum(0.0, kern.ineq(res.x))
-    viol = max(np.abs(eq_res).max(), ineq_v.max())
-    return AuglagResult(
-        x=res.x,
-        cost=float(kern.cost(res.x)),
-        eq_residual=eq_res,
-        ineq_violation=ineq_v,
-        converged=bool(res.status == 0 and viol <= ctol),
-        outer_iterations=int(res.nit),
-        message=str(res.message),
-        multipliers_eq=None,
-        multipliers_ineq=None,
-    )
+    viol = max(np.abs(kern.eq(res.x)).max(), np.maximum(0.0, kern.ineq(res.x)).max())
+    return res.x, bool(res.status == 0 and viol <= ctol), int(res.nit), float(viol)
 
 
 class _Transcription:
@@ -481,49 +466,22 @@ def solve_inner(
     weights=None,
     initial_guess=None,
     ctol=1e-6,
-    method="slsqp",
     maxiter=200,
-    outer_maxiter=20,
-    inner_maxiter=80,
-    warm_multipliers=None,
 ) -> TrajectoryResult:
     """Solve the transcribed NLP for one weight vector.
 
     ``dynamics`` maps batched (q, qd, qdd) with shape (M+1, n) to the pair
     (v_x, f_x); for stroke-coordinate models v_x equals qd.  The start is
     the deterministic straight-line guess unless ``initial_guess`` provides
-    a packed [c.ravel(), t_final] vector (used for warm starts).
-
-    ``method`` selects the backend: "slsqp" (exact-jacobian SQP, default)
-    or "auglag" (augmented Lagrangian with L-BFGS-B subproblems).  Both are
-    deterministic given the start point.
+    a packed [c.ravel(), t_final] vector (used for warm starts).  The
+    solve is deterministic given the start point.
     """
     problem.check_boundary_feasible()
     w = problem.weights if weights is None else np.asarray(weights, dtype=float)
     kern = _Transcription(problem, dynamics, w)
     z0 = kern.initial_guess() if initial_guess is None else np.asarray(initial_guess, dtype=float)
-    if method == "slsqp":
-        res = _solve_slsqp(kern, z0, ctol=ctol, maxiter=maxiter)
-    elif method == "auglag":
-        lam0, mu0 = warm_multipliers if warm_multipliers is not None else (None, None)
-        res = minimize_auglag(
-            kern.cost,
-            z0,
-            jac=kern.cost_grad,
-            eq=kern.eq,
-            eq_jac=kern.eq_jac,
-            ineq=kern.ineq,
-            ineq_jac=kern.ineq_jac,
-            bounds=kern.bounds(),
-            ctol=ctol,
-            outer_maxiter=outer_maxiter,
-            inner_maxiter=inner_maxiter,
-            lam0=lam0,
-            mu0=mu0,
-        )
-    else:
-        raise ValueError(f"unknown NLP method {method!r}")
-    vals = kern.values(res.x)
+    x, converged, nit, violation = _solve_slsqp(kern, z0, ctol=ctol, maxiter=maxiter)
+    vals = kern.values(x)
     grid = TimeGrid(vals["t_final"], problem.n_partitions)
     return TrajectoryResult(
         control_points=vals["c"],
@@ -539,12 +497,11 @@ def solve_inner(
         psi_raw={"effort": vals["psi_raw"][0], "power": vals["psi_raw"][1]},
         weights=kern.weights_raw,
         cost=float(kern.weights_raw @ vals["psi"]),
-        constraint_violation=res.max_violation,
-        converged=res.converged,
-        outer_iterations=res.outer_iterations,
+        constraint_violation=violation,
+        converged=converged,
+        outer_iterations=nit,
         degree=problem.degree,
         initial_guess=z0,
-        multipliers=(res.multipliers_eq, res.multipliers_ineq),
     )
 
 

@@ -8,6 +8,7 @@ from emlaopt.bilevel import (
     map_eta_fns,
     outer_cost,
     quartile_occupancy,
+    samples_outside_map,
     solve_outer,
     total_efficiency,
 )
@@ -188,6 +189,25 @@ def test_quartile_occupancy_range(maps, solved_half):
     occ = quartile_occupancy(solved_half.v_x, solved_half.f_x, maps)
     assert len(occ) == 3
     assert all(0.0 <= o <= 1.0 for o in occ)
+
+
+def test_samples_outside_map_matches_axis_comparison(maps, solved_half):
+    v = solved_half.v_x
+    for scale in (1.0, 1.5):  # 1.5x pushes lift and tilt forces past the map ceilings
+        f = scale * solved_half.f_x
+        counts = samples_outside_map(v, f, maps)
+        assert counts == samples_outside_map(-v, -f, maps)
+        for i, emap in enumerate(maps):
+            expected = 0
+            for fk, vk in zip(f[:, i], v[:, i]):
+                if fk * vk > 0:
+                    fk, vk = abs(fk), abs(vk)
+                    expected += not (
+                        emap.force_axis[0] <= fk <= emap.force_axis[-1]
+                        and emap.velocity_axis[0] <= vk <= emap.velocity_axis[-1]
+                    )
+            assert counts[i] == expected
+    assert sum(counts) > 0
 
 
 def test_summary_structure(eta_fns, solved_half):

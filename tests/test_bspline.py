@@ -1,29 +1,45 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emlaopt.bspline import SplineTrajectory, basis_matrices, clamped_knots
 
+# (degree, n_ctrl) with degree in 2..5 and n_ctrl in degree+1..16
+shapes = st.integers(2, 5).flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 16)))
 
-def test_partition_of_unity_and_derivative_sums():
+
+@settings(max_examples=30, deadline=None)
+@given(shapes)
+def test_partition_of_unity_and_derivative_sums(shape):
+    degree, n_ctrl = shape
     rng = np.random.default_rng(0)
     s = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 1000)])
-    b, db, d2b = basis_matrices(12, 5, s)
+    b, db, d2b = basis_matrices(n_ctrl, degree, s)
     assert np.abs(b.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.abs(db.sum(axis=1)).max() <= 1e-12
     assert np.abs(d2b.sum(axis=1)).max() <= 1e-12
     assert b.min() >= 0.0
+    # clamped ends: the curve starts at the first and ends at the last control point
+    assert np.array_equal(b[0], np.eye(n_ctrl)[0])
+    assert np.array_equal(b[1], np.eye(n_ctrl)[-1])
 
 
-def test_derivatives_match_finite_differences():
+@settings(max_examples=30, deadline=None)
+@given(shapes)
+def test_derivatives_match_finite_differences(shape):
+    degree, n_ctrl = shape
     rng = np.random.default_rng(1)
     h = 1e-6
     s = rng.uniform(2 * h, 1 - 2 * h, 1000)
-    b, db, d2b = basis_matrices(12, 5, s)
-    b_p = basis_matrices(12, 5, s + h)[0]
-    b_m = basis_matrices(12, 5, s - h)[0]
+    # a low-degree basis is only C^(degree-1) at its knots, where a central
+    # difference straddles a jump in a higher derivative
+    knots = clamped_knots(n_ctrl, degree)
+    s = s[np.abs(s[:, None] - knots[None, :]).min(axis=1) > 2 * h]
+    b, db, d2b = basis_matrices(n_ctrl, degree, s)
+    b_p, db_p, _ = basis_matrices(n_ctrl, degree, s + h)
+    b_m, db_m, _ = basis_matrices(n_ctrl, degree, s - h)
     assert np.abs((b_p - b_m) / (2 * h) - db).max() <= 1e-6
-    db_p = basis_matrices(12, 5, s + h)[1]
-    db_m = basis_matrices(12, 5, s - h)[1]
     assert np.abs((db_p - db_m) / (2 * h) - d2b).max() <= 1e-6
 
 

@@ -88,6 +88,8 @@ def test_bilevel_artifacts(bilevel_dir):
     trace_lines = (out / "trace.csv").read_text().splitlines()
     assert trace_lines[0] == "w1,w2,F,inner_converged"
     assert len(trace_lines) == 5
+    counts = doc["samples_outside_map"]
+    assert len(counts) == 3 and all(isinstance(c, int) and c >= 0 for c in counts)
 
 
 def test_bilevel_jobs_identical(bilevel_dir):
@@ -134,6 +136,8 @@ def test_report_from_bilevel(bilevel_dir, tmp_path):
     assert run(["report", "--config", cfg, "--out", str(rep)]) == 0
     doc = json.loads((rep / "report.json").read_text())
     assert "efficiency" in doc and "criteria" in doc
+    bilevel = json.loads((out / "bilevel.json").read_text())
+    assert doc["samples_outside_map"] == bilevel["samples_outside_map"]
     assert abs(doc["cost_recomputed"] - doc["criteria"]["cost"]) <= 1e-10
 
 
@@ -169,6 +173,31 @@ def test_unknown_preset_reports_path():
 def test_missing_field_reports_path():
     with pytest.raises(ConfigError, match="gains"):
         build_gains({"delta": [1, 1, 1, 1]}, 3)
+
+
+def test_trajopt_unknown_method_exits_2(tmp_path, capsys):
+    # "auglag" named a backend that no longer exists; it must not fall back
+    for method in ("newton", "auglag"):
+        cfg = write(tmp_path, f"traj_{method}.json", dict(TRAJ_CFG, method=method))
+        out = tmp_path / method
+        assert run(["trajopt", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: method:") and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+
+def test_bilevel_inverted_weight_box_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "bl.json", {
+        "manipulator": {"preset": "default"},
+        "problem": {"preset": "benchmark", "n_partitions": 16, "n_ctrl": 8},
+        "actuators": {"preset": "default"},
+        "outer": {"weight_lower": [1.0, 1.0], "weight_upper": [0.05, 0.05]},
+        "maps": {"n_force": 8, "n_velocity": 8},
+    })
+    assert run(["bilevel", "--config", cfg, "--out", str(tmp_path / "bl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weight_lower" in err
+    assert not (tmp_path / "bl" / "manifest.json").exists()
 
 
 def test_invalid_config_exit_code(tmp_path):

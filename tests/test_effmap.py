@@ -114,15 +114,6 @@ def test_json_roundtrip(emap):
     assert np.array_equal(back.feasible, emap.feasible)
 
 
-def test_parallel_rows_bit_identical(emla):
-    f, v = default_map_grid(emla, 16, 16)
-    a = build_efficiency_map(emla, f, v, jobs=1)
-    b = build_efficiency_map(emla, f, v, jobs=4)
-    assert np.array_equal(a.eta, b.eta, equal_nan=True)
-    for key in a.losses:
-        assert np.array_equal(a.losses[key], b.losses[key], equal_nan=True)
-
-
 def test_interp_symmetric_reverse_quadrant(emap):
     f, v = 2.0e4, 0.05
     assert emap.interp_eta(-f, -v) == emap.interp_eta(f, v)

@@ -153,26 +153,6 @@ def small_len(res):
     return len(res.times) - 1
 
 
-def test_auglag_backend_agrees_roughly(model_no_gravity):
-    lo, hi = model_no_gravity.stroke_limits()
-    pose = 0.5 * (lo + hi)
-    problem = replace(
-        benchmark_problem(model_no_gravity, n_partitions=12, n_ctrl=8),
-        q_init=pose, q_final=pose + 0.02,
-        qd_init=np.zeros(3), qd_final=np.zeros(3),
-    )
-    dyn = lambda q, qd, qdd: rnea(model_no_gravity, q, qd, qdd)
-    a = solve_inner(problem, dyn, method="slsqp")
-    b = solve_inner(problem, dyn, method="auglag")
-    assert b.constraint_violation <= 1e-5
-    assert b.cost <= a.cost * 1.2 + 1e-6
-
-
-def test_unknown_method_rejected(small_problem, dynamics):
-    with pytest.raises(ValueError):
-        solve_inner(small_problem, dynamics, method="newton")
-
-
 def test_determinism(small_problem, dynamics, solved_half):
     again = solve_inner(small_problem, dynamics, weights=np.array([0.5, 0.5]))
     assert np.array_equal(again.control_points, solved_half.control_points)
