@@ -22,7 +22,7 @@ from .control import (
     StabilityAudit,
     SubsystemGains,
     TrackingTraces,
-    adaptive_update,
+    adaptive_rate,
     control_law,
     lyapunov_audit,
     nominal_disturbance,
@@ -58,7 +58,7 @@ from .pmsm import (
     torque_to_iq,
 )
 from .spatial import RigidBodyParams, SpatialVec, TransformU, net_force, skew
-from .statespace import EmlaState, OperatingPoint, emla_rhs, linearize, step_dynamics
+from .statespace import EmlaState, OperatingPoint, emla_rhs, linearize, stack_params, step_dynamics
 from .trajopt import (
     NlpProblem,
     TimeGrid,

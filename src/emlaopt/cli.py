@@ -91,6 +91,15 @@ def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
     actuators = configio.build_actuators(config.get("actuators", {"preset": "default"}))
     if len(actuators) != model.n_joints:
         raise ConfigError("actuators: need one per manipulator joint")
+    outer = config.get("outer", {})
+    cfg = BilevelConfig(
+        weight_lower=np.asarray(outer.get("weight_lower", [0.05, 0.05]), dtype=float),
+        weight_upper=np.asarray(outer.get("weight_upper", [1.0, 1.0]), dtype=float),
+        method=outer.get("method", "grid"),
+        grid_points=int(outer.get("grid_points", 5)),
+        maxiter=int(outer.get("maxiter", 40)),
+        warm_start=bool(outer.get("warm_start", True)),
+    )
     map_doc = config.get("maps", {})
     maps = [
         build_efficiency_map(
@@ -103,15 +112,6 @@ def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
         )
         for a in actuators
     ]
-    outer = config.get("outer", {})
-    cfg = BilevelConfig(
-        weight_lower=np.asarray(outer.get("weight_lower", [0.05, 0.05]), dtype=float),
-        weight_upper=np.asarray(outer.get("weight_upper", [1.0, 1.0]), dtype=float),
-        method=outer.get("method", "grid"),
-        grid_points=int(outer.get("grid_points", 5)),
-        maxiter=int(outer.get("maxiter", 40)),
-        warm_start=bool(outer.get("warm_start", True)),
-    )
     result = solve_outer(cfg, problem, model, maps, jobs=jobs)
     doc = json.loads(result.to_json())
     doc["quartile_occupancy"] = quartile_occupancy(result.inner.v_x, result.inner.f_x, maps)
@@ -156,6 +156,7 @@ def run_track(config: dict, out_dir, seed: int, jobs: int) -> dict:
             "strictly_decreasing": audit.strictly_decreasing,
             "descent_violations": audit.descent_violations,
         },
+        "solver": traces.solver,
     }
     return {
         "tracking.csv": traces_to_csv(traces),

@@ -10,7 +10,12 @@ reference held at zero for maximum torque per ampere.
 
 The closed loop (plant + adaptive states + continuous feedback) is stiff
 at the published gains, so the simulation integrates the full ODE with an
-implicit stiff solver rather than fixed explicit stepping.
+implicit stiff solver rather than fixed explicit stepping.  Its right-hand
+side is the tested pieces wired together over all actuators at once:
+:func:`tracking_transform` and :func:`control_law` per subsystem,
+:func:`~emlaopt.pmsm.torque_to_iq` for the current reference,
+:func:`adaptive_rate` for the estimates and
+:func:`~emlaopt.statespace.emla_rhs` for the plant.
 """
 
 from dataclasses import dataclass, replace
@@ -18,9 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .drivetrain import equivalent_params
+from .drivetrain import DriveTrainParams, equivalent_params
 from .effmap import EmlaModel
-from .pmsm import electromagnetic_torque
+from .pmsm import PmsmParams, electromagnetic_torque, torque_to_iq
+from .statespace import emla_rhs, stack_params
 from .trajopt import TrajectoryResult
 
 
@@ -65,17 +71,13 @@ def control_law(delta: float, epsilon: float, phi: float, q_err: float):
     return -0.5 * (delta + epsilon * phi) * q_err
 
 
-def adaptive_update(k: float, sigma: float, epsilon: float, phi: float, q_err, dt: float):
-    """Advance phi_dot = -k*sigma*phi + (epsilon*k/2)|Q|^2 by one step.
+def adaptive_rate(k: float, sigma: float, epsilon: float, phi: float, q_err):
+    """phi_dot = -k*sigma*phi + (epsilon*k/2)|Q|^2.
 
-    Q is held over the step, making the ODE linear; the update is its exact
-    solution, so phi stays nonnegative for nonnegative starts.
+    The rate is nonnegative at phi = 0, so a nonnegative estimate stays
+    nonnegative under exact integration.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    rate = k * sigma
-    phi_inf = epsilon * float(np.square(q_err)) / (2.0 * sigma)
-    return phi_inf + (phi - phi_inf) * np.exp(-rate * dt)
+    return -k * sigma * phi + 0.5 * epsilon * k * np.square(q_err)
 
 
 @dataclass(frozen=True)
@@ -107,18 +109,26 @@ def nominal_disturbance() -> DisturbanceProfile:
 
 
 class _ToneNoise:
-    """Seeded sum-of-sines band-limited noise with unit standard deviation."""
+    """Seeded sum-of-sines band-limited noise with unit standard deviation,
+    one row of tones per channel."""
 
-    def __init__(self, rng, band_hz, n_tones):
-        self.freq = rng.uniform(band_hz[0], band_hz[1], n_tones)
-        self.phase = rng.uniform(0.0, 2.0 * np.pi, n_tones)
-        self.amp = rng.uniform(0.5, 1.0, n_tones)
-        self.amp /= np.sqrt(0.5 * np.sum(self.amp**2))
+    def __init__(self, rng, band_hz, n_tones, n_channels):
+        # each channel draws its frequencies, phases and amplitudes in turn
+        rows = [
+            (rng.uniform(band_hz[0], band_hz[1], n_tones),
+             rng.uniform(0.0, 2.0 * np.pi, n_tones),
+             rng.uniform(0.5, 1.0, n_tones))
+            for _ in range(n_channels)
+        ]
+        self.freq, self.phase, self.amp = (np.array(r) for r in zip(*rows))
+        self.amp /= np.sqrt(0.5 * np.sum(self.amp**2, axis=-1, keepdims=True))
 
     def __call__(self, t):
+        """Noise of shape ``t.shape + (n_channels,)``."""
         t = np.asarray(t, dtype=float)
         return np.sum(
-            self.amp * np.sin(2.0 * np.pi * self.freq * t[..., None] + self.phase), axis=-1
+            self.amp * np.sin(2.0 * np.pi * self.freq * t[..., None, None] + self.phase),
+            axis=-1,
         )
 
 
@@ -143,24 +153,17 @@ class TrackingTraces:
     lyapunov: np.ndarray
     gains: list
     disturbance: DisturbanceProfile
+    solver: dict  # Radau status, message, nfev, njev, nlu
 
 
-def _perturbed(model: EmlaModel, fraction: float) -> EmlaModel:
+def _perturbed(motor: PmsmParams, drivetrain: DriveTrainParams, fraction: float):
     """Plant-side parameter skew used to emulate model uncertainty."""
-    if fraction == 0.0:
-        return model
     f = 1.0 + fraction
-    motor = replace(
-        model.motor,
-        stator_resistance=model.motor.stator_resistance * f,
-        pm_flux=model.motor.pm_flux / f,
+    return (
+        replace(motor, stator_resistance=motor.stator_resistance * f, pm_flux=motor.pm_flux / f),
+        replace(drivetrain, motor_inertia=drivetrain.motor_inertia * f,
+                viscous_motor=drivetrain.viscous_motor * f),
     )
-    dt = replace(
-        model.drivetrain,
-        motor_inertia=model.drivetrain.motor_inertia * f,
-        viscous_motor=model.drivetrain.viscous_motor * f,
-    )
-    return replace(model, motor=motor, drivetrain=dt)
 
 
 def simulate_tracking(
@@ -195,128 +198,76 @@ def simulate_tracking(
 
     # smooth reference evaluation (C-level): exact B-spline for q and qd,
     # cubic interpolant through the collocation samples for the load force
-    knots_phys = clamped_knots(reference.control_points.shape[0], reference.degree)
-    knots_phys = knots_phys * reference.t_final
+    t_end = reference.t_final
+    knots_phys = clamped_knots(reference.control_points.shape[0], reference.degree) * t_end
     bs_q = BSpline(knots_phys, reference.control_points, reference.degree)
     bs_qd = bs_q.derivative()
     cs_f = CubicSpline(reference.times, reference.f_x, bc_type="natural")
-    t_end = reference.t_final
 
-    def ref_q(t):
-        return bs_q(min(max(t, 0.0), t_end))
-
-    def ref_qd(t):
-        return bs_qd(min(max(t, 0.0), t_end))
-
-    def ref_f(t):
-        return cs_f(min(max(t, 0.0), t_end))
+    # one stacked parameter object per side: the controller's nominal
+    # motor, and the (possibly skewed) plant reflected once for the run
+    motor = stack_params([m.motor for m in actuator_models])
+    drive = stack_params([m.drivetrain for m in actuator_models])
+    plant_motor, plant_drive = _perturbed(motor, drive, disturbance.param_perturbation)
+    plant_eq = equivalent_params(plant_drive)
+    f_eq = equivalent_params(drive).load_ratio
+    delta, eps, kk, sig = (np.stack([getattr(g, a) for g in gains], axis=1)
+                           for a in ("delta", "epsilon", "k", "sigma"))  # (4, n_a)
 
     rng = np.random.default_rng(disturbance.seed)
     peak_force = np.abs(reference.f_x).max(axis=0)
-    noise = [_ToneNoise(rng, disturbance.band_hz, disturbance.n_tones) for _ in range(n_a)]
-    # sensor noise scales per measured channel (position, velocity, currents)
+    force_noise = _ToneNoise(rng, disturbance.band_hz, disturbance.n_tones, n_a)
     sensor_noise = None
     if disturbance.sensor_noise_std:
-        sensor_noise = [
-            [_ToneNoise(rng, disturbance.band_hz, disturbance.n_tones) for _ in range(n_a)]
-            for _ in range(4)
-        ]
-        kt_all = np.array(
-            [1.5 * m.motor.pole_pairs * m.motor.pm_flux for m in actuator_models]
-        )
-        feq_all = np.array(
-            [equivalent_params(m.drivetrain).load_ratio for m in actuator_models]
-        )
-        current_scale = np.maximum(feq_all * peak_force / kt_all, 1e-3)
-        meas_scale = np.stack([
+        # channels (theta, omega, i_q, i_d) x joint, each scaled by its
+        # signal's peak (angles and speeds through f_eq to the shaft)
+        sensor_noise = _ToneNoise(rng, disturbance.band_hz, disturbance.n_tones, 4 * n_a)
+        current_scale = np.maximum(torque_to_iq(motor, f_eq * peak_force), 1e-3)
+        sensor_scale = disturbance.sensor_noise_std * np.stack([
             np.abs(reference.q).max(axis=0),
             np.maximum(np.abs(reference.qd).max(axis=0), 1e-6),
             current_scale,
             current_scale,
         ])
+        sensor_scale[:2] /= f_eq
 
-    plants = [_perturbed(m, disturbance.param_perturbation) for m in actuator_models]
-    eq_nom = [equivalent_params(m.drivetrain) for m in actuator_models]
-    eq_plant = [equivalent_params(p.drivetrain) for p in plants]
+    def measured(t, x):
+        """States (4, ..., n_a) as the controller reads them at times t."""
+        if sensor_noise is None:
+            return x
+        wig = sensor_scale * sensor_noise(t).reshape(np.shape(t) + (4, n_a))
+        return x + np.moveaxis(wig, -2, 0)[::-1]  # to [i_d, i_q, omega, theta]
 
-    # per-joint constant arrays for the vectorized loop
-    f_eq = np.array([e.load_ratio for e in eq_nom])
-    j_p = np.array([e.inertia for e in eq_plant])
-    b_p = np.array([e.damping for e in eq_plant])
-    k_p = np.array([e.stiffness for e in eq_plant])
-    feq_p = np.array([e.load_ratio for e in eq_plant])
-    rs_p = np.array([p.motor.stator_resistance for p in plants])
-    ld_p = np.array([p.motor.inductance_d for p in plants])
-    lq_p = np.array([p.motor.inductance_q for p in plants])
-    pp_p = np.array([float(p.motor.pole_pairs) for p in plants])
-    psi_p = np.array([p.motor.pm_flux for p in plants])
-    dl_p = ld_p - lq_p
-    kt_nom = np.array(
-        [1.5 * m.motor.pole_pairs * m.motor.pm_flux for m in actuator_models]
-    )
-    delta = np.stack([g.delta for g in gains])  # (n_a, 4)
-    eps = np.stack([g.epsilon for g in gains])
-    kk = np.stack([g.k for g in gains])
-    sig = np.stack([g.sigma for g in gains])
+    def controller(x, phi, q_ref, qd_ref):
+        """Subsystem errors Q, i_q reference and (V_d, V_q) at measured
+        states x with estimates phi, both (4, ..., n_a)."""
+        i_d, i_q, omega, theta = x
+        q1 = tracking_transform(f_eq * theta, q_ref, None, 1)
+        q2 = tracking_transform(f_eq * omega, qd_ref,
+                                control_law(delta[0], eps[0], phi[0], q1), 2)
+        iq_ref = torque_to_iq(motor, control_law(delta[1], eps[1], phi[1], q2))
+        q3 = tracking_transform(i_q, iq_ref, None, 3)
+        q4 = tracking_transform(i_d, 0.0, None, 4)
+        v_q = control_law(delta[2], eps[2], phi[2], q3)
+        v_d = control_law(delta[3], eps[3], phi[3], q4)
+        return np.array((q1, q2, q3, q4)), iq_ref, v_d, v_q
 
-    if initial_position_error is None:
-        initial_position_error = np.zeros(n_a)
-    initial_position_error = np.asarray(initial_position_error, dtype=float)
-
-    def load_force(t):
-        base = ref_f(t)
-        if disturbance.force_noise_std:
-            wig = np.array([noise[j](t) for j in range(n_a)])
-            base = base + disturbance.force_noise_std * peak_force * wig
-        return base
-
-    # state layout: [theta(n), omega(n), iq(n), id(n), phi(n,4).ravel()]
-    def split(y):
-        return (
-            y[0:n_a],
-            y[n_a: 2 * n_a],
-            y[2 * n_a: 3 * n_a],
-            y[3 * n_a: 4 * n_a],
-            y[4 * n_a:].reshape(n_a, 4),
-        )
-
-    def controller(t, y):
-        theta, omega, i_q, i_d, phi = split(y)
-        if sensor_noise is not None:
-            s = disturbance.sensor_noise_std
-            theta = theta + s * meas_scale[0] / f_eq * np.array([g(t) for g in sensor_noise[0]])
-            omega = omega + s * meas_scale[1] / f_eq * np.array([g(t) for g in sensor_noise[1]])
-            i_q = i_q + s * meas_scale[2] * np.array([g(t) for g in sensor_noise[2]])
-            i_d = i_d + s * meas_scale[3] * np.array([g(t) for g in sensor_noise[3]])
-        q_ref = ref_q(t)
-        qd_ref = ref_qd(t)
-        q1 = f_eq * theta - q_ref
-        kap1 = -0.5 * (delta[:, 0] + eps[:, 0] * phi[:, 0]) * q1
-        q2 = f_eq * omega - qd_ref - kap1
-        torque_cmd = -0.5 * (delta[:, 1] + eps[:, 1] * phi[:, 1]) * q2
-        iq_ref = torque_cmd / kt_nom
-        q3 = i_q - iq_ref
-        v_q = -0.5 * (delta[:, 2] + eps[:, 2] * phi[:, 2]) * q3
-        q4 = i_d
-        v_d = -0.5 * (delta[:, 3] + eps[:, 3] * phi[:, 3]) * q4
-        q_errs = np.stack([q1, q2, q3, q4], axis=1)
-        return q_errs, torque_cmd, iq_ref, v_q, v_d
-
+    # Radau state: [theta, omega, i_q, i_d] rows (EmlaState order, the
+    # reverse of emla_rhs's), then the four estimates phi of each joint
     def rhs(t, y):
-        theta, omega, i_q, i_d, phi = split(y)
-        q_errs, _, _, v_q, v_d = controller(t, y)
-        di_q = (v_q - rs_p * i_q - pp_p * omega * (ld_p * i_d + psi_p)) / lq_p
-        di_d = (v_d - rs_p * i_d + pp_p * omega * lq_p * i_q) / ld_p
-        torque = 1.5 * pp_p * i_q * (psi_p + dl_p * i_d)
-        domega = (torque - b_p * omega - k_p * theta - feq_p * load_force(t)) / j_p
-        dphi = -kk * sig * phi + 0.5 * eps * kk * q_errs**2
-        return np.concatenate([omega, domega, di_q, di_d, dphi.ravel()])
+        x, phi = y[:4 * n_a].reshape(4, n_a)[::-1], y[4 * n_a:].reshape(n_a, 4).T
+        tc = min(max(t, 0.0), t_end)
+        q_err, _, v_d, v_q = controller(measured(t, x), phi, bs_q(tc), bs_qd(tc))
+        f_load = cs_f(tc)
+        if disturbance.force_noise_std:
+            f_load = f_load + disturbance.force_noise_std * peak_force * force_noise(t)
+        dx = emla_rhs(plant_motor, plant_eq, x, (v_d, v_q), f_load)
+        return np.concatenate((dx[::-1], adaptive_rate(kk, sig, eps, phi, q_err).T), axis=None)
 
-    q0 = ref_q(0.0)
-    qd0 = ref_qd(0.0)
-    y0 = np.zeros(n_a * 8)
-    y0[0:n_a] = (q0 + initial_position_error) / f_eq
-    y0[n_a: 2 * n_a] = qd0 / f_eq
+    err0 = 0.0 if initial_position_error is None else np.asarray(initial_position_error, float)
+    y0 = np.zeros(8 * n_a)
+    y0[:n_a] = (bs_q(0.0) + err0) / f_eq
+    y0[n_a: 2 * n_a] = bs_qd(0.0) / f_eq
 
     # output grid: regular sampling plus the exact collocation instants so
     # reference columns can carry the trajectory samples verbatim
@@ -324,7 +275,6 @@ def simulate_tracking(
     base_grid[-1] = min(base_grid[-1], duration)
     colloc = reference.times[reference.times <= duration + 1e-12]
     t_eval = np.union1d(base_grid, colloc)
-    colloc_rows = {float(tc): k for k, tc in enumerate(reference.times)}
     sol = solve_ivp(
         rhs,
         (0.0, duration),
@@ -340,55 +290,40 @@ def simulate_tracking(
         bad = np.argmax(~np.isfinite(sol.y).all(axis=0))
         raise FloatingPointError(f"closed-loop state diverged near t={sol.t[bad]:.4f}s")
 
-    n_t = len(sol.t)
+    # the same controller over every output sample at once
+    t, y = sol.t, sol.y.T
+    x = y[:, :4 * n_a].reshape(len(t), 4, n_a).transpose(1, 0, 2)[::-1]  # (4, n_t, n_a)
+    phi = y[:, 4 * n_a:].reshape(len(t), n_a, 4)
+    tc = np.clip(t, 0.0, t_end)
+    q_ref, qd_ref, f_ref = bs_q(tc), bs_qd(tc), cs_f(tc)
+    q_err, iq_ref, v_d, v_q = controller(measured(t, x), phi.transpose(2, 0, 1), q_ref, qd_ref)
+    i_d, i_q, omega, theta = x
+    # reference columns carry the trajectory samples verbatim at the
+    # collocation instants
+    k = np.minimum(np.searchsorted(reference.times, t), len(reference.times) - 1)
+    colloc_hit = (reference.times[k] == t)[:, None]
     traces = TrackingTraces(
-        times=sol.t,
-        position=np.zeros((n_t, n_a)),
-        velocity=np.zeros((n_t, n_a)),
-        position_ref=np.zeros((n_t, n_a)),
-        velocity_ref=np.zeros((n_t, n_a)),
-        i_q=np.zeros((n_t, n_a)),
-        i_d=np.zeros((n_t, n_a)),
-        i_q_ref=np.zeros((n_t, n_a)),
-        v_q=np.zeros((n_t, n_a)),
-        v_d=np.zeros((n_t, n_a)),
-        q_err=np.zeros((n_t, n_a, 4)),
-        phi=np.zeros((n_t, n_a, 4)),
-        force_em=np.zeros((n_t, n_a)),
-        force_ref=np.zeros((n_t, n_a)),
-        lyapunov=np.zeros(n_t),
+        times=t,
+        position=f_eq * theta,
+        velocity=f_eq * omega,
+        position_ref=np.where(colloc_hit, reference.q[k], q_ref),
+        velocity_ref=np.where(colloc_hit, reference.qd[k], qd_ref),
+        i_q=i_q,
+        i_d=i_d,
+        i_q_ref=iq_ref,
+        v_q=v_q,
+        v_d=v_d,
+        q_err=np.moveaxis(q_err, 0, -1),
+        phi=phi,
+        # electromagnetic force produced, rated with the nominal motor constants
+        force_em=electromagnetic_torque(motor, i_d, i_q) / f_eq,
+        force_ref=np.where(colloc_hit, reference.f_x[k], f_ref),
+        lyapunov=None,
         gains=list(gains),
         disturbance=disturbance,
+        solver={"status": int(sol.status), "message": str(sol.message),
+                "nfev": int(sol.nfev), "njev": int(sol.njev), "nlu": int(sol.nlu)},
     )
-    for it, t in enumerate(sol.t):
-        y = sol.y[:, it]
-        theta, omega, i_q, i_d, phi = split(y)
-        q_errs, _, iq_ref, v_q, v_d = controller(t, y)
-        traces.position[it] = f_eq * theta
-        traces.velocity[it] = f_eq * omega
-        if float(t) in colloc_rows:
-            k = colloc_rows[float(t)]
-            traces.position_ref[it] = reference.q[k]
-            traces.velocity_ref[it] = reference.qd[k]
-        else:
-            traces.position_ref[it] = ref_q(t)
-            traces.velocity_ref[it] = ref_qd(t)
-        traces.i_q[it] = i_q
-        traces.i_d[it] = i_d
-        traces.i_q_ref[it] = iq_ref
-        traces.v_q[it] = v_q
-        traces.v_d[it] = v_d
-        traces.q_err[it] = q_errs
-        traces.phi[it] = phi
-        if float(t) in colloc_rows:
-            traces.force_ref[it] = reference.f_x[colloc_rows[float(t)]]
-        else:
-            traces.force_ref[it] = ref_f(t)
-    # electromagnetic force produced, rated with the nominal motor constants
-    for j, m in enumerate(actuator_models):
-        traces.force_em[:, j] = (
-            electromagnetic_torque(m.motor, traces.i_d[:, j], traces.i_q[:, j]) / f_eq[j]
-        )
     traces.lyapunov = lyapunov_value(traces, gains)
     return traces
 

@@ -14,7 +14,9 @@ class DriveTrainParams:
     """Inertias, dampings, stiffnesses and the gearbox/screw ratios of one EMLA.
 
     Units: inertias kg*m^2, masses kg, torsional stiffnesses N*m/rad, linear
-    stiffnesses N/m, gear ratio dimensionless, screw lead m/rev.
+    stiffnesses N/m, gear ratio dimensionless, screw lead m/rev.  Fields
+    may be (n,) arrays holding n drivetrains; every function here then
+    acts elementwise.
     """
 
     motor_inertia: float
@@ -49,10 +51,10 @@ class DriveTrainParams:
             "screw_lead",
         )
         for name in positive:
-            if getattr(self, name) <= 0:
+            if np.any(getattr(self, name) <= 0):
                 raise ValueError(f"{name} must be > 0")
         for name in ("screw_mass", "load_mass", "viscous_motor", "gear_friction", "screw_viscous"):
-            if getattr(self, name) < 0:
+            if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be >= 0")
 
 

@@ -16,6 +16,10 @@ TWO_PI = 2.0 * np.pi
 class PmsmParams:
     """Electrical constants of one permanent-magnet synchronous motor.
 
+    Every field may also be an (n,) array holding n motors at once (see
+    :func:`emlaopt.statespace.stack_params`); the functions below then act
+    on each motor elementwise.
+
     Attributes:
         stator_resistance: per-phase stator resistance [ohm].
         inductance_d: d-axis inductance [H].
@@ -31,13 +35,13 @@ class PmsmParams:
     pm_flux: float
 
     def __post_init__(self):
-        if self.stator_resistance <= 0:
+        if np.any(self.stator_resistance <= 0):
             raise ValueError("stator_resistance must be > 0")
-        if self.inductance_d <= 0 or self.inductance_q <= 0:
+        if np.any(self.inductance_d <= 0) or np.any(self.inductance_q <= 0):
             raise ValueError("inductances must be > 0")
-        if self.pole_pairs < 1:
+        if np.any(self.pole_pairs < 1):
             raise ValueError("pole_pairs must be >= 1")
-        if self.pm_flux <= 0:
+        if np.any(self.pm_flux <= 0):
             raise ValueError("pm_flux must be > 0")
 
     @property
@@ -130,8 +134,7 @@ def current_derivatives(
     di_q = (
         v_q
         - params.stator_resistance * i_q
-        - p * omega_m * params.inductance_d * i_d
-        - p * omega_m * params.pm_flux
+        - p * omega_m * (params.inductance_d * i_d + params.pm_flux)
     ) / params.inductance_q
     return di_d, di_q
 

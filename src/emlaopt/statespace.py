@@ -6,11 +6,11 @@ inertia against viscous drag, a restoring shaft term and the load force
 reflected through the transmission.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .drivetrain import DriveTrainParams, equivalent_params
+from .drivetrain import DriveTrainParams, EquivalentParams, equivalent_params
 from .pmsm import PmsmParams, current_derivatives, electromagnetic_torque
 
 
@@ -51,17 +51,32 @@ def vec_to_state(x) -> EmlaState:
     return EmlaState(theta_m=x[3], omega_m=x[2], i_q=x[1], i_d=x[0])
 
 
+def stack_params(items):
+    """One params dataclass whose fields are (n,) arrays over ``items``.
+
+    The stacked object runs every actuator of a manipulator through
+    :func:`emla_rhs` and the motor/drivetrain functions in one call.
+    """
+    cls = type(items[0])
+    return cls(**{f.name: np.array([getattr(p, f.name) for p in items], dtype=float)
+                  for f in fields(cls)})
+
+
 def emla_rhs(
     params: PmsmParams,
-    drivetrain: DriveTrainParams,
+    eq: EquivalentParams,
     x: np.ndarray,
     u: np.ndarray,
     f_x: float,
 ) -> np.ndarray:
-    """Nonlinear vector field in [i_d, i_q, omega, theta] order, input [V_d, V_q]."""
+    """Nonlinear vector field in [i_d, i_q, omega, theta] order, input [V_d, V_q].
+
+    ``eq`` is ``equivalent_params(drivetrain)``, reflected once by the
+    caller.  With stacked (n,) parameters, ``x`` is (4, n), ``u`` a pair
+    of (n,) voltages and ``f_x`` (n,) load forces.
+    """
     i_d, i_q, omega, theta = x
     v_d, v_q = u
-    eq = equivalent_params(drivetrain)
     di_d, di_q = current_derivatives(params, i_d, i_q, omega, v_d, v_q)
     torque = electromagnetic_torque(params, i_d, i_q)
     domega = (torque - eq.damping * omega - eq.stiffness * theta - eq.load_ratio * f_x) / eq.inertia
@@ -140,9 +155,10 @@ def step_dynamics(
     v_q, v_d = u
     uv = np.array([v_d, v_q])
     x = state_to_vec(state)
+    eq = equivalent_params(drivetrain)
 
     def f(xv):
-        return emla_rhs(params, drivetrain, xv, uv, f_x)
+        return emla_rhs(params, eq, xv, uv, f_x)
 
     k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)

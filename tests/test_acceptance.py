@@ -25,7 +25,7 @@ from emlaopt.control import (
     simulate_tracking,
     tracking_errors,
 )
-from emlaopt.drivetrain import rotary_linear_map
+from emlaopt.drivetrain import equivalent_params, rotary_linear_map
 from emlaopt.manipulator import (
     ClosedChainStage,
     evaluate_dynamics,
@@ -131,6 +131,7 @@ def test_criterion_04_linearization_check(acts):
         op = OperatingPoint(*rng.uniform([-250, -12, -12], [250, 12, 12]))
         f_x = rng.uniform(-4e4, 4e4)
         a, b, r = linearize(emla.motor, emla.drivetrain, op, f_x)
+        eq = equivalent_params(emla.drivetrain)
         x0 = np.array([op.id0, op.iq0, op.omega0, rng.uniform(-5, 5)])
         u0 = rng.uniform(-100, 100, 2)
         jac = np.zeros((4, 4))
@@ -140,12 +141,12 @@ def test_criterion_04_linearization_check(acts):
             xp[i] += h
             xm[i] -= h
             jac[:, i] = (
-                emla_rhs(emla.motor, emla.drivetrain, xp, u0, f_x)
-                - emla_rhs(emla.motor, emla.drivetrain, xm, u0, f_x)
+                emla_rhs(emla.motor, eq, xp, u0, f_x)
+                - emla_rhs(emla.motor, eq, xm, u0, f_x)
             ) / (2 * h)
         worst = max(worst, np.abs(a - jac).max() / np.abs(jac).max())
         # the affine remainder reproduces the field at the operating state
-        resid = a @ x0 + b @ u0 + r - emla_rhs(emla.motor, emla.drivetrain, x0, u0, f_x)
+        resid = a @ x0 + b @ u0 + r - emla_rhs(emla.motor, eq, x0, u0, f_x)
         worst = max(worst, np.abs(resid).max() / max(1.0, np.abs(jac).max()))
     ok = worst <= 1e-5
     report(4, ok, f"state-space matrices vs central differences at 100 random "

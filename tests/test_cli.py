@@ -127,6 +127,10 @@ def test_track_pipeline_roundtrip(bilevel_dir, tmp_path):
                 assert got[f"fx_ref{j}"] == row[f"fx{j}"]
             matched += 1
     assert matched == len(traj_rows)
+    # Radau's exit status and work counters travel with the summary
+    solver = json.loads((trk / "tracking.json").read_text())["solver"]
+    assert solver["status"] == 0 and solver["message"]
+    assert min(solver[k] for k in ("nfev", "njev", "nlu")) > 0
 
 
 def test_report_from_bilevel(bilevel_dir, tmp_path):
@@ -186,7 +190,11 @@ def test_trajopt_unknown_method_exits_2(tmp_path, capsys):
         assert not (out / "manifest.json").exists()
 
 
-def test_bilevel_inverted_weight_box_exits_2(tmp_path, capsys):
+def test_bilevel_inverted_weight_box_exits_2(tmp_path, capsys, monkeypatch):
+    def no_maps(*args, **kwargs):
+        raise AssertionError("efficiency maps built before the outer config was checked")
+
+    monkeypatch.setattr("emlaopt.cli.build_efficiency_map", no_maps)
     cfg = write(tmp_path, "bl.json", {
         "manipulator": {"preset": "default"},
         "problem": {"preset": "benchmark", "n_partitions": 16, "n_ctrl": 8},

@@ -1,13 +1,24 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emlaopt.drivetrain import equivalent_params
-from emlaopt.presets import lift_emla
+from emlaopt.drivetrain import DriveTrainParams, equivalent_params
+from emlaopt.pmsm import (
+    PmsmParams,
+    current_derivatives,
+    electromagnetic_torque,
+    torque_to_iq,
+)
+from emlaopt.presets import actuators, lift_emla
 from emlaopt.statespace import (
     EmlaState,
     OperatingPoint,
     emla_rhs,
     linearize,
+    stack_params,
     state_to_vec,
     step_dynamics,
     stored_energy,
@@ -16,6 +27,7 @@ from emlaopt.statespace import (
 
 EMLA = lift_emla()
 PARAMS, DT = EMLA.motor, EMLA.drivetrain
+EQ = equivalent_params(DT)
 
 
 def test_zero_operating_point_structure():
@@ -56,12 +68,12 @@ def test_linearization_matches_finite_differences():
             xp[i] += h
             xm[i] -= h
             jac[:, i] = (
-                emla_rhs(PARAMS, DT, xp, u0, f_x) - emla_rhs(PARAMS, DT, xm, u0, f_x)
+                emla_rhs(PARAMS, EQ, xp, u0, f_x) - emla_rhs(PARAMS, EQ, xm, u0, f_x)
             ) / (2 * h)
         scale = np.abs(jac).max()
         worst = max(worst, np.abs(a - jac).max() / scale)
         # affine consistency at the operating point
-        rhs = emla_rhs(PARAMS, DT, x0, u0, f_x)
+        rhs = emla_rhs(PARAMS, EQ, x0, u0, f_x)
         assert np.allclose(a @ x0 + b @ u0 + r, rhs, rtol=1e-9, atol=1e-9 * (1 + np.abs(rhs).max()))
     assert worst <= 1e-5
 
@@ -104,7 +116,7 @@ def test_power_balance_of_vector_field():
         x = rng.uniform([-3, -6, -150, -2], [3, 6, 150, 2])
         u = rng.uniform(-80, 80, 2)
         f_x = rng.uniform(-2e4, 2e4)
-        xdot = emla_rhs(PARAMS, DT, x, u, f_x)
+        xdot = emla_rhs(PARAMS, EQ, x, u, f_x)
         i_d, i_q, omega, _ = x
         p_in = 1.5 * (u[0] * i_d + u[1] * i_q)
         p_cu = 1.5 * PARAMS.stator_resistance * (i_d**2 + i_q**2)
@@ -122,3 +134,75 @@ def test_divergence_detection():
     s = EmlaState(0.0, 1e300, 0.0, 0.0)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
         step_dynamics(PARAMS, DT, s, (0.0, 0.0), 0.0, 1.0)
+
+
+factor = st.floats(0.5, 2.0)
+
+
+@st.composite
+def actuator_params(draw):
+    """Valid motor and drivetrain constants: the lift preset, each scaled."""
+    motor = PmsmParams(
+        **{f.name: getattr(PARAMS, f.name) * draw(factor)
+           for f in fields(PmsmParams) if f.name != "pole_pairs"},
+        pole_pairs=draw(st.integers(1, 8)),
+    )
+    drive = DriveTrainParams(
+        **{f.name: getattr(DT, f.name) * draw(factor) for f in fields(DriveTrainParams)}
+    )
+    return motor, drive
+
+
+# per actuator: i_d, i_q, omega, theta, V_d, V_q, f_x
+STATE_SCALE = np.array([20.0, 20.0, 300.0, 50.0, 400.0, 400.0, 4e4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(actuator_params(), min_size=1, max_size=4), st.data())
+def test_stacked_params_match_each_actuator(params, data):
+    n = len(params)
+    unit = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=7 * n, max_size=7 * n))
+    i_d, i_q, omega, theta, v_d, v_q, f_x = STATE_SCALE[:, None] * np.reshape(unit, (7, n))
+    x = np.array([i_d, i_q, omega, theta])
+    motor = stack_params([m for m, _ in params])
+    drive = stack_params([d for _, d in params])
+    eq = equivalent_params(drive)
+
+    stacked = {
+        "equivalent_params": np.array(eq),
+        "emla_rhs": emla_rhs(motor, eq, x, (v_d, v_q), f_x),
+        "current_derivatives": np.array(current_derivatives(motor, i_d, i_q, omega, v_d, v_q)),
+        "electromagnetic_torque": electromagnetic_torque(motor, i_d, i_q),
+        "torque_to_iq": torque_to_iq(motor, f_x, i_d),
+    }
+    alone = {name: [] for name in stacked}
+    for j, (m, d) in enumerate(params):
+        eq_j = equivalent_params(d)
+        alone["equivalent_params"].append(np.array(eq_j))
+        alone["emla_rhs"].append(emla_rhs(m, eq_j, x[:, j], (v_d[j], v_q[j]), f_x[j]))
+        alone["current_derivatives"].append(
+            np.array(current_derivatives(m, i_d[j], i_q[j], omega[j], v_d[j], v_q[j])))
+        alone["electromagnetic_torque"].append(electromagnetic_torque(m, i_d[j], i_q[j]))
+        alone["torque_to_iq"].append(torque_to_iq(m, f_x[j], i_d[j]))
+    for name, got in stacked.items():
+        want = np.stack(alone[name], axis=-1)
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+
+def test_stacked_params_reject_one_bad_entry():
+    acts = actuators()
+    motor = stack_params([a.motor for a in acts])
+    drive = stack_params([a.drivetrain for a in acts])
+    for stacked in (motor, drive):
+        for f in fields(stacked):
+            bad = getattr(stacked, f.name).copy()
+            bad[1] = -1e-3
+            with pytest.raises(ValueError):
+                replace(stacked, **{f.name: bad})
+    for f in fields(motor):  # every motor constant must be strictly positive
+        bad = getattr(motor, f.name).copy()
+        bad[2] = 0.0
+        with pytest.raises(ValueError):
+            replace(motor, **{f.name: bad})
