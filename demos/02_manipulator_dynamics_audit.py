@@ -3,8 +3,10 @@
 Runs the forward/backward passes of the 3-DoF boom on a smooth test
 motion and cross-checks the things that must hold exactly: the two
 branches of each closed chain agree at the cut, static piston forces are
-potential-energy gradients, the ground carries the total weight, and the
-piston power accounts for every joule of mechanical energy change.
+potential-energy gradients, the ground carries the total weight, the
+piston power accounts for every joule of mechanical energy change, and the
+planar force-only kernel behind ``rnea`` matches the 6-D recursion of
+``evaluate_dynamics``.
 """
 
 import numpy as np
@@ -50,6 +52,9 @@ print("\nover the 1 s test motion:")
 print(f"  piston work   = {work:12.6f} J")
 print(f"  energy change = {e1 - e0:12.6f} J")
 print(f"  mismatch      = {abs(work - (e1 - e0)):.3e} J")
+f_6d = evaluate_dynamics(model, q, qd, qdd).piston_forces
+print(f"  max |rnea - 6-D oracle| piston force = {np.abs(f - f_6d).max():.3e} N "
+      f"(forces up to {np.abs(f_6d).max() / 1e3:.1f} kN)")
 
 st = evaluate_dynamics(model, q[333], qd[333], qdd[333])
 for nm in ("lift", "tilt"):

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chain import StrokeRangeError
 from .effmap import EfficiencyMap
-from .manipulator import ChainModel, rnea
+from .manipulator import ChainModel, SingularConfigurationError, rnea
 from .trajopt import NlpProblem, TrajectoryResult, solve_inner
 
 
@@ -223,10 +224,17 @@ def outer_cost(
 
 
 def _solve_point(args):
-    """outer_cost at one weight vector; module-level so worker processes can run it."""
+    """outer_cost at one weight vector; module-level so worker processes can run it.
+
+    Returns None when the inner solve leaves the chains' feasible strokes or
+    reaches a fold, so that one point fails without ending the sweep.
+    """
     model, problem, weights, eta_maps, initial_guess = args
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
-    return outer_cost(weights, problem, dynamics, map_eta_fns(eta_maps), initial_guess)
+    try:
+        return outer_cost(weights, problem, dynamics, map_eta_fns(eta_maps), initial_guess)
+    except (StrokeRangeError, SingularConfigurationError):
+        return None
 
 
 def solve_outer(
@@ -241,7 +249,9 @@ def solve_outer(
     Grid mode evaluates every point of the weight-box lattice (optionally
     in parallel; each point warm-starts from one shared base solve so the
     outcome is independent of evaluation order).  Nelder-Mead mode runs a
-    sequential projected simplex search from the box center.
+    sequential projected simplex search from the box center.  A point whose
+    inner solve fails or does not converge is traced with F = -inf and never
+    wins; a failed center (warm-start) solve raises.
     """
     eta_fns = map_eta_fns(eta_maps)
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
@@ -257,7 +267,16 @@ def solve_outer(
     )
 
     trace = []
-    evaluations = []
+    evaluations = []  # converged points only
+
+    def record(w, point):
+        """Trace one point; return its F, or None if it failed or did not converge."""
+        ok = point is not None and point[1].converged
+        trace.append((w, point[0] if ok else float("-inf"), ok))
+        if not ok:
+            return None
+        evaluations.append((w, *point))
+        return point[0]
 
     if config.method == "grid":
         axes = [np.linspace(lo[i], hi[i], config.grid_points) for i in range(len(lo))]
@@ -268,20 +287,15 @@ def solve_outer(
                 results = list(pool.map(_solve_point, tasks))
         else:
             results = [_solve_point(t) for t in tasks]
-        for w, (value, result, eta, flagged) in zip(mesh, results):
-            ok = result.converged
-            trace.append((np.array(w), value if ok else float("-inf"), ok))
-            evaluations.append((np.array(w), value, result, eta, flagged, ok))
+        for w, point in zip(mesh, results):
+            record(np.array(w), point)
     else:
         from scipy.optimize import minimize
 
         def neg_f(w_raw):
             w = np.clip(w_raw, lo, hi)
-            value, result, eta, flagged = _solve_point((model, problem, w, eta_maps, warm))
-            ok = result.converged
-            trace.append((w.copy(), value if ok else float("-inf"), ok))
-            evaluations.append((w.copy(), value, result, eta, flagged, ok))
-            return -value if ok else 1e6
+            value = record(w.copy(), _solve_point((model, problem, w, eta_maps, warm)))
+            return 1e6 if value is None else -value
 
         minimize(
             neg_f,
@@ -290,11 +304,9 @@ def solve_outer(
             options={"maxfev": config.maxiter, "xatol": 1e-3, "fatol": 1e-6},
         )
 
-    valid = [e for e in evaluations if e[5]]
-    if not valid:
+    if not evaluations:
         raise RuntimeError("no outer candidate produced a converged inner solve")
-    best = max(valid, key=lambda e: e[1])
-    w_opt, value, result, eta, flagged, _ = best
+    w_opt, value, result, eta, flagged = max(evaluations, key=lambda e: e[1])
     summary = efficiency_summary(result.v_x, result.f_x, eta_fns)
     return BilevelResult(
         weights_opt=w_opt,

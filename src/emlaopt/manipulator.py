@@ -6,19 +6,28 @@ driven link, and a barrel/rod actuator closing the triangle) or a
 telescopic prismatic slide.  All motion happens in the world x-z plane with
 revolute axes along +y; gravity acts along -z.
 
-Generalized coordinates are the piston strokes, one per stage.  The
-forward pass propagates body-frame spatial velocities and their apparent
-derivatives through both branches of every chain; the backward pass
-aggregates net wrenches leaf-to-root and resolves each chain's internal
-pin/slide constraint system to extract the piston force.
+Generalized coordinates are the piston strokes, one per stage.  Two paths
+compute the dynamics:
+
+* ``rnea`` and ``actuator_force`` (the optimizer's hot path) run a planar
+  force-only kernel: frames are in-plane angle/position/velocity tuples, and
+  the wrench a stage carries is the world sum of its subtree's net wrenches,
+  so no pin or bearing force is resolved.
+* ``evaluate_dynamics`` and the functions built on it run the 6-D
+  recursion, the audit and oracle path: the forward pass propagates
+  body-frame spatial velocities and their apparent derivatives through both
+  branches of every chain; the backward pass aggregates net wrenches
+  leaf-to-root and resolves each chain's internal pin/slide constraint
+  system to extract the piston force.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ClosedChainGeometry, closure_rates
-from .spatial import FORCE, MOTION, RigidBodyParams, SpatialVec, planar_angle, rot_y, skew
+from .chain import ClosedChainGeometry, _closure_with_derivatives, closure_rates
+from .spatial import FORCE, MOTION, RigidBodyParams, SpatialVec, net_force, planar_angle, rot_y
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -231,33 +240,6 @@ def _prismatic_x_child(state, disp, rate, accel):
     )
 
 
-def _net_wrench(body: RigidBodyParams, state):
-    """M dV + C(w) V + G via direct cross products (no 6x6 assembly).
-
-    Equivalent to :func:`emlaopt.spatial.net_force`; the identity is pinned
-    by a regression test.
-    """
-    r_w, _, vel, acc = state
-    m, r = body.mass, body.com_offset
-    i_com = body.inertia
-    rx = skew(r)
-    i_origin = i_com - m * (rx @ rx)
-    v, w = vel[..., :3], vel[..., 3:]
-    av, aw = acc[..., :3], acc[..., 3:]
-    # inertial terms about the frame origin
-    lin = m * (av - _cross(r, aw))
-    ang = m * _cross(r, av) + _mat_vec(i_origin, aw)
-    # Coriolis/centrifugal: u = w x (v - r x w)
-    u = _cross(w, v - _cross(r, w))
-    lin = lin + m * u
-    ang = ang + m * _cross(r, u) + _cross(w, _mat_vec(i_com, w))
-    # gravity support wrench
-    g_body = m * np.einsum("...ji,j->...i", r_w, body.gravity)
-    lin = lin + g_body
-    ang = ang + _cross(r, g_body)
-    return np.concatenate([lin, ang], axis=-1)
-
-
 def _force_to_parent(rotation, offset, force):
     """Re-express a child-frame wrench in the parent frame; rotation=None is identity."""
     if rotation is None:
@@ -297,12 +279,17 @@ class DynamicsState:
         return SpatialVec(self.frame_forces[frame], FORCE)
 
 
-def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
+def _as_states(model: ChainModel, q, qd, qdd):
     q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
     qdd = np.asarray(qdd, dtype=float)
     if q.shape != qd.shape or q.shape != qdd.shape or q.shape[-1] != model.n_joints:
         raise ValueError("q, qd, qdd must share shape (..., n_joints)")
+    return q, qd, qdd
+
+
+def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
+    q, qd, qdd = _as_states(model, q, qd, qdd)
     batch = q.shape[:-1]
 
     zeros6 = np.zeros(batch + (6,))
@@ -316,7 +303,7 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
     base_state = _fixed_child(ground, rot_y(model.base_angle), model.base_pos)
     frames["base"] = base_state
 
-    net = {"base": _net_wrench(model.base, base_state)}
+    net = {"base": net_force(model.base, base_state[2], base_state[3], base_state[0])}
     chain_angles = {}
     per_stage = []  # bookkeeping for the backward pass
 
@@ -359,9 +346,9 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
                     f"{nm}.mount": mount,
                 }
             )
-            net[f"{nm}.boom"] = _net_wrench(stage.boom, boom)
-            net[f"{nm}.barrel"] = _net_wrench(stage.barrel, barrel)
-            net[f"{nm}.rod"] = _net_wrench(stage.rod, rod)
+            net[f"{nm}.boom"] = net_force(stage.boom, boom[2], boom[3], boom[0])
+            net[f"{nm}.barrel"] = net_force(stage.barrel, barrel[2], barrel[3], barrel[0])
+            net[f"{nm}.rod"] = net_force(stage.rod, rod[2], rod[3], rod[0])
             chain_angles[nm] = (qh, qa, qp)
             per_stage.append(("chain", stage, {"q_pin": qp, "c": c}))
             state = mount
@@ -373,7 +360,9 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
             frames[f"{nm}.slide"] = slide
             frames[f"{nm}.carriage"] = carriage
             frames[f"{nm}.mount"] = mount
-            net[f"{nm}.carriage"] = _net_wrench(stage.carriage, carriage)
+            net[f"{nm}.carriage"] = net_force(
+                stage.carriage, carriage[2], carriage[3], carriage[0]
+            )
             per_stage.append(("telescope", stage, {"x": x}))
             state = mount
 
@@ -475,6 +464,145 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
 
 
 # ---------------------------------------------------------------------------
+# planar force-only kernel behind rnea/actuator_force
+#
+# Every body moves in the world x-z plane (``_check_planar``), so a frame is
+# the tuple (cos phi, sin phi, p_x, p_z, v_x, v_z, w, a_x, a_z, alpha): the
+# world angle about +y, the world origin, and the in-plane components of the
+# body-frame spatial velocity and its apparent derivative.  Each primitive
+# keeps exactly the in-plane terms of its 6-D counterpart above.  Wrenches
+# are (f_x, f_z, m_y).  Entries stay plain floats until the first joint.
+
+_GROUND = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _planar_fixed(frame, angle, offset):
+    """Child at parent point ``offset`` (x-z of a 3-vector), turned by ``angle`` about y."""
+    c, s, px, pz, vx, vz, w, ax, az, al = frame
+    ct, st = math.cos(angle), math.sin(angle)
+    ox, oz = float(offset[0]), float(offset[2])
+    ux, uz = vx + w * oz, vz - w * ox
+    bx, bz = ax + al * oz, az - al * ox
+    return (
+        c * ct - s * st, s * ct + c * st, px + c * ox + s * oz, pz - s * ox + c * oz,
+        ct * ux - st * uz, st * ux + ct * uz, w,
+        ct * bx - st * bz, st * bx + ct * bz, al,
+    )
+
+
+def _planar_revolute(frame, angle, rate, accel):
+    """Child turned by the joint ``angle`` about the parent y-axis at its origin."""
+    c, s, px, pz, vx, vz, w, ax, az, al = frame
+    ct, st = np.cos(angle), np.sin(angle)
+    lx, lz = ct * vx - st * vz, st * vx + ct * vz
+    return (
+        c * ct - s * st, s * ct + c * st, px, pz,
+        lx, lz, w + rate,
+        ct * ax - st * az - rate * lz, st * ax + ct * az + rate * lx, al + accel,
+    )
+
+
+def _planar_prismatic(frame, disp, rate, accel):
+    """Child sliding ``disp`` along the parent x-axis."""
+    c, s, px, pz, vx, vz, w, ax, az, al = frame
+    return (
+        c, s, px + c * disp, pz - s * disp,
+        vx + rate, vz - w * disp, w,
+        ax + accel, az - al * disp - rate * w, al,
+    )
+
+
+def _planar_net(body: RigidBodyParams, frame):
+    """(f_x, f_z, m_y) of :func:`emlaopt.spatial.net_force`, in body axes."""
+    c, s, _, _, vx, vz, w, ax, az, al = frame
+    m = body.mass
+    rx, rz = float(body.com_offset[0]), float(body.com_offset[2])
+    gx, gz = m * float(body.gravity[0]), m * float(body.gravity[2])
+    i_origin = float(body.inertia[1, 1]) + m * (rx * rx + rz * rz)
+    # origin acceleration with the Coriolis/centrifugal term, times m, plus
+    # the gravity support force in body axes
+    kx = m * (ax + w * (vz - w * rx)) + (c * gx - s * gz)
+    kz = m * (az - w * (vx + w * rz)) + (s * gx + c * gz)
+    return kx + m * rz * al, kz - m * rx * al, rz * kx - rx * kz + i_origin * al
+
+
+def _planar_add(total, frame, wrench):
+    """``total`` plus a body wrench turned to world axes, moment about the world origin."""
+    c, s, px, pz = frame[:4]
+    fx, fz, my = wrench
+    wx, wz = c * fx + s * fz, c * fz - s * fx
+    return total[0] + wx, total[1] + wz, total[2] + (my + pz * wx - px * wz)
+
+
+def _piston_forces(model: ChainModel, q, qd, qdd):
+    """Piston forces from in-plane motion and subtree wrench sums.
+
+    The wrench a stage carries is the world sum of its subtree's net
+    wrenches (internal pin and bearing forces cancel), so only the three
+    projections of ``_evaluate``'s constraint resolution are needed: the
+    rod's body wrench, the barrel's moment about the anchor and the boom
+    subtree's moment about the hinge.  A telescope's force is the
+    x-component of its subtree force in carriage axes.
+    """
+    frame = _planar_fixed(_GROUND, model.base_angle, model.base_pos)
+    passes = []  # per stage, what the backward pass needs
+    for k, stage in enumerate(model.stages):
+        x, xd, xdd = q[..., k], qd[..., k], qdd[..., k]
+        if isinstance(stage, ClosedChainStage):
+            geom = stage.geometry
+            geom.check_stroke(x)
+            qh, qa, qp, dh, da, _, d2h, d2a, _ = _closure_with_derivatives(geom, x)
+            sin_qp = np.sin(qp)
+            if np.any(np.abs(sin_qp) < SINGULARITY_TOL):
+                raise SingularConfigurationError(
+                    f"{stage.name}: pin angle within {SINGULARITY_TOL} of a fold"
+                )
+            c = x + geom.zero_stroke_len
+            theta_a = stage.base_angle
+            xd2 = xd * xd
+            boom = _planar_revolute(
+                _planar_fixed(frame, theta_a, stage.hinge_pos),
+                qh, dh * xd, d2h * xd2 + dh * xdd,
+            )
+            barrel = _planar_revolute(
+                _planar_fixed(frame, theta_a + math.pi, stage.anchor_pos),
+                -qa, -(da * xd), -(d2a * xd2 + da * xdd),
+            )
+            rod = _planar_prismatic(barrel, c - geom.rod_frame_setback, xd, xdd)
+            passes.append((stage, boom, _planar_net(stage.boom, boom), barrel,
+                           _planar_net(stage.barrel, barrel), rod,
+                           _planar_net(stage.rod, rod), qp, sin_qp, c))
+            frame = boom
+        else:
+            carriage = _planar_prismatic(
+                _planar_fixed(frame, 0.0, stage.slide_pos), x, xd, xdd
+            )
+            passes.append((stage, carriage, _planar_net(stage.carriage, carriage)))
+            frame = carriage
+        frame = _planar_fixed(frame, stage.mount_angle, stage.mount_pos)
+
+    piston = [None] * model.n_joints
+    subtree = (0.0, 0.0, 0.0)  # world axes, moment about the world origin
+    for k in range(model.n_joints - 1, -1, -1):
+        stage, body, net, *chain = passes[k]
+        subtree = _planar_add(subtree, body, net)
+        fx, fz, my = subtree
+        if not chain:  # telescope: subtree force along the carriage x-axis
+            piston[k] = body[0] * fx - body[1] * fz
+            continue
+        barrel, barrel_net, rod, rod_net, qp, sin_qp, c = chain
+        geom = stage.geometry
+        m_hinge = my - body[3] * fx + body[2] * fz  # boom subtree about the hinge
+        rod_x, rod_z, rod_m = rod_net
+        lam = (barrel_net[2] + rod_m + geom.rod_frame_setback * rod_z) / c
+        piston[k] = (
+            rod_x + (lam - rod_z) / np.tan(qp) + m_hinge / (geom.rocker_len * sin_qp)
+        )
+        subtree = _planar_add(_planar_add(subtree, barrel, barrel_net), rod, rod_net)
+    return np.stack(piston, axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # public API
 
 
@@ -494,8 +622,8 @@ def backward_forces(model: ChainModel, q, qd, qdd) -> dict:
 
 
 def actuator_force(model: ChainModel, q, qd, qdd) -> np.ndarray:
-    """Axial piston force per stage, from the chain constraint resolution."""
-    return _evaluate(model, q, qd, qdd).piston_forces
+    """Axial piston force per stage, from the planar force-only kernel."""
+    return _piston_forces(model, *_as_states(model, q, qd, qdd))
 
 
 def rnea(model: ChainModel, q, qd, qdd):
@@ -504,13 +632,22 @@ def rnea(model: ChainModel, q, qd, qdd):
     Accepts single configurations (shape (n,)) or batches (..., n); the
     piston velocities equal the stroke rates since the strokes are the
     generalized coordinates.
+
+    The forces come from the planar force-only kernel, which builds no
+    frames or wrench dicts; :func:`evaluate_dynamics` runs the 6-D
+    recursion that the tests audit it against.  Raises ``StrokeRangeError``
+    outside a chain's triangle and ``SingularConfigurationError`` at a fold.
     """
-    state = _evaluate(model, q, qd, qdd)
-    return state.qd.copy(), state.piston_forces
+    q, qd, qdd = _as_states(model, q, qd, qdd)
+    return qd.copy(), _piston_forces(model, q, qd, qdd)
 
 
 def evaluate_dynamics(model: ChainModel, q, qd, qdd) -> DynamicsState:
-    """Full evaluation object for callers that need frames and wrenches."""
+    """Full 6-D evaluation for callers that need frames and wrenches.
+
+    This is the audit path: its ``piston_forces`` resolve every pin and
+    bearing force, and they equal :func:`rnea`'s to rounding.
+    """
     return _evaluate(model, q, qd, qdd)
 
 

@@ -12,7 +12,8 @@ from emlaopt.bilevel import (
     solve_outer,
     total_efficiency,
 )
-from emlaopt.manipulator import rnea
+from emlaopt.chain import StrokeRangeError
+from emlaopt.manipulator import SingularConfigurationError, rnea
 from emlaopt.presets import benchmark_problem
 from emlaopt.trajopt import TrajectoryResult, solve_inner
 
@@ -222,3 +223,79 @@ def test_invalid_config_rejected():
         BilevelConfig(weight_lower=[0.5, 0.5], weight_upper=[0.1, 0.1])
     with pytest.raises(ValueError):
         BilevelConfig(weight_lower=[0.1], weight_upper=[1.0], method="anneal")
+
+
+def failing_solve_inner(fail_at):
+    """solve_inner that raises the given error at the given weights."""
+
+    def solve(problem, dynamics, weights, initial_guess=None):
+        for w, error in fail_at:
+            if np.allclose(weights, w):
+                raise error("injected failure")
+        return solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess)
+
+    return solve
+
+
+def test_failed_grid_points_do_not_abort_sweep(monkeypatch, model, maps, small_problem):
+    import emlaopt.bilevel as bilevel
+
+    monkeypatch.setattr(bilevel, "solve_inner", failing_solve_inner(
+        [([1.0, 0.1], StrokeRangeError), ([0.1, 1.0], SingularConfigurationError)]
+    ))
+    cfg = BilevelConfig(
+        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="grid", grid_points=2
+    )
+    res = solve_outer(cfg, small_problem, model, maps)
+    assert len(res.trace) == 4 and res.n_inner_solves == 5
+    rows = {tuple(np.round(w, 6)): (value, ok) for w, value, ok in res.trace}
+    for failed in ((1.0, 0.1), (0.1, 1.0)):
+        assert rows[failed] == (float("-inf"), False)
+    survivors = [(w, v) for w, v, ok in res.trace if ok]
+    assert len(survivors) == 2
+    w_best, v_best = max(survivors, key=lambda e: e[1])
+    assert np.array_equal(res.weights_opt, w_best) and res.outer_value == v_best
+
+
+def test_failed_nelder_mead_points_score_as_rejected(monkeypatch, model, maps, small_problem):
+    """Every vertex but the start fails; the search ends on the start point."""
+    import emlaopt.bilevel as bilevel
+
+    center = np.array([0.55, 0.55])
+
+    def solve(problem, dynamics, weights, initial_guess=None):
+        if not np.allclose(weights, center):
+            raise StrokeRangeError("injected failure")
+        return solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess)
+
+    monkeypatch.setattr(bilevel, "solve_inner", solve)
+    cfg = BilevelConfig(
+        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="nelder-mead", maxiter=3
+    )
+    res = solve_outer(cfg, small_problem, model, maps)
+    assert [ok for _, _, ok in res.trace] == [True, False, False]
+    assert np.allclose(res.weights_opt, center)
+
+
+def test_failed_center_solve_raises(monkeypatch, model, maps, small_problem):
+    import emlaopt.bilevel as bilevel
+
+    monkeypatch.setattr(bilevel, "solve_inner",
+                        failing_solve_inner([([0.55, 0.55], StrokeRangeError)]))
+    cfg = BilevelConfig(
+        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="grid", grid_points=2
+    )
+    with pytest.raises(StrokeRangeError):
+        solve_outer(cfg, small_problem, model, maps)
+
+
+def test_other_inner_errors_still_propagate(monkeypatch, model, maps, small_problem):
+    import emlaopt.bilevel as bilevel
+
+    monkeypatch.setattr(bilevel, "solve_inner",
+                        failing_solve_inner([([1.0, 0.1], ZeroDivisionError)]))
+    cfg = BilevelConfig(
+        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="grid", grid_points=2
+    )
+    with pytest.raises(ZeroDivisionError):
+        solve_outer(cfg, small_problem, model, maps)

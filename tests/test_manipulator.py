@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emlaopt.chain import ClosedChainGeometry, StrokeRangeError
 from emlaopt.manipulator import (
@@ -241,15 +244,76 @@ def test_actuator_force_public_wrapper(model):
     assert np.array_equal(f, f2)
 
 
-def test_net_wrench_matches_spatial_net_force(model):
-    """The fast in-line wrench evaluation equals the public net_force op."""
-    from emlaopt.manipulator import _iter_bodies, _net_wrench
-    from emlaopt.spatial import net_force
+def test_rnea_out_of_range_stroke_raises(model):
+    lo, hi = model.stroke_limits()
+    mid = 0.5 * (lo + hi)
+    for bad in (lo - 1.0, hi + 1.0):
+        with pytest.raises(StrokeRangeError):
+            rnea(model, bad, np.zeros(3), np.zeros(3))
+    batch = np.stack([mid, mid, hi + 1.0])  # one bad row fails the whole batch
+    with pytest.raises(StrokeRangeError):
+        rnea(model, batch, np.zeros((3, 3)), np.zeros((3, 3)))
 
+
+def test_rnea_mismatched_shapes_raise(model):
     q, qd, qdd = random_state(model)
-    st = evaluate_dynamics(model, q, qd, qdd)
-    for name, body in _iter_bodies(model):
-        frame = st.frames[name]
-        fast = _net_wrench(body, frame)
-        slow = net_force(body, frame[2], frame[3], frame[0])
-        assert np.allclose(fast, slow, rtol=1e-12, atol=1e-9)
+    with pytest.raises(ValueError):
+        rnea(model, q, np.stack([qd, qd]), np.stack([qdd, qdd]))
+    with pytest.raises(ValueError):
+        rnea(model, q, qd, qdd[:2])
+    with pytest.raises(ValueError):
+        rnea(model, q[:2], qd[:2], qdd[:2])
+
+
+# ---------------------------------------------------------------------------
+# the planar force-only kernel (rnea) against the 6-D oracle (evaluate_dynamics)
+
+MODELS = {"default": default_manipulator(), "no_gravity": default_manipulator(gravity=0.0)}
+
+
+@st.composite
+def model_and_states(draw):
+    name = draw(st.sampled_from(["default", "scaled", "no_gravity"]))
+    if name == "scaled":
+        model = MODELS["default"].scaled_masses(draw(st.floats(0.05, 20.0)))
+    else:
+        model = MODELS[name]
+    shape = draw(st.sampled_from([(3,), (4, 3), (2, 3, 3)]))
+    lo, hi = model.stroke_limits()
+    u = draw(arrays(float, shape, elements=st.floats(0.02, 0.98)))
+    qd = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    qdd = draw(arrays(float, shape, elements=st.floats(-5.0, 5.0)))
+    return model, lo + (hi - lo) * u, qd, qdd
+
+
+def row_scale(*forces):
+    """Largest |f| per row over the given force arrays, at least 1 N."""
+    return np.maximum(np.max([np.abs(f).max(axis=-1) for f in forces], axis=0), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_and_states())
+def test_planar_kernel_matches_6d_oracle(case):
+    model, q, qd, qdd = case
+    v, f = rnea(model, q, qd, qdd)
+    oracle = evaluate_dynamics(model, q, qd, qdd).piston_forces
+    assert f.shape == oracle.shape == q.shape
+    assert np.array_equal(v, qd)
+    err = np.abs(f - oracle).max(axis=-1)
+    assert np.all(err <= 1e-9 * row_scale(oracle))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_and_states(), arrays(float, 3, elements=st.floats(-5.0, 5.0)))
+def test_planar_kernel_is_affine_in_acceleration(case, delta):
+    """f(q, qd, qdd + d) - f(q, qd, qdd) = f(q, 0, d) - f(q, 0, 0): the mass
+    matrix is all that multiplies qdd, whatever the rates."""
+    model, q, qd, qdd = case
+    zero = np.zeros_like(q)
+    d = np.broadcast_to(delta, q.shape)
+    f_hi = rnea(model, q, qd, qdd + d)[1]
+    f_lo = rnea(model, q, qd, qdd)[1]
+    m_hi = rnea(model, q, zero, d)[1]
+    m_lo = rnea(model, q, zero, zero)[1]
+    err = np.abs((f_hi - f_lo) - (m_hi - m_lo)).max(axis=-1)
+    assert np.all(err <= 1e-9 * row_scale(f_hi, f_lo, m_hi, m_lo))
