@@ -21,48 +21,36 @@ from .trajopt import NlpProblem, TrajectoryResult, solve_inner
 
 
 def total_efficiency(v_x, f_x, eta_fns):
-    """Combined efficiency of all actuators at one sample.
+    """Combined efficiency of all actuators, per sample.
 
     eta_Act = (sum_i p_i) / (sum_i p_i / eta_i) over the motoring joints
     (p_i = f_i v_i > 0).  Regenerating joints are excluded from both sums.
-    Returns (eta_act, flagged): flagged is True when no joint delivers
-    positive power, or an active joint has zero efficiency; eta_act is 0
-    in both cases.
+    v_x and f_x are (n_joints,) for one sample or (n_samples, n_joints);
+    each eta_fns[i] is called once, on joint i's column.  Returns (eta_act,
+    flagged) over the samples: flagged where no joint delivers positive
+    power, or an active joint has zero efficiency; eta_act is 0 there.
     """
     v = np.asarray(v_x, dtype=float)
     f = np.asarray(f_x, dtype=float)
     p = f * v
-    num = 0.0
-    den = 0.0
-    any_active = False
-    for i in range(len(p)):
-        if p[i] <= 0.0:
-            continue
-        eta_i = float(eta_fns[i](f[i], v[i]))
-        if eta_i <= 0.0:
-            return 0.0, True
-        num += p[i]
-        den += p[i] / eta_i
-        any_active = True
-    if not any_active:
-        return 0.0, True
-    return num / den, False
-
-
-def _eta_table(v_x, f_x, eta_fns):
-    """Per-sample eta_Act and flags for (n_samples, n_joints) arrays."""
-    m = v_x.shape[0]
-    eta = np.zeros(m)
-    flagged = np.zeros(m, dtype=bool)
-    for k in range(m):
-        eta[k], flagged[k] = total_efficiency(v_x[k], f_x[k], eta_fns)
-    return eta, flagged
+    shape = p.shape[:-1]
+    num = np.zeros(shape)
+    den = np.zeros(shape)
+    flagged = ~np.any(p > 0.0, axis=-1)
+    for i in range(p.shape[-1]):
+        active = p[..., i] > 0.0
+        eta_i = eta_fns[i](f[..., i], v[..., i])
+        flagged |= active & (eta_i <= 0.0)
+        num += np.where(active, p[..., i], 0.0)
+        den += np.divide(p[..., i], eta_i, out=np.zeros(shape), where=active & ~flagged)
+    eta = np.divide(num, den, out=np.zeros(shape), where=~flagged)
+    return eta[()], flagged[()]
 
 
 def efficiency_objective(result: TrajectoryResult, eta_fns):
     """F = 0.5 dt sum_k eta_Act^2 over the collocation samples."""
     dt = result.t_final / (len(result.times) - 1)
-    eta, flagged = _eta_table(result.v_x, result.f_x, eta_fns)
+    eta, flagged = total_efficiency(result.v_x, result.f_x, eta_fns)
     return 0.5 * dt * float(np.sum(eta**2)), eta, flagged
 
 
@@ -71,7 +59,8 @@ def efficiency_summary(v_x, f_x, eta_fns) -> dict:
 
     Per joint: delivered energy / drawn energy over its motoring samples.
     Total: same ratio summed across joints (the power-weighted time mean
-    of the per-sample combined efficiency).
+    of the per-sample combined efficiency).  Each eta_fns[i] is called on
+    joint i's motoring samples at once.
     """
     v = np.asarray(v_x, dtype=float)
     f = np.asarray(f_x, dtype=float)
@@ -85,7 +74,7 @@ def efficiency_summary(v_x, f_x, eta_fns) -> dict:
         if not np.any(mask):
             per_joint.append(0.0)
             continue
-        etas = np.array([eta_fns[i](fi, vi) for fi, vi in zip(f[mask, i], v[mask, i])])
+        etas = eta_fns[i](f[mask, i], v[mask, i])
         good = etas > 0
         num = float(np.sum(p[mask, i][good]))
         den = float(np.sum(p[mask, i][good] / etas[good]))
@@ -93,7 +82,7 @@ def efficiency_summary(v_x, f_x, eta_fns) -> dict:
         num_tot += num
         den_tot += den
     total = num_tot / den_tot if den_tot > 0 else 0.0
-    eta_samples, flagged = _eta_table(v, f, eta_fns)
+    eta_samples, flagged = total_efficiency(v, f, eta_fns)
     return {
         "per_joint": per_joint,
         "total": total,

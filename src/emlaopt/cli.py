@@ -192,6 +192,7 @@ def run_report(config: dict, out_dir, seed: int, jobs: int) -> dict:
         actuators = configio.build_actuators(config.get("actuators", {"preset": "default"}))
         maps = [build_efficiency_map(a, *presets.default_map_grid(a)) for a in actuators]
         report["efficiency"] = efficiency_summary(traj.v_x, traj.f_x, map_eta_fns(maps))
+        report["samples_outside_map"] = samples_outside_map(traj.v_x, traj.f_x, maps)
     else:
         traj = None
     if traj is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivetrain import DriveTrainParams, equivalent_params, rotary_linear_map
-from .losses import DriveConfig, LossBreakdown, efficiency, loss_breakdown
+from .losses import DriveConfig, efficiency, loss_breakdown
 from .pmsm import PmsmParams, dq_voltages, torque_to_iq
 
 MAP_CSV_HEADER = ["f_x", "v_x", "eta", "p_cu", "p_co", "p_sw", "p_d", "p_mech", "p_sc", "feasible"]
@@ -31,35 +31,39 @@ class EmlaModel:
     drive: DriveConfig
     name: str = "emla"
 
-    def steady_state(self, f_x: float, v_x: float):
+    def steady_state(self, f_x, v_x):
         """Operating point (omega_m, i_q, v_d, v_q) delivering (f_x, v_x), with i_d = 0."""
         tau_m, omega_m = rotary_linear_map(self.drivetrain, f_x, v_x)
         i_q = torque_to_iq(self.motor, tau_m, i_d=0.0)
         v_d, v_q = dq_voltages(self.motor, 0.0, i_q, omega_m)
-        return float(omega_m), float(i_q), float(v_d), float(v_q)
+        return omega_m, i_q, v_d, v_q
 
-    def cell(self, f_x: float, v_x: float, allow_regeneration: bool = False):
-        """Efficiency and loss breakdown at one grid point.
+    def cell(self, f_x, v_x, allow_regeneration: bool = False):
+        """Efficiency, loss breakdown and feasibility at (f_x, v_x) points.
 
-        Returns (nan, None, False) for points beyond the current/voltage
-        limits and for regenerating points when regeneration rating is off;
-        both are excluded from the map rather than clamped.
+        Points beyond the current/voltage limits, and regenerating points
+        when regeneration rating is off, are infeasible: their efficiency is
+        NaN, so they are excluded from the map rather than clamped.  The
+        losses are evaluated at every point.
         """
-        if f_x * v_x < 0 and not allow_regeneration:
-            return float("nan"), None, False
         omega_m, i_q, v_d, v_q = self.steady_state(f_x, v_x)
-        if abs(i_q) > self.drive.max_current or np.hypot(v_d, v_q) > self.drive.max_voltage:
-            return float("nan"), None, False
+        p_out = np.multiply(f_x, v_x)
+        feasible = ~(
+            (np.abs(i_q) > self.drive.max_current)
+            | (np.hypot(v_d, v_q) > self.drive.max_voltage)
+            | ((p_out < 0) & (not allow_regeneration))
+        )
         losses = loss_breakdown(
             self.motor, self.drivetrain, self.drive, 0.0, i_q, omega_m, f_x, v_x
         )
-        eta = efficiency(f_x, v_x, losses, allow_regeneration=allow_regeneration)
-        return eta, losses, True
+        # eta is masked to the feasible points, so rating every point here is safe
+        eta = efficiency(f_x, v_x, losses, allow_regeneration=True)
+        return np.where(feasible, eta, np.nan)[()], losses, feasible
 
-    def efficiency_at(self, f_x: float, v_x: float) -> float:
+    def efficiency_at(self, f_x, v_x):
         """Exact-model efficiency (0.0 returned for infeasible points)."""
         eta, _, feasible = self.cell(f_x, v_x)
-        return eta if feasible else 0.0
+        return np.where(feasible, eta, 0.0)[()]
 
 
 @dataclass
@@ -122,51 +126,25 @@ class EfficiencyMap:
         return float(np.quantile(vals, q))
 
 
-def _map_row(model, f, velocity_axis, allow_regeneration):
-    n = len(velocity_axis)
-    eta = np.empty(n)
-    feas = np.zeros(n, dtype=bool)
-    loss_rows = {k: np.zeros(n) for k in ("p_cu", "p_co", "p_sw", "p_d", "p_mech", "p_sc")}
-    for j, v in enumerate(velocity_axis):
-        e, losses, ok = model.cell(float(f), float(v), allow_regeneration)
-        eta[j] = e
-        feas[j] = ok
-        if ok:
-            loss_rows["p_cu"][j] = losses.p_cu
-            loss_rows["p_co"][j] = losses.p_co
-            loss_rows["p_sw"][j] = losses.p_sw
-            loss_rows["p_d"][j] = losses.p_d
-            loss_rows["p_mech"][j] = losses.p_mech
-            loss_rows["p_sc"][j] = losses.p_sc
-        else:
-            for k in loss_rows:
-                loss_rows[k][j] = np.nan
-    return eta, feas, loss_rows
-
-
 def build_efficiency_map(
     model: EmlaModel,
     force_grid,
     velocity_grid,
     allow_regeneration: bool = False,
 ) -> EfficiencyMap:
-    """Evaluate the steady-state efficiency over a rectangular grid, row by row."""
+    """Evaluate the steady-state efficiency over a rectangular grid in one model call."""
     force_axis = np.asarray(force_grid, dtype=float)
     velocity_axis = np.asarray(velocity_grid, dtype=float)
     if np.any(np.diff(force_axis) <= 0) or np.any(np.diff(velocity_axis) <= 0):
         raise ValueError("grids must be strictly increasing")
 
-    nf, nv = len(force_axis), len(velocity_axis)
-    eta = np.empty((nf, nv))
-    feasible = np.zeros((nf, nv), dtype=bool)
-    losses = {k: np.zeros((nf, nv)) for k in ("p_cu", "p_co", "p_sw", "p_d", "p_mech", "p_sc")}
-
-    for i, f in enumerate(force_axis):
-        eta[i], feasible[i], loss_rows = _map_row(model, f, velocity_axis, allow_regeneration)
-        for k in losses:
-            losses[k][i] = loss_rows[k]
-
-    return EfficiencyMap(force_axis, velocity_axis, eta, losses, feasible)
+    ff, vv = np.meshgrid(force_axis, velocity_axis, indexing="ij")
+    eta, losses, feasible = model.cell(ff, vv, allow_regeneration)
+    columns = {
+        k: np.where(feasible, getattr(losses, k), np.nan)
+        for k in ("p_cu", "p_co", "p_sw", "p_d", "p_mech", "p_sc")
+    }
+    return EfficiencyMap(force_axis, velocity_axis, eta, columns, feasible)
 
 
 def _fmt(x) -> str:

@@ -4,8 +4,8 @@ The loss taxonomy follows the usual drive + PMSM + screw decomposition:
 switching and conduction losses in the motor control drive, copper and core
 (hysteresis, eddy, additional) losses in the machine, viscous loss at the
 shaft, and the screw-mechanism loss.  Each source has a coefficient in
-:class:`DriveConfig` and an enable flag so alternative expressions can be
-swapped in without touching callers.
+:class:`DriveConfig`.  The functions take scalars or broadcastable arrays of
+operating points and return results of the broadcast shape.
 """
 
 from dataclasses import dataclass, field
@@ -36,11 +36,6 @@ class DriveConfig:
     eddy_coeff: float = 2.0e-4  # [W*s^2/(rad^2*Wb^2)]
     excess_coeff: float = 1.0e-3  # [W*s^1.5/(rad^1.5*Wb^2)]
     screw_efficiency: float = 0.90  # mechanical efficiency of the screw stage
-    enable_switching: bool = True
-    enable_conduction: bool = True
-    enable_core: bool = True
-    enable_mechanical: bool = True
-    enable_screw: bool = True
     max_current: float = field(default=np.inf)  # phase current amplitude limit [A]
     max_voltage: float = field(default=np.inf)  # dq voltage amplitude limit [V]
 
@@ -59,20 +54,29 @@ class DriveConfig:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.screw_efficiency <= 1.0:
             raise ValueError("screw_efficiency must be in (0, 1]")
+        # a NaN limit would compare False against every operating point and
+        # so switch the limit off; inf is the way to say "no limit"
+        for name in ("max_current", "max_voltage"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0 (inf for no limit)")
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-source power losses in watts, plus the two stage aggregates."""
+    """Per-source power losses in watts, plus the two stage aggregates.
 
-    p_sw: float
-    p_d: float
-    p_cu: float
-    p_hys: float
-    p_eddy: float
-    p_add: float
-    p_mech: float
-    p_sc: float
+    Each field is a scalar or an array over the operating points it was
+    evaluated at.
+    """
+
+    p_sw: np.ndarray
+    p_d: np.ndarray
+    p_cu: np.ndarray
+    p_hys: np.ndarray
+    p_eddy: np.ndarray
+    p_add: np.ndarray
+    p_mech: np.ndarray
+    p_sc: np.ndarray
 
     @property
     def p_co(self) -> float:
@@ -103,48 +107,31 @@ def loss_breakdown(
     params: PmsmParams,
     drivetrain: DriveTrainParams,
     drive: DriveConfig,
-    i_d: float,
-    i_q: float,
-    omega_m: float,
-    f_x: float,
-    v_x: float,
+    i_d,
+    i_q,
+    omega_m,
+    f_x,
+    v_x,
 ) -> LossBreakdown:
-    """Evaluate every loss source at one operating point.
+    """Evaluate every loss source at the given operating points.
 
     The mechanical state is taken as given (omega_m consistent with v_x via
     the ideal transmission when called from the map generator).  All
     components are nonnegative by construction.
     """
     eq = equivalent_params(drivetrain)
-    i_mag = float(np.hypot(i_d, i_q))
-    omega_e = params.pole_pairs * omega_m
+    i_mag = np.hypot(i_d, i_q)
+    w = np.abs(params.pole_pairs * omega_m)
     psi = stator_flux_magnitude(params, i_d, i_q)
-
-    p_sw = p_d = p_hys = p_eddy = p_add = p_mech = p_sc = 0.0
-    if drive.enable_switching:
-        p_sw = drive.switching_coeff * drive.switching_freq * drive.dc_link_voltage * i_mag
-    if drive.enable_conduction:
-        p_d = drive.on_state_voltage * i_mag + drive.on_state_resistance * i_mag**2
-    if drive.enable_core:
-        w = abs(omega_e)
-        p_hys = drive.hysteresis_coeff * w * psi**2
-        p_eddy = drive.eddy_coeff * w**2 * psi**2
-        p_add = drive.excess_coeff * w**1.5 * psi**2
-    if drive.enable_mechanical:
-        p_mech = eq.damping * omega_m**2
-    if drive.enable_screw:
-        p_sc = (1.0 - drive.screw_efficiency) * abs(f_x * v_x)
-    p_cu = 1.5 * params.stator_resistance * (i_d**2 + i_q**2)
-
     return LossBreakdown(
-        p_sw=float(p_sw),
-        p_d=float(p_d),
-        p_cu=float(p_cu),
-        p_hys=float(p_hys),
-        p_eddy=float(p_eddy),
-        p_add=float(p_add),
-        p_mech=float(p_mech),
-        p_sc=float(p_sc),
+        p_sw=drive.switching_coeff * drive.switching_freq * drive.dc_link_voltage * i_mag,
+        p_d=drive.on_state_voltage * i_mag + drive.on_state_resistance * i_mag**2,
+        p_cu=1.5 * params.stator_resistance * (i_d**2 + i_q**2),
+        p_hys=drive.hysteresis_coeff * w * psi**2,
+        p_eddy=drive.eddy_coeff * w**2 * psi**2,
+        p_add=drive.excess_coeff * w**1.5 * psi**2,
+        p_mech=eq.damping * omega_m**2,
+        p_sc=(1.0 - drive.screw_efficiency) * np.abs(f_x * v_x),
     )
 
 
@@ -152,22 +139,21 @@ class RegenerationError(ValueError):
     """Raised when f_x * v_x < 0 and regenerative handling is disabled."""
 
 
-def efficiency(f_x: float, v_x: float, losses: LossBreakdown, allow_regeneration: bool = False) -> float:
+def efficiency(f_x, v_x, losses: LossBreakdown, allow_regeneration: bool = False):
     """Conversion efficiency eta = P_out / (P_out + P_EE + P_EM) in [0, 1].
 
     For zero output power the efficiency is defined as 0.  In the optional
     regenerative mode (f_x * v_x < 0) the efficiency is recovered/absorbed
     power, clamped at 0 when the losses exceed the absorbed power.
     """
-    p_out = f_x * v_x
+    p_out = np.multiply(f_x, v_x)
     p_loss = losses.total
-    if p_out < 0.0:
-        if not allow_regeneration:
-            raise RegenerationError(
-                "f_x*v_x < 0: regenerating quadrant (enable allow_regeneration to rate it)"
-            )
-        absorbed = -p_out
-        return max(0.0, (absorbed - p_loss) / absorbed) if absorbed > 0 else 0.0
-    if p_out == 0.0:
-        return 0.0 if p_loss > 0.0 else 0.0
-    return p_out / (p_out + p_loss)
+    if np.any(p_out < 0.0) and not allow_regeneration:
+        raise RegenerationError(
+            "f_x*v_x < 0: regenerating quadrant (enable allow_regeneration to rate it)"
+        )
+    eta = np.zeros(np.broadcast(p_out, p_loss).shape)
+    np.divide(p_out, p_out + p_loss, out=eta, where=p_out > 0.0)
+    with np.errstate(over="ignore"):  # a vanishing absorbed power gives -inf, clamped to 0
+        np.divide(-p_out - p_loss, -p_out, out=eta, where=p_out < 0.0)
+    return np.maximum(eta, 0.0)[()]

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emlaopt.bilevel import (
     BilevelConfig,
@@ -60,10 +63,50 @@ def test_regenerating_joint_excluded():
     assert np.isclose(eta, 0.5)
 
 
-def test_aggregation_bounds(eta_fns, solved_half):
-    from emlaopt.bilevel import _eta_table
+def draw_samples(data, maps):
+    """(v_x, f_x) samples over all four quadrants, reaching half again past
+    each joint's map envelope."""
+    n = data.draw(st.integers(1, 25))
+    unit = arrays(float, (n, len(maps)), elements=st.floats(-1.5, 1.5))
+    v_max = np.array([m.velocity_axis[-1] for m in maps])
+    f_max = np.array([m.force_axis[-1] for m in maps])
+    return data.draw(unit) * v_max, data.draw(unit) * f_max
 
-    eta, flagged = _eta_table(solved_half.v_x, solved_half.f_x, eta_fns)
+
+def loop_total_efficiency(v_row, f_row, eta_fns):
+    """One sample, rated by the scalar loop that total_efficiency replaced."""
+    num = den = 0.0
+    for i, eta_fn in enumerate(eta_fns):
+        p = f_row[i] * v_row[i]
+        if p <= 0.0:
+            continue
+        eta_i = float(eta_fn(f_row[i], v_row[i]))
+        if eta_i <= 0.0:
+            return 0.0, True
+        num += p
+        den += p / eta_i
+    return (num / den, False) if den > 0.0 else (0.0, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_total_efficiency_batch_equals_rows(maps, eta_fns, data):
+    v, f = draw_samples(data, maps)
+    eta, flagged = total_efficiency(v, f, eta_fns)
+    for k in range(len(v)):
+        assert total_efficiency(v[k], f[k], eta_fns) == (eta[k], flagged[k])
+        assert loop_total_efficiency(v[k], f[k], eta_fns) == (eta[k], flagged[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_summary_symmetric_under_sign_reversal(maps, eta_fns, data):
+    v, f = draw_samples(data, maps)
+    assert efficiency_summary(-v, -f, eta_fns) == efficiency_summary(v, f, eta_fns)
+
+
+def test_aggregation_bounds(eta_fns, solved_half):
+    eta, flagged = total_efficiency(solved_half.v_x, solved_half.f_x, eta_fns)
     active = ~flagged
     for k in np.nonzero(active)[0]:
         per = []
@@ -97,9 +140,7 @@ def test_objective_riemann_refinement(model, dynamics, eta_fns):
     value, _, _ = efficiency_objective(res, eta_fns)
     dense = resample(res, dynamics, np.linspace(0.0, res.t_final, 2 * len(res.times) - 1))
     dt = res.t_final / (len(dense["times"]) - 1)
-    from emlaopt.bilevel import _eta_table
-
-    eta, flagged = _eta_table(dense["v_x"], dense["f_x"], eta_fns)
+    eta, flagged = total_efficiency(dense["v_x"], dense["f_x"], eta_fns)
     value2 = 0.5 * dt * float(np.sum(eta**2))
     assert abs(value2 - value) / value <= 0.01
 

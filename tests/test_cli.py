@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from emlaopt.cli import main
 from emlaopt.configio import ConfigError, build_actuator, build_gains, load_json
+from emlaopt.presets import lift_emla
 
 
 def write(tmp_path, name, doc):
@@ -145,6 +147,22 @@ def test_report_from_bilevel(bilevel_dir, tmp_path):
     assert abs(doc["cost_recomputed"] - doc["criteria"]["cost"]) <= 1e-10
 
 
+def test_report_from_bare_trajectory(bilevel_dir, tmp_path):
+    _, _, out = bilevel_dir
+    art = tmp_path / "art"
+    art.mkdir()
+    (art / "trajectory.json").write_bytes((out / "trajectory.json").read_bytes())
+    cfg = write(tmp_path, "report.json", {"artifacts": str(art)})
+    rep = tmp_path / "rep"
+    assert run(["report", "--config", cfg, "--out", str(rep)]) == 0
+    doc = json.loads((rep / "report.json").read_text())
+    assert "efficiency" in doc
+    # the preset map axes do not depend on the grid density, so the count
+    # equals the one the bilevel run made on its coarser maps
+    bilevel = json.loads((out / "bilevel.json").read_text())
+    assert doc["samples_outside_map"] == bilevel["samples_outside_map"]
+
+
 def test_report_missing_artifacts(tmp_path):
     cfg = write(tmp_path, "report.json", {"artifacts": str(tmp_path / "nowhere")})
     assert run(["report", "--config", cfg, "--out", str(tmp_path / "rep")]) == 2
@@ -206,6 +224,20 @@ def test_bilevel_inverted_weight_box_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "weight_lower" in err
     assert not (tmp_path / "bl" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("drive", [{"max_current": float("nan")}, {"enable_core": False}])
+def test_map_inline_drive_rejected_exits_2(tmp_path, capsys, drive):
+    emla = lift_emla()
+    actuator = {"motor": asdict(emla.motor), "drivetrain": asdict(emla.drivetrain),
+                "drive": drive}
+    cfg = write(tmp_path, "map.json", {
+        "actuator": actuator,
+        "grid": {"force": [1.2e4, 4.2e4, 8], "velocity": [0.004, 0.135, 8]},
+    })
+    assert run(["map", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err.startswith("error: actuator")
+    assert not (tmp_path / "m" / "manifest.json").exists()
 
 
 def test_invalid_config_exit_code(tmp_path):

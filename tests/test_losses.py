@@ -47,14 +47,6 @@ def test_aggregation_identities(emla):
         assert np.isclose(lb.p_em, lb.p_mech + lb.p_sc, rtol=0, atol=1e-12)
 
 
-def test_disable_flags(emla):
-    quiet = DriveConfig(enable_switching=False, enable_conduction=False, enable_core=False,
-                        enable_mechanical=False, enable_screw=False)
-    lb = loss_breakdown(emla.motor, emla.drivetrain, quiet, 3.0, 5.0, 100.0, 1e4, 0.05)
-    assert lb.p_sw == lb.p_d == lb.p_co == lb.p_mech == lb.p_sc == 0.0
-    assert lb.p_cu > 0.0  # copper is intrinsic to the machine model
-
-
 def test_efficiency_limits(emla):
     zero = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert efficiency(100.0, 0.1, zero) == 1.0
@@ -87,3 +79,13 @@ def test_negative_coefficients_rejected():
         DriveConfig(on_state_resistance=-1e-3)
     with pytest.raises(ValueError):
         DriveConfig(screw_efficiency=0.0)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("name", ["max_current", "max_voltage"])
+def test_drive_limits_must_be_positive(name, limit):
+    # a NaN limit compares False against every operating point, so it would
+    # switch the limit off silently; inf is the way to say "no limit"
+    with pytest.raises(ValueError, match=name):
+        DriveConfig(**{name: limit})
+    assert getattr(DriveConfig(**{name: np.inf}), name) == np.inf
