@@ -47,12 +47,23 @@ def _grid_axis(doc, key, path):
     return np.linspace(lo, hi, n)
 
 
+def _default_grid(actuator, path, n_force=40, n_velocity=40):
+    """The preset map axes of ``actuator``; only preset actuators have them."""
+    if actuator.name not in presets.MAP_ENVELOPES:
+        raise ConfigError(
+            f"{path}: actuator {actuator.name!r} has no default map grid (presets: "
+            f"{sorted(presets.MAP_ENVELOPES)}); a map config can give explicit grid "
+            "'force' and 'velocity' axes [lo, hi, n]"
+        )
+    return presets.default_map_grid(actuator, n_force, n_velocity)
+
+
 def run_map(config: dict, out_dir, seed: int, jobs: int) -> dict:
     actuator = configio.build_actuator(config.get("actuator", {}), "actuator")
     grid_doc = config.get("grid", {"preset": "default"})
     if grid_doc.get("preset") == "default":
-        force, velocity = presets.default_map_grid(
-            actuator,
+        force, velocity = _default_grid(
+            actuator, "grid",
             n_force=int(grid_doc.get("n_force", 40)),
             n_velocity=int(grid_doc.get("n_velocity", 40)),
         )
@@ -104,8 +115,8 @@ def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
     maps = [
         build_efficiency_map(
             a,
-            *presets.default_map_grid(
-                a,
+            *_default_grid(
+                a, "maps",
                 n_force=int(map_doc.get("n_force", 40)),
                 n_velocity=int(map_doc.get("n_velocity", 40)),
             ),
@@ -190,7 +201,7 @@ def run_report(config: dict, out_dir, seed: int, jobs: int) -> dict:
     elif traj_path.exists():
         traj = check_not_empty(TrajectoryResult.from_dict(load_json(traj_path)))
         actuators = configio.build_actuators(config.get("actuators", {"preset": "default"}))
-        maps = [build_efficiency_map(a, *presets.default_map_grid(a)) for a in actuators]
+        maps = [build_efficiency_map(a, *_default_grid(a, "actuators")) for a in actuators]
         report["efficiency"] = efficiency_summary(traj.v_x, traj.f_x, map_eta_fns(maps))
         report["samples_outside_map"] = samples_outside_map(traj.v_x, traj.f_x, maps)
     else:

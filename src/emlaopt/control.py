@@ -15,7 +15,9 @@ side is the tested pieces wired together over all actuators at once:
 :func:`tracking_transform` and :func:`control_law` per subsystem,
 :func:`~emlaopt.pmsm.torque_to_iq` for the current reference,
 :func:`adaptive_rate` for the estimates and
-:func:`~emlaopt.statespace.emla_rhs` for the plant.
+:func:`~emlaopt.statespace.emla_rhs` for the plant.  Radau gets the exact
+Jacobian of that right-hand side (one 8x8 block per actuator), not finite
+differences.
 """
 
 from dataclasses import dataclass, replace
@@ -153,7 +155,7 @@ class TrackingTraces:
     lyapunov: np.ndarray
     gains: list
     disturbance: DisturbanceProfile
-    solver: dict  # Radau status, message, nfev, njev, nlu
+    solver: dict  # Radau status, message, nfev, njev, nlu, nsteps
 
 
 def _perturbed(motor: PmsmParams, drivetrain: DriveTrainParams, fraction: float):
@@ -183,6 +185,9 @@ def simulate_tracking(
     per-joint load force is the trajectory's inverse-dynamics force plus
     the configured disturbance.  ``dt`` is the output sampling step of the
     returned traces, not an integration step (the stiff solver adapts).
+    Radau's Newton iterations use the closed loop's exact Jacobian, and
+    ``solver`` records its status and work counters, accepted steps
+    (``nsteps``) included.
     """
     n_a = reference.q.shape[1]
     if len(actuator_models) != n_a:
@@ -254,8 +259,11 @@ def simulate_tracking(
 
     # Radau state: [theta, omega, i_q, i_d] rows (EmlaState order, the
     # reverse of emla_rhs's), then the four estimates phi of each joint
+    def unpack(y):
+        return y[:4 * n_a].reshape(4, n_a)[::-1], y[4 * n_a:].reshape(n_a, 4).T
+
     def rhs(t, y):
-        x, phi = y[:4 * n_a].reshape(4, n_a)[::-1], y[4 * n_a:].reshape(n_a, 4).T
+        x, phi = unpack(y)
         tc = min(max(t, 0.0), t_end)
         q_err, _, v_d, v_q = controller(measured(t, x), phi, bs_q(tc), bs_qd(tc))
         f_load = cs_f(tc)
@@ -263,6 +271,55 @@ def simulate_tracking(
             f_load = f_load + disturbance.force_noise_std * peak_force * force_noise(t)
         dx = emla_rhs(plant_motor, plant_eq, x, (v_d, v_q), f_load)
         return np.concatenate((dx[::-1], adaptive_rate(kk, sig, eps, phi, q_err).T), axis=None)
+
+    # exact Jacobian of rhs: one 8x8 block per actuator over its local
+    # state [theta, omega, i_q, i_d, phi_1..phi_4], scattered to the Radau
+    # layout; actuators do not couple.  Sensor noise is additive, so the
+    # controller rows differentiate at the measured state; the load force
+    # depends on t only.
+    iq_per_torque = torque_to_iq(motor, 1.0)
+    p, r_s = plant_motor.pole_pairs, plant_motor.stator_resistance
+    l_d, l_q, psi = plant_motor.inductance_d, plant_motor.inductance_q, plant_motor.pm_flux
+    where = np.concatenate((np.arange(4 * n_a).reshape(4, n_a),
+                            4 * n_a + np.arange(4 * n_a).reshape(n_a, 4).T))  # (8, n_a)
+
+    def jac(t, y):
+        x, phi = unpack(y)
+        tc = min(max(t, 0.0), t_end)
+        q_err = controller(measured(t, x), phi, bs_q(tc), bs_qd(tc))[0]
+        i_d, i_q, omega, _ = x
+        a = delta + eps * phi  # feedback gain of each subsystem
+        # gradients of the errors Q_nu along the cascade
+        dq = np.zeros((4, 8, n_a))
+        dq[0, 0] = f_eq
+        dq[1, :2] = 0.5 * a[0] * f_eq, f_eq
+        dq[1, 4] = 0.5 * eps[0] * q_err[0]
+        dq[2] = 0.5 * iq_per_torque * a[1] * dq[1]  # Q3 = i_q - c*kappa_2
+        dq[2, 2] = 1.0
+        dq[2, 5] = 0.5 * iq_per_torque * eps[1] * q_err[1]
+        dq[3, 3] = 1.0
+        # voltages v_q = kappa_3 and v_d = kappa_4
+        dv = -0.5 * a[2:, None] * dq[2:]
+        dv[0, 6] -= 0.5 * eps[2] * q_err[2]
+        dv[1, 7] -= 0.5 * eps[3] * q_err[3]
+        blk = np.zeros((8, 8, n_a))
+        # plant rows: shaft angle, mechanics, q- and d-axis currents
+        blk[0, 1] = 1.0
+        torque_grad = 1.5 * p * (psi + (l_d - l_q) * i_d), 1.5 * p * (l_d - l_q) * i_q
+        blk[1, :4] = (-plant_eq.stiffness, -plant_eq.damping) + torque_grad
+        blk[1] /= plant_eq.inertia
+        blk[2] = dv[0]
+        blk[2, 1:4] -= p * (l_d * i_d + psi), r_s, p * omega * l_d
+        blk[2] /= l_q
+        blk[3] = dv[1]
+        blk[3, 1:4] += p * l_q * i_q, p * omega * l_q, -r_s
+        blk[3] /= l_d
+        # adaptive rates
+        blk[4:] = (eps * kk * q_err)[:, None] * dq
+        blk[range(4, 8), range(4, 8)] -= kk * sig
+        out = np.zeros((8 * n_a, 8 * n_a))
+        out[where[:, None], where[None, :]] = blk
+        return out
 
     err0 = 0.0 if initial_position_error is None else np.asarray(initial_position_error, float)
     y0 = np.zeros(8 * n_a)
@@ -275,6 +332,12 @@ def simulate_tracking(
     base_grid[-1] = min(base_grid[-1], duration)
     colloc = reference.times[reference.times <= duration + 1e-12]
     t_eval = np.union1d(base_grid, colloc)
+    checks = []  # a never-firing event is checked at t=0 and after each accepted step
+
+    def count_step(t, y):
+        checks.append(t)
+        return 1.0
+
     sol = solve_ivp(
         rhs,
         (0.0, duration),
@@ -283,6 +346,8 @@ def simulate_tracking(
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
+        jac=jac,
+        events=count_step,
     )
     if not sol.success:
         raise RuntimeError(f"closed-loop integration failed: {sol.message}")
@@ -322,7 +387,8 @@ def simulate_tracking(
         gains=list(gains),
         disturbance=disturbance,
         solver={"status": int(sol.status), "message": str(sol.message),
-                "nfev": int(sol.nfev), "njev": int(sol.njev), "nlu": int(sol.nlu)},
+                "nfev": int(sol.nfev), "njev": int(sol.njev), "nlu": int(sol.nlu),
+                "nsteps": len(checks) - 1},
     )
     traces.lyapunov = lyapunov_value(traces, gains)
     return traces

@@ -139,14 +139,18 @@ ACTUATOR_PRESETS = {
 }
 
 
+# rated (force [N], velocity [m/s]) envelope of each preset actuator
+MAP_ENVELOPES = {
+    "lift_6kw": ((12.0e3, 42.0e3), (0.004, 0.135)),
+    "tilt_47kw": ((1.0e3, 18.0e3), (0.004, 0.095)),
+    "telescope_25kw": ((0.4e3, 6.0e3), (0.01, 0.33)),
+}
+
+
 def default_map_grid(model: EmlaModel, n_force: int = 40, n_velocity: int = 40):
-    """Motoring-quadrant grid spanning the actuator's rated envelope."""
-    envelope = {
-        "lift_6kw": ((12.0e3, 42.0e3), (0.004, 0.135)),
-        "tilt_47kw": ((1.0e3, 18.0e3), (0.004, 0.095)),
-        "telescope_25kw": ((0.4e3, 6.0e3), (0.01, 0.33)),
-    }[model.name]
-    (f_lo, f_hi), (v_lo, v_hi) = envelope
+    """Motoring-quadrant grid spanning a preset actuator's rated envelope
+    (``MAP_ENVELOPES``, keyed by ``model.name``)."""
+    (f_lo, f_hi), (v_lo, v_hi) = MAP_ENVELOPES[model.name]
     return np.linspace(f_lo, f_hi, n_force), np.linspace(v_lo, v_hi, n_velocity)
 
 

@@ -8,6 +8,7 @@ import pytest
 from emlaopt.cli import main
 from emlaopt.configio import ConfigError, build_actuator, build_gains, load_json
 from emlaopt.presets import lift_emla
+from test_configio import INLINE_ACTUATOR
 
 
 def write(tmp_path, name, doc):
@@ -132,7 +133,7 @@ def test_track_pipeline_roundtrip(bilevel_dir, tmp_path):
     # Radau's exit status and work counters travel with the summary
     solver = json.loads((trk / "tracking.json").read_text())["solver"]
     assert solver["status"] == 0 and solver["message"]
-    assert min(solver[k] for k in ("nfev", "njev", "nlu")) > 0
+    assert min(solver[k] for k in ("nfev", "njev", "nlu", "nsteps")) > 0
 
 
 def test_report_from_bilevel(bilevel_dir, tmp_path):
@@ -237,6 +238,16 @@ def test_map_inline_drive_rejected_exits_2(tmp_path, capsys, drive):
     })
     assert run(["map", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     assert capsys.readouterr().err.startswith("error: actuator")
+    assert not (tmp_path / "m" / "manifest.json").exists()
+
+
+def test_map_inline_actuator_default_grid_exits_2(tmp_path, capsys):
+    # only the preset actuators have a default map envelope
+    cfg = write(tmp_path, "map.json", {"actuator": INLINE_ACTUATOR})
+    assert run(["map", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid:") and "'bench'" in err and "force" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "m" / "manifest.json").exists()
 
 

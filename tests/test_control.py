@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emlaopt.control import (
     DisturbanceProfile,
@@ -220,3 +223,64 @@ def test_tracking_errors_shape(regulation_traces):
     out = tracking_errors(regulation_traces, settle_time=0.1)
     assert len(out["velocity_rms_frac"]) == 3
     assert len(out["force_rms_frac"]) == 3
+
+
+class _Captured(Exception):
+    pass
+
+
+def captured_closed_loop(acts, disturbance):
+    """The right-hand side, Jacobian and initial state that simulate_tracking
+    hands to Radau for a 1 s ramp between two loaded poses."""
+    reference = constant_pose_reference(duration=1.0, pose=[0.8, 0.5, 0.3],
+                                        force=[2000.0, 1500.0, 400.0])
+    reference.control_points = np.linspace([0.8, 0.5, 0.3], [0.9, 0.45, 0.5], 8)
+    seen = {}
+
+    def capture(fun, t_span, y0, **kwargs):
+        seen.update(fun=fun, jac=kwargs["jac"], y0=y0)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("emlaopt.control.solve_ivp", capture)
+        with pytest.raises(_Captured):
+            simulate_tracking(acts, reference, published_gains(), disturbance=disturbance)
+    return seen["fun"], seen["jac"], seen["y0"]
+
+
+@pytest.fixture(scope="module")
+def closed_loops(acts):
+    noisy = replace(nominal_disturbance(), sensor_noise_std=1e-3)
+    return [captured_closed_loop(acts, d) for d in (nominal_disturbance(), noisy)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    noisy=st.booleans(),
+    t=st.floats(0.0, 1.0),
+    angle_error=arrays(float, 3, elements=st.floats(1e-3, 1.0)),
+    angle_sign=arrays(bool, 3),
+    deviation=arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)),
+    phi=arrays(float, (3, 4), elements=st.floats(0.0, 10.0)),
+)
+def test_closed_loop_jacobian_matches_central_differences(
+        closed_loops, noisy, t, angle_error, angle_sign, deviation, phi):
+    # the closed loop is at most quadratic along every single coordinate,
+    # so central differences are exact up to rounding.  The shaft angle is
+    # drawn at least 0.04 rad off the start state, which is on the
+    # reference: there Q is zero to rounding, and the rows eps*k*Q*dQ of the
+    # estimates are set by that rounding amplified by the gain products
+    # (~1e18), which neither side resolves.
+    rhs, jac, y0 = closed_loops[noisy]
+    # shaft angle [rad], shaft speed [rad/s], i_q and i_d [A] off the start state
+    off = np.vstack((np.where(angle_sign, 40.0, -40.0) * angle_error,
+                     np.array([[1000.0], [50.0], [5.0]]) * deviation))
+    y = np.concatenate(((y0[:12].reshape(4, 3) + off).ravel(), phi.ravel()))
+    exact = jac(t, y)
+    fd = np.empty_like(exact)
+    for k in range(len(y)):
+        step = np.zeros_like(y)
+        step[k] = 1e-4 * max(1.0, abs(y[k]))
+        fd[:, k] = (rhs(t, y + step) - rhs(t, y - step)) / (2.0 * step[k])
+    row_rel = np.abs(exact - fd).max(axis=1) / np.abs(exact).max(axis=1)
+    assert row_rel.max() <= 1e-7
