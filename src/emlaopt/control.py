@@ -493,10 +493,11 @@ def tracking_errors(traces: TrackingTraces, settle_time: float = 0.2) -> dict:
 
 
 def traces_to_csv(traces: TrackingTraces) -> str:
-    """Serialize with one column group per joint plus the Lyapunov value."""
-    import csv as _csv
-    import io as _io
+    """Serialize with one column group per joint plus the Lyapunov value.
 
+    Each row is formatted in one step (``%.12g`` per field) from a float
+    table of the whole run.
+    """
     n_a = traces.position.shape[1]
     header = ["t"]
     for j in range(1, n_a + 1):
@@ -505,20 +506,17 @@ def traces_to_csv(traces: TrackingTraces) -> str:
             f"Vq{j}", f"Vd{j}",
         ] + [f"Q{nu}_{j}" for nu in range(1, 5)] + [f"phi{nu}_{j}" for nu in range(1, 5)]
     header.append("V_lyap")
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for it, t in enumerate(traces.times):
-        row = [t]
-        for j in range(n_a):
-            row += [
-                traces.force_em[it, j], traces.force_ref[it, j],
-                traces.velocity[it, j], traces.velocity_ref[it, j],
-                traces.i_q[it, j], traces.i_d[it, j],
-                traces.v_q[it, j], traces.v_d[it, j],
-            ]
-            row += list(traces.q_err[it, j])
-            row += list(traces.phi[it, j])
-        row.append(traces.lyapunov[it])
-        writer.writerow(["%.12g" % x for x in row])
-    return buf.getvalue()
+    columns = [traces.times]
+    for j in range(n_a):
+        columns += [
+            traces.force_em[:, j], traces.force_ref[:, j],
+            traces.velocity[:, j], traces.velocity_ref[:, j],
+            traces.i_q[:, j], traces.i_d[:, j],
+            traces.v_q[:, j], traces.v_d[:, j],
+            traces.q_err[:, j], traces.phi[:, j],
+        ]
+    columns.append(traces.lyapunov)
+    row = ",".join(["%.12g"] * len(header))
+    # one sample at a time keeps the Python float lists, and peak memory, small
+    rows = [row % tuple(r.tolist()) for r in np.column_stack(columns)]
+    return "\n".join([",".join(header)] + rows) + "\n"

@@ -7,8 +7,6 @@ exceed the configured drive limits are tagged infeasible (NaN efficiency),
 never clamped or zeroed.
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -77,11 +75,20 @@ class EfficiencyMap:
     feasible: np.ndarray  # boolean mask
 
     def __post_init__(self):
-        nf, nv = len(self.force_axis), len(self.velocity_axis)
-        if self.eta.shape != (nf, nv):
+        # bilinear lookup needs at least one cell of positive width per axis
+        for name in ("force_axis", "velocity_axis"):
+            a = np.asarray(getattr(self, name))
+            if not (a.ndim == 1 and a.size >= 2 and np.all(np.isfinite(a))
+                    and np.all(np.diff(a) > 0)):
+                raise ValueError(
+                    f"{name} must be finite, strictly increasing and at least 2 points long"
+                )
+        shape = (len(self.force_axis), len(self.velocity_axis))
+        if self.eta.shape != shape:
             raise ValueError("eta shape does not match axes")
-        if np.any(np.diff(self.force_axis) <= 0) or np.any(np.diff(self.velocity_axis) <= 0):
-            raise ValueError("axes must be strictly increasing")
+        for name, a in [("feasible", self.feasible)] + list(self.losses.items()):
+            if np.shape(a) != shape:
+                raise ValueError(f"{name} shape {np.shape(a)} does not match eta {shape}")
         finite = self.eta[np.isfinite(self.eta)]
         if finite.size and (finite.min() < -1e-12 or finite.max() > 1.0 + 1e-12):
             raise ValueError("eta outside [0, 1]")
@@ -135,9 +142,6 @@ def build_efficiency_map(
     """Evaluate the steady-state efficiency over a rectangular grid in one model call."""
     force_axis = np.asarray(force_grid, dtype=float)
     velocity_axis = np.asarray(velocity_grid, dtype=float)
-    if np.any(np.diff(force_axis) <= 0) or np.any(np.diff(velocity_axis) <= 0):
-        raise ValueError("grids must be strictly increasing")
-
     ff, vv = np.meshgrid(force_axis, velocity_axis, indexing="ij")
     eta, losses, feasible = model.cell(ff, vv, allow_regeneration)
     columns = {
@@ -147,62 +151,75 @@ def build_efficiency_map(
     return EfficiencyMap(force_axis, velocity_axis, eta, columns, feasible)
 
 
-def _fmt(x) -> str:
-    return "%.12g" % x
-
-
 def map_to_csv(emap: EfficiencyMap) -> str:
-    """Serialize row-major with the fixed header; infeasible cells carry a token."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MAP_CSV_HEADER)
-    for i, f in enumerate(emap.force_axis):
-        for j, v in enumerate(emap.velocity_axis):
-            if emap.feasible[i, j]:
-                row = [
-                    _fmt(f),
-                    _fmt(v),
-                    _fmt(emap.eta[i, j]),
-                    _fmt(emap.losses["p_cu"][i, j]),
-                    _fmt(emap.losses["p_co"][i, j]),
-                    _fmt(emap.losses["p_sw"][i, j]),
-                    _fmt(emap.losses["p_d"][i, j]),
-                    _fmt(emap.losses["p_mech"][i, j]),
-                    _fmt(emap.losses["p_sc"][i, j]),
-                    "1",
-                ]
-            else:
-                row = [_fmt(f), _fmt(v)] + [INFEASIBLE_TOKEN] * 7 + ["0"]
-            writer.writerow(row)
-    return buf.getvalue()
+    """Serialize with the fixed header, one row per cell in row-major order.
+
+    Each row is formatted in one step from a float table of the whole map:
+    ten ``%.12g`` fields for a feasible cell, the two coordinates followed by
+    the infeasible token in every value column for an infeasible one.
+    """
+    ff, vv = np.meshgrid(emap.force_axis, emap.velocity_axis, indexing="ij")
+    columns = [ff, vv, emap.eta] + [emap.losses[k] for k in MAP_CSV_HEADER[3:9]]
+    table = np.stack(columns + [emap.feasible], axis=-1)
+    feasible_row = ",".join(["%.12g"] * len(MAP_CSV_HEADER))
+    infeasible_row = "%.12g,%.12g," + (INFEASIBLE_TOKEN + ",") * 7 + "0"
+    rows = [
+        feasible_row % tuple(row) if row[-1] else infeasible_row % (row[0], row[1])
+        # one force value at a time keeps the Python float lists, and peak memory, small
+        for block in table
+        for row in block.tolist()
+    ]
+    return "\n".join([",".join(MAP_CSV_HEADER)] + rows) + "\n"
+
+
+def _json_list(values: list, pad: str) -> str:
+    """A flat list of numbers and nulls, laid out as ``json.dumps(indent=2)``
+    lays it out at indentation ``pad``."""
+    inner = pad + "  "
+    return "[\n" + inner + json.dumps(values)[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]"
+
+
+def _json_matrix(a: np.ndarray, pad: str) -> str:
+    """A 2-D array as nested lists (null at non-finite cells), laid out as
+    ``json.dumps(indent=2)`` lays it out at indentation ``pad``."""
+    cells = a.astype(object)
+    cells[~np.isfinite(a)] = None
+    inner = pad + "  "
+    rows = [_json_list(row, inner) for row in cells.tolist()]
+    return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
 
 
 def map_to_json(emap: EfficiencyMap) -> str:
-    """JSON document with axes and row-major matrices (null = infeasible)."""
+    """JSON document with axes and row-major matrices (null = infeasible).
 
-    def matrix(a):
-        return [[None if not np.isfinite(x) else x for x in row] for row in a]
+    The text is the fixed ``json.dumps(doc, indent=2)`` layout; each matrix
+    row is encoded in one call from a whole-array conversion.
+    """
 
-    doc = {
-        "force_axis": emap.force_axis.tolist(),
-        "velocity_axis": emap.velocity_axis.tolist(),
-        "eta": matrix(emap.eta),
-        "feasible": emap.feasible.astype(int).tolist(),
-        "losses": {k: matrix(v) for k, v in emap.losses.items()},
-    }
-    return json.dumps(doc, indent=2)
+    def obj(items: list, pad: str) -> str:
+        if not items:
+            return "{}"
+        inner = pad + "  "
+        fields = [f"{inner}{json.dumps(k)}: {v}" for k, v in items]
+        return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+
+    losses = [(k, _json_matrix(v, "    ")) for k, v in emap.losses.items()]
+    return obj([
+        ("force_axis", _json_list(emap.force_axis.tolist(), "  ")),
+        ("velocity_axis", _json_list(emap.velocity_axis.tolist(), "  ")),
+        ("eta", _json_matrix(emap.eta, "  ")),
+        ("feasible", _json_matrix(emap.feasible.astype(int), "  ")),
+        ("losses", obj(losses, "  ")),
+    ], "")
 
 
 def map_from_json(text: str) -> EfficiencyMap:
+    """Parse ``map_to_json`` output; null cells read back as NaN."""
     doc = json.loads(text)
-
-    def matrix(rows):
-        return np.array([[np.nan if x is None else x for x in row] for row in rows], dtype=float)
-
     return EfficiencyMap(
         force_axis=np.asarray(doc["force_axis"], dtype=float),
         velocity_axis=np.asarray(doc["velocity_axis"], dtype=float),
-        eta=matrix(doc["eta"]),
-        losses={k: matrix(v) for k, v in doc["losses"].items()},
+        eta=np.asarray(doc["eta"], dtype=float),
+        losses={k: np.asarray(v, dtype=float) for k, v in doc["losses"].items()},
         feasible=np.asarray(doc["feasible"], dtype=bool),
     )

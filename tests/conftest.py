@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from emlaopt.bilevel import map_eta_fns
+from emlaopt.control import published_gains, simulate_tracking
 from emlaopt.effmap import build_efficiency_map
 from emlaopt.manipulator import rnea
 from emlaopt.presets import (
@@ -15,7 +16,35 @@ from emlaopt.presets import (
     default_manipulator,
     default_map_grid,
 )
-from emlaopt.trajopt import solve_inner
+from emlaopt.trajopt import TrajectoryResult, solve_inner
+
+
+def constant_pose_reference(duration=1.0, n_a=3, pose=None, force=None):
+    """Trivial reference: hold a pose against a constant load force."""
+    m = 50
+    times = np.linspace(0.0, duration, m + 1)
+    pose = np.zeros(n_a) if pose is None else np.asarray(pose, dtype=float)
+    force = np.zeros(n_a) if force is None else np.asarray(force, dtype=float)
+    zeros = np.zeros((m + 1, n_a))
+    return TrajectoryResult(
+        control_points=np.tile(pose, (8, 1)),
+        t_final=duration,
+        times=times,
+        q=np.tile(pose, (m + 1, 1)),
+        qd=zeros.copy(),
+        qdd=zeros.copy(),
+        v_x=zeros.copy(),
+        f_x=np.tile(force, (m + 1, 1)),
+        power=zeros.copy(),
+        psi=np.zeros(2),
+        psi_raw={"effort": 0.0, "power": 0.0},
+        weights=np.array([0.5, 0.5]),
+        cost=0.0,
+        constraint_violation=0.0,
+        converged=True,
+        outer_iterations=0,
+        degree=5,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -66,3 +95,20 @@ def solved_effort(small_problem, dynamics):
 @pytest.fixture(scope="session")
 def solved_power(small_problem, dynamics):
     return solve_inner(small_problem, dynamics, weights=np.array([0.0, 1.0]))
+
+
+@pytest.fixture(scope="session")
+def regulation_traces(acts):
+    """Undisturbed regulation of a 1e-8 m initial error, integrated tightly
+    (shared by the control tests and acceptance criterion 8)."""
+    reference = constant_pose_reference(duration=0.6)
+    return simulate_tracking(
+        acts,
+        reference,
+        published_gains(),
+        disturbance=None,
+        dt=2e-3,
+        initial_position_error=[1e-8, 1e-8, 1e-8],
+        rtol=1e-8,
+        atol=1e-18,
+    )

@@ -251,6 +251,32 @@ def test_map_inline_actuator_default_grid_exits_2(tmp_path, capsys):
     assert not (tmp_path / "m" / "manifest.json").exists()
 
 
+def test_bilevel_single_point_map_axis_exits_2(tmp_path, capsys):
+    # a 1-point axis has no cell to interpolate in: every rating was NaN
+    cfg = write(tmp_path, "bl.json", {
+        "manipulator": {"preset": "default"},
+        "problem": {"preset": "benchmark", "n_partitions": 16, "n_ctrl": 8},
+        "actuators": {"preset": "default"},
+        "outer": {"method": "grid", "grid_points": 2},
+        "maps": {"n_force": 1},
+    })
+    assert run(["bilevel", "--config", cfg, "--out", str(tmp_path / "bl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: force_axis") and "Traceback" not in err
+    assert not (tmp_path / "bl" / "manifest.json").exists()
+
+
+def test_map_nan_axis_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "map.json", {
+        "actuator": {"preset": "lift_6kw"},
+        "grid": {"force": [float("nan"), 3e4, 5], "velocity": [0.004, 0.135, 5]},
+    })
+    assert run(["map", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: force_axis") and "Traceback" not in err
+    assert not (tmp_path / "m" / "manifest.json").exists()
+
+
 def test_invalid_config_exit_code(tmp_path):
     cfg = write(tmp_path, "map.json", {"actuator": {"preset": "nope"}})
     assert run(["map", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

@@ -1,3 +1,5 @@
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -16,39 +18,12 @@ from emlaopt.control import (
     nominal_disturbance,
     published_gains,
     simulate_tracking,
+    traces_to_csv,
     tracking_errors,
     tracking_transform,
 )
 from emlaopt.pmsm import torque_to_iq
-from emlaopt.trajopt import TrajectoryResult
-
-
-def constant_pose_reference(duration=1.0, n_a=3, pose=None, force=None):
-    """Trivial reference: hold a pose against a constant load force."""
-    m = 50
-    times = np.linspace(0.0, duration, m + 1)
-    pose = np.zeros(n_a) if pose is None else np.asarray(pose, dtype=float)
-    force = np.zeros(n_a) if force is None else np.asarray(force, dtype=float)
-    zeros = np.zeros((m + 1, n_a))
-    return TrajectoryResult(
-        control_points=np.tile(pose, (8, 1)),
-        t_final=duration,
-        times=times,
-        q=np.tile(pose, (m + 1, 1)),
-        qd=zeros.copy(),
-        qdd=zeros.copy(),
-        v_x=zeros.copy(),
-        f_x=np.tile(force, (m + 1, 1)),
-        power=zeros.copy(),
-        psi=np.zeros(2),
-        psi_raw={"effort": 0.0, "power": 0.0},
-        weights=np.array([0.5, 0.5]),
-        cost=0.0,
-        constraint_violation=0.0,
-        converged=True,
-        outer_iterations=0,
-        degree=5,
-    )
+from conftest import constant_pose_reference
 
 
 def test_tracking_transform_case_split():
@@ -112,21 +87,6 @@ def test_gains_validation():
         SubsystemGains(delta=[1, 1, 1, -1], epsilon=1, k=1, sigma=1)
     g = published_gains()
     assert np.all(g.delta == 75000.0) and np.all(g.k * g.sigma == 63.0)
-
-
-@pytest.fixture(scope="module")
-def regulation_traces(acts):
-    reference = constant_pose_reference(duration=0.6)
-    return simulate_tracking(
-        acts,
-        reference,
-        published_gains(),
-        disturbance=None,
-        dt=2e-3,
-        initial_position_error=[1e-8, 1e-8, 1e-8],
-        rtol=1e-8,
-        atol=1e-18,
-    )
 
 
 def test_regulation_lyapunov_strictly_decreasing(regulation_traces, acts):
@@ -212,6 +172,41 @@ def test_load_pulse_reconverges(acts):
     after = np.abs(tr.q_err[tr.times > t_step + 0.35]).max()
     assert during > 5 * before  # the pulse visibly excites the errors
     assert after < 0.1 * during  # and the controller pulls them back down
+
+
+def reference_traces_csv(traces):
+    """The per-row writer the array writer replaced, kept as its oracle."""
+    n_a = traces.position.shape[1]
+    header = ["t"]
+    for j in range(1, n_a + 1):
+        header += [
+            f"fx{j}", f"fx_ref{j}", f"vx{j}", f"vx_ref{j}", f"iq{j}", f"id{j}",
+            f"Vq{j}", f"Vd{j}",
+        ] + [f"Q{nu}_{j}" for nu in range(1, 5)] + [f"phi{nu}_{j}" for nu in range(1, 5)]
+    header.append("V_lyap")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for it, t in enumerate(traces.times):
+        row = [t]
+        for j in range(n_a):
+            row += [
+                traces.force_em[it, j], traces.force_ref[it, j],
+                traces.velocity[it, j], traces.velocity_ref[it, j],
+                traces.i_q[it, j], traces.i_d[it, j],
+                traces.v_q[it, j], traces.v_d[it, j],
+            ]
+            row += list(traces.q_err[it, j])
+            row += list(traces.phi[it, j])
+        row.append(traces.lyapunov[it])
+        writer.writerow(["%.12g" % x for x in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("run", ["nominal_traces", "regulation_traces"])
+def test_traces_csv_matches_per_row_reference(run, request):
+    traces = request.getfixturevalue(run)
+    assert traces_to_csv(traces) == reference_traces_csv(traces)
 
 
 def test_disturbance_profile_bound():

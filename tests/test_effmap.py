@@ -1,14 +1,18 @@
+import csv
+import io
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emlaopt.effmap import (
     INFEASIBLE_TOKEN,
     MAP_CSV_HEADER,
+    EfficiencyMap,
     build_efficiency_map,
     map_from_json,
     map_to_csv,
@@ -114,7 +118,9 @@ def test_cell_batch_equals_points(case, allow_regeneration):
 @given(operating_axes())
 def test_loss_balance_on_feasible_motoring_cells(case):
     emla, f, v = case
-    emap = build_efficiency_map(emla, np.unique(f), np.unique(v))
+    f, v = np.unique(f), np.unique(v)
+    assume(len(f) >= 2 and len(v) >= 2)  # a map needs two points per axis
+    emap = build_efficiency_map(emla, f, v)
     ff, vv = np.meshgrid(emap.force_axis, emap.velocity_axis, indexing="ij")
     p_out = ff * vv
     cells = emap.feasible & (p_out > 0)
@@ -182,3 +188,106 @@ def test_interp_symmetric_reverse_quadrant(emap, data):
 def test_monotone_grid_required(emla):
     with pytest.raises(ValueError):
         build_efficiency_map(emla, np.array([1.0, 1.0, 2.0]), np.array([0.1, 0.2]))
+
+
+LOSS_KEYS = MAP_CSV_HEADER[3:9]
+
+
+def reference_csv(emap):
+    """The per-cell writer the array writer replaced, kept as its oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(MAP_CSV_HEADER)
+    for i, f in enumerate(emap.force_axis):
+        for j, v in enumerate(emap.velocity_axis):
+            if emap.feasible[i, j]:
+                values = [f, v, emap.eta[i, j]] + [emap.losses[k][i, j] for k in LOSS_KEYS]
+                row = ["%.12g" % x for x in values] + ["1"]
+            else:
+                row = ["%.12g" % f, "%.12g" % v] + [INFEASIBLE_TOKEN] * 7 + ["0"]
+            writer.writerow(row)
+    return buf.getvalue()
+
+
+def reference_json(emap):
+    """The document and layout the array writer replaced, kept as its oracle."""
+
+    def matrix(a):
+        return [[None if not np.isfinite(x) else x for x in row] for row in a]
+
+    doc = {
+        "force_axis": emap.force_axis.tolist(),
+        "velocity_axis": emap.velocity_axis.tolist(),
+        "eta": matrix(emap.eta),
+        "feasible": emap.feasible.astype(int).tolist(),
+        "losses": {k: matrix(v) for k, v in emap.losses.items()},
+    }
+    return json.dumps(doc, indent=2)
+
+
+EDGE_VALUES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+
+
+@st.composite
+def small_maps(draw):
+    """Maps of 2-6 points per axis with a random feasibility mask: eta in
+    [0, 1] (NaN where infeasible), losses of any finite magnitude on feasible
+    cells and any value, non-finite included, on infeasible ones."""
+    finite = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1e6, 1e6))
+
+    def axis():
+        values = draw(st.lists(finite, min_size=2, max_size=6, unique=True))
+        return np.array(sorted(values))
+
+    f, v = axis(), axis()
+    shape = (len(f), len(v))
+    feasible = draw(arrays(bool, shape))
+    unit = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1.0]), st.floats(0.0, 1.0))
+    eta = np.where(feasible, draw(arrays(float, shape, elements=unit)), np.nan)
+    anything = st.one_of(finite, st.floats(allow_nan=True, allow_infinity=True))
+    losses = {
+        k: np.where(feasible, draw(arrays(float, shape, elements=finite)),
+                    draw(arrays(float, shape, elements=anything)))
+        for k in LOSS_KEYS
+    }
+    return EfficiencyMap(f, v, eta, losses, feasible)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_maps())
+def test_writers_match_per_cell_reference(emap):
+    text = map_to_json(emap)
+    assert map_to_csv(emap) == reference_csv(emap)
+    assert text == reference_json(emap)
+    assert map_to_json(map_from_json(text)) == text
+
+
+@pytest.mark.parametrize("n", [7, 40])
+def test_preset_maps_match_per_cell_reference(n):
+    for emla in actuators():
+        emap = build_efficiency_map(emla, *default_map_grid(emla, n, n))
+        assert map_to_csv(emap) == reference_csv(emap)
+        assert map_to_json(emap) == reference_json(emap)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(dict(force_axis=np.array([3e4])), id="single-point-axis"),
+    pytest.param(dict(velocity_axis=np.array([np.nan, 0.05, 0.1])), id="nan-axis"),
+    pytest.param(dict(force_axis=np.array([1e4, 2e4, np.inf])), id="infinite-axis"),
+    pytest.param(dict(velocity_axis=np.array([0.1, 0.1, 0.2])), id="repeated-axis-point"),
+    pytest.param(dict(force_axis=np.array([3e4, 2e4, 1e4])), id="decreasing-axis"),
+    pytest.param(dict(feasible=np.ones((1, 3), dtype=bool)), id="feasible-shape"),
+    pytest.param(dict(losses={"p_cu": np.zeros((3, 2))}), id="loss-shape"),
+])
+def test_uninterpolable_map_rejected(bad):
+    args = dict(force_axis=np.array([1e4, 2e4, 3e4]), velocity_axis=np.array([0.05, 0.1, 0.2]))
+    EfficiencyMap(**args, eta=np.full((3, 3), 0.5), losses={"p_cu": np.zeros((3, 3))},
+                  feasible=np.ones((3, 3), dtype=bool))
+    # the other fields follow the axes' shape, so only the rule under test is broken
+    args.update((k, v) for k, v in bad.items() if k.endswith("_axis"))
+    shape = (len(args["force_axis"]), len(args["velocity_axis"]))
+    args.update(eta=np.full(shape, 0.5), losses={"p_cu": np.zeros(shape)},
+                feasible=np.ones(shape, dtype=bool))
+    args.update(bad)
+    with pytest.raises(ValueError):
+        EfficiencyMap(**args)
