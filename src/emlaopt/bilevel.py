@@ -8,16 +8,15 @@ weight box) and projected Nelder-Mead are provided; both are deterministic
 and record their full evaluation trace.
 """
 
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import StrokeRangeError
 from .effmap import EfficiencyMap
 from .manipulator import ChainModel, SingularConfigurationError, rnea
-from .trajopt import NlpProblem, TrajectoryResult, solve_inner
+from .trajopt import NlpProblem, TrajectoryResult, check_weights, solve_inner
 
 
 def total_efficiency(v_x, f_x, eta_fns):
@@ -144,10 +143,10 @@ class BilevelConfig:
         hi = np.asarray(self.weight_upper, dtype=float)
         object.__setattr__(self, "weight_lower", lo)
         object.__setattr__(self, "weight_upper", hi)
-        if lo.shape != hi.shape:
-            raise ValueError("weight bounds must share shape")
-        if np.any(lo < 0) or np.any(lo > hi):
-            raise ValueError("need 0 <= weight_lower <= weight_upper")
+        # the lower corner is itself a candidate, so it must be a valid weight vector
+        check_weights(lo, "weight_lower")
+        if hi.shape != lo.shape or not np.all(np.isfinite(hi) & (lo <= hi)):
+            raise ValueError("need weight_lower <= weight_upper, both finite and of shape (2,)")
         if self.method not in ("grid", "nelder-mead"):
             raise ValueError("method must be 'grid' or 'nelder-mead'")
 
@@ -160,8 +159,6 @@ class BilevelResult:
     summary: dict
     trace: list  # (weights, F, converged) in evaluation order
     n_inner_solves: int
-    eta_samples: np.ndarray = None
-    flagged_samples: np.ndarray = None
 
     def trace_to_csv(self) -> str:
         import csv as _csv
@@ -175,8 +172,8 @@ class BilevelResult:
             writer.writerow(["%.12g" % x for x in w] + ["%.12g" % value, "1" if ok else "0"])
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "weights_opt": self.weights_opt.tolist(),
             "outer_value": self.outer_value,
             "summary": self.summary,
@@ -187,7 +184,6 @@ class BilevelResult:
             ],
             "trajectory": self.inner.to_dict(),
         }
-        return json.dumps(doc, indent=2)
 
 
 def map_eta_fns(maps: list[EfficiencyMap]):
@@ -264,7 +260,7 @@ def solve_outer(
         trace.append((w, point[0] if ok else float("-inf"), ok))
         if not ok:
             return None
-        evaluations.append((w, *point))
+        evaluations.append((w, point[0], point[1]))
         return point[0]
 
     if config.method == "grid":
@@ -295,7 +291,7 @@ def solve_outer(
 
     if not evaluations:
         raise RuntimeError("no outer candidate produced a converged inner solve")
-    w_opt, value, result, eta, flagged = max(evaluations, key=lambda e: e[1])
+    w_opt, value, result = max(evaluations, key=lambda e: e[1])
     summary = efficiency_summary(result.v_x, result.f_x, eta_fns)
     return BilevelResult(
         weights_opt=w_opt,
@@ -304,6 +300,4 @@ def solve_outer(
         summary=summary,
         trace=trace,
         n_inner_solves=len(trace) + 1,
-        eta_samples=eta,
-        flagged_samples=flagged,
     )

@@ -124,7 +124,7 @@ def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
         for a in actuators
     ]
     result = solve_outer(cfg, problem, model, maps, jobs=jobs)
-    doc = json.loads(result.to_json())
+    doc = result.to_dict()
     doc["quartile_occupancy"] = quartile_occupancy(result.inner.v_x, result.inner.f_x, maps)
     doc["samples_outside_map"] = samples_outside_map(result.inner.v_x, result.inner.f_x, maps)
     return {

@@ -92,6 +92,8 @@ class EfficiencyMap:
         finite = self.eta[np.isfinite(self.eta)]
         if finite.size and (finite.min() < -1e-12 or finite.max() > 1.0 + 1e-12):
             raise ValueError("eta outside [0, 1]")
+        # the table interp_eta reads: infeasible and NaN cells rate 0
+        self._rating_table = np.where(self.feasible, np.nan_to_num(self.eta, nan=0.0), 0.0)
 
     def interp_eta(self, f_x, v_x) -> np.ndarray:
         """Bilinear efficiency lookup, clipped to the grid envelope.
@@ -103,7 +105,7 @@ class EfficiencyMap:
         that trajectories skirting the infeasible boundary are rated
         poorly rather than propagating NaN.
         """
-        table = np.where(self.feasible, np.nan_to_num(self.eta, nan=0.0), 0.0)
+        table = self._rating_table
         f_in = np.asarray(f_x, dtype=float)
         v_in = np.asarray(v_x, dtype=float)
         reverse = (f_in < 0) & (v_in < 0)

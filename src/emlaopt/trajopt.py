@@ -1,11 +1,14 @@
 """Direct-collocation trajectory generation on B-spline curves.
 
 The configuration (piston strokes) is a clamped B-spline; bounds on
-positions, rates, piston velocities and forces are enforced at M+1 uniform
-collocation points, boundary states as equalities, and the final time is a
-free variable inside its box.  The transcribed problem is solved with
-SLSQP; gradients combine analytic basis chain rules with batched central
-differences of the inverse dynamics.
+positions, rates and forces are enforced at M+1 uniform collocation
+points, boundary states as equalities, and the final time is a free
+variable inside its box.  The strokes are the generalized coordinates, so
+the piston speed v_x is taken as the stroke rate q̇ and its box is merged
+into the q̇ box.  The transcribed problem is solved with SLSQP; the
+derivatives of (q, q̇, f_x) by the decision vector are built once per
+iterate, from analytic basis blocks and batched central differences of
+the inverse dynamics, and every gradient and Jacobian is read from them.
 """
 
 import csv
@@ -50,6 +53,17 @@ def criterion_power(f_x, v_x, dt: float) -> float:
     """0.5 * dt * sum_k sum_i (f_ki v_ki)^2."""
     p = np.asarray(f_x, dtype=float) * np.asarray(v_x, dtype=float)
     return 0.5 * dt * float(np.sum(p * p))
+
+
+def check_weights(weights, name: str = "weights") -> np.ndarray:
+    """The two criterion weights as a float array; raises ``ValueError``
+    unless both are finite and nonnegative with a positive sum."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (2,) or not np.all(np.isfinite(w) & (w >= 0)) or w.sum() <= 0:
+        raise ValueError(
+            f"{name} must be two finite nonnegative numbers with positive sum, got {w.tolist()}"
+        )
+    return w
 
 
 @dataclass(frozen=True)
@@ -99,8 +113,7 @@ class NlpProblem:
         ):
             if np.any(np.asarray(lo) > np.asarray(hi)):
                 raise ValueError("lower bounds must not exceed upper bounds")
-        if np.any(self.weights < 0) or self.weights.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
+        check_weights(self.weights)
         if self.ctrl_lower is None:
             pad = 0.1 * (self.q_upper - self.q_lower)
             object.__setattr__(self, "ctrl_lower", self.q_lower - pad)
@@ -225,7 +238,7 @@ def _solve_slsqp(kern, z0, ctol, maxiter):
 
     cons = [
         {"type": "eq", "fun": kern.eq, "jac": kern.eq_jac},
-        {"type": "ineq", "fun": lambda z: -kern.ineq(z), "jac": lambda z: -kern.ineq_jac(z)},
+        {"type": "ineq", "fun": kern.ineq, "jac": kern.ineq_jac},
     ]
     with warnings.catch_warnings():
         # SLSQP's line search probes slightly outside the box and clips;
@@ -238,115 +251,113 @@ def _solve_slsqp(kern, z0, ctol, maxiter):
             z0,
             jac=kern.cost_grad,
             method="SLSQP",
-            bounds=kern.bounds(),
+            bounds=kern.bounds,
             constraints=cons,
             options={"maxiter": maxiter, "ftol": 1e-10},
         )
-    viol = max(np.abs(kern.eq(res.x)).max(), np.maximum(0.0, kern.ineq(res.x)).max())
+    viol = max(np.abs(kern.eq(res.x)).max(), np.maximum(0.0, -kern.ineq(res.x)).max())
     return res.x, bool(res.status == 0 and viol <= ctol), int(res.nit), float(viol)
 
 
 class _Transcription:
-    """Evaluation kernel: decision vector -> trajectories, criteria, jacobians."""
+    """Evaluation kernel: decision vector -> trajectories, criteria, derivatives.
+
+    The decision vector is z = [c.ravel(), t_final] with c the (n_ctrl, n)
+    control points.  The sampled states are x_k = B_k c / t_final^k (q, q̇,
+    q̈ for k = 0, 1, 2), so dx_k/dc is the constant block B_k ⊗ I over
+    t_final^k and dx_k/dt_final is -k x_k / t_final.  The strokes are the
+    generalized coordinates, so the piston speed v_x is q̇: its box narrows
+    the q̇ box and adds no rows.
+    """
 
     def __init__(self, problem: NlpProblem, dynamics, weights):
-        self.problem = problem
+        p = self.problem = problem
         self.dynamics = dynamics
-        self.n = problem.n_joints
-        self.n_ctrl = problem.n_ctrl
-        self.m = problem.n_partitions
-        s = np.arange(self.m + 1) / self.m
-        self.b0, self.b1, self.b2 = basis_matrices(problem.n_ctrl, problem.degree, s)
-        w = np.asarray(weights, dtype=float)
-        self.weights_raw = w
-        self.weights = w / w.sum()
+        self.n, self.n_ctrl, self.m = p.n_joints, p.n_ctrl, p.n_partitions
+        m1 = self.m + 1
+        self.basis = basis_matrices(p.n_ctrl, p.degree, np.arange(m1) / self.m)
+        # B_k ⊗ I and a zero t_final column: (M+1, n, n_z), c[j, b] at z[j * n + b]
+        self.blocks = []
+        for b in self.basis:
+            block = np.zeros((m1, self.n, self.n_ctrl * self.n + 1))
+            block[..., :-1] = np.einsum("kj,ab->kajb", b, np.eye(self.n)).reshape(m1, self.n, -1)
+            self.blocks.append(block)
+        self.weights_raw = check_weights(weights)
+        self.weights = self.weights_raw / self.weights_raw.sum()
+        qd_lower = np.maximum(p.qd_lower, p.vx_lower)
+        qd_upper = np.minimum(p.qd_upper, p.vx_upper)
+        self.boxes = [(p.q_lower, p.q_upper), (qd_lower, qd_upper), (p.fx_lower, p.fx_upper)]
+        self.box_scales = [np.maximum(1.0, np.maximum(abs(lo), abs(hi))) for lo, hi in self.boxes]
+        s_q = np.maximum(1.0, np.abs(p.q_upper - p.q_lower))
+        s_qd = np.maximum(1.0, np.abs(qd_upper - qd_lower))
+        self.eq_target = np.concatenate([p.q_init, p.q_final, p.qd_init, p.qd_final])
+        self.eq_scale = np.concatenate([s_q, s_q, s_qd, s_qd])
+        self.bounds = list(
+            zip(np.tile(p.ctrl_lower, self.n_ctrl), np.tile(p.ctrl_upper, self.n_ctrl))
+        ) + [(p.t_lower, p.t_upper)]
         self._value_cache = (None, None)
         self._jac_cache = (None, None)
-
-    # -- decision vector helpers ------------------------------------------
-    def pack(self, c, t_final):
-        return np.concatenate([np.asarray(c, dtype=float).ravel(), [t_final]])
-
-    def unpack(self, z):
-        return z[:-1].reshape(self.n_ctrl, self.n), z[-1]
-
-    def bounds(self):
-        lo = np.tile(self.problem.ctrl_lower, self.n_ctrl)
-        hi = np.tile(self.problem.ctrl_upper, self.n_ctrl)
-        return list(zip(lo, hi)) + [(self.problem.t_lower, self.problem.t_upper)]
 
     def initial_guess(self):
         frac = np.linspace(0.0, 1.0, self.n_ctrl)[:, None]
         c0 = (1 - frac) * self.problem.q_init + frac * self.problem.q_final
         t0 = 0.5 * (self.problem.t_lower + self.problem.t_upper)
-        return self.pack(c0, t0)
+        return np.concatenate([c0.ravel(), [t0]])
 
     # -- evaluation --------------------------------------------------------
     def values(self, z):
         key = z.tobytes()
         if self._value_cache[0] == key:
             return self._value_cache[1]
-        c, t_final = self.unpack(z)
-        q = self.b0 @ c
-        qd = self.b1 @ c / t_final
-        qdd = self.b2 @ c / t_final**2
-        v, f = self.dynamics(q, qd, qdd)
+        c, t_final = z[:-1].reshape(self.n_ctrl, self.n), z[-1]
+        b0, b1, b2 = self.basis
+        q = b0 @ c
+        qd = b1 @ c / t_final
+        qdd = b2 @ c / t_final**2
+        f = self.dynamics(q, qd, qdd)[1]
         dt = t_final / self.m
-        psi_raw = np.array([criterion_effort(f, dt), criterion_power(f, v, dt)])
+        psi_raw = np.array([criterion_effort(f, dt), criterion_power(f, qd, dt)])
         psi = psi_raw / self.problem.criterion_scales
         out = {
             "c": c, "t_final": t_final, "q": q, "qd": qd, "qdd": qdd,
-            "v": v, "f": f, "dt": dt, "psi": psi, "psi_raw": psi_raw,
+            "f": f, "dt": dt, "psi": psi, "psi_raw": psi_raw,
             "cost": float(self.weights @ psi),
         }
         self._value_cache = (key, out)
         return out
 
     def jacobians(self, z):
-        """Central differences of f_x w.r.t. (q, qd, qdd), one batched call.
+        """d(q, q̇, f_x)/dz, each of shape (M+1, n, n_z).
 
-        All 6n perturbed copies of the trajectory are stacked on a leading
-        axis so the dynamics runs once over shape (6n, M+1, n).
+        The partials of f_x in (q, q̇, q̈) are central differences: all 6n
+        perturbed copies of the trajectory are stacked on a leading axis so
+        the dynamics runs once over shape (6n, M+1, n).  They are chained
+        through the state derivatives in one batched product.
         """
         key = z.tobytes()
         if self._jac_cache[0] == key:
             return self._jac_cache[1]
         vals = self.values(z)
-        q, qd, qdd = vals["q"], vals["qd"], vals["qdd"]
-        m1, n = q.shape
-        eye = FD_STEP * np.eye(n)
-        big_q = np.broadcast_to(q, (6 * n, m1, n)).copy()
-        big_qd = np.broadcast_to(qd, (6 * n, m1, n)).copy()
-        big_qdd = np.broadcast_to(qdd, (6 * n, m1, n)).copy()
-        for i in range(n):
-            big_q[2 * i] += eye[i]
-            big_q[2 * i + 1] -= eye[i]
-            big_qd[2 * n + 2 * i] += eye[i]
-            big_qd[2 * n + 2 * i + 1] -= eye[i]
-            big_qdd[4 * n + 2 * i] += eye[i]
-            big_qdd[4 * n + 2 * i + 1] -= eye[i]
-        f_all = self.dynamics(big_q, big_qd, big_qdd)[1]
-        diffs = (f_all[0::2] - f_all[1::2]) / (2 * FD_STEP)  # (3n, m1, n)
-        jq = np.moveaxis(diffs[:n], 0, -1)
-        jqd = np.moveaxis(diffs[n: 2 * n], 0, -1)
-        jqdd = np.moveaxis(diffs[2 * n:], 0, -1)
-        out = {"jq": jq, "jqd": jqd, "jqdd": jqdd}
+        t_final = vals["t_final"]
+        states = (vals["q"], vals["qd"], vals["qdd"])
+        m1, n = states[0].shape
+        dx = []
+        for k, (block, x) in enumerate(zip(self.blocks, states)):
+            d = block / t_final**k
+            d[..., -1] = -k * x / t_final
+            dx.append(d)
+        steps = FD_STEP * np.eye(n)[:, None, :]
+        stacked = [np.broadcast_to(x, (6 * n, m1, n)).copy() for x in states]
+        for k, big in enumerate(stacked):
+            big[2 * k * n: 2 * (k + 1) * n: 2] += steps
+            big[2 * k * n + 1: 2 * (k + 1) * n: 2] -= steps
+        f_all = self.dynamics(*stacked)[1]
+        # row k * n + b: d f_x / d (x_k)_b over (M+1, n)
+        diffs = (f_all[0::2] - f_all[1::2]) / (2 * FD_STEP)
+        df = diffs.transpose(1, 2, 0) @ np.concatenate(dx, axis=1)
+        out = {"q": dx[0], "qd": dx[1], "f": df}
         self._jac_cache = (key, out)
         return out
-
-    def _chain_to_z(self, df, vals, jac, extra_t=0.0):
-        """Gradient w.r.t. z of a scalar with sensitivity df (m1, n) to f_x."""
-        t_final = vals["t_final"]
-        aq = np.einsum("ka,kab->kb", df, jac["jq"])
-        aqd = np.einsum("ka,kab->kb", df, jac["jqd"])
-        aqdd = np.einsum("ka,kab->kb", df, jac["jqdd"])
-        dc = (
-            np.einsum("kj,kb->jb", self.b0, aq)
-            + np.einsum("kj,kb->jb", self.b1, aqd) / t_final
-            + np.einsum("kj,kb->jb", self.b2, aqdd) / t_final**2
-        )
-        dt_implicit = -np.sum(aqd * vals["qd"]) / t_final - 2.0 * np.sum(aqdd * vals["qdd"]) / t_final
-        return np.concatenate([dc.ravel(), [dt_implicit + extra_t]])
 
     def cost(self, z):
         return self.values(z)["cost"]
@@ -354,110 +365,43 @@ class _Transcription:
     def cost_grad(self, z):
         vals = self.values(z)
         jac = self.jacobians(z)
-        f, v, dt, t_final = vals["f"], vals["v"], vals["dt"], vals["t_final"]
+        f, qd, dt, t_final = vals["f"], vals["qd"], vals["dt"], vals["t_final"]
         w = self.weights / self.problem.criterion_scales
         # sensitivities of the scaled cost to the sampled forces and rates
-        df = w[0] * dt * f + w[1] * dt * (f * v) * v
-        dv_direct = w[1] * dt * (f * v) * f  # v == qd rows couple through the basis
+        fv = f * qd
+        d_f = w[0] * dt * f + w[1] * dt * fv * qd
+        d_qd = w[1] * dt * fv * f
+        grad = np.einsum("ka,kaz->z", d_f, jac["f"]) + np.einsum("ka,kaz->z", d_qd, jac["qd"])
         # explicit dt = t/m dependence of both criteria
-        extra_t = float(self.weights @ (vals["psi"] / t_final))
-        grad = self._chain_to_z(df, vals, jac, extra_t=extra_t)
-        # v-sensitivity maps through qd = B1 c / t
-        dc_v = np.einsum("kj,kb->jb", self.b1, dv_direct) / t_final
-        grad[:-1] += dc_v.ravel()
-        grad[-1] += -np.sum(dv_direct * vals["qd"]) / t_final
+        grad[-1] += self.weights @ (vals["psi"] / t_final)
         return grad
 
-    # -- constraints --------------------------------------------------------
-    def _eq_scales(self):
-        p = self.problem
-        s_q = np.maximum(1.0, np.abs(p.q_upper - p.q_lower))
-        s_qd = np.maximum(1.0, np.abs(p.qd_upper - p.qd_lower))
-        return np.concatenate([s_q, s_q, s_qd, s_qd])
-
+    # -- constraints, in SLSQP's sign: eq == 0, ineq >= 0 ------------------
     def eq(self, z):
         vals = self.values(z)
-        p = self.problem
-        res = np.concatenate(
-            [
-                vals["q"][0] - p.q_init,
-                vals["q"][-1] - p.q_final,
-                vals["qd"][0] - p.qd_init,
-                vals["qd"][-1] - p.qd_final,
-            ]
-        )
-        return res / self._eq_scales()
+        q, qd = vals["q"], vals["qd"]
+        return (np.concatenate([q[0], q[-1], qd[0], qd[-1]]) - self.eq_target) / self.eq_scale
 
     def eq_jac(self, z):
-        vals = self.values(z)
-        t_final = vals["t_final"]
-        n, nc, nz = self.n, self.n_ctrl, self.n_ctrl * self.n + 1
-        jac = np.zeros((4 * n, nz))
-        for a in range(n):
-            jac[a, a::n][:nc] = self.b0[0]
-            jac[n + a, a::n][:nc] = self.b0[-1]
-            jac[2 * n + a, a::n][:nc] = self.b1[0] / t_final
-            jac[3 * n + a, a::n][:nc] = self.b1[-1] / t_final
-        jac[2 * n: 3 * n, -1] = -vals["qd"][0] / t_final
-        jac[3 * n: 4 * n, -1] = -vals["qd"][-1] / t_final
-        return jac / self._eq_scales()[:, None]
-
-    def _ineq_scales(self):
-        p = self.problem
-        s_q = np.maximum(1.0, np.abs(np.stack([p.q_lower, p.q_upper])).max(axis=0))
-        s_qd = np.maximum(1.0, np.abs(np.stack([p.qd_lower, p.qd_upper])).max(axis=0))
-        s_v = np.maximum(1.0, np.abs(np.stack([p.vx_lower, p.vx_upper])).max(axis=0))
-        s_f = np.maximum(1.0, np.abs(np.stack([p.fx_lower, p.fx_upper])).max(axis=0))
-        return s_q, s_qd, s_v, s_f
+        jac = self.jacobians(z)
+        dq, dqd = jac["q"], jac["qd"]
+        return np.concatenate([dq[0], dq[-1], dqd[0], dqd[-1]]) / self.eq_scale[:, None]
 
     def ineq(self, z):
+        """Scaled margins to the q, q̇ and f_x boxes at every sample."""
         vals = self.values(z)
-        p = self.problem
-        q, qd, v, f = vals["q"], vals["qd"], vals["v"], vals["f"]
-        s_q, s_qd, s_v, s_f = self._ineq_scales()
-        parts = [
-            (q - p.q_upper) / s_q, (p.q_lower - q) / s_q,
-            (qd - p.qd_upper) / s_qd, (p.qd_lower - qd) / s_qd,
-            (v - p.vx_upper) / s_v, (p.vx_lower - v) / s_v,
-            (f - p.fx_upper) / s_f, (p.fx_lower - f) / s_f,
-        ]
+        parts = []
+        for x, (lo, hi), s in zip((vals["q"], vals["qd"], vals["f"]), self.boxes, self.box_scales):
+            parts += [(hi - x) / s, (x - lo) / s]
         return np.concatenate([part.ravel() for part in parts])
 
     def ineq_jac(self, z):
-        vals = self.values(z)
         jac = self.jacobians(z)
-        t_final = vals["t_final"]
-        m1, n, nc = self.m + 1, self.n, self.n_ctrl
-        nz = nc * n + 1
-        s_q, s_qd, s_v, s_f = self._ineq_scales()
-
-        # q rows: d q[k,a] / d c[j,b] = b0[k,j] delta_ab
-        jq_box = np.zeros((m1, n, nz))
-        jqd_box = np.zeros((m1, n, nz))
-        for a in range(n):
-            jq_box[:, a, a: nc * n: n] = self.b0
-            jqd_box[:, a, a: nc * n: n] = self.b1 / t_final
-        jqd_box[:, :, -1] = -vals["qd"] / t_final
-
-        jf = np.zeros((m1, n, nz))
-        for b in range(n):
-            jf[:, :, b: nc * n: n] += (
-                np.einsum("kab,kj->kaj", jac["jq"][:, :, b: b + 1], self.b0)
-                + np.einsum("kab,kj->kaj", jac["jqd"][:, :, b: b + 1], self.b1) / t_final
-                + np.einsum("kab,kj->kaj", jac["jqdd"][:, :, b: b + 1], self.b2) / t_final**2
-            )
-        jf[:, :, -1] = (
-            -np.einsum("kab,kb->ka", jac["jqd"], vals["qd"]) / t_final
-            - 2.0 * np.einsum("kab,kb->ka", jac["jqdd"], vals["qdd"]) / t_final
-        )
-
-        blocks = [
-            jq_box / s_q[:, None], -jq_box / s_q[:, None],
-            jqd_box / s_qd[:, None], -jqd_box / s_qd[:, None],
-            jqd_box / s_v[:, None], -jqd_box / s_v[:, None],
-            jf / s_f[:, None], -jf / s_f[:, None],
-        ]
-        return np.concatenate([b.reshape(m1 * n, nz) for b in blocks], axis=0)
+        rows = []
+        for d, s in zip((jac["q"], jac["qd"], jac["f"]), self.box_scales):
+            scaled = (d / s[:, None]).reshape(-1, d.shape[-1])
+            rows += [-scaled, scaled]
+        return np.concatenate(rows)
 
 
 def solve_inner(
@@ -471,14 +415,15 @@ def solve_inner(
     """Solve the transcribed NLP for one weight vector.
 
     ``dynamics`` maps batched (q, qd, qdd) with shape (M+1, n) to the pair
-    (v_x, f_x); for stroke-coordinate models v_x equals qd.  The start is
+    (v_x, f_x); only f_x is used, since in stroke coordinates v_x is qd, and
+    the ``vx_*`` box is intersected with the ``qd_*`` box.  ``weights``
+    overrides ``problem.weights`` and is checked the same way.  The start is
     the deterministic straight-line guess unless ``initial_guess`` provides
     a packed [c.ravel(), t_final] vector (used for warm starts).  The
     solve is deterministic given the start point.
     """
     problem.check_boundary_feasible()
-    w = problem.weights if weights is None else np.asarray(weights, dtype=float)
-    kern = _Transcription(problem, dynamics, w)
+    kern = _Transcription(problem, dynamics, problem.weights if weights is None else weights)
     z0 = kern.initial_guess() if initial_guess is None else np.asarray(initial_guess, dtype=float)
     x, converged, nit, violation = _solve_slsqp(kern, z0, ctol=ctol, maxiter=maxiter)
     vals = kern.values(x)
@@ -490,9 +435,9 @@ def solve_inner(
         q=vals["q"],
         qd=vals["qd"],
         qdd=vals["qdd"],
-        v_x=vals["v"],
+        v_x=vals["qd"].copy(),
         f_x=vals["f"],
-        power=vals["v"] * vals["f"],
+        power=vals["qd"] * vals["f"],
         psi=vals["psi"],
         psi_raw={"effort": vals["psi_raw"][0], "power": vals["psi_raw"][1]},
         weights=kern.weights_raw,

@@ -227,6 +227,36 @@ def test_bilevel_inverted_weight_box_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "bl" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("weights", [[0, 0], [-1, 2], [1]])
+def test_trajopt_invalid_weights_exit_2(tmp_path, capsys, weights):
+    # zero-sum weights solved with NaN weights; negative ones minimized -effort
+    cfg = write(tmp_path, "traj.json", dict(TRAJ_CFG, weights=weights))
+    assert run(["trajopt", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: weights must be") and "Traceback" not in err
+    assert not (tmp_path / "t" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("lower", [[0, 0], [0.1], [-0.1, 0.5]])
+def test_bilevel_invalid_weight_lower_exits_2(tmp_path, capsys, monkeypatch, lower):
+    # the lower corner is a grid point, so (0, 0) would be solved with NaN weights
+    def no_maps(*args, **kwargs):
+        raise AssertionError("efficiency maps built before the outer config was checked")
+
+    monkeypatch.setattr("emlaopt.cli.build_efficiency_map", no_maps)
+    cfg = write(tmp_path, "bl.json", {
+        "manipulator": {"preset": "default"},
+        "problem": {"preset": "benchmark", "n_partitions": 16, "n_ctrl": 8},
+        "actuators": {"preset": "default"},
+        "outer": {"weight_lower": lower},
+        "maps": {"n_force": 8, "n_velocity": 8},
+    })
+    assert run(["bilevel", "--config", cfg, "--out", str(tmp_path / "bl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: weight_lower must be") and "Traceback" not in err
+    assert not (tmp_path / "bl" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("drive", [{"max_current": float("nan")}, {"enable_core": False}])
 def test_map_inline_drive_rejected_exits_2(tmp_path, capsys, drive):
     emla = lift_emla()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from emlaopt.manipulator import rnea
 from emlaopt.presets import benchmark_problem, default_manipulator
@@ -8,6 +10,7 @@ from emlaopt.trajopt import (
     NlpProblem,
     TimeGrid,
     TrajectoryResult,
+    _Transcription,
     criterion_effort,
     criterion_power,
     solve_inner,
@@ -157,3 +160,61 @@ def test_determinism(small_problem, dynamics, solved_half):
     again = solve_inner(small_problem, dynamics, weights=np.array([0.5, 0.5]))
     assert np.array_equal(again.control_points, solved_half.control_points)
     assert again.t_final == solved_half.t_final
+
+
+def central_jacobian(fun, z, h=1e-6):
+    """Central differences of fun (scalar or vector valued) by each entry of z."""
+    cols = []
+    for i in range(len(z)):
+        step = np.zeros_like(z)
+        step[i] = h * max(1.0, abs(z[i]))
+        cols.append((np.atleast_1d(fun(z + step)) - np.atleast_1d(fun(z - step))) / (2 * step[i]))
+    return np.stack(cols, axis=-1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    w=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    t_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derivatives_match_central_differences(small_problem, dynamics, w, t_frac, seed):
+    # the cost gradient and both constraint Jacobians are all read from the
+    # chained d(q, qd, f_x)/dz; each must match differences of its function
+    assume(sum(w) > 1e-3)
+    p = small_problem
+    kern = _Transcription(p, dynamics, np.array(w))
+    c = kern.initial_guess()[:-1].reshape(p.n_ctrl, p.n_joints)
+    width = p.ctrl_upper - p.ctrl_lower
+    # the FD_STEP partials of f_x lose accuracy on violent motions (a quarter-box
+    # jitter at t_final = 3 s errs by 1.5e-6 of the largest margin), so the
+    # jitter stays within a tenth of the box
+    jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, c.shape) * width
+    c = np.clip(c + jitter, p.ctrl_lower + 0.05 * width, p.ctrl_upper - 0.05 * width)
+    z = np.concatenate([c.ravel(), [p.t_lower + t_frac * (p.t_upper - p.t_lower)]])
+    for fun, jac in ((kern.cost, kern.cost_grad), (kern.eq, kern.eq_jac),
+                     (kern.ineq, kern.ineq_jac)):
+        scale = np.abs(np.atleast_1d(fun(z))).max()
+        err = np.abs(np.atleast_2d(jac(z)) - central_jacobian(fun, z)).max()
+        assert err <= 1e-6 * scale, (fun.__name__, err, scale)
+
+
+def test_piston_speed_box_narrows_rate_box(small_problem, dynamics):
+    # v_x is qd in stroke coordinates: a vx box tighter than the qd box
+    # binds through the qd rows, with no rows of its own
+    tight = replace(small_problem, vx_lower=0.5 * small_problem.qd_lower,
+                    vx_upper=0.5 * small_problem.qd_upper)
+    kern = _Transcription(tight, dynamics, np.array([0.5, 0.5]))
+    assert len(kern.ineq(kern.initial_guess())) == 6 * (small_problem.n_partitions + 1) * 3
+    res = solve_inner(tight, dynamics)
+    assert res.converged
+    assert np.all(np.abs(res.v_x) <= 0.5 * small_problem.qd_upper + 1e-6)
+    assert np.array_equal(res.v_x, res.qd)
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.0], [-1.0, 2.0], [1.0], [np.nan, 1.0]])
+def test_invalid_weights_rejected(small_problem, dynamics, weights):
+    with pytest.raises(ValueError, match="weights"):
+        solve_inner(small_problem, dynamics, weights=weights)
+    with pytest.raises(ValueError, match="weights"):
+        replace(small_problem, weights=weights)
