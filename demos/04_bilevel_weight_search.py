@@ -35,8 +35,7 @@ print(f"  duration {baseline.t_final:.2f} s, per-joint eta "
       f"{[round(x, 3) for x in base_summary['per_joint']]}, "
       f"total {base_summary['total']:.4f}")
 
-config = BilevelConfig(weight_lower=[0.05, 0.05], weight_upper=[1.0, 1.0],
-                       method="grid", grid_points=5)
+config = BilevelConfig(weight_lower=[0.05, 0.05], weight_upper=[1.0, 1.0], grid_points=5)
 result = solve_outer(config, problem, model, maps)
 
 print("\nouter search trace (weights -> F):")

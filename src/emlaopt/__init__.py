@@ -9,7 +9,6 @@ from .bilevel import (
     BilevelResult,
     efficiency_summary,
     map_eta_fns,
-    outer_cost,
     quartile_occupancy,
     samples_outside_map,
     solve_outer,
@@ -57,7 +56,7 @@ from .pmsm import (
     park_transform,
     torque_to_iq,
 )
-from .spatial import RigidBodyParams, SpatialVec, TransformU, net_force, skew
+from .spatial import RigidBodyParams, SpatialVec, net_force, skew
 from .statespace import EmlaState, OperatingPoint, emla_rhs, linearize, stack_params, step_dynamics
 from .trajopt import (
     NlpProblem,

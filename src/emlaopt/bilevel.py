@@ -3,13 +3,16 @@
 For a candidate weight vector the inner trajectory generator is solved,
 the resulting force/velocity samples are rated through the per-joint
 efficiency characteristics, and the time-aggregated squared total
-efficiency becomes the outer objective.  Grid search (exhaustive over the
-weight box) and projected Nelder-Mead are provided; both are deterministic
-and record their full evaluation trace.
+efficiency becomes the outer objective.  The search evaluates every point
+of a lattice over the weight box; the inner objective depends on the
+weights only through their ratio, so the box is a 1-D family of rays and
+an exhaustive lattice covers it.  The search is deterministic and records
+its full evaluation trace.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -129,14 +132,11 @@ def samples_outside_map(v_x, f_x, maps: list[EfficiencyMap]) -> list:
 
 @dataclass(frozen=True)
 class BilevelConfig:
-    """Outer-search settings: weight box, method and budget."""
+    """Outer-search settings: the weight box and its lattice points per axis."""
 
     weight_lower: np.ndarray
     weight_upper: np.ndarray
-    method: str = "grid"  # "grid" or "nelder-mead"
     grid_points: int = 5
-    maxiter: int = 40
-    warm_start: bool = True
 
     def __post_init__(self):
         lo = np.asarray(self.weight_lower, dtype=float)
@@ -147,8 +147,9 @@ class BilevelConfig:
         check_weights(lo, "weight_lower")
         if hi.shape != lo.shape or not np.all(np.isfinite(hi) & (lo <= hi)):
             raise ValueError("need weight_lower <= weight_upper, both finite and of shape (2,)")
-        if self.method not in ("grid", "nelder-mead"):
-            raise ValueError("method must be 'grid' or 'nelder-mead'")
+        n = self.grid_points
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"grid_points must be an integer >= 1, got {n!r}")
 
 
 @dataclass
@@ -161,16 +162,12 @@ class BilevelResult:
     n_inner_solves: int
 
     def trace_to_csv(self) -> str:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
+        """One row per evaluated point, each formatted in one step."""
         e = len(self.weights_opt)
-        writer.writerow([f"w{i+1}" for i in range(e)] + ["F", "inner_converged"])
-        for w, value, ok in self.trace:
-            writer.writerow(["%.12g" % x for x in w] + ["%.12g" % value, "1" if ok else "0"])
-        return buf.getvalue()
+        header = [f"w{i+1}" for i in range(e)] + ["F", "inner_converged"]
+        row = ",".join(["%.12g"] * (e + 1)) + ",%d"
+        rows = [row % (*w, value, ok) for w, value, ok in self.trace]
+        return "\n".join([",".join(header)] + rows) + "\n"
 
     def to_dict(self) -> dict:
         return {
@@ -191,35 +188,21 @@ def map_eta_fns(maps: list[EfficiencyMap]):
     return [m.interp_eta for m in maps]
 
 
-def outer_cost(
-    weights,
-    problem: NlpProblem,
-    dynamics,
-    eta_fns,
-    initial_guess=None,
-):
-    """Inner solve at one weight vector plus the outer objective.
-
-    Returns (F, TrajectoryResult); F is negated nowhere — callers maximize
-    it (a minimizing search loop accumulates the negative).
-    """
-    result = solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess)
-    value, eta, flagged = efficiency_objective(result, eta_fns)
-    return value, result, eta, flagged
-
-
 def _solve_point(args):
-    """outer_cost at one weight vector; module-level so worker processes can run it.
+    """Inner solve and outer objective at one weight vector; module-level so
+    worker processes can run it.
 
-    Returns None when the inner solve leaves the chains' feasible strokes or
-    reaches a fold, so that one point fails without ending the sweep.
+    Returns (F, TrajectoryResult), or None when the inner solve leaves the
+    chains' feasible strokes or reaches a fold, so that one point fails
+    without ending the sweep.
     """
     model, problem, weights, eta_maps, initial_guess = args
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
     try:
-        return outer_cost(weights, problem, dynamics, map_eta_fns(eta_maps), initial_guess)
+        result = solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess)
     except (StrokeRangeError, SingularConfigurationError):
         return None
+    return efficiency_objective(result, map_eta_fns(eta_maps))[0], result
 
 
 def solve_outer(
@@ -229,75 +212,44 @@ def solve_outer(
     eta_maps: list[EfficiencyMap],
     jobs: int = 1,
 ) -> BilevelResult:
-    """Run the leader-level weight search.
+    """Run the leader-level weight search over the weight-box lattice.
 
-    Grid mode evaluates every point of the weight-box lattice (optionally
-    in parallel; each point warm-starts from one shared base solve so the
-    outcome is independent of evaluation order).  Nelder-Mead mode runs a
-    sequential projected simplex search from the box center.  A point whose
-    inner solve fails or does not converge is traced with F = -inf and never
-    wins; a failed center (warm-start) solve raises.
+    One inner solve at the box centre gives the shared warm start; then
+    every lattice point is solved from it (in ``jobs`` worker processes
+    when ``jobs`` > 1), so the outcome is independent of evaluation order.
+    A point whose inner solve fails or does not converge is traced with
+    F = -inf and never wins; a failed centre solve raises.  The best
+    converged point is returned.
     """
-    eta_fns = map_eta_fns(eta_maps)
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
     lo, hi = config.weight_lower, config.weight_upper
+    base = solve_inner(problem, dynamics, weights=0.5 * (lo + hi))
+    warm = np.concatenate([base.control_points.ravel(), [base.t_final]])
 
-    # shared deterministic warm start from the box center
-    center = 0.5 * (lo + hi)
-    base = solve_inner(problem, dynamics, weights=center)
-    warm = (
-        np.concatenate([base.control_points.ravel(), [base.t_final]])
-        if config.warm_start
-        else None
-    )
+    axes = [np.linspace(lo[i], hi[i], config.grid_points) for i in range(len(lo))]
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    tasks = [(model, problem, w, eta_maps, warm) for w in mesh]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            points = list(pool.map(_solve_point, tasks))
+    else:
+        points = [_solve_point(t) for t in tasks]
 
     trace = []
-    evaluations = []  # converged points only
-
-    def record(w, point):
-        """Trace one point; return its F, or None if it failed or did not converge."""
+    best = None
+    for w, point in zip(mesh, points):
         ok = point is not None and point[1].converged
-        trace.append((w, point[0] if ok else float("-inf"), ok))
-        if not ok:
-            return None
-        evaluations.append((w, point[0], point[1]))
-        return point[0]
-
-    if config.method == "grid":
-        axes = [np.linspace(lo[i], hi[i], config.grid_points) for i in range(len(lo))]
-        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        tasks = [(model, problem, w, eta_maps, warm) for w in mesh]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_solve_point, tasks))
-        else:
-            results = [_solve_point(t) for t in tasks]
-        for w, point in zip(mesh, results):
-            record(np.array(w), point)
-    else:
-        from scipy.optimize import minimize
-
-        def neg_f(w_raw):
-            w = np.clip(w_raw, lo, hi)
-            value = record(w.copy(), _solve_point((model, problem, w, eta_maps, warm)))
-            return 1e6 if value is None else -value
-
-        minimize(
-            neg_f,
-            center,
-            method="Nelder-Mead",
-            options={"maxfev": config.maxiter, "xatol": 1e-3, "fatol": 1e-6},
-        )
-
-    if not evaluations:
+        trace.append((np.array(w), point[0] if ok else float("-inf"), ok))
+        if ok and (best is None or point[0] > best[1]):
+            best = (trace[-1][0], point[0], point[1])
+    if best is None:
         raise RuntimeError("no outer candidate produced a converged inner solve")
-    w_opt, value, result = max(evaluations, key=lambda e: e[1])
-    summary = efficiency_summary(result.v_x, result.f_x, eta_fns)
+    w_opt, value, result = best
     return BilevelResult(
         weights_opt=w_opt,
         outer_value=value,
         inner=result,
-        summary=summary,
+        summary=efficiency_summary(result.v_x, result.f_x, map_eta_fns(eta_maps)),
         trace=trace,
         n_inner_solves=len(trace) + 1,
     )

@@ -41,10 +41,12 @@ from .trajopt import TrajectoryResult, solve_inner
 
 def _grid_axis(doc, key, path):
     spec = doc.get(key)
-    if spec is None:
-        raise ConfigError(f"{path}.{key}: missing grid specification [lo, hi, n]")
-    lo, hi, n = float(spec[0]), float(spec[1]), int(spec[2])
-    return np.linspace(lo, hi, n)
+    if isinstance(spec, list) and len(spec) == 3:
+        try:
+            return np.linspace(float(spec[0]), float(spec[1]), int(spec[2]))
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{path}.{key}: need a grid specification [lo, hi, n], got {spec!r}")
 
 
 def _default_grid(actuator, path, n_force=40, n_velocity=40):
@@ -61,6 +63,9 @@ def _default_grid(actuator, path, n_force=40, n_velocity=40):
 def run_map(config: dict, out_dir, seed: int, jobs: int) -> dict:
     actuator = configio.build_actuator(config.get("actuator", {}), "actuator")
     grid_doc = config.get("grid", {"preset": "default"})
+    if not isinstance(grid_doc, dict):
+        raise ConfigError("grid: expected an object with axes 'force' and 'velocity' "
+                          "or preset 'default'")
     if grid_doc.get("preset") == "default":
         force, velocity = _default_grid(
             actuator, "grid",
@@ -103,13 +108,18 @@ def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
     if len(actuators) != model.n_joints:
         raise ConfigError("actuators: need one per manipulator joint")
     outer = config.get("outer", {})
+    if not isinstance(outer, dict):
+        raise ConfigError("outer: expected an object")
+    unknown = sorted(set(outer) - {"weight_lower", "weight_upper", "grid_points", "method"})
+    if unknown:
+        raise ConfigError(f"outer: unknown keys {unknown}; the grid search takes "
+                          "'weight_lower', 'weight_upper' and 'grid_points'")
+    if outer.get("method", "grid") != "grid":
+        raise ConfigError(f"outer.method: unknown search {outer['method']!r}; use 'grid'")
     cfg = BilevelConfig(
         weight_lower=np.asarray(outer.get("weight_lower", [0.05, 0.05]), dtype=float),
         weight_upper=np.asarray(outer.get("weight_upper", [1.0, 1.0]), dtype=float),
-        method=outer.get("method", "grid"),
-        grid_points=int(outer.get("grid_points", 5)),
-        maxiter=int(outer.get("maxiter", 40)),
-        warm_start=bool(outer.get("warm_start", True)),
+        grid_points=outer.get("grid_points", 5),
     )
     map_doc = config.get("maps", {})
     maps = [
@@ -147,6 +157,11 @@ def run_track(config: dict, out_dir, seed: int, jobs: int) -> dict:
     gains = configio.build_gains(config.get("gains", {"preset": "published"}),
                                  len(actuators))
     disturbance = configio.build_disturbance(config.get("disturbance"), seed_offset=seed)
+    duration = config.get("duration")
+    settle_time = float(config.get("settle_time", 0.2))
+    if (reference.t_final if duration is None else float(duration)) <= settle_time:
+        raise ConfigError(f"duration: the run must outlast settle_time = {settle_time} s, "
+                          "after which the tracking errors are measured")
     traces = simulate_tracking(
         actuators,
         reference,
@@ -154,11 +169,11 @@ def run_track(config: dict, out_dir, seed: int, jobs: int) -> dict:
         disturbance=disturbance,
         dt=float(config.get("dt", 2e-3)),
         initial_position_error=config.get("initial_position_error"),
-        duration=config.get("duration"),
+        duration=duration,
     )
     audit = lyapunov_audit(traces, gains,
                            disturbance_bound=disturbance.bound(np.abs(reference.f_x).max()))
-    errors = tracking_errors(traces, settle_time=float(config.get("settle_time", 0.2)))
+    errors = tracking_errors(traces, settle_time=settle_time)
     summary = {
         "tracking_errors": errors,
         "lyapunov": {

@@ -8,6 +8,7 @@ file position or the dotted field path that failed.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -212,29 +213,26 @@ def build_gains(doc, n_joints: int, path: str = "gains") -> list:
 
 
 def build_disturbance(doc: dict, seed_offset: int = 0, path: str = "disturbance") -> DisturbanceProfile:
-    if doc is None or doc.get("preset") == "none":
-        return DisturbanceProfile(seed=seed_offset)
-    if doc.get("preset") == "nominal":
-        base = nominal_disturbance()
-        return DisturbanceProfile(
-            force_noise_std=base.force_noise_std,
-            param_perturbation=base.param_perturbation,
-            sensor_noise_std=base.sensor_noise_std,
-            band_hz=base.band_hz,
-            n_tones=base.n_tones,
-            seed=base.seed + seed_offset,
-        )
-    try:
-        return DisturbanceProfile(
-            force_noise_std=doc.get("force_noise_std", 0.0),
-            param_perturbation=doc.get("param_perturbation", 0.0),
-            sensor_noise_std=doc.get("sensor_noise_std", 0.0),
-            band_hz=tuple(doc.get("band_hz", (0.2, 8.0))),
-            n_tones=int(doc.get("n_tones", 24)),
-            seed=int(doc.get("seed", 0)) + seed_offset,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    """A preset ({"preset": "none"}, the default, or {"preset": "nominal"}) or
+    an inline profile; unknown presets and keys are errors, never a silent zero."""
+    doc = {"preset": "none"} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if "preset" not in doc:
+        try:
+            d = DisturbanceProfile(**doc)
+            return replace(d, band_hz=tuple(d.band_hz), n_tones=int(d.n_tones),
+                           seed=int(d.seed) + seed_offset)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if set(doc) != {"preset"}:
+        raise ConfigError(f"{path}: a preset takes no other keys, got {sorted(doc)}")
+    bases = {"none": DisturbanceProfile(), "nominal": nominal_disturbance()}
+    if doc["preset"] not in bases:
+        raise ConfigError(f"{path}.preset: unknown preset {doc['preset']!r}; "
+                          f"available: {sorted(bases)}")
+    base = bases[doc["preset"]]
+    return replace(base, seed=base.seed + seed_offset)
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -479,8 +479,12 @@ def lyapunov_audit(
 
 def tracking_errors(traces: TrackingTraces, settle_time: float = 0.2) -> dict:
     """RMS force/velocity tracking errors after the initial transient,
-    normalized by each joint's reference peak."""
+    normalized by each joint's reference peak.  Raises ``ValueError`` when
+    no sample lies at or after ``settle_time``."""
     mask = traces.times >= settle_time
+    if not np.any(mask):
+        raise ValueError(f"no tracking sample at or after settle_time = {settle_time} s "
+                         f"(the run ends at {traces.times[-1]} s)")
     out = {"velocity_rms_frac": [], "force_rms_frac": [], "settle_time": settle_time}
     for j in range(traces.position.shape[1]):
         v_err = traces.velocity[mask, j] - traces.velocity_ref[mask, j]

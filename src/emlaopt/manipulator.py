@@ -266,18 +266,6 @@ class DynamicsState:
     piston_forces: np.ndarray  # (..., n)
     chain_angles: dict  # stage name -> (q_hinge, q_anchor, q_pin)
 
-    def velocity(self, frame: str) -> SpatialVec:
-        return SpatialVec(self.frames[frame][2], MOTION)
-
-    def acceleration(self, frame: str) -> SpatialVec:
-        return SpatialVec(self.frames[frame][3], MOTION)
-
-    def world_position(self, frame: str) -> np.ndarray:
-        return self.frames[frame][1]
-
-    def force(self, frame: str) -> SpatialVec:
-        return SpatialVec(self.frame_forces[frame], FORCE)
-
 
 def _as_states(model: ChainModel, q, qd, qdd):
     q = np.asarray(q, dtype=float)

@@ -2,10 +2,10 @@
 
 Spatial vectors stack the linear part on top of the angular part:
 velocities [v; w] and forces/moments [f; m], both expressed in a frame
-attached to the body.  The frame-to-frame map is the 6x6 block transform
-built from a rotation and the skew of the inter-origin offset; velocities
-transform with its transpose, forces with the matrix itself, which keeps
-the power pairing V.F invariant.
+attached to the body.  Frame changes (forces with the 6x6 block transform
+[[R, 0], [skew(r) R, R]], velocities with its transpose, so the power
+pairing V.F is invariant) are made where the chain is walked, in
+``manipulator._fixed_child`` and ``manipulator._force_to_parent``.
 
 All functions broadcast over leading batch dimensions so a whole
 trajectory of poses can be processed in one call.
@@ -78,86 +78,6 @@ class SpatialVec:
         if not isinstance(other, SpatialVec) or other.kind == self.kind:
             raise TypeError("pairing requires one motion and one force vector")
         return np.einsum("...i,...i->...", self.data, other.data)
-
-
-def _orthonormal(r, tol=1e-10):
-    err = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max()
-    return err <= tol and np.all(np.linalg.det(r) > 0)
-
-
-@dataclass(frozen=True)
-class TransformU:
-    """Pose of frame B relative to frame A: rotation and origin offset.
-
-    ``rotation`` maps B-frame coordinates into A, ``offset`` is the vector
-    from A's origin to B's origin expressed in A.  ``matrix`` assembles the
-    6x6 force transform [[R, 0], [skew(r) R, R]].
-    """
-
-    rotation: np.ndarray
-    offset: np.ndarray
-    _checked: bool = field(default=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float)
-        off = np.asarray(self.offset, dtype=float)
-        if rot.shape[-2:] != (3, 3) or off.shape[-1] != 3:
-            raise ValueError("rotation must be (...,3,3) and offset (...,3)")
-        if not self._checked and not _orthonormal(rot):
-            raise ValueError("rotation is not orthonormal with det +1")
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "_checked", True)
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 6x6 block transform (force convention)."""
-        r = self.rotation
-        top = np.concatenate([r, np.zeros(r.shape)], axis=-1)
-        bottom = np.concatenate([skew(self.offset) @ r, r], axis=-1)
-        return np.concatenate([top, bottom], axis=-2)
-
-    def compose(self, other: "TransformU") -> "TransformU":
-        """Transform of other's child frame seen from this one's parent."""
-        return TransformU(
-            self.rotation @ other.rotation,
-            self.offset + np.einsum("...ij,...j->...i", self.rotation, other.offset),
-            _checked=True,
-        )
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def inverse(self) -> "TransformU":
-        rt = np.swapaxes(self.rotation, -1, -2)
-        return TransformU(rt, -np.einsum("...ij,...j->...i", rt, self.offset), _checked=True)
-
-    def apply_point(self, p):
-        """Map a point from the child frame to the parent frame."""
-        return self.offset + np.einsum("...ij,...j->...i", self.rotation, np.asarray(p, dtype=float))
-
-    def motion_to_child(self, v):
-        """Velocity of the common rigid body re-expressed at/in the child frame (U^T V)."""
-        arr = v.data if isinstance(v, SpatialVec) else np.asarray(v, dtype=float)
-        rt = np.swapaxes(self.rotation, -1, -2)
-        lin, ang = arr[..., :3], arr[..., 3:]
-        lin_c = np.einsum("...ij,...j->...i", rt, lin + np.cross(ang, self.offset))
-        ang_c = np.einsum("...ij,...j->...i", rt, ang)
-        out = np.concatenate([lin_c, ang_c], axis=-1)
-        return SpatialVec(out, MOTION) if isinstance(v, SpatialVec) else out
-
-    def force_to_parent(self, f):
-        """Wrench acting at the child frame re-expressed at/in the parent frame (U F)."""
-        arr = f.data if isinstance(f, SpatialVec) else np.asarray(f, dtype=float)
-        lin, ang = arr[..., :3], arr[..., 3:]
-        lin_p = np.einsum("...ij,...j->...i", self.rotation, lin)
-        ang_p = np.einsum("...ij,...j->...i", self.rotation, ang) + np.cross(self.offset, lin_p)
-        out = np.concatenate([lin_p, ang_p], axis=-1)
-        return SpatialVec(out, FORCE) if isinstance(f, SpatialVec) else out
 
 
 @dataclass(frozen=True)

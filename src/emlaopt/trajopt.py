@@ -11,8 +11,6 @@ iterate, from analytic basis blocks and batched central differences of
 the inverse dynamics, and every gradient and Jacobian is read from them.
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -20,7 +18,9 @@ import numpy as np
 
 from .bspline import basis_matrices
 
-FD_STEP = 1e-5
+# central-difference step of the f_x partials; at 1e-5 the truncation error
+# of the stroke partials reached 4e-6 of the cost on 3 s motions
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -220,14 +220,10 @@ class TrajectoryResult:
             + [f"fx{i+1}" for i in range(n)]
             + [f"p{i+1}" for i in range(n)]
         )
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for k, t in enumerate(self.times):
-            row = [t] + list(self.q[k]) + list(self.qd[k]) + list(self.v_x[k]) \
-                + list(self.f_x[k]) + list(self.power[k])
-            writer.writerow(["%.12g" % x for x in row])
-        return buf.getvalue()
+        table = np.column_stack([self.times, self.q, self.qd, self.v_x, self.f_x, self.power])
+        row = ",".join(["%.12g"] * len(header))
+        rows = [row % tuple(r) for r in table.tolist()]
+        return "\n".join([",".join(header)] + rows) + "\n"
 
 
 def _solve_slsqp(kern, z0, ctol, maxiter):

@@ -51,7 +51,7 @@ def full_problem(model):
 @pytest.fixture(scope="module")
 def bilevel_run(model, maps, full_problem):
     cfg = BilevelConfig(
-        weight_lower=[0.05, 0.05], weight_upper=[1.0, 1.0], method="grid", grid_points=5
+        weight_lower=[0.05, 0.05], weight_upper=[1.0, 1.0], grid_points=5
     )
     start = time.perf_counter()
     result = solve_outer(cfg, full_problem, model, maps)

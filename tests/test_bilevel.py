@@ -1,3 +1,7 @@
+import csv
+import io
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,6 @@ from emlaopt.bilevel import (
     efficiency_objective,
     efficiency_summary,
     map_eta_fns,
-    outer_cost,
     quartile_occupancy,
     samples_outside_map,
     solve_outer,
@@ -146,9 +149,8 @@ def test_objective_riemann_refinement(model, dynamics, eta_fns):
 
 
 def test_outer_cost_reevaluation(model, dynamics, eta_fns, small_problem):
-    value, result, eta, flagged = outer_cost(
-        np.array([0.4, 0.6]), small_problem, dynamics, eta_fns
-    )
+    result = solve_inner(small_problem, dynamics, weights=np.array([0.4, 0.6]))
+    value, _, _ = efficiency_objective(result, eta_fns)
     back = TrajectoryResult.from_dict(result.to_dict())
     value2, _, _ = efficiency_objective(back, eta_fns)
     assert abs(value2 - value) <= 1e-10 * max(1.0, value)
@@ -157,7 +159,7 @@ def test_outer_cost_reevaluation(model, dynamics, eta_fns, small_problem):
 @pytest.fixture(scope="module")
 def grid_result(model, maps, small_problem):
     cfg = BilevelConfig(
-        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="grid", grid_points=3
+        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=3
     )
     return cfg, solve_outer(cfg, small_problem, model, maps)
 
@@ -177,6 +179,19 @@ def test_best_so_far_monotone(grid_result):
             best = max(best, value)
         assert best >= value or not ok
     assert res.outer_value == best
+
+
+def test_trace_csv_matches_per_row_reference(grid_result):
+    # the csv.writer loop that trace_to_csv replaced, on a trace with a failed point
+    _, res = grid_result
+    res = replace(res, trace=res.trace + [(np.array([1.0, 0.1]), float("-inf"), False)])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["w1", "w2", "F", "inner_converged"])
+    for w, value, ok in res.trace:
+        writer.writerow(["%.12g" % x for x in w] + ["%.12g" % value, "1" if ok else "0"])
+    assert res.trace_to_csv() == buf.getvalue()
+    assert res.trace_to_csv().splitlines()[-1] == "1,0.1,-inf,0"
 
 
 def test_trace_weights_within_box(grid_result):
@@ -209,22 +224,13 @@ def test_rerunning_inner_at_optimum_reproduces(model, dynamics, grid_result, sma
 
 def test_degenerate_weight_box(model, maps, small_problem, dynamics, eta_fns):
     w0 = np.array([0.3, 0.7])
-    cfg = BilevelConfig(weight_lower=w0, weight_upper=w0, method="grid", grid_points=1)
+    cfg = BilevelConfig(weight_lower=w0, weight_upper=w0, grid_points=1)
     res = solve_outer(cfg, small_problem, model, maps)
     assert np.array_equal(res.weights_opt, w0)
-    value, *_ = outer_cost(w0, small_problem, dynamics, eta_fns,
-                           initial_guess=res.inner.initial_guess)
+    again = solve_inner(small_problem, dynamics, weights=w0,
+                        initial_guess=res.inner.initial_guess)
+    value, *_ = efficiency_objective(again, eta_fns)
     assert abs(value - res.outer_value) <= 1e-9
-
-
-def test_nelder_mead_mode(model, maps, small_problem):
-    cfg = BilevelConfig(
-        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0],
-        method="nelder-mead", maxiter=6,
-    )
-    res = solve_outer(cfg, small_problem, model, maps)
-    assert len(res.trace) <= 6
-    assert np.all(res.weights_opt >= 0.1) and np.all(res.weights_opt <= 1.0)
 
 
 def test_quartile_occupancy_range(maps, solved_half):
@@ -263,7 +269,12 @@ def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         BilevelConfig(weight_lower=[0.5, 0.5], weight_upper=[0.1, 0.1])
     with pytest.raises(ValueError):
-        BilevelConfig(weight_lower=[0.1], weight_upper=[1.0], method="anneal")
+        BilevelConfig(weight_lower=[0.1], weight_upper=[1.0])
+    for points in (0, -1, 2.5, True, "5"):
+        with pytest.raises(ValueError, match="grid_points"):
+            BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=points)
+    with pytest.raises(TypeError):  # the lattice is the only search
+        BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="nelder-mead")
 
 
 def failing_solve_inner(fail_at):
@@ -285,7 +296,7 @@ def test_failed_grid_points_do_not_abort_sweep(monkeypatch, model, maps, small_p
         [([1.0, 0.1], StrokeRangeError), ([0.1, 1.0], SingularConfigurationError)]
     ))
     cfg = BilevelConfig(
-        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="grid", grid_points=2
+        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=2
     )
     res = solve_outer(cfg, small_problem, model, maps)
     assert len(res.trace) == 4 and res.n_inner_solves == 5
@@ -298,33 +309,13 @@ def test_failed_grid_points_do_not_abort_sweep(monkeypatch, model, maps, small_p
     assert np.array_equal(res.weights_opt, w_best) and res.outer_value == v_best
 
 
-def test_failed_nelder_mead_points_score_as_rejected(monkeypatch, model, maps, small_problem):
-    """Every vertex but the start fails; the search ends on the start point."""
-    import emlaopt.bilevel as bilevel
-
-    center = np.array([0.55, 0.55])
-
-    def solve(problem, dynamics, weights, initial_guess=None):
-        if not np.allclose(weights, center):
-            raise StrokeRangeError("injected failure")
-        return solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess)
-
-    monkeypatch.setattr(bilevel, "solve_inner", solve)
-    cfg = BilevelConfig(
-        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="nelder-mead", maxiter=3
-    )
-    res = solve_outer(cfg, small_problem, model, maps)
-    assert [ok for _, _, ok in res.trace] == [True, False, False]
-    assert np.allclose(res.weights_opt, center)
-
-
 def test_failed_center_solve_raises(monkeypatch, model, maps, small_problem):
     import emlaopt.bilevel as bilevel
 
     monkeypatch.setattr(bilevel, "solve_inner",
                         failing_solve_inner([([0.55, 0.55], StrokeRangeError)]))
     cfg = BilevelConfig(
-        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="grid", grid_points=2
+        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=2
     )
     with pytest.raises(StrokeRangeError):
         solve_outer(cfg, small_problem, model, maps)
@@ -336,7 +327,7 @@ def test_other_inner_errors_still_propagate(monkeypatch, model, maps, small_prob
     monkeypatch.setattr(bilevel, "solve_inner",
                         failing_solve_inner([([1.0, 0.1], ZeroDivisionError)]))
     cfg = BilevelConfig(
-        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="grid", grid_points=2
+        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=2
     )
     with pytest.raises(ZeroDivisionError):
         solve_outer(cfg, small_problem, model, maps)

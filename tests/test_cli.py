@@ -8,6 +8,7 @@ import pytest
 from emlaopt.cli import main
 from emlaopt.configio import ConfigError, build_actuator, build_gains, load_json
 from emlaopt.presets import lift_emla
+from conftest import constant_pose_reference
 from test_configio import INLINE_ACTUATOR
 
 
@@ -255,6 +256,77 @@ def test_bilevel_invalid_weight_lower_exits_2(tmp_path, capsys, monkeypatch, low
     err = capsys.readouterr().err
     assert err.startswith("error: weight_lower must be") and "Traceback" not in err
     assert not (tmp_path / "bl" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("outer, match", [
+    ({"grid_points": 0}, "grid_points must be"),
+    ({"grid_points": 2.5}, "grid_points must be"),
+    ({"method": "nelder-mead"}, "outer.method"),
+    ({"maxiter": 40}, "outer: unknown keys"),
+    ({"warm_start": False}, "outer: unknown keys"),
+])
+def test_bilevel_invalid_outer_block_exits_2(tmp_path, capsys, monkeypatch, outer, match):
+    # grid_points 0 used to build the maps and solve the centre point first;
+    # the Nelder-Mead keys would now be ignored, so they are refused
+    def no_maps(*args, **kwargs):
+        raise AssertionError("efficiency maps built before the outer config was checked")
+
+    monkeypatch.setattr("emlaopt.cli.build_efficiency_map", no_maps)
+    cfg = write(tmp_path, "bl.json", {
+        "manipulator": {"preset": "default"},
+        "problem": {"preset": "benchmark", "n_partitions": 16, "n_ctrl": 8},
+        "actuators": {"preset": "default"},
+        "outer": outer,
+        "maps": {"n_force": 8, "n_velocity": 8},
+    })
+    assert run(["bilevel", "--config", cfg, "--out", str(tmp_path / "bl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
+    assert not (tmp_path / "bl" / "manifest.json").exists()
+
+
+@pytest.fixture
+def pose_reference(tmp_path):
+    """A 1 s constant-pose trajectory.json for track configs."""
+    path = tmp_path / "pose.json"
+    path.write_text(constant_pose_reference(duration=1.0, pose=[0.8, 0.5, 0.3]).to_json())
+    return str(path)
+
+
+@pytest.mark.parametrize("extra, match", [
+    ({"disturbance": {"preset": "Nominal"}}, "disturbance.preset"),
+    ({"disturbance": {"force_noise": 0.02}}, "force_noise"),
+    ({"duration": 0.02}, "settle_time"),
+    ({"duration": 0.3, "settle_time": 0.3}, "settle_time"),
+    ({"settle_time": 1.5}, "settle_time"),  # the 1 s reference is the run
+])
+def test_track_invalid_config_exits_2_before_integrating(tmp_path, capsys, monkeypatch,
+                                                         pose_reference, extra, match):
+    # each ran with exit 0: a zero disturbance, or NaN errors in tracking.json
+    def no_run(*args, **kwargs):
+        raise AssertionError("closed loop integrated before the track config was checked")
+
+    monkeypatch.setattr("emlaopt.cli.simulate_tracking", no_run)
+    cfg = write(tmp_path, "track.json", {"trajectory": pose_reference, **extra})
+    assert run(["track", "--config", cfg, "--out", str(tmp_path / "trk")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
+    assert not (tmp_path / "trk" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("grid, match", [
+    ({"force": [1000, 2000], "velocity": [0.004, 0.135, 5]}, "grid.force"),
+    ({"force": [1.2e4, 4.2e4, 5], "velocity": 0.1}, "grid.velocity"),
+    ({"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, "fast", 5]}, "grid.velocity"),
+    ([[1.2e4, 4.2e4, 5], [0.004, 0.135, 5]], "grid: expected an object"),
+])
+def test_map_malformed_grid_exits_2(tmp_path, capsys, grid, match):
+    # a short axis ended in an IndexError and a list grid in an AttributeError
+    cfg = write(tmp_path, "map.json", {"actuator": {"preset": "lift_6kw"}, "grid": grid})
+    assert run(["map", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + match) and "Traceback" not in err
+    assert not (tmp_path / "m" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("drive", [{"max_current": float("nan")}, {"enable_core": False}])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from emlaopt.configio import (
     build_manipulator,
     build_problem,
 )
+from emlaopt.control import DisturbanceProfile, nominal_disturbance
 from emlaopt.manipulator import rnea
 from emlaopt.presets import benchmark_problem, default_manipulator
 
@@ -111,6 +114,22 @@ def test_disturbance_seed_offset():
     assert b.seed == a.seed + 3
     none = build_disturbance(None)
     assert none.force_noise_std == 0.0
+    assert a == replace(nominal_disturbance(), seed=nominal_disturbance().seed)
+    assert build_disturbance({"preset": "none"}, seed_offset=3) == DisturbanceProfile(seed=3)
+    inline = build_disturbance({"force_noise_std": 0.02, "seed": 4}, seed_offset=1)
+    assert inline.force_noise_std == 0.02 and inline.seed == 5
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"preset": "Nominal"}, "disturbance.preset"),
+    ({"preset": "nominal", "seed": 3}, "preset takes no other keys"),
+    ({"force_noise": 0.02}, "force_noise"),
+    ([0.02], "expected an object"),
+])
+def test_misspelled_disturbance_rejected(doc, match):
+    # each of these used to run silently with zero disturbance
+    with pytest.raises(ConfigError, match=match):
+        build_disturbance(doc)
 
 
 def test_vector_shape_diagnostic(model):

@@ -220,6 +220,14 @@ def test_tracking_errors_shape(regulation_traces):
     assert len(out["force_rms_frac"]) == 3
 
 
+def test_tracking_errors_need_a_settled_sample(regulation_traces):
+    # an empty window gave NaN errors, which strict JSON cannot carry
+    end = regulation_traces.times[-1]
+    assert len(tracking_errors(regulation_traces, settle_time=end)["force_rms_frac"]) == 3
+    with pytest.raises(ValueError, match="settle_time"):
+        tracking_errors(regulation_traces, settle_time=end + 0.01)
+
+
 class _Captured(Exception):
     pass
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from emlaopt.manipulator import _fixed_child, _force_to_parent
 from emlaopt.spatial import (
     FORCE,
     MOTION,
     RigidBodyParams,
     SpatialVec,
-    TransformU,
     coriolis_matrix,
     gravity_wrench,
     net_force,
@@ -44,43 +44,17 @@ def test_skew_matches_cross_product():
         assert np.allclose(skew(r).T, -skew(r))
 
 
-def test_identity_transform():
-    u = TransformU.identity()
-    assert np.array_equal(u.matrix, np.eye(6))
-
-
-def test_power_pairing_invariance():
+def test_chain_frame_change_preserves_power_pairing():
+    # the chain walk moves velocities to a child frame and wrenches back to
+    # the parent; the power V.F must not depend on the frame it is read in
     for _ in range(30):
-        u = TransformU(random_rotation(), rng.standard_normal(3))
+        r, p = random_rotation(), rng.standard_normal(3)
         v_a = SpatialVec(rng.standard_normal(6), MOTION)
         f_b = SpatialVec(rng.standard_normal(6), FORCE)
-        f_a = u.force_to_parent(f_b)
-        v_b = u.motion_to_child(v_a)
+        parent = (np.eye(3), np.zeros(3), v_a.data, np.zeros(6))
+        v_b = SpatialVec(_fixed_child(parent, r, p)[2], MOTION)
+        f_a = SpatialVec(_force_to_parent(r, p, f_b.data), FORCE)
         assert abs(v_a.pair(f_a) - v_b.pair(f_b)) < 1e-10 * max(1, abs(v_a.pair(f_a)))
-
-
-def test_compose_matches_frame_composition():
-    for _ in range(10):
-        u1 = TransformU(random_rotation(), rng.standard_normal(3))
-        u2 = TransformU(random_rotation(), rng.standard_normal(3))
-        u12 = u1 @ u2
-        # point mapping must agree
-        p = rng.standard_normal(3)
-        assert np.allclose(u12.apply_point(p), u1.apply_point(u2.apply_point(p)), atol=1e-12)
-        # and the 6x6 matrices multiply accordingly
-        assert np.allclose(u12.matrix, u1.matrix @ u2.matrix, atol=1e-12)
-
-
-def test_inverse():
-    u = TransformU(random_rotation(), rng.standard_normal(3))
-    both = u @ u.inverse()
-    assert np.allclose(both.rotation, np.eye(3), atol=1e-12)
-    assert np.allclose(both.offset, 0.0, atol=1e-12)
-
-
-def test_non_orthonormal_rejected():
-    with pytest.raises(ValueError):
-        TransformU(np.eye(3) * 1.01, np.zeros(3))
 
 
 def test_mixed_kind_arithmetic_rejected():

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -156,6 +159,18 @@ def small_len(res):
     return len(res.times) - 1
 
 
+def test_csv_matches_per_row_reference(solved_half):
+    # the csv.writer loop that to_csv replaced
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(solved_half.to_csv().splitlines()[0].split(","))
+    for k, t in enumerate(solved_half.times):
+        row = [t] + list(solved_half.q[k]) + list(solved_half.qd[k]) \
+            + list(solved_half.v_x[k]) + list(solved_half.f_x[k]) + list(solved_half.power[k])
+        writer.writerow(["%.12g" % x for x in row])
+    assert solved_half.to_csv() == buf.getvalue()
+
+
 def test_determinism(small_problem, dynamics, solved_half):
     again = solve_inner(small_problem, dynamics, weights=np.array([0.5, 0.5]))
     assert np.array_equal(again.control_points, solved_half.control_points)
@@ -186,9 +201,8 @@ def test_derivatives_match_central_differences(small_problem, dynamics, w, t_fra
     kern = _Transcription(p, dynamics, np.array(w))
     c = kern.initial_guess()[:-1].reshape(p.n_ctrl, p.n_joints)
     width = p.ctrl_upper - p.ctrl_lower
-    # the FD_STEP partials of f_x lose accuracy on violent motions (a quarter-box
-    # jitter at t_final = 3 s errs by 1.5e-6 of the largest margin), so the
-    # jitter stays within a tenth of the box
+    # the jitter stays within a tenth of the box, so the motion at t_final = 3 s
+    # is violent but the FD_STEP partials of f_x keep their accuracy
     jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, c.shape) * width
     c = np.clip(c + jitter, p.ctrl_lower + 0.05 * width, p.ctrl_upper - 0.05 * width)
     z = np.concatenate([c.ravel(), [p.t_lower + t_frac * (p.t_upper - p.t_lower)]])
@@ -197,6 +211,30 @@ def test_derivatives_match_central_differences(small_problem, dynamics, w, t_fra
         scale = np.abs(np.atleast_1d(fun(z))).max()
         err = np.abs(np.atleast_2d(jac(z)) - central_jacobian(fun, z)).max()
         assert err <= 1e-6 * scale, (fun.__name__, err, scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    w=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    scale=st.floats(1e-3, 1e3),
+    t_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weight_scale_invariance(small_problem, dynamics, w, scale, t_frac, seed):
+    # the weights enter only through their ratio, so the weight box of the
+    # leader is a family of rays; c * w must transcribe to the same NLP
+    p = small_problem
+    z = np.concatenate([
+        np.random.default_rng(seed).uniform(p.ctrl_lower, p.ctrl_upper, (p.n_ctrl, p.n_joints))
+        .ravel(),
+        [p.t_lower + t_frac * (p.t_upper - p.t_lower)],
+    ])
+    one = _Transcription(p, dynamics, np.array(w))
+    scaled = _Transcription(p, dynamics, scale * np.array(w))
+    for name in ("cost", "cost_grad", "eq", "ineq"):
+        a = np.atleast_1d(getattr(one, name)(z))
+        b = np.atleast_1d(getattr(scaled, name)(z))
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max(), name
 
 
 def test_piston_speed_box_narrows_rate_box(small_problem, dynamics):
