@@ -39,10 +39,7 @@ from .manipulator import (
     DynamicsState,
     SingularConfigurationError,
     TelescopeStage,
-    actuator_force,
-    backward_forces,
     evaluate_dynamics,
-    forward_velocities,
     kinetic_energy,
     potential_energy,
     rnea,
@@ -52,12 +49,10 @@ from .pmsm import (
     dq_voltages,
     current_derivatives,
     electromagnetic_torque,
-    inverse_park_transform,
-    park_transform,
     torque_to_iq,
 )
-from .spatial import RigidBodyParams, SpatialVec, net_force, skew
-from .statespace import EmlaState, OperatingPoint, emla_rhs, linearize, stack_params, step_dynamics
+from .spatial import RigidBodyParams, net_force, skew
+from .statespace import OperatingPoint, emla_rhs, linearize, stack_params
 from .trajopt import (
     NlpProblem,
     TimeGrid,

@@ -120,12 +120,3 @@ def closure_rates(geom: ClosedChainGeometry, x, xd, xdd):
         out.append((ang, d1 * xd, d2 * xd**2 + d1 * xdd))
     return tuple(out)
 
-
-def stroke_from_hinge_angle(geom: ClosedChainGeometry, q_hinge):
-    """Invert the hinge angle back to the piston stroke (law of cosines)."""
-    c = np.sqrt(
-        geom.base_len**2
-        + geom.rocker_len**2
-        - 2.0 * geom.base_len * geom.rocker_len * np.cos(q_hinge)
-    )
-    return c - geom.zero_stroke_len

@@ -66,7 +66,8 @@ def run_map(config: dict, out_dir, seed: int, jobs: int) -> dict:
     if not isinstance(grid_doc, dict):
         raise ConfigError("grid: expected an object with axes 'force' and 'velocity' "
                           "or preset 'default'")
-    if grid_doc.get("preset") == "default":
+    if "preset" in grid_doc:
+        configio.check_preset(grid_doc, "grid", {"default": ("n_force", "n_velocity")})
         force, velocity = _default_grid(
             actuator, "grid",
             n_force=int(grid_doc.get("n_force", 40)),

@@ -48,6 +48,20 @@ def _get(doc: dict, key: str, path: str, required=True, default=None):
     return doc[key]
 
 
+def check_preset(doc: dict, path: str, takes: dict) -> str:
+    """The preset name of ``doc``, checked against ``takes``, which maps each
+    preset name to the keys it reads beside "preset"; an unknown name or an
+    unread key is an error, never ignored."""
+    name = doc["preset"]
+    if name not in takes:
+        raise ConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(takes)}")
+    unknown = sorted(set(doc) - {"preset", *takes[name]})
+    if unknown:
+        keys = f"only {sorted(takes[name])}" if takes[name] else "no other keys"
+        raise ConfigError(f"{path}: the {name!r} preset takes {keys}, got unknown keys {unknown}")
+    return name
+
+
 def _vector(value, n, path):
     arr = np.asarray(value, dtype=float)
     if arr.shape != (n,):
@@ -57,12 +71,7 @@ def _vector(value, n, path):
 
 def build_actuator(doc: dict, path: str = "actuator") -> EmlaModel:
     if "preset" in doc:
-        name = doc["preset"]
-        if name not in presets.ACTUATOR_PRESETS:
-            raise ConfigError(
-                f"{path}.preset: unknown preset {name!r}; "
-                f"available: {sorted(presets.ACTUATOR_PRESETS)}"
-            )
+        name = check_preset(doc, path, dict.fromkeys(presets.ACTUATOR_PRESETS, ()))
         return presets.ACTUATOR_PRESETS[name]()
     try:
         motor = PmsmParams(**_get(doc, "motor", path))
@@ -78,7 +87,8 @@ def build_actuator(doc: dict, path: str = "actuator") -> EmlaModel:
 
 
 def build_actuators(doc, path: str = "actuators") -> list:
-    if isinstance(doc, dict) and doc.get("preset") == "default":
+    if isinstance(doc, dict) and "preset" in doc:
+        check_preset(doc, path, {"default": ()})
         return presets.actuators()
     if not isinstance(doc, list):
         raise ConfigError(f"{path}: expected a list of actuator configs or preset 'default'")
@@ -103,7 +113,8 @@ def _body(doc: dict, path: str, gravity: float) -> RigidBodyParams:
 
 
 def build_manipulator(doc: dict, path: str = "manipulator") -> ChainModel:
-    if doc.get("preset") == "default":
+    if "preset" in doc:
+        check_preset(doc, path, {"default": ("gravity",)})
         return presets.default_manipulator(gravity=doc.get("gravity", 9.81))
     gravity = doc.get("gravity", 9.81)
     stages = []
@@ -154,7 +165,8 @@ def build_manipulator(doc: dict, path: str = "manipulator") -> ChainModel:
 
 
 def build_problem(doc: dict, model: ChainModel, path: str = "problem") -> NlpProblem:
-    if doc.get("preset") == "benchmark":
+    if "preset" in doc:
+        check_preset(doc, path, {"benchmark": ("n_partitions", "n_ctrl")})
         return presets.benchmark_problem(
             model,
             n_partitions=doc.get("n_partitions", 50),
@@ -195,7 +207,8 @@ def build_problem(doc: dict, model: ChainModel, path: str = "problem") -> NlpPro
 
 
 def build_gains(doc, n_joints: int, path: str = "gains") -> list:
-    if isinstance(doc, dict) and doc.get("preset") == "published":
+    if isinstance(doc, dict) and "preset" in doc:
+        check_preset(doc, path, {"published": ()})
         return [published_gains()] * n_joints
     if isinstance(doc, dict):
         try:
@@ -225,13 +238,8 @@ def build_disturbance(doc: dict, seed_offset: int = 0, path: str = "disturbance"
                            seed=int(d.seed) + seed_offset)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    if set(doc) != {"preset"}:
-        raise ConfigError(f"{path}: a preset takes no other keys, got {sorted(doc)}")
     bases = {"none": DisturbanceProfile(), "nominal": nominal_disturbance()}
-    if doc["preset"] not in bases:
-        raise ConfigError(f"{path}.preset: unknown preset {doc['preset']!r}; "
-                          f"available: {sorted(bases)}")
-    base = bases[doc["preset"]]
+    base = bases[check_preset(doc, path, dict.fromkeys(bases, ()))]
     return replace(base, seed=base.seed + seed_offset)
 
 

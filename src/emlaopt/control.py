@@ -257,8 +257,8 @@ def simulate_tracking(
         v_d = control_law(delta[3], eps[3], phi[3], q4)
         return np.array((q1, q2, q3, q4)), iq_ref, v_d, v_q
 
-    # Radau state: [theta, omega, i_q, i_d] rows (EmlaState order, the
-    # reverse of emla_rhs's), then the four estimates phi of each joint
+    # Radau state: [theta, omega, i_q, i_d] rows (the reverse of
+    # emla_rhs's order), then the four estimates phi of each joint
     def unpack(y):
         return y[:4 * n_a].reshape(4, n_a)[::-1], y[4 * n_a:].reshape(n_a, 4).T
 

@@ -113,13 +113,3 @@ def rotary_linear_map(dt: DriveTrainParams, f_x, v_x):
     ratio = dt.screw_lead / (TWO_PI * dt.gear_ratio)
     return ratio * np.asarray(f_x, dtype=float), np.asarray(v_x, dtype=float) / ratio
 
-
-def linear_to_rotary(dt: DriveTrainParams, x=None, v=None):
-    """Convert linear position/velocity at the load to shaft angle/speed."""
-    ratio = dt.screw_lead / (TWO_PI * dt.gear_ratio)
-    out = []
-    if x is not None:
-        out.append(np.asarray(x, dtype=float) / ratio)
-    if v is not None:
-        out.append(np.asarray(v, dtype=float) / ratio)
-    return out[0] if len(out) == 1 else tuple(out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivetrain import DriveTrainParams, equivalent_params, rotary_linear_map
+from .drivetrain import DriveTrainParams, rotary_linear_map
 from .losses import DriveConfig, efficiency, loss_breakdown
 from .pmsm import PmsmParams, dq_voltages, torque_to_iq
 

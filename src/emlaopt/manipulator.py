@@ -9,12 +9,12 @@ revolute axes along +y; gravity acts along -z.
 Generalized coordinates are the piston strokes, one per stage.  Two paths
 compute the dynamics:
 
-* ``rnea`` and ``actuator_force`` (the optimizer's hot path) run a planar
-  force-only kernel: frames are in-plane angle/position/velocity tuples, and
-  the wrench a stage carries is the world sum of its subtree's net wrenches,
-  so no pin or bearing force is resolved.
-* ``evaluate_dynamics`` and the functions built on it run the 6-D
-  recursion, the audit and oracle path: the forward pass propagates
+* ``rnea`` (the optimizer's hot path) runs a planar force-only kernel:
+  frames are in-plane angle/position/velocity tuples, and the wrench a
+  stage carries is the world sum of its subtree's net wrenches, so no pin
+  or bearing force is resolved.
+* ``evaluate_dynamics``, ``kinetic_energy`` and ``potential_energy`` run
+  the 6-D recursion, the audit and oracle path: the forward pass propagates
   body-frame spatial velocities and their apparent derivatives through both
   branches of every chain; the backward pass aggregates net wrenches
   leaf-to-root and resolves each chain's internal pin/slide constraint
@@ -22,12 +22,12 @@ compute the dynamics:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ClosedChainGeometry, _closure_with_derivatives, closure_rates
-from .spatial import FORCE, MOTION, RigidBodyParams, SpatialVec, net_force, planar_angle, rot_y
+from .spatial import RigidBodyParams, net_force, planar_angle, rot_y
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -151,22 +151,6 @@ class ChainModel:
                 lo.append(s.stroke_min)
                 hi.append(s.stroke_max)
         return np.array(lo), np.array(hi)
-
-    def scaled_masses(self, factor: float) -> "ChainModel":
-        """Copy of the model with every body mass multiplied by ``factor``."""
-
-        def scale(b):
-            return replace(b, mass=b.mass * factor, inertia=b.inertia * factor)
-
-        stages = []
-        for s in self.stages:
-            if isinstance(s, ClosedChainStage):
-                stages.append(
-                    replace(s, boom=scale(s.boom), barrel=scale(s.barrel), rod=scale(s.rod))
-                )
-            else:
-                stages.append(replace(s, carriage=scale(s.carriage)))
-        return replace(self, base=scale(self.base), stages=tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +436,7 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
 
 
 # ---------------------------------------------------------------------------
-# planar force-only kernel behind rnea/actuator_force
+# planar force-only kernel behind rnea
 #
 # Every body moves in the world x-z plane (``_check_planar``), so a frame is
 # the tuple (cos phi, sin phi, p_x, p_z, v_x, v_z, w, a_x, a_z, alpha): the
@@ -592,26 +576,6 @@ def _piston_forces(model: ChainModel, q, qd, qdd):
 
 # ---------------------------------------------------------------------------
 # public API
-
-
-def forward_velocities(model: ChainModel, q, qd) -> dict:
-    """Body-frame spatial velocities of every frame at configuration (q, qd)."""
-    state = _evaluate(model, q, qd, np.zeros_like(np.asarray(q, dtype=float)))
-    return {name: SpatialVec(f[2], MOTION) for name, f in state.frames.items()}
-
-
-def backward_forces(model: ChainModel, q, qd, qdd) -> dict:
-    """Transmitted wrenches per frame (joint bearing forces, pin forces,
-    per-stage totals and the ground reaction)."""
-    return {
-        name: SpatialVec(f, FORCE)
-        for name, f in _evaluate(model, q, qd, qdd).frame_forces.items()
-    }
-
-
-def actuator_force(model: ChainModel, q, qd, qdd) -> np.ndarray:
-    """Axial piston force per stage, from the planar force-only kernel."""
-    return _piston_forces(model, *_as_states(model, q, qd, qdd))
 
 
 def rnea(model: ChainModel, q, qd, qdd):

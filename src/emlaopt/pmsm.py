@@ -1,15 +1,12 @@
 """PMSM electrical model in the rotor (dq) reference frame.
 
-Covers the Park transformation of the three phase voltages, the dq voltage
-equations, the electromagnetic torque, and the ideal gearbox + screw
-transmission that couples the rotor to the linear load side.
+Covers the dq voltage equations, their inverse for the current
+derivatives, the electromagnetic torque and its inverse for i_q.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -53,43 +50,6 @@ class PmsmParams:
     def inductance_diff(self) -> float:
         """L_d - L_q (negative for typical interior-magnet machines)."""
         return self.inductance_d - self.inductance_q
-
-
-def park_matrix(theta_m: float) -> np.ndarray:
-    """3x3 matrix (including the 2/3 factor) mapping abc quantities to dq0."""
-    a = theta_m
-    b = theta_m - TWO_PI / 3.0
-    c = theta_m + TWO_PI / 3.0
-    return (2.0 / 3.0) * np.array(
-        [
-            [np.cos(a), np.cos(b), np.cos(c)],
-            [-np.sin(a), -np.sin(b), -np.sin(c)],
-            [0.5, 0.5, 0.5],
-        ]
-    )
-
-
-def park_transform(phase_voltages, theta_m: float) -> np.ndarray:
-    """Map phase quantities [V_a, V_b, V_c] to [V_d, V_q, V_0] at rotor angle theta_m."""
-    v = np.asarray(phase_voltages, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("phase_voltages must be a 3-vector")
-    return park_matrix(theta_m) @ v
-
-
-def inverse_park_transform(dq0, theta_m: float) -> np.ndarray:
-    """Map [V_d, V_q, V_0] back to phase quantities [V_a, V_b, V_c]."""
-    d, q, zero = np.asarray(dq0, dtype=float)
-    a = theta_m
-    b = theta_m - TWO_PI / 3.0
-    c = theta_m + TWO_PI / 3.0
-    return np.array(
-        [
-            d * np.cos(a) - q * np.sin(a) + zero,
-            d * np.cos(b) - q * np.sin(b) + zero,
-            d * np.cos(c) - q * np.sin(c) + zero,
-        ]
-    )
 
 
 def dq_voltages(

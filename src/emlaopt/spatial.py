@@ -1,11 +1,13 @@
-"""6-D spatial vector algebra for rigid-body chains.
+"""Rigid-body terms of the 6-D spatial recursion: inertia, Coriolis and
+gravity operators and the net wrench a body requires.
 
-Spatial vectors stack the linear part on top of the angular part:
-velocities [v; w] and forces/moments [f; m], both expressed in a frame
-attached to the body.  Frame changes (forces with the 6x6 block transform
-[[R, 0], [skew(r) R, R]], velocities with its transpose, so the power
-pairing V.F is invariant) are made where the chain is walked, in
-``manipulator._fixed_child`` and ``manipulator._force_to_parent``.
+Spatial vectors are plain (..., 6) arrays that stack the linear part on
+top of the angular part: velocities [v; w] and forces/moments [f; m],
+both expressed in a frame attached to the body.  Frame changes (forces
+with the 6x6 block transform [[R, 0], [skew(r) R, R]], velocities with its
+transpose, so the power pairing V.F is invariant) are made where the chain
+is walked, in ``manipulator._fixed_child`` and
+``manipulator._force_to_parent``.
 
 All functions broadcast over leading batch dimensions so a whole
 trajectory of poses can be processed in one call.
@@ -14,9 +16,6 @@ trajectory of poses can be processed in one call.
 from dataclasses import dataclass, field
 
 import numpy as np
-
-MOTION = "motion"
-FORCE = "force"
 
 
 def skew(r):
@@ -31,53 +30,6 @@ def skew(r):
     out[..., 2, 0] = -ry
     out[..., 2, 1] = rx
     return out
-
-
-@dataclass(frozen=True)
-class SpatialVec:
-    """Role-tagged 6-vector; mixing motion and force arithmetic raises."""
-
-    data: np.ndarray
-    kind: str = MOTION
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        if arr.shape[-1] != 6:
-            raise ValueError("spatial vectors have 6 components")
-        if self.kind not in (MOTION, FORCE):
-            raise ValueError("kind must be 'motion' or 'force'")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def lin(self):
-        return self.data[..., :3]
-
-    @property
-    def ang(self):
-        return self.data[..., 3:]
-
-    def _check(self, other):
-        if not isinstance(other, SpatialVec) or other.kind != self.kind:
-            raise TypeError("spatial arithmetic requires matching kinds")
-
-    def __add__(self, other):
-        self._check(other)
-        return SpatialVec(self.data + other.data, self.kind)
-
-    def __sub__(self, other):
-        self._check(other)
-        return SpatialVec(self.data - other.data, self.kind)
-
-    def __mul__(self, scalar):
-        return SpatialVec(self.data * scalar, self.kind)
-
-    __rmul__ = __mul__
-
-    def pair(self, other) -> np.ndarray:
-        """Power pairing: motion . force (frame invariant)."""
-        if not isinstance(other, SpatialVec) or other.kind == self.kind:
-            raise TypeError("pairing requires one motion and one force vector")
-        return np.einsum("...i,...i->...", self.data, other.data)
 
 
 @dataclass(frozen=True)
@@ -147,16 +99,13 @@ def net_force(body: RigidBodyParams, vel, acc, rot_world):
     (frame-relative) time derivative; ``rot_world`` maps body coordinates to
     the world (gravity) frame.  Returns M dV + C(w) V + G.
     """
-    tagged = isinstance(vel, SpatialVec)
-    v = vel.data if tagged else np.asarray(vel, dtype=float)
-    a = acc.data if isinstance(acc, SpatialVec) else np.asarray(acc, dtype=float)
-    omega = v[..., 3:]
-    out = (
+    v = np.asarray(vel, dtype=float)
+    a = np.asarray(acc, dtype=float)
+    return (
         np.einsum("ij,...j->...i", body.mass_matrix(), a)
-        + np.einsum("...ij,...j->...i", coriolis_matrix(body, omega), v)
+        + np.einsum("...ij,...j->...i", coriolis_matrix(body, v[..., 3:]), v)
         + gravity_wrench(body, rot_world)
     )
-    return SpatialVec(out, FORCE) if tagged else out
 
 
 def rot_y(angle):

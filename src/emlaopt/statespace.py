@@ -15,20 +15,6 @@ from .pmsm import PmsmParams, current_derivatives, electromagnetic_torque
 
 
 @dataclass(frozen=True)
-class EmlaState:
-    """Shaft angle [rad], shaft speed [rad/s] and dq currents [A]."""
-
-    theta_m: float
-    omega_m: float
-    i_q: float
-    i_d: float
-
-    def __post_init__(self):
-        if not all(np.isfinite([self.theta_m, self.omega_m, self.i_q, self.i_d])):
-            raise ValueError("EmlaState components must be finite")
-
-
-@dataclass(frozen=True)
 class OperatingPoint:
     """Linearization point for shaft speed and the two currents."""
 
@@ -39,16 +25,6 @@ class OperatingPoint:
 
 # State ordering used by the matrices of linearize() and by emla_rhs():
 #   x = [i_d, i_q, omega_m, theta_m],  u = [V_d, V_q]
-# EmlaState stores the same quantities in (theta, omega, i_q, i_d) order;
-# the helpers below convert between the two.
-
-
-def state_to_vec(state: EmlaState) -> np.ndarray:
-    return np.array([state.i_d, state.i_q, state.omega_m, state.theta_m])
-
-
-def vec_to_state(x) -> EmlaState:
-    return EmlaState(theta_m=x[3], omega_m=x[2], i_q=x[1], i_d=x[0])
 
 
 def stack_params(items):
@@ -136,38 +112,6 @@ def linearize(
         ]
     )
     return a, b, r
-
-
-def step_dynamics(
-    params: PmsmParams,
-    drivetrain: DriveTrainParams,
-    state: EmlaState,
-    u: tuple[float, float],
-    f_x: float,
-    dt: float,
-) -> EmlaState:
-    """Advance the nonlinear model one classical 4th-order Runge-Kutta step.
-
-    ``u`` is (V_q, V_d) held constant over the step, ``f_x`` the load force.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    v_q, v_d = u
-    uv = np.array([v_d, v_q])
-    x = state_to_vec(state)
-    eq = equivalent_params(drivetrain)
-
-    def f(xv):
-        return emla_rhs(params, eq, xv, uv, f_x)
-
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    x_new = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_new)):
-        raise FloatingPointError("EMLA state diverged (non-finite after step)")
-    return vec_to_state(x_new)
 
 
 def stored_energy(params: PmsmParams, drivetrain: DriveTrainParams, x) -> float:

@@ -445,14 +445,3 @@ def solve_inner(
         initial_guess=z0,
     )
 
-
-def resample(result: TrajectoryResult, dynamics, times) -> dict:
-    """Evaluate a solved trajectory on a denser grid (for tracking references)."""
-    from .bspline import SplineTrajectory
-
-    spline = SplineTrajectory(
-        degree=result.degree, control_points=result.control_points, t_final=result.t_final
-    )
-    q, qd, qdd = spline.eval(np.asarray(times, dtype=float))
-    v, f = dynamics(q, qd, qdd)
-    return {"times": np.asarray(times, dtype=float), "q": q, "qd": qd, "qdd": qdd, "v_x": v, "f_x": f}

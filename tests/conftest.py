@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from emlaopt.bilevel import map_eta_fns
 from emlaopt.control import published_gains, simulate_tracking
 from emlaopt.effmap import build_efficiency_map
-from emlaopt.manipulator import rnea
+from emlaopt.manipulator import ChainModel, ClosedChainStage, rnea
 from emlaopt.presets import (
     actuators,
     benchmark_problem,
@@ -45,6 +46,21 @@ def constant_pose_reference(duration=1.0, n_a=3, pose=None, force=None):
         outer_iterations=0,
         degree=5,
     )
+
+
+def scaled_masses(model: ChainModel, factor: float) -> ChainModel:
+    """Copy of ``model`` with every body mass and inertia multiplied by ``factor``."""
+
+    def scale(b):
+        return replace(b, mass=b.mass * factor, inertia=b.inertia * factor)
+
+    stages = []
+    for s in model.stages:
+        if isinstance(s, ClosedChainStage):
+            stages.append(replace(s, boom=scale(s.boom), barrel=scale(s.barrel), rod=scale(s.rod)))
+        else:
+            stages.append(replace(s, carriage=scale(s.carriage)))
+    return replace(model, base=scale(model.base), stages=tuple(stages))
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from emlaopt.bilevel import (
     solve_outer,
     total_efficiency,
 )
+from emlaopt.bspline import SplineTrajectory
 from emlaopt.chain import StrokeRangeError
 from emlaopt.manipulator import SingularConfigurationError, rnea
 from emlaopt.presets import benchmark_problem
@@ -137,13 +138,13 @@ def test_objective_constant_efficiency_value():
 
 
 def test_objective_riemann_refinement(model, dynamics, eta_fns):
-    from emlaopt.trajopt import resample
-
     res = solve_inner(benchmark_problem(model), dynamics, weights=np.array([0.3, 0.7]))
     value, _, _ = efficiency_objective(res, eta_fns)
-    dense = resample(res, dynamics, np.linspace(0.0, res.t_final, 2 * len(res.times) - 1))
-    dt = res.t_final / (len(dense["times"]) - 1)
-    eta, flagged = total_efficiency(dense["v_x"], dense["f_x"], eta_fns)
+    times = np.linspace(0.0, res.t_final, 2 * len(res.times) - 1)
+    spline = SplineTrajectory(res.degree, res.control_points, res.t_final)
+    v_x, f_x = dynamics(*spline.eval(times))
+    dt = res.t_final / (len(times) - 1)
+    eta, flagged = total_efficiency(v_x, f_x, eta_fns)
     value2 = 0.5 * dt * float(np.sum(eta**2))
     assert abs(value2 - value) / value <= 0.01
 

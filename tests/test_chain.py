@@ -6,7 +6,6 @@ from emlaopt.chain import (
     StrokeRangeError,
     closure_rates,
     loop_closure,
-    stroke_from_hinge_angle,
 )
 
 GEOM = ClosedChainGeometry(
@@ -94,5 +93,8 @@ def test_triangle_infeasible_range_rejected_at_construction():
 def test_hinge_angle_inversion():
     xs = np.linspace(GEOM.stroke_min, GEOM.stroke_max, 40)
     q, _, _ = loop_closure(GEOM, xs)
-    back = stroke_from_hinge_angle(GEOM, q)
+    # law of cosines across the hinge: the actuator length from the two links
+    c = np.sqrt(GEOM.base_len**2 + GEOM.rocker_len**2
+                - 2.0 * GEOM.base_len * GEOM.rocker_len * np.cos(q))
+    back = c - GEOM.zero_stroke_len
     assert np.abs(back - xs).max() < 1e-12

@@ -314,6 +314,54 @@ def test_track_invalid_config_exits_2_before_integrating(tmp_path, capsys, monke
     assert not (tmp_path / "trk" / "manifest.json").exists()
 
 
+BL_CFG = {"manipulator": {"preset": "default"},
+          "problem": {"preset": "benchmark", "n_partitions": 16, "n_ctrl": 8},
+          "actuators": {"preset": "default"}}
+
+
+@pytest.mark.parametrize("command, cfg, match", [
+    ("map", {"actuator": {"preset": "lift_6kw", "max_current": 1}},
+     "actuator: the 'lift_6kw' preset takes no other keys, got unknown keys ['max_current']"),
+    ("map", {"actuator": {"preset": "lift_6kw"},
+             "grid": {"preset": "default", "n_forces": 10}},
+     "grid: the 'default' preset takes only ['n_force', 'n_velocity']"),
+    ("trajopt", dict(TRAJ_CFG, problem={"preset": "benchmark", "n_partition": 20}),
+     "problem: the 'benchmark' preset takes only ['n_ctrl', 'n_partitions']"),
+    ("trajopt", dict(TRAJ_CFG, problem={"preset": "benchmark", "t_upper": 5.0}),
+     "got unknown keys ['t_upper']"),
+    ("bilevel", dict(BL_CFG, manipulator={"preset": "default", "payload": 300.0}),
+     "manipulator: the 'default' preset takes only ['gravity']"),
+    ("bilevel", dict(BL_CFG, manipulator={"preset": "hiab"}),
+     "manipulator.preset: unknown preset 'hiab'; available: ['default']"),
+    ("bilevel", dict(BL_CFG, actuators={"preset": "default", "max_current": 1}),
+     "actuators: the 'default' preset takes no other keys"),
+    ("track", {"actuators": [{"preset": "lift_6kw"}, {"preset": "tilt_47kw"},
+                             {"preset": "telescope_25kw", "name": "slide"}]},
+     "actuators[2]: the 'telescope_25kw' preset takes no other keys"),
+    ("track", {"gains": {"preset": "published", "delta": [1.0, 1.0, 1.0, 1.0]}},
+     "gains: the 'published' preset takes no other keys"),
+    ("track", {"gains": {"preset": "paper"}},
+     "gains.preset: unknown preset 'paper'; available: ['published']"),
+], ids=["actuator", "grid", "problem-misspelled", "problem-inline-key", "manipulator",
+        "manipulator-name", "actuators", "actuator-in-list", "gains", "gains-name"])
+def test_preset_block_rejects_unread_keys_exits_2(tmp_path, capsys, monkeypatch,
+                                                  pose_reference, command, cfg, match):
+    # each of these ran on the preset's own values, ignoring the named key,
+    # or failed naming a field the config never meant to give
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the preset blocks were checked")
+
+    for name in ("build_efficiency_map", "solve_inner", "solve_outer", "simulate_tracking"):
+        monkeypatch.setattr(f"emlaopt.cli.{name}", no_work)
+    if command == "track":
+        cfg = dict(cfg, trajectory=pose_reference)
+    path = write(tmp_path, "cfg.json", cfg)
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("grid, match", [
     ({"force": [1000, 2000], "velocity": [0.004, 0.135, 5]}, "grid.force"),
     ({"force": [1.2e4, 4.2e4, 5], "velocity": 0.1}, "grid.velocity"),

@@ -5,7 +5,6 @@ from emlaopt.drivetrain import (
     DriveTrainParams,
     equivalent_params,
     linear_stiffness,
-    linear_to_rotary,
     rotary_linear_map,
 )
 
@@ -74,15 +73,6 @@ def test_power_invariance_exact():
     v = rng.uniform(-0.3, 0.3, 500)
     tau, omega = rotary_linear_map(dt, f, v)
     assert np.abs(tau * omega - f * v).max() <= 1e-12 * np.abs(f * v).max()
-
-
-def test_linear_to_rotary_consistency():
-    dt = make()
-    x, v = 0.25, 0.1
-    theta, omega = linear_to_rotary(dt, x, v)
-    eq = equivalent_params(dt)
-    assert np.isclose(theta * eq.load_ratio, x)
-    assert np.isclose(omega * eq.load_ratio, v)
 
 
 def test_invalid_rejected():

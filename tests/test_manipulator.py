@@ -10,16 +10,14 @@ from emlaopt.manipulator import (
     ChainModel,
     ClosedChainStage,
     SingularConfigurationError,
-    actuator_force,
-    backward_forces,
     evaluate_dynamics,
-    forward_velocities,
     kinetic_energy,
     potential_energy,
     rnea,
 )
 from emlaopt.presets import default_manipulator
 from emlaopt.spatial import RigidBodyParams
+from conftest import scaled_masses
 
 rng = np.random.default_rng(77)
 
@@ -44,9 +42,9 @@ def total_mass(model):
 
 def test_zero_rates_zero_velocities(model):
     q, _, _ = random_state(model)
-    vels = forward_velocities(model, q, np.zeros(3))
-    for name, v in vels.items():
-        assert np.abs(v.data).max() == 0.0, name
+    frames = evaluate_dynamics(model, q, np.zeros(3), np.zeros(3)).frames
+    for name, (_, _, vel, _) in frames.items():
+        assert np.abs(vel).max() == 0.0, name
 
 
 def test_closed_chain_velocity_consistency(model):
@@ -74,11 +72,11 @@ def test_end_effector_velocity_matches_fk_difference(model):
 
 def test_nearly_massless_bodies_give_no_forces():
     model = default_manipulator()
-    scaled = model.scaled_masses(1e-9)
+    scaled = scaled_masses(model, 1e-9)
     q, qd, qdd = random_state(scaled)
-    forces = backward_forces(scaled, q, qd, qdd)
+    forces = evaluate_dynamics(scaled, q, qd, qdd).frame_forces
     for name, f in forces.items():
-        assert np.abs(f.data).max() < 1e-4, name
+        assert np.abs(f).max() < 1e-4, name
 
 
 def test_static_ground_reaction_is_total_weight(model):
@@ -131,7 +129,7 @@ def test_static_forces_match_potential_gradient(model):
 def test_doubling_masses_doubles_static_forces(model):
     q, _, _ = random_state(model)
     _, f1 = rnea(model, q, np.zeros(3), np.zeros(3))
-    _, f2 = rnea(model.scaled_masses(2.0), q, np.zeros(3), np.zeros(3))
+    _, f2 = rnea(scaled_masses(model, 2.0), q, np.zeros(3), np.zeros(3))
     assert np.allclose(f2, 2.0 * f1, rtol=1e-12)
 
 
@@ -191,7 +189,7 @@ def test_infeasible_configuration_raises(model):
     lo, hi = model.stroke_limits()
     bad = hi + 1.0
     with pytest.raises(StrokeRangeError):
-        forward_velocities(model, bad, np.zeros(3))
+        evaluate_dynamics(model, bad, np.zeros(3), np.zeros(3))
 
 
 def test_singular_configuration_detected():
@@ -233,15 +231,8 @@ def test_batch_matches_scalar(model):
 def test_zero_gravity_zero_motion_zero_forces(model_no_gravity):
     lo, hi = model_no_gravity.stroke_limits()
     q = 0.5 * (lo + hi)
-    f = actuator_force(model_no_gravity, q, np.zeros(3), np.zeros(3))
+    f = rnea(model_no_gravity, q, np.zeros(3), np.zeros(3))[1]
     assert np.abs(f).max() < 1e-9
-
-
-def test_actuator_force_public_wrapper(model):
-    q, qd, qdd = random_state(model)
-    f = actuator_force(model, q, qd, qdd)
-    _, f2 = rnea(model, q, qd, qdd)
-    assert np.array_equal(f, f2)
 
 
 def test_rnea_out_of_range_stroke_raises(model):
@@ -275,7 +266,7 @@ MODELS = {"default": default_manipulator(), "no_gravity": default_manipulator(gr
 def model_and_states(draw):
     name = draw(st.sampled_from(["default", "scaled", "no_gravity"]))
     if name == "scaled":
-        model = MODELS["default"].scaled_masses(draw(st.floats(0.05, 20.0)))
+        model = scaled_masses(MODELS["default"], draw(st.floats(0.05, 20.0)))
     else:
         model = MODELS[name]
     shape = draw(st.sampled_from([(3,), (4, 3), (2, 3, 3)]))

@@ -6,47 +6,12 @@ from emlaopt.pmsm import (
     current_derivatives,
     dq_voltages,
     electromagnetic_torque,
-    inverse_park_transform,
-    park_matrix,
-    park_transform,
     torque_to_iq,
 )
 
 PARAMS = PmsmParams(
     stator_resistance=0.4, inductance_d=7e-3, inductance_q=9e-3, pole_pairs=3, pm_flux=0.2
 )
-
-
-def test_park_balanced_set_maps_to_unit_d_axis():
-    theta = 0.0
-    v = np.array([np.cos(theta), np.cos(theta - 2 * np.pi / 3), np.cos(theta + 2 * np.pi / 3)])
-    d, q, zero = park_transform(v, theta)
-    assert abs(d - 1.0) < 1e-12
-    assert abs(q) < 1e-12
-    assert abs(zero) < 1e-12
-
-
-def test_park_common_mode_is_zero_sequence():
-    d, q, zero = park_transform([4.2, 4.2, 4.2], theta_m=0.913)
-    assert abs(d) < 1e-12 and abs(q) < 1e-12
-    assert abs(zero - 4.2) < 1e-12
-
-
-def test_park_matches_matrix_product():
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(3)
-    theta = 0.7
-    expected = park_matrix(theta) @ v
-    assert np.allclose(park_transform(v, theta), expected, atol=0)
-
-
-def test_park_inverse_roundtrip():
-    rng = np.random.default_rng(5)
-    for theta in rng.uniform(-10, 10, 50):
-        v = rng.standard_normal(3)
-        dq0 = park_transform(v, theta)
-        back = inverse_park_transform(dq0, theta)
-        assert np.abs(back - v).max() < 1e-12
 
 
 def test_dq_voltages_zero_state():
