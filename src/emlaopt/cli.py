@@ -61,6 +61,8 @@ def _default_grid(actuator, path, n_force=40, n_velocity=40):
 
 
 def run_map(config: dict, out_dir, seed: int, jobs: int) -> dict:
+    configio.check_keys(config, "config", ("actuator", "grid", "allow_regeneration"),
+                        "a map config")
     actuator = configio.build_actuator(config.get("actuator", {}), "actuator")
     grid_doc = config.get("grid", {"preset": "default"})
     if not isinstance(grid_doc, dict):
@@ -88,6 +90,8 @@ def run_map(config: dict, out_dir, seed: int, jobs: int) -> dict:
 
 
 def run_trajopt(config: dict, out_dir, seed: int, jobs: int) -> dict:
+    configio.check_keys(config, "config", ("manipulator", "problem", "weights", "method"),
+                        "a trajopt config")
     model = configio.build_manipulator(config.get("manipulator", {"preset": "default"}))
     problem = configio.build_problem(config.get("problem", {"preset": "benchmark"}), model)
     weights = config.get("weights")
@@ -103,6 +107,8 @@ def run_trajopt(config: dict, out_dir, seed: int, jobs: int) -> dict:
 
 
 def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
+    configio.check_keys(config, "config", ("manipulator", "problem", "actuators", "outer", "maps"),
+                        "a bilevel config")
     model = configio.build_manipulator(config.get("manipulator", {"preset": "default"}))
     problem = configio.build_problem(config.get("problem", {"preset": "benchmark"}), model)
     actuators = configio.build_actuators(config.get("actuators", {"preset": "default"}))
@@ -122,7 +128,7 @@ def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
         weight_upper=np.asarray(outer.get("weight_upper", [1.0, 1.0]), dtype=float),
         grid_points=outer.get("grid_points", 5),
     )
-    map_doc = config.get("maps", {})
+    map_doc = configio.check_keys(config.get("maps", {}), "maps", ("n_force", "n_velocity"))
     maps = [
         build_efficiency_map(
             a,
@@ -147,6 +153,12 @@ def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
 
 
 def run_track(config: dict, out_dir, seed: int, jobs: int) -> dict:
+    configio.check_keys(config, "config", (
+        "trajectory", "actuators", "gains", "disturbance", "duration", "settle_time", "dt",
+        "initial_position_error"), "a track config")
+    dt = config.get("dt", 2e-3)
+    if not (isinstance(dt, (int, float)) and np.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt: the output sampling step must be finite and > 0, got {dt!r}")
     traj_path = config.get("trajectory")
     if traj_path is None:
         raise ConfigError("trajectory: path to a trajectory.json or bilevel.json required")
@@ -168,7 +180,7 @@ def run_track(config: dict, out_dir, seed: int, jobs: int) -> dict:
         reference,
         gains,
         disturbance=disturbance,
-        dt=float(config.get("dt", 2e-3)),
+        dt=float(dt),
         initial_position_error=config.get("initial_position_error"),
         duration=duration,
     )
@@ -192,6 +204,8 @@ def run_track(config: dict, out_dir, seed: int, jobs: int) -> dict:
 
 
 def run_report(config: dict, out_dir, seed: int, jobs: int) -> dict:
+    configio.check_keys(config, "config", ("artifacts", "actuators", "require_tracking"),
+                        "a report config")
     art_dir = Path(config.get("artifacts", "."))
     missing = []
     traj_path = art_dir / "trajectory.json"

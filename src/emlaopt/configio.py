@@ -48,6 +48,18 @@ def _get(doc: dict, key: str, path: str, required=True, default=None):
     return doc[key]
 
 
+def check_keys(doc, path: str, takes, owner: str = "it") -> dict:
+    """``doc``, checked to be an object whose keys all lie in ``takes``, the
+    keys its reader reads; an unread key is an error, never ignored."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object")
+    unknown = sorted(set(doc) - set(takes))
+    if unknown:
+        keys = f"only {sorted(takes)}" if takes else "no other keys"
+        raise ConfigError(f"{path}: {owner} takes {keys}, got unknown keys {unknown}")
+    return doc
+
+
 def check_preset(doc: dict, path: str, takes: dict) -> str:
     """The preset name of ``doc``, checked against ``takes``, which maps each
     preset name to the keys it reads beside "preset"; an unknown name or an
@@ -55,10 +67,8 @@ def check_preset(doc: dict, path: str, takes: dict) -> str:
     name = doc["preset"]
     if name not in takes:
         raise ConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(takes)}")
-    unknown = sorted(set(doc) - {"preset", *takes[name]})
-    if unknown:
-        keys = f"only {sorted(takes[name])}" if takes[name] else "no other keys"
-        raise ConfigError(f"{path}: the {name!r} preset takes {keys}, got unknown keys {unknown}")
+    check_keys({k: v for k, v in doc.items() if k != "preset"}, path, takes[name],
+               f"the {name!r} preset")
     return name
 
 

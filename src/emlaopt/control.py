@@ -17,7 +17,19 @@ side is the tested pieces wired together over all actuators at once:
 :func:`adaptive_rate` for the estimates and
 :func:`~emlaopt.statespace.emla_rhs` for the plant.  Radau gets the exact
 Jacobian of that right-hand side (one 8x8 block per actuator), not finite
-differences.
+differences, and reads the reference (q, qd and the load force) in one
+spline call per evaluation (:func:`reference_spline`).
+
+Radau's step is capped at :data:`RADAU_MAX_STEP`.  Longer steps make its
+simplified Newton iteration fail even with a Jacobian evaluated at the
+step's start: the cascade multiplies the predictor's error in the shaft
+angle and speed, small on their own tolerance scale, by gains of about
+1e6 A/rad into the current-loop error Q3 of the stage values, so the
+estimate phi3, driven by (eps*k/2)*Q3^2 and held to atol, takes an
+increment in the first iteration that the second takes back (rate near 1).
+The row eps*k*Q3*dQ3 of the Jacobian is exact at the step's start but
+says nothing about Q3 at those stage values.  No loop constant predicts
+the cap (see the constant), so it is a measured one.
 """
 
 from dataclasses import dataclass, replace
@@ -30,6 +42,18 @@ from .effmap import EmlaModel
 from .pmsm import PmsmParams, electromagnetic_torque, torque_to_iq
 from .statespace import emla_rhs, stack_params
 from .trajopt import TrajectoryResult
+
+# Radau step cap [s], measured on the stored 5x5 grid winner (first 2 s,
+# nominal disturbance with seed 8, rtol 1e-6, atol 1e-8).  Left free, Radau
+# failed 1,846 of its 3,919 collocation solves, each at Newton iteration 2
+# with a rate near 1 (median 0.99) and the telescope's phi3 dominating the
+# increment, at steps of 1.2-14 ms.  Capped at 1 ms it fails 4 of 2,272,
+# all in the start-up transient at steps under 0.2 ms.  On the first 0.3 s
+# the failures per cap were 0 (0.8 ms), 2 (1 ms), 53 (1.2 ms) and 194
+# (2 ms).  The failure-free cap follows no loop constant: it ignores sigma,
+# and moves only from about 0.85 ms to about 1.4 ms as eps (so eps*k) goes
+# from 4x to 1/4x the published value.
+RADAU_MAX_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -155,7 +179,7 @@ class TrackingTraces:
     lyapunov: np.ndarray
     gains: list
     disturbance: DisturbanceProfile
-    solver: dict  # Radau status, message, nfev, njev, nlu, nsteps
+    solver: dict  # Radau status, message, nfev, njev, nlu, nsteps, max_step
 
 
 def _perturbed(motor: PmsmParams, drivetrain: DriveTrainParams, fraction: float):
@@ -166,6 +190,47 @@ def _perturbed(motor: PmsmParams, drivetrain: DriveTrainParams, fraction: float)
         replace(drivetrain, motor_inertia=drivetrain.motor_inertia * f,
                 viscous_motor=drivetrain.viscous_motor * f),
     )
+
+
+def reference_spline(reference: TrajectoryResult):
+    """One ``BSpline`` whose columns are [q, qd, f_x] of ``reference``.
+
+    q is the trajectory's own spline, qd its derivative and f_x the natural
+    cubic interpolant through the collocation forces.  All three lie in one
+    spline space of degree max(p, 3): the union of their breakpoints, each
+    with the multiplicity that keeps every column's smoothness (q is
+    C^(p-1) at its knots, qd C^(p-2), the cubic C^2 at the collocation
+    instants).  Interpolation at that space's Greville abscissae therefore
+    reproduces each column exactly up to rounding, the same coefficients
+    knot insertion (q), degree elevation (qd) and degree raising (f_x)
+    give.  Evaluating it returns the stacked row, continuous as a spline,
+    in one call.
+    """
+    from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
+
+    from .bspline import clamped_knots
+
+    p, t_end, times = reference.degree, reference.t_final, reference.times
+    k = max(p, 3)
+    knots = clamped_knots(reference.control_points.shape[0], p) * t_end
+    q = BSpline(knots, reference.control_points, p)
+    f = CubicSpline(times, reference.f_x, bc_type="natural")
+    inner_q = knots[p + 1:-p - 1]
+    inner_f = times[(times > 0.0) & (times < t_end)]
+    points = np.concatenate((inner_q, inner_f))
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    needs = np.repeat([k - p + 2, k - 2], [len(inner_q), len(inner_f)])[order]
+    # a knot and a collocation instant that differ by rounding are one breakpoint
+    first = np.diff(points, prepend=-np.inf) > 1e-14 * t_end
+    mult = np.zeros(first.sum(), dtype=int)
+    np.maximum.at(mult, np.cumsum(first) - 1, needs)
+    t = np.concatenate((np.zeros(k + 1), np.repeat(points[first], mult), np.full(k + 1, t_end)))
+    # the mean of k equal end knots may round past them
+    greville = np.clip(np.lib.stride_tricks.sliding_window_view(t[1:-1], k).mean(axis=1),
+                       0.0, t_end)
+    columns = np.hstack((q(greville), q.derivative()(greville), f(greville)))
+    return make_interp_spline(greville, columns, k=k, t=t)
 
 
 def simulate_tracking(
@@ -183,11 +248,14 @@ def simulate_tracking(
 
     The reference trajectory is evaluated exactly from its spline; the
     per-joint load force is the trajectory's inverse-dynamics force plus
-    the configured disturbance.  ``dt`` is the output sampling step of the
-    returned traces, not an integration step (the stiff solver adapts).
-    Radau's Newton iterations use the closed loop's exact Jacobian, and
-    ``solver`` records its status and work counters, accepted steps
-    (``nsteps``) included.
+    the configured disturbance.  Both come from :func:`reference_spline`,
+    one spline call per evaluation.  ``dt`` is the output sampling step of
+    the returned traces, not an integration step (the stiff solver
+    adapts).  Radau's Newton iterations use the closed loop's exact
+    Jacobian, and its steps are capped at :data:`RADAU_MAX_STEP`, a
+    measured bound past which those iterations fail.  ``solver`` records
+    its status, work counters, accepted steps (``nsteps``) and the step
+    cap (``max_step``).
     """
     n_a = reference.q.shape[1]
     if len(actuator_models) != n_a:
@@ -197,17 +265,8 @@ def simulate_tracking(
     disturbance = disturbance or DisturbanceProfile()
     duration = reference.t_final if duration is None else duration
 
-    from scipy.interpolate import BSpline, CubicSpline
-
-    from .bspline import clamped_knots
-
-    # smooth reference evaluation (C-level): exact B-spline for q and qd,
-    # cubic interpolant through the collocation samples for the load force
     t_end = reference.t_final
-    knots_phys = clamped_knots(reference.control_points.shape[0], reference.degree) * t_end
-    bs_q = BSpline(knots_phys, reference.control_points, reference.degree)
-    bs_qd = bs_q.derivative()
-    cs_f = CubicSpline(reference.times, reference.f_x, bc_type="natural")
+    ref = reference_spline(reference)
 
     # one stacked parameter object per side: the controller's nominal
     # motor, and the (possibly skewed) plant reflected once for the run
@@ -264,9 +323,8 @@ def simulate_tracking(
 
     def rhs(t, y):
         x, phi = unpack(y)
-        tc = min(max(t, 0.0), t_end)
-        q_err, _, v_d, v_q = controller(measured(t, x), phi, bs_q(tc), bs_qd(tc))
-        f_load = cs_f(tc)
+        q_ref, qd_ref, f_load = ref(min(max(t, 0.0), t_end)).reshape(3, n_a)
+        q_err, _, v_d, v_q = controller(measured(t, x), phi, q_ref, qd_ref)
         if disturbance.force_noise_std:
             f_load = f_load + disturbance.force_noise_std * peak_force * force_noise(t)
         dx = emla_rhs(plant_motor, plant_eq, x, (v_d, v_q), f_load)
@@ -285,8 +343,8 @@ def simulate_tracking(
 
     def jac(t, y):
         x, phi = unpack(y)
-        tc = min(max(t, 0.0), t_end)
-        q_err = controller(measured(t, x), phi, bs_q(tc), bs_qd(tc))[0]
+        q_ref, qd_ref, _ = ref(min(max(t, 0.0), t_end)).reshape(3, n_a)
+        q_err = controller(measured(t, x), phi, q_ref, qd_ref)[0]
         i_d, i_q, omega, _ = x
         a = delta + eps * phi  # feedback gain of each subsystem
         # gradients of the errors Q_nu along the cascade
@@ -323,8 +381,9 @@ def simulate_tracking(
 
     err0 = 0.0 if initial_position_error is None else np.asarray(initial_position_error, float)
     y0 = np.zeros(8 * n_a)
-    y0[:n_a] = (bs_q(0.0) + err0) / f_eq
-    y0[n_a: 2 * n_a] = bs_qd(0.0) / f_eq
+    q0, qd0, _ = ref(0.0).reshape(3, n_a)
+    y0[:n_a] = (q0 + err0) / f_eq
+    y0[n_a: 2 * n_a] = qd0 / f_eq
 
     # output grid: regular sampling plus the exact collocation instants so
     # reference columns can carry the trajectory samples verbatim
@@ -348,6 +407,7 @@ def simulate_tracking(
         atol=atol,
         jac=jac,
         events=count_step,
+        max_step=RADAU_MAX_STEP,
     )
     if not sol.success:
         raise RuntimeError(f"closed-loop integration failed: {sol.message}")
@@ -359,8 +419,7 @@ def simulate_tracking(
     t, y = sol.t, sol.y.T
     x = y[:, :4 * n_a].reshape(len(t), 4, n_a).transpose(1, 0, 2)[::-1]  # (4, n_t, n_a)
     phi = y[:, 4 * n_a:].reshape(len(t), n_a, 4)
-    tc = np.clip(t, 0.0, t_end)
-    q_ref, qd_ref, f_ref = bs_q(tc), bs_qd(tc), cs_f(tc)
+    q_ref, qd_ref, f_ref = np.moveaxis(ref(np.clip(t, 0.0, t_end)).reshape(len(t), 3, n_a), 1, 0)
     q_err, iq_ref, v_d, v_q = controller(measured(t, x), phi.transpose(2, 0, 1), q_ref, qd_ref)
     i_d, i_q, omega, theta = x
     # reference columns carry the trajectory samples verbatim at the
@@ -388,7 +447,7 @@ def simulate_tracking(
         disturbance=disturbance,
         solver={"status": int(sol.status), "message": str(sol.message),
                 "nfev": int(sol.nfev), "njev": int(sol.njev), "nlu": int(sol.nlu),
-                "nsteps": len(checks) - 1},
+                "nsteps": len(checks) - 1, "max_step": RADAU_MAX_STEP},
     )
     traces.lyapunov = lyapunov_value(traces, gains)
     return traces

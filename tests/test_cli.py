@@ -134,7 +134,11 @@ def test_track_pipeline_roundtrip(bilevel_dir, tmp_path):
     # Radau's exit status and work counters travel with the summary
     solver = json.loads((trk / "tracking.json").read_text())["solver"]
     assert solver["status"] == 0 and solver["message"]
-    assert min(solver[k] for k in ("nfev", "njev", "nlu", "nsteps")) > 0
+    assert min(solver[k] for k in ("nfev", "njev", "nlu", "nsteps", "max_step")) > 0
+    # each factorization is two LU calls (the real and the complex system);
+    # a failed Newton solve halves the step and factors again.  Radau left
+    # free failed so often that nlu was 3.9 x nsteps on this run
+    assert solver["nlu"] <= 2.5 * solver["nsteps"]
 
 
 def test_report_from_bilevel(bilevel_dir, tmp_path):
@@ -299,6 +303,10 @@ def pose_reference(tmp_path):
     ({"duration": 0.02}, "settle_time"),
     ({"duration": 0.3, "settle_time": 0.3}, "settle_time"),
     ({"settle_time": 1.5}, "settle_time"),  # the 1 s reference is the run
+    ({"dt": 0}, "dt: "),  # a ZeroDivisionError traceback
+    ({"dt": -1e-3}, "dt: "),  # an IndexError traceback
+    ({"dt": float("nan")}, "dt: "),
+    ({"dt": "2e-3"}, "dt: "),
 ])
 def test_track_invalid_config_exits_2_before_integrating(tmp_path, capsys, monkeypatch,
                                                          pose_reference, extra, match):
@@ -342,12 +350,24 @@ BL_CFG = {"manipulator": {"preset": "default"},
      "gains: the 'published' preset takes no other keys"),
     ("track", {"gains": {"preset": "paper"}},
      "gains.preset: unknown preset 'paper'; available: ['published']"),
+    ("bilevel", dict(BL_CFG, maps={"n_forces": 10}),
+     "maps: it takes only ['n_force', 'n_velocity'], got unknown keys ['n_forces']"),
+    ("track", {"durations": 2.0},
+     "config: a track config takes only ["),
+    ("trajopt", {"problems": {"preset": "benchmark", "n_partitions": 16}, "weight": [0.9, 0.1]},
+     "config: a trajopt config takes only ['manipulator', 'method', 'problem', 'weights'], "
+     "got unknown keys ['problems', 'weight']"),
+    ("map", {"actuator": {"preset": "lift_6kw"}, "grids": {"preset": "default"}},
+     "got unknown keys ['grids']"),
 ], ids=["actuator", "grid", "problem-misspelled", "problem-inline-key", "manipulator",
-        "manipulator-name", "actuators", "actuator-in-list", "gains", "gains-name"])
+        "manipulator-name", "actuators", "actuator-in-list", "gains", "gains-name",
+        "maps", "track-top-level", "trajopt-top-level", "map-top-level"])
 def test_preset_block_rejects_unread_keys_exits_2(tmp_path, capsys, monkeypatch,
                                                   pose_reference, command, cfg, match):
     # each of these ran on the preset's own values, ignoring the named key,
-    # or failed naming a field the config never meant to give
+    # or failed naming a field the config never meant to give; a misspelled
+    # maps key built 40x40 maps, "durations" tracked the whole reference and
+    # "problems" solved the default problem
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the preset blocks were checked")
 

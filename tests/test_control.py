@@ -17,11 +17,13 @@ from emlaopt.control import (
     lyapunov_value,
     nominal_disturbance,
     published_gains,
+    reference_spline,
     simulate_tracking,
     traces_to_csv,
     tracking_errors,
     tracking_transform,
 )
+from emlaopt.bspline import clamped_knots
 from emlaopt.pmsm import torque_to_iq
 from conftest import constant_pose_reference
 
@@ -112,6 +114,50 @@ def test_zero_reference_zero_error_stays_at_rest(acts):
     assert np.abs(tr.q_err).max() < 1e-10
     assert np.abs(tr.i_q).max() < 1e-10
     assert np.abs(tr.lyapunov).max() < 1e-20
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    degree=st.integers(2, 5),
+    extra_ctrl=st.integers(0, 10),
+    t_final=st.floats(0.01, 20.0),
+    n_times=st.integers(3, 60),
+    uniform=st.booleans(),
+    data=st.data(),
+)
+def test_reference_spline_matches_its_three_splines(degree, extra_ctrl, t_final, n_times,
+                                                     uniform, data):
+    # the stacked spline must reproduce the trajectory spline, its derivative
+    # and the natural cubic force interpolant it replaces, column by column
+    from scipy.interpolate import BSpline, CubicSpline
+
+    n_ctrl = degree + 1 + extra_ctrl
+    ctrl = data.draw(arrays(float, (n_ctrl, 3), elements=st.floats(-2.0, 2.0)))
+    # uniform instants, as the transcription makes them, or spacings that
+    # differ up to 20x
+    gaps = np.ones(n_times - 1) if uniform else data.draw(
+        arrays(float, n_times - 1, elements=st.floats(0.05, 1.0)))
+    times = t_final * np.concatenate(([0.0], np.cumsum(gaps) / gaps.sum()))
+    times[-1] = t_final
+    f_x = data.draw(arrays(float, (n_times, 3), elements=st.floats(-5e4, 5e4)))
+    t = data.draw(arrays(float, 20, elements=st.floats(0.0, t_final)))
+    ref = replace(constant_pose_reference(duration=t_final), control_points=ctrl,
+                  degree=degree, times=times, f_x=f_x)
+    q = BSpline(clamped_knots(n_ctrl, degree) * t_final, ctrl, degree)
+    f = CubicSpline(times, f_x, bc_type="natural")
+
+    def columns(t):
+        return np.hstack((q(t), q.derivative()(t), f(t)))
+
+    peak = np.abs(columns(np.linspace(0.0, t_final, 2001))).max(axis=0)
+    assert np.all(np.abs(reference_spline(ref)(t) - columns(t)) <= 1e-12 * peak)
+
+
+def test_reference_spline_of_a_held_pose_has_zero_rate():
+    ref = constant_pose_reference(duration=0.01, pose=[0.8, 0.5, 0.3],
+                                  force=[2000.0, 1500.0, 400.0])
+    t = np.linspace(0.0, 0.01, 1001)
+    assert np.all(reference_spline(ref)(t)[:, 3:6] == 0.0)
 
 
 def loaded_pose_run(acts, disturbance):
