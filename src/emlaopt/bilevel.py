@@ -12,14 +12,13 @@ its full evaluation trace.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .chain import StrokeRangeError
 from .effmap import EfficiencyMap
 from .manipulator import ChainModel, SingularConfigurationError, rnea
-from .trajopt import NlpProblem, TrajectoryResult, check_weights, solve_inner
+from .trajopt import NlpProblem, TrajectoryResult, check_count, check_weights, solve_inner
 
 
 def total_efficiency(v_x, f_x, eta_fns):
@@ -134,8 +133,8 @@ def samples_outside_map(v_x, f_x, maps: list[EfficiencyMap]) -> list:
 class BilevelConfig:
     """Outer-search settings: the weight box and its lattice points per axis."""
 
-    weight_lower: np.ndarray
-    weight_upper: np.ndarray
+    weight_lower: np.ndarray = (0.05, 0.05)
+    weight_upper: np.ndarray = (1.0, 1.0)
     grid_points: int = 5
 
     def __post_init__(self):
@@ -147,9 +146,7 @@ class BilevelConfig:
         check_weights(lo, "weight_lower")
         if hi.shape != lo.shape or not np.all(np.isfinite(hi) & (lo <= hi)):
             raise ValueError("need weight_lower <= weight_upper, both finite and of shape (2,)")
-        n = self.grid_points
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ValueError(f"grid_points must be an integer >= 1, got {n!r}")
+        check_count(self.grid_points, "grid_points")
 
 
 @dataclass

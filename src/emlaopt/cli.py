@@ -18,9 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import configio, presets
+from . import configio
 from .bilevel import (
-    BilevelConfig,
     efficiency_summary,
     map_eta_fns,
     quartile_occupancy,
@@ -39,61 +38,23 @@ from .manipulator import rnea
 from .trajopt import TrajectoryResult, solve_inner
 
 
-def _grid_axis(doc, key, path):
-    spec = doc.get(key)
-    if isinstance(spec, list) and len(spec) == 3:
-        try:
-            return np.linspace(float(spec[0]), float(spec[1]), int(spec[2]))
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{path}.{key}: need a grid specification [lo, hi, n], got {spec!r}")
-
-
-def _default_grid(actuator, path, n_force=40, n_velocity=40):
-    """The preset map axes of ``actuator``; only preset actuators have them."""
-    if actuator.name not in presets.MAP_ENVELOPES:
-        raise ConfigError(
-            f"{path}: actuator {actuator.name!r} has no default map grid (presets: "
-            f"{sorted(presets.MAP_ENVELOPES)}); a map config can give explicit grid "
-            "'force' and 'velocity' axes [lo, hi, n]"
-        )
-    return presets.default_map_grid(actuator, n_force, n_velocity)
-
-
-def run_map(config: dict, out_dir, seed: int, jobs: int) -> dict:
+def run_map(config: dict, seed: int, jobs: int) -> dict:
     configio.check_keys(config, "config", ("actuator", "grid", "allow_regeneration"),
                         "a map config")
-    actuator = configio.build_actuator(config.get("actuator", {}), "actuator")
-    grid_doc = config.get("grid", {"preset": "default"})
-    if not isinstance(grid_doc, dict):
-        raise ConfigError("grid: expected an object with axes 'force' and 'velocity' "
-                          "or preset 'default'")
-    if "preset" in grid_doc:
-        configio.check_preset(grid_doc, "grid", {"default": ("n_force", "n_velocity")})
-        force, velocity = _default_grid(
-            actuator, "grid",
-            n_force=int(grid_doc.get("n_force", 40)),
-            n_velocity=int(grid_doc.get("n_velocity", 40)),
-        )
-    else:
-        force = _grid_axis(grid_doc, "force", "grid")
-        velocity = _grid_axis(grid_doc, "velocity", "grid")
+    actuator = configio.build_actuator(config.get("actuator"))
+    force, velocity = configio.build_map_axes(config.get("grid"), actuator)
     emap = build_efficiency_map(
         actuator, force, velocity,
         allow_regeneration=bool(config.get("allow_regeneration", False)),
     )
-    files = {
-        "efficiency_map.csv": map_to_csv(emap),
-        "efficiency_map.json": map_to_json(emap),
-    }
-    return files
+    return {"efficiency_map.csv": map_to_csv(emap), "efficiency_map.json": map_to_json(emap)}
 
 
-def run_trajopt(config: dict, out_dir, seed: int, jobs: int) -> dict:
+def run_trajopt(config: dict, seed: int, jobs: int) -> dict:
     configio.check_keys(config, "config", ("manipulator", "problem", "weights", "method"),
                         "a trajopt config")
-    model = configio.build_manipulator(config.get("manipulator", {"preset": "default"}))
-    problem = configio.build_problem(config.get("problem", {"preset": "benchmark"}), model)
+    model = configio.build_manipulator(config.get("manipulator"))
+    problem = configio.build_problem(config.get("problem"), model)
     weights = config.get("weights")
     weights = None if weights is None else np.asarray(weights, dtype=float)
     if config.get("method", "slsqp") != "slsqp":
@@ -106,40 +67,17 @@ def run_trajopt(config: dict, out_dir, seed: int, jobs: int) -> dict:
     }
 
 
-def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
+def run_bilevel(config: dict, seed: int, jobs: int) -> dict:
     configio.check_keys(config, "config", ("manipulator", "problem", "actuators", "outer", "maps"),
                         "a bilevel config")
-    model = configio.build_manipulator(config.get("manipulator", {"preset": "default"}))
-    problem = configio.build_problem(config.get("problem", {"preset": "benchmark"}), model)
-    actuators = configio.build_actuators(config.get("actuators", {"preset": "default"}))
+    model = configio.build_manipulator(config.get("manipulator"))
+    problem = configio.build_problem(config.get("problem"), model)
+    actuators = configio.build_actuators(config.get("actuators"))
     if len(actuators) != model.n_joints:
         raise ConfigError("actuators: need one per manipulator joint")
-    outer = config.get("outer", {})
-    if not isinstance(outer, dict):
-        raise ConfigError("outer: expected an object")
-    unknown = sorted(set(outer) - {"weight_lower", "weight_upper", "grid_points", "method"})
-    if unknown:
-        raise ConfigError(f"outer: unknown keys {unknown}; the grid search takes "
-                          "'weight_lower', 'weight_upper' and 'grid_points'")
-    if outer.get("method", "grid") != "grid":
-        raise ConfigError(f"outer.method: unknown search {outer['method']!r}; use 'grid'")
-    cfg = BilevelConfig(
-        weight_lower=np.asarray(outer.get("weight_lower", [0.05, 0.05]), dtype=float),
-        weight_upper=np.asarray(outer.get("weight_upper", [1.0, 1.0]), dtype=float),
-        grid_points=outer.get("grid_points", 5),
-    )
-    map_doc = configio.check_keys(config.get("maps", {}), "maps", ("n_force", "n_velocity"))
-    maps = [
-        build_efficiency_map(
-            a,
-            *_default_grid(
-                a, "maps",
-                n_force=int(map_doc.get("n_force", 40)),
-                n_velocity=int(map_doc.get("n_velocity", 40)),
-            ),
-        )
-        for a in actuators
-    ]
+    cfg = configio.build_outer(config.get("outer"))
+    axes = configio.build_preset_axes(config.get("maps"), actuators)
+    maps = [build_efficiency_map(a, *ax) for a, ax in zip(actuators, axes)]
     result = solve_outer(cfg, problem, model, maps, jobs=jobs)
     doc = result.to_dict()
     doc["quartile_occupancy"] = quartile_occupancy(result.inner.v_x, result.inner.f_x, maps)
@@ -152,7 +90,7 @@ def run_bilevel(config: dict, out_dir, seed: int, jobs: int) -> dict:
     }
 
 
-def run_track(config: dict, out_dir, seed: int, jobs: int) -> dict:
+def run_track(config: dict, seed: int, jobs: int) -> dict:
     configio.check_keys(config, "config", (
         "trajectory", "actuators", "gains", "disturbance", "duration", "settle_time", "dt",
         "initial_position_error"), "a track config")
@@ -166,9 +104,8 @@ def run_track(config: dict, out_dir, seed: int, jobs: int) -> dict:
     if "trajectory" in doc:  # bilevel.json wraps the trajectory
         doc = doc["trajectory"]
     reference = TrajectoryResult.from_dict(doc)
-    actuators = configio.build_actuators(config.get("actuators", {"preset": "default"}))
-    gains = configio.build_gains(config.get("gains", {"preset": "published"}),
-                                 len(actuators))
+    actuators = configio.build_actuators(config.get("actuators"))
+    gains = configio.build_gains(config.get("gains"), len(actuators))
     disturbance = configio.build_disturbance(config.get("disturbance"), seed_offset=seed)
     duration = config.get("duration")
     settle_time = float(config.get("settle_time", 0.2))
@@ -203,7 +140,7 @@ def run_track(config: dict, out_dir, seed: int, jobs: int) -> dict:
     }
 
 
-def run_report(config: dict, out_dir, seed: int, jobs: int) -> dict:
+def run_report(config: dict, seed: int, jobs: int) -> dict:
     configio.check_keys(config, "config", ("artifacts", "actuators", "require_tracking"),
                         "a report config")
     art_dir = Path(config.get("artifacts", "."))
@@ -230,8 +167,9 @@ def run_report(config: dict, out_dir, seed: int, jobs: int) -> dict:
                 report[key] = doc[key]
     elif traj_path.exists():
         traj = check_not_empty(TrajectoryResult.from_dict(load_json(traj_path)))
-        actuators = configio.build_actuators(config.get("actuators", {"preset": "default"}))
-        maps = [build_efficiency_map(a, *_default_grid(a, "actuators")) for a in actuators]
+        actuators = configio.build_actuators(config.get("actuators"))
+        axes = configio.build_preset_axes(None, actuators, "actuators")
+        maps = [build_efficiency_map(a, *ax) for a, ax in zip(actuators, axes)]
         report["efficiency"] = efficiency_summary(traj.v_x, traj.f_x, map_eta_fns(maps))
         report["samples_outside_map"] = samples_outside_map(traj.v_x, traj.f_x, maps)
     else:
@@ -281,7 +219,7 @@ def main(argv=None) -> int:
     try:
         config_text = Path(args.config).read_text()
         config = load_json(args.config)
-        files = RUNNERS[args.command](config, args.out, args.seed, args.jobs)
+        files = RUNNERS[args.command](config, args.seed, args.jobs)
         write_artifacts(args.out, files, config_text, args.seed)
     except (ValueError, RuntimeError, FileNotFoundError) as exc:
         # ConfigError is a ValueError; model and solver errors exit 2 without a traceback

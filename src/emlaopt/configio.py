@@ -2,27 +2,30 @@
 
 All configuration is JSON (human-readable key/value, no environment
 variables).  Components can be given inline or pulled from the shipped
-presets with {"preset": "<name>"}.  Parse and validation errors carry the
-file position or the dotted field path that failed.
+presets with {"preset": "<name>"}; a builder given ``None`` builds its
+default preset.  A preset block takes only the keyword parameters of its
+preset function, and an inline block only the fields of the dataclass it
+builds (:func:`read`), so a key nothing reads is an error, never ignored.
+Parse and validation errors carry the file position or the dotted field
+path that failed.
 """
 
 import hashlib
+import inspect
 import json
-from dataclasses import replace
+from dataclasses import MISSING, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import presets
-from .chain import ClosedChainGeometry
+from .bilevel import BilevelConfig
 from .control import DisturbanceProfile, SubsystemGains, nominal_disturbance, published_gains
-from .drivetrain import DriveTrainParams
 from .effmap import EmlaModel
-from .losses import DriveConfig
 from .manipulator import ChainModel, ClosedChainStage, TelescopeStage
-from .pmsm import PmsmParams
 from .spatial import RigidBodyParams
-from .trajopt import NlpProblem
+from .trajopt import NlpProblem, check_count
 
 
 class ConfigError(ValueError):
@@ -40,217 +43,219 @@ def load_json(path) -> dict:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def _get(doc: dict, key: str, path: str, required=True, default=None):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    return doc[key]
-
-
-def check_keys(doc, path: str, takes, owner: str = "it") -> dict:
+def check_keys(doc, path: str, takes, owner: str = "it", required=()) -> dict:
     """``doc``, checked to be an object whose keys all lie in ``takes``, the
-    keys its reader reads; an unread key is an error, never ignored."""
+    keys its reader reads, and that holds every key of ``required``."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = sorted(set(doc) - set(takes))
     if unknown:
         keys = f"only {sorted(takes)}" if takes else "no other keys"
         raise ConfigError(f"{path}: {owner} takes {keys}, got unknown keys {unknown}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{path}.{key}: missing required field")
     return doc
 
 
-def check_preset(doc: dict, path: str, takes: dict) -> str:
-    """The preset name of ``doc``, checked against ``takes``, which maps each
-    preset name to the keys it reads beside "preset"; an unknown name or an
-    unread key is an error, never ignored."""
-    name = doc["preset"]
-    if name not in takes:
-        raise ConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(takes)}")
-    check_keys({k: v for k, v in doc.items() if k != "preset"}, path, takes[name],
-               f"the {name!r} preset")
-    return name
-
-
-def _vector(value, n, path):
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (n,):
-        raise ConfigError(f"{path}: expected a {n}-vector, got shape {arr.shape}")
-    return arr
-
-
-def build_actuator(doc: dict, path: str = "actuator") -> EmlaModel:
-    if "preset" in doc:
-        name = check_preset(doc, path, dict.fromkeys(presets.ACTUATOR_PRESETS, ()))
-        return presets.ACTUATOR_PRESETS[name]()
+def _call(build, path: str, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ``ValueError`` or ``TypeError`` it raises
+    turned into a ``ConfigError`` at ``path``."""
     try:
-        motor = PmsmParams(**_get(doc, "motor", path))
-        drivetrain = DriveTrainParams(**_get(doc, "drivetrain", path))
-        drive = DriveConfig(**_get(doc, "drive", path, required=False, default={}))
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return EmlaModel(
-        motor=motor, drivetrain=drivetrain, drive=drive, name=doc.get("name", "custom")
-    )
-
-
-def build_actuators(doc, path: str = "actuators") -> list:
-    if isinstance(doc, dict) and "preset" in doc:
-        check_preset(doc, path, {"default": ()})
-        return presets.actuators()
-    if not isinstance(doc, list):
-        raise ConfigError(f"{path}: expected a list of actuator configs or preset 'default'")
-    return [build_actuator(d, f"{path}[{i}]") for i, d in enumerate(doc)]
-
-
-def _body(doc: dict, path: str, gravity: float) -> RigidBodyParams:
-    mass = _get(doc, "mass", path)
-    inertia = np.asarray(_get(doc, "inertia", path), dtype=float)
-    if inertia.shape == (3,):
-        inertia = np.diag(inertia)
-    if inertia.shape != (3, 3):
-        raise ConfigError(f"{path}.inertia: expected 3 principal values or a 3x3 matrix")
-    com = _vector(_get(doc, "com", path), 3, f"{path}.com")
-    try:
-        return RigidBodyParams(
-            mass=mass, inertia=inertia, com_offset=com,
-            gravity=np.array([0.0, 0.0, gravity]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def build_manipulator(doc: dict, path: str = "manipulator") -> ChainModel:
-    if "preset" in doc:
-        check_preset(doc, path, {"default": ("gravity",)})
-        return presets.default_manipulator(gravity=doc.get("gravity", 9.81))
-    gravity = doc.get("gravity", 9.81)
-    stages = []
-    for i, sd in enumerate(_get(doc, "stages", path)):
-        spath = f"{path}.stages[{i}]"
-        kind = _get(sd, "type", spath)
-        try:
-            if kind == "closed_chain":
-                geom = ClosedChainGeometry(**_get(sd, "geometry", spath))
-                stages.append(
-                    ClosedChainStage(
-                        name=_get(sd, "name", spath),
-                        geometry=geom,
-                        hinge_pos=_vector(_get(sd, "hinge_pos", spath), 3, spath),
-                        anchor_pos=_vector(_get(sd, "anchor_pos", spath), 3, spath),
-                        boom=_body(_get(sd, "boom", spath), f"{spath}.boom", gravity),
-                        barrel=_body(_get(sd, "barrel", spath), f"{spath}.barrel", gravity),
-                        rod=_body(_get(sd, "rod", spath), f"{spath}.rod", gravity),
-                        mount_pos=_vector(_get(sd, "mount_pos", spath), 3, spath),
-                        mount_angle=sd.get("mount_angle", 0.0),
-                    )
-                )
-            elif kind == "telescope":
-                stages.append(
-                    TelescopeStage(
-                        name=_get(sd, "name", spath),
-                        carriage=_body(_get(sd, "carriage", spath), f"{spath}.carriage", gravity),
-                        slide_pos=_vector(_get(sd, "slide_pos", spath), 3, spath),
-                        stroke_min=_get(sd, "stroke_min", spath),
-                        stroke_max=_get(sd, "stroke_max", spath),
-                        mount_pos=_vector(_get(sd, "mount_pos", spath), 3, spath),
-                        mount_angle=sd.get("mount_angle", 0.0),
-                    )
-                )
-            else:
-                raise ConfigError(f"{spath}.type: unknown stage type {kind!r}")
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{spath}: {exc}") from exc
-    base_doc = _get(doc, "base", path)
-    return ChainModel(
-        base=_body(base_doc, f"{path}.base", gravity),
-        stages=tuple(stages),
-        base_pos=_vector(doc.get("base_pos", [0.0, 0.0, 0.0]), 3, f"{path}.base_pos"),
-        base_angle=doc.get("base_angle", 0.0),
-    )
-
-
-def build_problem(doc: dict, model: ChainModel, path: str = "problem") -> NlpProblem:
-    if "preset" in doc:
-        check_preset(doc, path, {"benchmark": ("n_partitions", "n_ctrl")})
-        return presets.benchmark_problem(
-            model,
-            n_partitions=doc.get("n_partitions", 50),
-            n_ctrl=doc.get("n_ctrl", 12),
-        )
-    n = model.n_joints
-    try:
-        kwargs = dict(
-            q_lower=_vector(_get(doc, "q_lower", path), n, f"{path}.q_lower"),
-            q_upper=_vector(_get(doc, "q_upper", path), n, f"{path}.q_upper"),
-            qd_lower=_vector(_get(doc, "qd_lower", path), n, f"{path}.qd_lower"),
-            qd_upper=_vector(_get(doc, "qd_upper", path), n, f"{path}.qd_upper"),
-            fx_lower=_vector(_get(doc, "fx_lower", path), n, f"{path}.fx_lower"),
-            fx_upper=_vector(_get(doc, "fx_upper", path), n, f"{path}.fx_upper"),
-            vx_lower=_vector(_get(doc, "vx_lower", path), n, f"{path}.vx_lower"),
-            vx_upper=_vector(_get(doc, "vx_upper", path), n, f"{path}.vx_upper"),
-            t_lower=_get(doc, "t_lower", path),
-            t_upper=_get(doc, "t_upper", path),
-            q_init=_vector(_get(doc, "q_init", path), n, f"{path}.q_init"),
-            q_final=_vector(_get(doc, "q_final", path), n, f"{path}.q_final"),
-            qd_init=_vector(_get(doc, "qd_init", path), n, f"{path}.qd_init"),
-            qd_final=_vector(_get(doc, "qd_final", path), n, f"{path}.qd_final"),
-        )
-        for opt in ("weights", "criterion_scales"):
-            if opt in doc:
-                kwargs[opt] = np.asarray(doc[opt], dtype=float)
-        for opt in ("degree", "n_ctrl", "n_partitions"):
-            if opt in doc:
-                kwargs[opt] = int(doc[opt])
-        for opt in ("ctrl_lower", "ctrl_upper"):
-            if opt in doc:
-                kwargs[opt] = _vector(doc[opt], n, f"{path}.{opt}")
-        return NlpProblem(**kwargs)
-    except ValueError as exc:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def read(cls, doc, path: str, convert=None, extra=()):
+    """A ``cls`` dataclass from the object ``doc``, whose keys are the fields
+    of ``cls`` plus the ``extra`` keys its caller reads itself.
+
+    A field without a default is required.  Its value goes through
+    ``convert[name]``, else ``convert[type]``, else, for a dataclass-typed
+    field, ``read`` of that class; a converter is called as
+    ``(value, path)``.  Otherwise the value goes to ``cls`` as it is.
+    """
+    convert = convert or {}
+    specs = fields(cls)
+    check_keys(doc, path, [f.name for f in specs] + list(extra), required=[
+        f.name for f in specs if f.default is MISSING and f.default_factory is MISSING])
+
+    def value(f):
+        conv = convert.get(f.name) or convert.get(f.type)
+        if conv is None and is_dataclass(f.type):
+            conv = partial(read, f.type)
+        key = f"{path}.{f.name}"
+        return doc[f.name] if conv is None else _call(conv, key, doc[f.name], key)
+
+    return _call(lambda: cls(**{f.name: value(f) for f in specs if f.name in doc}), path)
+
+
+def _preset(doc, path: str, choices: dict, *args):
+    """The preset block ``doc``, {"preset": name, **overrides}, built by
+    ``choices[name](*args, **overrides)``; the overrides it takes are the
+    preset function's parameters after ``args``.  ``None`` names the first
+    preset of ``choices``."""
+    name = next(iter(choices)) if doc is None else doc["preset"]
+    if not isinstance(name, str) or name not in choices:
+        raise ConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(choices)}")
+    overrides = {k: v for k, v in (doc or {}).items() if k != "preset"}
+    check_keys(overrides, path, _takes(choices[name], len(args)), f"the {name!r} preset")
+    return _call(choices[name], path, *args, **overrides)
+
+
+def _takes(function, n_args: int = 0) -> list:
+    return list(inspect.signature(function).parameters)[n_args:]
+
+
+def _is_preset(doc) -> bool:
+    """Whether ``doc`` is a preset block, or ``None`` for the default preset."""
+    return doc is None or isinstance(doc, dict) and "preset" in doc
+
+
+def _vector(n: int):
+    """A converter to an ``n``-vector of floats."""
+    def vector(value, path):
+        arr = np.asarray(value, dtype=float)
+        if arr.shape != (n,):
+            raise ConfigError(f"{path}: expected a {n}-vector, got shape {arr.shape}")
+        return arr
+    return vector
+
+
+def build_actuator(doc, path: str = "actuator") -> EmlaModel:
+    """A preset actuator or an inline one: the ``EmlaModel`` fields, with
+    ``motor``, ``drivetrain`` and ``drive`` blocks of their classes' fields."""
+    if doc is None:
+        raise ConfigError(f"{path}: missing required field")
+    if _is_preset(doc):
+        return _preset(doc, path, presets.ACTUATOR_PRESETS)
+    return read(EmlaModel, doc, path)
+
+
+def build_actuators(doc, path: str = "actuators") -> list:
+    """Preset 'default' (the default) or a list of actuator blocks."""
+    if _is_preset(doc):
+        return _preset(doc, path, {"default": presets.actuators})
+    if not isinstance(doc, list):
+        raise ConfigError(f"{path}: expected a list of actuator configs or preset 'default'")
+    return [build_actuator(d, f"{path}[{i}]") for i, d in enumerate(doc)]
+
+
+def _body(gravity):
+    """A converter from a body block {mass, inertia, com} to ``RigidBodyParams``
+    under ``gravity`` (the dataclass default when ``None``); ``inertia`` is 3
+    principal values or a 3x3 matrix."""
+    kwargs = {} if gravity is None else {"gravity": [0.0, 0.0, gravity]}
+
+    def body(doc, path):
+        check_keys(doc, path, ("mass", "inertia", "com"), "a body",
+                   required=("mass", "inertia", "com"))
+        inertia = _call(np.asarray, f"{path}.inertia", doc["inertia"], dtype=float)
+        if inertia.shape == (3,):
+            inertia = np.diag(inertia)
+        if inertia.shape != (3, 3):
+            raise ConfigError(f"{path}.inertia: expected 3 principal values or a 3x3 matrix")
+        return RigidBodyParams(mass=doc["mass"], inertia=inertia,
+                               com_offset=_vector(3)(doc["com"], f"{path}.com"), **kwargs)
+    return body
+
+
+STAGE_TYPES = {"closed_chain": ClosedChainStage, "telescope": TelescopeStage}
+
+
+def build_manipulator(doc, path: str = "manipulator") -> ChainModel:
+    """Preset 'default' (the default) or an inline chain: the ``ChainModel``
+    fields plus the ``gravity`` every body is built with; each stage holds the
+    fields of the class its ``type`` names in ``STAGE_TYPES``."""
+    if _is_preset(doc):
+        return _preset(doc, path, {"default": presets.default_manipulator})
+    gravity = doc.get("gravity") if isinstance(doc, dict) else None
+    convert = {RigidBodyParams: _body(gravity), np.ndarray: _vector(3)}
+
+    def stage(sd, spath):
+        kind = sd.get("type") if isinstance(sd, dict) else None
+        if not isinstance(kind, str) or kind not in STAGE_TYPES:
+            raise ConfigError(f"{spath}.type: need one of {sorted(STAGE_TYPES)}, got {kind!r}")
+        return read(STAGE_TYPES[kind], sd, spath, convert, extra=("type",))
+
+    def stages(docs, spath):
+        if not isinstance(docs, list):
+            raise ConfigError(f"{spath}: expected a list of stages")
+        return tuple(stage(sd, f"{spath}[{i}]") for i, sd in enumerate(docs))
+
+    return read(ChainModel, doc, path, dict(convert, stages=stages), extra=("gravity",))
+
+
+def build_problem(doc, model: ChainModel, path: str = "problem") -> NlpProblem:
+    """Preset 'benchmark' (the default) or an inline problem: the
+    ``NlpProblem`` fields, every array one entry per joint of ``model``
+    except the two ``weights`` and ``criterion_scales``."""
+    if _is_preset(doc):
+        return _preset(doc, path, {"benchmark": presets.benchmark_problem}, model)
+    return read(NlpProblem, doc, path, {np.ndarray: _vector(model.n_joints),
+                                        "weights": _vector(2), "criterion_scales": _vector(2)})
+
+
 def build_gains(doc, n_joints: int, path: str = "gains") -> list:
-    if isinstance(doc, dict) and "preset" in doc:
-        check_preset(doc, path, {"published": ()})
-        return [published_gains()] * n_joints
-    if isinstance(doc, dict):
-        try:
-            g = SubsystemGains(
-                delta=doc["delta"], epsilon=doc["epsilon"], k=doc["k"], sigma=doc["sigma"]
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return [g] * n_joints
+    """Preset 'published' (the default), one inline ``SubsystemGains`` block
+    for every joint, or a list of one block per joint."""
+    if _is_preset(doc):
+        return [_preset(doc, path, {"published": published_gains})] * n_joints
     if isinstance(doc, list):
         if len(doc) != n_joints:
             raise ConfigError(f"{path}: expected {n_joints} gain sets")
         return [build_gains(d, 1, f"{path}[{i}]")[0] for i, d in enumerate(doc)]
-    raise ConfigError(f"{path}: expected a gains object, list, or preset")
+    return [read(SubsystemGains, doc, path)] * n_joints
 
 
-def build_disturbance(doc: dict, seed_offset: int = 0, path: str = "disturbance") -> DisturbanceProfile:
-    """A preset ({"preset": "none"}, the default, or {"preset": "nominal"}) or
-    an inline profile; unknown presets and keys are errors, never a silent zero."""
-    doc = {"preset": "none"} if doc is None else doc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
-    if "preset" not in doc:
-        try:
-            d = DisturbanceProfile(**doc)
-            return replace(d, band_hz=tuple(d.band_hz), n_tones=int(d.n_tones),
-                           seed=int(d.seed) + seed_offset)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    bases = {"none": DisturbanceProfile(), "nominal": nominal_disturbance()}
-    base = bases[check_preset(doc, path, dict.fromkeys(bases, ()))]
-    return replace(base, seed=base.seed + seed_offset)
+def build_disturbance(doc, seed_offset: int = 0, path: str = "disturbance") -> DisturbanceProfile:
+    """Preset 'none' (the default) or 'nominal', or an inline profile of the
+    ``DisturbanceProfile`` fields; ``seed_offset`` is added to its seed."""
+    if _is_preset(doc):
+        base = _preset(doc, path,
+                       {"none": lambda: DisturbanceProfile(), "nominal": nominal_disturbance})
+    else:
+        base = read(DisturbanceProfile, doc, path)
+    return _call(replace, path, base, seed=base.seed + seed_offset)
+
+
+def build_outer(doc, path: str = "outer") -> BilevelConfig:
+    """The leader's lattice: the ``BilevelConfig`` fields (all optional) plus
+    an optional ``"method": "grid"``, the one search there is."""
+    config = read(BilevelConfig, {} if doc is None else doc, path, extra=("method",))
+    if doc and doc.get("method", "grid") != "grid":
+        raise ConfigError(f"{path}.method: unknown search {doc['method']!r}; use 'grid'")
+    return config
+
+
+def _axis(spec, path: str) -> np.ndarray:
+    try:
+        lo, hi, n = spec
+        return np.linspace(float(lo), float(hi), check_count(n, "n"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: need a grid specification [lo, hi, n] with an integer "
+                          f"n, got {spec!r}") from exc
+
+
+def build_map_axes(doc, actuator: EmlaModel, path: str = "grid"):
+    """The (force, velocity) axes of ``actuator``'s efficiency map: preset
+    'default' (the default), the actuator's rated envelope, or explicit axes
+    {"force": [lo, hi, n], "velocity": [lo, hi, n]}."""
+    if _is_preset(doc):
+        return _preset(doc, path, {"default": presets.default_map_grid}, actuator)
+    check_keys(doc, path, ("force", "velocity"), "an explicit grid",
+               required=("force", "velocity"))
+    return _axis(doc["force"], f"{path}.force"), _axis(doc["velocity"], f"{path}.velocity")
+
+
+def build_preset_axes(doc, actuators, path: str = "maps") -> list:
+    """The preset map axes of each of ``actuators``; ``doc`` holds only the
+    point counts the 'default' map grid takes."""
+    counts = check_keys({} if doc is None else doc, path, _takes(presets.default_map_grid, 1))
+    return [_call(presets.default_map_grid, path, a, **counts) for a in actuators]
 
 
 def sha256_bytes(data: bytes) -> str:

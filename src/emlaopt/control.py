@@ -41,7 +41,7 @@ from .drivetrain import DriveTrainParams, equivalent_params
 from .effmap import EmlaModel
 from .pmsm import PmsmParams, electromagnetic_torque, torque_to_iq
 from .statespace import emla_rhs, stack_params
-from .trajopt import TrajectoryResult
+from .trajopt import TrajectoryResult, check_count
 
 # Radau step cap [s], measured on the stored 5x5 grid winner (first 2 s,
 # nominal disturbance with seed 8, rtol 1e-6, atol 1e-8).  Left free, Radau
@@ -123,6 +123,11 @@ class DisturbanceProfile:
     band_hz: tuple = (0.2, 8.0)
     n_tones: int = 24
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "band_hz", tuple(self.band_hz))
+        check_count(self.n_tones, "n_tones")
+        check_count(self.seed, "seed", minimum=0)
 
     def bound(self, peak_force: float) -> float:
         """Recorded sup-norm bound of the additive force disturbance."""

@@ -8,7 +8,7 @@ never clamped or zeroed.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class EmlaModel:
 
     motor: PmsmParams
     drivetrain: DriveTrainParams
-    drive: DriveConfig
+    drive: DriveConfig = field(default_factory=DriveConfig)
     name: str = "emla"
 
     def steady_state(self, f_x, v_x):

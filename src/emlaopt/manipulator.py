@@ -22,7 +22,7 @@ compute the dynamics:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class ChainModel:
 
     base: RigidBodyParams
     stages: tuple
-    base_pos: np.ndarray
+    base_pos: np.ndarray = field(default_factory=lambda: np.zeros(3))
     base_angle: float = 0.0
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ from .losses import DriveConfig
 from .manipulator import ChainModel, ClosedChainStage, TelescopeStage
 from .pmsm import PmsmParams
 from .spatial import RigidBodyParams
-from .trajopt import NlpProblem
+from .trajopt import NlpProblem, check_count
 
 
 def _planar_body(mass, iyy, com, gravity=9.81):
@@ -150,6 +150,12 @@ MAP_ENVELOPES = {
 def default_map_grid(model: EmlaModel, n_force: int = 40, n_velocity: int = 40):
     """Motoring-quadrant grid spanning a preset actuator's rated envelope
     (``MAP_ENVELOPES``, keyed by ``model.name``)."""
+    if model.name not in MAP_ENVELOPES:
+        raise ValueError(f"actuator {model.name!r} has no default map grid (presets: "
+                         f"{sorted(MAP_ENVELOPES)}); give explicit 'force' and 'velocity' "
+                         "axes [lo, hi, n]")
+    check_count(n_force, "n_force")
+    check_count(n_velocity, "n_velocity")
     (f_lo, f_hi), (v_lo, v_hi) = MAP_ENVELOPES[model.name]
     return np.linspace(f_lo, f_hi, n_force), np.linspace(v_lo, v_hi, n_velocity)
 

@@ -13,6 +13,7 @@ the inverse dynamics, and every gradient and Jacobian is read from them.
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -66,6 +67,14 @@ def check_weights(weights, name: str = "weights") -> np.ndarray:
     return w
 
 
+def check_count(n, name: str, minimum: int = 1):
+    """``n``, checked to be an integer (not a bool) >= ``minimum``; raises
+    ``ValueError`` rather than truncate a float."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class NlpProblem:
     """Bounds, boundary states and transcription settings for one solve.
@@ -114,6 +123,8 @@ class NlpProblem:
             if np.any(np.asarray(lo) > np.asarray(hi)):
                 raise ValueError("lower bounds must not exceed upper bounds")
         check_weights(self.weights)
+        for name in ("degree", "n_ctrl", "n_partitions"):
+            check_count(getattr(self, name), name)
         if self.ctrl_lower is None:
             pad = 0.1 * (self.q_upper - self.q_lower)
             object.__setattr__(self, "ctrl_lower", self.q_lower - pad)

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,7 +10,13 @@ from emlaopt.cli import main
 from emlaopt.configio import ConfigError, build_actuator, build_gains, load_json
 from emlaopt.presets import lift_emla
 from conftest import constant_pose_reference
-from test_configio import INLINE_ACTUATOR
+from test_configio import (
+    ACTUATOR_DOC,
+    GAINS_DOC,
+    INLINE_ACTUATOR,
+    MANIPULATOR_DOC,
+    PROBLEM_DOC,
+)
 
 
 def write(tmp_path, name, doc):
@@ -258,7 +265,7 @@ def test_bilevel_invalid_weight_lower_exits_2(tmp_path, capsys, monkeypatch, low
     })
     assert run(["bilevel", "--config", cfg, "--out", str(tmp_path / "bl")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: weight_lower must be") and "Traceback" not in err
+    assert err.startswith("error: outer: weight_lower must be") and "Traceback" not in err
     assert not (tmp_path / "bl" / "manifest.json").exists()
 
 
@@ -266,8 +273,9 @@ def test_bilevel_invalid_weight_lower_exits_2(tmp_path, capsys, monkeypatch, low
     ({"grid_points": 0}, "grid_points must be"),
     ({"grid_points": 2.5}, "grid_points must be"),
     ({"method": "nelder-mead"}, "outer.method"),
-    ({"maxiter": 40}, "outer: unknown keys"),
-    ({"warm_start": False}, "outer: unknown keys"),
+    ({"maxiter": 40}, "outer: it takes only ['grid_points', 'method', 'weight_lower', "
+                      "'weight_upper'], got unknown keys ['maxiter']"),
+    ({"warm_start": False}, "got unknown keys ['warm_start']"),
 ])
 def test_bilevel_invalid_outer_block_exits_2(tmp_path, capsys, monkeypatch, outer, match):
     # grid_points 0 used to build the maps and solve the centre point first;
@@ -451,3 +459,108 @@ def test_invalid_config_exit_code(tmp_path):
     cfg = write(tmp_path, "map.json", {"actuator": {"preset": "nope"}})
     assert run(["map", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+class WorkStarted(Exception):
+    """Raised where a run would build a map, solve or integrate."""
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def work(*args, **kwargs):
+        raise WorkStarted
+
+    for name in ("build_efficiency_map", "solve_inner", "solve_outer", "simulate_tracking"):
+        monkeypatch.setattr(f"emlaopt.cli.{name}", work)
+
+
+def _with(doc, where, **extra):
+    """A copy of ``doc`` whose block at ``where`` also holds ``extra``."""
+    doc = json.loads(json.dumps(doc))
+    block = doc
+    for key in where:
+        block = block[key]
+    block.update(extra)
+    return doc
+
+
+EXPLICIT_GRID = {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}
+
+
+@pytest.mark.parametrize("command, cfg, match", [
+    ("trajopt", {"problem": _with(PROBLEM_DOC, (), n_partition=20, wieghts=[0.9, 0.1])},
+     "problem: it takes only ['criterion_scales', 'ctrl_lower', 'ctrl_upper', 'degree', "),
+    ("trajopt", {"manipulator": _with(MANIPULATOR_DOC, (), base_angel=0.1)},
+     "manipulator: it takes only ['base', 'base_angle', 'base_pos', 'gravity', 'stages'], "
+     "got unknown keys ['base_angel']"),
+    ("trajopt", {"manipulator": _with(MANIPULATOR_DOC, ("stages", 1), mount_angel=0.1)},
+     "manipulator.stages[1]: it takes only ["),
+    ("trajopt", {"manipulator": _with(MANIPULATOR_DOC, ("stages", 0, "boom"), gravity=1.62)},
+     "manipulator.stages[0].boom: a body takes only ['com', 'inertia', 'mass'], "
+     "got unknown keys ['gravity']"),
+    ("track", {"gains": _with(GAINS_DOC, (), kappa=2.0)},
+     "gains: it takes only ['delta', 'epsilon', 'k', 'sigma'], got unknown keys ['kappa']"),
+    ("map", {"actuator": _with(ACTUATOR_DOC, (), max_current=1.0), "grid": EXPLICIT_GRID},
+     "actuator: it takes only ['drive', 'drivetrain', 'motor', 'name'], "
+     "got unknown keys ['max_current']"),
+    ("map", {"actuator": {"preset": "lift_6kw"}, "grid": dict(EXPLICIT_GRID, n_points=8)},
+     "grid: an explicit grid takes only ['force', 'velocity'], got unknown keys ['n_points']"),
+    ("trajopt", {"problem": {"preset": "benchmark", "n_partitions": 20.5}},
+     "problem: n_partitions must be an integer >= 1, got 20.5"),
+    ("trajopt", {"problem": {"preset": "benchmark", "n_ctrl": 8.0}},
+     "problem: n_ctrl must be an integer >= 1, got 8.0"),
+    ("trajopt", {"problem": {"preset": "benchmark", "n_partitions": True}},
+     "problem: n_partitions must be an integer >= 1, got True"),
+    ("trajopt", {"problem": dict(PROBLEM_DOC, n_partitions=20.5)},
+     "problem: n_partitions must be an integer >= 1, got 20.5"),
+    ("trajopt", {"problem": dict(PROBLEM_DOC, degree=5.0)},
+     "problem: degree must be an integer >= 1, got 5.0"),
+    ("map", {"actuator": {"preset": "lift_6kw"},
+             "grid": dict(EXPLICIT_GRID, force=[12000, 42000, 5.7])},
+     "grid.force: need a grid specification [lo, hi, n] with an integer n"),
+    ("map", {"actuator": {"preset": "lift_6kw"}, "grid": {"preset": "default", "n_force": 12.5}},
+     "grid: n_force must be an integer >= 1, got 12.5"),
+    ("bilevel", dict(BL_CFG, maps={"n_velocity": 7.5}),
+     "maps: n_velocity must be an integer >= 1, got 7.5"),
+    ("track", {"disturbance": {"force_noise_std": 0.02, "n_tones": 24.5}},
+     "disturbance: n_tones must be an integer >= 1, got 24.5"),
+    ("track", {"disturbance": {"seed": 1.5}}, "disturbance: seed must be an integer >= 0"),
+], ids=["problem", "manipulator", "stage", "body", "gains", "actuator", "grid",
+        "count-preset-float", "count-preset-integral-float", "count-preset-bool",
+        "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
+        "count-maps-n", "count-n_tones", "count-seed"])
+def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
+                                                command, cfg, match):
+    # each inline case ran without the named key: M = 50 with weights
+    # (0.5, 0.5), angles of 0.0, g = 9.81, the published gains, the
+    # actuator's own limit, a 5 x 5 map.  Of the counts, the preset's 20.5
+    # and 8.0 ended in a TypeError traceback, true solved with M = 1, and
+    # every other float was cut to an integer
+    if command == "track":
+        cfg = dict(cfg, trajectory=pose_reference)
+    path = write(tmp_path, "cfg.json", cfg)
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# a key only one command's config holds, in the order they are looked for
+COMMAND_KEYS = (("trajectory", "track"), ("artifacts", "report"), ("outer", "bilevel"),
+                ("actuator", "map"), ("problem", "trajopt"))
+
+
+def test_readme_configs_are_accepted(tmp_path, no_work, pose_reference):
+    # the README's config examples run up to the work, so the documented
+    # schema and the strict readers agree
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 3
+    for i, text in enumerate(blocks):
+        doc = json.loads(text)
+        command = next(c for key, c in COMMAND_KEYS if key in doc)
+        if command == "track":
+            doc["trajectory"] = pose_reference
+        path = write(tmp_path, f"readme_{i}.json", doc)
+        with pytest.raises(WorkStarted):
+            run([command, "--config", path, "--out", str(tmp_path / f"o{i}")])

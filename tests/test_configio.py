@@ -1,18 +1,29 @@
-from dataclasses import replace
+import copy
+import json
+import re
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emlaopt.bilevel import BilevelConfig
 from emlaopt.configio import (
     ConfigError,
     build_actuator,
     build_disturbance,
+    build_gains,
     build_manipulator,
+    build_map_axes,
+    build_outer,
+    build_preset_axes,
     build_problem,
 )
-from emlaopt.control import DisturbanceProfile, nominal_disturbance
-from emlaopt.manipulator import rnea
-from emlaopt.presets import benchmark_problem, default_manipulator
+from emlaopt.control import DisturbanceProfile, nominal_disturbance, published_gains
+from emlaopt.manipulator import ClosedChainStage, rnea
+from emlaopt.presets import benchmark_problem, default_manipulator, lift_emla
+from emlaopt.spatial import RigidBodyParams
 
 
 INLINE_ACTUATOR = {
@@ -136,3 +147,113 @@ def test_vector_shape_diagnostic(model):
     doc = {"preset": "benchmark"}
     p = build_problem(doc, model)
     assert p.n_joints == model.n_joints
+
+
+def to_doc(value):
+    """``value`` written as the inline config block that builds it: a body as
+    {mass, inertia, com}, a dataclass as its fields, an array as a list."""
+    if isinstance(value, RigidBodyParams):
+        return {"mass": value.mass, "inertia": value.inertia.tolist(),
+                "com": value.com_offset.tolist()}
+    if is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [to_doc(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+MODEL = default_manipulator()
+ACTUATOR_DOC = to_doc(lift_emla())
+MANIPULATOR_DOC = dict(to_doc(MODEL), gravity=9.81)
+for _stage, _doc in zip(MODEL.stages, MANIPULATOR_DOC["stages"]):
+    _doc["type"] = "closed_chain" if isinstance(_stage, ClosedChainStage) else "telescope"
+PROBLEM_DOC = to_doc(benchmark_problem(MODEL, n_partitions=16, n_ctrl=8))
+GAINS_DOC = to_doc(published_gains())
+
+
+@pytest.mark.parametrize("build, doc", [
+    (build_actuator, ACTUATOR_DOC),
+    (lambda d: build_problem(d, MODEL), PROBLEM_DOC),
+    (lambda d: build_gains(d, 1)[0], GAINS_DOC),
+    (build_disturbance, to_doc(nominal_disturbance())),
+    (build_outer, to_doc(BilevelConfig())),
+], ids=["actuator", "problem", "gains", "disturbance", "outer"])
+def test_inline_block_of_a_preset_builds_it_again(build, doc):
+    # every field the block names reaches the object, through a JSON round trip
+    assert to_doc(build(json.loads(json.dumps(doc)))) == doc
+
+
+def test_inline_manipulator_of_the_preset_builds_it_again():
+    model = build_manipulator(json.loads(json.dumps(MANIPULATOR_DOC)))
+    assert to_doc(model) == to_doc(MODEL)
+    lo, hi = MODEL.stroke_limits()
+    q = 0.5 * (lo + hi)
+    assert np.array_equal(rnea(model, q, 0.1 * q, q)[1], rnea(MODEL, q, 0.1 * q, q)[1])
+
+
+ALL = None  # every key of the block is optional
+# (builder, config, where the block sits in it, its path, its optional keys)
+BLOCKS = [
+    (build_actuator, ACTUATOR_DOC, (), "actuator", {"drive", "name"}),
+    (build_actuator, ACTUATOR_DOC, ("motor",), "actuator.motor", set()),
+    (build_actuator, ACTUATOR_DOC, ("drivetrain",), "actuator.drivetrain", set()),
+    (build_actuator, ACTUATOR_DOC, ("drive",), "actuator.drive", ALL),
+    (build_actuator, {"preset": "lift_6kw"}, (), "actuator", ALL),
+    (build_manipulator, MANIPULATOR_DOC, (), "manipulator", {"gravity", "base_pos", "base_angle"}),
+    (build_manipulator, MANIPULATOR_DOC, ("base",), "manipulator.base", set()),
+    (build_manipulator, MANIPULATOR_DOC, ("stages", 0), "manipulator.stages[0]", {"mount_angle"}),
+    (build_manipulator, MANIPULATOR_DOC, ("stages", 0, "geometry"),
+     "manipulator.stages[0].geometry", set()),
+    (build_manipulator, MANIPULATOR_DOC, ("stages", 1, "rod"), "manipulator.stages[1].rod", set()),
+    (build_manipulator, MANIPULATOR_DOC, ("stages", 2), "manipulator.stages[2]", {"mount_angle"}),
+    (build_manipulator, {"preset": "default", "gravity": 9.81}, (), "manipulator", ALL),
+    (lambda d: build_problem(d, MODEL), PROBLEM_DOC, (), "problem",
+     {"weights", "criterion_scales", "degree", "n_ctrl", "n_partitions", "ctrl_lower",
+      "ctrl_upper"}),
+    (lambda d: build_problem(d, MODEL), {"preset": "benchmark", "n_partitions": 16}, (),
+     "problem", ALL),
+    (lambda d: build_gains(d, 3), GAINS_DOC, (), "gains", set()),
+    (lambda d: build_gains(d, 3), [dict(GAINS_DOC) for _ in range(3)], (1,), "gains[1]",
+     set()),
+    (lambda d: build_gains(d, 3), {"preset": "published"}, (), "gains", ALL),
+    (build_disturbance, to_doc(nominal_disturbance()), (), "disturbance", ALL),
+    (build_disturbance, {"preset": "nominal"}, (), "disturbance", ALL),
+    (build_outer, dict(to_doc(BilevelConfig()), method="grid"), (), "outer", ALL),
+    (lambda d: build_map_axes(d, lift_emla()),
+     {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}, (), "grid", set()),
+    (lambda d: build_map_axes(d, lift_emla()), {"preset": "default", "n_force": 12}, (),
+     "grid", ALL),
+    (lambda d: build_preset_axes(d, [lift_emla()]), {"n_force": 12, "n_velocity": 12}, (),
+     "maps", ALL),
+]
+
+
+def _at(doc, where):
+    for key in where:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("build, doc, where, path, optional", BLOCKS,
+                         ids=[f"{b[3]}-{'preset' if 'preset' in _at(b[1], b[2]) else 'inline'}"
+                              for b in BLOCKS])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_block_names_an_unread_or_missing_key(build, doc, where, path, optional, data):
+    block = _at(doc, where)
+    build(copy.deepcopy(doc))  # the block as written builds
+    # "preset" is in every block's schema: it turns an inline block into a preset one
+    key = data.draw(st.text(min_size=1, max_size=12).filter(
+        lambda k: k not in block and k != "preset"), label="unread key")
+    bad = copy.deepcopy(doc)
+    _at(bad, where)[key] = 1.0
+    with pytest.raises(ConfigError) as exc:
+        build(bad)
+    assert str(exc.value).startswith(f"{path}: ") and repr(key) in str(exc.value)
+    if optional is ALL or not set(block) - optional:
+        return
+    dropped = data.draw(st.sampled_from(sorted(set(block) - optional)), label="dropped key")
+    bad = copy.deepcopy(doc)
+    del _at(bad, where)[dropped]
+    with pytest.raises(ConfigError, match=re.escape(f"{path}.{dropped}")):
+        build(bad)
