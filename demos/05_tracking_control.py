@@ -27,9 +27,10 @@ print(f"reference: {reference.t_final:.2f} s move, peak speeds "
       f"{np.round(np.abs(reference.v_x).max(axis=0) * 1e3, 1)} mm/s")
 
 acts = actuators()
-gains = published_gains()
-print(f"gains: delta={gains.delta[0]:.0f}, eps={gains.epsilon[0]:.0f}, "
-      f"k={gains.k[0]:.0f}, sigma={gains.sigma[0]:.0f}")
+gains = [published_gains()] * len(acts)
+g = gains[0]
+print(f"gains: delta={g.delta[0]:.0f}, eps={g.epsilon[0]:.0f}, "
+      f"k={g.k[0]:.0f}, sigma={g.sigma[0]:.0f}")
 
 for label, dist in (("nominal plant, no disturbance", None),
                     ("2% load noise + 5% parameter skew", nominal_disturbance())):

@@ -14,7 +14,7 @@ from .bilevel import (
     solve_outer,
     total_efficiency,
 )
-from .bspline import SplineTrajectory, basis_matrices, clamped_knots
+from .bspline import basis_matrices, clamped_knots
 from .chain import ClosedChainGeometry, StrokeRangeError, closure_rates, loop_closure
 from .control import (
     DisturbanceProfile,
@@ -32,7 +32,7 @@ from .control import (
 )
 from .drivetrain import DriveTrainParams, equivalent_params, linear_stiffness, rotary_linear_map
 from .effmap import EfficiencyMap, EmlaModel, build_efficiency_map, map_from_json, map_to_csv, map_to_json
-from .losses import DriveConfig, LossBreakdown, RegenerationError, efficiency, loss_breakdown
+from .losses import DriveConfig, LossBreakdown, efficiency, loss_breakdown
 from .manipulator import (
     ChainModel,
     ClosedChainStage,
@@ -55,7 +55,6 @@ from .spatial import RigidBodyParams, net_force, skew
 from .statespace import OperatingPoint, emla_rhs, linearize, stack_params
 from .trajopt import (
     NlpProblem,
-    TimeGrid,
     TrajectoryResult,
     criterion_effort,
     criterion_power,

@@ -21,6 +21,30 @@ from .manipulator import ChainModel, SingularConfigurationError, rnea
 from .trajopt import NlpProblem, TrajectoryResult, check_count, check_weights, solve_inner
 
 
+def _rate(v, f, eta_fns):
+    """Per-sample, per-joint efficiency table: eta_fns[i] called once, on
+    joint i's whole column of (f, v)."""
+    eta = np.empty(f.shape)
+    for i in range(f.shape[-1]):
+        eta[..., i] = eta_fns[i](f[..., i], v[..., i])
+    return eta
+
+
+def _combine(p, eta):
+    """(eta_act, flagged) per sample from the joint powers p and the joint
+    efficiencies eta, both (..., n_joints); see :func:`total_efficiency`."""
+    shape = p.shape[:-1]
+    num = np.zeros(shape)
+    den = np.zeros(shape)
+    flagged = ~np.any(p > 0.0, axis=-1)
+    for i in range(p.shape[-1]):
+        active = p[..., i] > 0.0
+        flagged |= active & (eta[..., i] <= 0.0)
+        num += np.where(active, p[..., i], 0.0)
+        den += np.divide(p[..., i], eta[..., i], out=np.zeros(shape), where=active & ~flagged)
+    return np.divide(num, den, out=np.zeros(shape), where=~flagged), flagged
+
+
 def total_efficiency(v_x, f_x, eta_fns):
     """Combined efficiency of all actuators, per sample.
 
@@ -33,18 +57,7 @@ def total_efficiency(v_x, f_x, eta_fns):
     """
     v = np.asarray(v_x, dtype=float)
     f = np.asarray(f_x, dtype=float)
-    p = f * v
-    shape = p.shape[:-1]
-    num = np.zeros(shape)
-    den = np.zeros(shape)
-    flagged = ~np.any(p > 0.0, axis=-1)
-    for i in range(p.shape[-1]):
-        active = p[..., i] > 0.0
-        eta_i = eta_fns[i](f[..., i], v[..., i])
-        flagged |= active & (eta_i <= 0.0)
-        num += np.where(active, p[..., i], 0.0)
-        den += np.divide(p[..., i], eta_i, out=np.zeros(shape), where=active & ~flagged)
-    eta = np.divide(num, den, out=np.zeros(shape), where=~flagged)
+    eta, flagged = _combine(f * v, _rate(v, f, eta_fns))
     return eta[()], flagged[()]
 
 
@@ -60,30 +73,26 @@ def efficiency_summary(v_x, f_x, eta_fns) -> dict:
 
     Per joint: delivered energy / drawn energy over its motoring samples.
     Total: same ratio summed across joints (the power-weighted time mean
-    of the per-sample combined efficiency).  Each eta_fns[i] is called on
-    joint i's motoring samples at once.
+    of the per-sample combined efficiency).  Each eta_fns[i] is called
+    once, on joint i's whole column, and every figure is read from that
+    one table.
     """
     v = np.asarray(v_x, dtype=float)
     f = np.asarray(f_x, dtype=float)
     p = f * v
-    n = p.shape[1]
+    eta = _rate(v, f, eta_fns)
     per_joint = []
     num_tot = 0.0
     den_tot = 0.0
-    for i in range(n):
-        mask = p[:, i] > 0
-        if not np.any(mask):
-            per_joint.append(0.0)
-            continue
-        etas = eta_fns[i](f[mask, i], v[mask, i])
-        good = etas > 0
-        num = float(np.sum(p[mask, i][good]))
-        den = float(np.sum(p[mask, i][good] / etas[good]))
+    for i in range(p.shape[1]):
+        good = (p[:, i] > 0) & (eta[:, i] > 0)
+        num = float(np.sum(p[good, i]))
+        den = float(np.sum(p[good, i] / eta[good, i]))
         per_joint.append(num / den if den > 0 else 0.0)
         num_tot += num
         den_tot += den
     total = num_tot / den_tot if den_tot > 0 else 0.0
-    eta_samples, flagged = total_efficiency(v, f, eta_fns)
+    eta_samples, flagged = _combine(p, eta)
     return {
         "per_joint": per_joint,
         "total": total,

@@ -41,12 +41,12 @@ from .trajopt import TrajectoryResult, solve_inner
 def run_map(config: dict, seed: int, jobs: int) -> dict:
     configio.check_keys(config, "config", ("actuator", "grid", "allow_regeneration"),
                         "a map config")
+    regeneration = config.get("allow_regeneration", False)
+    if not isinstance(regeneration, bool):
+        raise ConfigError(f"allow_regeneration: expected true or false, got {regeneration!r}")
     actuator = configio.build_actuator(config.get("actuator"))
     force, velocity = configio.build_map_axes(config.get("grid"), actuator)
-    emap = build_efficiency_map(
-        actuator, force, velocity,
-        allow_regeneration=bool(config.get("allow_regeneration", False)),
-    )
+    emap = build_efficiency_map(actuator, force, velocity, allow_regeneration=regeneration)
     return {"efficiency_map.csv": map_to_csv(emap), "efficiency_map.json": map_to_json(emap)}
 
 
@@ -94,9 +94,13 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
     configio.check_keys(config, "config", (
         "trajectory", "actuators", "gains", "disturbance", "duration", "settle_time", "dt",
         "initial_position_error"), "a track config")
-    dt = config.get("dt", 2e-3)
-    if not (isinstance(dt, (int, float)) and np.isfinite(dt) and dt > 0):
-        raise ConfigError(f"dt: the output sampling step must be finite and > 0, got {dt!r}")
+    dt = configio.number(config.get("dt", 2e-3), "dt")
+    if dt <= 0:
+        raise ConfigError(f"dt: the output sampling step must be > 0, got {dt!r}")
+    duration = config.get("duration")
+    if duration is not None:
+        duration = configio.number(duration, "duration")
+    settle_time = configio.number(config.get("settle_time", 0.2), "settle_time")
     traj_path = config.get("trajectory")
     if traj_path is None:
         raise ConfigError("trajectory: path to a trajectory.json or bilevel.json required")
@@ -107,9 +111,7 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
     actuators = configio.build_actuators(config.get("actuators"))
     gains = configio.build_gains(config.get("gains"), len(actuators))
     disturbance = configio.build_disturbance(config.get("disturbance"), seed_offset=seed)
-    duration = config.get("duration")
-    settle_time = float(config.get("settle_time", 0.2))
-    if (reference.t_final if duration is None else float(duration)) <= settle_time:
+    if (reference.t_final if duration is None else duration) <= settle_time:
         raise ConfigError(f"duration: the run must outlast settle_time = {settle_time} s, "
                           "after which the tracking errors are measured")
     traces = simulate_tracking(
@@ -117,7 +119,7 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
         reference,
         gains,
         disturbance=disturbance,
-        dt=float(dt),
+        dt=dt,
         initial_position_error=config.get("initial_position_error"),
         duration=duration,
     )
@@ -158,6 +160,10 @@ def run_report(config: dict, seed: int, jobs: int) -> dict:
 
     if bilevel_path.exists():
         doc = load_json(bilevel_path)
+        lacking = [k for k in ("weights_opt", "outer_value", "summary", "trajectory")
+                   if k not in doc]
+        if lacking:
+            raise ConfigError(f"{bilevel_path}: missing {', '.join(lacking)}")
         traj = check_not_empty(TrajectoryResult.from_dict(doc["trajectory"]))
         report["weights_opt"] = doc["weights_opt"]
         report["outer_value"] = doc["outer_value"]

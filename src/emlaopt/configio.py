@@ -58,6 +58,13 @@ def check_keys(doc, path: str, takes, owner: str = "it", required=()) -> dict:
     return doc
 
 
+def number(value, path: str) -> float:
+    """``value``, checked to be a finite JSON number (not a bool or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _call(build, path: str, *args, **kwargs):
     """``build(*args, **kwargs)``, a ``ValueError`` or ``TypeError`` it raises
     turned into a ``ConfigError`` at ``path``."""
@@ -170,9 +177,11 @@ def build_manipulator(doc, path: str = "manipulator") -> ChainModel:
     """Preset 'default' (the default) or an inline chain: the ``ChainModel``
     fields plus the ``gravity`` every body is built with; each stage holds the
     fields of the class its ``type`` names in ``STAGE_TYPES``."""
+    gravity = doc.get("gravity") if isinstance(doc, dict) else None
+    if gravity is not None:
+        number(gravity, f"{path}.gravity")
     if _is_preset(doc):
         return _preset(doc, path, {"default": presets.default_manipulator})
-    gravity = doc.get("gravity") if isinstance(doc, dict) else None
     convert = {RigidBodyParams: _body(gravity), np.ndarray: _vector(3)}
 
     def stage(sd, spath):

@@ -182,8 +182,6 @@ class TrackingTraces:
     force_em: np.ndarray  # electromagnetic force tau_m / f_eq
     force_ref: np.ndarray  # load-force reference from the trajectory
     lyapunov: np.ndarray
-    gains: list
-    disturbance: DisturbanceProfile
     solver: dict  # Radau status, message, nfev, njev, nlu, nsteps, max_step
 
 
@@ -260,13 +258,12 @@ def simulate_tracking(
     Jacobian, and its steps are capped at :data:`RADAU_MAX_STEP`, a
     measured bound past which those iterations fail.  ``solver`` records
     its status, work counters, accepted steps (``nsteps``) and the step
-    cap (``max_step``).
+    cap (``max_step``).  ``gains`` holds one :class:`SubsystemGains` per
+    actuator.
     """
     n_a = reference.q.shape[1]
-    if len(actuator_models) != n_a:
-        raise ValueError("one actuator model per joint required")
-    if isinstance(gains, SubsystemGains):
-        gains = [gains] * n_a
+    if len(actuator_models) != n_a or len(gains) != n_a:
+        raise ValueError("one actuator model and one gain set per joint required")
     disturbance = disturbance or DisturbanceProfile()
     duration = reference.t_final if duration is None else duration
 
@@ -448,8 +445,6 @@ def simulate_tracking(
         force_em=electromagnetic_torque(motor, i_d, i_q) / f_eq,
         force_ref=np.where(colloc_hit, reference.f_x[k], f_ref),
         lyapunov=None,
-        gains=list(gains),
-        disturbance=disturbance,
         solver={"status": int(sol.status), "message": str(sol.message),
                 "nfev": int(sol.nfev), "njev": int(sol.njev), "nlu": int(sol.nlu),
                 "nsteps": len(checks) - 1, "max_step": RADAU_MAX_STEP},
@@ -458,19 +453,15 @@ def simulate_tracking(
     return traces
 
 
-def lyapunov_value(traces: TrackingTraces, gains, phi_star=None) -> np.ndarray:
-    """V(t) = 1/2 sum_i sum_nu (Q^2 + (phi - phi*)^2 / k)."""
-    if isinstance(gains, SubsystemGains):
-        gains = [gains] * traces.q_err.shape[1]
+def lyapunov_value(traces: TrackingTraces, gains) -> np.ndarray:
+    """V(t) = 1/2 sum_i sum_nu (Q^2 + phi^2 / k), with phi* = 0 and one gain
+    set per actuator."""
     n_t, n_a, _ = traces.q_err.shape
-    if phi_star is None:
-        phi_star = np.zeros((n_a, 4))
-    phi_star = np.broadcast_to(np.asarray(phi_star, dtype=float), (n_a, 4))
     v = np.zeros(n_t)
     for j in range(n_a):
         k = gains[j].k
         v += 0.5 * np.sum(traces.q_err[:, j, :] ** 2, axis=1)
-        v += 0.5 * np.sum((traces.phi[:, j, :] - phi_star[j]) ** 2 / k, axis=1)
+        v += 0.5 * np.sum(traces.phi[:, j, :] ** 2 / k, axis=1)
     return v
 
 
@@ -482,18 +473,10 @@ class StabilityAudit:
     zeta_fit: float
     strictly_decreasing: bool
     fit_window: tuple
-    lyapunov: np.ndarray
-    times: np.ndarray
     descent_violations: int
-    disturbance_bound: float
 
 
-def lyapunov_audit(
-    traces: TrackingTraces,
-    gains,
-    phi_star=None,
-    disturbance_bound: float = 0.0,
-) -> StabilityAudit:
+def lyapunov_audit(traces: TrackingTraces, gains, disturbance_bound: float = 0.0) -> StabilityAudit:
     """Audit the recorded V(t) against the analytic descent structure.
 
     ``zeta`` is the closed-form min(delta, k*sigma) over every subsystem;
@@ -502,11 +485,10 @@ def lyapunov_audit(
     fails to decrease, i.e. until the numerical floor).  The sample-wise
     check counts violations of V(t+dt) <= V(t)(1 - zeta dt) + bound*dt,
     reported rather than asserted because the bound term is an estimate.
+    ``gains`` holds one :class:`SubsystemGains` per actuator.
     """
-    if isinstance(gains, SubsystemGains):
-        gains = [gains] * traces.q_err.shape[1]
     zeta = min(min(g.delta.min(), (g.k * g.sigma).min()) for g in gains)
-    v = lyapunov_value(traces, gains, phi_star)
+    v = lyapunov_value(traces, gains)
     t = traces.times
 
     end = len(v)
@@ -534,10 +516,7 @@ def lyapunov_audit(
         zeta_fit=zeta_fit,
         strictly_decreasing=strictly,
         fit_window=window,
-        lyapunov=v,
-        times=t,
         descent_violations=violations,
-        disturbance_bound=disturbance_bound,
     )
 
 

@@ -54,8 +54,7 @@ class EmlaModel:
         losses = loss_breakdown(
             self.motor, self.drivetrain, self.drive, 0.0, i_q, omega_m, f_x, v_x
         )
-        # eta is masked to the feasible points, so rating every point here is safe
-        eta = efficiency(f_x, v_x, losses, allow_regeneration=True)
+        eta = efficiency(f_x, v_x, losses)
         return np.where(feasible, eta, np.nan)[()], losses, feasible
 
     def efficiency_at(self, f_x, v_x):

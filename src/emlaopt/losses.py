@@ -135,23 +135,15 @@ def loss_breakdown(
     )
 
 
-class RegenerationError(ValueError):
-    """Raised when f_x * v_x < 0 and regenerative handling is disabled."""
-
-
-def efficiency(f_x, v_x, losses: LossBreakdown, allow_regeneration: bool = False):
+def efficiency(f_x, v_x, losses: LossBreakdown):
     """Conversion efficiency eta = P_out / (P_out + P_EE + P_EM) in [0, 1].
 
-    For zero output power the efficiency is defined as 0.  In the optional
-    regenerative mode (f_x * v_x < 0) the efficiency is recovered/absorbed
+    For zero output power the efficiency is defined as 0.  In the
+    regenerative quadrant (f_x * v_x < 0) the efficiency is recovered/absorbed
     power, clamped at 0 when the losses exceed the absorbed power.
     """
     p_out = np.multiply(f_x, v_x)
     p_loss = losses.total
-    if np.any(p_out < 0.0) and not allow_regeneration:
-        raise RegenerationError(
-            "f_x*v_x < 0: regenerating quadrant (enable allow_regeneration to rate it)"
-        )
     eta = np.zeros(np.broadcast(p_out, p_loss).shape)
     np.divide(p_out, p_out + p_loss, out=eta, where=p_out > 0.0)
     with np.errstate(over="ignore"):  # a vanishing absorbed power gives -inf, clamped to 0

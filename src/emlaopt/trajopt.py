@@ -22,26 +22,10 @@ from .bspline import basis_matrices
 # central-difference step of the f_x partials; at 1e-5 the truncation error
 # of the stroke partials reached 4e-6 of the cost on 3 s motions
 FD_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """M+1 uniform collocation instants over [0, t_final]."""
-
-    t_final: float
-    n_partitions: int
-
-    def __post_init__(self):
-        if self.t_final <= 0 or self.n_partitions < 1:
-            raise ValueError("need t_final > 0 and at least one partition")
-
-    @property
-    def dt(self) -> float:
-        return self.t_final / self.n_partitions
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_final, self.n_partitions + 1)
+# a solve counts as converged when SLSQP succeeds within SLSQP_MAXITER
+# iterations and no scaled constraint is violated by more than CONSTRAINT_TOL
+CONSTRAINT_TOL = 1e-6
+SLSQP_MAXITER = 200
 
 
 def criterion_effort(f_x, dt: float) -> float:
@@ -113,6 +97,9 @@ class NlpProblem:
             "weights", "criterion_scales",
         ):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        # the transcription divides by t_final, which SLSQP keeps above t_lower
+        if not (np.isfinite(self.t_lower) and self.t_lower > 0):
+            raise ValueError(f"t_lower must be finite and > 0, got {self.t_lower!r}")
         for lo, hi in (
             (self.q_lower, self.q_upper),
             (self.qd_lower, self.qd_upper),
@@ -147,8 +134,6 @@ class NlpProblem:
         ):
             if np.any(val < lo - eps) or np.any(val > hi + eps):
                 raise ValueError(f"boundary state {nm} violates its box bounds")
-        if self.t_lower > self.t_upper:
-            raise ValueError("empty final-time interval")
 
 
 @dataclass
@@ -197,26 +182,30 @@ class TrajectoryResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrajectoryResult":
+        """Read ``to_dict`` output; raises ``ValueError`` naming a missing field."""
         arr = lambda k: np.asarray(doc[k], dtype=float)
-        return cls(
-            control_points=arr("control_points"),
-            t_final=float(doc["t_final"]),
-            times=arr("times"),
-            q=arr("q"),
-            qd=arr("qd"),
-            qdd=arr("qdd"),
-            v_x=arr("v_x"),
-            f_x=arr("f_x"),
-            power=arr("power"),
-            psi=arr("psi"),
-            psi_raw=dict(doc["psi_raw"]),
-            weights=arr("weights"),
-            cost=float(doc["cost"]),
-            constraint_violation=float(doc["constraint_violation"]),
-            converged=bool(doc["converged"]),
-            outer_iterations=int(doc["outer_iterations"]),
-            degree=int(doc["degree"]),
-        )
+        try:
+            return cls(
+                control_points=arr("control_points"),
+                t_final=float(doc["t_final"]),
+                times=arr("times"),
+                q=arr("q"),
+                qd=arr("qd"),
+                qdd=arr("qdd"),
+                v_x=arr("v_x"),
+                f_x=arr("f_x"),
+                power=arr("power"),
+                psi=arr("psi"),
+                psi_raw=dict(doc["psi_raw"]),
+                weights=arr("weights"),
+                cost=float(doc["cost"]),
+                constraint_violation=float(doc["constraint_violation"]),
+                converged=bool(doc["converged"]),
+                outer_iterations=int(doc["outer_iterations"]),
+                degree=int(doc["degree"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"trajectory: missing field {exc.args[0]!r}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -237,7 +226,7 @@ class TrajectoryResult:
         return "\n".join([",".join(header)] + rows) + "\n"
 
 
-def _solve_slsqp(kern, z0, ctol, maxiter):
+def _solve_slsqp(kern, z0):
     """SLSQP from z0; returns (x, converged, nit, max constraint violation)."""
     import warnings
 
@@ -260,10 +249,10 @@ def _solve_slsqp(kern, z0, ctol, maxiter):
             method="SLSQP",
             bounds=kern.bounds,
             constraints=cons,
-            options={"maxiter": maxiter, "ftol": 1e-10},
+            options={"maxiter": SLSQP_MAXITER, "ftol": 1e-10},
         )
     viol = max(np.abs(kern.eq(res.x)).max(), np.maximum(0.0, -kern.ineq(res.x)).max())
-    return res.x, bool(res.status == 0 and viol <= ctol), int(res.nit), float(viol)
+    return res.x, bool(res.status == 0 and viol <= CONSTRAINT_TOL), int(res.nit), float(viol)
 
 
 class _Transcription:
@@ -416,8 +405,6 @@ def solve_inner(
     dynamics,
     weights=None,
     initial_guess=None,
-    ctol=1e-6,
-    maxiter=200,
 ) -> TrajectoryResult:
     """Solve the transcribed NLP for one weight vector.
 
@@ -432,13 +419,12 @@ def solve_inner(
     problem.check_boundary_feasible()
     kern = _Transcription(problem, dynamics, problem.weights if weights is None else weights)
     z0 = kern.initial_guess() if initial_guess is None else np.asarray(initial_guess, dtype=float)
-    x, converged, nit, violation = _solve_slsqp(kern, z0, ctol=ctol, maxiter=maxiter)
+    x, converged, nit, violation = _solve_slsqp(kern, z0)
     vals = kern.values(x)
-    grid = TimeGrid(vals["t_final"], problem.n_partitions)
     return TrajectoryResult(
         control_points=vals["c"],
         t_final=vals["t_final"],
-        times=grid.times,
+        times=np.linspace(0.0, vals["t_final"], problem.n_partitions + 1),
         q=vals["q"],
         qd=vals["qd"],
         qdd=vals["qdd"],

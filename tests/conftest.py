@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from emlaopt.bilevel import map_eta_fns
+from emlaopt.bspline import basis_matrices
 from emlaopt.control import published_gains, simulate_tracking
 from emlaopt.effmap import build_efficiency_map
 from emlaopt.manipulator import ChainModel, ClosedChainStage, rnea
@@ -18,6 +19,14 @@ from emlaopt.presets import (
     default_map_grid,
 )
 from emlaopt.trajopt import TrajectoryResult, solve_inner
+
+
+def spline_states(degree, control_points, t_final, times):
+    """(q, qd, qdd) at ``times`` in [0, t_final] of the clamped spline
+    trajectory q(t) = B(t / t_final) c with control points c (n_ctrl, n)."""
+    c = np.asarray(control_points, dtype=float)
+    b, db, d2b = basis_matrices(len(c), degree, np.asarray(times, dtype=float) / t_final)
+    return b @ c, db @ c / t_final, d2b @ c / t_final**2
 
 
 def constant_pose_reference(duration=1.0, n_a=3, pose=None, force=None):
@@ -121,7 +130,7 @@ def regulation_traces(acts):
     return simulate_tracking(
         acts,
         reference,
-        published_gains(),
+        [published_gains()] * 3,
         disturbance=None,
         dt=2e-3,
         initial_position_error=[1e-8, 1e-8, 1e-8],

@@ -16,7 +16,7 @@ from emlaopt.bilevel import (
     quartile_occupancy,
     solve_outer,
 )
-from emlaopt.bspline import SplineTrajectory, basis_matrices
+from emlaopt.bspline import basis_matrices
 from emlaopt.chain import loop_closure
 from emlaopt.cli import main as cli_main
 from emlaopt.control import (
@@ -36,6 +36,7 @@ from emlaopt.manipulator import (
 from emlaopt.presets import benchmark_problem, default_map_grid
 from emlaopt.statespace import OperatingPoint, emla_rhs, linearize
 from emlaopt.trajopt import solve_inner
+from conftest import spline_states
 
 
 def report(number, passed, detail):
@@ -85,8 +86,7 @@ def test_criterion_02_energy_balance(model):
     for _ in range(20):
         n_ctrl = 9
         c = lo + (hi - lo) * rng.uniform(0.12, 0.88, (n_ctrl, 3))
-        spline = SplineTrajectory(degree=5, control_points=c, t_final=1.0)
-        q, qd, qdd = spline.eval(ts)
+        q, qd, qdd = spline_states(5, c, 1.0, ts)
         v, f = rnea(model, q, qd, qdd)
         work = simpson(np.sum(v * f, axis=1), x=ts)
         e0 = kinetic_energy(model, q[0], qd[0]) + potential_energy(model, q[0])
@@ -211,7 +211,7 @@ def test_criterion_07_bilevel_contract(bilevel_run):
 
 def test_criterion_08_tracking_control(acts, bilevel_run, regulation_traces):
     result, _ = bilevel_run
-    gains = published_gains()
+    gains = [published_gains()] * 3
     traces = simulate_tracking(acts, result.inner, gains, disturbance=None, dt=2e-3)
     errors = tracking_errors(traces, settle_time=0.2)
     rms_ok = (

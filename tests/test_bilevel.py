@@ -18,11 +18,11 @@ from emlaopt.bilevel import (
     solve_outer,
     total_efficiency,
 )
-from emlaopt.bspline import SplineTrajectory
 from emlaopt.chain import StrokeRangeError
 from emlaopt.manipulator import SingularConfigurationError, rnea
 from emlaopt.presets import benchmark_problem
 from emlaopt.trajopt import TrajectoryResult, solve_inner
+from conftest import spline_states
 
 
 def const_eta(value):
@@ -141,8 +141,7 @@ def test_objective_riemann_refinement(model, dynamics, eta_fns):
     res = solve_inner(benchmark_problem(model), dynamics, weights=np.array([0.3, 0.7]))
     value, _, _ = efficiency_objective(res, eta_fns)
     times = np.linspace(0.0, res.t_final, 2 * len(res.times) - 1)
-    spline = SplineTrajectory(res.degree, res.control_points, res.t_final)
-    v_x, f_x = dynamics(*spline.eval(times))
+    v_x, f_x = dynamics(*spline_states(res.degree, res.control_points, res.t_final, times))
     dt = res.t_final / (len(times) - 1)
     eta, flagged = total_efficiency(v_x, f_x, eta_fns)
     value2 = 0.5 * dt * float(np.sum(eta**2))
@@ -264,6 +263,30 @@ def test_summary_structure(eta_fns, solved_half):
     assert set(s) == {"per_joint", "total", "sample_mean", "flagged_samples", "n_samples"}
     assert all(0.0 <= x <= 1.0 for x in s["per_joint"])
     assert 0.0 <= s["total"] <= 1.0
+
+
+def test_summary_rates_each_joint_once(eta_fns, solved_half):
+    # one call per joint on its whole column; the per-joint figures equal
+    # those rated on the motoring samples alone, bit for bit
+    v, f = solved_half.v_x, solved_half.f_x
+    calls = []
+
+    def counted(i):
+        def eta(f_i, v_i):
+            calls.append(i)
+            return eta_fns[i](f_i, v_i)
+        return eta
+
+    s = efficiency_summary(v, f, [counted(i) for i in range(3)])
+    assert calls == [0, 1, 2]
+    assert s == efficiency_summary(v, f, eta_fns)
+    p = f * v
+    for i in range(3):
+        mask = p[:, i] > 0
+        etas = eta_fns[i](f[mask, i], v[mask, i])
+        good = etas > 0
+        p_i = p[mask, i][good]
+        assert s["per_joint"][i] == float(np.sum(p_i)) / float(np.sum(p_i / etas[good]))
 
 
 def test_invalid_config_rejected():

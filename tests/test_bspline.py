@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emlaopt.bspline import SplineTrajectory, basis_matrices, clamped_knots
+from emlaopt.bspline import basis_matrices, clamped_knots
+from conftest import spline_states
 
 # (degree, n_ctrl) with degree in 2..5 and n_ctrl in degree+1..16
 shapes = st.integers(2, 5).flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 16)))
@@ -44,8 +45,7 @@ def test_derivatives_match_finite_differences(shape):
 
 
 def test_constant_control_points_reproduce_constants():
-    tr = SplineTrajectory(degree=5, control_points=np.full((9, 2), -1.4), t_final=3.0)
-    q, qd, qdd = tr.eval(np.linspace(0, 3, 17))
+    q, qd, qdd = spline_states(5, np.full((9, 2), -1.4), 3.0, np.linspace(0, 3, 17))
     assert np.abs(q + 1.4).max() < 1e-13
     assert np.abs(qd).max() < 1e-12
     assert np.abs(qdd).max() < 1e-11
@@ -56,9 +56,8 @@ def test_linear_precision_gives_zero_acceleration():
     knots = clamped_knots(n, p)
     greville = np.array([knots[i + 1: i + 1 + p].mean() for i in range(n)])
     c = np.stack([3.0 * greville - 1.0, -0.5 * greville], axis=1)
-    tr = SplineTrajectory(degree=p, control_points=c, t_final=2.0)
     t = np.linspace(0, 2, 21)
-    q, qd, qdd = tr.eval(t)
+    q, qd, qdd = spline_states(p, c, 2.0, t)
     assert np.abs(q[:, 0] - (3.0 * t / 2.0 - 1.0)).max() < 1e-12
     assert np.abs(qdd).max() < 1e-10
 
@@ -66,19 +65,9 @@ def test_linear_precision_gives_zero_acceleration():
 def test_clamped_boundary_interpolation():
     rng = np.random.default_rng(2)
     c = rng.standard_normal((8, 3))
-    tr = SplineTrajectory(degree=5, control_points=c, t_final=1.7)
-    q0, _, _ = tr.eval(0.0)
-    q1, _, _ = tr.eval(1.7)
+    (q0, q1), _, _ = spline_states(5, c, 1.7, [0.0, 1.7])
     assert np.array_equal(q0, c[0])
     assert np.array_equal(q1, c[-1])
-
-
-def test_horizon_enforced():
-    tr = SplineTrajectory(degree=3, control_points=np.zeros((5, 1)), t_final=1.0)
-    with pytest.raises(ValueError):
-        tr.eval(1.5)
-    with pytest.raises(ValueError):
-        tr.eval(-0.5)
 
 
 def test_degenerate_settings_rejected():
@@ -87,4 +76,4 @@ def test_degenerate_settings_rejected():
     with pytest.raises(ValueError):
         basis_matrices(8, 1, np.array([0.5]))
     with pytest.raises(ValueError):
-        SplineTrajectory(degree=5, control_points=np.zeros((4, 1)), t_final=1.0)
+        basis_matrices(4, 5, np.array([0.5]))

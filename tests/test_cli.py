@@ -315,6 +315,9 @@ def pose_reference(tmp_path):
     ({"dt": -1e-3}, "dt: "),  # an IndexError traceback
     ({"dt": float("nan")}, "dt: "),
     ({"dt": "2e-3"}, "dt: "),
+    ({"dt": True}, "dt: expected a finite number, got True"),
+    ({"duration": True}, "duration: expected a finite number, got True"),
+    ({"settle_time": "0.2"}, "settle_time: expected a finite number, got '0.2'"),
 ])
 def test_track_invalid_config_exits_2_before_integrating(tmp_path, capsys, monkeypatch,
                                                          pose_reference, extra, match):
@@ -525,19 +528,51 @@ EXPLICIT_GRID = {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}
     ("track", {"disturbance": {"force_noise_std": 0.02, "n_tones": 24.5}},
      "disturbance: n_tones must be an integer >= 1, got 24.5"),
     ("track", {"disturbance": {"seed": 1.5}}, "disturbance: seed must be an integer >= 0"),
+    ("map", dict(MAP_CFG, allow_regeneration="false"),
+     "allow_regeneration: expected true or false, got 'false'"),
+    ("trajopt", {"manipulator": _with(MANIPULATOR_DOC, (), gravity="1.62")},
+     "manipulator.gravity: expected a finite number, got '1.62'"),
+    ("trajopt", {"manipulator": {"preset": "default", "gravity": "1.62"}},
+     "manipulator.gravity: expected a finite number, got '1.62'"),
+    ("bilevel", dict(BL_CFG, problem=dict(PROBLEM_DOC, t_lower=0)),
+     "problem: t_lower must be finite and > 0, got 0"),
 ], ids=["problem", "manipulator", "stage", "body", "gains", "actuator", "grid",
         "count-preset-float", "count-preset-integral-float", "count-preset-bool",
         "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
-        "count-maps-n", "count-n_tones", "count-seed"])
+        "count-maps-n", "count-n_tones", "count-seed", "regeneration", "gravity-inline",
+        "gravity-preset", "t_lower"])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
                                                 command, cfg, match):
     # each inline case ran without the named key: M = 50 with weights
     # (0.5, 0.5), angles of 0.0, g = 9.81, the published gains, the
     # actuator's own limit, a 5 x 5 map.  Of the counts, the preset's 20.5
     # and 8.0 ended in a TypeError traceback, true solved with M = 1, and
-    # every other float was cut to an integer
+    # every other float was cut to an integer.  The string "false" turned
+    # regeneration rating on, a gravity of "1.62" built g = 1.62, and a
+    # t_lower of 0 let SLSQP's final time reach the division by it
     if command == "track":
         cfg = dict(cfg, trajectory=pose_reference)
+    path = write(tmp_path, "cfg.json", cfg)
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, name, doc, match", [
+    ("track", "traj.json", {"t_final": 3.0}, "trajectory: missing field 'control_points'"),
+    ("report", "bilevel.json", {"outer_value": 0.0, "summary": {}},
+     "missing weights_opt, trajectory"),
+    ("report", "bilevel.json", {"weights_opt": [1, 1], "outer_value": 0.0, "summary": {},
+                                "trajectory": {"t_final": 3.0}},
+     "trajectory: missing field 'control_points'"),
+])
+def test_malformed_artifact_exits_2(tmp_path, capsys, no_work, command, name, doc, match):
+    # each ended in a KeyError traceback
+    art = tmp_path / "art"
+    art.mkdir()
+    (art / name).write_text(json.dumps(doc))
+    cfg = {"trajectory": str(art / name)} if command == "track" else {"artifacts": str(art)}
     path = write(tmp_path, "cfg.json", cfg)
     assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

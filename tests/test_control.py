@@ -92,7 +92,7 @@ def test_gains_validation():
 
 
 def test_regulation_lyapunov_strictly_decreasing(regulation_traces, acts):
-    audit = lyapunov_audit(regulation_traces, published_gains())
+    audit = lyapunov_audit(regulation_traces, [published_gains()] * 3)
     assert audit.zeta == 63.0
     assert audit.strictly_decreasing
     assert audit.zeta_fit > 0.0
@@ -101,15 +101,13 @@ def test_regulation_lyapunov_strictly_decreasing(regulation_traces, acts):
 
 
 def test_lyapunov_value_reevaluation(regulation_traces):
-    v1 = lyapunov_value(regulation_traces, published_gains())
-    v2 = lyapunov_value(regulation_traces, [published_gains()] * 3)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(regulation_traces.lyapunov, v1)
+    v = lyapunov_value(regulation_traces, [published_gains()] * 3)
+    assert np.array_equal(regulation_traces.lyapunov, v)
 
 
 def test_zero_reference_zero_error_stays_at_rest(acts):
     reference = constant_pose_reference(duration=0.05)
-    tr = simulate_tracking(acts, reference, published_gains(), disturbance=None,
+    tr = simulate_tracking(acts, reference, [published_gains()] * 3, disturbance=None,
                            dt=1e-3, rtol=1e-8, atol=1e-14)
     assert np.abs(tr.q_err).max() < 1e-10
     assert np.abs(tr.i_q).max() < 1e-10
@@ -164,7 +162,7 @@ def loaded_pose_run(acts, disturbance):
     """A short run holding a pose against a load, under ``disturbance``."""
     reference = constant_pose_reference(duration=0.01, pose=[0.8, 0.5, 0.3],
                                         force=[2000.0, 1500.0, 400.0])
-    return simulate_tracking(acts, reference, published_gains(),
+    return simulate_tracking(acts, reference, [published_gains()] * 3,
                              disturbance=disturbance, dt=5e-4)
 
 
@@ -210,7 +208,7 @@ def test_load_pulse_reconverges(acts):
     reference = constant_pose_reference(duration=1.0)
     k_step = len(reference.times) // 2
     reference.f_x[k_step: k_step + 4] = np.array([2000.0, 1500.0, 400.0])
-    tr = simulate_tracking(acts, reference, published_gains(), disturbance=None,
+    tr = simulate_tracking(acts, reference, [published_gains()] * 3, disturbance=None,
                            dt=2e-3, rtol=1e-7, atol=1e-12)
     t_step = reference.times[k_step]
     before = np.abs(tr.q_err[(tr.times > t_step - 0.1) & (tr.times < t_step - 0.02)]).max()
@@ -293,7 +291,7 @@ def captured_closed_loop(acts, disturbance):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("emlaopt.control.solve_ivp", capture)
         with pytest.raises(_Captured):
-            simulate_tracking(acts, reference, published_gains(), disturbance=disturbance)
+            simulate_tracking(acts, reference, [published_gains()] * 3, disturbance=disturbance)
     return seen["fun"], seen["jac"], seen["y0"]
 
 

@@ -4,7 +4,6 @@ import pytest
 from emlaopt.drivetrain import equivalent_params
 from emlaopt.losses import (
     DriveConfig,
-    RegenerationError,
     efficiency,
     loss_breakdown,
 )
@@ -65,13 +64,10 @@ def test_efficiency_equal_split():
     assert efficiency(p_out, 1.0, _FakeLoss(p_out)) == 0.5
 
 
-def test_regeneration_rejected_then_rated():
-    losses = _FakeLoss(10.0)
-    with pytest.raises(RegenerationError):
-        efficiency(100.0, -1.0, losses)
-    eta = efficiency(100.0, -1.0, losses, allow_regeneration=True)
+def test_regeneration_rated():
+    eta = efficiency(100.0, -1.0, _FakeLoss(10.0))
     assert np.isclose(eta, (100.0 - 10.0) / 100.0)
-    assert efficiency(5.0, -1.0, _FakeLoss(10.0), allow_regeneration=True) == 0.0
+    assert efficiency(5.0, -1.0, _FakeLoss(10.0)) == 0.0
 
 
 def test_negative_coefficients_rejected():

@@ -11,21 +11,12 @@ from emlaopt.manipulator import rnea
 from emlaopt.presets import benchmark_problem, default_manipulator
 from emlaopt.trajopt import (
     NlpProblem,
-    TimeGrid,
     TrajectoryResult,
     _Transcription,
     criterion_effort,
     criterion_power,
     solve_inner,
 )
-
-
-def test_time_grid():
-    grid = TimeGrid(t_final=2.0, n_partitions=4)
-    assert grid.dt == 0.5
-    assert np.allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-    with pytest.raises(ValueError):
-        TimeGrid(-1.0, 4)
 
 
 def test_effort_criterion_oracle():
