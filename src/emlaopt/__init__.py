@@ -23,6 +23,7 @@ from .control import (
     TrackingTraces,
     adaptive_rate,
     control_law,
+    feedback_gain,
     lyapunov_audit,
     nominal_disturbance,
     published_gains,

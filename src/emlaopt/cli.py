@@ -56,7 +56,7 @@ def run_trajopt(config: dict, seed: int, jobs: int) -> dict:
     model = configio.build_manipulator(config.get("manipulator"))
     problem = configio.build_problem(config.get("problem"), model)
     weights = config.get("weights")
-    weights = None if weights is None else np.asarray(weights, dtype=float)
+    weights = None if weights is None else configio.vector(weights, "weights")
     if config.get("method", "slsqp") != "slsqp":
         raise ConfigError(f"method: unknown NLP method {config['method']!r}; use 'slsqp'")
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
@@ -109,6 +109,10 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
         doc = doc["trajectory"]
     reference = TrajectoryResult.from_dict(doc)
     actuators = configio.build_actuators(config.get("actuators"))
+    position_error = config.get("initial_position_error")
+    if position_error is not None:
+        position_error = configio.vector(position_error, "initial_position_error",
+                                         len(actuators))
     gains = configio.build_gains(config.get("gains"), len(actuators))
     disturbance = configio.build_disturbance(config.get("disturbance"), seed_offset=seed)
     if (reference.t_final if duration is None else duration) <= settle_time:
@@ -120,7 +124,7 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
         gains,
         disturbance=disturbance,
         dt=dt,
-        initial_position_error=config.get("initial_position_error"),
+        initial_position_error=position_error,
         duration=duration,
     )
     audit = lyapunov_audit(traces, gains,

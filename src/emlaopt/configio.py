@@ -65,6 +65,16 @@ def number(value, path: str) -> float:
     return float(value)
 
 
+def vector(value, path: str, n: int = None) -> np.ndarray:
+    """``value``, checked to be a list of JSON numbers (not bools or
+    strings), ``n`` of them when ``n`` is given, as a float array."""
+    if (not isinstance(value, list) or n is not None and len(value) != n
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+        count = "" if n is None else f"{n} "
+        raise ConfigError(f"{path}: expected a list of {count}numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def _call(build, path: str, *args, **kwargs):
     """``build(*args, **kwargs)``, a ``ValueError`` or ``TypeError`` it raises
     turned into a ``ConfigError`` at ``path``."""
@@ -122,16 +132,6 @@ def _is_preset(doc) -> bool:
     return doc is None or isinstance(doc, dict) and "preset" in doc
 
 
-def _vector(n: int):
-    """A converter to an ``n``-vector of floats."""
-    def vector(value, path):
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != (n,):
-            raise ConfigError(f"{path}: expected a {n}-vector, got shape {arr.shape}")
-        return arr
-    return vector
-
-
 def build_actuator(doc, path: str = "actuator") -> EmlaModel:
     """A preset actuator or an inline one: the ``EmlaModel`` fields, with
     ``motor``, ``drivetrain`` and ``drive`` blocks of their classes' fields."""
@@ -166,7 +166,7 @@ def _body(gravity):
         if inertia.shape != (3, 3):
             raise ConfigError(f"{path}.inertia: expected 3 principal values or a 3x3 matrix")
         return RigidBodyParams(mass=doc["mass"], inertia=inertia,
-                               com_offset=_vector(3)(doc["com"], f"{path}.com"), **kwargs)
+                               com_offset=vector(doc["com"], f"{path}.com", 3), **kwargs)
     return body
 
 
@@ -182,7 +182,7 @@ def build_manipulator(doc, path: str = "manipulator") -> ChainModel:
         number(gravity, f"{path}.gravity")
     if _is_preset(doc):
         return _preset(doc, path, {"default": presets.default_manipulator})
-    convert = {RigidBodyParams: _body(gravity), np.ndarray: _vector(3)}
+    convert = {RigidBodyParams: _body(gravity), np.ndarray: partial(vector, n=3)}
 
     def stage(sd, spath):
         kind = sd.get("type") if isinstance(sd, dict) else None
@@ -204,8 +204,9 @@ def build_problem(doc, model: ChainModel, path: str = "problem") -> NlpProblem:
     except the two ``weights`` and ``criterion_scales``."""
     if _is_preset(doc):
         return _preset(doc, path, {"benchmark": presets.benchmark_problem}, model)
-    return read(NlpProblem, doc, path, {np.ndarray: _vector(model.n_joints),
-                                        "weights": _vector(2), "criterion_scales": _vector(2)})
+    pair = partial(vector, n=2)
+    return read(NlpProblem, doc, path, {np.ndarray: partial(vector, n=model.n_joints),
+                                        "weights": pair, "criterion_scales": pair})
 
 
 def build_gains(doc, n_joints: int, path: str = "gains") -> list:

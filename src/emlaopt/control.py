@@ -11,14 +11,27 @@ reference held at zero for maximum torque per ampere.
 The closed loop (plant + adaptive states + continuous feedback) is stiff
 at the published gains, so the simulation integrates the full ODE with an
 implicit stiff solver rather than fixed explicit stepping.  Its right-hand
-side is the tested pieces wired together over all actuators at once:
-:func:`tracking_transform` and :func:`control_law` per subsystem,
-:func:`~emlaopt.pmsm.torque_to_iq` for the current reference,
-:func:`adaptive_rate` for the estimates and
-:func:`~emlaopt.statespace.emla_rhs` for the plant.  Radau gets the exact
-Jacobian of that right-hand side (one 8x8 block per actuator), not finite
-differences, and reads the reference (q, qd and the load force) in one
-spline call per evaluation (:func:`reference_spline`).
+side is the tested pieces wired together: :func:`tracking_transform` and
+:func:`control_law` per subsystem, :func:`~emlaopt.pmsm.torque_to_iq` for
+the current reference, :func:`~emlaopt.statespace.emla_rhs` for the plant
+and :func:`adaptive_rate` for the estimates.  Radau's state holds the
+shaft angles, shaft speeds, q- and d-axis currents of all actuators (one
+row of n_a each), then each actuator's four estimates.  The controller and
+the plant run once per actuator on Python floats, which round as the
+stacked (n_a,) arrays do but without NumPy's per-call overhead on
+three-element arrays; the estimates' rates are one array call over all of
+them, in the state's order.  The reference (q, qd
+and the load force) is one spline call per evaluation
+(:func:`reference_spline`).  Radau gets the exact Jacobian of that
+right-hand side (one 8x8 block per actuator), not finite differences; the
+Jacobian and the recorded traces run the same controller on whole arrays.
+
+Radau is SciPy's, through :class:`_Radau`, a subclass that factors each
+distinct iteration matrix once.  SciPy drops its LU factors whenever it
+proposes a step at least 1.2x longer, then clamps that step back to the
+cap below and factors the same two matrices again; the subclass returns
+the cached factors instead, and calls LAPACK directly.  Every step, stage
+value and trace is the same, bit for bit, as with ``method="Radau"``.
 
 Radau's step is capped at :data:`RADAU_MAX_STEP`.  Longer steps make its
 simplified Newton iteration fail even with a Jacobian evaluated at the
@@ -32,10 +45,12 @@ says nothing about Q3 at those stage values.  No loop constant predicts
 the cap (see the constant), so it is a measured one.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from warnings import warn
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import Radau, solve_ivp
+from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
 from .drivetrain import DriveTrainParams, equivalent_params
 from .effmap import EmlaModel
@@ -54,6 +69,69 @@ from .trajopt import TrajectoryResult, check_count
 # and moves only from about 0.85 ms to about 1.4 ms as eps (so eps*k) goes
 # from 4x to 1/4x the published value.
 RADAU_MAX_STEP = 1e-3
+
+
+class _Radau(Radau):
+    """SciPy's Radau IIA, factoring each distinct iteration matrix once.
+
+    ``Radau`` factors the real and the complex iteration matrix whenever it
+    has dropped its factors, and it drops them whenever it proposes a step
+    at least 1.2x longer, even when the step cap then clamps that step back
+    to the one it just took.  This subclass keeps the factors of the last
+    two matrices it factored and returns them for an equal matrix
+    (``np.array_equal``) without counting an ``nlu``, as Hairer's RADAU5
+    keeps its factorization while the step size does not change.  So
+    ``nlu`` counts distinct factorizations; every step is the same, bit for
+    bit.
+
+    It factors and solves with LAPACK ``?getrf``/``?getrs`` directly,
+    skipping the array-API wrappers of ``scipy.linalg.lu_factor`` and
+    ``lu_solve`` but keeping their checks: a finite matrix and right-hand
+    side, ``ValueError`` on an illegal argument and ``LinAlgWarning`` on an
+    exactly singular pivot.  The routine is chosen by the matrix's type;
+    Radau solves each factorization only with vectors of that type.  It
+    takes dense Jacobians only.  ``lu`` and ``solve_lu`` are attributes that
+    ``Radau.__init__`` sets, not public SciPy API.
+
+    ``steps`` receives the end time of every accepted step.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, steps, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.steps = steps
+        self.factored = []  # (matrix, factors) of the last two matrices factored
+        self.lu = self._lu
+        self.solve_lu = self._solve_lu
+
+    def _lu(self, a):
+        for matrix, factors in self.factored:
+            if np.array_equal(matrix, a):
+                return factors
+        self.nlu += 1
+        a = np.asarray_chkfinite(a)
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
+        lu, piv, info = getrf(a)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrf (lu_factor)")
+        if info > 0:
+            warn(f"Diagonal number {info} is exactly zero. Singular matrix.", LinAlgWarning,
+                 stacklevel=2)
+        factors = lu, piv, getrs
+        self.factored = self.factored[-1:] + [(a, factors)]
+        return factors
+
+    def _solve_lu(self, factors, b):
+        lu, piv, getrs = factors
+        x, info = getrs(lu, piv, np.asarray_chkfinite(b), overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal gesv|posv")
+        return x
+
+    def _step_impl(self):
+        accepted, message = super()._step_impl()
+        if accepted:
+            self.steps.append(self.t)
+        return accepted, message
 
 
 @dataclass(frozen=True)
@@ -92,9 +170,14 @@ def tracking_transform(x, x_ref, kappa_prev, nu: int):
     return x - x_ref
 
 
+def feedback_gain(delta: float, epsilon: float, phi: float):
+    """-(delta + epsilon*phi)/2, the gain of :func:`control_law`."""
+    return -0.5 * (delta + epsilon * phi)
+
+
 def control_law(delta: float, epsilon: float, phi: float, q_err: float):
     """kappa = -(delta + epsilon*phi)/2 * Q (dissipative for phi >= 0)."""
-    return -0.5 * (delta + epsilon * phi) * q_err
+    return feedback_gain(delta, epsilon, phi) * q_err
 
 
 def adaptive_rate(k: float, sigma: float, epsilon: float, phi: float, q_err):
@@ -151,16 +234,14 @@ class _ToneNoise:
              rng.uniform(0.5, 1.0, n_tones))
             for _ in range(n_channels)
         ]
-        self.freq, self.phase, self.amp = (np.array(r) for r in zip(*rows))
+        freq, self.phase, self.amp = (np.array(r) for r in zip(*rows))
         self.amp /= np.sqrt(0.5 * np.sum(self.amp**2, axis=-1, keepdims=True))
+        self.omega = 2.0 * np.pi * freq  # the product 2*pi*f*t forms left to right
 
     def __call__(self, t):
         """Noise of shape ``t.shape + (n_channels,)``."""
         t = np.asarray(t, dtype=float)
-        return np.sum(
-            self.amp * np.sin(2.0 * np.pi * self.freq * t[..., None, None] + self.phase),
-            axis=-1,
-        )
+        return (self.amp * np.sin(self.omega * t[..., None, None] + self.phase)).sum(axis=-1)
 
 
 @dataclass
@@ -193,6 +274,14 @@ def _perturbed(motor: PmsmParams, drivetrain: DriveTrainParams, fraction: float)
         replace(drivetrain, motor_inertia=drivetrain.motor_inertia * f,
                 viscous_motor=drivetrain.viscous_motor * f),
     )
+
+
+def _per_joint(stacked) -> list:
+    """One record of Python floats per actuator from a record of (n_a,)
+    arrays: a params dataclass or an ``EquivalentParams``."""
+    columns = stacked if isinstance(stacked, tuple) else [
+        getattr(stacked, f.name) for f in fields(stacked)]
+    return [type(stacked)(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def reference_spline(reference: TrajectoryResult):
@@ -304,33 +393,47 @@ def simulate_tracking(
         wig = sensor_scale * sensor_noise(t).reshape(np.shape(t) + (4, n_a))
         return x + np.moveaxis(wig, -2, 0)[::-1]  # to [i_d, i_q, omega, theta]
 
-    def controller(x, phi, q_ref, qd_ref):
-        """Subsystem errors Q, i_q reference and (V_d, V_q) at measured
-        states x with estimates phi, both (4, ..., n_a)."""
+    def controller(x, gain, q_ref, qd_ref, f_eq, motor):
+        """Subsystem errors (Q1..Q4), i_q reference and (V_d, V_q) at
+        measured states x, both (4, ...), with the subsystems' feedback
+        gains (4, ...).  ``f_eq`` and ``motor`` are stacked over the
+        actuators for arrays of them, or one actuator's for its floats."""
         i_d, i_q, omega, theta = x
         q1 = tracking_transform(f_eq * theta, q_ref, None, 1)
-        q2 = tracking_transform(f_eq * omega, qd_ref,
-                                control_law(delta[0], eps[0], phi[0], q1), 2)
-        iq_ref = torque_to_iq(motor, control_law(delta[1], eps[1], phi[1], q2))
+        q2 = tracking_transform(f_eq * omega, qd_ref, gain[0] * q1, 2)
+        iq_ref = torque_to_iq(motor, gain[1] * q2)
         q3 = tracking_transform(i_q, iq_ref, None, 3)
         q4 = tracking_transform(i_d, 0.0, None, 4)
-        v_q = control_law(delta[2], eps[2], phi[2], q3)
-        v_d = control_law(delta[3], eps[3], phi[3], q4)
-        return np.array((q1, q2, q3, q4)), iq_ref, v_d, v_q
+        return (q1, q2, q3, q4), iq_ref, gain[3] * q4, gain[2] * q3
 
     # Radau state: [theta, omega, i_q, i_d] rows (the reverse of
     # emla_rhs's order), then the four estimates phi of each joint
     def unpack(y):
         return y[:4 * n_a].reshape(4, n_a)[::-1], y[4 * n_a:].reshape(n_a, 4).T
 
+    # the rhs runs each actuator's controller and plant on Python floats;
+    # the rates take their gains in phi's joint-major order
+    joints = list(zip(f_eq.tolist(), _per_joint(motor), _per_joint(plant_motor),
+                      _per_joint(plant_eq)))
+    rate_gains = kk.T.ravel(), sig.T.ravel(), eps.T.ravel()
+    force_scale = (disturbance.force_noise_std * peak_force).tolist()
+
     def rhs(t, y):
         x, phi = unpack(y)
-        q_ref, qd_ref, f_load = ref(min(max(t, 0.0), t_end)).reshape(3, n_a)
-        q_err, _, v_d, v_q = controller(measured(t, x), phi, q_ref, qd_ref)
+        row = ref(min(max(t, 0.0), t_end)).tolist()  # q, qd and f of each joint
+        f_load = row[2 * n_a:]
         if disturbance.force_noise_std:
-            f_load = f_load + disturbance.force_noise_std * peak_force * force_noise(t)
-        dx = emla_rhs(plant_motor, plant_eq, x, (v_d, v_q), f_load)
-        return np.concatenate((dx[::-1], adaptive_rate(kk, sig, eps, phi, q_err).T), axis=None)
+            f_load = [f + s * w for f, s, w in zip(f_load, force_scale, force_noise(t).tolist())]
+        states = x.T.tolist()
+        seen = measured(t, x).T.tolist() if sensor_noise else states
+        gains = feedback_gain(delta, eps, phi).T.tolist()
+        q_err, dx = [], []
+        for j, (f_eq_j, motor_j, plant_j, eq_j) in enumerate(joints):
+            q, _, v_d, v_q = controller(seen[j], gains[j], row[j], row[n_a + j], f_eq_j, motor_j)
+            q_err += q
+            dx.append(emla_rhs(plant_j, eq_j, states[j], (v_d, v_q), f_load[j]))
+        rates = adaptive_rate(*rate_gains, y[4 * n_a:], np.array(q_err))
+        return np.concatenate((np.array(dx).T[::-1], rates), axis=None)
 
     # exact Jacobian of rhs: one 8x8 block per actuator over its local
     # state [theta, omega, i_q, i_d, phi_1..phi_4], scattered to the Radau
@@ -346,9 +449,10 @@ def simulate_tracking(
     def jac(t, y):
         x, phi = unpack(y)
         q_ref, qd_ref, _ = ref(min(max(t, 0.0), t_end)).reshape(3, n_a)
-        q_err = controller(measured(t, x), phi, q_ref, qd_ref)[0]
+        gain = feedback_gain(delta, eps, phi)
+        q_err = np.array(controller(measured(t, x), gain, q_ref, qd_ref, f_eq, motor)[0])
         i_d, i_q, omega, _ = x
-        a = delta + eps * phi  # feedback gain of each subsystem
+        a = delta + eps * phi  # -2x the feedback gain of each subsystem
         # gradients of the errors Q_nu along the cascade
         dq = np.zeros((4, 8, n_a))
         dq[0, 0] = f_eq
@@ -393,23 +497,18 @@ def simulate_tracking(
     base_grid[-1] = min(base_grid[-1], duration)
     colloc = reference.times[reference.times <= duration + 1e-12]
     t_eval = np.union1d(base_grid, colloc)
-    checks = []  # a never-firing event is checked at t=0 and after each accepted step
-
-    def count_step(t, y):
-        checks.append(t)
-        return 1.0
-
+    steps = []
     sol = solve_ivp(
         rhs,
         (0.0, duration),
         y0,
-        method="Radau",
+        method=_Radau,
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
         jac=jac,
-        events=count_step,
         max_step=RADAU_MAX_STEP,
+        steps=steps,
     )
     if not sol.success:
         raise RuntimeError(f"closed-loop integration failed: {sol.message}")
@@ -422,7 +521,8 @@ def simulate_tracking(
     x = y[:, :4 * n_a].reshape(len(t), 4, n_a).transpose(1, 0, 2)[::-1]  # (4, n_t, n_a)
     phi = y[:, 4 * n_a:].reshape(len(t), n_a, 4)
     q_ref, qd_ref, f_ref = np.moveaxis(ref(np.clip(t, 0.0, t_end)).reshape(len(t), 3, n_a), 1, 0)
-    q_err, iq_ref, v_d, v_q = controller(measured(t, x), phi.transpose(2, 0, 1), q_ref, qd_ref)
+    gain = feedback_gain(delta[:, None], eps[:, None], phi.transpose(2, 0, 1))
+    q_err, iq_ref, v_d, v_q = controller(measured(t, x), gain, q_ref, qd_ref, f_eq, motor)
     i_d, i_q, omega, theta = x
     # reference columns carry the trajectory samples verbatim at the
     # collocation instants
@@ -439,7 +539,7 @@ def simulate_tracking(
         i_q_ref=iq_ref,
         v_q=v_q,
         v_d=v_d,
-        q_err=np.moveaxis(q_err, 0, -1),
+        q_err=np.stack(q_err, axis=-1),
         phi=phi,
         # electromagnetic force produced, rated with the nominal motor constants
         force_em=electromagnetic_torque(motor, i_d, i_q) / f_eq,
@@ -447,7 +547,7 @@ def simulate_tracking(
         lyapunov=None,
         solver={"status": int(sol.status), "message": str(sol.message),
                 "nfev": int(sol.nfev), "njev": int(sol.njev), "nlu": int(sol.nlu),
-                "nsteps": len(checks) - 1, "max_step": RADAU_MAX_STEP},
+                "nsteps": len(steps), "max_step": RADAU_MAX_STEP},
     )
     traces.lyapunov = lyapunov_value(traces, gains)
     return traces

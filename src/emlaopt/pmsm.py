@@ -46,11 +46,6 @@ class PmsmParams:
         """L_d / L_q."""
         return self.inductance_d / self.inductance_q
 
-    @property
-    def inductance_diff(self) -> float:
-        """L_d - L_q (negative for typical interior-magnet machines)."""
-        return self.inductance_d - self.inductance_q
-
 
 def dq_voltages(
     params: PmsmParams,
@@ -101,9 +96,11 @@ def current_derivatives(
 
 def electromagnetic_torque(params: PmsmParams, i_d, i_q):
     """Electromagnetic torque (3/2) p i_q [psi_PM + (L_d - L_q) i_d] in N*m."""
-    return 1.5 * params.pole_pairs * i_q * (params.pm_flux + params.inductance_diff * i_d)
+    dl = params.inductance_d - params.inductance_q
+    return 1.5 * params.pole_pairs * i_q * (params.pm_flux + dl * i_d)
 
 
 def torque_to_iq(params: PmsmParams, torque, i_d=0.0):
     """Invert the torque expression for i_q at a given (usually zero) i_d."""
-    return torque / (1.5 * params.pole_pairs * (params.pm_flux + params.inductance_diff * i_d))
+    dl = params.inductance_d - params.inductance_q
+    return torque / (1.5 * params.pole_pairs * (params.pm_flux + dl * i_d))

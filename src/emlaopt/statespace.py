@@ -77,7 +77,7 @@ def linearize(
     l_d, l_q = params.inductance_d, params.inductance_q
     alpha = params.saliency_ratio
     beta = 2.0 * eq.inertia / (3.0 * p)
-    dl = params.inductance_diff
+    dl = params.inductance_d - params.inductance_q
     w0, iq0, id0 = op.omega0, op.iq0, op.id0
 
     a = np.array(

@@ -536,11 +536,24 @@ EXPLICIT_GRID = {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}
      "manipulator.gravity: expected a finite number, got '1.62'"),
     ("bilevel", dict(BL_CFG, problem=dict(PROBLEM_DOC, t_lower=0)),
      "problem: t_lower must be finite and > 0, got 0"),
+    ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, q_lower=["0.1", "0.1", "0.1"])),
+     "problem.q_lower: expected a list of 3 numbers, got ['0.1', '0.1', '0.1']"),
+    ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, weights=[True, True])),
+     "problem.weights: expected a list of 2 numbers, got [True, True]"),
+    ("trajopt", dict(TRAJ_CFG, weights=["0.9", "0.1"]),
+     "weights: expected a list of numbers, got ['0.9', '0.1']"),
+    ("trajopt", dict(TRAJ_CFG, weights=[True, False]),
+     "weights: expected a list of numbers, got [True, False]"),
+    ("track", {"initial_position_error": ["1e-3", "0", "0"]},
+     "initial_position_error: expected a list of 3 numbers, got ['1e-3', '0', '0']"),
+    ("track", {"initial_position_error": [True, 0, 0]},
+     "initial_position_error: expected a list of 3 numbers, got [True, 0, 0]"),
 ], ids=["problem", "manipulator", "stage", "body", "gains", "actuator", "grid",
         "count-preset-float", "count-preset-integral-float", "count-preset-bool",
         "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
         "count-maps-n", "count-n_tones", "count-seed", "regeneration", "gravity-inline",
-        "gravity-preset", "t_lower"])
+        "gravity-preset", "t_lower", "vector-string", "vector-bool", "weights-string",
+        "weights-bool", "position-error-string", "position-error-bool"])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
                                                 command, cfg, match):
     # each inline case ran without the named key: M = 50 with weights
@@ -549,7 +562,8 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     # and 8.0 ended in a TypeError traceback, true solved with M = 1, and
     # every other float was cut to an integer.  The string "false" turned
     # regeneration rating on, a gravity of "1.62" built g = 1.62, and a
-    # t_lower of 0 let SLSQP's final time reach the division by it
+    # t_lower of 0 let SLSQP's final time reach the division by it.  Lists
+    # of numeric strings or bools were converted to the numbers they spell
     if command == "track":
         cfg = dict(cfg, trajectory=pose_reference)
     path = write(tmp_path, "cfg.json", cfg)

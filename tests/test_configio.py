@@ -171,6 +171,24 @@ PROBLEM_DOC = to_doc(benchmark_problem(MODEL, n_partitions=16, n_ctrl=8))
 GAINS_DOC = to_doc(published_gains())
 
 
+@pytest.mark.parametrize("build, doc, path", [
+    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=["0.1", "0.1", "0.1"]),
+     "problem.q_lower"),
+    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=[True, False, True]),
+     "problem.q_lower"),
+    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, weights=["0.9", "0.1"]),
+     "problem.weights"),
+    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=0.1), "problem.q_lower"),
+    (build_manipulator, dict(MANIPULATOR_DOC, base=dict(MANIPULATOR_DOC["base"],
+                                                        com=["0", "0", "0"])),
+     "manipulator.base.com"),
+])
+def test_vector_takes_a_list_of_numbers(build, doc, path):
+    # np.asarray(value, dtype=float) built these as the numbers they spell
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: expected a list of")):
+        build(doc)
+
+
 @pytest.mark.parametrize("build, doc", [
     (build_actuator, ACTUATOR_DOC),
     (lambda d: build_problem(d, MODEL), PROBLEM_DOC),

@@ -1,16 +1,20 @@
 import csv
 import io
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import solve_ivp
 
 from emlaopt.control import (
     DisturbanceProfile,
     SubsystemGains,
+    TrackingTraces,
     adaptive_rate,
     control_law,
     lyapunov_audit,
@@ -24,8 +28,14 @@ from emlaopt.control import (
     tracking_transform,
 )
 from emlaopt.bspline import clamped_knots
+from emlaopt.drivetrain import equivalent_params
 from emlaopt.pmsm import torque_to_iq
+from emlaopt.statespace import emla_rhs, stack_params
+from emlaopt.trajopt import TrajectoryResult
 from conftest import constant_pose_reference
+
+# the stored 5x5 grid winner of the benchmark's inputs
+WINNER = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "winner_bilevel.json"
 
 
 def test_tracking_transform_case_split():
@@ -114,41 +124,54 @@ def test_zero_reference_zero_error_stays_at_rest(acts):
     assert np.abs(tr.lyapunov).max() < 1e-20
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    degree=st.integers(2, 5),
-    extra_ctrl=st.integers(0, 10),
-    t_final=st.floats(0.01, 20.0),
-    n_times=st.integers(3, 60),
-    uniform=st.booleans(),
-    data=st.data(),
-)
-def test_reference_spline_matches_its_three_splines(degree, extra_ctrl, t_final, n_times,
-                                                     uniform, data):
-    # the stacked spline must reproduce the trajectory spline, its derivative
-    # and the natural cubic force interpolant it replaces, column by column
-    from scipy.interpolate import BSpline, CubicSpline
-
-    n_ctrl = degree + 1 + extra_ctrl
-    ctrl = data.draw(arrays(float, (n_ctrl, 3), elements=st.floats(-2.0, 2.0)))
+@st.composite
+def reference_cases(draw):
+    """(degree, t_final, control points, collocation instants, forces,
+    sample times) of a reference trajectory."""
+    degree = draw(st.integers(2, 5))
+    n_ctrl = degree + 1 + draw(st.integers(0, 10))
+    t_final = draw(st.floats(0.01, 20.0))
+    n_times = draw(st.integers(3, 60))
+    ctrl = draw(arrays(float, (n_ctrl, 3), elements=st.floats(-2.0, 2.0)))
     # uniform instants, as the transcription makes them, or spacings that
     # differ up to 20x
-    gaps = np.ones(n_times - 1) if uniform else data.draw(
+    gaps = np.ones(n_times - 1) if draw(st.booleans()) else draw(
         arrays(float, n_times - 1, elements=st.floats(0.05, 1.0)))
     times = t_final * np.concatenate(([0.0], np.cumsum(gaps) / gaps.sum()))
     times[-1] = t_final
-    f_x = data.draw(arrays(float, (n_times, 3), elements=st.floats(-5e4, 5e4)))
-    t = data.draw(arrays(float, 20, elements=st.floats(0.0, t_final)))
+    f_x = draw(arrays(float, (n_times, 3), elements=st.floats(-5e4, 5e4)))
+    t = draw(arrays(float, 20, elements=st.floats(0.0, t_final)))
+    return degree, t_final, ctrl, times, f_x, t
+
+
+# a draw that failed under a bound of 1e-12 of the peak alone: zero control
+# points and every force 5e-324, where the two force interpolants differ by
+# one subnormal ulp and 1e-12 of the peak rounds to zero
+SUBNORMAL_FORCES = (2, 2.0, np.zeros((3, 3)), np.linspace(0.0, 2.0, 4),
+                    np.full((4, 3), 5e-324), np.ones(20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=reference_cases())
+@example(case=SUBNORMAL_FORCES)
+def test_reference_spline_matches_its_three_splines(case):
+    # the stacked spline must reproduce the trajectory spline, its derivative
+    # and the natural cubic force interpolant it replaces, column by column,
+    # to 1e-12 of each column's peak or the smallest normal float
+    from scipy.interpolate import BSpline, CubicSpline
+
+    degree, t_final, ctrl, times, f_x, t = case
     ref = replace(constant_pose_reference(duration=t_final), control_points=ctrl,
                   degree=degree, times=times, f_x=f_x)
-    q = BSpline(clamped_knots(n_ctrl, degree) * t_final, ctrl, degree)
+    q = BSpline(clamped_knots(len(ctrl), degree) * t_final, ctrl, degree)
     f = CubicSpline(times, f_x, bc_type="natural")
 
     def columns(t):
         return np.hstack((q(t), q.derivative()(t), f(t)))
 
     peak = np.abs(columns(np.linspace(0.0, t_final, 2001))).max(axis=0)
-    assert np.all(np.abs(reference_spline(ref)(t) - columns(t)) <= 1e-12 * peak)
+    bound = np.maximum(1e-12 * peak, np.finfo(float).tiny)
+    assert np.all(np.abs(reference_spline(ref)(t) - columns(t)) <= bound)
 
 
 def test_reference_spline_of_a_held_pose_has_zero_rate():
@@ -276,12 +299,20 @@ class _Captured(Exception):
     pass
 
 
-def captured_closed_loop(acts, disturbance):
-    """The right-hand side, Jacobian and initial state that simulate_tracking
-    hands to Radau for a 1 s ramp between two loaded poses."""
+def ramp_reference():
+    """A 1 s ramp between two loaded poses."""
     reference = constant_pose_reference(duration=1.0, pose=[0.8, 0.5, 0.3],
                                         force=[2000.0, 1500.0, 400.0])
     reference.control_points = np.linspace([0.8, 0.5, 0.3], [0.9, 0.45, 0.5], 8)
+    return reference
+
+
+def captured_closed_loop(acts, disturbance, gains=None):
+    """The right-hand side, Jacobian and initial state that simulate_tracking
+    hands to Radau for :func:`ramp_reference` (the published gains when
+    ``gains`` is None)."""
+    reference = ramp_reference()
+    gains = [published_gains()] * 3 if gains is None else gains
     seen = {}
 
     def capture(fun, t_span, y0, **kwargs):
@@ -291,7 +322,7 @@ def captured_closed_loop(acts, disturbance):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("emlaopt.control.solve_ivp", capture)
         with pytest.raises(_Captured):
-            simulate_tracking(acts, reference, [published_gains()] * 3, disturbance=disturbance)
+            simulate_tracking(acts, reference, gains, disturbance=disturbance)
     return seen["fun"], seen["jac"], seen["y0"]
 
 
@@ -331,3 +362,133 @@ def test_closed_loop_jacobian_matches_central_differences(
         fd[:, k] = (rhs(t, y + step) - rhs(t, y - step)) / (2.0 * step[k])
     row_rel = np.abs(exact - fd).max(axis=1) / np.abs(exact).max(axis=1)
     assert row_rel.max() <= 1e-7
+
+
+def oracle_rhs(acts, reference, gains, disturbance):
+    """The closed-loop right-hand side composed from the tested pieces on
+    (n_a,) arrays: tracking_transform -> control_law -> torque_to_iq ->
+    emla_rhs and adaptive_rate, with the noise tones drawn and summed as
+    written, 2*pi*f*t in full.  simulate_tracking's rhs runs the same
+    operations per actuator on Python floats."""
+    n_a = len(acts)
+    ref = reference_spline(reference)
+    motor = stack_params([a.motor for a in acts])
+    drive = stack_params([a.drivetrain for a in acts])
+    skew = 1.0 + disturbance.param_perturbation
+    plant_motor = replace(motor, stator_resistance=motor.stator_resistance * skew,
+                          pm_flux=motor.pm_flux / skew)
+    plant_eq = equivalent_params(replace(drive, motor_inertia=drive.motor_inertia * skew,
+                                         viscous_motor=drive.viscous_motor * skew))
+    f_eq = equivalent_params(drive).load_ratio
+    delta, eps, kk, sig = (np.stack([getattr(g, a) for g in gains], axis=1)
+                           for a in ("delta", "epsilon", "k", "sigma"))
+    rng = np.random.default_rng(disturbance.seed)
+    band, n_tones = disturbance.band_hz, disturbance.n_tones
+
+    def tones(n_channels):
+        rows = [(rng.uniform(band[0], band[1], n_tones), rng.uniform(0.0, 2.0 * np.pi, n_tones),
+                 rng.uniform(0.5, 1.0, n_tones)) for _ in range(n_channels)]
+        freq, phase, amp = (np.array(r) for r in zip(*rows))
+        amp /= np.sqrt(0.5 * np.sum(amp**2, axis=-1, keepdims=True))
+        return lambda t: np.sum(amp * np.sin(2.0 * np.pi * freq * t + phase), axis=-1)
+
+    peak_force = np.abs(reference.f_x).max(axis=0)
+    force_noise = tones(n_a)
+    if disturbance.sensor_noise_std:
+        sensor_noise = tones(4 * n_a)
+        current_scale = np.maximum(torque_to_iq(motor, f_eq * peak_force), 1e-3)
+        sensor_scale = disturbance.sensor_noise_std * np.stack([
+            np.abs(reference.q).max(axis=0), np.maximum(np.abs(reference.qd).max(axis=0), 1e-6),
+            current_scale, current_scale])
+        sensor_scale[:2] /= f_eq
+
+    def rhs(t, y):
+        x = y[:4 * n_a].reshape(4, n_a)[::-1]  # [i_d, i_q, omega, theta]
+        phi = y[4 * n_a:].reshape(n_a, 4).T
+        q_ref, qd_ref, f_load = ref(min(max(t, 0.0), reference.t_final)).reshape(3, n_a)
+        seen = x
+        if disturbance.sensor_noise_std:
+            seen = x + (sensor_scale * sensor_noise(t).reshape(4, n_a))[::-1]
+        i_d, i_q, omega, theta = seen
+        q1 = tracking_transform(f_eq * theta, q_ref, None, 1)
+        q2 = tracking_transform(f_eq * omega, qd_ref, control_law(delta[0], eps[0], phi[0], q1), 2)
+        iq_ref = torque_to_iq(motor, control_law(delta[1], eps[1], phi[1], q2))
+        q3 = tracking_transform(i_q, iq_ref, None, 3)
+        q4 = tracking_transform(i_d, 0.0, None, 4)
+        v_q = control_law(delta[2], eps[2], phi[2], q3)
+        v_d = control_law(delta[3], eps[3], phi[3], q4)
+        if disturbance.force_noise_std:
+            f_load = f_load + disturbance.force_noise_std * peak_force * force_noise(t)
+        dx = emla_rhs(plant_motor, plant_eq, x, (v_d, v_q), f_load)
+        rates = adaptive_rate(kk, sig, eps, phi, np.array((q1, q2, q3, q4)))
+        return np.concatenate((dx[::-1], rates.T), axis=None)
+
+    return rhs
+
+
+# every gain differs between joints and subsystems, so that one read from
+# the wrong joint or subsystem shows
+MIXED_GAINS = [SubsystemGains(delta=75000.0 * s * w, epsilon=9.0 * s * w, k=7.0 * s * w,
+                              sigma=9.0 * s / w)
+               for s, w in ((1.0, np.array([1.0, 0.9, 0.8, 0.7])),
+                            (1.3, np.array([0.7, 1.1, 0.9, 1.2])),
+                            (0.8, np.array([1.2, 0.8, 1.1, 0.9])))]
+DISTURBANCES = (nominal_disturbance(), replace(nominal_disturbance(), sensor_noise_std=1e-3))
+
+
+@pytest.fixture(scope="module")
+def rhs_and_oracles(acts):
+    return [(captured_closed_loop(acts, d, MIXED_GAINS)[::2],
+             oracle_rhs(acts, ramp_reference(), MIXED_GAINS, d)) for d in DISTURBANCES]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    noisy=st.booleans(),
+    t=st.floats(-0.1, 1.1),
+    off=arrays(float, 12, elements=st.floats(-100.0, 100.0)),
+    phi=arrays(float, 12, elements=st.floats(0.0, 10.0)),
+)
+def test_rhs_matches_its_array_oracle(rhs_and_oracles, noisy, t, off, phi):
+    # bit for bit: the same IEEE operations in the same order, on floats
+    (rhs, y0), oracle = rhs_and_oracles[noisy]
+    y = np.concatenate((y0[:12] + off, phi))
+    assert np.array_equal(rhs(t, y), oracle(t, y))
+
+
+def stock_radau(fun, t_span, y0, method, steps, **options):
+    """solve_ivp with SciPy's own Radau, its accepted steps counted by a
+    never-firing event, which is checked at t0 and after each of them."""
+    checks = []
+
+    def count_step(t, y):
+        checks.append(t)
+        return 1.0
+
+    sol = solve_ivp(fun, t_span, y0, method="Radau", events=count_step, **options)
+    steps += checks[1:]
+    return sol
+
+
+def test_radau_subclass_takes_stock_radau_steps(acts):
+    # 0.5 s of the stored grid winner: the start-up transient, whose steps
+    # stay under the cap, then steps at the cap, where SciPy factors the
+    # same matrices again.  Cached factors change no step, stage value or
+    # trace, only nlu
+    reference = TrajectoryResult.from_dict(json.loads(WINNER.read_text())["trajectory"])
+
+    def run():
+        return simulate_tracking(acts, reference, [published_gains()] * 3,
+                                 disturbance=nominal_disturbance(), duration=0.5)
+
+    cached = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("emlaopt.control.solve_ivp", stock_radau)
+        stock = run()
+    for f in fields(TrackingTraces):
+        if f.name != "solver":
+            assert np.array_equal(getattr(cached, f.name), getattr(stock, f.name)), f.name
+    solver = dict(cached.solver, nlu=stock.solver["nlu"])
+    assert solver == stock.solver
+    assert cached.solver["nsteps"] > 0
+    assert cached.solver["nlu"] < stock.solver["nlu"]
