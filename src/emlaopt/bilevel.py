@@ -102,11 +102,11 @@ def efficiency_summary(v_x, f_x, eta_fns) -> dict:
     }
 
 
-def quartile_occupancy(v_x, f_x, maps: list[EfficiencyMap], quantile: float = 0.75) -> list:
+def quartile_occupancy(v_x, f_x, maps: list[EfficiencyMap]) -> list:
     """Fraction of each joint's motoring samples inside the map's top band.
 
-    A sample counts when its interpolated efficiency reaches the given
-    quantile of the map's feasible positive-efficiency cells.
+    A sample counts when its interpolated efficiency reaches the upper
+    quartile of the map's feasible positive-efficiency cells.
     """
     v = np.asarray(v_x, dtype=float)
     f = np.asarray(f_x, dtype=float)
@@ -117,7 +117,7 @@ def quartile_occupancy(v_x, f_x, maps: list[EfficiencyMap], quantile: float = 0.
         if not np.any(mask):
             out.append(0.0)
             continue
-        threshold = emap.eta_quantile(quantile)
+        threshold = emap.eta_quantile(0.75)
         eta = emap.interp_eta(f[mask, i], v[mask, i])
         out.append(float(np.mean(eta >= threshold)))
     return out

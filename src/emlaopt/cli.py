@@ -39,14 +39,10 @@ from .trajopt import TrajectoryResult, solve_inner
 
 
 def run_map(config: dict, seed: int, jobs: int) -> dict:
-    configio.check_keys(config, "config", ("actuator", "grid", "allow_regeneration"),
-                        "a map config")
-    regeneration = config.get("allow_regeneration", False)
-    if not isinstance(regeneration, bool):
-        raise ConfigError(f"allow_regeneration: expected true or false, got {regeneration!r}")
+    configio.check_keys(config, "config", ("actuator", "grid"), "a map config")
     actuator = configio.build_actuator(config.get("actuator"))
     force, velocity = configio.build_map_axes(config.get("grid"), actuator)
-    emap = build_efficiency_map(actuator, force, velocity, allow_regeneration=regeneration)
+    emap = build_efficiency_map(actuator, force, velocity)
     return {"efficiency_map.csv": map_to_csv(emap), "efficiency_map.json": map_to_json(emap)}
 
 

@@ -189,27 +189,26 @@ def adaptive_rate(k: float, sigma: float, epsilon: float, phi: float, q_err):
     return -k * sigma * phi + 0.5 * epsilon * k * np.square(q_err)
 
 
+# band [Hz] and number of sine tones of the load-force noise
+NOISE_BAND_HZ = (0.2, 8.0)
+NOISE_TONES = 24
+
+
 @dataclass(frozen=True)
 class DisturbanceProfile:
-    """Load-force noise, plant parameter perturbation and sensor noise.
+    """Load-force noise and plant parameter perturbation.
 
-    ``force_noise_std`` scales band-limited noise relative to the peak
-    reference force; ``param_perturbation`` multiplies the plant's
-    resistance/inertia/damping style parameters by (1 + fraction);
-    ``sensor_noise_std`` adds band-limited noise to the measured states
-    (fractions of each signal's peak).  Everything is seeded.
+    ``force_noise_std`` scales band-limited noise (:data:`NOISE_TONES`
+    tones in :data:`NOISE_BAND_HZ`) relative to the peak reference force;
+    ``param_perturbation`` multiplies the plant's resistance/inertia/damping
+    style parameters by (1 + fraction).  The noise is seeded.
     """
 
     force_noise_std: float = 0.0
     param_perturbation: float = 0.0
-    sensor_noise_std: float = 0.0
-    band_hz: tuple = (0.2, 8.0)
-    n_tones: int = 24
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "band_hz", tuple(self.band_hz))
-        check_count(self.n_tones, "n_tones")
         check_count(self.seed, "seed", minimum=0)
 
     def bound(self, peak_force: float) -> float:
@@ -224,14 +223,14 @@ def nominal_disturbance() -> DisturbanceProfile:
 
 class _ToneNoise:
     """Seeded sum-of-sines band-limited noise with unit standard deviation,
-    one row of tones per channel."""
+    one row of :data:`NOISE_TONES` tones in :data:`NOISE_BAND_HZ` per channel."""
 
-    def __init__(self, rng, band_hz, n_tones, n_channels):
+    def __init__(self, rng, n_channels):
         # each channel draws its frequencies, phases and amplitudes in turn
         rows = [
-            (rng.uniform(band_hz[0], band_hz[1], n_tones),
-             rng.uniform(0.0, 2.0 * np.pi, n_tones),
-             rng.uniform(0.5, 1.0, n_tones))
+            (rng.uniform(*NOISE_BAND_HZ, NOISE_TONES),
+             rng.uniform(0.0, 2.0 * np.pi, NOISE_TONES),
+             rng.uniform(0.5, 1.0, NOISE_TONES))
             for _ in range(n_channels)
         ]
         freq, self.phase, self.amp = (np.array(r) for r in zip(*rows))
@@ -341,7 +340,8 @@ def simulate_tracking(
     The reference trajectory is evaluated exactly from its spline; the
     per-joint load force is the trajectory's inverse-dynamics force plus
     the configured disturbance.  Both come from :func:`reference_spline`,
-    one spline call per evaluation.  ``dt`` is the output sampling step of
+    one spline call per evaluation.  The controller reads the plant's
+    states as they are.  ``dt`` is the output sampling step of
     the returned traces, not an integration step (the stiff solver
     adapts).  Radau's Newton iterations use the closed loop's exact
     Jacobian, and its steps are capped at :data:`RADAU_MAX_STEP`, a
@@ -371,31 +371,11 @@ def simulate_tracking(
 
     rng = np.random.default_rng(disturbance.seed)
     peak_force = np.abs(reference.f_x).max(axis=0)
-    force_noise = _ToneNoise(rng, disturbance.band_hz, disturbance.n_tones, n_a)
-    sensor_noise = None
-    if disturbance.sensor_noise_std:
-        # channels (theta, omega, i_q, i_d) x joint, each scaled by its
-        # signal's peak (angles and speeds through f_eq to the shaft)
-        sensor_noise = _ToneNoise(rng, disturbance.band_hz, disturbance.n_tones, 4 * n_a)
-        current_scale = np.maximum(torque_to_iq(motor, f_eq * peak_force), 1e-3)
-        sensor_scale = disturbance.sensor_noise_std * np.stack([
-            np.abs(reference.q).max(axis=0),
-            np.maximum(np.abs(reference.qd).max(axis=0), 1e-6),
-            current_scale,
-            current_scale,
-        ])
-        sensor_scale[:2] /= f_eq
-
-    def measured(t, x):
-        """States (4, ..., n_a) as the controller reads them at times t."""
-        if sensor_noise is None:
-            return x
-        wig = sensor_scale * sensor_noise(t).reshape(np.shape(t) + (4, n_a))
-        return x + np.moveaxis(wig, -2, 0)[::-1]  # to [i_d, i_q, omega, theta]
+    force_noise = _ToneNoise(rng, n_a)
 
     def controller(x, gain, q_ref, qd_ref, f_eq, motor):
-        """Subsystem errors (Q1..Q4), i_q reference and (V_d, V_q) at
-        measured states x, both (4, ...), with the subsystems' feedback
+        """Subsystem errors (Q1..Q4), i_q reference and (V_d, V_q) at the
+        plant's states x, both (4, ...), with the subsystems' feedback
         gains (4, ...).  ``f_eq`` and ``motor`` are stacked over the
         actuators for arrays of them, or one actuator's for its floats."""
         i_d, i_q, omega, theta = x
@@ -425,11 +405,10 @@ def simulate_tracking(
         if disturbance.force_noise_std:
             f_load = [f + s * w for f, s, w in zip(f_load, force_scale, force_noise(t).tolist())]
         states = x.T.tolist()
-        seen = measured(t, x).T.tolist() if sensor_noise else states
         gains = feedback_gain(delta, eps, phi).T.tolist()
         q_err, dx = [], []
         for j, (f_eq_j, motor_j, plant_j, eq_j) in enumerate(joints):
-            q, _, v_d, v_q = controller(seen[j], gains[j], row[j], row[n_a + j], f_eq_j, motor_j)
+            q, _, v_d, v_q = controller(states[j], gains[j], row[j], row[n_a + j], f_eq_j, motor_j)
             q_err += q
             dx.append(emla_rhs(plant_j, eq_j, states[j], (v_d, v_q), f_load[j]))
         rates = adaptive_rate(*rate_gains, y[4 * n_a:], np.array(q_err))
@@ -437,9 +416,7 @@ def simulate_tracking(
 
     # exact Jacobian of rhs: one 8x8 block per actuator over its local
     # state [theta, omega, i_q, i_d, phi_1..phi_4], scattered to the Radau
-    # layout; actuators do not couple.  Sensor noise is additive, so the
-    # controller rows differentiate at the measured state; the load force
-    # depends on t only.
+    # layout; actuators do not couple.  The load force depends on t only.
     iq_per_torque = torque_to_iq(motor, 1.0)
     p, r_s = plant_motor.pole_pairs, plant_motor.stator_resistance
     l_d, l_q, psi = plant_motor.inductance_d, plant_motor.inductance_q, plant_motor.pm_flux
@@ -450,7 +427,7 @@ def simulate_tracking(
         x, phi = unpack(y)
         q_ref, qd_ref, _ = ref(min(max(t, 0.0), t_end)).reshape(3, n_a)
         gain = feedback_gain(delta, eps, phi)
-        q_err = np.array(controller(measured(t, x), gain, q_ref, qd_ref, f_eq, motor)[0])
+        q_err = np.array(controller(x, gain, q_ref, qd_ref, f_eq, motor)[0])
         i_d, i_q, omega, _ = x
         a = delta + eps * phi  # -2x the feedback gain of each subsystem
         # gradients of the errors Q_nu along the cascade
@@ -522,7 +499,7 @@ def simulate_tracking(
     phi = y[:, 4 * n_a:].reshape(len(t), n_a, 4)
     q_ref, qd_ref, f_ref = np.moveaxis(ref(np.clip(t, 0.0, t_end)).reshape(len(t), 3, n_a), 1, 0)
     gain = feedback_gain(delta[:, None], eps[:, None], phi.transpose(2, 0, 1))
-    q_err, iq_ref, v_d, v_q = controller(measured(t, x), gain, q_ref, qd_ref, f_eq, motor)
+    q_err, iq_ref, v_d, v_q = controller(x, gain, q_ref, qd_ref, f_eq, motor)
     i_d, i_q, omega, theta = x
     # reference columns carry the trajectory samples verbatim at the
     # collocation instants

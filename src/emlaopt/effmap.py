@@ -3,8 +3,8 @@
 Each cell solves the steady operating point: shaft speed from the ideal
 transmission, q-axis current from the torque demand with i_d = 0, dq
 voltages from the steady current equations.  Cells whose current or voltage
-exceed the configured drive limits are tagged infeasible (NaN efficiency),
-never clamped or zeroed.
+exceed the configured drive limits, and regenerating cells, are tagged
+infeasible (NaN efficiency), never clamped or zeroed.
 """
 
 import json
@@ -36,20 +36,19 @@ class EmlaModel:
         v_d, v_q = dq_voltages(self.motor, 0.0, i_q, omega_m)
         return omega_m, i_q, v_d, v_q
 
-    def cell(self, f_x, v_x, allow_regeneration: bool = False):
+    def cell(self, f_x, v_x):
         """Efficiency, loss breakdown and feasibility at (f_x, v_x) points.
 
-        Points beyond the current/voltage limits, and regenerating points
-        when regeneration rating is off, are infeasible: their efficiency is
-        NaN, so they are excluded from the map rather than clamped.  The
-        losses are evaluated at every point.
+        Points beyond the current/voltage limits, and regenerating points,
+        are infeasible: their efficiency is NaN, so they are excluded from
+        the map rather than clamped.  The losses are evaluated at every
+        point.
         """
         omega_m, i_q, v_d, v_q = self.steady_state(f_x, v_x)
-        p_out = np.multiply(f_x, v_x)
         feasible = ~(
             (np.abs(i_q) > self.drive.max_current)
             | (np.hypot(v_d, v_q) > self.drive.max_voltage)
-            | ((p_out < 0) & (not allow_regeneration))
+            | (np.multiply(f_x, v_x) < 0)
         )
         losses = loss_breakdown(
             self.motor, self.drivetrain, self.drive, 0.0, i_q, omega_m, f_x, v_x
@@ -134,17 +133,12 @@ class EfficiencyMap:
         return float(np.quantile(vals, q))
 
 
-def build_efficiency_map(
-    model: EmlaModel,
-    force_grid,
-    velocity_grid,
-    allow_regeneration: bool = False,
-) -> EfficiencyMap:
+def build_efficiency_map(model: EmlaModel, force_grid, velocity_grid) -> EfficiencyMap:
     """Evaluate the steady-state efficiency over a rectangular grid in one model call."""
     force_axis = np.asarray(force_grid, dtype=float)
     velocity_axis = np.asarray(velocity_grid, dtype=float)
     ff, vv = np.meshgrid(force_axis, velocity_axis, indexing="ij")
-    eta, losses, feasible = model.cell(ff, vv, allow_regeneration)
+    eta, losses, feasible = model.cell(ff, vv)
     columns = {
         k: np.where(feasible, getattr(losses, k), np.nan)
         for k in ("p_cu", "p_co", "p_sw", "p_d", "p_mech", "p_sc")

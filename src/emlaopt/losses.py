@@ -138,14 +138,11 @@ def loss_breakdown(
 def efficiency(f_x, v_x, losses: LossBreakdown):
     """Conversion efficiency eta = P_out / (P_out + P_EE + P_EM) in [0, 1].
 
-    For zero output power the efficiency is defined as 0.  In the
-    regenerative quadrant (f_x * v_x < 0) the efficiency is recovered/absorbed
-    power, clamped at 0 when the losses exceed the absorbed power.
+    Only motoring points (f_x * v_x > 0) are rated: at zero output power
+    and in the regenerative quadrant the efficiency is 0.
     """
     p_out = np.multiply(f_x, v_x)
     p_loss = losses.total
     eta = np.zeros(np.broadcast(p_out, p_loss).shape)
     np.divide(p_out, p_out + p_loss, out=eta, where=p_out > 0.0)
-    with np.errstate(over="ignore"):  # a vanishing absorbed power gives -inf, clamped to 0
-        np.divide(-p_out - p_loss, -p_out, out=eta, where=p_out < 0.0)
-    return np.maximum(eta, 0.0)[()]
+    return eta[()]

@@ -240,15 +240,10 @@ def _force_to_parent(rotation, offset, force):
 class DynamicsState:
     """Everything one evaluation produces: frames, wrenches, piston forces."""
 
-    model: ChainModel
-    q: np.ndarray
-    qd: np.ndarray
-    qdd: np.ndarray
     frames: dict  # name -> (R_world, p_world, V, A)
     net_wrenches: dict  # body name -> wrench in body frame
     frame_forces: dict  # frame name -> transmitted wrench in frame coords
     piston_forces: np.ndarray  # (..., n)
-    chain_angles: dict  # stage name -> (q_hinge, q_anchor, q_pin)
 
 
 def _as_states(model: ChainModel, q, qd, qdd):
@@ -423,15 +418,10 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
     )
 
     return DynamicsState(
-        model=model,
-        q=q,
-        qd=qd,
-        qdd=qdd,
         frames=frames,
         net_wrenches=net,
         frame_forces=frame_forces,
         piston_forces=np.stack(piston, axis=-1),
-        chain_angles=chain_angles,
     )
 
 

@@ -216,12 +216,14 @@ def default_manipulator(gravity: float = 9.81) -> ChainModel:
     )
 
 
-def chain_control_bounds(model: ChainModel, margin: float = 0.5):
+def chain_control_bounds(model: ChainModel):
     """Control-point box keeping every spline evaluable (triangle-safe).
 
     The convex-hull property bounds q(t) by the control-point box, so
     holding control points inside the triangle-feasible stroke range keeps
-    the loop closure solvable at every solver iterate.
+    the loop closure solvable at every solver iterate.  A chain's box
+    reaches half way from its stroke limits to the triangle's, at most
+    0.05 m; a telescope's reaches 0.05 m past its stroke limits.
     """
     lo, hi = model.stroke_limits()
     c_lo, c_hi = lo.copy(), hi.copy()
@@ -230,8 +232,8 @@ def chain_control_bounds(model: ChainModel, margin: float = 0.5):
             g = stage.geometry
             tri_lo = abs(g.base_len - g.rocker_len) - g.zero_stroke_len
             tri_hi = g.base_len + g.rocker_len - g.zero_stroke_len
-            c_lo[i] = lo[i] - margin * min(lo[i] - tri_lo, 0.1)
-            c_hi[i] = hi[i] + margin * min(tri_hi - hi[i], 0.1)
+            c_lo[i] = lo[i] - 0.5 * min(lo[i] - tri_lo, 0.1)
+            c_hi[i] = hi[i] + 0.5 * min(tri_hi - hi[i], 0.1)
         else:
             c_lo[i] = lo[i] - 0.05
             c_hi[i] = hi[i] + 0.05

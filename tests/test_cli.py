@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from dataclasses import asdict
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emlaopt.cli import main
+from emlaopt.cli import RUNNERS, main
 from emlaopt.configio import ConfigError, build_actuator, build_gains, load_json
 from emlaopt.presets import lift_emla
 from conftest import constant_pose_reference
@@ -526,10 +527,17 @@ EXPLICIT_GRID = {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}
     ("bilevel", dict(BL_CFG, maps={"n_velocity": 7.5}),
      "maps: n_velocity must be an integer >= 1, got 7.5"),
     ("track", {"disturbance": {"force_noise_std": 0.02, "n_tones": 24.5}},
-     "disturbance: n_tones must be an integer >= 1, got 24.5"),
+     "disturbance: it takes only ['force_noise_std', 'param_perturbation', 'seed'], "
+     "got unknown keys ['n_tones']"),
     ("track", {"disturbance": {"seed": 1.5}}, "disturbance: seed must be an integer >= 0"),
     ("map", dict(MAP_CFG, allow_regeneration="false"),
-     "allow_regeneration: expected true or false, got 'false'"),
+     "config: a map config takes only ['actuator', 'grid'], "
+     "got unknown keys ['allow_regeneration']"),
+    ("track", {"disturbance": {"force_noise_std": 0.02, "sensor_noise_std": 0.005}},
+     "disturbance: it takes only ['force_noise_std', 'param_perturbation', 'seed'], "
+     "got unknown keys ['sensor_noise_std']"),
+    ("track", {"disturbance": {"preset": "nominal", "band_hz": [0.2, 8.0]}},
+     "disturbance: the 'nominal' preset takes no other keys, got unknown keys ['band_hz']"),
     ("trajopt", {"manipulator": _with(MANIPULATOR_DOC, (), gravity="1.62")},
      "manipulator.gravity: expected a finite number, got '1.62'"),
     ("trajopt", {"manipulator": {"preset": "default", "gravity": "1.62"}},
@@ -551,9 +559,9 @@ EXPLICIT_GRID = {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}
 ], ids=["problem", "manipulator", "stage", "body", "gains", "actuator", "grid",
         "count-preset-float", "count-preset-integral-float", "count-preset-bool",
         "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
-        "count-maps-n", "count-n_tones", "count-seed", "regeneration", "gravity-inline",
-        "gravity-preset", "t_lower", "vector-string", "vector-bool", "weights-string",
-        "weights-bool", "position-error-string", "position-error-bool"])
+        "count-maps-n", "count-n_tones", "count-seed", "regeneration", "sensor_noise_std",
+        "band_hz", "gravity-inline", "gravity-preset", "t_lower", "vector-string", "vector-bool",
+        "weights-string", "weights-bool", "position-error-string", "position-error-bool"])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
                                                 command, cfg, match):
     # each inline case ran without the named key: M = 50 with weights
@@ -563,7 +571,9 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     # every other float was cut to an integer.  The string "false" turned
     # regeneration rating on, a gravity of "1.62" built g = 1.62, and a
     # t_lower of 0 let SLSQP's final time reach the division by it.  Lists
-    # of numeric strings or bools were converted to the numbers they spell
+    # of numeric strings or bools were converted to the numbers they spell.
+    # Regeneration rating, sensor noise and the noise's band and tone count
+    # are gone, so their keys are unknown
     if command == "track":
         cfg = dict(cfg, trajectory=pose_reference)
     path = write(tmp_path, "cfg.json", cfg)
@@ -613,3 +623,26 @@ def test_readme_configs_are_accepted(tmp_path, no_work, pose_reference):
         path = write(tmp_path, f"readme_{i}.json", doc)
         with pytest.raises(WorkStarted):
             run([command, "--config", path, "--out", str(tmp_path / f"o{i}")])
+
+
+def readme_top_level_keys() -> dict:
+    """Each command's top-level config keys, as README's list of them gives
+    them: the backquoted names of its item up to the first '(' or ';'."""
+    block = re.search(r"top-level\s+keys are:\n\n(.*?)\n\n", README.read_text(), re.S).group(1)
+    keys = {}
+    for item in block.split("\n- "):
+        command, *names = re.findall(r"`(\w+)`", re.split(r"[(;]", item)[0])
+        keys[command] = names
+    return keys
+
+
+@pytest.mark.parametrize("command", list(RUNNERS))
+def test_readme_top_level_keys_match_the_cli(tmp_path, capsys, no_work, command):
+    # an unknown key makes the command name every key it reads; README's
+    # list must name the same ones, so neither drifts from the other
+    path = write(tmp_path, "cfg.json", {"zzz": 1})
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "got unknown keys ['zzz']" in err
+    takes = ast.literal_eval(re.search(r"takes only (\[.*?\])", err).group(1))
+    assert sorted(readme_top_level_keys()[command]) == takes

@@ -12,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from emlaopt.control import (
+    NOISE_BAND_HZ,
+    NOISE_TONES,
     DisturbanceProfile,
     SubsystemGains,
     TrackingTraces,
@@ -213,19 +215,6 @@ def test_traces_obey_control_law(acts, nominal_traces):
     assert np.array_equal(tr.q_err[..., 3], tr.i_d)
 
 
-def test_sensor_noise_is_seeded(acts, nominal_traces):
-    noisy = replace(nominal_disturbance(), sensor_noise_std=1e-6)
-    a = loaded_pose_run(acts, noisy)
-    b = loaded_pose_run(acts, noisy)
-    for name in ("position", "i_q", "v_q", "v_d", "q_err", "phi", "lyapunov"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    # the controller reads noisy states: its errors and commands change
-    assert np.array_equal(a.times, nominal_traces.times)
-    assert not np.allclose(a.q_err, nominal_traces.q_err)
-    assert not np.allclose(a.v_q, nominal_traces.v_q)
-    assert a.phi.min() >= 0.0
-
-
 def test_load_pulse_reconverges(acts):
     # constant pose with a transient load-force pulse mid-run
     reference = constant_pose_reference(duration=1.0)
@@ -326,15 +315,19 @@ def captured_closed_loop(acts, disturbance, gains=None):
     return seen["fun"], seen["jac"], seen["y0"]
 
 
+# without and with the force noise and the plant skew: the rhs branches on
+# force_noise_std
+DISTURBANCES = (DisturbanceProfile(), nominal_disturbance())
+
+
 @pytest.fixture(scope="module")
 def closed_loops(acts):
-    noisy = replace(nominal_disturbance(), sensor_noise_std=1e-3)
-    return [captured_closed_loop(acts, d) for d in (nominal_disturbance(), noisy)]
+    return [captured_closed_loop(acts, d) for d in DISTURBANCES]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    noisy=st.booleans(),
+    disturbed=st.booleans(),
     t=st.floats(0.0, 1.0),
     angle_error=arrays(float, 3, elements=st.floats(1e-3, 1.0)),
     angle_sign=arrays(bool, 3),
@@ -342,14 +335,14 @@ def closed_loops(acts):
     phi=arrays(float, (3, 4), elements=st.floats(0.0, 10.0)),
 )
 def test_closed_loop_jacobian_matches_central_differences(
-        closed_loops, noisy, t, angle_error, angle_sign, deviation, phi):
+        closed_loops, disturbed, t, angle_error, angle_sign, deviation, phi):
     # the closed loop is at most quadratic along every single coordinate,
     # so central differences are exact up to rounding.  The shaft angle is
     # drawn at least 0.04 rad off the start state, which is on the
     # reference: there Q is zero to rounding, and the rows eps*k*Q*dQ of the
     # estimates are set by that rounding amplified by the gain products
     # (~1e18), which neither side resolves.
-    rhs, jac, y0 = closed_loops[noisy]
+    rhs, jac, y0 = closed_loops[disturbed]
     # shaft angle [rad], shaft speed [rad/s], i_q and i_d [A] off the start state
     off = np.vstack((np.where(angle_sign, 40.0, -40.0) * angle_error,
                      np.array([[1000.0], [50.0], [5.0]]) * deviation))
@@ -383,33 +376,18 @@ def oracle_rhs(acts, reference, gains, disturbance):
     delta, eps, kk, sig = (np.stack([getattr(g, a) for g in gains], axis=1)
                            for a in ("delta", "epsilon", "k", "sigma"))
     rng = np.random.default_rng(disturbance.seed)
-    band, n_tones = disturbance.band_hz, disturbance.n_tones
-
-    def tones(n_channels):
-        rows = [(rng.uniform(band[0], band[1], n_tones), rng.uniform(0.0, 2.0 * np.pi, n_tones),
-                 rng.uniform(0.5, 1.0, n_tones)) for _ in range(n_channels)]
-        freq, phase, amp = (np.array(r) for r in zip(*rows))
-        amp /= np.sqrt(0.5 * np.sum(amp**2, axis=-1, keepdims=True))
-        return lambda t: np.sum(amp * np.sin(2.0 * np.pi * freq * t + phase), axis=-1)
-
+    n = NOISE_TONES
+    rows = [(rng.uniform(*NOISE_BAND_HZ, n), rng.uniform(0.0, 2.0 * np.pi, n),
+             rng.uniform(0.5, 1.0, n)) for _ in range(n_a)]
+    freq, phase, amp = (np.array(r) for r in zip(*rows))
+    amp /= np.sqrt(0.5 * np.sum(amp**2, axis=-1, keepdims=True))
     peak_force = np.abs(reference.f_x).max(axis=0)
-    force_noise = tones(n_a)
-    if disturbance.sensor_noise_std:
-        sensor_noise = tones(4 * n_a)
-        current_scale = np.maximum(torque_to_iq(motor, f_eq * peak_force), 1e-3)
-        sensor_scale = disturbance.sensor_noise_std * np.stack([
-            np.abs(reference.q).max(axis=0), np.maximum(np.abs(reference.qd).max(axis=0), 1e-6),
-            current_scale, current_scale])
-        sensor_scale[:2] /= f_eq
 
     def rhs(t, y):
         x = y[:4 * n_a].reshape(4, n_a)[::-1]  # [i_d, i_q, omega, theta]
         phi = y[4 * n_a:].reshape(n_a, 4).T
         q_ref, qd_ref, f_load = ref(min(max(t, 0.0), reference.t_final)).reshape(3, n_a)
-        seen = x
-        if disturbance.sensor_noise_std:
-            seen = x + (sensor_scale * sensor_noise(t).reshape(4, n_a))[::-1]
-        i_d, i_q, omega, theta = seen
+        i_d, i_q, omega, theta = x
         q1 = tracking_transform(f_eq * theta, q_ref, None, 1)
         q2 = tracking_transform(f_eq * omega, qd_ref, control_law(delta[0], eps[0], phi[0], q1), 2)
         iq_ref = torque_to_iq(motor, control_law(delta[1], eps[1], phi[1], q2))
@@ -418,7 +396,8 @@ def oracle_rhs(acts, reference, gains, disturbance):
         v_q = control_law(delta[2], eps[2], phi[2], q3)
         v_d = control_law(delta[3], eps[3], phi[3], q4)
         if disturbance.force_noise_std:
-            f_load = f_load + disturbance.force_noise_std * peak_force * force_noise(t)
+            noise = np.sum(amp * np.sin(2.0 * np.pi * freq * t + phase), axis=-1)
+            f_load = f_load + disturbance.force_noise_std * peak_force * noise
         dx = emla_rhs(plant_motor, plant_eq, x, (v_d, v_q), f_load)
         rates = adaptive_rate(kk, sig, eps, phi, np.array((q1, q2, q3, q4)))
         return np.concatenate((dx[::-1], rates.T), axis=None)
@@ -433,7 +412,6 @@ MIXED_GAINS = [SubsystemGains(delta=75000.0 * s * w, epsilon=9.0 * s * w, k=7.0 
                for s, w in ((1.0, np.array([1.0, 0.9, 0.8, 0.7])),
                             (1.3, np.array([0.7, 1.1, 0.9, 1.2])),
                             (0.8, np.array([1.2, 0.8, 1.1, 0.9])))]
-DISTURBANCES = (nominal_disturbance(), replace(nominal_disturbance(), sensor_noise_std=1e-3))
 
 
 @pytest.fixture(scope="module")
@@ -444,14 +422,14 @@ def rhs_and_oracles(acts):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    noisy=st.booleans(),
+    disturbed=st.booleans(),
     t=st.floats(-0.1, 1.1),
     off=arrays(float, 12, elements=st.floats(-100.0, 100.0)),
     phi=arrays(float, 12, elements=st.floats(0.0, 10.0)),
 )
-def test_rhs_matches_its_array_oracle(rhs_and_oracles, noisy, t, off, phi):
+def test_rhs_matches_its_array_oracle(rhs_and_oracles, disturbed, t, off, phi):
     # bit for bit: the same IEEE operations in the same order, on floats
-    (rhs, y0), oracle = rhs_and_oracles[noisy]
+    (rhs, y0), oracle = rhs_and_oracles[disturbed]
     y = np.concatenate((y0[:12] + off, phi))
     assert np.array_equal(rhs(t, y), oracle(t, y))
 

@@ -77,9 +77,7 @@ def test_current_limit_marks_infeasible(emla):
 
 def test_regenerating_cell_excluded_by_default(emla):
     eta, losses, feasible = emla.cell(1e4, -0.05)
-    assert not feasible
-    eta2, _, feasible2 = emla.cell(1e4, -0.05, allow_regeneration=True)
-    assert feasible2 and 0.0 <= eta2 <= 1.0
+    assert not feasible and np.isnan(eta)
 
 
 def test_unimodal_along_ray(emla):
@@ -93,23 +91,23 @@ def test_unimodal_along_ray(emla):
 
 
 @settings(max_examples=40, deadline=None)
-@given(operating_axes(), st.booleans())
-def test_cell_batch_equals_points(case, allow_regeneration):
+@given(operating_axes())
+def test_cell_batch_equals_points(case):
     """One cell call over a grid gives, bitwise, what a call at each point
     gives, as the per-cell loop it replaced did."""
     emla, f, v = case
     ff, vv = np.meshgrid(f, v, indexing="ij")
-    eta, losses, feasible = emla.cell(ff, vv, allow_regeneration)
+    eta, losses, feasible = emla.cell(ff, vv)
     assert eta.shape == feasible.shape == ff.shape
     for i, j in np.ndindex(ff.shape):
-        e, lb, ok = emla.cell(ff[i:i + 1, j], vv[i:i + 1, j], allow_regeneration)
+        e, lb, ok = emla.cell(ff[i:i + 1, j], vv[i:i + 1, j])
         assert ok[0] == feasible[i, j]
         assert np.array_equal(e[0], eta[i, j], equal_nan=True)
         for name in (k.name for k in fields(LossBreakdown)):
             assert getattr(lb, name)[0] == getattr(losses, name)[i, j]
         # Python floats take libm pow, which can round w**1.5 and the squares
         # one ulp away from NumPy's array loop
-        e, _, ok = emla.cell(float(ff[i, j]), float(vv[i, j]), allow_regeneration)
+        e, _, ok = emla.cell(float(ff[i, j]), float(vv[i, j]))
         assert ok == feasible[i, j]
         assert np.allclose(e, eta[i, j], rtol=1e-15, atol=0.0, equal_nan=True)
 

@@ -65,9 +65,12 @@ def test_efficiency_equal_split():
 
 
 def test_regeneration_rated():
-    eta = efficiency(100.0, -1.0, _FakeLoss(10.0))
-    assert np.isclose(eta, (100.0 - 10.0) / 100.0)
-    assert efficiency(5.0, -1.0, _FakeLoss(10.0)) == 0.0
+    # only motoring is rated: a regenerating point rates 0, however small
+    # its losses against the absorbed power
+    for absorbed in (100.0, 5.0, 1e-300):
+        assert efficiency(absorbed, -1.0, _FakeLoss(10.0)) == 0.0
+    assert np.array_equal(efficiency(np.array([100.0, -100.0]), 1.0, _FakeLoss(10.0)),
+                          [100.0 / 110.0, 0.0])
 
 
 def test_negative_coefficients_rejected():

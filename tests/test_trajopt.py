@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from emlaopt.manipulator import rnea
@@ -168,14 +168,21 @@ def test_determinism(small_problem, dynamics, solved_half):
     assert again.t_final == solved_half.t_final
 
 
-def central_jacobian(fun, z, h=1e-6):
-    """Central differences of fun (scalar or vector valued) by each entry of z."""
-    cols = []
-    for i in range(len(z)):
-        step = np.zeros_like(z)
-        step[i] = h * max(1.0, abs(z[i]))
-        cols.append((np.atleast_1d(fun(z + step)) - np.atleast_1d(fun(z - step))) / (2 * step[i]))
-    return np.stack(cols, axis=-1)
+def central_jacobian(fun, z, h=1e-4):
+    """Richardson-extrapolated central differences of fun (scalar or vector
+    valued) by each entry of z: (4 D(h/2) - D(h)) / 3, whose truncation
+    error is O(h^4) where a plain central difference's is O(h^2)."""
+
+    def central(h):
+        cols = []
+        for i in range(len(z)):
+            step = np.zeros_like(z)
+            step[i] = h * max(1.0, abs(z[i]))
+            diff = np.atleast_1d(fun(z + step)) - np.atleast_1d(fun(z - step))
+            cols.append(diff / (2 * step[i]))
+        return np.stack(cols, axis=-1)
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -184,6 +191,11 @@ def central_jacobian(fun, z, h=1e-6):
     t_frac=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# a plain central difference at h = 1e-6 erred by 1.09e-6 of the cost on
+# this draw (column 28, the tilt stroke of the last control point), its
+# O(h^2) truncation error, while cost_grad agreed with the extrapolation
+# to 4.6e-8
+@example(w=(0.0, 1.0), t_frac=0.0, seed=1330118313)
 def test_derivatives_match_central_differences(small_problem, dynamics, w, t_frac, seed):
     # the cost gradient and both constraint Jacobians are all read from the
     # chained d(q, qd, f_x)/dz; each must match differences of its function
