@@ -117,7 +117,7 @@ def quartile_occupancy(v_x, f_x, maps: list[EfficiencyMap]) -> list:
         if not np.any(mask):
             out.append(0.0)
             continue
-        threshold = emap.eta_quantile(0.75)
+        threshold = emap.eta_upper_quartile()
         eta = emap.interp_eta(f[mask, i], v[mask, i])
         out.append(float(np.mean(eta >= threshold)))
     return out

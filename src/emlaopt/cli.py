@@ -153,18 +153,13 @@ def run_report(config: dict, seed: int, jobs: int) -> dict:
     if not traj_path.exists() and not bilevel_path.exists():
         missing.append("trajectory.json or bilevel.json")
     report = {}
-    def check_not_empty(t):
-        if len(t.times) == 0 or t.q.size == 0:
-            raise ConfigError("trajectory artifact is empty")
-        return t
-
     if bilevel_path.exists():
         doc = load_json(bilevel_path)
         lacking = [k for k in ("weights_opt", "outer_value", "summary", "trajectory")
                    if k not in doc]
         if lacking:
             raise ConfigError(f"{bilevel_path}: missing {', '.join(lacking)}")
-        traj = check_not_empty(TrajectoryResult.from_dict(doc["trajectory"]))
+        traj = TrajectoryResult.from_dict(doc["trajectory"])
         report["weights_opt"] = doc["weights_opt"]
         report["outer_value"] = doc["outer_value"]
         report["efficiency"] = doc["summary"]
@@ -172,7 +167,7 @@ def run_report(config: dict, seed: int, jobs: int) -> dict:
             if key in doc:
                 report[key] = doc[key]
     elif traj_path.exists():
-        traj = check_not_empty(TrajectoryResult.from_dict(load_json(traj_path)))
+        traj = TrajectoryResult.from_dict(load_json(traj_path))
         actuators = configio.build_actuators(config.get("actuators"))
         axes = configio.build_preset_axes(None, actuators, "actuators")
         maps = [build_efficiency_map(a, *ax) for a, ax in zip(actuators, axes)]

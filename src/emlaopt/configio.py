@@ -15,6 +15,7 @@ import inspect
 import json
 from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -65,14 +66,28 @@ def number(value, path: str) -> float:
     return float(value)
 
 
+def boolean(value, path: str) -> bool:
+    """``value``, checked to be a JSON ``true`` or ``false`` (not a string or a number)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
 def vector(value, path: str, n: int = None) -> np.ndarray:
-    """``value``, checked to be a list of JSON numbers (not bools or
-    strings), ``n`` of them when ``n`` is given, as a float array."""
-    if (not isinstance(value, list) or n is not None and len(value) != n
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+    """``value``, checked to be a list of finite JSON numbers (not bools or
+    strings), or a list of equal-length lists of them, with ``n`` entries
+    when ``n`` is given, as a float array."""
+    # anything but a list of the right length fails the type check as [None]
+    entries = value if isinstance(value, list) and (n is None or len(value) == n) else [None]
+    if entries and set(map(type, entries)) == {list} and len(set(map(len, entries))) == 1:
+        entries = chain.from_iterable(entries)  # the rows of a matrix
+    types = set(map(type, entries))
+    array = (np.array(value, dtype=float)
+             if bool not in types and all(issubclass(t, (int, float)) for t in types) else None)
+    if array is None or not np.isfinite(array).all():
         count = "" if n is None else f"{n} "
         raise ConfigError(f"{path}: expected a list of {count}numbers, got {value!r}")
-    return np.array(value, dtype=float)
+    return array
 
 
 def _call(build, path: str, *args, **kwargs):
@@ -160,7 +175,7 @@ def _body(gravity):
     def body(doc, path):
         check_keys(doc, path, ("mass", "inertia", "com"), "a body",
                    required=("mass", "inertia", "com"))
-        inertia = _call(np.asarray, f"{path}.inertia", doc["inertia"], dtype=float)
+        inertia = vector(doc["inertia"], f"{path}.inertia")
         if inertia.shape == (3,):
             inertia = np.diag(inertia)
         if inertia.shape != (3, 3):
@@ -244,10 +259,10 @@ def build_outer(doc, path: str = "outer") -> BilevelConfig:
 def _axis(spec, path: str) -> np.ndarray:
     try:
         lo, hi, n = spec
-        return np.linspace(float(lo), float(hi), check_count(n, "n"))
+        return np.linspace(number(lo, path), number(hi, path), check_count(n, "n"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: need a grid specification [lo, hi, n] with an integer "
-                          f"n, got {spec!r}") from exc
+                          f"n and finite numbers lo and hi, got {spec!r}") from exc
 
 
 def build_map_axes(doc, actuator: EmlaModel, path: str = "grid"):

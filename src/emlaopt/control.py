@@ -12,9 +12,10 @@ The closed loop (plant + adaptive states + continuous feedback) is stiff
 at the published gains, so the simulation integrates the full ODE with an
 implicit stiff solver rather than fixed explicit stepping.  Its right-hand
 side is the tested pieces wired together: :func:`tracking_transform` and
-:func:`control_law` per subsystem, :func:`~emlaopt.pmsm.torque_to_iq` for
-the current reference, :func:`~emlaopt.statespace.emla_rhs` for the plant
-and :func:`adaptive_rate` for the estimates.  Radau's state holds the
+the feedback :func:`feedback_gain` times Q of :func:`control_law` per
+subsystem, :func:`~emlaopt.pmsm.torque_to_iq` for the current reference,
+:func:`~emlaopt.statespace.emla_rhs` for the plant and
+:func:`adaptive_rate` for the estimates.  Radau's state holds the
 shaft angles, shaft speeds, q- and d-axis currents of all actuators (one
 row of n_a each), then each actuator's four estimates.  The controller and
 the plant run once per actuator on Python floats, which round as the

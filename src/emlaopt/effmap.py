@@ -124,13 +124,13 @@ class EfficiencyMap:
             + table[i + 1, j + 1] * tf * tv
         )
 
-    def eta_quantile(self, q: float) -> float:
-        """Quantile of eta over the feasible motoring cells (axes > 0)."""
+    def eta_upper_quartile(self) -> float:
+        """Upper quartile of eta over the feasible motoring cells (axes > 0)."""
         vals = self.eta[self.feasible & np.isfinite(self.eta)]
         vals = vals[vals > 0]
         if vals.size == 0:
             raise ValueError("map has no feasible cells with positive efficiency")
-        return float(np.quantile(vals, q))
+        return float(np.quantile(vals, 0.75))
 
 
 def build_efficiency_map(model: EmlaModel, force_grid, velocity_grid) -> EfficiencyMap:

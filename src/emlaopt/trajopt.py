@@ -12,7 +12,7 @@ the inverse dynamics, and every gradient and Jacobian is read from them.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -138,8 +138,10 @@ class NlpProblem:
 
 @dataclass
 class TrajectoryResult:
-    """Solved trajectory sampled on its collocation grid."""
+    """Solved trajectory sampled on its collocation grid; its fields but
+    ``initial_guess`` are the keys of ``trajectory.json``, in that order."""
 
+    degree: int
     control_points: np.ndarray
     t_final: float
     times: np.ndarray
@@ -156,56 +158,40 @@ class TrajectoryResult:
     constraint_violation: float
     converged: bool
     outer_iterations: int
-    degree: int
     initial_guess: np.ndarray = None
 
+    def __post_init__(self):
+        # the controller and the report index each sampled array by (time, joint)
+        if self.times.ndim != 1 or len(self.times) < 2 or self.control_points.ndim != 2:
+            raise ValueError(f"expected at least 2 times and 2-D control points, got shapes "
+                             f"{self.times.shape} and {self.control_points.shape}")
+        samples = (len(self.times), self.control_points.shape[1])
+        for name in ("q", "qd", "qdd", "v_x", "f_x", "power"):
+            if getattr(self, name).shape != samples:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, "
+                                 f"expected {samples}")
+
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "control_points": self.control_points.tolist(),
-            "t_final": self.t_final,
-            "times": self.times.tolist(),
-            "q": self.q.tolist(),
-            "qd": self.qd.tolist(),
-            "qdd": self.qdd.tolist(),
-            "v_x": self.v_x.tolist(),
-            "f_x": self.f_x.tolist(),
-            "power": self.power.tolist(),
-            "psi": self.psi.tolist(),
-            "psi_raw": self.psi_raw,
-            "weights": self.weights.tolist(),
-            "cost": self.cost,
-            "constraint_violation": self.constraint_violation,
-            "converged": self.converged,
-            "outer_iterations": self.outer_iterations,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "initial_guess"}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrajectoryResult":
-        """Read ``to_dict`` output; raises ``ValueError`` naming a missing field."""
-        arr = lambda k: np.asarray(doc[k], dtype=float)
-        try:
-            return cls(
-                control_points=arr("control_points"),
-                t_final=float(doc["t_final"]),
-                times=arr("times"),
-                q=arr("q"),
-                qd=arr("qd"),
-                qdd=arr("qdd"),
-                v_x=arr("v_x"),
-                f_x=arr("f_x"),
-                power=arr("power"),
-                psi=arr("psi"),
-                psi_raw=dict(doc["psi_raw"]),
-                weights=arr("weights"),
-                cost=float(doc["cost"]),
-                constraint_violation=float(doc["constraint_violation"]),
-                converged=bool(doc["converged"]),
-                outer_iterations=int(doc["outer_iterations"]),
-                degree=int(doc["degree"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"trajectory: missing field {exc.args[0]!r}") from exc
+        """Read ``to_dict`` output as strictly as a config block: a missing,
+        unknown or mistyped key raises ``ConfigError`` naming its path."""
+        from . import configio  # configio imports this module
+
+        def criteria(value, path):
+            keys = ("effort", "power")
+            configio.check_keys(value, path, keys, "psi_raw", required=keys)
+            return {k: configio.number(value[k], f"{path}.{k}") for k in keys}
+
+        return configio.read(cls, doc, "trajectory", {
+            float: configio.number, np.ndarray: configio.vector, bool: configio.boolean,
+            "degree": lambda n, path: check_count(n, "degree"),
+            "outer_iterations": lambda n, path: check_count(n, "outer_iterations", 0),
+            "psi_raw": criteria,
+        })
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -422,6 +408,7 @@ def solve_inner(
     x, converged, nit, violation = _solve_slsqp(kern, z0)
     vals = kern.values(x)
     return TrajectoryResult(
+        degree=problem.degree,
         control_points=vals["c"],
         t_final=vals["t_final"],
         times=np.linspace(0.0, vals["t_final"], problem.n_partitions + 1),
@@ -438,7 +425,6 @@ def solve_inner(
         constraint_violation=violation,
         converged=converged,
         outer_iterations=nit,
-        degree=problem.degree,
         initial_guess=z0,
     )
 

@@ -182,16 +182,20 @@ def test_report_missing_artifacts(tmp_path):
     assert run(["report", "--config", cfg, "--out", str(tmp_path / "rep")]) == 2
 
 
-def test_report_rejects_empty_trajectory(tmp_path):
-    empty = {"degree": 5, "control_points": [], "t_final": 1.0, "times": [],
-             "q": [], "qd": [], "qdd": [], "v_x": [], "f_x": [], "power": [],
-             "psi": [0, 0], "psi_raw": {}, "weights": [0.5, 0.5], "cost": 0.0,
-             "constraint_violation": 0.0, "converged": True, "outer_iterations": 0}
+EMPTY_TRAJECTORY = {
+    "degree": 5, "control_points": [], "t_final": 1.0, "times": [], "q": [], "qd": [], "qdd": [],
+    "v_x": [], "f_x": [], "power": [], "psi": [0, 0], "psi_raw": {"effort": 0.0, "power": 0.0},
+    "weights": [0.5, 0.5], "cost": 0.0, "constraint_violation": 0.0, "converged": True,
+    "outer_iterations": 0}
+
+
+def test_report_rejects_empty_trajectory(tmp_path, capsys):
     art = tmp_path / "art"
     art.mkdir()
-    (art / "trajectory.json").write_text(json.dumps(empty))
+    (art / "trajectory.json").write_text(json.dumps(EMPTY_TRAJECTORY))
     cfg = write(tmp_path, "report.json", {"artifacts": str(art)})
     assert run(["report", "--config", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err.startswith("error: trajectory: expected at least 2 times")
 
 
 def test_bad_json_reports_line(tmp_path):
@@ -449,13 +453,14 @@ def test_bilevel_single_point_map_axis_exits_2(tmp_path, capsys):
 
 
 def test_map_nan_axis_exits_2(tmp_path, capsys):
+    # the axis bounds are read as JSON numbers, which must be finite
     cfg = write(tmp_path, "map.json", {
         "actuator": {"preset": "lift_6kw"},
         "grid": {"force": [float("nan"), 3e4, 5], "velocity": [0.004, 0.135, 5]},
     })
     assert run(["map", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: force_axis") and "Traceback" not in err
+    assert err.startswith("error: grid.force: need a grid specification") and "Traceback" not in err
     assert not (tmp_path / "m" / "manifest.json").exists()
 
 
@@ -489,6 +494,7 @@ def _with(doc, where, **extra):
 
 
 EXPLICIT_GRID = {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("command, cfg, match", [
@@ -556,12 +562,26 @@ EXPLICIT_GRID = {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}
      "initial_position_error: expected a list of 3 numbers, got ['1e-3', '0', '0']"),
     ("track", {"initial_position_error": [True, 0, 0]},
      "initial_position_error: expected a list of 3 numbers, got [True, 0, 0]"),
+    ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, q_init=[NAN, 0.345, 0.75])),
+     "problem.q_init: expected a list of 3 numbers, got [nan, 0.345, 0.75]"),
+    ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, fx_upper=[INF, 52000, 12000])),
+     "problem.fx_upper: expected a list of 3 numbers, got [inf, 52000, 12000]"),
+    ("map", {"actuator": {"preset": "lift_6kw"},
+             "grid": dict(EXPLICIT_GRID, force=[True, 4.2e4, 5])},
+     "grid.force: need a grid specification [lo, hi, n]"),
+    ("map", {"actuator": {"preset": "lift_6kw"},
+             "grid": dict(EXPLICIT_GRID, force=[1.2e4, "42000", 5])},
+     "grid.force: need a grid specification [lo, hi, n]"),
+    ("trajopt", {"manipulator": _with(MANIPULATOR_DOC, ("stages", 0, "boom"),
+                                      inertia=["1", "2", "3"])},
+     "manipulator.stages[0].boom.inertia: expected a list of numbers, got ['1', '2', '3']"),
 ], ids=["problem", "manipulator", "stage", "body", "gains", "actuator", "grid",
         "count-preset-float", "count-preset-integral-float", "count-preset-bool",
         "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
         "count-maps-n", "count-n_tones", "count-seed", "regeneration", "sensor_noise_std",
         "band_hz", "gravity-inline", "gravity-preset", "t_lower", "vector-string", "vector-bool",
-        "weights-string", "weights-bool", "position-error-string", "position-error-bool"])
+        "weights-string", "weights-bool", "position-error-string", "position-error-bool",
+        "vector-nan", "vector-infinity", "axis-bool", "axis-string", "inertia-string"])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
                                                 command, cfg, match):
     # each inline case ran without the named key: M = 50 with weights
@@ -571,9 +591,11 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     # every other float was cut to an integer.  The string "false" turned
     # regeneration rating on, a gravity of "1.62" built g = 1.62, and a
     # t_lower of 0 let SLSQP's final time reach the division by it.  Lists
-    # of numeric strings or bools were converted to the numbers they spell.
-    # Regeneration rating, sensor noise and the noise's band and tone count
-    # are gone, so their keys are unknown
+    # of numeric strings or bools were converted to the numbers they spell,
+    # and so were a bool or string map-axis bound and a string inertia; a
+    # NaN or infinite vector entry was taken as it is.  Regeneration rating,
+    # sensor noise and the noise's band and tone count are gone, so their
+    # keys are unknown
     if command == "track":
         cfg = dict(cfg, trajectory=pose_reference)
     path = write(tmp_path, "cfg.json", cfg)
@@ -583,16 +605,43 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+POSE = constant_pose_reference(duration=1.0, pose=[0.8, 0.5, 0.3]).to_dict()
+
+
 @pytest.mark.parametrize("command, name, doc, match", [
-    ("track", "traj.json", {"t_final": 3.0}, "trajectory: missing field 'control_points'"),
+    ("track", "traj.json", {"t_final": 3.0},
+     "error: trajectory.degree: missing required field"),
     ("report", "bilevel.json", {"outer_value": 0.0, "summary": {}},
      "missing weights_opt, trajectory"),
     ("report", "bilevel.json", {"weights_opt": [1, 1], "outer_value": 0.0, "summary": {},
                                 "trajectory": {"t_final": 3.0}},
-     "trajectory: missing field 'control_points'"),
+     "error: trajectory.degree: missing required field"),
+    ("track", "traj.json", dict(POSE, degree=5.9),
+     "error: trajectory.degree: degree must be an integer >= 1, got 5.9"),
+    ("track", "traj.json", dict(POSE, converged="false"),
+     "error: trajectory.converged: expected true or false, got 'false'"),
+    ("track", "traj.json", dict(POSE, t_final="1.0"),
+     "error: trajectory.t_final: expected a finite number, got '1.0'"),
+    ("track", "traj.json", dict(POSE, outer_iterations=3.7),
+     "error: trajectory.outer_iterations: outer_iterations must be an integer >= 0, got 3.7"),
+    ("track", "traj.json", dict(POSE, control_points=[["0.8", "0.5", "0.3"]] * 8),
+     "error: trajectory.control_points: expected a list of numbers, got [['0.8', '0.5', '0.3'],"),
+    ("track", "traj.json", dict(POSE, wieghts=[0.5, 0.5]),
+     "error: trajectory: it takes only ['constraint_violation', "),
+    ("track", "traj.json", dict(POSE, psi_raw={"effort": 0.0}),
+     "error: trajectory.psi_raw.power: missing required field"),
+    ("track", "traj.json", EMPTY_TRAJECTORY, "error: trajectory: expected at least 2 times"),
+    ("track", "traj.json", dict(POSE, q=POSE["q"][:10]),
+     "error: trajectory: q has shape (10, 3), expected (51, 3)"),
+    ("report", "trajectory.json", dict(POSE, qd=POSE["qd"][:10]),
+     "error: trajectory: qd has shape (10, 3), expected (51, 3)"),
 ])
 def test_malformed_artifact_exits_2(tmp_path, capsys, no_work, command, name, doc, match):
-    # each ended in a KeyError traceback
+    # the first three ended in a KeyError traceback.  The next five were
+    # read as 5, True, 1.0, 3 and the control points the strings spell, and
+    # an unknown key or a psi_raw without its power was ignored; the empty
+    # trajectory stopped track with an IndexError, and a q shorter than its
+    # times tracked to exit 0
     art = tmp_path / "art"
     art.mkdir()
     (art / name).write_text(json.dumps(doc))

@@ -163,8 +163,10 @@ def test_reference_spline_matches_its_three_splines(case):
     from scipy.interpolate import BSpline, CubicSpline
 
     degree, t_final, ctrl, times, f_x, t = case
+    rows = np.zeros((len(times), 3))  # one row per instant, as a result holds them
     ref = replace(constant_pose_reference(duration=t_final), control_points=ctrl,
-                  degree=degree, times=times, f_x=f_x)
+                  degree=degree, times=times, q=rows, qd=rows, qdd=rows, v_x=rows, f_x=f_x,
+                  power=rows)
     q = BSpline(clamped_knots(len(ctrl), degree) * t_final, ctrl, degree)
     f = CubicSpline(times, f_x, bc_type="natural")
 

@@ -1,12 +1,15 @@
 """Every module of the package uses each name it imports, and every
-package name the demos and the README import exists.
+package name the demos, the README and the benchmark use exists.
 
 No linter ships with the project, so this stands in for an unused-import
 check: deleting a function must also delete the imports only it needed.
 ``__init__.py`` is exempt because its imports are the package's exports.
 The second check keeps a deleted public name from silently breaking a demo
-or the README's quick start.  Both read the source with ``ast`` and run
-nothing.
+or the README's quick start.  The benchmark (``perfbench/``) also reads
+attributes of the package's modules and classes, such as
+``control.solve_ivp`` and ``TrajectoryResult.from_dict``, which it wraps or
+calls; the third check keeps each of those names defined where it is read.
+All read the source with ``ast`` and run nothing.
 """
 
 import ast
@@ -19,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "emlaopt"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def imported_names(tree):
@@ -58,10 +62,13 @@ def module_path(module: str) -> Path:
 def defined_names(module: str) -> set:
     """The names a module binds at its top level (empty if it does not exist)."""
     path = module_path(module)
-    if not path.is_file():
-        return set()
+    return body_names(ast.parse(path.read_text()).body) if path.is_file() else set()
+
+
+def body_names(body) -> set:
+    """The names the statements ``body`` bind by definition, assignment or import."""
     names = set()
-    for node in ast.parse(path.read_text()).body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
@@ -104,3 +111,82 @@ def test_unresolved_import_detected():
              "from emlaopt import cli, solve_inner, Nope\n" \
              "from emlaopt.trajopt import np, FD_STEP, NlpProblem, Gone\n"
     assert unresolved_imports(source) == ["emlaopt.nope", "emlaopt.Nope", "emlaopt.trajopt.Gone"]
+
+
+def bound_targets(tree) -> dict:
+    """The dotted ``emlaopt`` name each name is bound to by an import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or "emlaopt": a.name if a.asname else "emlaopt"
+                          for a in node.names if a.name.split(".")[0] == "emlaopt"})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "emlaopt":
+            bound.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    return bound
+
+
+def class_names(module: str, name: str):
+    """The names the top-level class ``name`` of ``module`` binds in its
+    body, or ``None`` unless it is such a class without base classes."""
+    for node in ast.parse(module_path(module).read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == name and not node.bases:
+            return body_names(node.body)
+    return None
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted``, a module then a name it defines and, for one of
+    its classes, a name of that class, exists; deeper names go unchecked."""
+    parts = dotted.split(".")
+    k = max(i for i in range(1, len(parts) + 1) if module_path(".".join(parts[:i])).is_file())
+    module, rest = ".".join(parts[:k]), parts[k:]
+    if not rest:
+        return True
+    if rest[0] not in defined_names(module):
+        return False
+    names = class_names(module, rest[0]) if len(rest) > 1 else None
+    return names is None or rest[1].startswith("__") or rest[1] in names
+
+
+def unresolved_attributes(source):
+    """Dotted ``emlaopt`` names that ``source`` reads as attributes of a name
+    an import bound to the package, one of its modules or classes, and that
+    the package lacks."""
+    tree = ast.parse(source)
+    bound = bound_targets(tree)
+    missing = []
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in bound:
+            dotted = ".".join([bound[node.id]] + attrs)
+            if not resolves(dotted):
+                missing.append(dotted)
+    return sorted(set(missing))
+
+
+@pytest.mark.parametrize("path", BENCH, ids=lambda p: p.name)
+def test_benchmark_names_resolve(path):
+    source = path.read_text()
+    assert unresolved_imports(source) == []
+    assert unresolved_attributes(source) == []
+
+
+def test_unresolved_attribute_detected(tmp_path, monkeypatch):
+    # a package whose control module no longer imports solve_ivp
+    for name, text in (("__init__", "from .manipulator import rnea\n"),
+                       ("manipulator", "def rnea():\n    pass\n"),
+                       ("control", "from scipy.integrate import Radau\n"
+                                   "def simulate_tracking():\n    pass\n"),
+                       ("effmap", "class EmlaModel:\n    name: str = 'x'\n"
+                                  "    def cell(self):\n        pass\n")):
+        (tmp_path / f"{name}.py").write_text(text)
+    monkeypatch.setitem(globals(), "PACKAGE", tmp_path)
+    source = "import emlaopt\nfrom emlaopt import control, effmap as em\n" \
+             "def f():\n    return (emlaopt.rnea, emlaopt.nope, control.solve_ivp,\n" \
+             "            control.Radau, control.simulate_tracking.__name__,\n" \
+             "            em.EmlaModel.cell, em.EmlaModel.name, em.EmlaModel.gone)\n"
+    assert unresolved_attributes(source) == [
+        "emlaopt.control.solve_ivp", "emlaopt.effmap.EmlaModel.gone", "emlaopt.nope"]
