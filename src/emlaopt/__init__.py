@@ -22,14 +22,12 @@ from .control import (
     SubsystemGains,
     TrackingTraces,
     adaptive_rate,
-    control_law,
     feedback_gain,
     lyapunov_audit,
     nominal_disturbance,
     published_gains,
     simulate_tracking,
     tracking_errors,
-    tracking_transform,
 )
 from .drivetrain import DriveTrainParams, equivalent_params, linear_stiffness, rotary_linear_map
 from .effmap import EfficiencyMap, EmlaModel, build_efficiency_map, map_from_json, map_to_csv, map_to_json

@@ -96,11 +96,11 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
     duration = config.get("duration")
     if duration is not None:
         duration = configio.number(duration, "duration")
+        if duration <= 0:
+            raise ConfigError(f"duration: the run length must be > 0, got {duration!r}")
     settle_time = configio.number(config.get("settle_time", 0.2), "settle_time")
-    traj_path = config.get("trajectory")
-    if traj_path is None:
-        raise ConfigError("trajectory: path to a trajectory.json or bilevel.json required")
-    doc = load_json(traj_path)
+    doc = load_json(configio.file_path(config.get("trajectory"), "trajectory",
+                                       "a trajectory.json or bilevel.json"))
     if "trajectory" in doc:  # bilevel.json wraps the trajectory
         doc = doc["trajectory"]
     reference = TrajectoryResult.from_dict(doc)
@@ -145,7 +145,8 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
 def run_report(config: dict, seed: int, jobs: int) -> dict:
     configio.check_keys(config, "config", ("artifacts", "actuators", "require_tracking"),
                         "a report config")
-    art_dir = Path(config.get("artifacts", "."))
+    art_dir = Path(configio.file_path(config.get("artifacts", "."), "artifacts", "a directory"))
+    require_tracking = configio.boolean(config.get("require_tracking", False), "require_tracking")
     missing = []
     traj_path = art_dir / "trajectory.json"
     bilevel_path = art_dir / "bilevel.json"
@@ -186,7 +187,7 @@ def run_report(config: dict, seed: int, jobs: int) -> dict:
         report["cost_recomputed"] = recomputed
     if tracking_path.exists():
         report["tracking"] = load_json(tracking_path)
-    elif config.get("require_tracking"):
+    elif require_tracking:
         missing.append("tracking.json")
     if missing:
         raise ConfigError("missing artifacts: " + ", ".join(missing))

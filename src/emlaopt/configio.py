@@ -73,21 +73,36 @@ def boolean(value, path: str) -> bool:
     return value
 
 
+def file_path(value, path: str, what: str) -> str:
+    """``value``, checked to be a JSON string: the file path of ``what``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected the path of {what}, got {value!r}")
+    return value
+
+
 def vector(value, path: str, n: int = None) -> np.ndarray:
     """``value``, checked to be a list of finite JSON numbers (not bools or
     strings), or a list of equal-length lists of them, with ``n`` entries
-    when ``n`` is given, as a float array."""
+    when ``n`` is given, as a float array.  The error names the first entry
+    that is not a finite number, or the whole value when it is not such a
+    list."""
+    shaped = isinstance(value, list) and (n is None or len(value) == n)
     # anything but a list of the right length fails the type check as [None]
-    entries = value if isinstance(value, list) and (n is None or len(value) == n) else [None]
-    if entries and set(map(type, entries)) == {list} and len(set(map(len, entries))) == 1:
-        entries = chain.from_iterable(entries)  # the rows of a matrix
+    entries = value if shaped else [None]
+    rows = bool(entries) and set(map(type, entries)) == {list} and len(set(map(len, entries))) == 1
+    if rows:
+        entries = list(chain.from_iterable(entries))  # the rows of a matrix
     types = set(map(type, entries))
-    array = (np.array(value, dtype=float)
-             if bool not in types and all(issubclass(t, (int, float)) for t in types) else None)
-    if array is None or not np.isfinite(array).all():
+    if bool not in types and all(issubclass(t, (int, float)) for t in types):
+        array = np.array(value, dtype=float)
+        if np.isfinite(array).all():
+            return array
+    if not shaped or list in types:
         count = "" if n is None else f"{n} "
         raise ConfigError(f"{path}: expected a list of {count}numbers, got {value!r}")
-    return array
+    width = len(value[0]) if rows else 1
+    for k, entry in enumerate(entries):
+        number(entry, path + (f"[{k // width}][{k % width}]" if rows else f"[{k}]"))
 
 
 def _call(build, path: str, *args, **kwargs):

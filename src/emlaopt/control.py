@@ -11,9 +11,10 @@ reference held at zero for maximum torque per ampere.
 The closed loop (plant + adaptive states + continuous feedback) is stiff
 at the published gains, so the simulation integrates the full ODE with an
 implicit stiff solver rather than fixed explicit stepping.  Its right-hand
-side is the tested pieces wired together: :func:`tracking_transform` and
-the feedback :func:`feedback_gain` times Q of :func:`control_law` per
-subsystem, :func:`~emlaopt.pmsm.torque_to_iq` for the current reference,
+side is one controller wired to tested pieces: the four subsystem errors
+Q1 = x - x_ref (position), Q2 = qd - qd_ref - kappa_1 (velocity),
+Q3 = i_q - i_q_ref and Q4 = i_d - 0, each fed back as :func:`feedback_gain`
+times Q, :func:`~emlaopt.pmsm.torque_to_iq` for the current reference,
 :func:`~emlaopt.statespace.emla_rhs` for the plant and
 :func:`adaptive_rate` for the estimates.  Radau's state holds the
 shaft angles, shaft speeds, q- and d-axis currents of all actuators (one
@@ -137,7 +138,8 @@ class _Radau(Radau):
 
 @dataclass(frozen=True)
 class SubsystemGains:
-    """Per-subsystem gains (delta, epsilon, k, sigma), one entry per nu=1..4."""
+    """Per-subsystem gains (delta, epsilon, k, sigma), one entry per nu=1..4;
+    a scalar gives all four subsystems the same gain."""
 
     delta: np.ndarray
     epsilon: np.ndarray
@@ -151,34 +153,16 @@ class SubsystemGains:
                 raise ValueError(f"{name} entries must be strictly positive")
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def uniform(cls, delta: float, epsilon: float, k: float, sigma: float) -> "SubsystemGains":
-        return cls(np.full(4, delta), np.full(4, epsilon), np.full(4, k), np.full(4, sigma))
-
 
 def published_gains() -> SubsystemGains:
     """The gain set used by the shipped 3-DoF case study."""
-    return SubsystemGains.uniform(delta=75000.0, epsilon=9.0, k=7.0, sigma=9.0)
-
-
-def tracking_transform(x, x_ref, kappa_prev, nu: int):
-    """Subsystem error Q_nu; the velocity subsystem (nu=2) subtracts the
-    position subsystem's virtual control."""
-    if nu not in (1, 2, 3, 4):
-        raise ValueError("nu must be in 1..4")
-    if nu == 2:
-        return x - x_ref - kappa_prev
-    return x - x_ref
+    return SubsystemGains(75000.0, 9.0, 7.0, 9.0)
 
 
 def feedback_gain(delta: float, epsilon: float, phi: float):
-    """-(delta + epsilon*phi)/2, the gain of :func:`control_law`."""
+    """-(delta + epsilon*phi)/2, the gain of each subsystem's feedback
+    kappa = -(delta + epsilon*phi)/2 * Q (dissipative for phi >= 0)."""
     return -0.5 * (delta + epsilon * phi)
-
-
-def control_law(delta: float, epsilon: float, phi: float, q_err: float):
-    """kappa = -(delta + epsilon*phi)/2 * Q (dissipative for phi >= 0)."""
-    return feedback_gain(delta, epsilon, phi) * q_err
 
 
 def adaptive_rate(k: float, sigma: float, epsilon: float, phi: float, q_err):
@@ -349,13 +333,16 @@ def simulate_tracking(
     measured bound past which those iterations fail.  ``solver`` records
     its status, work counters, accepted steps (``nsteps``) and the step
     cap (``max_step``).  ``gains`` holds one :class:`SubsystemGains` per
-    actuator.
+    actuator.  ``duration`` (the reference's ``t_final`` when ``None``)
+    must be > 0.
     """
     n_a = reference.q.shape[1]
     if len(actuator_models) != n_a or len(gains) != n_a:
         raise ValueError("one actuator model and one gain set per joint required")
     disturbance = disturbance or DisturbanceProfile()
     duration = reference.t_final if duration is None else duration
+    if not duration > 0.0:  # an empty output grid
+        raise ValueError(f"duration must be > 0, got {duration!r}")
 
     t_end = reference.t_final
     ref = reference_spline(reference)
@@ -380,11 +367,11 @@ def simulate_tracking(
         gains (4, ...).  ``f_eq`` and ``motor`` are stacked over the
         actuators for arrays of them, or one actuator's for its floats."""
         i_d, i_q, omega, theta = x
-        q1 = tracking_transform(f_eq * theta, q_ref, None, 1)
-        q2 = tracking_transform(f_eq * omega, qd_ref, gain[0] * q1, 2)
+        q1 = f_eq * theta - q_ref
+        q2 = f_eq * omega - qd_ref - gain[0] * q1  # offset by the position's virtual control
         iq_ref = torque_to_iq(motor, gain[1] * q2)
-        q3 = tracking_transform(i_q, iq_ref, None, 3)
-        q4 = tracking_transform(i_d, 0.0, None, 4)
+        q3 = i_q - iq_ref
+        q4 = i_d - 0.0  # the d-axis reference is zero
         return (q1, q2, q3, q4), iq_ref, gain[3] * q4, gain[2] * q3
 
     # Radau state: [theta, omega, i_q, i_d] rows (the reverse of

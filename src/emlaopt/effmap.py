@@ -32,7 +32,7 @@ class EmlaModel:
     def steady_state(self, f_x, v_x):
         """Operating point (omega_m, i_q, v_d, v_q) delivering (f_x, v_x), with i_d = 0."""
         tau_m, omega_m = rotary_linear_map(self.drivetrain, f_x, v_x)
-        i_q = torque_to_iq(self.motor, tau_m, i_d=0.0)
+        i_q = torque_to_iq(self.motor, tau_m)
         v_d, v_q = dq_voltages(self.motor, 0.0, i_q, omega_m)
         return omega_m, i_q, v_d, v_q
 

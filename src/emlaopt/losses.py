@@ -3,9 +3,11 @@
 The loss taxonomy follows the usual drive + PMSM + screw decomposition:
 switching and conduction losses in the motor control drive, copper and core
 (hysteresis, eddy, additional) losses in the machine, viscous loss at the
-shaft, and the screw-mechanism loss.  Each source has a coefficient in
-:class:`DriveConfig`.  The functions take scalars or broadcastable arrays of
-operating points and return results of the broadcast shape.
+shaft, and the screw-mechanism loss.  The coefficients no actuator preset
+sets are module constants; the ones the presets set, and the drive limits,
+are fields of :class:`DriveConfig`.  The functions take scalars or
+broadcastable arrays of operating points and return results of the
+broadcast shape.
 """
 
 from dataclasses import dataclass, field
@@ -15,45 +17,39 @@ import numpy as np
 from .drivetrain import DriveTrainParams, equivalent_params
 from .pmsm import PmsmParams
 
+# drive and core-loss constants of a plausible industrial servo drive
+SWITCHING_FREQ = 8000.0  # [Hz]
+DC_LINK_VOLTAGE = 560.0  # [V]
+ON_STATE_RESISTANCE = 5.0e-3  # [ohm]
+HYSTERESIS_COEFF = 0.15  # [W*s/(rad*Wb^2)]
+EXCESS_COEFF = 1.0e-3  # [W*s^1.5/(rad^1.5*Wb^2)]
+SCREW_EFFICIENCY = 0.90  # mechanical efficiency of the screw stage
+
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Loss-model coefficients for the drive and motor core.
+    """Loss-model coefficients and limits of one actuator's drive.
 
-    The switching loss scales with switching frequency, dc-link voltage and
-    phase current magnitude; conduction loss uses an on-state voltage drop
-    plus an ohmic term.  Core losses scale with electrical frequency and the
-    squared stator flux magnitude.  The screw loss uses a constant mechanical
-    efficiency.  Defaults give a plausible industrial servo drive.
+    The switching loss scales with :data:`SWITCHING_FREQ`,
+    :data:`DC_LINK_VOLTAGE` and the phase current magnitude; conduction loss
+    uses an on-state voltage drop plus the ohmic :data:`ON_STATE_RESISTANCE`.
+    Core losses scale with electrical frequency and the squared stator flux
+    magnitude: hysteresis (:data:`HYSTERESIS_COEFF`), eddy (``eddy_coeff``)
+    and excess (:data:`EXCESS_COEFF`).  The screw loss uses the constant
+    :data:`SCREW_EFFICIENCY`.  Defaults give a plausible industrial servo
+    drive.
     """
 
     switching_coeff: float = 1.0e-6  # [J/(V*A)] per switching event
-    switching_freq: float = 8000.0  # [Hz]
-    dc_link_voltage: float = 560.0  # [V]
     on_state_voltage: float = 0.9  # [V]
-    on_state_resistance: float = 5.0e-3  # [ohm]
-    hysteresis_coeff: float = 0.15  # [W*s/(rad*Wb^2)]
     eddy_coeff: float = 2.0e-4  # [W*s^2/(rad^2*Wb^2)]
-    excess_coeff: float = 1.0e-3  # [W*s^1.5/(rad^1.5*Wb^2)]
-    screw_efficiency: float = 0.90  # mechanical efficiency of the screw stage
     max_current: float = field(default=np.inf)  # phase current amplitude limit [A]
     max_voltage: float = field(default=np.inf)  # dq voltage amplitude limit [V]
 
     def __post_init__(self):
-        for name in (
-            "switching_coeff",
-            "switching_freq",
-            "dc_link_voltage",
-            "on_state_voltage",
-            "on_state_resistance",
-            "hysteresis_coeff",
-            "eddy_coeff",
-            "excess_coeff",
-        ):
+        for name in ("switching_coeff", "on_state_voltage", "eddy_coeff"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if not 0.0 < self.screw_efficiency <= 1.0:
-            raise ValueError("screw_efficiency must be in (0, 1]")
         # a NaN limit would compare False against every operating point and
         # so switch the limit off; inf is the way to say "no limit"
         for name in ("max_current", "max_voltage"):
@@ -124,14 +120,14 @@ def loss_breakdown(
     w = np.abs(params.pole_pairs * omega_m)
     psi = stator_flux_magnitude(params, i_d, i_q)
     return LossBreakdown(
-        p_sw=drive.switching_coeff * drive.switching_freq * drive.dc_link_voltage * i_mag,
-        p_d=drive.on_state_voltage * i_mag + drive.on_state_resistance * i_mag**2,
+        p_sw=drive.switching_coeff * SWITCHING_FREQ * DC_LINK_VOLTAGE * i_mag,
+        p_d=drive.on_state_voltage * i_mag + ON_STATE_RESISTANCE * i_mag**2,
         p_cu=1.5 * params.stator_resistance * (i_d**2 + i_q**2),
-        p_hys=drive.hysteresis_coeff * w * psi**2,
+        p_hys=HYSTERESIS_COEFF * w * psi**2,
         p_eddy=drive.eddy_coeff * w**2 * psi**2,
-        p_add=drive.excess_coeff * w**1.5 * psi**2,
+        p_add=EXCESS_COEFF * w**1.5 * psi**2,
         p_mech=eq.damping * omega_m**2,
-        p_sc=(1.0 - drive.screw_efficiency) * np.abs(f_x * v_x),
+        p_sc=(1.0 - SCREW_EFFICIENCY) * np.abs(f_x * v_x),
     )
 
 

@@ -47,29 +47,16 @@ class PmsmParams:
         return self.inductance_d / self.inductance_q
 
 
-def dq_voltages(
-    params: PmsmParams,
-    i_d: float,
-    i_q: float,
-    omega_m: float,
-    di_d_dt: float = 0.0,
-    di_q_dt: float = 0.0,
-) -> tuple[float, float]:
-    """dq stator voltages consistent with the given currents and their rates.
+def dq_voltages(params: PmsmParams, i_d: float, i_q: float, omega_m: float) -> tuple[float, float]:
+    """dq stator voltages that hold the given currents steady.
 
-    Returns (V_d, V_q).  The same relations solved for the current
-    derivatives are provided by :func:`current_derivatives`; the two are
-    exact inverses of each other.
+    Returns (V_d, V_q).  :func:`current_derivatives` solves the same
+    relations for the current rates, which are zero at these voltages.
     """
     p = params.pole_pairs
-    v_d = (
-        params.stator_resistance * i_d
-        + params.inductance_d * di_d_dt
-        - p * omega_m * params.inductance_q * i_q
-    )
+    v_d = params.stator_resistance * i_d - p * omega_m * params.inductance_q * i_q
     v_q = (
         params.stator_resistance * i_q
-        + params.inductance_q * di_q_dt
         + p * omega_m * params.inductance_d * i_d
         + p * omega_m * params.pm_flux
     )
@@ -100,7 +87,7 @@ def electromagnetic_torque(params: PmsmParams, i_d, i_q):
     return 1.5 * params.pole_pairs * i_q * (params.pm_flux + dl * i_d)
 
 
-def torque_to_iq(params: PmsmParams, torque, i_d=0.0):
-    """Invert the torque expression for i_q at a given (usually zero) i_d."""
-    dl = params.inductance_d - params.inductance_q
-    return torque / (1.5 * params.pole_pairs * (params.pm_flux + dl * i_d))
+def torque_to_iq(params: PmsmParams, torque):
+    """Invert the torque expression for i_q at i_d = 0, where the reluctance
+    term vanishes."""
+    return torque / (1.5 * params.pole_pairs * params.pm_flux)

@@ -323,6 +323,10 @@ def pose_reference(tmp_path):
     ({"dt": True}, "dt: expected a finite number, got True"),
     ({"duration": True}, "duration: expected a finite number, got True"),
     ({"settle_time": "0.2"}, "settle_time: expected a finite number, got '0.2'"),
+    ({"trajectory": 5},  # a TypeError traceback
+     "trajectory: expected the path of a trajectory.json or bilevel.json, got 5"),
+    ({"duration": -0.5, "settle_time": -1},  # an IndexError traceback
+     "duration: the run length must be > 0, got -0.5"),
 ])
 def test_track_invalid_config_exits_2_before_integrating(tmp_path, capsys, monkeypatch,
                                                          pose_reference, extra, match):
@@ -551,21 +555,21 @@ NAN, INF = float("nan"), float("inf")
     ("bilevel", dict(BL_CFG, problem=dict(PROBLEM_DOC, t_lower=0)),
      "problem: t_lower must be finite and > 0, got 0"),
     ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, q_lower=["0.1", "0.1", "0.1"])),
-     "problem.q_lower: expected a list of 3 numbers, got ['0.1', '0.1', '0.1']"),
+     "problem.q_lower[0]: expected a finite number, got '0.1'"),
     ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, weights=[True, True])),
-     "problem.weights: expected a list of 2 numbers, got [True, True]"),
+     "problem.weights[0]: expected a finite number, got True"),
     ("trajopt", dict(TRAJ_CFG, weights=["0.9", "0.1"]),
-     "weights: expected a list of numbers, got ['0.9', '0.1']"),
+     "weights[0]: expected a finite number, got '0.9'"),
     ("trajopt", dict(TRAJ_CFG, weights=[True, False]),
-     "weights: expected a list of numbers, got [True, False]"),
+     "weights[0]: expected a finite number, got True"),
     ("track", {"initial_position_error": ["1e-3", "0", "0"]},
-     "initial_position_error: expected a list of 3 numbers, got ['1e-3', '0', '0']"),
+     "initial_position_error[0]: expected a finite number, got '1e-3'"),
     ("track", {"initial_position_error": [True, 0, 0]},
-     "initial_position_error: expected a list of 3 numbers, got [True, 0, 0]"),
+     "initial_position_error[0]: expected a finite number, got True"),
     ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, q_init=[NAN, 0.345, 0.75])),
-     "problem.q_init: expected a list of 3 numbers, got [nan, 0.345, 0.75]"),
+     "problem.q_init[0]: expected a finite number, got nan"),
     ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, fx_upper=[INF, 52000, 12000])),
-     "problem.fx_upper: expected a list of 3 numbers, got [inf, 52000, 12000]"),
+     "problem.fx_upper[0]: expected a finite number, got inf"),
     ("map", {"actuator": {"preset": "lift_6kw"},
              "grid": dict(EXPLICIT_GRID, force=[True, 4.2e4, 5])},
      "grid.force: need a grid specification [lo, hi, n]"),
@@ -574,14 +578,22 @@ NAN, INF = float("nan"), float("inf")
      "grid.force: need a grid specification [lo, hi, n]"),
     ("trajopt", {"manipulator": _with(MANIPULATOR_DOC, ("stages", 0, "boom"),
                                       inertia=["1", "2", "3"])},
-     "manipulator.stages[0].boom.inertia: expected a list of numbers, got ['1', '2', '3']"),
+     "manipulator.stages[0].boom.inertia[0]: expected a finite number, got '1'"),
+    ("report", {"artifacts": 5}, "artifacts: expected the path of a directory, got 5"),
+    ("report", {"require_tracking": "false"},
+     "require_tracking: expected true or false, got 'false'"),
+    ("track", {"initial_position_error": [1e-3, 0]},
+     "initial_position_error: expected a list of 3 numbers, got [0.001, 0]"),
+    ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, q_lower=[0.1, 0.1])),
+     "problem.q_lower: expected a list of 3 numbers, got [0.1, 0.1]"),
 ], ids=["problem", "manipulator", "stage", "body", "gains", "actuator", "grid",
         "count-preset-float", "count-preset-integral-float", "count-preset-bool",
         "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
         "count-maps-n", "count-n_tones", "count-seed", "regeneration", "sensor_noise_std",
         "band_hz", "gravity-inline", "gravity-preset", "t_lower", "vector-string", "vector-bool",
         "weights-string", "weights-bool", "position-error-string", "position-error-bool",
-        "vector-nan", "vector-infinity", "axis-bool", "axis-string", "inertia-string"])
+        "vector-nan", "vector-infinity", "axis-bool", "axis-string", "inertia-string",
+        "artifacts-number", "require-tracking-string", "position-error-length", "vector-length"])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
                                                 command, cfg, match):
     # each inline case ran without the named key: M = 50 with weights
@@ -595,7 +607,10 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     # and so were a bool or string map-axis bound and a string inertia; a
     # NaN or infinite vector entry was taken as it is.  Regeneration rating,
     # sensor noise and the noise's band and tone count are gone, so their
-    # keys are unknown
+    # keys are unknown.  A number as the artifacts path ended in a TypeError
+    # traceback, and the string "false" demanded tracking.json.  A bad
+    # entry of a list is named by its index; a list of the wrong length is
+    # quoted whole
     if command == "track":
         cfg = dict(cfg, trajectory=pose_reference)
     path = write(tmp_path, "cfg.json", cfg)
@@ -625,7 +640,7 @@ POSE = constant_pose_reference(duration=1.0, pose=[0.8, 0.5, 0.3]).to_dict()
     ("track", "traj.json", dict(POSE, outer_iterations=3.7),
      "error: trajectory.outer_iterations: outer_iterations must be an integer >= 0, got 3.7"),
     ("track", "traj.json", dict(POSE, control_points=[["0.8", "0.5", "0.3"]] * 8),
-     "error: trajectory.control_points: expected a list of numbers, got [['0.8', '0.5', '0.3'],"),
+     "error: trajectory.control_points[0][0]: expected a finite number, got '0.8'\n"),
     ("track", "traj.json", dict(POSE, wieghts=[0.5, 0.5]),
      "error: trajectory: it takes only ['constraint_violation', "),
     ("track", "traj.json", dict(POSE, psi_raw={"effort": 0.0}),

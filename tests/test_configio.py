@@ -2,6 +2,7 @@ import copy
 import json
 import re
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from emlaopt.control import DisturbanceProfile, nominal_disturbance, published_g
 from emlaopt.manipulator import ClosedChainStage, rnea
 from emlaopt.presets import benchmark_problem, default_manipulator, lift_emla
 from emlaopt.spatial import RigidBodyParams
+from emlaopt.trajopt import TrajectoryResult
 
+# the stored 5x5 grid winner of the benchmark's inputs
+WINNER = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "winner_bilevel.json"
 
 INLINE_ACTUATOR = {
     "name": "bench",
@@ -171,22 +175,39 @@ PROBLEM_DOC = to_doc(benchmark_problem(MODEL, n_partitions=16, n_ctrl=8))
 GAINS_DOC = to_doc(published_gains())
 
 
-@pytest.mark.parametrize("build, doc, path", [
+def winner_with_a_string_entry():
+    """The stored grid winner's trajectory with one position as a string."""
+    doc = json.loads(WINNER.read_text())["trajectory"]
+    doc["q"][3][1] = "0.5"
+    return doc
+
+
+@pytest.mark.parametrize("build, doc, path, error", [
     (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=["0.1", "0.1", "0.1"]),
-     "problem.q_lower"),
-    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=[True, False, True]),
-     "problem.q_lower"),
+     "problem.q_lower", "[0]: expected a finite number, got '0.1'"),
+    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=[0.1, False, True]),
+     "problem.q_lower", "[1]: expected a finite number, got False"),
     (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, weights=["0.9", "0.1"]),
-     "problem.weights"),
-    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=0.1), "problem.q_lower"),
+     "problem.weights", "[0]: expected a finite number, got '0.9'"),
+    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=0.1),
+     "problem.q_lower", ": expected a list of 3 numbers, got 0.1"),
     (build_manipulator, dict(MANIPULATOR_DOC, base=dict(MANIPULATOR_DOC["base"],
-                                                        com=["0", "0", "0"])),
-     "manipulator.base.com"),
-])
-def test_vector_takes_a_list_of_numbers(build, doc, path):
-    # np.asarray(value, dtype=float) built these as the numbers they spell
-    with pytest.raises(ConfigError, match=re.escape(f"{path}: expected a list of")):
+                                                        com=[0, 0, "0"])),
+     "manipulator.base.com", "[2]: expected a finite number, got '0'"),
+    (TrajectoryResult.from_dict, winner_with_a_string_entry(),
+     "trajectory.q", "[3][1]: expected a finite number, got '0.5'"),
+], ids=["<lambda>-doc0-problem.q_lower", "<lambda>-doc1-problem.q_lower",
+        "<lambda>-doc2-problem.weights", "<lambda>-doc3-problem.q_lower",
+        "build_manipulator-doc4-manipulator.base.com", "from_dict-winner-trajectory.q"])
+def test_vector_takes_a_list_of_numbers(build, doc, path, error):
+    # np.asarray(value, dtype=float) built these as the numbers they spell.
+    # The error names the first entry that is not a number, or quotes a
+    # value that is not a list whole; it quoted the whole list, 3,140
+    # characters for the winner's q
+    with pytest.raises(ConfigError) as info:
         build(doc)
+    assert str(info.value) == path + error
+    assert len(str(info.value)) < 200
 
 
 @pytest.mark.parametrize("build, doc", [

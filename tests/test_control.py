@@ -18,7 +18,7 @@ from emlaopt.control import (
     SubsystemGains,
     TrackingTraces,
     adaptive_rate,
-    control_law,
+    feedback_gain,
     lyapunov_audit,
     lyapunov_value,
     nominal_disturbance,
@@ -27,7 +27,6 @@ from emlaopt.control import (
     simulate_tracking,
     traces_to_csv,
     tracking_errors,
-    tracking_transform,
 )
 from emlaopt.bspline import clamped_knots
 from emlaopt.drivetrain import equivalent_params
@@ -40,23 +39,14 @@ from conftest import constant_pose_reference
 WINNER = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "winner_bilevel.json"
 
 
-def test_tracking_transform_case_split():
-    assert tracking_transform(1.0, 1.0, 0.0, nu=1) == 0.0
-    assert tracking_transform(0.5, 0.8, -0.3, nu=2) == pytest.approx(0.0)
-    assert tracking_transform(0.5, 0.8, -0.3, nu=3) == pytest.approx(-0.3)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x, r, kap = rng.standard_normal(3)
-        for nu in (1, 3, 4):
-            assert tracking_transform(x, r, kap, nu) == x - r
-        assert tracking_transform(x, r, kap, 2) == x - r - kap
-    with pytest.raises(ValueError):
-        tracking_transform(0, 0, 0, nu=5)
+def law(delta, eps, phi, q_err):
+    """The subsystem feedback kappa = -(delta + eps*phi)/2 * Q, written out."""
+    return -(delta + eps * phi) / 2 * q_err
 
 
 def test_control_law_published_gain_value():
     # delta = 75000, eps = 9, phi = 0, Q = 1e-3 -> kappa = -37.5
-    assert control_law(75000.0, 9.0, 0.0, 1e-3) == pytest.approx(-37.5)
+    assert feedback_gain(75000.0, 9.0, 0.0) * 1e-3 == pytest.approx(-37.5)
 
 
 def test_control_law_dissipative_sign():
@@ -64,7 +54,8 @@ def test_control_law_dissipative_sign():
     for _ in range(50):
         q = rng.standard_normal()
         phi = abs(rng.standard_normal())
-        kappa = control_law(100.0, 2.0, phi, q)
+        kappa = feedback_gain(100.0, 2.0, phi) * q
+        assert kappa == law(100.0, 2.0, phi, q)
         assert kappa * q <= 0.0
 
 
@@ -124,6 +115,14 @@ def test_zero_reference_zero_error_stays_at_rest(acts):
     assert np.abs(tr.q_err).max() < 1e-10
     assert np.abs(tr.i_q).max() < 1e-10
     assert np.abs(tr.lyapunov).max() < 1e-20
+
+
+@pytest.mark.parametrize("duration", [0.0, -0.5])
+def test_nonpositive_duration_rejected(acts, duration):
+    # a negative duration left the output grid empty: an IndexError
+    with pytest.raises(ValueError, match="duration must be > 0"):
+        simulate_tracking(acts, constant_pose_reference(duration=1.0), [published_gains()] * 3,
+                          duration=duration)
 
 
 @st.composite
@@ -207,10 +206,10 @@ def test_traces_obey_control_law(acts, nominal_traces):
                        rtol=1e-9, atol=1e-14 * np.abs(tr.position).max())
     assert np.abs(tr.q_err[..., 2]).max() > 1e-4  # the current loops are working
     for nu, v in ((2, tr.v_q), (3, tr.v_d)):
-        law = control_law(g.delta[nu], g.epsilon[nu], tr.phi[..., nu], tr.q_err[..., nu])
-        assert np.allclose(v, law, rtol=1e-12, atol=0.0)
+        kappa = law(g.delta[nu], g.epsilon[nu], tr.phi[..., nu], tr.q_err[..., nu])
+        assert np.allclose(v, kappa, rtol=1e-12, atol=0.0)
     for j, a in enumerate(acts):
-        torque = control_law(g.delta[1], g.epsilon[1], tr.phi[:, j, 1], tr.q_err[:, j, 1])
+        torque = law(g.delta[1], g.epsilon[1], tr.phi[:, j, 1], tr.q_err[:, j, 1])
         assert np.allclose(tr.i_q_ref[:, j], torque_to_iq(a.motor, torque),
                            rtol=1e-12, atol=0.0)
     assert np.allclose(tr.q_err[..., 2], tr.i_q - tr.i_q_ref, rtol=1e-12, atol=1e-12)
@@ -360,11 +359,11 @@ def test_closed_loop_jacobian_matches_central_differences(
 
 
 def oracle_rhs(acts, reference, gains, disturbance):
-    """The closed-loop right-hand side composed from the tested pieces on
-    (n_a,) arrays: tracking_transform -> control_law -> torque_to_iq ->
-    emla_rhs and adaptive_rate, with the noise tones drawn and summed as
-    written, 2*pi*f*t in full.  simulate_tracking's rhs runs the same
-    operations per actuator on Python floats."""
+    """The closed-loop right-hand side composed on (n_a,) arrays: the four
+    subsystem errors and their feedback :func:`law`, both written out here,
+    -> torque_to_iq -> emla_rhs and adaptive_rate, with the noise tones
+    drawn and summed as written, 2*pi*f*t in full.  simulate_tracking's rhs
+    runs the same operations per actuator on Python floats."""
     n_a = len(acts)
     ref = reference_spline(reference)
     motor = stack_params([a.motor for a in acts])
@@ -390,13 +389,13 @@ def oracle_rhs(acts, reference, gains, disturbance):
         phi = y[4 * n_a:].reshape(n_a, 4).T
         q_ref, qd_ref, f_load = ref(min(max(t, 0.0), reference.t_final)).reshape(3, n_a)
         i_d, i_q, omega, theta = x
-        q1 = tracking_transform(f_eq * theta, q_ref, None, 1)
-        q2 = tracking_transform(f_eq * omega, qd_ref, control_law(delta[0], eps[0], phi[0], q1), 2)
-        iq_ref = torque_to_iq(motor, control_law(delta[1], eps[1], phi[1], q2))
-        q3 = tracking_transform(i_q, iq_ref, None, 3)
-        q4 = tracking_transform(i_d, 0.0, None, 4)
-        v_q = control_law(delta[2], eps[2], phi[2], q3)
-        v_d = control_law(delta[3], eps[3], phi[3], q4)
+        q1 = f_eq * theta - q_ref
+        q2 = f_eq * omega - qd_ref - law(delta[0], eps[0], phi[0], q1)
+        iq_ref = torque_to_iq(motor, law(delta[1], eps[1], phi[1], q2))
+        q3 = i_q - iq_ref
+        q4 = i_d - 0.0
+        v_q = law(delta[2], eps[2], phi[2], q3)
+        v_d = law(delta[3], eps[3], phi[3], q4)
         if disturbance.force_noise_std:
             noise = np.sum(amp * np.sin(2.0 * np.pi * freq * t + phase), axis=-1)
             f_load = f_load + disturbance.force_noise_std * peak_force * noise

@@ -9,11 +9,15 @@ or the README's quick start.  The benchmark (``perfbench/``) also reads
 attributes of the package's modules and classes, such as
 ``control.solve_ivp`` and ``TrajectoryResult.from_dict``, which it wraps or
 calls; the third check keeps each of those names defined where it is read.
-All read the source with ``ast`` and run nothing.
+The fourth finds public functions, classes and methods that only tests
+call: code the program does not need, unless it is an audit or oracle entry
+the tests check the program against (:data:`TEST_ONLY`).  All read the
+source with ``ast`` and run nothing.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -190,3 +194,77 @@ def test_unresolved_attribute_detected(tmp_path, monkeypatch):
              "            em.EmlaModel.cell, em.EmlaModel.name, em.EmlaModel.gone)\n"
     assert unresolved_attributes(source) == [
         "emlaopt.control.solve_ivp", "emlaopt.effmap.EmlaModel.gone", "emlaopt.nope"]
+
+
+def public_definitions(tree):
+    """(dotted name, node) of each public top-level function and class of a
+    module, and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def referenced_names(tree) -> Counter:
+    """How often ``tree`` reads each name, as a name, an attribute or an
+    import.  Attributes match by name alone, so a method counts as read
+    wherever any attribute of its name is read."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+    return names
+
+
+def unread_definitions(modules: dict, outside) -> list:
+    """The public definitions of ``modules`` (module name -> source), as
+    ``module.name``, that nothing else reads: none of the ``outside``
+    sources, no other module and no other code of its own module."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    reads = {name: referenced_names(tree) for name, tree in trees.items()}
+    outside_reads = set().union(*(referenced_names(ast.parse(text)) for text in outside))
+    found = []
+    for name, tree in trees.items():
+        elsewhere = outside_reads.union(*(r for n, r in reads.items() if n != name))
+        for dotted, node in public_definitions(tree):
+            short = dotted.split(".")[-1]
+            if short not in elsewhere and not (reads[name] - referenced_names(node))[short]:
+                found.append(f"{name}.{dotted}")
+    return found
+
+
+# audit and oracle entries that only tests call, to check the program
+# against: criterion 3's loop-closure triangle, criterion 4's linearization
+# (its OperatingPoint is read by its signature) and the stored energy of
+# the power-balance test
+TEST_ONLY = ["chain.loop_closure", "statespace.linearize", "statespace.stored_energy"]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # __init__.py only re-exports; the demos, the benchmark and the README's
+    # code are callers as much as the package is
+    modules = {p.stem: p.read_text() for p in MODULES}
+    outside = [p.read_text() for p in DEMOS + BENCH] + [readme_python()]
+    assert sorted(unread_definitions(modules, outside)) == sorted(TEST_ONLY)
+
+
+def test_test_only_definition_detected():
+    modules = {
+        "a": "def used():\n    pass\n"
+             "def tested():\n    return tested()\n"
+             "def _helper():\n    pass\n"
+             "class Box:\n    def read(self):\n        pass\n"
+             "    def unread(self):\n        return self.unread\n"
+             "    def _private(self):\n        pass\n"
+             "class Spare:\n    pass\n",
+        "b": "from .a import used\nSpare = None\n"
+             "def run(box):\n    return used(), box.read()\n",
+    }
+    assert unread_definitions(modules, ["from emlaopt.b import run\nrun(None)\n"]) == [
+        "a.tested", "a.Box", "a.Box.unread", "a.Spare"]

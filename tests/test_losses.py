@@ -74,10 +74,10 @@ def test_regeneration_rated():
 
 
 def test_negative_coefficients_rejected():
-    with pytest.raises(ValueError):
-        DriveConfig(on_state_resistance=-1e-3)
-    with pytest.raises(ValueError):
-        DriveConfig(screw_efficiency=0.0)
+    with pytest.raises(ValueError, match="switching_coeff"):
+        DriveConfig(switching_coeff=-1e-7)
+    with pytest.raises(ValueError, match="eddy_coeff"):
+        DriveConfig(eddy_coeff=-1e-4)
 
 
 @pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0])

@@ -29,21 +29,22 @@ def test_dq_voltages_steady_state():
 
 def test_dq_voltages_term_by_term():
     rng = np.random.default_rng(0)
-    i_d, i_q, w, did, diq = rng.standard_normal(5)
-    v_d, v_q = dq_voltages(PARAMS, i_d, i_q, w, did, diq)
+    i_d, i_q, w = rng.standard_normal(3)
+    v_d, v_q = dq_voltages(PARAMS, i_d, i_q, w)
     r, ld, lq, p, psi = 0.4, 7e-3, 9e-3, 3, 0.2
-    assert np.isclose(v_d, r * i_d + ld * did - p * w * lq * i_q, rtol=0, atol=1e-14)
-    assert np.isclose(v_q, r * i_q + lq * diq + p * w * ld * i_d + p * w * psi, rtol=0, atol=1e-14)
+    assert np.isclose(v_d, r * i_d - p * w * lq * i_q, rtol=0, atol=1e-14)
+    assert np.isclose(v_q, r * i_q + p * w * ld * i_d + p * w * psi, rtol=0, atol=1e-14)
 
 
 def test_current_derivatives_invert_voltages():
+    # the voltages that hold the currents steady give zero current rates
     rng = np.random.default_rng(1)
     for _ in range(20):
-        i_d, i_q, w, did, diq = rng.standard_normal(5)
-        v_d, v_q = dq_voltages(PARAMS, i_d, i_q, w, did, diq)
-        did2, diq2 = current_derivatives(PARAMS, i_d, i_q, w, v_d, v_q)
-        assert abs(did2 - did) < 1e-12
-        assert abs(diq2 - diq) < 1e-12
+        i_d, i_q, w = rng.standard_normal(3)
+        v_d, v_q = dq_voltages(PARAMS, i_d, i_q, w)
+        did, diq = current_derivatives(PARAMS, i_d, i_q, w, v_d, v_q)
+        assert abs(did) < 1e-12
+        assert abs(diq) < 1e-12
 
 
 def test_torque_zero_at_zero_iq():
@@ -65,8 +66,8 @@ def test_torque_hand_value():
 
 def test_torque_to_iq_inverts():
     tau = 12.3
-    iq = torque_to_iq(PARAMS, tau, i_d=-2.0)
-    assert np.isclose(electromagnetic_torque(PARAMS, -2.0, iq), tau)
+    iq = torque_to_iq(PARAMS, tau)
+    assert np.isclose(electromagnetic_torque(PARAMS, 0.0, iq), tau)
 
 
 @pytest.mark.parametrize("field,value", [

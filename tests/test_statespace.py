@@ -139,7 +139,7 @@ def test_stacked_params_match_each_actuator(params, data):
         "emla_rhs": emla_rhs(motor, eq, x, (v_d, v_q), f_x),
         "current_derivatives": np.array(current_derivatives(motor, i_d, i_q, omega, v_d, v_q)),
         "electromagnetic_torque": electromagnetic_torque(motor, i_d, i_q),
-        "torque_to_iq": torque_to_iq(motor, f_x, i_d),
+        "torque_to_iq": torque_to_iq(motor, f_x),
     }
     alone = {name: [] for name in stacked}
     for j, (m, d) in enumerate(params):
@@ -149,7 +149,7 @@ def test_stacked_params_match_each_actuator(params, data):
         alone["current_derivatives"].append(
             np.array(current_derivatives(m, i_d[j], i_q[j], omega[j], v_d[j], v_q[j])))
         alone["electromagnetic_torque"].append(electromagnetic_torque(m, i_d[j], i_q[j]))
-        alone["torque_to_iq"].append(torque_to_iq(m, f_x[j], i_d[j]))
+        alone["torque_to_iq"].append(torque_to_iq(m, f_x[j]))
     for name, got in stacked.items():
         want = np.stack(alone[name], axis=-1)
         assert got.shape == want.shape, name
