@@ -8,6 +8,7 @@ magnitudes sum to pi.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,27 +51,39 @@ class ClosedChainGeometry:
         return self.barrel_len + self.rod_root_len
 
     def check_stroke(self, x):
-        c = x + self.zero_stroke_len
+        self.check_length(x + self.zero_stroke_len)
+
+    def check_length(self, c):
+        """Raise ``StrokeRangeError`` unless every actuator length ``c`` closes the triangle."""
         lo = abs(self.base_len - self.rocker_len)
         hi = self.base_len + self.rocker_len
-        bad_low = np.asarray(c) <= lo
-        bad_high = np.asarray(c) >= hi
-        if np.any(bad_low):
+        c = np.asarray(c)
+        if (c <= lo).any():
             raise StrokeRangeError(
                 f"actuator length {np.min(c):.6g} <= |base_len - rocker_len| = {lo:.6g}"
             )
-        if np.any(bad_high):
+        if (c >= hi).any():
             raise StrokeRangeError(
                 f"actuator length {np.max(c):.6g} >= base_len + rocker_len = {hi:.6g}"
             )
 
+    @cached_property
+    def _closure_constants(self):
+        """The closure's stroke-independent scalars, computed once per geometry:
+        l^2 + l1^2, 2 l l1, l l1, -1/(l l1), l^2 - l1^2 and l1^2 - l^2 for
+        l = ``base_len`` and l1 = ``rocker_len``."""
+        ell, ell1 = self.base_len, self.rocker_len
+        return (ell**2 + ell1**2, 2.0 * ell * ell1, ell * ell1, -1.0 / (ell * ell1),
+                ell**2 - ell1**2, ell1**2 - ell**2)
+
 
 def _arccos_branch(u, du_dc, d2u_dc2):
     """(-arccos(u), and its first/second derivatives w.r.t. the length c)."""
-    s = np.sqrt(1.0 - u * u)
+    one_minus = 1.0 - u * u
+    s = np.sqrt(one_minus)
     q = -np.arccos(u)
     dq = du_dc / s
-    d2q = (d2u_dc2 * (1.0 - u * u) + u * du_dc**2) / s**3
+    d2q = (d2u_dc2 * one_minus + u * du_dc**2) / s**3
     return q, dq, d2q
 
 
@@ -85,22 +98,28 @@ def loop_closure(geom: ClosedChainGeometry, x):
     return q, q1, q2
 
 
+def _hinge_anchor_closure(geom: ClosedChainGeometry, c):
+    """Hinge and anchor angles, each with its first and second derivative
+    with respect to the actuator length ``c``, and the pin angle's cosine.
+
+    The planar kernel reads no pin-angle derivatives, so only
+    :func:`_closure_with_derivatives` computes them.
+    """
+    ell, ell1 = geom.base_len, geom.rocker_len
+    sq_sum, two_prod, prod, d2u, k, k2 = geom._closure_constants
+    c2 = c**2
+    hinge = _arccos_branch((sq_sum - c2) / two_prod, -c / prod, d2u)
+    v = (c2 + k) / (2.0 * c * ell)
+    anchor = _arccos_branch(v, (c2 - k) / (2.0 * c2 * ell), k / (c**3 * ell))
+    return hinge, anchor, (c2 + k2) / (2.0 * c * ell1)
+
+
 def _closure_with_derivatives(geom: ClosedChainGeometry, x):
     """Angles plus first and second derivatives with respect to the stroke."""
     c = np.asarray(x, dtype=float) + geom.zero_stroke_len
-    ell, ell1 = geom.base_len, geom.rocker_len
-
-    u = (ell**2 + ell1**2 - c**2) / (2.0 * ell * ell1)
-    q, dq, d2q = _arccos_branch(u, -c / (ell * ell1), -1.0 / (ell * ell1) * np.ones_like(c))
-
-    k = ell**2 - ell1**2
-    v = (c**2 + k) / (2.0 * c * ell)
-    q1, dq1, d2q1 = _arccos_branch(v, (c**2 - k) / (2.0 * c**2 * ell), k / (c**3 * ell))
-
-    k2 = ell1**2 - ell**2
-    w = (c**2 + k2) / (2.0 * c * ell1)
+    (q, dq, d2q), (q1, dq1, d2q1), w = _hinge_anchor_closure(geom, c)
+    ell1, k2 = geom.rocker_len, geom._closure_constants[-1]
     q2, dq2, d2q2 = _arccos_branch(w, (c**2 - k2) / (2.0 * c**2 * ell1), k2 / (c**3 * ell1))
-
     return q, q1, q2, dq, dq1, dq2, d2q, d2q1, d2q2
 
 

@@ -147,6 +147,8 @@ def run_report(config: dict, seed: int, jobs: int) -> dict:
                         "a report config")
     art_dir = Path(configio.file_path(config.get("artifacts", "."), "artifacts", "a directory"))
     require_tracking = configio.boolean(config.get("require_tracking", False), "require_tracking")
+    # a bilevel.json carries its own rating, but the key is checked all the same
+    actuators = configio.build_actuators(config.get("actuators"))
     missing = []
     traj_path = art_dir / "trajectory.json"
     bilevel_path = art_dir / "bilevel.json"
@@ -169,7 +171,6 @@ def run_report(config: dict, seed: int, jobs: int) -> dict:
                 report[key] = doc[key]
     elif traj_path.exists():
         traj = TrajectoryResult.from_dict(load_json(traj_path))
-        actuators = configio.build_actuators(config.get("actuators"))
         axes = configio.build_preset_axes(None, actuators, "actuators")
         maps = [build_efficiency_map(a, *ax) for a, ax in zip(actuators, axes)]
         report["efficiency"] = efficiency_summary(traj.v_x, traj.f_x, map_eta_fns(maps))

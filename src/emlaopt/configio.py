@@ -61,9 +61,15 @@ def check_keys(doc, path: str, takes, owner: str = "it", required=()) -> dict:
 
 def number(value, path: str) -> float:
     """``value``, checked to be a finite JSON number (not a bool or a string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            result = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(result):
+                return result
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def boolean(value, path: str) -> bool:
@@ -94,9 +100,13 @@ def vector(value, path: str, n: int = None) -> np.ndarray:
         entries = list(chain.from_iterable(entries))  # the rows of a matrix
     types = set(map(type, entries))
     if bool not in types and all(issubclass(t, (int, float)) for t in types):
-        array = np.array(value, dtype=float)
-        if np.isfinite(array).all():
-            return array
+        try:
+            array = np.array(value, dtype=float)
+        except OverflowError:  # an integer beyond the float range, named below
+            pass
+        else:
+            if np.isfinite(array).all():
+                return array
     if not shaped or list in types:
         count = "" if n is None else f"{n} "
         raise ConfigError(f"{path}: expected a list of {count}numbers, got {value!r}")

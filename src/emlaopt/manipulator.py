@@ -12,7 +12,9 @@ compute the dynamics:
 * ``rnea`` (the optimizer's hot path) runs a planar force-only kernel:
   frames are in-plane angle/position/velocity tuples, and the wrench a
   stage carries is the world sum of its subtree's net wrenches, so no pin
-  or bearing force is resolved.
+  or bearing force is resolved.  Its constants (body scalars, the constant
+  frames' cosines, sines and offsets, the closure's scalars) are built
+  once per model, on the first call.
 * ``evaluate_dynamics``, ``kinetic_energy`` and ``potential_energy`` run
   the 6-D recursion, the audit and oracle path: the forward pass propagates
   body-frame spatial velocities and their apparent derivatives through both
@@ -23,10 +25,11 @@ compute the dynamics:
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .chain import ClosedChainGeometry, _closure_with_derivatives, closure_rates
+from .chain import ClosedChainGeometry, _hinge_anchor_closure, closure_rates
 from .spatial import RigidBodyParams, net_force, planar_angle, rot_y
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -151,6 +154,15 @@ class ChainModel:
                 lo.append(s.stroke_min)
                 hi.append(s.stroke_max)
         return np.array(lo), np.array(hi)
+
+    @cached_property
+    def _planar_plan(self):
+        """What the planar kernel reads of the model, built on its first call.
+
+        A ``dataclasses.replace`` copy builds its own; the model's arrays
+        must not be changed in place once it exists.
+        """
+        return _build_planar_plan(self)
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +450,35 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
 _GROUND = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _planar_fixed(frame, angle, offset):
-    """Child at parent point ``offset`` (x-z of a 3-vector), turned by ``angle`` about y."""
-    c, s, px, pz, vx, vz, w, ax, az, al = frame
-    ct, st = math.cos(angle), math.sin(angle)
+def _fixed_pose(angle, offset):
+    """A constant frame's ``(cos, sin)`` of ``angle`` and x-z of ``offset``;
+    either is None when zero, and :func:`_planar_fixed` then skips its terms."""
+    turn = None if angle == 0.0 else (math.cos(angle), math.sin(angle))
     ox, oz = float(offset[0]), float(offset[2])
-    ux, uz = vx + w * oz, vz - w * ox
-    bx, bz = ax + al * oz, az - al * ox
-    return (
-        c * ct - s * st, s * ct + c * st, px + c * ox + s * oz, pz - s * ox + c * oz,
-        ct * ux - st * uz, st * ux + ct * uz, w,
-        ct * bx - st * bz, st * bx + ct * bz, al,
-    )
+    return turn, None if ox == 0.0 and oz == 0.0 else (ox, oz)
+
+
+def _planar_fixed(frame, turn, shift):
+    """Child at parent point ``shift``, turned by ``turn`` about y (see :func:`_fixed_pose`).
+
+    A zero offset or angle would only add exact zeros and multiply by one,
+    which changes a finite value by at most the sign of a zero, so those
+    terms are left out; with both zero the frame itself is returned.
+    """
+    if turn is None and shift is None:
+        return frame
+    c, s, px, pz, vx, vz, w, ax, az, al = frame
+    if shift is not None:
+        ox, oz = shift
+        px, pz = px + c * ox + s * oz, pz - s * ox + c * oz
+        vx, vz = vx + w * oz, vz - w * ox
+        ax, az = ax + al * oz, az - al * ox
+    if turn is not None:
+        ct, st = turn
+        c, s = c * ct - s * st, s * ct + c * st
+        vx, vz = ct * vx - st * vz, st * vx + ct * vz
+        ax, az = ct * ax - st * az, st * ax + ct * az
+    return c, s, px, pz, vx, vz, w, ax, az, al
 
 
 def _planar_revolute(frame, angle, rate, accel):
@@ -474,18 +503,26 @@ def _planar_prismatic(frame, disp, rate, accel):
     )
 
 
-def _planar_net(body: RigidBodyParams, frame):
-    """(f_x, f_z, m_y) of :func:`emlaopt.spatial.net_force`, in body axes."""
-    c, s, _, _, vx, vz, w, ax, az, al = frame
-    m = body.mass
+def _planar_body(body: RigidBodyParams):
+    """The scalars :func:`_planar_net` reads: m, r_x, r_z, m g_x, m g_z,
+    the inertia about the frame origin, m r_z and m r_x."""
+    m = float(body.mass)
     rx, rz = float(body.com_offset[0]), float(body.com_offset[2])
-    gx, gz = m * float(body.gravity[0]), m * float(body.gravity[2])
     i_origin = float(body.inertia[1, 1]) + m * (rx * rx + rz * rz)
+    return (m, rx, rz, m * float(body.gravity[0]), m * float(body.gravity[2]),
+            i_origin, m * rz, m * rx)
+
+
+def _planar_net(body, frame):
+    """(f_x, f_z, m_y) of :func:`emlaopt.spatial.net_force`, in body axes,
+    for the scalars ``body`` of :func:`_planar_body`."""
+    c, s, _, _, vx, vz, w, ax, az, al = frame
+    m, rx, rz, gx, gz, i_origin, m_rz, m_rx = body
     # origin acceleration with the Coriolis/centrifugal term, times m, plus
     # the gravity support force in body axes
     kx = m * (ax + w * (vz - w * rx)) + (c * gx - s * gz)
     kz = m * (az - w * (vx + w * rz)) + (s * gx + c * gz)
-    return kx + m * rz * al, kz - m * rx * al, rz * kx - rx * kz + i_origin * al
+    return kx + m_rz * al, kz - m_rx * al, rz * kx - rx * kz + i_origin * al
 
 
 def _planar_add(total, frame, wrench):
@@ -494,6 +531,29 @@ def _planar_add(total, frame, wrench):
     fx, fz, my = wrench
     wx, wz = c * fx + s * fz, c * fz - s * fx
     return total[0] + wx, total[1] + wz, total[2] + (my + pz * wx - px * wz)
+
+
+def _build_planar_plan(model: ChainModel):
+    """The base frame and, per stage, the constant frames and body scalars
+    of :func:`_piston_forces`.  Nothing reads the last stage's mount frame,
+    so it is the identity."""
+    base = _planar_fixed(_GROUND, *_fixed_pose(model.base_angle, model.base_pos))
+    steps = []
+    for k, stage in enumerate(model.stages):
+        last = k == model.n_joints - 1
+        mount = (None, None) if last else _fixed_pose(stage.mount_angle, stage.mount_pos)
+        if isinstance(stage, ClosedChainStage):
+            theta_a = stage.base_angle
+            steps.append((
+                stage, mount,
+                _fixed_pose(theta_a, stage.hinge_pos),
+                _fixed_pose(theta_a + math.pi, stage.anchor_pos),
+                _planar_body(stage.boom), _planar_body(stage.barrel), _planar_body(stage.rod),
+            ))
+        else:
+            steps.append((stage, mount, _fixed_pose(0.0, stage.slide_pos),
+                          _planar_body(stage.carriage)))
+    return base, tuple(steps)
 
 
 def _piston_forces(model: ChainModel, q, qd, qdd):
@@ -506,62 +566,58 @@ def _piston_forces(model: ChainModel, q, qd, qdd):
     subtree's moment about the hinge.  A telescope's force is the
     x-component of its subtree force in carriage axes.
     """
-    frame = _planar_fixed(_GROUND, model.base_angle, model.base_pos)
+    frame, steps = model._planar_plan
     passes = []  # per stage, what the backward pass needs
-    for k, stage in enumerate(model.stages):
+    for k, (stage, mount, *consts) in enumerate(steps):
         x, xd, xdd = q[..., k], qd[..., k], qdd[..., k]
-        if isinstance(stage, ClosedChainStage):
-            geom = stage.geometry
-            geom.check_stroke(x)
-            qh, qa, qp, dh, da, _, d2h, d2a, _ = _closure_with_derivatives(geom, x)
-            sin_qp = np.sin(qp)
-            if np.any(np.abs(sin_qp) < SINGULARITY_TOL):
-                raise SingularConfigurationError(
-                    f"{stage.name}: pin angle within {SINGULARITY_TOL} of a fold"
-                )
-            c = x + geom.zero_stroke_len
-            theta_a = stage.base_angle
-            xd2 = xd * xd
-            boom = _planar_revolute(
-                _planar_fixed(frame, theta_a, stage.hinge_pos),
-                qh, dh * xd, d2h * xd2 + dh * xdd,
+        if isinstance(stage, TelescopeStage):
+            slide, carriage_body = consts
+            carriage = _planar_prismatic(_planar_fixed(frame, *slide), x, xd, xdd)
+            passes.append((carriage, _planar_net(carriage_body, carriage)))
+            frame = _planar_fixed(carriage, *mount)
+            continue
+        hinge, anchor, boom_body, barrel_body, rod_body = consts
+        geom = stage.geometry
+        c = x + geom.zero_stroke_len
+        geom.check_length(c)
+        (qh, dh, d2h), (qa, da, d2a), cos_qp = _hinge_anchor_closure(geom, c)
+        qp = -np.arccos(cos_qp)
+        sin_qp = np.sin(qp)
+        if (np.abs(sin_qp) < SINGULARITY_TOL).any():
+            raise SingularConfigurationError(
+                f"{stage.name}: pin angle within {SINGULARITY_TOL} of a fold"
             )
-            barrel = _planar_revolute(
-                _planar_fixed(frame, theta_a + math.pi, stage.anchor_pos),
-                -qa, -(da * xd), -(d2a * xd2 + da * xdd),
-            )
-            rod = _planar_prismatic(barrel, c - geom.rod_frame_setback, xd, xdd)
-            passes.append((stage, boom, _planar_net(stage.boom, boom), barrel,
-                           _planar_net(stage.barrel, barrel), rod,
-                           _planar_net(stage.rod, rod), qp, sin_qp, c))
-            frame = boom
-        else:
-            carriage = _planar_prismatic(
-                _planar_fixed(frame, 0.0, stage.slide_pos), x, xd, xdd
-            )
-            passes.append((stage, carriage, _planar_net(stage.carriage, carriage)))
-            frame = carriage
-        frame = _planar_fixed(frame, stage.mount_angle, stage.mount_pos)
+        xd2 = xd * xd
+        boom = _planar_revolute(
+            _planar_fixed(frame, *hinge), qh, dh * xd, d2h * xd2 + dh * xdd
+        )
+        barrel = _planar_revolute(
+            _planar_fixed(frame, *anchor), -qa, -(da * xd), -(d2a * xd2 + da * xdd)
+        )
+        rod = _planar_prismatic(barrel, c - geom.rod_frame_setback, xd, xdd)
+        passes.append((boom, _planar_net(boom_body, boom), geom, barrel,
+                       _planar_net(barrel_body, barrel), rod,
+                       _planar_net(rod_body, rod), qp, sin_qp, c))
+        frame = _planar_fixed(boom, *mount)
 
-    piston = [None] * model.n_joints
+    piston = np.empty(q.shape)
     subtree = (0.0, 0.0, 0.0)  # world axes, moment about the world origin
-    for k in range(model.n_joints - 1, -1, -1):
-        stage, body, net, *chain = passes[k]
+    for k in range(len(steps) - 1, -1, -1):
+        body, net, *chain = passes[k]
         subtree = _planar_add(subtree, body, net)
         fx, fz, my = subtree
         if not chain:  # telescope: subtree force along the carriage x-axis
-            piston[k] = body[0] * fx - body[1] * fz
+            piston[..., k] = body[0] * fx - body[1] * fz
             continue
-        barrel, barrel_net, rod, rod_net, qp, sin_qp, c = chain
-        geom = stage.geometry
+        geom, barrel, barrel_net, rod, rod_net, qp, sin_qp, c = chain
         m_hinge = my - body[3] * fx + body[2] * fz  # boom subtree about the hinge
         rod_x, rod_z, rod_m = rod_net
         lam = (barrel_net[2] + rod_m + geom.rod_frame_setback * rod_z) / c
-        piston[k] = (
+        piston[..., k] = (
             rod_x + (lam - rod_z) / np.tan(qp) + m_hinge / (geom.rocker_len * sin_qp)
         )
         subtree = _planar_add(_planar_add(subtree, barrel, barrel_net), rod, rod_net)
-    return np.stack(piston, axis=-1)
+    return piston
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,21 @@ def test_report_from_bare_trajectory(bilevel_dir, tmp_path):
     assert doc["samples_outside_map"] == bilevel["samples_outside_map"]
 
 
+@pytest.mark.parametrize("artifact", ["bilevel.json", "trajectory.json"])
+def test_report_unknown_actuators_preset_exits_2(bilevel_dir, tmp_path, capsys, artifact):
+    # with a bilevel.json the key was never read: report.json was written
+    # and the run exited 0
+    _, _, out = bilevel_dir
+    art = tmp_path / "art"
+    art.mkdir()
+    (art / artifact).write_bytes((out / artifact).read_bytes())
+    cfg = write(tmp_path, "report.json", {"artifacts": str(art), "actuators": {"preset": "nope"}})
+    assert run(["report", "--config", cfg, "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: actuators.preset: unknown preset 'nope'")
+    assert not (tmp_path / "rep" / "manifest.json").exists()
+
+
 def test_report_missing_artifacts(tmp_path):
     cfg = write(tmp_path, "report.json", {"artifacts": str(tmp_path / "nowhere")})
     assert run(["report", "--config", cfg, "--out", str(tmp_path / "rep")]) == 2
@@ -562,6 +577,8 @@ NAN, INF = float("nan"), float("inf")
      "weights[0]: expected a finite number, got '0.9'"),
     ("trajopt", dict(TRAJ_CFG, weights=[True, False]),
      "weights[0]: expected a finite number, got True"),
+    ("trajopt", dict(TRAJ_CFG, weights=[10**400, 0.5]),
+     "weights[0]: expected a finite number, got 1000"),
     ("track", {"initial_position_error": ["1e-3", "0", "0"]},
      "initial_position_error[0]: expected a finite number, got '1e-3'"),
     ("track", {"initial_position_error": [True, 0, 0]},
@@ -591,7 +608,7 @@ NAN, INF = float("nan"), float("inf")
         "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
         "count-maps-n", "count-n_tones", "count-seed", "regeneration", "sensor_noise_std",
         "band_hz", "gravity-inline", "gravity-preset", "t_lower", "vector-string", "vector-bool",
-        "weights-string", "weights-bool", "position-error-string", "position-error-bool",
+        "weights-string", "weights-bool", "weights-beyond-float", "position-error-string", "position-error-bool",
         "vector-nan", "vector-infinity", "axis-bool", "axis-string", "inertia-string",
         "artifacts-number", "require-tracking-string", "position-error-length", "vector-length"])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
@@ -610,7 +627,8 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     # keys are unknown.  A number as the artifacts path ended in a TypeError
     # traceback, and the string "false" demanded tracking.json.  A bad
     # entry of a list is named by its index; a list of the wrong length is
-    # quoted whole
+    # quoted whole.  A weight beyond the float range ended in an
+    # OverflowError traceback
     if command == "track":
         cfg = dict(cfg, trajectory=pose_reference)
     path = write(tmp_path, "cfg.json", cfg)

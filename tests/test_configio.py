@@ -20,6 +20,8 @@ from emlaopt.configio import (
     build_outer,
     build_preset_axes,
     build_problem,
+    number,
+    vector,
 )
 from emlaopt.control import DisturbanceProfile, nominal_disturbance, published_gains
 from emlaopt.manipulator import ClosedChainStage, rnea
@@ -208,6 +210,31 @@ def test_vector_takes_a_list_of_numbers(build, doc, path, error):
         build(doc)
     assert str(info.value) == path + error
     assert len(str(info.value)) < 200
+
+
+BEYOND_FLOAT = 10**400
+
+
+@pytest.mark.parametrize("call, path", [
+    (lambda: number(BEYOND_FLOAT, "x"), "x"),
+    (lambda: number(-BEYOND_FLOAT, "x"), "x"),
+    (lambda: vector([BEYOND_FLOAT, 1.0], "x"), "x[0]"),
+    (lambda: vector([1.0, 2.0, -BEYOND_FLOAT], "x", 3), "x[2]"),
+    (lambda: vector([[1.0, 2.0], [3.0, BEYOND_FLOAT]], "x"), "x[1][1]"),
+], ids=["number", "number-negative", "vector", "vector-last", "matrix"])
+def test_an_integer_beyond_the_float_range_is_a_config_error(call, path):
+    # number raised a TypeError and vector an OverflowError, which the CLI
+    # does not catch, so the run ended in a traceback
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value).startswith(path + ": expected a finite number, got ")
+
+
+def test_an_integer_within_the_float_range_is_its_float():
+    # np.isfinite raised a TypeError on any integer beyond int64
+    assert number(10**300, "x") == 1e300
+    assert number(2**64, "x") == 2.0**64
+    assert np.array_equal(vector([2**64, 10**300], "x"), [2.0**64, 1e300])
 
 
 @pytest.mark.parametrize("build, doc", [

@@ -259,12 +259,30 @@ def test_rnea_mismatched_shapes_raise(model):
 # ---------------------------------------------------------------------------
 # the planar force-only kernel (rnea) against the 6-D oracle (evaluate_dynamics)
 
-MODELS = {"default": default_manipulator(), "no_gravity": default_manipulator(gravity=0.0)}
+def turned_and_shifted(model):
+    """``model`` with a base pose, mount angles and a slide offset.  The
+    preset has none of them, so on it the kernel only ever skips the terms
+    of a zero angle or offset."""
+    lift, tilt, telescope = model.stages
+    shift = np.array([0.1, 0.0, -0.05])  # moves the tilt hinge off the lift mount
+    return replace(
+        model, base_angle=0.4, base_pos=np.array([0.3, 0.0, -0.2]),
+        stages=(
+            replace(lift, mount_angle=0.25),
+            replace(tilt, hinge_pos=tilt.hinge_pos + shift,
+                    anchor_pos=tilt.anchor_pos + shift, mount_angle=-0.3),
+            replace(telescope, slide_pos=np.array([0.15, 0.0, 0.05]), mount_angle=0.2),
+        ),
+    )
+
+
+MODELS = {"default": default_manipulator(), "no_gravity": default_manipulator(gravity=0.0),
+          "turned": turned_and_shifted(default_manipulator())}
 
 
 @st.composite
 def model_and_states(draw):
-    name = draw(st.sampled_from(["default", "scaled", "no_gravity"]))
+    name = draw(st.sampled_from(["default", "scaled", "no_gravity", "turned"]))
     if name == "scaled":
         model = scaled_masses(MODELS["default"], draw(st.floats(0.05, 20.0)))
     else:
@@ -308,3 +326,19 @@ def test_planar_kernel_is_affine_in_acceleration(case, delta):
     m_lo = rnea(model, q, zero, zero)[1]
     err = np.abs((f_hi - f_lo) - (m_hi - m_lo)).max(axis=-1)
     assert np.all(err <= 1e-9 * row_scale(f_hi, f_lo, m_hi, m_lo))
+
+
+def test_each_model_keeps_its_own_kernel_plan():
+    """The kernel's per-model constants are built once per model: a copy
+    made with ``replace`` gets its own, and using one model leaves another
+    model's forces bit-for-bit as a fresh model gives them."""
+    a = default_manipulator()
+    copies = (scaled_masses(a, 2.0), replace(a, base_angle=0.3), turned_and_shifted(a))
+    q, qd, qdd = random_state(a)
+    first = rnea(a, q, qd, qdd)[1]
+    for b in copies:
+        f_b = rnea(b, q, qd, qdd)[1]
+        assert not np.array_equal(f_b, first)
+        assert np.array_equal(rnea(a, q, qd, qdd)[1], first)
+        assert np.array_equal(f_b, rnea(replace(b), q, qd, qdd)[1])
+    assert np.array_equal(first, rnea(default_manipulator(), q, qd, qdd)[1])
