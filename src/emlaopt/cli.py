@@ -47,14 +47,12 @@ def run_map(config: dict, seed: int, jobs: int) -> dict:
 
 
 def run_trajopt(config: dict, seed: int, jobs: int) -> dict:
-    configio.check_keys(config, "config", ("manipulator", "problem", "weights", "method"),
+    configio.check_keys(config, "config", ("manipulator", "problem", "weights"),
                         "a trajopt config")
     model = configio.build_manipulator(config.get("manipulator"))
     problem = configio.build_problem(config.get("problem"), model)
     weights = config.get("weights")
     weights = None if weights is None else configio.vector(weights, "weights")
-    if config.get("method", "slsqp") != "slsqp":
-        raise ConfigError(f"method: unknown NLP method {config['method']!r}; use 'slsqp'")
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
     result = solve_inner(problem, dynamics, weights=weights)
     return {

@@ -216,36 +216,11 @@ def default_manipulator(gravity: float = 9.81) -> ChainModel:
     )
 
 
-def chain_control_bounds(model: ChainModel):
-    """Control-point box keeping every spline evaluable (triangle-safe).
-
-    The convex-hull property bounds q(t) by the control-point box, so
-    holding control points inside the triangle-feasible stroke range keeps
-    the loop closure solvable at every solver iterate.  A chain's box
-    reaches half way from its stroke limits to the triangle's, at most
-    0.05 m; a telescope's reaches 0.05 m past its stroke limits.
-    """
-    lo, hi = model.stroke_limits()
-    c_lo, c_hi = lo.copy(), hi.copy()
-    for i, stage in enumerate(model.stages):
-        if isinstance(stage, ClosedChainStage):
-            g = stage.geometry
-            tri_lo = abs(g.base_len - g.rocker_len) - g.zero_stroke_len
-            tri_hi = g.base_len + g.rocker_len - g.zero_stroke_len
-            c_lo[i] = lo[i] - 0.5 * min(lo[i] - tri_lo, 0.1)
-            c_hi[i] = hi[i] + 0.5 * min(tri_hi - hi[i], 0.1)
-        else:
-            c_lo[i] = lo[i] - 0.05
-            c_hi[i] = hi[i] + 0.05
-    return c_lo, c_hi
-
-
 def benchmark_problem(model: ChainModel = None, n_partitions: int = 50, n_ctrl: int = 12) -> NlpProblem:
     """Point-to-point motion used by the examples and regression suite."""
     if model is None:
         model = default_manipulator()
     lo, hi = model.stroke_limits()
-    c_lo, c_hi = chain_control_bounds(model)
     return NlpProblem(
         q_lower=lo + 0.01,
         q_upper=hi - 0.01,
@@ -265,6 +240,4 @@ def benchmark_problem(model: ChainModel = None, n_partitions: int = 50, n_ctrl: 
         criterion_scales=np.array([2.0e9, 1.0e7]),
         n_partitions=n_partitions,
         n_ctrl=n_ctrl,
-        ctrl_lower=c_lo,
-        ctrl_upper=c_hi,
     )

@@ -1,14 +1,17 @@
 """Direct-collocation trajectory generation on B-spline curves.
 
-The configuration (piston strokes) is a clamped B-spline; bounds on
-positions, rates and forces are enforced at M+1 uniform collocation
-points, boundary states as equalities, and the final time is a free
-variable inside its box.  The strokes are the generalized coordinates, so
-the piston speed v_x is taken as the stroke rate q̇ and its box is merged
-into the q̇ box.  The transcribed problem is solved with SLSQP; the
-derivatives of (q, q̇, f_x) by the decision vector are built once per
-iterate, from analytic basis blocks and batched central differences of
-the inverse dynamics, and every gradient and Jacobian is read from them.
+The configuration (piston strokes) is a clamped B-spline.  The stroke and
+stroke-rate boxes hold on its control polygons, so by the convex-hull
+property they hold at every instant: the q box bounds the control points,
+and the q̇ box bounds the derivative's control points.  The force box holds
+at the M+1 uniform collocation points only, the boundary states are
+equalities, and the final time is a free variable inside its box.  The
+strokes are the generalized coordinates, so the piston speed v_x is taken
+as the stroke rate q̇ and its box is merged into the q̇ box.  The
+transcribed problem is solved with SLSQP; the derivatives of (q, q̇, f_x)
+by the decision vector are built once per iterate, from analytic basis
+blocks and batched central differences of the inverse dynamics, and every
+gradient and Jacobian is read from them.
 """
 
 import json
@@ -17,7 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .bspline import basis_matrices
+from .bspline import basis_matrices, derivative_matrix
 
 # central-difference step of the f_x partials; at 1e-5 the truncation error
 # of the stroke partials reached 4e-6 of the cost on 3 s motions
@@ -87,8 +90,6 @@ class NlpProblem:
     degree: int = 5
     n_ctrl: int = 12
     n_partitions: int = 50
-    ctrl_lower: np.ndarray = None  # evaluable box for control points
-    ctrl_upper: np.ndarray = None
 
     def __post_init__(self):
         for name in (
@@ -112,13 +113,6 @@ class NlpProblem:
         check_weights(self.weights)
         for name in ("degree", "n_ctrl", "n_partitions"):
             check_count(getattr(self, name), name)
-        if self.ctrl_lower is None:
-            pad = 0.1 * (self.q_upper - self.q_lower)
-            object.__setattr__(self, "ctrl_lower", self.q_lower - pad)
-            object.__setattr__(self, "ctrl_upper", self.q_upper + pad)
-        else:
-            object.__setattr__(self, "ctrl_lower", np.asarray(self.ctrl_lower, dtype=float))
-            object.__setattr__(self, "ctrl_upper", np.asarray(self.ctrl_upper, dtype=float))
 
     @property
     def n_joints(self) -> int:
@@ -247,9 +241,12 @@ class _Transcription:
     The decision vector is z = [c.ravel(), t_final] with c the (n_ctrl, n)
     control points.  The sampled states are x_k = B_k c / t_final^k (q, q̇,
     q̈ for k = 0, 1, 2), so dx_k/dc is the constant block B_k ⊗ I over
-    t_final^k and dx_k/dt_final is -k x_k / t_final.  The strokes are the
-    generalized coordinates, so the piston speed v_x is q̇: its box narrows
-    the q̇ box and adds no rows.
+    t_final^k and dx_k/dt_final is -k x_k / t_final.  The q box is SLSQP's
+    bound on c.  The q̇ box bounds the rate polygon r = D c / t_final, with
+    D from ``derivative_matrix``, so dr/dc is D ⊗ I over t_final and
+    dr/dt_final is -r / t_final.  The strokes are the generalized
+    coordinates, so the piston speed v_x is q̇: its box narrows the q̇ box
+    and adds no rows.
     """
 
     def __init__(self, problem: NlpProblem, dynamics, weights):
@@ -258,24 +255,29 @@ class _Transcription:
         self.n, self.n_ctrl, self.m = p.n_joints, p.n_ctrl, p.n_partitions
         m1 = self.m + 1
         self.basis = basis_matrices(p.n_ctrl, p.degree, np.arange(m1) / self.m)
-        # B_k ⊗ I and a zero t_final column: (M+1, n, n_z), c[j, b] at z[j * n + b]
-        self.blocks = []
-        for b in self.basis:
-            block = np.zeros((m1, self.n, self.n_ctrl * self.n + 1))
-            block[..., :-1] = np.einsum("kj,ab->kajb", b, np.eye(self.n)).reshape(m1, self.n, -1)
-            self.blocks.append(block)
+        self.rate_matrix = derivative_matrix(p.n_ctrl, p.degree)
+
+        def kron_block(b):
+            # b ⊗ I and a zero t_final column: (len(b), n, n_z), c[j, a] at z[j * n + a]
+            block = np.zeros((len(b), self.n, self.n_ctrl * self.n + 1))
+            kron = np.einsum("kj,ab->kajb", b, np.eye(self.n))
+            block[..., :-1] = kron.reshape(len(b), self.n, -1)
+            return block
+
+        self.blocks = [kron_block(b) for b in self.basis]
+        self.rate_block = kron_block(self.rate_matrix)
         self.weights_raw = check_weights(weights)
         self.weights = self.weights_raw / self.weights_raw.sum()
         qd_lower = np.maximum(p.qd_lower, p.vx_lower)
         qd_upper = np.minimum(p.qd_upper, p.vx_upper)
-        self.boxes = [(p.q_lower, p.q_upper), (qd_lower, qd_upper), (p.fx_lower, p.fx_upper)]
+        self.boxes = [(qd_lower, qd_upper), (p.fx_lower, p.fx_upper)]
         self.box_scales = [np.maximum(1.0, np.maximum(abs(lo), abs(hi))) for lo, hi in self.boxes]
         s_q = np.maximum(1.0, np.abs(p.q_upper - p.q_lower))
         s_qd = np.maximum(1.0, np.abs(qd_upper - qd_lower))
         self.eq_target = np.concatenate([p.q_init, p.q_final, p.qd_init, p.qd_final])
         self.eq_scale = np.concatenate([s_q, s_q, s_qd, s_qd])
         self.bounds = list(
-            zip(np.tile(p.ctrl_lower, self.n_ctrl), np.tile(p.ctrl_upper, self.n_ctrl))
+            zip(np.tile(p.q_lower, self.n_ctrl), np.tile(p.q_upper, self.n_ctrl))
         ) + [(p.t_lower, p.t_upper)]
         self._value_cache = (None, None)
         self._jac_cache = (None, None)
@@ -302,6 +304,7 @@ class _Transcription:
         psi = psi_raw / self.problem.criterion_scales
         out = {
             "c": c, "t_final": t_final, "q": q, "qd": qd, "qdd": qdd,
+            "rates": self.rate_matrix @ c / t_final,
             "f": f, "dt": dt, "psi": psi, "psi_raw": psi_raw,
             "cost": float(self.weights @ psi),
         }
@@ -370,17 +373,20 @@ class _Transcription:
         return np.concatenate([dq[0], dq[-1], dqd[0], dqd[-1]]) / self.eq_scale[:, None]
 
     def ineq(self, z):
-        """Scaled margins to the q, q̇ and f_x boxes at every sample."""
+        """Scaled margins to the q̇ box on the rate polygon, which bound q̇ at
+        every instant, and to the f_x box at every sample."""
         vals = self.values(z)
         parts = []
-        for x, (lo, hi), s in zip((vals["q"], vals["qd"], vals["f"]), self.boxes, self.box_scales):
+        for x, (lo, hi), s in zip((vals["rates"], vals["f"]), self.boxes, self.box_scales):
             parts += [(hi - x) / s, (x - lo) / s]
         return np.concatenate([part.ravel() for part in parts])
 
     def ineq_jac(self, z):
-        jac = self.jacobians(z)
+        vals = self.values(z)
+        d_rates = self.rate_block / vals["t_final"]
+        d_rates[..., -1] = -vals["rates"] / vals["t_final"]
         rows = []
-        for d, s in zip((jac["q"], jac["qd"], jac["f"]), self.box_scales):
+        for d, s in zip((d_rates, self.jacobians(z)["f"]), self.box_scales):
             scaled = (d / s[:, None]).reshape(-1, d.shape[-1])
             rows += [-scaled, scaled]
         return np.concatenate(rows)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emlaopt.bspline import basis_matrices, clamped_knots
+from scipy.interpolate import BSpline
+
+from emlaopt.bspline import basis_matrices, clamped_knots, derivative_matrix
 from conftest import spline_states
 
 # (degree, n_ctrl) with degree in 2..5 and n_ctrl in degree+1..16
@@ -42,6 +44,22 @@ def test_derivatives_match_finite_differences(shape):
     b_m, db_m, _ = basis_matrices(n_ctrl, degree, s - h)
     assert np.abs((b_p - b_m) / (2 * h) - db).max() <= 1e-6
     assert np.abs((db_p - db_m) / (2 * h) - d2b).max() <= 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(shapes.flatmap(lambda shape: st.tuples(
+    st.just(shape), st.lists(st.floats(-10.0, 10.0), min_size=shape[1], max_size=shape[1]))))
+def test_derivative_matrix_gives_derivative_control_points(drawn):
+    (degree, n_ctrl), c = drawn
+    c = np.array(c)
+    deriv = BSpline(clamped_knots(n_ctrl, degree), c, degree).derivative()
+    # SciPy pads the derivative's coefficients with zeros to its knot count
+    assert not np.any(deriv.c[n_ctrl - 1:])
+    # each entry is degree * (c_{i+1} - c_i) / gap, a gap no shorter than
+    # 1 / (n_ctrl - degree); the two sides round those terms differently
+    scale = degree * (n_ctrl - degree) * max(1.0, np.abs(c).max())
+    err = np.abs(derivative_matrix(n_ctrl, degree) @ c - deriv.c[:n_ctrl - 1]).max()
+    assert err <= 1e-14 * scale
 
 
 def test_constant_control_points_reproduce_constants():

@@ -231,13 +231,16 @@ def test_missing_field_reports_path():
 
 
 def test_trajopt_unknown_method_exits_2(tmp_path, capsys):
-    # "auglag" named a backend that no longer exists; it must not fall back
-    for method in ("newton", "auglag"):
+    # SLSQP is the one backend, so a trajopt config takes no method key at
+    # all; naming one, even "slsqp", must not be ignored
+    for method in ("newton", "auglag", "slsqp"):
         cfg = write(tmp_path, f"traj_{method}.json", dict(TRAJ_CFG, method=method))
         out = tmp_path / method
         assert run(["trajopt", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: method:") and "Traceback" not in err
+        assert err.startswith("error: config: a trajopt config takes only "
+                              "['manipulator', 'problem', 'weights'], got unknown keys ['method']")
+        assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
 
 
@@ -390,7 +393,7 @@ BL_CFG = {"manipulator": {"preset": "default"},
     ("track", {"durations": 2.0},
      "config: a track config takes only ["),
     ("trajopt", {"problems": {"preset": "benchmark", "n_partitions": 16}, "weight": [0.9, 0.1]},
-     "config: a trajopt config takes only ['manipulator', 'method', 'problem', 'weights'], "
+     "config: a trajopt config takes only ['manipulator', 'problem', 'weights'], "
      "got unknown keys ['problems', 'weight']"),
     ("map", {"actuator": {"preset": "lift_6kw"}, "grids": {"preset": "default"}},
      "got unknown keys ['grids']"),
@@ -518,7 +521,7 @@ NAN, INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize("command, cfg, match", [
     ("trajopt", {"problem": _with(PROBLEM_DOC, (), n_partition=20, wieghts=[0.9, 0.1])},
-     "problem: it takes only ['criterion_scales', 'ctrl_lower', 'ctrl_upper', 'degree', "),
+     "problem: it takes only ['criterion_scales', 'degree', 'fx_lower', 'fx_upper', "),
     ("trajopt", {"manipulator": _with(MANIPULATOR_DOC, (), base_angel=0.1)},
      "manipulator: it takes only ['base', 'base_angle', 'base_pos', 'gravity', 'stages'], "
      "got unknown keys ['base_angel']"),

@@ -274,8 +274,7 @@ BLOCKS = [
     (build_manipulator, MANIPULATOR_DOC, ("stages", 2), "manipulator.stages[2]", {"mount_angle"}),
     (build_manipulator, {"preset": "default", "gravity": 9.81}, (), "manipulator", ALL),
     (lambda d: build_problem(d, MODEL), PROBLEM_DOC, (), "problem",
-     {"weights", "criterion_scales", "degree", "n_ctrl", "n_partitions", "ctrl_lower",
-      "ctrl_upper"}),
+     {"weights", "criterion_scales", "degree", "n_ctrl", "n_partitions"}),
     (lambda d: build_problem(d, MODEL), {"preset": "benchmark", "n_partitions": 16}, (),
      "problem", ALL),
     (lambda d: build_gains(d, 3), GAINS_DOC, (), "gains", set()),

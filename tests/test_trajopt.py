@@ -7,9 +7,11 @@ from dataclasses import replace
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from emlaopt.manipulator import rnea
+from conftest import spline_states
+from emlaopt.manipulator import ClosedChainStage, rnea
 from emlaopt.presets import benchmark_problem, default_manipulator
 from emlaopt.trajopt import (
+    CONSTRAINT_TOL,
     NlpProblem,
     TrajectoryResult,
     _Transcription,
@@ -17,6 +19,34 @@ from emlaopt.trajopt import (
     criterion_power,
     solve_inner,
 )
+
+
+def draw_box(model):
+    """Box the property tests draw control points from: each stroke range
+    widened by half its distance to the chain's triangle limit, at most
+    0.05 m, or by 0.05 m for the telescope.  It is wider than the q box, so
+    the checks also cover control points that SLSQP's bounds keep out, and
+    every loop closure stays solvable inside it."""
+    lo, hi = model.stroke_limits()
+    pad_lo, pad_hi = np.full_like(lo, 0.05), np.full_like(hi, 0.05)
+    for i, stage in enumerate(model.stages):
+        if isinstance(stage, ClosedChainStage):
+            g = stage.geometry
+            pad_lo[i] = 0.5 * min(lo[i] - (abs(g.base_len - g.rocker_len) - g.zero_stroke_len), 0.1)
+            pad_hi[i] = 0.5 * min(g.base_len + g.rocker_len - g.zero_stroke_len - hi[i], 0.1)
+    return lo - pad_lo, hi + pad_hi
+
+
+@pytest.fixture(scope="module")
+def tight_problem(small_problem):
+    # a vx box at half the qd box, so the piston speed binds
+    return replace(small_problem, vx_lower=0.5 * small_problem.qd_lower,
+                   vx_upper=0.5 * small_problem.qd_upper)
+
+
+@pytest.fixture(scope="module")
+def solved_tight(tight_problem, dynamics):
+    return solve_inner(tight_problem, dynamics)
 
 
 def test_effort_criterion_oracle():
@@ -196,18 +226,20 @@ def central_jacobian(fun, z, h=1e-4):
 # O(h^2) truncation error, while cost_grad agreed with the extrapolation
 # to 4.6e-8
 @example(w=(0.0, 1.0), t_frac=0.0, seed=1330118313)
-def test_derivatives_match_central_differences(small_problem, dynamics, w, t_frac, seed):
-    # the cost gradient and both constraint Jacobians are all read from the
-    # chained d(q, qd, f_x)/dz; each must match differences of its function
+def test_derivatives_match_central_differences(small_problem, model, dynamics, w, t_frac, seed):
+    # the cost gradient and both constraint Jacobians are read from the
+    # chained d(q, qd, f_x)/dz, and the rate-polygon rows from D ⊗ I; each
+    # must match differences of its function
     assume(sum(w) > 1e-3)
     p = small_problem
     kern = _Transcription(p, dynamics, np.array(w))
     c = kern.initial_guess()[:-1].reshape(p.n_ctrl, p.n_joints)
-    width = p.ctrl_upper - p.ctrl_lower
+    lower, upper = draw_box(model)
+    width = upper - lower
     # the jitter stays within a tenth of the box, so the motion at t_final = 3 s
     # is violent but the FD_STEP partials of f_x keep their accuracy
     jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, c.shape) * width
-    c = np.clip(c + jitter, p.ctrl_lower + 0.05 * width, p.ctrl_upper - 0.05 * width)
+    c = np.clip(c + jitter, lower + 0.05 * width, upper - 0.05 * width)
     z = np.concatenate([c.ravel(), [p.t_lower + t_frac * (p.t_upper - p.t_lower)]])
     for fun, jac in ((kern.cost, kern.cost_grad), (kern.eq, kern.eq_jac),
                      (kern.ineq, kern.ineq_jac)):
@@ -223,13 +255,12 @@ def test_derivatives_match_central_differences(small_problem, dynamics, w, t_fra
     t_frac=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_weight_scale_invariance(small_problem, dynamics, w, scale, t_frac, seed):
+def test_weight_scale_invariance(small_problem, model, dynamics, w, scale, t_frac, seed):
     # the weights enter only through their ratio, so the weight box of the
     # leader is a family of rays; c * w must transcribe to the same NLP
     p = small_problem
     z = np.concatenate([
-        np.random.default_rng(seed).uniform(p.ctrl_lower, p.ctrl_upper, (p.n_ctrl, p.n_joints))
-        .ravel(),
+        np.random.default_rng(seed).uniform(*draw_box(model), (p.n_ctrl, p.n_joints)).ravel(),
         [p.t_lower + t_frac * (p.t_upper - p.t_lower)],
     ])
     one = _Transcription(p, dynamics, np.array(w))
@@ -240,17 +271,32 @@ def test_weight_scale_invariance(small_problem, dynamics, w, scale, t_frac, seed
         assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max(), name
 
 
-def test_piston_speed_box_narrows_rate_box(small_problem, dynamics):
+def test_piston_speed_box_narrows_rate_box(small_problem, tight_problem, dynamics, solved_tight):
     # v_x is qd in stroke coordinates: a vx box tighter than the qd box
-    # binds through the qd rows, with no rows of its own
-    tight = replace(small_problem, vx_lower=0.5 * small_problem.qd_lower,
-                    vx_upper=0.5 * small_problem.qd_upper)
-    kern = _Transcription(tight, dynamics, np.array([0.5, 0.5]))
-    assert len(kern.ineq(kern.initial_guess())) == 6 * (small_problem.n_partitions + 1) * 3
-    res = solve_inner(tight, dynamics)
+    # binds through the rate-polygon rows, with no rows of its own
+    p = small_problem
+    kern = _Transcription(tight_problem, dynamics, np.array([0.5, 0.5]))
+    rows = 2 * 3 * (p.n_ctrl - 1) + 2 * 3 * (p.n_partitions + 1)
+    assert len(kern.ineq(kern.initial_guess())) == rows
+    res = solved_tight
     assert res.converged
     assert np.all(np.abs(res.v_x) <= 0.5 * small_problem.qd_upper + 1e-6)
     assert np.array_equal(res.v_x, res.qd)
+
+
+@pytest.mark.parametrize("solved, problem", [("solved_half", "small_problem"),
+                                             ("solved_tight", "tight_problem")])
+def test_boxes_hold_between_samples(request, solved, problem):
+    # the q and qd boxes bound the control polygons, so they hold at every
+    # instant, not only at the collocation samples
+    res, p = request.getfixturevalue(solved), request.getfixturevalue(problem)
+    assert res.converged
+    times = np.linspace(0.0, res.t_final, 2001)
+    q, qd, _ = spline_states(res.degree, res.control_points, res.t_final, times)
+    for x, lo, hi in ((q, p.q_lower, p.q_upper),
+                      (qd, np.maximum(p.qd_lower, p.vx_lower), np.minimum(p.qd_upper, p.vx_upper))):
+        tol = CONSTRAINT_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        assert np.all(x <= hi + tol) and np.all(x >= lo - tol)
 
 
 @pytest.mark.parametrize("weights", [[0.0, 0.0], [-1.0, 2.0], [1.0], [np.nan, 1.0]])
