@@ -15,7 +15,7 @@ from .bilevel import (
     total_efficiency,
 )
 from .bspline import basis_matrices, clamped_knots
-from .chain import ClosedChainGeometry, StrokeRangeError, closure_rates, loop_closure
+from .chain import ClosedChainGeometry, StrokeRangeError
 from .control import (
     DisturbanceProfile,
     StabilityAudit,
@@ -35,11 +35,9 @@ from .losses import DriveConfig, LossBreakdown, efficiency, loss_breakdown
 from .manipulator import (
     ChainModel,
     ClosedChainStage,
-    DynamicsState,
+    RigidBodyParams,
     SingularConfigurationError,
     TelescopeStage,
-    evaluate_dynamics,
-    kinetic_energy,
     potential_energy,
     rnea,
 )
@@ -50,8 +48,7 @@ from .pmsm import (
     electromagnetic_torque,
     torque_to_iq,
 )
-from .spatial import RigidBodyParams, net_force, skew
-from .statespace import OperatingPoint, emla_rhs, linearize, stack_params
+from .statespace import emla_rhs, stack_params
 from .trajopt import (
     NlpProblem,
     TrajectoryResult,

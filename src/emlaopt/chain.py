@@ -2,9 +2,11 @@
 
 The mechanism is a triangle: two links of fixed length joined at the hinge,
 with the actuator forming the third side.  As the piston stroke changes,
-the three interior angles follow from the law of cosines; all three are
-reported with the negative sign convention (angles in (-pi, 0)) and their
-magnitudes sum to pi.
+the interior angles follow from the law of cosines, with the negative sign
+convention (angles in (-pi, 0)).  The manipulator's kernel reads the hinge
+and anchor angles with their derivatives and the pin angle's cosine; the
+three angles with all their time derivatives are a test oracle, in
+``tests/oracles.py``.
 """
 
 from dataclasses import dataclass
@@ -50,9 +52,6 @@ class ClosedChainGeometry:
         """Actuator pivot-to-pin distance at zero stroke."""
         return self.barrel_len + self.rod_root_len
 
-    def check_stroke(self, x):
-        self.check_length(x + self.zero_stroke_len)
-
     def check_length(self, c):
         """Raise ``StrokeRangeError`` unless every actuator length ``c`` closes the triangle."""
         lo = abs(self.base_len - self.rocker_len)
@@ -87,23 +86,11 @@ def _arccos_branch(u, du_dc, d2u_dc2):
     return q, dq, d2q
 
 
-def loop_closure(geom: ClosedChainGeometry, x):
-    """The three interior angles (q_hinge, q_anchor, q_pin) at stroke x.
-
-    All negative; |q_hinge| is the angle between the two links at the
-    hinge, |q_anchor| at the actuator anchor and |q_pin| at the rod pin.
-    """
-    geom.check_stroke(x)
-    q, q1, q2, *_ = _closure_with_derivatives(geom, np.asarray(x, dtype=float))
-    return q, q1, q2
-
-
 def _hinge_anchor_closure(geom: ClosedChainGeometry, c):
     """Hinge and anchor angles, each with its first and second derivative
     with respect to the actuator length ``c``, and the pin angle's cosine.
 
-    The planar kernel reads no pin-angle derivatives, so only
-    :func:`_closure_with_derivatives` computes them.
+    The planar kernel reads no pin-angle derivatives, so none are computed.
     """
     ell, ell1 = geom.base_len, geom.rocker_len
     sq_sum, two_prod, prod, d2u, k, k2 = geom._closure_constants
@@ -112,30 +99,3 @@ def _hinge_anchor_closure(geom: ClosedChainGeometry, c):
     v = (c2 + k) / (2.0 * c * ell)
     anchor = _arccos_branch(v, (c2 - k) / (2.0 * c2 * ell), k / (c**3 * ell))
     return hinge, anchor, (c2 + k2) / (2.0 * c * ell1)
-
-
-def _closure_with_derivatives(geom: ClosedChainGeometry, x):
-    """Angles plus first and second derivatives with respect to the stroke."""
-    c = np.asarray(x, dtype=float) + geom.zero_stroke_len
-    (q, dq, d2q), (q1, dq1, d2q1), w = _hinge_anchor_closure(geom, c)
-    ell1, k2 = geom.rocker_len, geom._closure_constants[-1]
-    q2, dq2, d2q2 = _arccos_branch(w, (c**2 - k2) / (2.0 * c**2 * ell1), k2 / (c**3 * ell1))
-    return q, q1, q2, dq, dq1, dq2, d2q, d2q1, d2q2
-
-
-def closure_rates(geom: ClosedChainGeometry, x, xd, xdd):
-    """Angles with their time derivatives for stroke trajectories (x, xd, xdd).
-
-    Returns three (angle, rate, accel) triples in hinge/anchor/pin order.
-    """
-    geom.check_stroke(x)
-    xd = np.asarray(xd, dtype=float)
-    xdd = np.asarray(xdd, dtype=float)
-    q, q1, q2, dq, dq1, dq2, d2q, d2q1, d2q2 = _closure_with_derivatives(
-        geom, np.asarray(x, dtype=float)
-    )
-    out = []
-    for ang, d1, d2 in ((q, dq, d2q), (q1, dq1, d2q1), (q2, dq2, d2q2)):
-        out.append((ang, d1 * xd, d2 * xd**2 + d1 * xdd))
-    return tuple(out)
-

@@ -24,8 +24,7 @@ from . import presets
 from .bilevel import BilevelConfig
 from .control import DisturbanceProfile, SubsystemGains, nominal_disturbance, published_gains
 from .effmap import EmlaModel
-from .manipulator import ChainModel, ClosedChainStage, TelescopeStage
-from .spatial import RigidBodyParams
+from .manipulator import ChainModel, ClosedChainStage, RigidBodyParams, TelescopeStage
 from .trajopt import NlpProblem, check_count
 
 

@@ -41,11 +41,6 @@ class PmsmParams:
         if np.any(self.pm_flux <= 0):
             raise ValueError("pm_flux must be > 0")
 
-    @property
-    def saliency_ratio(self) -> float:
-        """L_d / L_q."""
-        return self.inductance_d / self.inductance_q
-
 
 def dq_voltages(params: PmsmParams, i_d: float, i_q: float, omega_m: float) -> tuple[float, float]:
     """dq stator voltages that hold the given currents steady.

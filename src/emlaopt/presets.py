@@ -12,9 +12,8 @@ from .chain import ClosedChainGeometry
 from .drivetrain import DriveTrainParams
 from .effmap import EmlaModel
 from .losses import DriveConfig
-from .manipulator import ChainModel, ClosedChainStage, TelescopeStage
+from .manipulator import ChainModel, ClosedChainStage, RigidBodyParams, TelescopeStage
 from .pmsm import PmsmParams
-from .spatial import RigidBodyParams
 from .trajopt import NlpProblem, check_count
 
 

@@ -17,7 +17,6 @@ from emlaopt.bilevel import (
     solve_outer,
 )
 from emlaopt.bspline import basis_matrices
-from emlaopt.chain import loop_closure
 from emlaopt.cli import main as cli_main
 from emlaopt.control import (
     lyapunov_audit,
@@ -26,17 +25,19 @@ from emlaopt.control import (
     tracking_errors,
 )
 from emlaopt.drivetrain import equivalent_params, rotary_linear_map
-from emlaopt.manipulator import (
-    ClosedChainStage,
-    evaluate_dynamics,
-    kinetic_energy,
-    potential_energy,
-    rnea,
-)
+from emlaopt.manipulator import ClosedChainStage, rnea
 from emlaopt.presets import benchmark_problem, default_map_grid
-from emlaopt.statespace import OperatingPoint, emla_rhs, linearize
+from emlaopt.statespace import emla_rhs
 from emlaopt.trajopt import solve_inner
 from conftest import spline_states
+from oracles import (
+    OperatingPoint,
+    evaluate_dynamics,
+    kinetic_energy,
+    linearize,
+    loop_closure,
+    potential_energy,
+)
 
 
 def report(number, passed, detail):

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from emlaopt.chain import (
-    ClosedChainGeometry,
-    StrokeRangeError,
-    closure_rates,
-    loop_closure,
-)
+from emlaopt.chain import ClosedChainGeometry, StrokeRangeError
+from oracles import closure_rates, loop_closure
 
 GEOM = ClosedChainGeometry(
     base_len=0.65, rocker_len=1.1, barrel_len=0.55, rod_root_len=0.3,

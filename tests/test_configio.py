@@ -24,9 +24,8 @@ from emlaopt.configio import (
     vector,
 )
 from emlaopt.control import DisturbanceProfile, nominal_disturbance, published_gains
-from emlaopt.manipulator import ClosedChainStage, rnea
+from emlaopt.manipulator import ClosedChainStage, RigidBodyParams, rnea
 from emlaopt.presets import benchmark_problem, default_manipulator, lift_emla
-from emlaopt.spatial import RigidBodyParams
 from emlaopt.trajopt import TrajectoryResult
 
 # the stored 5x5 grid winner of the benchmark's inputs

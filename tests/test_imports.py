@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-package name the demos, the README and the benchmark use exists.
+"""Every module of the package, and the tests' oracle module, uses each
+name it imports, and every package name the demos, the README and the
+benchmark use exists.
 
 No linter ships with the project, so this stands in for an unused-import
 check: deleting a function must also delete the imports only it needed.
@@ -10,9 +11,9 @@ attributes of the package's modules and classes, such as
 ``control.solve_ivp`` and ``TrajectoryResult.from_dict``, which it wraps or
 calls; the third check keeps each of those names defined where it is read.
 The fourth finds public functions, classes and methods that only tests
-call: code the program does not need, unless it is an audit or oracle entry
-the tests check the program against (:data:`TEST_ONLY`).  All read the
-source with ``ast`` and run nothing.
+call: code the program does not need.  Reference models the tests check the
+program against belong in ``tests/oracles.py``.  All read the source with
+``ast`` and run nothing.
 """
 
 import ast
@@ -27,6 +28,7 @@ PACKAGE = ROOT / "src" / "emlaopt"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def imported_names(tree):
@@ -46,7 +48,7 @@ def unused_imports(source):
     return [(name, line) for name, line in imported_names(tree) if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ORACLES], ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -239,19 +241,12 @@ def unread_definitions(modules: dict, outside) -> list:
     return found
 
 
-# audit and oracle entries that only tests call, to check the program
-# against: criterion 3's loop-closure triangle, criterion 4's linearization
-# (its OperatingPoint is read by its signature) and the stored energy of
-# the power-balance test
-TEST_ONLY = ["chain.loop_closure", "statespace.linearize", "statespace.stored_energy"]
-
-
 def test_every_public_name_has_a_caller_outside_tests():
     # __init__.py only re-exports; the demos, the benchmark and the README's
     # code are callers as much as the package is
     modules = {p.stem: p.read_text() for p in MODULES}
     outside = [p.read_text() for p in DEMOS + BENCH] + [readme_python()]
-    assert sorted(unread_definitions(modules, outside)) == sorted(TEST_ONLY)
+    assert unread_definitions(modules, outside) == []
 
 
 def test_test_only_definition_detected():

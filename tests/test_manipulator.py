@@ -5,19 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from emlaopt import manipulator
 from emlaopt.chain import ClosedChainGeometry, StrokeRangeError
 from emlaopt.manipulator import (
     ChainModel,
     ClosedChainStage,
+    RigidBodyParams,
     SingularConfigurationError,
-    evaluate_dynamics,
-    kinetic_energy,
-    potential_energy,
     rnea,
 )
 from emlaopt.presets import default_manipulator
-from emlaopt.spatial import RigidBodyParams
 from conftest import scaled_masses
+from oracles import (
+    _iter_bodies,
+    evaluate_dynamics,
+    kinetic_energy,
+    mass_matrix,
+    potential_energy,
+)
 
 rng = np.random.default_rng(77)
 
@@ -95,11 +100,9 @@ def test_ground_wrench_equals_momentum_rate_plus_gravity(model):
     def world_momentum(qq, qqd):
         st = evaluate_dynamics(model, qq, qqd, np.zeros(3))
         total = np.zeros(6)
-        from emlaopt.manipulator import _iter_bodies
-
         for name, body in _iter_bodies(model):
             r_w, p_w, vel, _ = st.frames[name]
-            h_body = body.mass_matrix() @ vel
+            h_body = mass_matrix(body) @ vel
             lin = r_w @ h_body[:3]
             ang = r_w @ h_body[3:] + np.cross(p_w, lin)
             total += np.concatenate([lin, ang])
@@ -174,8 +177,6 @@ def test_stage_total_equals_net_wrench_sum(model):
     st = evaluate_dynamics(model, q, qd, qdd)
     fg = st.frame_forces["ground"]
     total = np.zeros(6)
-    from emlaopt.manipulator import _iter_bodies
-
     for name, body in _iter_bodies(model):
         r_w, p_w, _, _ = st.frames[name]
         f6 = st.net_wrenches[name]
@@ -310,6 +311,41 @@ def test_planar_kernel_matches_6d_oracle(case):
     assert np.array_equal(v, qd)
     err = np.abs(f - oracle).max(axis=-1)
     assert np.all(err <= 1e-9 * row_scale(oracle))
+
+
+def potential_terms(model, q):
+    """Sum over the bodies of |m g . r_com|, placed by the 6-D oracle: the
+    size of the terms the potential energy adds up, which may cancel."""
+    qz = np.zeros_like(q)
+    frames = evaluate_dynamics(model, q, qz, qz).frames
+    total = 0.0
+    for name, body in _iter_bodies(model):
+        r_w, p_w = frames[name][:2]
+        com = p_w + np.einsum("...ij,j->...i", r_w, body.com_offset)
+        total = total + np.abs(body.mass * (com @ body.gravity))
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_and_states())
+def test_planar_potential_energy_matches_6d_oracle(case):
+    """The program's potential energy runs on the planar kernel; it equals
+    the oracle's to rounding and, like rnea, rejects a batch with one
+    stroke outside a chain's triangle."""
+    model, q, _, _ = case
+    energy = manipulator.potential_energy(model, q)
+    oracle = potential_energy(model, q)
+    assert np.shape(energy) == np.shape(oracle) == q.shape[:-1]
+    assert np.all(np.abs(energy - oracle) <= 1e-11 * potential_terms(model, q))
+    for k, stage in enumerate(model.stages):
+        if not isinstance(stage, ClosedChainStage):
+            continue
+        g = stage.geometry
+        for c in (abs(g.base_len - g.rocker_len) - 0.01, g.base_len + g.rocker_len + 0.01):
+            bad = q.copy()
+            bad.reshape(-1, model.n_joints)[0, k] = c - g.zero_stroke_len
+            with pytest.raises(StrokeRangeError):
+                manipulator.potential_energy(model, bad)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,13 +13,8 @@ from emlaopt.pmsm import (
     torque_to_iq,
 )
 from emlaopt.presets import actuators, lift_emla
-from emlaopt.statespace import (
-    OperatingPoint,
-    emla_rhs,
-    linearize,
-    stack_params,
-    stored_energy,
-)
+from emlaopt.statespace import emla_rhs, stack_params
+from oracles import OperatingPoint, linearize, stored_energy
 
 EMLA = lift_emla()
 PARAMS, DT = EMLA.motor, EMLA.drivetrain
