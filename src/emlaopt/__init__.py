@@ -21,8 +21,6 @@ from .control import (
     StabilityAudit,
     SubsystemGains,
     TrackingTraces,
-    adaptive_rate,
-    feedback_gain,
     lyapunov_audit,
     nominal_disturbance,
     published_gains,

@@ -33,16 +33,17 @@ def emla_rhs(
     x: np.ndarray,
     u: np.ndarray,
     f_x: float,
-) -> np.ndarray:
+) -> tuple:
     """Nonlinear vector field in [i_d, i_q, omega, theta] order, input [V_d, V_q].
 
     ``eq`` is ``equivalent_params(drivetrain)``, reflected once by the
-    caller.  With stacked (n,) parameters, ``x`` is (4, n), ``u`` a pair
-    of (n,) voltages and ``f_x`` (n,) load forces.
+    caller.  Returns the four rates as a tuple: floats for one actuator's
+    floats, (n,) arrays for stacked (n,) parameters, ``x`` (4, n), ``u`` a
+    pair of (n,) voltages and ``f_x`` (n,) load forces.
     """
     i_d, i_q, omega, theta = x
     v_d, v_q = u
     di_d, di_q = current_derivatives(params, i_d, i_q, omega, v_d, v_q)
     torque = electromagnetic_torque(params, i_d, i_q)
     domega = (torque - eq.damping * omega - eq.stiffness * theta - eq.load_ratio * f_x) / eq.inertia
-    return np.array([di_d, di_q, domega, omega])
+    return di_d, di_q, domega, omega

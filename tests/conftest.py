@@ -57,19 +57,22 @@ def constant_pose_reference(duration=1.0, n_a=3, pose=None, force=None):
     )
 
 
-def scaled_masses(model: ChainModel, factor: float) -> ChainModel:
-    """Copy of ``model`` with every body mass and inertia multiplied by ``factor``."""
-
-    def scale(b):
-        return replace(b, mass=b.mass * factor, inertia=b.inertia * factor)
-
+def with_bodies(model: ChainModel, change) -> ChainModel:
+    """Copy of ``model`` with ``change(body)`` in place of every body."""
     stages = []
     for s in model.stages:
         if isinstance(s, ClosedChainStage):
-            stages.append(replace(s, boom=scale(s.boom), barrel=scale(s.barrel), rod=scale(s.rod)))
+            stages.append(replace(s, boom=change(s.boom), barrel=change(s.barrel),
+                                  rod=change(s.rod)))
         else:
-            stages.append(replace(s, carriage=scale(s.carriage)))
-    return replace(model, base=scale(model.base), stages=tuple(stages))
+            stages.append(replace(s, carriage=change(s.carriage)))
+    return replace(model, base=change(model.base), stages=tuple(stages))
+
+
+def scaled_masses(model: ChainModel, factor: float) -> ChainModel:
+    """Copy of ``model`` with every body mass and inertia multiplied by ``factor``."""
+    return with_bodies(model, lambda b: replace(b, mass=b.mass * factor,
+                                                inertia=b.inertia * factor))
 
 
 @pytest.fixture(scope="session")

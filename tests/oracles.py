@@ -16,7 +16,9 @@ same physics, which only tests read:
 * the loop-closure angles with their time derivatives, including the pin
   angle's (:func:`loop_closure`, :func:`closure_rates`);
 * the first-order model of one EMLA and its stored energy
-  (:func:`linearize`, :func:`stored_energy`).
+  (:func:`linearize`, :func:`stored_energy`);
+* the adaptive law of one subsystem's estimate, on arrays
+  (:func:`adaptive_rate`).
 
 Spatial vectors are plain (..., 6) arrays that stack the linear part on top
 of the angular part: velocities [v; w] and forces/moments [f; m], both
@@ -564,3 +566,16 @@ def stored_energy(params: PmsmParams, drivetrain: DriveTrainParams, x) -> float:
     elastic = 0.5 * eq.stiffness * theta**2
     magnetic = 0.75 * (params.inductance_d * i_d**2 + params.inductance_q * i_q**2)
     return kinetic + elastic + magnetic
+
+
+# ---------------------------------------------------------------------------
+# the adaptive law on arrays
+
+
+def adaptive_rate(k: float, sigma: float, epsilon: float, phi: float, q_err):
+    """phi_dot = -k*sigma*phi + (epsilon*k/2)|Q|^2.
+
+    The rate is nonnegative at phi = 0, so a nonnegative estimate stays
+    nonnegative under exact integration.
+    """
+    return -k * sigma * phi + 0.5 * epsilon * k * np.square(q_err)

@@ -142,12 +142,12 @@ def test_criterion_04_linearization_check(acts):
             xp[i] += h
             xm[i] -= h
             jac[:, i] = (
-                emla_rhs(emla.motor, eq, xp, u0, f_x)
-                - emla_rhs(emla.motor, eq, xm, u0, f_x)
+                np.array(emla_rhs(emla.motor, eq, xp, u0, f_x))
+                - np.array(emla_rhs(emla.motor, eq, xm, u0, f_x))
             ) / (2 * h)
         worst = max(worst, np.abs(a - jac).max() / np.abs(jac).max())
         # the affine remainder reproduces the field at the operating state
-        resid = a @ x0 + b @ u0 + r - emla_rhs(emla.motor, eq, x0, u0, f_x)
+        resid = a @ x0 + b @ u0 + r - np.array(emla_rhs(emla.motor, eq, x0, u0, f_x))
         worst = max(worst, np.abs(resid).max() / max(1.0, np.abs(jac).max()))
     ok = worst <= 1e-5
     report(4, ok, f"state-space matrices vs central differences at 100 random "

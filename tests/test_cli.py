@@ -345,6 +345,12 @@ def pose_reference(tmp_path):
      "trajectory: expected the path of a trajectory.json or bilevel.json, got 5"),
     ({"duration": -0.5, "settle_time": -1},  # an IndexError traceback
      "duration: the run length must be > 0, got -0.5"),
+    # a negative noise level gave the audit a negative disturbance bound;
+    # a skew of -1 divided by zero and then blamed the stator resistance
+    ({"disturbance": {"force_noise_std": -0.5}},
+     "disturbance: force_noise_std must be finite and >= 0, got -0.5"),
+    ({"disturbance": {"param_perturbation": -1}},
+     "disturbance: param_perturbation must be finite and > -1, got -1"),
 ])
 def test_track_invalid_config_exits_2_before_integrating(tmp_path, capsys, monkeypatch,
                                                          pose_reference, extra, match):

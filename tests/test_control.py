@@ -17,8 +17,7 @@ from emlaopt.control import (
     DisturbanceProfile,
     SubsystemGains,
     TrackingTraces,
-    adaptive_rate,
-    feedback_gain,
+    closed_loop,
     lyapunov_audit,
     lyapunov_value,
     nominal_disturbance,
@@ -34,6 +33,7 @@ from emlaopt.pmsm import torque_to_iq
 from emlaopt.statespace import emla_rhs, stack_params
 from emlaopt.trajopt import TrajectoryResult
 from conftest import constant_pose_reference
+from oracles import adaptive_rate
 
 # the stored 5x5 grid winner of the benchmark's inputs
 WINNER = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "winner_bilevel.json"
@@ -44,47 +44,83 @@ def law(delta, eps, phi, q_err):
     return -(delta + eps * phi) / 2 * q_err
 
 
-def test_control_law_published_gain_value():
-    # delta = 75000, eps = 9, phi = 0, Q = 1e-3 -> kappa = -37.5
-    assert feedback_gain(75000.0, 9.0, 0.0) * 1e-3 == pytest.approx(-37.5)
+def loop_record(act, gains):
+    """closed_loop's record of actuator ``act`` under ``gains``, its plant
+    the nominal one."""
+    eq = equivalent_params(act.drivetrain)
+    return ((gains.delta, gains.epsilon, gains.k, gains.sigma), eq.load_ratio, act.motor,
+            act.motor, eq)
 
 
-def test_control_law_dissipative_sign():
+def at_rest_reference(act, gains, x=(0.0, 0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0, 0.0)):
+    """closed_loop at state ``x`` = [theta, omega, i_q, i_d] and estimates
+    ``phi`` against a reference at rest at zero: then Q1 = f_eq*theta, Q2 =
+    f_eq*omega - kappa_1 and Q4 = i_d; with theta = omega = 0 also Q3 = i_q."""
+    return closed_loop(loop_record(act, gains), x, phi, (0.0, 0.0, 0.0))
+
+
+def test_control_law_published_gain_value(acts):
+    # delta = 75000, eps = 9, phi = 0, Q = 1e-3 -> kappa = -37.5, for the
+    # current subsystems' feedback, the voltages
+    q_err, _, (v_d, v_q), _, _ = at_rest_reference(acts[0], published_gains(),
+                                                   x=(0.0, 0.0, 1e-3, 1e-3))
+    assert q_err[2:] == (1e-3, 1e-3)
+    assert v_d == pytest.approx(-37.5) and v_q == pytest.approx(-37.5)
+
+
+def test_control_law_dissipative_sign(acts):
     rng = np.random.default_rng(1)
+    g = SubsystemGains(100.0, 2.0, 7.0, 9.0)
     for _ in range(50):
-        q = rng.standard_normal()
-        phi = abs(rng.standard_normal())
-        kappa = feedback_gain(100.0, 2.0, phi) * q
-        assert kappa == law(100.0, 2.0, phi, q)
-        assert kappa * q <= 0.0
+        theta, i_q, i_d = rng.standard_normal(3)
+        phi = np.abs(rng.standard_normal(4))
+        (q1, q2, q3, q4), _, (v_d, v_q), _, _ = at_rest_reference(
+            acts[0], g, x=(theta, 0.0, i_q, i_d), phi=phi)
+        # at omega = qd_ref = 0 the velocity error is -kappa_1 exactly
+        for kappa, nu, q in ((-q2, 0, q1), (v_q, 2, q3), (v_d, 3, q4)):
+            assert kappa == law(100.0, 2.0, phi[nu], q)
+            assert kappa * q <= 0.0
 
 
-def test_adaptive_pure_decay_rate():
+def test_adaptive_pure_decay_rate(acts):
     # with Q = 0 the estimate decays at k*sigma = 63 per second
-    g = published_gains()
     phi = np.array([1.0, 0.25, 2.0, 0.0])
-    rate = adaptive_rate(g.k, g.sigma, g.epsilon, phi, np.zeros(4))
-    assert np.array_equal(rate, -63.0 * phi)
+    q_err, *_, rates = at_rest_reference(acts[0], published_gains(), phi=phi)
+    assert q_err == (0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(rates, -63.0 * phi)
 
 
-def test_adaptive_fixed_point():
-    # the rate vanishes at phi* = eps Q^2 / (2 sigma), and pulls toward it
+def test_adaptive_fixed_point(acts):
+    # the rate vanishes at phi* = eps Q^2 / (2 sigma), and pulls toward it;
+    # i_d = 0.4 makes Q4 = 0.4 the only error
     k, sigma, eps = 7.0, 9.0, 9.0
     q0 = 0.4
     target = eps * q0**2 / (2 * sigma)
-    assert adaptive_rate(k, sigma, eps, target, q0) == pytest.approx(0.0, abs=1e-15)
-    assert adaptive_rate(k, sigma, eps, 0.5 * target, q0) > 0.0
-    assert adaptive_rate(k, sigma, eps, 2.0 * target, q0) < 0.0
+
+    def rate(phi4):
+        q_err, *_, rates = at_rest_reference(acts[0], SubsystemGains(75000.0, eps, k, sigma),
+                                             x=(0.0, 0.0, 0.0, q0), phi=(0.0, 0.0, 0.0, phi4))
+        assert q_err == (0.0, 0.0, 0.0, q0)
+        return rates[3]
+
+    assert rate(target) == pytest.approx(0.0, abs=1e-15)
+    assert rate(0.5 * target) > 0.0
+    assert rate(2.0 * target) < 0.0
 
 
-def test_adaptive_nonnegative():
+def test_adaptive_nonnegative(acts):
     # phi = 0 never has a negative rate, so phi >= 0 is forward invariant;
-    # above zero the error term only slows the decay
+    # above zero the error term only slows the decay.  One call on arrays of
+    # 500 states evaluates closed_loop at each
     rng = np.random.default_rng(3)
-    q = rng.standard_normal(500)
-    phi = rng.exponential(1.0, 500)
-    assert np.all(adaptive_rate(7.0, 9.0, 9.0, 0.0, q) >= 0.0)
-    assert np.all(adaptive_rate(7.0, 9.0, 9.0, phi, q) >= -63.0 * phi)
+    x = rng.standard_normal((4, 500)) * np.array([[1e-3], [1e-2], [1.0], [1.0]])
+    phi = rng.exponential(1.0, (4, 500))
+    g = SubsystemGains(75000.0, 9.0, 7.0, 9.0)
+    q_err, *_, rates = at_rest_reference(acts[0], g, x=x, phi=np.zeros((4, 500)))
+    assert np.all(np.abs(q_err) > 0.0)
+    assert np.all(np.array(rates) >= 0.0)
+    rates = at_rest_reference(acts[0], g, x=x, phi=phi)[-1]
+    assert np.all(np.array(rates) >= -63.0 * phi)
 
 
 def test_gains_validation():
@@ -123,6 +159,14 @@ def test_nonpositive_duration_rejected(acts, duration):
     with pytest.raises(ValueError, match="duration must be > 0"):
         simulate_tracking(acts, constant_pose_reference(duration=1.0), [published_gains()] * 3,
                           duration=duration)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_nonpositive_dt_rejected(acts, dt):
+    # dt = 0 ended in a ZeroDivisionError and a negative dt in an IndexError
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        simulate_tracking(acts, constant_pose_reference(duration=1.0), [published_gains()] * 3,
+                          dt=dt)
 
 
 @st.composite
@@ -269,6 +313,17 @@ def test_traces_csv_matches_per_row_reference(run, request):
 def test_disturbance_profile_bound():
     d = DisturbanceProfile(force_noise_std=0.02)
     assert d.bound(1e4) == pytest.approx(600.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("force_noise_std", -0.5), ("force_noise_std", np.nan), ("force_noise_std", np.inf),
+    ("param_perturbation", -1.0), ("param_perturbation", -2.0), ("param_perturbation", np.nan),
+    ("param_perturbation", np.inf)])
+def test_disturbance_profile_rejects_bad_values(field, value):
+    # a negative noise level made the audit's disturbance bound negative,
+    # and a skew of -1 divided the plant's flux by zero
+    with pytest.raises(ValueError, match=f"^{field} must be finite and "):
+        DisturbanceProfile(**{field: value})
 
 
 def test_tracking_errors_shape(regulation_traces):

@@ -15,7 +15,7 @@ from emlaopt.manipulator import (
     rnea,
 )
 from emlaopt.presets import default_manipulator
-from conftest import scaled_masses
+from conftest import scaled_masses, with_bodies
 from oracles import (
     _iter_bodies,
     evaluate_dynamics,
@@ -277,13 +277,22 @@ def turned_and_shifted(model):
     )
 
 
+def tilted_gravity(model, angle):
+    """``model`` with gravity turned by ``angle`` about y, so that it gets an
+    in-plane x component.  The presets' gravity is [0, 0, g], on which the
+    kernel's x gravity terms add zero."""
+    g = 9.81 * np.array([np.sin(angle), 0.0, np.cos(angle)])
+    return with_bodies(model, lambda b: replace(b, gravity=g))
+
+
 MODELS = {"default": default_manipulator(), "no_gravity": default_manipulator(gravity=0.0),
-          "turned": turned_and_shifted(default_manipulator())}
+          "turned": turned_and_shifted(default_manipulator()),
+          "tilted": tilted_gravity(default_manipulator(), 0.3)}
 
 
 @st.composite
 def model_and_states(draw):
-    name = draw(st.sampled_from(["default", "scaled", "no_gravity", "turned"]))
+    name = draw(st.sampled_from(["default", "scaled", "no_gravity", "turned", "tilted"]))
     if name == "scaled":
         model = scaled_masses(MODELS["default"], draw(st.floats(0.05, 20.0)))
     else:

@@ -59,19 +59,20 @@ def test_linearization_matches_finite_differences():
             xp[i] += h
             xm[i] -= h
             jac[:, i] = (
-                emla_rhs(PARAMS, EQ, xp, u0, f_x) - emla_rhs(PARAMS, EQ, xm, u0, f_x)
+                np.array(emla_rhs(PARAMS, EQ, xp, u0, f_x))
+                - np.array(emla_rhs(PARAMS, EQ, xm, u0, f_x))
             ) / (2 * h)
         scale = np.abs(jac).max()
         worst = max(worst, np.abs(a - jac).max() / scale)
         # affine consistency at the operating point
-        rhs = emla_rhs(PARAMS, EQ, x0, u0, f_x)
+        rhs = np.array(emla_rhs(PARAMS, EQ, x0, u0, f_x))
         assert np.allclose(a @ x0 + b @ u0 + r, rhs, rtol=1e-9, atol=1e-9 * (1 + np.abs(rhs).max()))
     assert worst <= 1e-5
 
 
 def test_equilibrium_stays_at_rest():
     # zero state, zero input and zero load: the vector field vanishes exactly
-    xdot = emla_rhs(PARAMS, EQ, np.zeros(4), np.zeros(2), 0.0)
+    xdot = np.array(emla_rhs(PARAMS, EQ, np.zeros(4), np.zeros(2), 0.0))
     assert xdot.shape == (4,) and np.all(xdot == 0.0)
 
 
@@ -83,7 +84,7 @@ def test_power_balance_of_vector_field():
         x = rng.uniform([-3, -6, -150, -2], [3, 6, 150, 2])
         u = rng.uniform(-80, 80, 2)
         f_x = rng.uniform(-2e4, 2e4)
-        xdot = emla_rhs(PARAMS, EQ, x, u, f_x)
+        xdot = np.array(emla_rhs(PARAMS, EQ, x, u, f_x))
         i_d, i_q, omega, _ = x
         p_in = 1.5 * (u[0] * i_d + u[1] * i_q)
         p_cu = 1.5 * PARAMS.stator_resistance * (i_d**2 + i_q**2)
@@ -131,7 +132,7 @@ def test_stacked_params_match_each_actuator(params, data):
 
     stacked = {
         "equivalent_params": np.array(eq),
-        "emla_rhs": emla_rhs(motor, eq, x, (v_d, v_q), f_x),
+        "emla_rhs": np.array(emla_rhs(motor, eq, x, (v_d, v_q), f_x)),
         "current_derivatives": np.array(current_derivatives(motor, i_d, i_q, omega, v_d, v_q)),
         "electromagnetic_torque": electromagnetic_torque(motor, i_d, i_q),
         "torque_to_iq": torque_to_iq(motor, f_x),
