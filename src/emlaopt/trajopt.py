@@ -1,17 +1,18 @@
 """Direct-collocation trajectory generation on B-spline curves.
 
-The configuration (piston strokes) is a clamped B-spline.  The stroke and
-stroke-rate boxes hold on its control polygons, so by the convex-hull
-property they hold at every instant: the q box bounds the control points,
-and the q̇ box bounds the derivative's control points.  The force box holds
-at the M+1 uniform collocation points only, the boundary states are
-equalities, and the final time is a free variable inside its box.  The
-strokes are the generalized coordinates, so the piston speed v_x is taken
-as the stroke rate q̇ and its box is merged into the q̇ box.  The
-transcribed problem is solved with SLSQP; the derivatives of (q, q̇, f_x)
-by the decision vector are built once per iterate, from analytic basis
-blocks and batched central differences of the inverse dynamics, and every
-gradient and Jacobian is read from them.
+The configuration (piston strokes) is a clamped B-spline.  It interpolates
+its end control points and leaves them along its end legs, so the boundary
+states fix the four end control points exactly; the other n_ctrl - 4 and
+the final time are the n(n_ctrl - 4) + 1 free variables.  The stroke and
+stroke-rate boxes hold on the control polygons, so by the convex-hull
+property they hold at every instant; the force box holds at the M+1
+collocation points only.  The piston speed v_x is the stroke rate q̇ (the
+strokes are the generalized coordinates), so its box is merged into the q̇
+box.  SLSQP gets one inequality row per rate-polygon point and force
+sample, n(n_ctrl - 1) + n(M + 1), and no equality.  The derivatives of
+(q, q̇, f_x) by the decision vector are built once per iterate, from
+analytic basis blocks and batched central differences of the inverse
+dynamics, and every gradient and Jacobian is read from them.
 """
 
 import json
@@ -92,42 +93,65 @@ class NlpProblem:
     n_partitions: int = 50
 
     def __post_init__(self):
-        for name in (
-            "q_lower", "q_upper", "qd_lower", "qd_upper", "fx_lower", "fx_upper",
-            "vx_lower", "vx_upper", "q_init", "q_final", "qd_init", "qd_final",
-            "weights", "criterion_scales",
-        ):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for f in fields(self):
+            if f.type is np.ndarray:
+                object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
         # the transcription divides by t_final, which SLSQP keeps above t_lower
         if not (np.isfinite(self.t_lower) and self.t_lower > 0):
             raise ValueError(f"t_lower must be finite and > 0, got {self.t_lower!r}")
-        for lo, hi in (
-            (self.q_lower, self.q_upper),
-            (self.qd_lower, self.qd_upper),
-            (self.fx_lower, self.fx_upper),
-            (self.vx_lower, self.vx_upper),
-            ((self.t_lower,), (self.t_upper,)),
-        ):
-            if np.any(np.asarray(lo) > np.asarray(hi)):
-                raise ValueError("lower bounds must not exceed upper bounds")
+        if np.any(self.q_lower > self.q_upper) or self.t_lower > self.t_upper:
+            raise ValueError("lower bounds must not exceed upper bounds")
+        # a rate or force entry's one row is the margin to its nearer side,
+        # which a box of zero width does not have
+        for name, (lo, hi) in (("rate box (qd_* within vx_*)", self.rate_box),
+                               ("force box fx_*", (self.fx_lower, self.fx_upper))):
+            if np.any(lo >= hi):
+                raise ValueError(f"the {name} must be wider than zero, got [{lo}, {hi}]")
         check_weights(self.weights)
         for name in ("degree", "n_ctrl", "n_partitions"):
             check_count(getattr(self, name), name)
+        # the boundary states fix c_0, c_1, c_{n-2} and c_{n-1}, four distinct points
+        check_count(self.n_ctrl, "n_ctrl", 4)
 
     @property
     def n_joints(self) -> int:
         return len(self.q_lower)
 
-    def check_boundary_feasible(self):
-        eps = 1e-12
-        for val, lo, hi, nm in (
-            (self.q_init, self.q_lower, self.q_upper, "q_init"),
-            (self.q_final, self.q_lower, self.q_upper, "q_final"),
-            (self.qd_init, self.qd_lower, self.qd_upper, "qd_init"),
-            (self.qd_final, self.qd_lower, self.qd_upper, "qd_final"),
-        ):
+    @property
+    def rate_box(self):
+        """The q̇ box intersected with the v_x box, since v_x is q̇."""
+        return np.maximum(self.qd_lower, self.vx_lower), np.minimum(self.qd_upper, self.vx_upper)
+
+    def end_points(self):
+        """(base, slope), both (n_ctrl, n), zero on the free rows: the end
+        control points the boundary states fix, base + t_final * slope, are
+        c_0 = q_init, c_1 = q_init + t_final qd_init / D[0, 1], c_{n-2} =
+        q_final - t_final qd_final / D[-1, -1] and c_{n-1} = q_final."""
+        d = derivative_matrix(self.n_ctrl, self.degree)
+        base = np.zeros((self.n_ctrl, self.n_joints))
+        slope = np.zeros_like(base)
+        base[:2], base[-2:] = self.q_init, self.q_final
+        slope[1], slope[-2] = self.qd_init / d[0, 1], -self.qd_final / d[-1, -1]
+        return base, slope
+
+    def check_boundary_feasible(self) -> tuple[float, float]:
+        """The t_final box that keeps c_1 and c_{n-2} in the q box; raises
+        ``ValueError`` if it is empty or a boundary state leaves its box."""
+        eps, q_box = 1e-12, (self.q_lower, self.q_upper)
+        for val, (lo, hi), nm in ((self.q_init, q_box, "q_init"), (self.q_final, q_box, "q_final"),
+                                  (self.qd_init, self.rate_box, "qd_init"),
+                                  (self.qd_final, self.rate_box, "qd_final")):
             if np.any(val < lo - eps) or np.any(val > hi + eps):
                 raise ValueError(f"boundary state {nm} violates its box bounds")
+        # c_1 and c_{n-2} move linearly in t_final away from q_init and q_final
+        base, slope = self.end_points()
+        moving = slope != 0
+        room = np.where(slope > 0, self.q_upper - base, self.q_lower - base)
+        t_upper = float(min([self.t_upper, *(room[moving] / slope[moving])]))
+        if t_upper < self.t_lower:
+            raise ValueError(f"the boundary rates move c_1 or c_{{n-2}} out of the q box for every "
+                             f"t_final in [{self.t_lower}, {self.t_upper}]")
+        return self.t_lower, t_upper
 
 
 @dataclass
@@ -192,14 +216,7 @@ class TrajectoryResult:
 
     def to_csv(self) -> str:
         n = self.q.shape[1]
-        header = (
-            ["t"]
-            + [f"q{i+1}" for i in range(n)]
-            + [f"dq{i+1}" for i in range(n)]
-            + [f"vx{i+1}" for i in range(n)]
-            + [f"fx{i+1}" for i in range(n)]
-            + [f"p{i+1}" for i in range(n)]
-        )
+        header = ["t"] + [f"{name}{i+1}" for name in ("q", "dq", "vx", "fx", "p") for i in range(n)]
         table = np.column_stack([self.times, self.q, self.qd, self.v_x, self.f_x, self.power])
         row = ",".join(["%.12g"] * len(header))
         rows = [row % tuple(r) for r in table.tolist()]
@@ -212,10 +229,6 @@ def _solve_slsqp(kern, z0):
 
     from scipy.optimize import minimize as scipy_minimize
 
-    cons = [
-        {"type": "eq", "fun": kern.eq, "jac": kern.eq_jac},
-        {"type": "ineq", "fun": kern.ineq, "jac": kern.ineq_jac},
-    ]
     with warnings.catch_warnings():
         # SLSQP's line search probes slightly outside the box and clips;
         # routine behavior, not actionable for callers
@@ -228,91 +241,87 @@ def _solve_slsqp(kern, z0):
             jac=kern.cost_grad,
             method="SLSQP",
             bounds=kern.bounds,
-            constraints=cons,
+            constraints=[{"type": "ineq", "fun": kern.ineq, "jac": kern.ineq_jac}],
             options={"maxiter": SLSQP_MAXITER, "ftol": 1e-10},
         )
-    viol = max(np.abs(kern.eq(res.x)).max(), np.maximum(0.0, -kern.ineq(res.x)).max())
+    viol = np.maximum(0.0, -kern.ineq(res.x)).max()
     return res.x, bool(res.status == 0 and viol <= CONSTRAINT_TOL), int(res.nit), float(viol)
 
 
 class _Transcription:
     """Evaluation kernel: decision vector -> trajectories, criteria, derivatives.
 
-    The decision vector is z = [c.ravel(), t_final] with c the (n_ctrl, n)
-    control points.  The sampled states are x_k = B_k c / t_final^k (q, q̇,
-    q̈ for k = 0, 1, 2), so dx_k/dc is the constant block B_k ⊗ I over
-    t_final^k and dx_k/dt_final is -k x_k / t_final.  The q box is SLSQP's
-    bound on c.  The q̇ box bounds the rate polygon r = D c / t_final, with
-    D from ``derivative_matrix``, so dr/dc is D ⊗ I over t_final and
-    dr/dt_final is -r / t_final.  The strokes are the generalized
-    coordinates, so the piston speed v_x is q̇: its box narrows the q̇ box
-    and adds no rows.
+    The decision vector z = [c_2 … c_{n-3}, t_final] holds the free rows of
+    the (n_ctrl, n) control points c; the boundary states fix the other four
+    at ``NlpProblem.end_points``, base + t_final * slope.  The states q, q̇,
+    q̈ and the rate polygon, which the q̇ box bounds, are b c / t_final^k for
+    b = B_0, B_1, B_2 and D (``derivative_matrix``), k = 0, 1, 2 and 1: each
+    has the block b ⊗ I on the free rows over t_final^k and the t_final
+    column b slope / t_final^k - k x / t_final.  The q box bounds the free
+    rows and, through ``check_boundary_feasible``, t_final.  Each rate-polygon
+    point and f_x sample of a joint gives one row, the scaled margin to the
+    nearer side of its box: 25 variables and 186 rows on the benchmark problem.
     """
 
     def __init__(self, problem: NlpProblem, dynamics, weights):
         p = self.problem = problem
         self.dynamics = dynamics
         self.n, self.n_ctrl, self.m = p.n_joints, p.n_ctrl, p.n_partitions
-        m1 = self.m + 1
-        self.basis = basis_matrices(p.n_ctrl, p.degree, np.arange(m1) / self.m)
-        self.rate_matrix = derivative_matrix(p.n_ctrl, p.degree)
+        t_box = p.check_boundary_feasible()
+        self.end_base, self.end_slope = p.end_points()
+        basis = basis_matrices(p.n_ctrl, p.degree, np.arange(self.m + 1) / self.m)
+        n_free = self.n_ctrl - 4
 
-        def kron_block(b):
-            # b ⊗ I and a zero t_final column: (len(b), n, n_z), c[j, a] at z[j * n + a]
-            block = np.zeros((len(b), self.n, self.n_ctrl * self.n + 1))
-            kron = np.einsum("kj,ab->kajb", b, np.eye(self.n))
-            block[..., :-1] = kron.reshape(len(b), self.n, -1)
-            return block
+        def block(b):
+            # b ⊗ I on the free rows, c[j, a] at z[(j - 2) n + a], and a t_final
+            # column set per iterate: (len(b), n, n_z)
+            kron = np.einsum("kj,ab->kajb", b[:, 2:-2], np.eye(self.n))
+            kron = kron.reshape(len(b), self.n, n_free * self.n)
+            return np.concatenate([kron, np.zeros((len(b), self.n, 1))], axis=-1)
 
-        self.blocks = [kron_block(b) for b in self.basis]
-        self.rate_block = kron_block(self.rate_matrix)
+        # (b, its block, b slope, k) of q, q̇, q̈ and the rate polygon
+        self.maps = [(b, block(b), b @ self.end_slope, k)
+                     for b, k in zip((*basis, derivative_matrix(p.n_ctrl, p.degree)), (0, 1, 2, 1))]
         self.weights_raw = check_weights(weights)
         self.weights = self.weights_raw / self.weights_raw.sum()
-        qd_lower = np.maximum(p.qd_lower, p.vx_lower)
-        qd_upper = np.minimum(p.qd_upper, p.vx_upper)
-        self.boxes = [(qd_lower, qd_upper), (p.fx_lower, p.fx_upper)]
+        self.boxes = [p.rate_box, (p.fx_lower, p.fx_upper)]
         self.box_scales = [np.maximum(1.0, np.maximum(abs(lo), abs(hi))) for lo, hi in self.boxes]
-        s_q = np.maximum(1.0, np.abs(p.q_upper - p.q_lower))
-        s_qd = np.maximum(1.0, np.abs(qd_upper - qd_lower))
-        self.eq_target = np.concatenate([p.q_init, p.q_final, p.qd_init, p.qd_final])
-        self.eq_scale = np.concatenate([s_q, s_q, s_qd, s_qd])
-        self.bounds = list(
-            zip(np.tile(p.q_lower, self.n_ctrl), np.tile(p.q_upper, self.n_ctrl))
-        ) + [(p.t_lower, p.t_upper)]
+        self.bounds = list(zip(np.tile(p.q_lower, n_free), np.tile(p.q_upper, n_free))) + [t_box]
         self._value_cache = (None, None)
         self._jac_cache = (None, None)
 
     def initial_guess(self):
         frac = np.linspace(0.0, 1.0, self.n_ctrl)[:, None]
         c0 = (1 - frac) * self.problem.q_init + frac * self.problem.q_final
-        t0 = 0.5 * (self.problem.t_lower + self.problem.t_upper)
-        return np.concatenate([c0.ravel(), [t0]])
+        return np.concatenate([c0.ravel(), [0.5 * sum(self.bounds[-1])]])
+
+    def free(self, packed):
+        """z from a packed [c.ravel(), t_final]: its free rows and t_final."""
+        return np.concatenate([packed[2 * self.n: -2 * self.n - 1], packed[-1:]])
 
     # -- evaluation --------------------------------------------------------
     def values(self, z):
         key = z.tobytes()
         if self._value_cache[0] == key:
             return self._value_cache[1]
-        c, t_final = z[:-1].reshape(self.n_ctrl, self.n), z[-1]
-        b0, b1, b2 = self.basis
-        q = b0 @ c
-        qd = b1 @ c / t_final
-        qdd = b2 @ c / t_final**2
+        t_final = z[-1]
+        c = self.end_base + t_final * self.end_slope
+        c[2:-2] = z[:-1].reshape(-1, self.n)
+        q, qd, qdd, rates = [b @ c / t_final**k for b, _, _, k in self.maps]
         f = self.dynamics(q, qd, qdd)[1]
         dt = t_final / self.m
         psi_raw = np.array([criterion_effort(f, dt), criterion_power(f, qd, dt)])
         psi = psi_raw / self.problem.criterion_scales
         out = {
             "c": c, "t_final": t_final, "q": q, "qd": qd, "qdd": qdd,
-            "rates": self.rate_matrix @ c / t_final,
-            "f": f, "dt": dt, "psi": psi, "psi_raw": psi_raw,
+            "rates": rates, "f": f, "dt": dt, "psi": psi, "psi_raw": psi_raw,
             "cost": float(self.weights @ psi),
         }
         self._value_cache = (key, out)
         return out
 
     def jacobians(self, z):
-        """d(q, q̇, f_x)/dz, each of shape (M+1, n, n_z).
+        """d(q̇, f_x)/dz, each of shape (M+1, n, n_z), and d(rates)/dz.
 
         The partials of f_x in (q, q̇, q̈) are central differences: all 6n
         perturbed copies of the trajectory are stacked on a leading axis so
@@ -327,9 +336,9 @@ class _Transcription:
         states = (vals["q"], vals["qd"], vals["qdd"])
         m1, n = states[0].shape
         dx = []
-        for k, (block, x) in enumerate(zip(self.blocks, states)):
+        for (_, block, slope, k), x in zip(self.maps, (*states, vals["rates"])):
             d = block / t_final**k
-            d[..., -1] = -k * x / t_final
+            d[..., -1] = slope / t_final**k - k * x / t_final
             dx.append(d)
         steps = FD_STEP * np.eye(n)[:, None, :]
         stacked = [np.broadcast_to(x, (6 * n, m1, n)).copy() for x in states]
@@ -339,8 +348,8 @@ class _Transcription:
         f_all = self.dynamics(*stacked)[1]
         # row k * n + b: d f_x / d (x_k)_b over (M+1, n)
         diffs = (f_all[0::2] - f_all[1::2]) / (2 * FD_STEP)
-        df = diffs.transpose(1, 2, 0) @ np.concatenate(dx, axis=1)
-        out = {"q": dx[0], "qd": dx[1], "f": df}
+        df = diffs.transpose(1, 2, 0) @ np.concatenate(dx[:3], axis=1)
+        out = {"qd": dx[1], "f": df, "rates": dx[3]}
         self._jac_cache = (key, out)
         return out
 
@@ -361,34 +370,25 @@ class _Transcription:
         grad[-1] += self.weights @ (vals["psi"] / t_final)
         return grad
 
-    # -- constraints, in SLSQP's sign: eq == 0, ineq >= 0 ------------------
-    def eq(self, z):
-        vals = self.values(z)
-        q, qd = vals["q"], vals["qd"]
-        return (np.concatenate([q[0], q[-1], qd[0], qd[-1]]) - self.eq_target) / self.eq_scale
-
-    def eq_jac(self, z):
-        jac = self.jacobians(z)
-        dq, dqd = jac["q"], jac["qd"]
-        return np.concatenate([dq[0], dq[-1], dqd[0], dqd[-1]]) / self.eq_scale[:, None]
-
+    # -- constraints, in SLSQP's sign: ineq >= 0 ---------------------------
     def ineq(self, z):
-        """Scaled margins to the q̇ box on the rate polygon, which bound q̇ at
-        every instant, and to the f_x box at every sample."""
+        """Scaled margins to the nearer side of the q̇ box on the rate
+        polygon, which bound q̇ at every instant, and of the f_x box at every
+        sample: min(hi - x, x - lo) / s."""
         vals = self.values(z)
-        parts = []
-        for x, (lo, hi), s in zip((vals["rates"], vals["f"]), self.boxes, self.box_scales):
-            parts += [(hi - x) / s, (x - lo) / s]
-        return np.concatenate([part.ravel() for part in parts])
+        return np.concatenate([
+            (np.minimum(hi - x, x - lo) / s).ravel()
+            for x, (lo, hi), s in zip((vals["rates"], vals["f"]), self.boxes, self.box_scales)
+        ])
 
     def ineq_jac(self, z):
-        vals = self.values(z)
-        d_rates = self.rate_block / vals["t_final"]
-        d_rates[..., -1] = -vals["rates"] / vals["t_final"]
+        """The nearer side's row of each margin; a tie takes the upper side."""
+        vals, jac = self.values(z), self.jacobians(z)
         rows = []
-        for d, s in zip((d_rates, self.jacobians(z)["f"]), self.box_scales):
-            scaled = (d / s[:, None]).reshape(-1, d.shape[-1])
-            rows += [-scaled, scaled]
+        for x, d, (lo, hi), s in zip((vals["rates"], vals["f"]), (jac["rates"], jac["f"]),
+                                     self.boxes, self.box_scales):
+            sign = 1.0 - 2.0 * (hi - x <= x - lo)
+            rows.append((d / s[:, None] * sign[..., None]).reshape(-1, d.shape[-1]))
         return np.concatenate(rows)
 
 
@@ -405,13 +405,13 @@ def solve_inner(
     the ``vx_*`` box is intersected with the ``qd_*`` box.  ``weights``
     overrides ``problem.weights`` and is checked the same way.  The start is
     the deterministic straight-line guess unless ``initial_guess`` provides
-    a packed [c.ravel(), t_final] vector (used for warm starts).  The
-    solve is deterministic given the start point.
+    a packed [c.ravel(), t_final] vector (used for warm starts); only its
+    free rows and t_final are read, since the boundary states fix the four
+    end control points.  The solve is deterministic given the start point.
     """
-    problem.check_boundary_feasible()
     kern = _Transcription(problem, dynamics, problem.weights if weights is None else weights)
     z0 = kern.initial_guess() if initial_guess is None else np.asarray(initial_guess, dtype=float)
-    x, converged, nit, violation = _solve_slsqp(kern, z0)
+    x, converged, nit, violation = _solve_slsqp(kern, kern.free(z0))
     vals = kern.values(x)
     return TrajectoryResult(
         degree=problem.degree,

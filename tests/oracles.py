@@ -18,7 +18,9 @@ same physics, which only tests read:
 * the first-order model of one EMLA and its stored energy
   (:func:`linearize`, :func:`stored_energy`);
 * the adaptive law of one subsystem's estimate, on arrays
-  (:func:`adaptive_rate`).
+  (:func:`adaptive_rate`);
+* the transcription's box rows in their two-row form, one row per side
+  (:func:`two_sided_box_rows`).
 
 Spatial vectors are plain (..., 6) arrays that stack the linear part on top
 of the angular part: velocities [v; w] and forces/moments [f; m], both
@@ -579,3 +581,24 @@ def adaptive_rate(k: float, sigma: float, epsilon: float, phi: float, q_err):
     nonnegative under exact integration.
     """
     return -k * sigma * phi + 0.5 * epsilon * k * np.square(q_err)
+
+
+# ---------------------------------------------------------------------------
+# the transcription's box rows, two per entry
+
+
+def two_sided_box_rows(kern, z):
+    """(upper, lower, d_upper, d_lower): the margins (hi - x) / s and
+    (x - lo) / s of the rate polygon and then of the f_x samples, with their
+    Jacobians -dx/dz / s and dx/dz / s, as SLSQP got them when each side
+    had a row of its own."""
+    vals, jac = kern.values(z), kern.jacobians(z)
+    upper, lower, d_upper, d_lower = [], [], [], []
+    for x, d, (lo, hi), s in zip((vals["rates"], vals["f"]), (jac["rates"], jac["f"]),
+                                 kern.boxes, kern.box_scales):
+        scaled = (d / s[:, None]).reshape(-1, d.shape[-1])
+        upper.append(((hi - x) / s).ravel())
+        lower.append(((x - lo) / s).ravel())
+        d_upper.append(-scaled)
+        d_lower.append(scaled)
+    return tuple(np.concatenate(rows) for rows in (upper, lower, d_upper, d_lower))

@@ -612,6 +612,12 @@ NAN, INF = float("nan"), float("inf")
      "initial_position_error: expected a list of 3 numbers, got [0.001, 0]"),
     ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, q_lower=[0.1, 0.1])),
      "problem.q_lower: expected a list of 3 numbers, got [0.1, 0.1]"),
+    ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, vx_upper=[-0.112, 0.095, 0.36])),
+     "problem: the rate box (qd_* within vx_*) must be wider than zero"),
+    ("bilevel", dict(BL_CFG, problem=dict(PROBLEM_DOC, fx_upper=[-60000.0, 52000, 12000])),
+     "problem: the force box fx_* must be wider than zero"),
+    ("trajopt", {"problem": {"preset": "benchmark", "n_ctrl": 3}},
+     "problem: n_ctrl must be an integer >= 4, got 3"),
 ], ids=["problem", "manipulator", "stage", "body", "gains", "actuator", "grid",
         "count-preset-float", "count-preset-integral-float", "count-preset-bool",
         "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
@@ -619,7 +625,8 @@ NAN, INF = float("nan"), float("inf")
         "band_hz", "gravity-inline", "gravity-preset", "t_lower", "vector-string", "vector-bool",
         "weights-string", "weights-bool", "weights-beyond-float", "position-error-string", "position-error-bool",
         "vector-nan", "vector-infinity", "axis-bool", "axis-string", "inertia-string",
-        "artifacts-number", "require-tracking-string", "position-error-length", "vector-length"])
+        "artifacts-number", "require-tracking-string", "position-error-length", "vector-length",
+        "rate-box-empty", "force-box-zero", "n_ctrl-3"])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
                                                 command, cfg, match):
     # each inline case ran without the named key: M = 50 with weights
@@ -637,7 +644,8 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     # traceback, and the string "false" demanded tracking.json.  A bad
     # entry of a list is named by its index; a list of the wrong length is
     # quoted whole.  A weight beyond the float range ended in an
-    # OverflowError traceback
+    # OverflowError traceback.  An empty rate box (qd_* and vx_* each valid
+    # alone) and a force box of zero width reached SLSQP
     if command == "track":
         cfg = dict(cfg, trajectory=pose_reference)
     path = write(tmp_path, "cfg.json", cfg)

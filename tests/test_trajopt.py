@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spline_states
+from oracles import two_sided_box_rows
 from emlaopt.manipulator import ClosedChainStage, rnea
 from emlaopt.presets import benchmark_problem, default_manipulator
 from emlaopt.trajopt import (
@@ -47,6 +48,14 @@ def tight_problem(small_problem):
 @pytest.fixture(scope="module")
 def solved_tight(tight_problem, dynamics):
     return solve_inner(tight_problem, dynamics)
+
+
+@pytest.fixture(scope="module")
+def moving_problem(small_problem):
+    # nonzero boundary rates; qd_final[1] < 0 moves c_{n-2} up from
+    # q_final[1] = 0.545 to the stroke bound 0.56 at t_final = 7.5 s
+    return replace(small_problem, qd_init=np.array([0.03, 0.02, -0.1]),
+                   qd_final=np.array([0.02, -0.05, -0.05]))
 
 
 def test_effort_criterion_oracle():
@@ -90,11 +99,13 @@ def test_boundary_and_box_constraints_satisfied(small_problem, solved_half):
     res, p = solved_half, small_problem
     assert res.converged
     assert res.constraint_violation <= 1e-6
+    # the boundary states fix the end control points, so they hold to rounding
+    rounding = 1e-14
+    assert np.abs(res.q[0] - p.q_init).max() <= rounding
+    assert np.abs(res.q[-1] - p.q_final).max() <= rounding
+    assert np.abs(res.qd[0] - p.qd_init).max() <= rounding
+    assert np.abs(res.qd[-1] - p.qd_final).max() <= rounding
     tol = 1e-6
-    assert np.abs(res.q[0] - p.q_init).max() <= tol
-    assert np.abs(res.q[-1] - p.q_final).max() <= tol
-    assert np.abs(res.qd[0] - p.qd_init).max() <= tol
-    assert np.abs(res.qd[-1] - p.qd_final).max() <= tol
     assert np.all(res.q <= p.q_upper + tol) and np.all(res.q >= p.q_lower - tol)
     assert np.all(res.f_x <= p.fx_upper + 1.0) and np.all(res.f_x >= p.fx_lower - 1.0)
     assert p.t_lower - 1e-9 <= res.t_final <= p.t_upper + 1e-9
@@ -226,26 +237,39 @@ def central_jacobian(fun, z, h=1e-4):
 # O(h^2) truncation error, while cost_grad agreed with the extrapolation
 # to 4.6e-8
 @example(w=(0.0, 1.0), t_frac=0.0, seed=1330118313)
-def test_derivatives_match_central_differences(small_problem, model, dynamics, w, t_frac, seed):
-    # the cost gradient and both constraint Jacobians are read from the
-    # chained d(q, qd, f_x)/dz, and the rate-polygon rows from D ⊗ I; each
-    # must match differences of its function
+def test_derivatives_match_central_differences(small_problem, moving_problem, model, dynamics,
+                                               w, t_frac, seed):
+    # the cost gradient and the constraint Jacobian are read from the
+    # chained d(q, qd, f_x)/dz, and the rate-polygon rows from D ⊗ I; with
+    # nonzero boundary rates the t_final column also carries the moving end
+    # points.  Each must match differences of its function.  A margin row
+    # is differenced on the side it takes at z, and the draw holds entries
+    # on both sides of their box midpoints.
     assume(sum(w) > 1e-3)
-    p = small_problem
-    kern = _Transcription(p, dynamics, np.array(w))
-    c = kern.initial_guess()[:-1].reshape(p.n_ctrl, p.n_joints)
     lower, upper = draw_box(model)
     width = upper - lower
-    # the jitter stays within a tenth of the box, so the motion at t_final = 3 s
-    # is violent but the FD_STEP partials of f_x keep their accuracy
-    jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, c.shape) * width
-    c = np.clip(c + jitter, lower + 0.05 * width, upper - 0.05 * width)
-    z = np.concatenate([c.ravel(), [p.t_lower + t_frac * (p.t_upper - p.t_lower)]])
-    for fun, jac in ((kern.cost, kern.cost_grad), (kern.eq, kern.eq_jac),
-                     (kern.ineq, kern.ineq_jac)):
-        scale = np.abs(np.atleast_1d(fun(z))).max()
-        err = np.abs(np.atleast_2d(jac(z)) - central_jacobian(fun, z)).max()
-        assert err <= 1e-6 * scale, (fun.__name__, err, scale)
+    for p in (small_problem, moving_problem):
+        kern = _Transcription(p, dynamics, np.array(w))
+        c = kern.initial_guess()[:-1].reshape(p.n_ctrl, p.n_joints)[2:-2]
+        # the jitter stays within a tenth of the box, so the motion at
+        # t_final = 3 s is violent but the FD_STEP partials of f_x keep
+        # their accuracy
+        jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, c.shape) * width
+        c = np.clip(c + jitter, lower + 0.05 * width, upper - 0.05 * width)
+        t_lo, t_hi = kern.bounds[-1]
+        z = np.concatenate([c.ravel(), [t_lo + t_frac * (t_hi - t_lo)]])
+        upper_rows, lower_rows = two_sided_box_rows(kern, z)[:2]
+        side = upper_rows <= lower_rows
+        assert side.any() and not side.all()
+
+        def nearer(z):
+            up, low = two_sided_box_rows(kern, z)[:2]
+            return np.where(side, up, low)
+
+        for fun, jac in ((kern.cost, kern.cost_grad), (nearer, kern.ineq_jac)):
+            scale = np.abs(np.atleast_1d(fun(z))).max()
+            err = np.abs(np.atleast_2d(jac(z)) - central_jacobian(fun, z)).max()
+            assert err <= 1e-6 * scale, (fun.__name__, err, scale)
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,12 +284,12 @@ def test_weight_scale_invariance(small_problem, model, dynamics, w, scale, t_fra
     # leader is a family of rays; c * w must transcribe to the same NLP
     p = small_problem
     z = np.concatenate([
-        np.random.default_rng(seed).uniform(*draw_box(model), (p.n_ctrl, p.n_joints)).ravel(),
+        np.random.default_rng(seed).uniform(*draw_box(model), (p.n_ctrl - 4, p.n_joints)).ravel(),
         [p.t_lower + t_frac * (p.t_upper - p.t_lower)],
     ])
     one = _Transcription(p, dynamics, np.array(w))
     scaled = _Transcription(p, dynamics, scale * np.array(w))
-    for name in ("cost", "cost_grad", "eq", "ineq"):
+    for name in ("cost", "cost_grad", "ineq"):
         a = np.atleast_1d(getattr(one, name)(z))
         b = np.atleast_1d(getattr(scaled, name)(z))
         assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max(), name
@@ -276,8 +300,8 @@ def test_piston_speed_box_narrows_rate_box(small_problem, tight_problem, dynamic
     # binds through the rate-polygon rows, with no rows of its own
     p = small_problem
     kern = _Transcription(tight_problem, dynamics, np.array([0.5, 0.5]))
-    rows = 2 * 3 * (p.n_ctrl - 1) + 2 * 3 * (p.n_partitions + 1)
-    assert len(kern.ineq(kern.initial_guess())) == rows
+    rows = 3 * (p.n_ctrl - 1) + 3 * (p.n_partitions + 1)
+    assert len(kern.ineq(kern.free(kern.initial_guess()))) == rows
     res = solved_tight
     assert res.converged
     assert np.all(np.abs(res.v_x) <= 0.5 * small_problem.qd_upper + 1e-6)
@@ -305,3 +329,71 @@ def test_invalid_weights_rejected(small_problem, dynamics, weights):
         solve_inner(small_problem, dynamics, weights=weights)
     with pytest.raises(ValueError, match="weights"):
         replace(small_problem, weights=weights)
+
+
+@settings(max_examples=20, deadline=None)
+@given(t_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_nearer_side_rows_match_two_row_form(small_problem, moving_problem, model, dynamics,
+                                             t_frac, seed):
+    # each box entry's one row is the smaller of its two rows in the
+    # two-row form, bit for bit, with that row's Jacobian (a tie takes the
+    # upper side); the draw reaches beyond the q box
+    for p in (small_problem, moving_problem):
+        kern = _Transcription(p, dynamics, np.array([0.5, 0.5]))
+        t_lo, t_hi = kern.bounds[-1]
+        z = np.concatenate([
+            np.random.default_rng(seed).uniform(*draw_box(model), (p.n_ctrl - 4, 3)).ravel(),
+            [t_lo + t_frac * (t_hi - t_lo)],
+        ])
+        upper, lower, d_upper, d_lower = two_sided_box_rows(kern, z)
+        assert np.array_equal(kern.ineq(z), np.minimum(upper, lower))
+        assert np.array_equal(kern.ineq_jac(z),
+                              np.where((upper <= lower)[:, None], d_upper, d_lower))
+
+
+def test_benchmark_problem_size(model, dynamics):
+    # 8 free control points of 3 strokes and t_final; one row per entry of
+    # the rate polygon (11 x 3) and of the f_x samples (51 x 3)
+    kern = _Transcription(benchmark_problem(model), dynamics, np.array([0.5, 0.5]))
+    z = kern.free(kern.initial_guess())
+    assert len(z) == len(kern.bounds) == 25
+    assert kern.ineq_jac(z).shape == (186, 25)
+
+
+def test_nonzero_boundary_rates(moving_problem, dynamics):
+    # the end control points move with t_final; the q box on c_{n-2} caps
+    # t_final at 7.5 s, where a slow motion's optimum sits
+    p = moving_problem
+    kern = _Transcription(p, dynamics, np.array([0.05, 1.0]))
+    assert kern.bounds[-1] == (p.t_lower, p.check_boundary_feasible()[1])
+    assert abs(kern.bounds[-1][1] - 7.5) <= 1e-12
+    res = solve_inner(p, dynamics, weights=np.array([0.05, 1.0]))
+    assert res.converged
+    assert abs(res.t_final - 7.5) <= 1e-9
+    for value, target in ((res.q[0], p.q_init), (res.q[-1], p.q_final),
+                          (res.qd[0], p.qd_init), (res.qd[-1], p.qd_final)):
+        assert np.abs(value - target).max() <= 1e-12
+    ends = res.control_points[[1, -2]]
+    assert np.all(ends >= p.q_lower - 1e-15) and np.all(ends <= p.q_upper + 1e-15)
+    assert abs(ends[1, 1] - p.q_upper[1]) <= 1e-12
+
+
+def test_boundary_rate_leaving_q_box_rejected(small_problem, dynamics):
+    # c_1 = q_init + t_final qd_init / 25 passes q_upper for any t_final > 0.5 s
+    p = replace(small_problem, q_init=small_problem.q_upper - np.array([0.002, 0.0, 0.0]),
+                qd_init=np.array([0.1, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="out of the q box for every t_final in"):
+        solve_inner(p, dynamics)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"vx_upper": np.array([-0.11, 0.095, 0.36])}, "rate box"),
+    ({"qd_lower": np.array([-0.11, 0.09, -0.35])}, "rate box"),
+    ({"fx_lower": np.array([-60.0e3, 52.0e3, -12.0e3])}, "force box"),
+    ({"n_ctrl": 3, "degree": 2}, "n_ctrl must be an integer >= 4, got 3"),
+], ids=["rate-box-empty", "rate-box-zero", "force-box-zero", "n_ctrl-3"])
+def test_degenerate_problem_rejected(small_problem, change, match):
+    # a nearer-side row needs a box of positive width, and the boundary
+    # states fix four distinct end control points
+    with pytest.raises(ValueError, match=match):
+        replace(small_problem, **change)
