@@ -3,10 +3,10 @@
 The mechanism is a triangle: two links of fixed length joined at the hinge,
 with the actuator forming the third side.  As the piston stroke changes,
 the interior angles follow from the law of cosines, with the negative sign
-convention (angles in (-pi, 0)).  The manipulator's kernel reads the hinge
-and anchor angles with their derivatives and the pin angle's cosine; the
-three angles with all their time derivatives are a test oracle, in
-``tests/oracles.py``.
+convention (angles in (-pi, 0)).  The manipulator's kernel reads the
+cosines and sines of the hinge, anchor and pin angles, and the hinge and
+anchor angles' derivatives by the actuator length; the angles themselves,
+with all their time derivatives, are a test oracle, in ``tests/oracles.py``.
 """
 
 from dataclasses import dataclass
@@ -68,34 +68,32 @@ class ClosedChainGeometry:
 
     @cached_property
     def _closure_constants(self):
-        """The closure's stroke-independent scalars, computed once per geometry:
-        l^2 + l1^2, 2 l l1, l l1, -1/(l l1), l^2 - l1^2 and l1^2 - l^2 for
+        """The closure's stroke-independent scalars, once per geometry: l^2 +
+        l1^2, 2 l l1, -1/(l l1), 2 l, k, 2 k, 2 l1 and -k for k = l^2 - l1^2,
         l = ``base_len`` and l1 = ``rocker_len``."""
         ell, ell1 = self.base_len, self.rocker_len
-        return (ell**2 + ell1**2, 2.0 * ell * ell1, ell * ell1, -1.0 / (ell * ell1),
-                ell**2 - ell1**2, ell1**2 - ell**2)
+        k = ell**2 - ell1**2
+        return (ell**2 + ell1**2, 2.0 * ell * ell1, -1.0 / (ell * ell1), 2.0 * ell, k, 2.0 * k,
+                2.0 * ell1, -k)
 
 
-def _arccos_branch(u, du_dc, d2u_dc2):
-    """(-arccos(u), and its first/second derivatives w.r.t. the length c)."""
-    one_minus = 1.0 - u * u
-    s = np.sqrt(one_minus)
-    q = -np.arccos(u)
-    dq = du_dc / s
-    d2q = (d2u_dc2 * one_minus + u * du_dc**2) / s**3
-    return q, dq, d2q
+def _sine_and_rates(u, du_dc, d2u_dc2):
+    """sin q = -sqrt(1 - u^2), dq/dc and d2q/dc2 of q = -arccos(u) in (-pi, 0)."""
+    root = np.sqrt(1.0 - u * u)
+    dq = du_dc / root
+    return np.negative(root), dq, (d2u_dc2 + u * dq * dq) / root
 
 
-def _hinge_anchor_closure(geom: ClosedChainGeometry, c):
-    """Hinge and anchor angles, each with its first and second derivative
-    with respect to the actuator length ``c``, and the pin angle's cosine.
-
-    The planar kernel reads no pin-angle derivatives, so none are computed.
-    """
-    ell, ell1 = geom.base_len, geom.rocker_len
-    sq_sum, two_prod, prod, d2u, k, k2 = geom._closure_constants
-    c2 = c**2
-    hinge = _arccos_branch((sq_sum - c2) / two_prod, -c / prod, d2u)
-    v = (c2 + k) / (2.0 * c * ell)
-    anchor = _arccos_branch(v, (c2 - k) / (2.0 * c2 * ell), k / (c**3 * ell))
-    return hinge, anchor, (c2 + k2) / (2.0 * c * ell1)
+def _closure(geom: ClosedChainGeometry, c):
+    """The hinge and anchor angles at actuator lengths ``c`` as (cos, sin,
+    first and second derivative by c) and the pin angle as (cos, sin), all
+    from the law of cosines (:func:`_sine_and_rates`); no angle is formed."""
+    sq_sum, two_prod, d2u, two_ell, k, two_k, two_ell1, k1 = geom._closure_constants
+    c2 = c * c
+    u = (sq_sum - c2) / two_prod
+    c_two_ell = c * two_ell
+    v = (c2 + k) / c_two_ell  # the anchor cosine (c^2 + k) / (2 l c)
+    w = (c2 + k1) / (c * two_ell1)
+    return ((u, *_sine_and_rates(u, c * d2u, d2u)),
+            (v, *_sine_and_rates(v, (c2 - k) / (c * c_two_ell), two_k / (c2 * c_two_ell))),
+            (w, np.negative(np.sqrt(1.0 - w * w))))

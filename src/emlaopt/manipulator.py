@@ -7,13 +7,15 @@ telescopic prismatic slide.  All motion happens in the world x-z plane with
 revolute axes along +y; gravity acts along -z.
 
 Generalized coordinates are the piston strokes, one per stage.  ``rnea``
-and ``potential_energy`` run one planar kernel: frames are in-plane
-angle/position/velocity tuples, and the wrench a stage carries is the world
-sum of its subtree's net wrenches, so no pin or bearing force is resolved.
-Its constants (body scalars, the constant frames' cosines, sines and
-offsets, the closure's scalars) are built once per model, on the first
-call.  The tests check it against an independent 6-D spatial-vector
-recursion that resolves every pin and slide force, in ``tests/oracles.py``.
+and ``potential_energy`` run one planar kernel on complex numbers x - i z:
+a frame is its orientation, origin, velocity and acceleration, a turn is a
+complex product, the chain's joints turn by the closure's cosines and
+sines, and the wrench a stage carries is the world sum of its subtree's net
+wrenches, so no pin or bearing force is resolved.  Its constants (body
+constants, the constant frames' turns and offsets, the closure's scalars)
+are built once per model, on the first call.  The tests check it against an
+independent 6-D spatial-vector recursion that resolves every pin and slide
+force, in ``tests/oracles.py``.
 """
 
 import math
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ClosedChainGeometry, _hinge_anchor_closure
+from .chain import ClosedChainGeometry, _closure
 
 SINGULARITY_TOL = 1e-6
 
@@ -185,27 +187,30 @@ class ChainModel:
 # ---------------------------------------------------------------------------
 # planar force-only kernel behind rnea
 #
-# Every body moves in the world x-z plane (``_check_planar``), so a frame is
-# the tuple (cos phi, sin phi, p_x, p_z, v_x, v_z, w, a_x, a_z, alpha): the
-# world angle about +y, the world origin, and the in-plane components of the
-# body-frame spatial velocity and its apparent derivative.  Each primitive
-# keeps exactly the in-plane terms of its 6-D counterpart in
-# ``tests/oracles.py``.  Wrenches are (f_x, f_z, m_y).  Entries stay plain
-# floats until the first joint.
+# Every body moves in the world x-z plane (``_check_planar``), so an in-plane
+# vector (x, z) is the complex number x - i z, and a turn by phi about +y is
+# the product with e^(i phi).  A frame is the tuple (e, p, V, w, A, alpha):
+# its world orientation e = e^(i phi) and origin p, and the in-plane parts of
+# its body-frame spatial velocity (V, w) and of that velocity's apparent
+# derivative (A, alpha).  Each primitive keeps exactly the in-plane terms of
+# its 6-D counterpart in ``tests/oracles.py``.  A wrench is (F, m_y).
+# Entries stay Python scalars until the first joint.
 
-_GROUND = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+_GROUND = (1.0 + 0j, 0j, 0j, 0.0, 0j, 0.0)
 
 
 def _fixed_pose(angle, offset):
-    """A constant frame's ``(cos, sin)`` of ``angle`` and x-z of ``offset``;
-    either is None when zero, and :func:`_planar_fixed` then skips its terms."""
-    turn = None if angle == 0.0 else (math.cos(angle), math.sin(angle))
-    ox, oz = float(offset[0]), float(offset[2])
-    return turn, None if ox == 0.0 and oz == 0.0 else (ox, oz)
+    """A constant frame's turn (e^(i angle), its conjugate) and its offset
+    (o, i o), o = x - i z; either is None when zero, and :func:`_fixed` then
+    skips its terms."""
+    turn = complex(math.cos(angle), math.sin(angle))
+    shift = complex(float(offset[0]), -float(offset[2]))
+    return (None if angle == 0.0 else (turn, turn.conjugate()),
+            None if shift == 0 else (shift, 1j * shift))
 
 
-def _planar_fixed(frame, turn, shift):
-    """Child at parent point ``shift``, turned by ``turn`` about y (see :func:`_fixed_pose`).
+def _fixed(frame, turn, shift):
+    """Child at parent point ``shift``, turned by ``turn`` (see :func:`_fixed_pose`).
 
     A zero offset or angle would only add exact zeros and multiply by one,
     which changes a finite value by at most the sign of a zero, so those
@@ -213,104 +218,91 @@ def _planar_fixed(frame, turn, shift):
     """
     if turn is None and shift is None:
         return frame
-    c, s, px, pz, vx, vz, w, ax, az, al = frame
+    e, p, v, w, a, alpha = frame
     if shift is not None:
-        ox, oz = shift
-        px, pz = px + c * ox + s * oz, pz - s * ox + c * oz
-        vx, vz = vx + w * oz, vz - w * ox
-        ax, az = ax + al * oz, az - al * ox
+        o, i_o = shift
+        p, v, a = p + e * o, v + i_o * w, a + i_o * alpha
     if turn is not None:
-        ct, st = turn
-        c, s = c * ct - s * st, s * ct + c * st
-        vx, vz = ct * vx - st * vz, st * vx + ct * vz
-        ax, az = ct * ax - st * az, st * ax + ct * az
-    return c, s, px, pz, vx, vz, w, ax, az, al
+        t, t_conj = turn
+        e, v, a = e * t, t_conj * v, t_conj * a
+    return e, p, v, w, a, alpha
 
 
-def _planar_revolute(frame, angle, rate, accel):
-    """Child turned by the joint ``angle`` about the parent y-axis at its origin."""
-    c, s, px, pz, vx, vz, w, ax, az, al = frame
-    ct, st = np.cos(angle), np.sin(angle)
-    lx, lz = ct * vx - st * vz, st * vx + ct * vz
-    return (
-        c * ct - s * st, s * ct + c * st, px, pz,
-        lx, lz, w + rate,
-        ct * ax - st * az - rate * lz, st * ax + ct * az + rate * lx, al + accel,
-    )
+def _revolute(frame, turn, rate, accel):
+    """Child turned by ``turn`` (e^(i angle), its conjugate) about the parent
+    y-axis at its origin."""
+    e, p, v, w, a, alpha = frame
+    turn, turn_conj = turn
+    v = turn_conj * v
+    return e * turn, p, v, w + rate, turn_conj * a - 1j * rate * v, alpha + accel
 
 
-def _planar_prismatic(frame, disp, rate, accel):
+def _prismatic(frame, disp, rate, accel):
     """Child sliding ``disp`` along the parent x-axis."""
-    c, s, px, pz, vx, vz, w, ax, az, al = frame
-    return (
-        c, s, px + c * disp, pz - s * disp,
-        vx + rate, vz - w * disp, w,
-        ax + accel, az - al * disp - rate * w, al,
-    )
+    e, p, v, w, a, alpha = frame
+    return (e, p + e * disp, v + (rate + 1j * (w * disp)), w,
+            a + (accel + 1j * (alpha * disp + rate * w)), alpha)
 
 
-def _planar_body(body: RigidBodyParams):
-    """The scalars :func:`_planar_net` and :func:`_planar_potential` read:
-    m, r_x, r_z, m g_x, m g_z, the inertia about the frame origin, m r_z and
-    m r_x."""
+def _body(body: RigidBodyParams):
+    """The constants :func:`_net` and :func:`_potential` read: m, the COM
+    offset r, i m r, the gravity support force m g, the inertia about the
+    frame origin, conj(r) and conj(m g), vectors as x - i z."""
     m = float(body.mass)
     rx, rz = float(body.com_offset[0]), float(body.com_offset[2])
+    r = complex(rx, -rz)
+    gravity = complex(m * float(body.gravity[0]), -m * float(body.gravity[2]))
     i_origin = float(body.inertia[1, 1]) + m * (rx * rx + rz * rz)
-    return (m, rx, rz, m * float(body.gravity[0]), m * float(body.gravity[2]),
-            i_origin, m * rz, m * rx)
+    return m, r, 1j * m * r, gravity, i_origin, r.conjugate(), gravity.conjugate()
 
 
-def _planar_net(body, frame):
-    """(f_x, f_z, m_y) of the body's net wrench (``net_force`` in
-    ``tests/oracles.py``), in body axes, for the scalars ``body`` of
-    :func:`_planar_body`."""
-    c, s, _, _, vx, vz, w, ax, az, al = frame
-    m, rx, rz, gx, gz, i_origin, m_rz, m_rx = body
-    # origin acceleration with the Coriolis/centrifugal term, times m, plus
-    # the gravity support force in body axes
-    kx = m * (ax + w * (vz - w * rx)) + (c * gx - s * gz)
-    kz = m * (az - w * (vx + w * rz)) + (s * gx + c * gz)
-    return kx + m_rz * al, kz - m_rx * al, rz * kx - rx * kz + i_origin * al
+def _net(body, frame):
+    """(F, m_y) of the body's net wrench (``net_force`` in
+    ``tests/oracles.py``), in body axes, for the constants ``body`` of
+    :func:`_body`."""
+    e, _, v, w, a, alpha = frame
+    m, r, i_m_r, gravity, i_origin, r_conj, _ = body
+    # m times the origin acceleration with the Coriolis/centrifugal term,
+    # plus the gravity support force in body axes
+    k = m * (a + w * (1j * v - w * r)) + np.conjugate(e) * gravity
+    return k + i_m_r * alpha, (r_conj * k).imag + i_origin * alpha
 
 
-def _planar_add(total, frame, wrench):
+def _add(total, frame, wrench):
     """``total`` plus a body wrench turned to world axes, moment about the world origin."""
-    c, s, px, pz = frame[:4]
-    fx, fz, my = wrench
-    wx, wz = c * fx + s * fz, c * fz - s * fx
-    return total[0] + wx, total[1] + wz, total[2] + (my + pz * wx - px * wz)
+    e, p = frame[:2]
+    force, m_y = wrench
+    world = e * force
+    return total[0] + world, total[1] + (m_y + (np.conjugate(p) * world).imag)
 
 
 def _build_planar_plan(model: ChainModel):
-    """The base frame and body scalars and, per stage, the constant frames
-    and body scalars of :func:`_planar_forward`.  Nothing reads the last
-    stage's mount frame, so it is the identity."""
-    base = _planar_fixed(_GROUND, *_fixed_pose(model.base_angle, model.base_pos))
+    """The base frame and body constants and, per stage, the constant frames
+    and body constants of :func:`_forward`.  Nothing reads the last stage's
+    mount frame, so it is the identity."""
+    base = _fixed(_GROUND, *_fixed_pose(model.base_angle, model.base_pos))
     steps = []
     for k, stage in enumerate(model.stages):
         last = k == model.n_joints - 1
         mount = (None, None) if last else _fixed_pose(stage.mount_angle, stage.mount_pos)
         if isinstance(stage, ClosedChainStage):
             theta_a = stage.base_angle
-            steps.append((
-                stage, mount,
-                _fixed_pose(theta_a, stage.hinge_pos),
-                _fixed_pose(theta_a + math.pi, stage.anchor_pos),
-                _planar_body(stage.boom), _planar_body(stage.barrel), _planar_body(stage.rod),
-            ))
+            steps.append((stage, mount, _fixed_pose(theta_a, stage.hinge_pos),
+                          _fixed_pose(theta_a + math.pi, stage.anchor_pos),
+                          _body(stage.boom), _body(stage.barrel), _body(stage.rod)))
         else:
-            steps.append((stage, mount, _fixed_pose(0.0, stage.slide_pos),
-                          _planar_body(stage.carriage)))
-    return base, _planar_body(model.base), tuple(steps)
+            steps.append((stage, mount, _fixed_pose(0.0, stage.slide_pos), _body(stage.carriage)))
+    return base, _body(model.base), tuple(steps)
 
 
-def _planar_forward(model: ChainModel, q, qd, qdd):
+def _forward(model: ChainModel, q, qd, qdd):
     """The kernel's forward pass: per stage, its moving bodies as (frame,
-    body scalars) pairs, the boom or carriage first, and for a chain what
-    the backward pass reads of its closure (geometry, pin angle and its
-    sine, actuator length), empty for a telescope.
+    body constants) pairs, the boom or carriage first, and for a chain what
+    the backward pass reads of its closure (geometry, the pin angle's cosine
+    and sine, actuator length), empty for a telescope.
 
-    Raises ``StrokeRangeError`` outside a chain's triangle and
+    The chain's joints turn by the cosines and sines of the closure.  Raises
+    ``StrokeRangeError`` outside a chain's triangle and
     ``SingularConfigurationError`` at a fold.
     """
     frame, _, steps = model._planar_plan
@@ -319,32 +311,30 @@ def _planar_forward(model: ChainModel, q, qd, qdd):
         x, xd, xdd = q[..., k], qd[..., k], qdd[..., k]
         if isinstance(stage, TelescopeStage):
             slide, carriage_body = consts
-            carriage = _planar_prismatic(_planar_fixed(frame, *slide), x, xd, xdd)
+            carriage = _prismatic(_fixed(frame, *slide), x, xd, xdd)
             passes.append((((carriage, carriage_body),), ()))
-            frame = _planar_fixed(carriage, *mount)
+            frame = _fixed(carriage, *mount)
             continue
         hinge, anchor, boom_body, barrel_body, rod_body = consts
         geom = stage.geometry
         c = x + geom.zero_stroke_len
         geom.check_length(c)
-        (qh, dh, d2h), (qa, da, d2a), cos_qp = _hinge_anchor_closure(geom, c)
-        qp = -np.arccos(cos_qp)
-        sin_qp = np.sin(qp)
-        if (np.abs(sin_qp) < SINGULARITY_TOL).any():
+        (cos_h, sin_h, dh, d2h), (cos_a, sin_a, da, d2a), (cos_p, sin_p) = _closure(geom, c)
+        if (sin_p > -SINGULARITY_TOL).any():
             raise SingularConfigurationError(
                 f"{stage.name}: pin angle within {SINGULARITY_TOL} of a fold"
             )
         xd2 = xd * xd
-        boom = _planar_revolute(
-            _planar_fixed(frame, *hinge), qh, dh * xd, d2h * xd2 + dh * xdd
-        )
-        barrel = _planar_revolute(
-            _planar_fixed(frame, *anchor), -qa, -(da * xd), -(d2a * xd2 + da * xdd)
-        )
-        rod = _planar_prismatic(barrel, c - geom.rod_frame_setback, xd, xdd)
+        i_sin_h, i_sin_a = 1j * sin_h, 1j * sin_a
+        # the boom turns by the hinge angle, the barrel by minus the anchor angle
+        boom = _revolute(_fixed(frame, *hinge), (cos_h + i_sin_h, cos_h - i_sin_h),
+                         dh * xd, d2h * xd2 + dh * xdd)
+        barrel = _revolute(_fixed(frame, *anchor), (cos_a - i_sin_a, cos_a + i_sin_a),
+                           np.negative(da * xd), np.negative(d2a * xd2 + da * xdd))
+        rod = _prismatic(barrel, c - geom.rod_frame_setback, xd, xdd)
         passes.append((((boom, boom_body), (barrel, barrel_body), (rod, rod_body)),
-                       (geom, qp, sin_qp, c)))
-        frame = _planar_fixed(boom, *mount)
+                       (geom, cos_p, sin_p, c)))
+        frame = _fixed(boom, *mount)
     return passes
 
 
@@ -358,43 +348,48 @@ def _piston_forces(model: ChainModel, q, qd, qdd):
     moment about the hinge.  A telescope's force is the x-component of its
     subtree force in carriage axes.
     """
-    passes = _planar_forward(model, q, qd, qdd)
+    passes = _forward(model, q, qd, qdd)
     piston = np.empty(q.shape)
-    subtree = (0.0, 0.0, 0.0)  # world axes, moment about the world origin
+    subtree = (0j, 0.0)  # world axes, moment about the world origin
     for k in range(len(passes) - 1, -1, -1):
-        ((body, scalars), *lower), chain = passes[k]
-        subtree = _planar_add(subtree, body, _planar_net(scalars, body))
-        fx, fz, my = subtree
+        ((body, constants), *lower), chain = passes[k]
+        subtree = _add(subtree, body, _net(constants, body))
+        force, moment = subtree
         if not chain:  # telescope: subtree force along the carriage x-axis
-            piston[..., k] = body[0] * fx - body[1] * fz
+            piston[..., k] = (np.conjugate(body[0]) * force).real
             continue
         (barrel, barrel_body), (rod, rod_body) = lower
-        barrel_net, rod_net = _planar_net(barrel_body, barrel), _planar_net(rod_body, rod)
-        geom, qp, sin_qp, c = chain
-        m_hinge = my - body[3] * fx + body[2] * fz  # boom subtree about the hinge
-        rod_x, rod_z, rod_m = rod_net
-        lam = (barrel_net[2] + rod_m + geom.rod_frame_setback * rod_z) / c
+        barrel_net, rod_net = _net(barrel_body, barrel), _net(rod_body, rod)
+        geom, cos_p, sin_p, c = chain
+        m_hinge = moment - (np.conjugate(body[1]) * force).imag  # boom subtree about the hinge
+        (rod_f, rod_m), rod_minus_z = rod_net, rod_net[0].imag  # x - i z
+        lam = (barrel_net[1] + rod_m - geom.rod_frame_setback * rod_minus_z) / c
+        # the pin angle's cotangent is cos_p / sin_p
         piston[..., k] = (
-            rod_x + (lam - rod_z) / np.tan(qp) + m_hinge / (geom.rocker_len * sin_qp)
+            rod_f.real + ((lam + rod_minus_z) * cos_p + m_hinge / geom.rocker_len) / sin_p
         )
-        subtree = _planar_add(_planar_add(subtree, barrel, barrel_net), rod, rod_net)
+        subtree = _add(_add(subtree, barrel, barrel_net), rod, rod_net)
     return piston
 
 
-def _planar_potential(body, frame):
-    """m g . r_com of the scalars ``body`` of :func:`_planar_body` in ``frame``."""
-    c, s, px, pz = frame[:4]
-    _, rx, rz, gx, gz = body[:5]
-    return gx * (px + c * rx + s * rz) + gz * (pz - s * rx + c * rz)
+def _potential(body, frame):
+    """m g . r_com of the constants ``body`` of :func:`_body` in ``frame``."""
+    e, p = frame[:2]
+    return ((p + e * body[1]) * body[6]).real
 
 
 def _as_states(model: ChainModel, q, qd, qdd):
+    """q, qd and qdd as float arrays of one shape (..., n_joints) with a
+    leading axis of one.  NumPy's complex product rounds differently on 0-d
+    operands than in its array loop, whose results depend on neither length
+    nor stride, so a single configuration runs as a batch of one and gets
+    the bits of its row in any batch."""
     q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
     qdd = np.asarray(qdd, dtype=float)
     if q.shape != qd.shape or q.shape != qdd.shape or q.shape[-1] != model.n_joints:
         raise ValueError("q, qd, qdd must share shape (..., n_joints)")
-    return q, qd, qdd
+    return q[None], qd[None], qdd[None]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +409,7 @@ def rnea(model: ChainModel, q, qd, qdd):
     triangle and ``SingularConfigurationError`` at a fold.
     """
     q, qd, qdd = _as_states(model, q, qd, qdd)
-    return qd.copy(), _piston_forces(model, q, qd, qdd)
+    return qd[0].copy(), _piston_forces(model, q, qd, qdd)[0]
 
 
 def potential_energy(model: ChainModel, q):
@@ -427,8 +422,8 @@ def potential_energy(model: ChainModel, q):
     qz = np.zeros_like(np.asarray(q, dtype=float))
     q, qz, _ = _as_states(model, q, qz, qz)
     base, base_body, _ = model._planar_plan
-    total = _planar_potential(base_body, base)
-    for bodies, _ in _planar_forward(model, q, qz, qz):
+    total = _potential(base_body, base)
+    for bodies, _ in _forward(model, q, qz, qz):
         for frame, body in bodies:
-            total = total + _planar_potential(body, frame)
-    return total
+            total = total + _potential(body, frame)
+    return total[0]

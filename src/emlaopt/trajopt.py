@@ -8,11 +8,11 @@ stroke-rate boxes hold on the control polygons, so by the convex-hull
 property they hold at every instant; the force box holds at the M+1
 collocation points only.  The piston speed v_x is the stroke rate q̇ (the
 strokes are the generalized coordinates), so its box is merged into the q̇
-box.  SLSQP gets one inequality row per rate-polygon point and force
-sample, n(n_ctrl - 1) + n(M + 1), and no equality.  The derivatives of
-(q, q̇, f_x) by the decision vector are built once per iterate, from
-analytic basis blocks and batched central differences of the inverse
-dynamics, and every gradient and Jacobian is read from them.
+box.  SLSQP gets one inequality row per inner rate-polygon point (the end
+points are the boundary rates) and force sample, n(n_ctrl - 3) + n(M + 1),
+and no equality.  The derivatives of (q, q̇, f_x) by the decision vector
+are built once per iterate, from analytic basis blocks and one batch of
+inverse-dynamics differences (central in q, exact unit steps in q̇ and q̈).
 """
 
 import json
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bspline import basis_matrices, derivative_matrix
 
-# central-difference step of the f_x partials; at 1e-5 the truncation error
+# central-difference step of the f_x partials in q; at 1e-5 the truncation error
 # of the stroke partials reached 4e-6 of the cost on 3 s motions
 FD_STEP = 1e-6
 # a solve counts as converged when SLSQP succeeds within SLSQP_MAXITER
@@ -254,13 +254,14 @@ class _Transcription:
     The decision vector z = [c_2 … c_{n-3}, t_final] holds the free rows of
     the (n_ctrl, n) control points c; the boundary states fix the other four
     at ``NlpProblem.end_points``, base + t_final * slope.  The states q, q̇,
-    q̈ and the rate polygon, which the q̇ box bounds, are b c / t_final^k for
-    b = B_0, B_1, B_2 and D (``derivative_matrix``), k = 0, 1, 2 and 1: each
-    has the block b ⊗ I on the free rows over t_final^k and the t_final
-    column b slope / t_final^k - k x / t_final.  The q box bounds the free
-    rows and, through ``check_boundary_feasible``, t_final.  Each rate-polygon
-    point and f_x sample of a joint gives one row, the scaled margin to the
-    nearer side of its box: 25 variables and 186 rows on the benchmark problem.
+    q̈ and the inner rate polygon are b c / t_final^k for b = B_0, B_1, B_2
+    and D (``derivative_matrix``) less the end rows, which give qd_init and
+    qd_final, k = 0, 1, 2 and 1: each has the block b ⊗ I on the free rows
+    over t_final^k and the t_final column b slope / t_final^k - k x /
+    t_final.  The q box bounds the free rows and, through
+    ``check_boundary_feasible``, t_final.  Each inner rate-polygon point and
+    f_x sample of a joint gives one row, the scaled margin to the nearer
+    side of its box: 25 variables and 180 rows on the benchmark problem.
     """
 
     def __init__(self, problem: NlpProblem, dynamics, weights):
@@ -279,9 +280,10 @@ class _Transcription:
             kron = kron.reshape(len(b), self.n, n_free * self.n)
             return np.concatenate([kron, np.zeros((len(b), self.n, 1))], axis=-1)
 
-        # (b, its block, b slope, k) of q, q̇, q̈ and the rate polygon
+        # (b, its block, b slope, k) of q, q̇, q̈ and the inner rate polygon
+        inner = derivative_matrix(p.n_ctrl, p.degree)[1:-1]
         self.maps = [(b, block(b), b @ self.end_slope, k)
-                     for b, k in zip((*basis, derivative_matrix(p.n_ctrl, p.degree)), (0, 1, 2, 1))]
+                     for b, k in zip((*basis, inner), (0, 1, 2, 1))]
         self.weights_raw = check_weights(weights)
         self.weights = self.weights_raw / self.weights_raw.sum()
         self.boxes = [p.rate_box, (p.fx_lower, p.fx_upper)]
@@ -320,35 +322,38 @@ class _Transcription:
         self._value_cache = (key, out)
         return out
 
-    def jacobians(self, z):
-        """d(q̇, f_x)/dz, each of shape (M+1, n, n_z), and d(rates)/dz.
+    def force_partials(self, vals):
+        """d f_x / d(x_k)_b for x = q, q̇, q̈ in row k n + b, each (M+1, n), from
+        one dynamics run over 5n copies of the states: joint b's q at
+        ±FD_STEP, q̇ at ±1 and q̈ at +1.  f_x is quadratic in q̇ and affine in
+        q̈ at fixed q, so the unit steps, the last against the value row, are
+        exact to rounding."""
+        n, eye = self.n, np.eye(self.n)[:, None, :]
+        q, qd, qdd = [np.repeat(vals[x][None], 5 * n, axis=0) for x in ("q", "qd", "qdd")]
+        for x, first, step in ((q, 0, FD_STEP), (qd, 2 * n, 1.0)):
+            x[first: first + 2 * n: 2] += step * eye
+            x[first + 1: first + 2 * n: 2] -= step * eye
+        qdd[4 * n:] += eye
+        f = self.dynamics(q, qd, qdd)[1]
+        return np.concatenate([(f[0: 2 * n: 2] - f[1: 2 * n: 2]) / (2 * FD_STEP),
+                               (f[2 * n: 4 * n: 2] - f[2 * n + 1: 4 * n: 2]) / 2.0,
+                               f[4 * n:] - vals["f"]])
 
-        The partials of f_x in (q, q̇, q̈) are central differences: all 6n
-        perturbed copies of the trajectory are stacked on a leading axis so
-        the dynamics runs once over shape (6n, M+1, n).  They are chained
-        through the state derivatives in one batched product.
-        """
+    def jacobians(self, z):
+        """d(q̇, f_x)/dz, each of shape (M+1, n, n_z), and d(rates)/dz; the
+        :meth:`force_partials` are chained through the state derivatives in
+        one batched product."""
         key = z.tobytes()
         if self._jac_cache[0] == key:
             return self._jac_cache[1]
         vals = self.values(z)
         t_final = vals["t_final"]
-        states = (vals["q"], vals["qd"], vals["qdd"])
-        m1, n = states[0].shape
         dx = []
-        for (_, block, slope, k), x in zip(self.maps, (*states, vals["rates"])):
+        for (_, block, slope, k), name in zip(self.maps, ("q", "qd", "qdd", "rates")):
             d = block / t_final**k
-            d[..., -1] = slope / t_final**k - k * x / t_final
+            d[..., -1] = slope / t_final**k - k * vals[name] / t_final
             dx.append(d)
-        steps = FD_STEP * np.eye(n)[:, None, :]
-        stacked = [np.broadcast_to(x, (6 * n, m1, n)).copy() for x in states]
-        for k, big in enumerate(stacked):
-            big[2 * k * n: 2 * (k + 1) * n: 2] += steps
-            big[2 * k * n + 1: 2 * (k + 1) * n: 2] -= steps
-        f_all = self.dynamics(*stacked)[1]
-        # row k * n + b: d f_x / d (x_k)_b over (M+1, n)
-        diffs = (f_all[0::2] - f_all[1::2]) / (2 * FD_STEP)
-        df = diffs.transpose(1, 2, 0) @ np.concatenate(dx[:3], axis=1)
+        df = self.force_partials(vals).transpose(1, 2, 0) @ np.concatenate(dx[:3], axis=1)
         out = {"qd": dx[1], "f": df, "rates": dx[3]}
         self._jac_cache = (key, out)
         return out
@@ -372,9 +377,9 @@ class _Transcription:
 
     # -- constraints, in SLSQP's sign: ineq >= 0 ---------------------------
     def ineq(self, z):
-        """Scaled margins to the nearer side of the q̇ box on the rate
-        polygon, which bound q̇ at every instant, and of the f_x box at every
-        sample: min(hi - x, x - lo) / s."""
+        """Scaled margins to the nearer side of the q̇ box on the inner rate
+        polygon, which with the boundary rates bound q̇ at every instant, and
+        of the f_x box at every sample: min(hi - x, x - lo) / s."""
         vals = self.values(z)
         return np.concatenate([
             (np.minimum(hi - x, x - lo) / s).ravel()

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from emlaopt.chain import ClosedChainGeometry, _arccos_branch, _hinge_anchor_closure
+from emlaopt.chain import ClosedChainGeometry
 from emlaopt.drivetrain import DriveTrainParams, equivalent_params
 from emlaopt.manipulator import (
     SINGULARITY_TOL,
@@ -43,7 +43,6 @@ from emlaopt.manipulator import (
     ClosedChainStage,
     RigidBodyParams,
     SingularConfigurationError,
-    _as_states,
 )
 from emlaopt.pmsm import PmsmParams
 
@@ -150,11 +149,37 @@ def loop_closure(geom: ClosedChainGeometry, x):
     return q, q1, q2
 
 
+def _arccos_branch(u, du_dc, d2u_dc2):
+    """(-arccos(u), and its first/second derivatives w.r.t. the length c)."""
+    one_minus = 1.0 - u * u
+    s = np.sqrt(one_minus)
+    q = -np.arccos(u)
+    dq = du_dc / s
+    d2q = (d2u_dc2 * one_minus + u * du_dc**2) / s**3
+    return q, dq, d2q
+
+
+def _hinge_anchor_closure(geom: ClosedChainGeometry, c):
+    """Hinge and anchor angles, each with its first and second derivative
+    with respect to the actuator length ``c``, and the pin angle's cosine.
+    They are formed as angles, where the program's kernel reads only the
+    cosines and sines (``emlaopt.chain._closure``)."""
+    ell, ell1 = geom.base_len, geom.rocker_len
+    k = ell**2 - ell1**2
+    c2 = c**2
+    hinge = _arccos_branch(
+        (ell**2 + ell1**2 - c2) / (2.0 * ell * ell1), -c / (ell * ell1), -1.0 / (ell * ell1)
+    )
+    v = (c2 + k) / (2.0 * c * ell)
+    anchor = _arccos_branch(v, (c2 - k) / (2.0 * c2 * ell), k / (c**3 * ell))
+    return hinge, anchor, (c2 - k) / (2.0 * c * ell1)
+
+
 def _closure_with_derivatives(geom: ClosedChainGeometry, x):
     """Angles plus first and second derivatives with respect to the stroke."""
     c = np.asarray(x, dtype=float) + geom.zero_stroke_len
     (q, dq, d2q), (q1, dq1, d2q1), w = _hinge_anchor_closure(geom, c)
-    ell1, k2 = geom.rocker_len, geom._closure_constants[-1]
+    ell1, k2 = geom.rocker_len, geom.rocker_len**2 - geom.base_len**2
     q2, dq2, d2q2 = _arccos_branch(w, (c**2 - k2) / (2.0 * c**2 * ell1), k2 / (c**3 * ell1))
     return q, q1, q2, dq, dq1, dq2, d2q, d2q1, d2q2
 
@@ -274,7 +299,9 @@ class DynamicsState:
 
 
 def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
-    q, qd, qdd = _as_states(model, q, qd, qdd)
+    q, qd, qdd = (np.asarray(x, dtype=float) for x in (q, qd, qdd))
+    if q.shape != qd.shape or q.shape != qdd.shape or q.shape[-1] != model.n_joints:
+        raise ValueError("q, qd, qdd must share shape (..., n_joints)")
     batch = q.shape[:-1]
 
     zeros6 = np.zeros(batch + (6,))
@@ -589,9 +616,10 @@ def adaptive_rate(k: float, sigma: float, epsilon: float, phi: float, q_err):
 
 def two_sided_box_rows(kern, z):
     """(upper, lower, d_upper, d_lower): the margins (hi - x) / s and
-    (x - lo) / s of the rate polygon and then of the f_x samples, with their
-    Jacobians -dx/dz / s and dx/dz / s, as SLSQP got them when each side
-    had a row of its own."""
+    (x - lo) / s of the inner rate polygon (its end points are the
+    boundary rates) and then of the f_x samples, with their Jacobians
+    -dx/dz / s and dx/dz / s, as SLSQP got them when each side had a row of
+    its own."""
     vals, jac = kern.values(z), kern.jacobians(z)
     upper, lower, d_upper, d_lower = [], [], [], []
     for x, d, (lo, hi), s in zip((vals["rates"], vals["f"]), (jac["rates"], jac["f"]),

@@ -387,3 +387,37 @@ def test_each_model_keeps_its_own_kernel_plan():
         assert np.array_equal(rnea(a, q, qd, qdd)[1], first)
         assert np.array_equal(f_b, rnea(replace(b), q, qd, qdd)[1])
     assert np.array_equal(first, rnea(default_manipulator(), q, qd, qdd)[1])
+
+
+class CountingArray(np.ndarray):
+    """An array that counts, in ``calls``, the ufunc calls made on it and on
+    the arrays those calls return."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CountingArray.calls += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountingArray) else x for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(CountingArray) if isinstance(out, np.ndarray) else out
+
+
+def test_rnea_ufunc_call_budget(monkeypatch):
+    """At the transcription's batch sizes rnea's cost is NumPy's dispatch per
+    ufunc call, so one (51, 3) call on the default boom may make at most 420
+    of them (the real-arithmetic kernel made 665).  The counting arrays are
+    passed in below ``_as_states``, which would turn them into plain ones;
+    the forces keep their bits."""
+    model = default_manipulator()
+    lo, hi = model.stroke_limits()
+    grid = np.linspace(0.05, 0.95, 51)[:, None]
+    q = lo + (hi - lo) * grid
+    qd, qdd = np.cos(7.0 * grid + [0, 1, 2]), 3.0 * np.sin(5.0 * grid + [2, 0, 1])
+    plain = rnea(model, q, qd, qdd)[1]
+    as_states = manipulator._as_states
+    monkeypatch.setattr(manipulator, "_as_states", lambda *args: tuple(
+        x.view(CountingArray) for x in as_states(*args)))
+    CountingArray.calls = 0
+    counted = rnea(model, q, qd, qdd)[1]
+    assert 0 < CountingArray.calls <= 420, CountingArray.calls
+    assert np.array_equal(counted, plain)

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import spline_states
-from oracles import two_sided_box_rows
+from oracles import evaluate_dynamics, two_sided_box_rows
 from emlaopt.manipulator import ClosedChainStage, rnea
 from emlaopt.presets import benchmark_problem, default_manipulator
 from emlaopt.trajopt import (
@@ -226,6 +226,22 @@ def central_jacobian(fun, z, h=1e-4):
     return (4.0 * central(0.5 * h) - central(h)) / 3.0
 
 
+def jittered_z(kern, model, seed, t_frac):
+    """z with the straight-line guess's free control points each moved by up
+    to a tenth of the ``draw_box`` width and kept 5% inside that box, and
+    t_final at ``t_frac`` of its box.  The jitter stays within a tenth of
+    the box, so the motion at t_final = 3 s is violent but the FD_STEP
+    partials of f_x keep their accuracy."""
+    p = kern.problem
+    lower, upper = draw_box(model)
+    width = upper - lower
+    c = kern.initial_guess()[:-1].reshape(p.n_ctrl, p.n_joints)[2:-2]
+    jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, c.shape) * width
+    c = np.clip(c + jitter, lower + 0.05 * width, upper - 0.05 * width)
+    t_lo, t_hi = kern.bounds[-1]
+    return np.concatenate([c.ravel(), [t_lo + t_frac * (t_hi - t_lo)]])
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     w=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -246,18 +262,9 @@ def test_derivatives_match_central_differences(small_problem, moving_problem, mo
     # is differenced on the side it takes at z, and the draw holds entries
     # on both sides of their box midpoints.
     assume(sum(w) > 1e-3)
-    lower, upper = draw_box(model)
-    width = upper - lower
     for p in (small_problem, moving_problem):
         kern = _Transcription(p, dynamics, np.array(w))
-        c = kern.initial_guess()[:-1].reshape(p.n_ctrl, p.n_joints)[2:-2]
-        # the jitter stays within a tenth of the box, so the motion at
-        # t_final = 3 s is violent but the FD_STEP partials of f_x keep
-        # their accuracy
-        jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, c.shape) * width
-        c = np.clip(c + jitter, lower + 0.05 * width, upper - 0.05 * width)
-        t_lo, t_hi = kern.bounds[-1]
-        z = np.concatenate([c.ravel(), [t_lo + t_frac * (t_hi - t_lo)]])
+        z = jittered_z(kern, model, seed, t_frac)
         upper_rows, lower_rows = two_sided_box_rows(kern, z)[:2]
         side = upper_rows <= lower_rows
         assert side.any() and not side.all()
@@ -300,7 +307,7 @@ def test_piston_speed_box_narrows_rate_box(small_problem, tight_problem, dynamic
     # binds through the rate-polygon rows, with no rows of its own
     p = small_problem
     kern = _Transcription(tight_problem, dynamics, np.array([0.5, 0.5]))
-    rows = 3 * (p.n_ctrl - 1) + 3 * (p.n_partitions + 1)
+    rows = 3 * (p.n_ctrl - 3) + 3 * (p.n_partitions + 1)
     assert len(kern.ineq(kern.free(kern.initial_guess()))) == rows
     res = solved_tight
     assert res.converged
@@ -353,11 +360,11 @@ def test_nearer_side_rows_match_two_row_form(small_problem, moving_problem, mode
 
 def test_benchmark_problem_size(model, dynamics):
     # 8 free control points of 3 strokes and t_final; one row per entry of
-    # the rate polygon (11 x 3) and of the f_x samples (51 x 3)
+    # the inner rate polygon (9 x 3) and of the f_x samples (51 x 3)
     kern = _Transcription(benchmark_problem(model), dynamics, np.array([0.5, 0.5]))
     z = kern.free(kern.initial_guess())
     assert len(z) == len(kern.bounds) == 25
-    assert kern.ineq_jac(z).shape == (186, 25)
+    assert kern.ineq_jac(z).shape == (180, 25)
 
 
 def test_nonzero_boundary_rates(moving_problem, dynamics):
@@ -397,3 +404,61 @@ def test_degenerate_problem_rejected(small_problem, change, match):
     # states fix four distinct end control points
     with pytest.raises(ValueError, match=match):
         replace(small_problem, **change)
+
+
+@pytest.mark.parametrize("seed, t_frac", [(0, 0.0), (1, 0.5), (2, 1.0)])
+def test_rate_and_acceleration_partials_match_6d_oracle(small_problem, moving_problem, model,
+                                                        dynamics, seed, t_frac):
+    # f_x is quadratic in qd and affine in qdd at fixed q, so the unit steps
+    # the transcription takes there are exact to rounding: they match
+    # Richardson-extrapolated central differences of the 6-D oracle to 1e-9
+    # of each sample's largest partial
+    for p in (small_problem, moving_problem):
+        kern = _Transcription(p, dynamics, np.array([0.5, 0.5]))
+        vals = kern.values(jittered_z(kern, model, seed, t_frac))
+        partials = kern.force_partials(vals)
+        n = kern.n
+        for k, name in ((1, "qd"), (2, "qdd")):
+            for b in range(n):
+                def oracle(h):
+                    states = {x: vals[x].copy() for x in ("q", "qd", "qdd")}
+                    states[name][:, b] += h
+                    return evaluate_dynamics(model, states["q"], states["qd"],
+                                             states["qdd"]).piston_forces
+
+                def central(h):
+                    return (oracle(h) - oracle(-h)) / (2 * h)
+
+                ref = (4.0 * central(0.25) - central(0.5)) / 3.0
+                err = np.abs(partials[k * n + b] - ref).max(axis=-1)
+                assert np.all(err <= 1e-9 * np.maximum(np.abs(ref).max(axis=-1), 1.0)), (name, b)
+
+
+def test_perturbed_batch_matches_its_slices(small_problem, model, dynamics):
+    # the dynamics gives each of the 5n copies force_partials runs in one
+    # batch the bits it gives that copy alone, and every unperturbed copy
+    # the value row's bits, so the one-sided qdd difference against the
+    # value row is exact to rounding
+    calls = []
+
+    def recording(q, qd, qdd):
+        calls.append((q, qd, qdd))
+        return dynamics(q, qd, qdd)
+
+    kern = _Transcription(small_problem, recording, np.array([0.5, 0.5]))
+    vals = kern.values(jittered_z(kern, model, 3, 0.3))
+    kern.force_partials(vals)
+    batch = calls[-1]
+    n, m1 = kern.n, small_problem.n_partitions + 1
+    names = ("q", "qd", "qdd")
+    assert [x.shape for x in batch] == [(5 * n, m1, n)] * 3
+    forces = rnea(model, *batch)[1]
+    for j in range(5 * n):
+        assert np.array_equal(forces[j], rnea(model, *(x[j] for x in batch))[1])
+        # copy j moves one state of one joint at every sample
+        k, b = (j // (2 * n), j % (2 * n) // 2) if j < 4 * n else (2, j - 4 * n)
+        for i, name in enumerate(names):
+            moved = batch[i][j] != vals[name]
+            assert moved[:, b].all() == (i == k) and not np.delete(moved, b, axis=1).any()
+    same = rnea(model, *(np.broadcast_to(vals[x], (5 * n, m1, n)) for x in names))[1]
+    assert all(np.array_equal(row, vals["f"]) for row in same)
