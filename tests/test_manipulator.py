@@ -389,25 +389,22 @@ def test_each_model_keeps_its_own_kernel_plan():
     assert np.array_equal(first, rnea(default_manipulator(), q, qd, qdd)[1])
 
 
-class CountingArray(np.ndarray):
-    """An array that counts, in ``calls``, the ufunc calls made on it and on
-    the arrays those calls return."""
-
-    calls = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        CountingArray.calls += 1
-        plain = [x.view(np.ndarray) if isinstance(x, CountingArray) else x for x in inputs]
-        out = getattr(ufunc, method)(*plain, **kwargs)
-        return out.view(CountingArray) if isinstance(out, np.ndarray) else out
-
-
 def test_rnea_ufunc_call_budget(monkeypatch):
     """At the transcription's batch sizes rnea's cost is NumPy's dispatch per
     ufunc call, so one (51, 3) call on the default boom may make at most 420
-    of them (the real-arithmetic kernel made 665).  The counting arrays are
-    passed in below ``_as_states``, which would turn them into plain ones;
-    the forces keep their bits."""
+    of them (the real-arithmetic kernel made 665).  Arrays that count the
+    ufunc calls made on them, and on what those return, are passed in below
+    ``_as_states``, which would turn them into plain ones; the forces keep
+    their bits."""
+    calls = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append(ufunc.__name__)
+            plain = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            return out.view(Counting) if isinstance(out, np.ndarray) else out
+
     model = default_manipulator()
     lo, hi = model.stroke_limits()
     grid = np.linspace(0.05, 0.95, 51)[:, None]
@@ -416,8 +413,7 @@ def test_rnea_ufunc_call_budget(monkeypatch):
     plain = rnea(model, q, qd, qdd)[1]
     as_states = manipulator._as_states
     monkeypatch.setattr(manipulator, "_as_states", lambda *args: tuple(
-        x.view(CountingArray) for x in as_states(*args)))
-    CountingArray.calls = 0
+        x.view(Counting) for x in as_states(*args)))
     counted = rnea(model, q, qd, qdd)[1]
-    assert 0 < CountingArray.calls <= 420, CountingArray.calls
+    assert 0 < len(calls) <= 420, len(calls)
     assert np.array_equal(counted, plain)
