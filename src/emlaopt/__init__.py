@@ -27,7 +27,7 @@ from .control import (
     simulate_tracking,
     tracking_errors,
 )
-from .drivetrain import DriveTrainParams, equivalent_params, linear_stiffness, rotary_linear_map
+from .drivetrain import DriveTrainParams, equivalent_params, rotary_linear_map
 from .effmap import EfficiencyMap, EmlaModel, build_efficiency_map, map_from_json, map_to_csv, map_to_json
 from .losses import DriveConfig, LossBreakdown, efficiency, loss_breakdown
 from .manipulator import (

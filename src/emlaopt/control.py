@@ -463,7 +463,7 @@ def simulate_tracking(
         # plant rows: shaft angle, mechanics, q- and d-axis currents
         blk[0, 1] = 1.0
         torque_grad = 1.5 * p * (psi + (l_d - l_q) * i_d), 1.5 * p * (l_d - l_q) * i_q
-        blk[1, :4] = (-plant_eq.stiffness, -plant_eq.damping) + torque_grad
+        blk[1, 1:4] = (-plant_eq.damping,) + torque_grad
         blk[1] /= plant_eq.inertia
         blk[2] = dv[0]
         blk[2, 1:4] -= p * (l_d * i_d + psi), r_s, p * omega * l_d

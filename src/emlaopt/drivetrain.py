@@ -11,12 +11,12 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class DriveTrainParams:
-    """Inertias, dampings, stiffnesses and the gearbox/screw ratios of one EMLA.
+    """Inertias, dampings and the gearbox/screw ratios of one EMLA.
 
-    Units: inertias kg*m^2, masses kg, torsional stiffnesses N*m/rad, linear
-    stiffnesses N/m, gear ratio dimensionless, screw lead m/rev.  Fields
-    may be (n,) arrays holding n drivetrains; every function here then
-    acts elementwise.
+    The shaft is rigid: motor, coupling, gearbox, screw and load move as one
+    mass through the transmission.  Units: inertias kg*m^2, masses kg, gear
+    ratio dimensionless, screw lead m/rev.  Fields may be (n,) arrays
+    holding n drivetrains; every function here then acts elementwise.
     """
 
     motor_inertia: float
@@ -27,12 +27,6 @@ class DriveTrainParams:
     viscous_motor: float
     gear_friction: float
     screw_viscous: float
-    coupling_stiffness: float
-    gear_stiffness: float
-    bearing_stiffness: float
-    screw_stiffness: float
-    nut_stiffness: float
-    tube_stiffness: float
     gear_ratio: float
     screw_lead: float
 
@@ -41,12 +35,6 @@ class DriveTrainParams:
             "motor_inertia",
             "coupling_inertia",
             "gearbox_inertia",
-            "coupling_stiffness",
-            "gear_stiffness",
-            "bearing_stiffness",
-            "screw_stiffness",
-            "nut_stiffness",
-            "tube_stiffness",
             "gear_ratio",
             "screw_lead",
         )
@@ -59,35 +47,22 @@ class DriveTrainParams:
 
 
 class EquivalentParams(NamedTuple):
-    """Motor-side equivalent parameters (J_eq, b_eq, k_eq, f_eq)."""
+    """Motor-side equivalent parameters (J_eq, b_eq, f_eq)."""
 
     inertia: float
     damping: float
-    stiffness: float
     load_ratio: float
-
-
-def linear_stiffness(dt: DriveTrainParams) -> float:
-    """Series composition of the bearing/screw/nut/tube stiffnesses [N/m]."""
-    return 1.0 / (
-        1.0 / dt.bearing_stiffness
-        + 1.0 / dt.screw_stiffness
-        + 1.0 / dt.nut_stiffness
-        + 1.0 / dt.tube_stiffness
-    )
 
 
 def equivalent_params(dt: DriveTrainParams) -> EquivalentParams:
     """Reflect the drivetrain to the motor shaft.
 
     J_eq collects the rotating inertias plus the translating masses through
-    the squared transmission ratio; b_eq the damping sources; k_eq the
-    compliance composition of the torsional and (reflected) linear
-    stiffnesses; f_eq = rho / (2 pi n) is the force-to-torque ratio.
+    the squared transmission ratio; b_eq the damping sources; f_eq =
+    rho / (2 pi n) is the force-to-torque ratio.
     """
     n = dt.gear_ratio
     rho = dt.screw_lead
-    k_lin = linear_stiffness(dt)
     j_eq = (
         dt.motor_inertia
         + dt.coupling_inertia
@@ -95,13 +70,8 @@ def equivalent_params(dt: DriveTrainParams) -> EquivalentParams:
         + rho**2 / (4.0 * np.pi**2 * n**2) * (dt.screw_mass + dt.load_mass)
     )
     b_eq = dt.viscous_motor + n * dt.gear_friction + (n * rho / TWO_PI) * dt.screw_viscous
-    k_eq = (
-        1.0 / dt.coupling_stiffness
-        + n**2 / dt.gear_stiffness
-        + (TWO_PI * n / rho) ** 2 / k_lin
-    )
     f_eq = rho / (TWO_PI * n)
-    return EquivalentParams(j_eq, b_eq, k_eq, f_eq)
+    return EquivalentParams(j_eq, b_eq, f_eq)
 
 
 def rotary_linear_map(dt: DriveTrainParams, f_x, v_x):

@@ -45,12 +45,6 @@ def lift_emla() -> EmlaModel:
         viscous_motor=2.0e-4,
         gear_friction=2.0e-5,
         screw_viscous=0.05,
-        coupling_stiffness=1.0e5,
-        gear_stiffness=2.0e6,
-        bearing_stiffness=6.0e11,
-        screw_stiffness=8.0e11,
-        nut_stiffness=9.0e11,
-        tube_stiffness=1.1e12,
         gear_ratio=6.0,
         screw_lead=0.01,
     )
@@ -78,12 +72,6 @@ def tilt_emla() -> EmlaModel:
         viscous_motor=1.0e-4,
         gear_friction=2.0e-5,
         screw_viscous=0.03,
-        coupling_stiffness=9.0e4,
-        gear_stiffness=8.0e6,
-        bearing_stiffness=5.0e11,
-        screw_stiffness=7.0e11,
-        nut_stiffness=8.0e11,
-        tube_stiffness=1.0e12,
         gear_ratio=5.0,
         screw_lead=0.01,
     )
@@ -111,12 +99,6 @@ def telescope_emla() -> EmlaModel:
         viscous_motor=1.0e-4,
         gear_friction=2.0e-5,
         screw_viscous=0.02,
-        coupling_stiffness=7.0e4,
-        gear_stiffness=1.5e6,
-        bearing_stiffness=4.0e11,
-        screw_stiffness=6.0e11,
-        nut_stiffness=7.0e11,
-        tube_stiffness=9.0e11,
         gear_ratio=3.0,
         screw_lead=0.015,
     )

@@ -1,9 +1,11 @@
 """Coupled electro-mechanical dynamics of one EMLA.
 
 The nonlinear model couples the dq current equations with the reflected
-single-shaft mechanics: the electromagnetic torque drives the equivalent
-inertia against viscous drag, a restoring shaft term and the load force
-reflected through the transmission.  Its first-order model around an
+mechanics of a rigid shaft: the electromagnetic torque drives the
+equivalent inertia against viscous drag and the load force reflected
+through the transmission.  No term depends on the shaft angle: the shaft
+is the rigid one the efficiency maps' steady state
+(``EmlaModel.steady_state``) assumes.  Its first-order model around an
 operating point and its stored energy are test oracles, in
 ``tests/oracles.py``.
 """
@@ -41,9 +43,9 @@ def emla_rhs(
     floats, (n,) arrays for stacked (n,) parameters, ``x`` (4, n), ``u`` a
     pair of (n,) voltages and ``f_x`` (n,) load forces.
     """
-    i_d, i_q, omega, theta = x
+    i_d, i_q, omega, _ = x
     v_d, v_q = u
     di_d, di_q = current_derivatives(params, i_d, i_q, omega, v_d, v_q)
     torque = electromagnetic_torque(params, i_d, i_q)
-    domega = (torque - eq.damping * omega - eq.stiffness * theta - eq.load_ratio * f_x) / eq.inertia
+    domega = (torque - eq.damping * omega - eq.load_ratio * f_x) / eq.inertia
     return di_d, di_q, domega, omega

@@ -561,7 +561,7 @@ def linearize(
                 dl * iq0 / beta,
                 (dl * id0 + params.pm_flux) / beta,
                 -eq.damping / eq.inertia,
-                -eq.stiffness / eq.inertia,
+                0.0,
             ],
             [0.0, 0.0, 1.0, 0.0],
         ]
@@ -583,18 +583,17 @@ def linearize(
 
 
 def stored_energy(params: PmsmParams, drivetrain: DriveTrainParams, x) -> float:
-    """Kinetic + elastic + magnetic energy of the state vector [J].
+    """Kinetic + magnetic energy of the state vector [J].
 
     Used by the power-balance audit: d/dt of this quantity plus the copper
     and viscous dissipation plus the delivered mechanical power equals the
     electrical input power (3/2)(V_d i_d + V_q i_q).
     """
-    i_d, i_q, omega, theta = x
+    i_d, i_q, omega, _ = x
     eq = equivalent_params(drivetrain)
     kinetic = 0.5 * eq.inertia * omega**2
-    elastic = 0.5 * eq.stiffness * theta**2
     magnetic = 0.75 * (params.inductance_d * i_d**2 + params.inductance_q * i_q**2)
-    return kinetic + elastic + magnetic
+    return kinetic + magnetic
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import ast
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 
 from emlaopt.cli import RUNNERS, main
 from emlaopt.configio import ConfigError, build_actuator, build_gains, load_json
+from emlaopt.drivetrain import DriveTrainParams
 from emlaopt.presets import lift_emla
 from conftest import constant_pose_reference
 from test_configio import (
@@ -17,6 +18,7 @@ from test_configio import (
     INLINE_ACTUATOR,
     MANIPULATOR_DOC,
     PROBLEM_DOC,
+    REMOVED_DRIVETRAIN_KEYS,
 )
 
 
@@ -618,6 +620,10 @@ NAN, INF = float("nan"), float("inf")
      "problem: the force box fx_* must be wider than zero"),
     ("trajopt", {"problem": {"preset": "benchmark", "n_ctrl": 3}},
      "problem: n_ctrl must be an integer >= 4, got 3"),
+    *[("map", {"actuator": _with(ACTUATOR_DOC, ("drivetrain",), **{key: 1e5}),
+               "grid": EXPLICIT_GRID},
+       f"actuator.drivetrain: it takes only {sorted(f.name for f in fields(DriveTrainParams))}, "
+       f"got unknown keys [{key!r}]") for key in REMOVED_DRIVETRAIN_KEYS],
 ], ids=["problem", "manipulator", "stage", "body", "gains", "actuator", "grid",
         "count-preset-float", "count-preset-integral-float", "count-preset-bool",
         "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
@@ -626,7 +632,8 @@ NAN, INF = float("nan"), float("inf")
         "weights-string", "weights-bool", "weights-beyond-float", "position-error-string", "position-error-bool",
         "vector-nan", "vector-infinity", "axis-bool", "axis-string", "inertia-string",
         "artifacts-number", "require-tracking-string", "position-error-length", "vector-length",
-        "rate-box-empty", "force-box-zero", "n_ctrl-3"])
+        "rate-box-empty", "force-box-zero", "n_ctrl-3",
+        *REMOVED_DRIVETRAIN_KEYS])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
                                                 command, cfg, match):
     # each inline case ran without the named key: M = 50 with weights
@@ -645,7 +652,8 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     # entry of a list is named by its index; a list of the wrong length is
     # quoted whole.  A weight beyond the float range ended in an
     # OverflowError traceback.  An empty rate box (qd_* and vx_* each valid
-    # alone) and a force box of zero width reached SLSQP
+    # alone) and a force box of zero width reached SLSQP.  The shaft is
+    # rigid, so the drivetrain's six stiffnesses are unknown keys
     if command == "track":
         cfg = dict(cfg, trajectory=pose_reference)
     path = write(tmp_path, "cfg.json", cfg)

@@ -38,9 +38,6 @@ INLINE_ACTUATOR = {
     "drivetrain": {"motor_inertia": 2e-3, "coupling_inertia": 1e-4,
                    "gearbox_inertia": 5e-4, "screw_mass": 5.0, "load_mass": 20.0,
                    "viscous_motor": 3e-4, "gear_friction": 5e-5, "screw_viscous": 0.1,
-                   "coupling_stiffness": 1e5, "gear_stiffness": 2e6,
-                   "bearing_stiffness": 5e10, "screw_stiffness": 5e10,
-                   "nut_stiffness": 5e10, "tube_stiffness": 5e10,
                    "gear_ratio": 5.0, "screw_lead": 0.01},
     "drive": {"max_current": 20.0, "max_voltage": 400.0},
 }
@@ -51,6 +48,20 @@ def test_inline_actuator():
     assert emla.name == "bench"
     assert emla.motor.pole_pairs == 4
     assert emla.drive.max_current == 20.0
+
+
+# the shaft is rigid, so a drivetrain block takes no stiffness
+REMOVED_DRIVETRAIN_KEYS = tuple(f"{part}_stiffness"
+                                for part in ("coupling", "gear", "bearing", "screw", "nut", "tube"))
+
+
+@pytest.mark.parametrize("key", REMOVED_DRIVETRAIN_KEYS)
+def test_a_removed_drivetrain_key_is_unknown(key):
+    doc = copy.deepcopy(INLINE_ACTUATOR)
+    doc["drivetrain"][key] = 1e5
+    with pytest.raises(ConfigError) as exc:
+        build_actuator(doc)
+    assert str(exc.value).startswith("actuator.drivetrain: ") and repr(key) in str(exc.value)
 
 
 def test_inline_actuator_bad_field_diagnostic():

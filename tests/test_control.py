@@ -411,6 +411,8 @@ def test_closed_loop_jacobian_matches_central_differences(
         fd[:, k] = (rhs(t, y + step) - rhs(t, y - step)) / (2.0 * step[k])
     row_rel = np.abs(exact - fd).max(axis=1) / np.abs(exact).max(axis=1)
     assert row_rel.max() <= 1e-7
+    # the shaft is rigid: no shaft's acceleration depends on a shaft angle
+    assert np.all(exact[3:6, :3] == 0.0)
 
 
 def oracle_rhs(acts, reference, gains, disturbance):

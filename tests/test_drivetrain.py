@@ -1,12 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from emlaopt.drivetrain import (
-    DriveTrainParams,
-    equivalent_params,
-    linear_stiffness,
-    rotary_linear_map,
-)
+from emlaopt.drivetrain import DriveTrainParams, equivalent_params, rotary_linear_map
 
 
 def make(**overrides):
@@ -14,17 +11,10 @@ def make(**overrides):
         motor_inertia=2e-3, coupling_inertia=1e-4, gearbox_inertia=5e-4,
         screw_mass=5.0, load_mass=20.0,
         viscous_motor=3e-4, gear_friction=5e-5, screw_viscous=0.1,
-        coupling_stiffness=1e5, gear_stiffness=2e6,
-        bearing_stiffness=5e8, screw_stiffness=5e8, nut_stiffness=5e8, tube_stiffness=5e8,
         gear_ratio=5.0, screw_lead=0.01,
     )
     base.update(overrides)
     return DriveTrainParams(**base)
-
-
-def test_equal_stiffnesses_compose_to_quarter():
-    dt = make(bearing_stiffness=8e8, screw_stiffness=8e8, nut_stiffness=8e8, tube_stiffness=8e8)
-    assert np.isclose(linear_stiffness(dt), 2e8)
 
 
 def test_unit_transmission():
@@ -43,12 +33,10 @@ def test_inertia_with_zero_masses():
 def test_equivalent_params_term_by_term():
     rng = np.random.default_rng(9)
     for _ in range(25):
-        vals = rng.uniform(0.1, 3.0, 16)
+        vals = rng.uniform(0.1, 3.0, len(fields(DriveTrainParams)))
         dt = DriveTrainParams(*vals)
         eq = equivalent_params(dt)
         n, rho = dt.gear_ratio, dt.screw_lead
-        k_lin = 1.0 / sum(1.0 / k for k in (dt.bearing_stiffness, dt.screw_stiffness,
-                                            dt.nut_stiffness, dt.tube_stiffness))
         assert np.isclose(
             eq.inertia,
             dt.motor_inertia + dt.coupling_inertia + dt.gearbox_inertia / n**2
@@ -57,11 +45,6 @@ def test_equivalent_params_term_by_term():
         assert np.isclose(
             eq.damping,
             dt.viscous_motor + n * dt.gear_friction + n * rho / (2 * np.pi) * dt.screw_viscous,
-        )
-        assert np.isclose(
-            eq.stiffness,
-            1 / dt.coupling_stiffness + n**2 / dt.gear_stiffness
-            + (2 * np.pi * n / rho) ** 2 / k_lin,
         )
         assert np.isclose(eq.load_ratio, rho / (2 * np.pi * n))
 

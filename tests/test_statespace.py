@@ -81,7 +81,8 @@ def test_power_balance_of_vector_field():
     rng = np.random.default_rng(7)
     eq = equivalent_params(DT)
     for _ in range(30):
-        x = rng.uniform([-3, -6, -150, -2], [3, 6, 150, 2])
+        # the tracked shafts of the stored grid winner turn through 942-1,712 rad
+        x = rng.uniform([-3, -6, -150, -2000], [3, 6, 150, 2000])
         u = rng.uniform(-80, 80, 2)
         f_x = rng.uniform(-2e4, 2e4)
         xdot = np.array(emla_rhs(PARAMS, EQ, x, u, f_x))
@@ -151,6 +152,20 @@ def test_stacked_params_match_each_actuator(params, data):
         assert got.shape == want.shape, name
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(actuator_params(), st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+       st.floats(-2000.0, 2000.0))
+def test_rates_do_not_depend_on_the_shaft_angle(params, unit, shift):
+    # the shaft is rigid, as in the steady state the maps rate: no term
+    # pulls it toward theta = 0.  The stored grid winner's shafts turn
+    # through 942-1,712 rad
+    motor, drive = params
+    i_d, i_q, omega, theta, v_d, v_q, f_x = (STATE_SCALE * np.array(unit)).tolist()
+    eq = equivalent_params(drive)
+    at = emla_rhs(motor, eq, (i_d, i_q, omega, theta), (v_d, v_q), f_x)
+    assert emla_rhs(motor, eq, (i_d, i_q, omega, theta + shift), (v_d, v_q), f_x) == at
 
 
 def test_stacked_params_reject_one_bad_entry():
