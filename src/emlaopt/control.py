@@ -25,12 +25,11 @@ actuator and returns one array in the same layout.  Its other NumPy work
 is the reference (q, qd and the load force, one spline call,
 :func:`reference_spline`) and the tone noise, once per instant: Radau
 returns to each step's three stage instants in every Newton iteration, so
-the last three instants' rows are kept.  Radau gets the
-exact Jacobian of the right-hand side (one 8x8 block per actuator), not
-finite differences; it reads its errors from :func:`closed_loop`, and the
-recorded traces are :func:`closed_loop` on each actuator's columns of
-every output sample.  Floats and arrays round alike, so the traces hold
-the values the integration used, bit for bit.
+the last three instants' rows are kept.  Radau's Jacobian (one 8x8 block
+per actuator) is :func:`closed_loop`'s complex-step derivative, exact to
+rounding, and the recorded traces are :func:`closed_loop` on each
+actuator's columns of every output sample.  Floats and arrays round
+alike, so the traces hold the values the integration used, bit for bit.
 
 Radau is SciPy's, through :class:`_Radau`, a subclass that factors each
 distinct iteration matrix once.  SciPy drops its LU factors whenever it
@@ -76,6 +75,11 @@ from .trajopt import TrajectoryResult, check_count
 # and moves only from about 0.85 ms to about 1.4 ms as eps (so eps*k) goes
 # from 4x to 1/4x the published value.
 RADAU_MAX_STEP = 1e-3
+
+# complex step h of the closed-loop Jacobian: Im f(y + i*h*e_c) / h is the
+# derivative of an analytic f along e_c up to O(h^2), with no difference to
+# cancel (Squire & Trapp, SIAM Review 40, 1998)
+COMPLEX_STEP = 1e-20
 
 
 class _Radau(Radau):
@@ -181,6 +185,10 @@ def closed_loop(actuator, x, phi, ref):
     rates in ``x``'s order and the estimates' rates.  Everything is
     arithmetic: Python floats give one evaluation, arrays of equal shape
     give one per element, rounded alike.
+
+    It must stay analytic in the state, with no ``abs``, ``min``/``max``,
+    comparison or branch on a state or error value: the tracking Jacobian
+    is its complex-step derivative, checked by central differences.
     """
     (d1, d2, d3, d4), (e1, e2, e3, e4), (k1, k2, k3, k4), (s1, s2, s3, s4) = actuator[0]
     f_eq, motor, plant, eq = actuator[1:]
@@ -362,13 +370,13 @@ def simulate_tracking(
     one spline call per instant.  The controller reads the plant's
     states as they are.  ``dt`` is the output sampling step of
     the returned traces, not an integration step (the stiff solver
-    adapts).  Radau's Newton iterations use the closed loop's exact
-    Jacobian, and its steps are capped at :data:`RADAU_MAX_STEP`, a
-    measured bound past which those iterations fail.  ``solver`` records
-    its status, work counters, accepted steps (``nsteps``) and the step
-    cap (``max_step``).  ``gains`` holds one :class:`SubsystemGains` per
-    actuator.  ``duration`` (the reference's ``t_final`` when ``None``)
-    and ``dt`` must be > 0.
+    adapts).  Radau's Newton iterations use :func:`closed_loop`'s
+    complex-step derivative as Jacobian, and its steps are capped at
+    :data:`RADAU_MAX_STEP`, a measured bound past which those iterations
+    fail.  ``solver`` records its status, work counters, accepted steps
+    (``nsteps``) and the step cap (``max_step``).  ``gains`` holds one
+    :class:`SubsystemGains` per actuator.  ``duration`` (the reference's
+    ``t_final`` when ``None``) and ``dt`` must be > 0.
     """
     n_a = reference.q.shape[1]
     if len(actuator_models) != n_a or len(gains) != n_a:
@@ -390,8 +398,6 @@ def simulate_tracking(
     plant_motor, plant_drive = _perturbed(motor, drive, disturbance.param_perturbation)
     plant_eq = equivalent_params(plant_drive)
     f_eq = equivalent_params(drive).load_ratio
-    delta, eps, kk, sig = (np.stack([getattr(g, a) for g in gains], axis=1)
-                           for a in ("delta", "epsilon", "k", "sigma"))  # (4, n_a)
 
     rng = np.random.default_rng(disturbance.seed)
     peak_force = np.abs(reference.f_x).max(axis=0)
@@ -429,51 +435,22 @@ def simulate_tracking(
                 loop, s[j:4 * n_a:n_a], s[k:k + 4], row[j::n_a])
         return np.array(out)
 
-    # exact Jacobian of rhs: one 8x8 block per actuator over its local
-    # state [theta, omega, i_q, i_d, phi_1..phi_4], scattered to the Radau
-    # layout; actuators do not couple.  The load force depends on t only.
-    iq_per_torque = torque_to_iq(motor, 1.0)
-    p, r_s = plant_motor.pole_pairs, plant_motor.stator_resistance
-    l_d, l_q, psi = plant_motor.inductance_d, plant_motor.inductance_q, plant_motor.pm_flux
+    # Jacobian of rhs: one 8x8 block per actuator over its local state
+    # [theta, omega, i_q, i_d, phi_1..phi_4], scattered to the Radau layout.
+    # One closed_loop call on all actuators, each local state (row, joint)
+    # stepped by i*h along each column, gives the blocks as Im(rates) / h
+    stacked = (tuple(np.stack([getattr(g, a) for g in gains], axis=1)
+                     for a in ("delta", "epsilon", "k", "sigma")),
+               f_eq, motor, plant_motor, plant_eq)
     where = np.concatenate((np.arange(4 * n_a).reshape(4, n_a),
                             4 * n_a + np.arange(4 * n_a).reshape(n_a, 4).T))  # (8, n_a)
+    probe = 1j * COMPLEX_STEP * np.eye(8)[:, :, None]  # (row, column, 1)
 
     def jac(t, y):
-        s = y.tolist()
-        row = reference_row(t)
-        q_err = np.array([closed_loop(loop, s[j:4 * n_a:n_a], s[4 * (n_a + j):4 * (n_a + j) + 4],
-                                      row[j::n_a])[0] for j, loop in enumerate(loops)]).T
-        _, omega, i_q, i_d = y[:4 * n_a].reshape(4, n_a)
-        phi = y[4 * n_a:].reshape(n_a, 4).T
-        a = delta + eps * phi  # -2x the feedback gain of each subsystem
-        # gradients of the errors Q_nu along the cascade
-        dq = np.zeros((4, 8, n_a))
-        dq[0, 0] = f_eq
-        dq[1, :2] = 0.5 * a[0] * f_eq, f_eq
-        dq[1, 4] = 0.5 * eps[0] * q_err[0]
-        dq[2] = 0.5 * iq_per_torque * a[1] * dq[1]  # Q3 = i_q - c*kappa_2
-        dq[2, 2] = 1.0
-        dq[2, 5] = 0.5 * iq_per_torque * eps[1] * q_err[1]
-        dq[3, 3] = 1.0
-        # voltages v_q = kappa_3 and v_d = kappa_4
-        dv = -0.5 * a[2:, None] * dq[2:]
-        dv[0, 6] -= 0.5 * eps[2] * q_err[2]
-        dv[1, 7] -= 0.5 * eps[3] * q_err[3]
-        blk = np.zeros((8, 8, n_a))
-        # plant rows: shaft angle, mechanics, q- and d-axis currents
-        blk[0, 1] = 1.0
-        torque_grad = 1.5 * p * (psi + (l_d - l_q) * i_d), 1.5 * p * (l_d - l_q) * i_q
-        blk[1, 1:4] = (-plant_eq.damping,) + torque_grad
-        blk[1] /= plant_eq.inertia
-        blk[2] = dv[0]
-        blk[2, 1:4] -= p * (l_d * i_d + psi), r_s, p * omega * l_d
-        blk[2] /= l_q
-        blk[3] = dv[1]
-        blk[3, 1:4] += p * l_q * i_q, p * omega * l_q, -r_s
-        blk[3] /= l_d
-        # adaptive rates
-        blk[4:] = (eps * kk * q_err)[:, None] * dq
-        blk[range(4, 8), range(4, 8)] -= kk * sig
+        z = y[where][:, None] + probe  # (row, column, joint)
+        *_, x_rates, phi_rates = closed_loop(stacked, z[:4], z[4:],
+                                             np.reshape(reference_row(t), (3, n_a)))
+        blk = np.array(x_rates + phi_rates).imag / COMPLEX_STEP
         out = np.zeros((8 * n_a, 8 * n_a))
         out[where[:, None], where[None, :]] = blk
         return out
@@ -572,7 +549,8 @@ class StabilityAudit:
 
 
 def lyapunov_audit(traces: TrackingTraces, gains, disturbance_bound: float = 0.0) -> StabilityAudit:
-    """Audit the recorded V(t) against the analytic descent structure.
+    """Audit the recorded V(t), ``traces.lyapunov``, against the analytic
+    descent structure.
 
     ``zeta`` is the closed-form min(delta, k*sigma) over every subsystem;
     ``zeta_fit`` is the slope of a least-squares line through log V over
@@ -583,7 +561,7 @@ def lyapunov_audit(traces: TrackingTraces, gains, disturbance_bound: float = 0.0
     ``gains`` holds one :class:`SubsystemGains` per actuator.
     """
     zeta = min(min(g.delta.min(), (g.k * g.sigma).min()) for g in gains)
-    v = lyapunov_value(traces, gains)
+    v = traces.lyapunov
     t = traces.times
 
     end = len(v)

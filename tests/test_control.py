@@ -376,13 +376,42 @@ def captured_closed_loop(acts, disturbance, gains=None):
 DISTURBANCES = (DisturbanceProfile(), nominal_disturbance())
 
 
+# every gain differs between joints and subsystems, so that one read from
+# the wrong joint or subsystem shows
+MIXED_GAINS = [SubsystemGains(delta=75000.0 * s * w, epsilon=9.0 * s * w, k=7.0 * s * w,
+                              sigma=9.0 * s / w)
+               for s, w in ((1.0, np.array([1.0, 0.9, 0.8, 0.7])),
+                            (1.3, np.array([0.7, 1.1, 0.9, 1.2])),
+                            (0.8, np.array([1.2, 0.8, 1.1, 0.9])))]
+
+
 @pytest.fixture(scope="module")
 def closed_loops(acts):
-    return [captured_closed_loop(acts, d) for d in DISTURBANCES]
+    """Captured loops by (mixed, disturbed): the published gains, equal across
+    joints and subsystems, or :data:`MIXED_GAINS`."""
+    return {(mixed, disturbed): captured_closed_loop(acts, d, MIXED_GAINS if mixed else None)
+            for mixed in (False, True) for disturbed, d in zip((False, True), DISTURBANCES)}
+
+
+def central_differences(rhs, t, y):
+    """The Jacobian of ``rhs`` at (t, y) by central differences, one column
+    per state with a step of 1e-4 of its magnitude (at least 1e-4)."""
+    fd = np.empty((len(y), len(y)))
+    for k in range(len(y)):
+        step = np.zeros_like(y)
+        step[k] = 1e-4 * max(1.0, abs(y[k]))
+        fd[:, k] = (rhs(t, y + step) - rhs(t, y - step)) / (2.0 * step[k])
+    return fd
+
+
+def row_error(exact, fd):
+    """Each row's largest deviation, relative to the row's largest entry."""
+    return np.abs(exact - fd).max(axis=1) / np.abs(exact).max(axis=1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
+    mixed=st.booleans(),
     disturbed=st.booleans(),
     t=st.floats(0.0, 1.0),
     angle_error=arrays(float, 3, elements=st.floats(1e-3, 1.0)),
@@ -391,28 +420,43 @@ def closed_loops(acts):
     phi=arrays(float, (3, 4), elements=st.floats(0.0, 10.0)),
 )
 def test_closed_loop_jacobian_matches_central_differences(
-        closed_loops, disturbed, t, angle_error, angle_sign, deviation, phi):
+        closed_loops, mixed, disturbed, t, angle_error, angle_sign, deviation, phi):
     # the closed loop is at most quadratic along every single coordinate,
     # so central differences are exact up to rounding.  The shaft angle is
     # drawn at least 0.04 rad off the start state, which is on the
     # reference: there Q is zero to rounding, and the rows eps*k*Q*dQ of the
     # estimates are set by that rounding amplified by the gain products
     # (~1e18), which neither side resolves.
-    rhs, jac, y0 = closed_loops[disturbed]
+    rhs, jac, y0 = closed_loops[mixed, disturbed]
     # shaft angle [rad], shaft speed [rad/s], i_q and i_d [A] off the start state
     off = np.vstack((np.where(angle_sign, 40.0, -40.0) * angle_error,
                      np.array([[1000.0], [50.0], [5.0]]) * deviation))
     y = np.concatenate(((y0[:12].reshape(4, 3) + off).ravel(), phi.ravel()))
     exact = jac(t, y)
-    fd = np.empty_like(exact)
-    for k in range(len(y)):
-        step = np.zeros_like(y)
-        step[k] = 1e-4 * max(1.0, abs(y[k]))
-        fd[:, k] = (rhs(t, y + step) - rhs(t, y - step)) / (2.0 * step[k])
-    row_rel = np.abs(exact - fd).max(axis=1) / np.abs(exact).max(axis=1)
-    assert row_rel.max() <= 1e-7
+    assert row_error(exact, central_differences(rhs, t, y)).max() <= 1e-7
     # the shaft is rigid: no shaft's acceleration depends on a shaft angle
     assert np.all(exact[3:6, :3] == 0.0)
+
+
+def test_jacobian_follows_the_loop(acts):
+    # a shaft spring put into the plant's vector field reaches the Jacobian
+    # with no edit to it: the Jacobian differentiates closed_loop, which
+    # calls emla_rhs
+    def sprung(params, eq, x, u, f_x):
+        di_d, di_q, domega, dtheta = emla_rhs(params, eq, x, u, f_x)
+        return di_d, di_q, domega - 0.05 * x[3] / eq.inertia, dtheta
+
+    # a state off the reference, as in the central-difference test above
+    off = np.array([[20.0, -15.0, 30.0], [500.0, -300.0, 200.0], [25.0, -10.0, 40.0],
+                    [3.0, -2.0, 1.0]])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("emlaopt.control.emla_rhs", sprung)
+        rhs, jac, y0 = captured_closed_loop(acts, nominal_disturbance())
+        y = np.concatenate(((y0[:12].reshape(4, 3) + off).ravel(), np.full(12, 1.0)))
+        exact, fd = jac(0.4, y), central_differences(rhs, 0.4, y)
+    assert row_error(exact, fd).max() <= 1e-7
+    # each shaft's acceleration now depends on its own shaft angle
+    assert np.all(np.diag(exact[3:6, :3]) != 0.0)
 
 
 def oracle_rhs(acts, reference, gains, disturbance):
@@ -461,15 +505,6 @@ def oracle_rhs(acts, reference, gains, disturbance):
         return np.concatenate((dx[::-1], rates.T), axis=None)
 
     return rhs
-
-
-# every gain differs between joints and subsystems, so that one read from
-# the wrong joint or subsystem shows
-MIXED_GAINS = [SubsystemGains(delta=75000.0 * s * w, epsilon=9.0 * s * w, k=7.0 * s * w,
-                              sigma=9.0 * s / w)
-               for s, w in ((1.0, np.array([1.0, 0.9, 0.8, 0.7])),
-                            (1.3, np.array([0.7, 1.1, 0.9, 1.2])),
-                            (0.8, np.array([1.2, 0.8, 1.1, 0.9])))]
 
 
 @pytest.fixture(scope="module")
