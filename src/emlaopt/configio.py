@@ -307,40 +307,43 @@ def build_preset_axes(doc, actuators, path: str = "maps") -> list:
     return [_call(presets.default_map_grid, path, a, **counts) for a in actuators]
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+# characters of an artifact encoded, hashed and written at a time
+WRITE_SLICE = 1 << 20
 
 
 def write_artifacts(out_dir, files: dict, config_text: str, seed: int) -> Path:
     """Write artifact files plus a manifest; remove partial output on failure.
 
-    ``files`` maps filename -> text content.  The manifest records the
-    config hash, seed, package version and a checksum per artifact, and
-    contains nothing time-dependent so identical runs produce identical
-    bytes.
+    ``files`` maps filename -> text, encoded, hashed and written in slices of
+    ``WRITE_SLICE`` characters.  The manifest records the config hash, seed,
+    package version and a checksum per artifact, and contains nothing
+    time-dependent so identical runs produce identical bytes.
     """
     from . import __version__
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    try:
-        checksums = {}
-        for name, content in files.items():
-            target = out_dir / name
-            data = content.encode() if isinstance(content, str) else content
-            target.write_bytes(data)
+
+    def put(name: str, text: str) -> str:
+        target = out_dir / name
+        digest = hashlib.sha256()
+        with open(target, "wb") as out:
             written.append(target)
-            checksums[name] = sha256_bytes(data)
+            for start in range(0, len(text), WRITE_SLICE):
+                data = text[start:start + WRITE_SLICE].encode()
+                digest.update(data)
+                out.write(data)
+        return digest.hexdigest()
+
+    try:
         manifest = {
             "version": __version__,
             "seed": seed,
-            "config_sha256": sha256_bytes(config_text.encode()),
-            "outputs": checksums,
+            "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+            "outputs": {name: put(name, text) for name, text in files.items()},
         }
-        data = json.dumps(manifest, indent=2, sort_keys=True).encode()
-        (out_dir / "manifest.json").write_bytes(data)
-        written.append(out_dir / "manifest.json")
+        put("manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
     except BaseException:
         for f in written:
             f.unlink(missing_ok=True)

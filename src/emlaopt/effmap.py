@@ -92,6 +92,7 @@ class EfficiencyMap:
             raise ValueError("eta outside [0, 1]")
         # the table interp_eta reads: infeasible and NaN cells rate 0
         self._rating_table = np.where(self.feasible, np.nan_to_num(self.eta, nan=0.0), 0.0)
+        self._upper_quartile = None
 
     def interp_eta(self, f_x, v_x) -> np.ndarray:
         """Bilinear efficiency lookup, clipped to the grid envelope.
@@ -125,12 +126,14 @@ class EfficiencyMap:
         )
 
     def eta_upper_quartile(self) -> float:
-        """Upper quartile of eta over the feasible motoring cells (axes > 0)."""
-        vals = self.eta[self.feasible & np.isfinite(self.eta)]
-        vals = vals[vals > 0]
-        if vals.size == 0:
-            raise ValueError("map has no feasible cells with positive efficiency")
-        return float(np.quantile(vals, 0.75))
+        """Upper quartile of eta over the feasible motoring cells (axes > 0); computed once."""
+        if self._upper_quartile is None:
+            vals = self.eta[self.feasible & np.isfinite(self.eta)]
+            vals = vals[vals > 0]
+            if vals.size == 0:
+                raise ValueError("map has no feasible cells with positive efficiency")
+            self._upper_quartile = float(np.quantile(vals, 0.75))
+        return self._upper_quartile
 
 
 def build_efficiency_map(model: EmlaModel, force_grid, velocity_grid) -> EfficiencyMap:
@@ -151,61 +154,53 @@ def map_to_csv(emap: EfficiencyMap) -> str:
 
     Each row is formatted in one step from a float table of the whole map:
     ten ``%.12g`` fields for a feasible cell, the two coordinates followed by
-    the infeasible token in every value column for an infeasible one.
+    the infeasible token in every value column for an infeasible one.  The
+    rows of each force value make one block; the blocks are joined once.
     """
     ff, vv = np.meshgrid(emap.force_axis, emap.velocity_axis, indexing="ij")
     columns = [ff, vv, emap.eta] + [emap.losses[k] for k in MAP_CSV_HEADER[3:9]]
     table = np.stack(columns + [emap.feasible], axis=-1)
     feasible_row = ",".join(["%.12g"] * len(MAP_CSV_HEADER))
     infeasible_row = "%.12g,%.12g," + (INFEASIBLE_TOKEN + ",") * 7 + "0"
-    rows = [
+    blocks = ["\n".join([
         feasible_row % tuple(row) if row[-1] else infeasible_row % (row[0], row[1])
-        # one force value at a time keeps the Python float lists, and peak memory, small
-        for block in table
         for row in block.tolist()
-    ]
-    return "\n".join([",".join(MAP_CSV_HEADER)] + rows) + "\n"
+    ]) for block in table]
+    # the empty last piece ends the text with a newline without another copy of it
+    return "\n".join([",".join(MAP_CSV_HEADER)] + blocks + [""])
 
 
-def _json_list(values: list, pad: str) -> str:
-    """A flat list of numbers and nulls, laid out as ``json.dumps(indent=2)``
-    lays it out at indentation ``pad``."""
-    inner = pad + "  "
-    return "[\n" + inner + json.dumps(values)[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]"
-
-
-def _json_matrix(a: np.ndarray, pad: str) -> str:
-    """A 2-D array as nested lists (null at non-finite cells), laid out as
-    ``json.dumps(indent=2)`` lays it out at indentation ``pad``."""
+def _json_matrix(a: np.ndarray, pad: str) -> list:
+    """A 2-D array (null at non-finite cells) as ``json.dumps(indent=2)`` lays
+    it out at indentation ``pad``: one piece per row, each with the bracket or
+    separator before it, and the closing bracket."""
     cells = a.astype(object)
     cells[~np.isfinite(a)] = None
-    inner = pad + "  "
-    rows = [_json_list(row, inner) for row in cells.tolist()]
-    return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
+    row_pad, cell_pad = pad + "  ", pad + "    "
+    head, sep, tail = ",\n" + row_pad + "[\n" + cell_pad, ",\n" + cell_pad, "\n" + row_pad + "]"
+    rows = [head + json.dumps(row)[1:-1].replace(", ", sep) + tail for row in cells.tolist()]
+    rows[0] = "[" + rows[0][1:]
+    return rows + ["\n" + pad + "]"]
 
 
 def map_to_json(emap: EfficiencyMap) -> str:
     """JSON document with axes and row-major matrices (null = infeasible).
 
-    The text is the fixed ``json.dumps(doc, indent=2)`` layout; each matrix
-    row is encoded in one call from a whole-array conversion.
+    The text is the fixed ``json.dumps(doc, indent=2)`` layout, joined once
+    from one flat list of pieces: field headers, axes and matrix rows.
     """
-
-    def obj(items: list, pad: str) -> str:
-        if not items:
-            return "{}"
-        inner = pad + "  "
-        fields = [f"{inner}{json.dumps(k)}: {v}" for k, v in items]
-        return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
-
-    losses = [(k, _json_matrix(v, "    ")) for k, v in emap.losses.items()]
-    return obj([
-        ("force_axis", _json_list(emap.force_axis.tolist(), "  ")),
-        ("velocity_axis", _json_list(emap.velocity_axis.tolist(), "  ")),
-        ("eta", _json_matrix(emap.eta, "  ")),
-        ("feasible", _json_matrix(emap.feasible.astype(int), "  ")),
-        ("losses", obj(losses, "  ")),
-    ], "")
+    axes = ["[\n    " + json.dumps(a.tolist())[1:-1].replace(", ", ",\n    ") + "\n  ]"
+            for a in (emap.force_axis, emap.velocity_axis)]
+    pieces = [
+        '{\n  "force_axis": ', axes[0], ',\n  "velocity_axis": ', axes[1],
+        ',\n  "eta": ', *_json_matrix(emap.eta, "  "),
+        ',\n  "feasible": ', *_json_matrix(emap.feasible.astype(int), "  "),
+        ',\n  "losses": {',
+    ]
+    for i, (k, v) in enumerate(emap.losses.items()):
+        pieces += [(",\n    " if i else "\n    ") + json.dumps(k) + ": ", *_json_matrix(v, "    ")]
+    pieces.append("\n  }\n}" if emap.losses else "}\n}")
+    return "".join(pieces)
 
 
 def map_from_json(text: str) -> EfficiencyMap:

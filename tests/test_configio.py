@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 from dataclasses import fields, is_dataclass, replace
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from emlaopt.bilevel import BilevelConfig
 from emlaopt.configio import (
+    WRITE_SLICE,
     ConfigError,
     build_actuator,
     build_disturbance,
@@ -22,6 +24,7 @@ from emlaopt.configio import (
     build_problem,
     number,
     vector,
+    write_artifacts,
 )
 from emlaopt.control import DisturbanceProfile, nominal_disturbance, published_gains
 from emlaopt.manipulator import ClosedChainStage, RigidBodyParams, rnea
@@ -332,3 +335,25 @@ def test_every_block_names_an_unread_or_missing_key(build, doc, where, path, opt
     del _at(bad, where)[dropped]
     with pytest.raises(ConfigError, match=re.escape(f"{path}.{dropped}")):
         build(bad)
+
+
+def test_sliced_write_is_the_whole_encoding(tmp_path):
+    # three-byte and four-byte characters straddle the first two slice boundaries in bytes
+    text = "a" * (WRITE_SLICE - 1) + "\u20ac" + "b" * (WRITE_SLICE - 2) + "\U0001f600" + "c" * 9
+    assert len(text) > 2 * WRITE_SLICE
+    write_artifacts(tmp_path, {"big.txt": text, "empty.txt": ""}, "{}", 3)
+    data = (tmp_path / "big.txt").read_bytes()
+    assert data == text.encode()
+    assert (tmp_path / "empty.txt").read_bytes() == b""
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == {"big.txt": hashlib.sha256(data).hexdigest(),
+                                   "empty.txt": hashlib.sha256(b"").hexdigest()}
+    assert manifest["config_sha256"] == hashlib.sha256(b"{}").hexdigest()
+
+
+def test_a_write_failing_partway_leaves_no_output(tmp_path):
+    # the first slice of "bad.txt" is written before the lone surrogate in its second fails
+    files = {"good.txt": "ok\n", "bad.txt": "x" * (WRITE_SLICE + 5) + "\ud800"}
+    with pytest.raises(UnicodeEncodeError):
+        write_artifacts(tmp_path / "out", files, "{}", 0)
+    assert list((tmp_path / "out").iterdir()) == []

@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -266,6 +267,51 @@ def test_preset_maps_match_per_cell_reference(n):
         emap = build_efficiency_map(emla, *default_map_grid(emla, n, n))
         assert map_to_csv(emap) == reference_csv(emap)
         assert map_to_json(emap) == reference_json(emap)
+
+
+def test_json_writer_peak_stays_near_its_length(emla):
+    emap = build_efficiency_map(emla, *default_map_grid(emla, 120, 120))
+    tracemalloc.start()
+    try:
+        text = map_to_json(emap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the row pieces and the text joined from them, about 2x its length; a writer that
+    # copies partial documents into larger ones goes past this bound
+    assert peak <= 2.5 * len(text)
+
+
+NO_POSITIVE_CELL = EfficiencyMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                                 np.array([[np.nan, 0.0], [np.nan, np.nan]]),
+                                 {"p_cu": np.zeros((2, 2))}, np.array([[0, 1], [0, 0]], bool))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_maps())
+@example(NO_POSITIVE_CELL)
+def test_upper_quartile_is_kept_or_raised_on_each_call(emap):
+    vals = emap.eta[emap.feasible & np.isfinite(emap.eta)]
+    vals = vals[vals > 0]
+    for _ in range(2):
+        if vals.size:
+            assert emap.eta_upper_quartile() == float(np.quantile(vals, 0.75))
+        else:
+            with pytest.raises(ValueError, match="positive efficiency"):
+                emap.eta_upper_quartile()
+
+
+def test_upper_quartile_is_computed_once(emap, monkeypatch):
+    emap = map_from_json(map_to_json(emap))  # a fresh map, not the shared fixture
+    np_quantile, calls = np.quantile, []
+
+    def quantile(*args, **kwargs):
+        calls.append(args)
+        return np_quantile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "quantile", quantile)
+    first = emap.eta_upper_quartile()
+    assert emap.eta_upper_quartile() == first and len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", [
