@@ -149,36 +149,67 @@ def build_efficiency_map(model: EmlaModel, force_grid, velocity_grid) -> Efficie
     return EfficiencyMap(force_axis, velocity_axis, eta, columns, feasible)
 
 
+def _row_texts(a: np.ndarray, encode):
+    """The cell texts of the 2-D array ``a``, one list per row (force value),
+    with ``encode`` turning a 1-D array into the list of its values' texts.
+
+    A matrix whose cells are bit-equal along every row is encoded once down
+    its first column, and one bit-equal along every column once along its
+    first row; the texts are then repeated.  Any other matrix is encoded row
+    by row as the rows are taken.  Bits, not values, are compared, so 0.0 and
+    -0.0 are never merged.
+    """
+    bits = a.view(f"u{a.itemsize}")
+    if (bits == bits[:, :1]).all():
+        return [[t] * a.shape[1] for t in encode(a[:, 0])]
+    if (bits == bits[:1]).all():
+        return [encode(a[0])] * a.shape[0]
+    return map(encode, a)
+
+
+def _csv_texts(values: np.ndarray) -> list:
+    """``%.12g`` of each value."""
+    return ("%.12g," * len(values) % tuple(values.tolist())).split(",")[:-1]
+
+
 def map_to_csv(emap: EfficiencyMap) -> str:
     """Serialize with the fixed header, one row per cell in row-major order.
 
-    Each row is formatted in one step from a float table of the whole map:
-    ten ``%.12g`` fields for a feasible cell, the two coordinates followed by
-    the infeasible token in every value column for an infeasible one.  The
-    rows of each force value make one block; the blocks are joined once.
+    A feasible cell's row is ten ``%.12g`` fields; an infeasible one's is its
+    two coordinates, the infeasible token in every value column and ``0``.
+    Each column is formatted by :func:`_row_texts`, so a column that varies
+    along one axis only, such as ``f_x`` or a loss of force alone, is
+    formatted once per point of that axis.  The rows of each force value make
+    one block; the blocks are joined once.
     """
     ff, vv = np.meshgrid(emap.force_axis, emap.velocity_axis, indexing="ij")
     columns = [ff, vv, emap.eta] + [emap.losses[k] for k in MAP_CSV_HEADER[3:9]]
-    table = np.stack(columns + [emap.feasible], axis=-1)
-    feasible_row = ",".join(["%.12g"] * len(MAP_CSV_HEADER))
-    infeasible_row = "%.12g,%.12g," + (INFEASIBLE_TOKEN + ",") * 7 + "0"
-    blocks = ["\n".join([
-        feasible_row % tuple(row) if row[-1] else infeasible_row % (row[0], row[1])
-        for row in block.tolist()
-    ]) for block in table]
+    texts = [_row_texts(np.asarray(c, dtype=float), _csv_texts)
+             for c in columns + [emap.feasible]]
+    blocks = []
+    for cells, ok in zip(zip(*texts), emap.feasible.tolist()):
+        if not all(ok):  # the token goes where the mask, not the text, says
+            cells = cells[:2] + tuple([t if o else INFEASIBLE_TOKEN for t, o in zip(c, ok)]
+                                      for c in cells[2:9]) + cells[9:]
+        blocks.append("\n".join(map(",".join, zip(*cells))))
     # the empty last piece ends the text with a newline without another copy of it
     return "\n".join([",".join(MAP_CSV_HEADER)] + blocks + [""])
+
+
+def _json_texts(values: np.ndarray) -> list:
+    """The JSON text of each value, ``null`` where it is not finite."""
+    cells = values.astype(object)
+    cells[~np.isfinite(values)] = None
+    return json.dumps(cells.tolist())[1:-1].split(", ")
 
 
 def _json_matrix(a: np.ndarray, pad: str) -> list:
     """A 2-D array (null at non-finite cells) as ``json.dumps(indent=2)`` lays
     it out at indentation ``pad``: one piece per row, each with the bracket or
     separator before it, and the closing bracket."""
-    cells = a.astype(object)
-    cells[~np.isfinite(a)] = None
     row_pad, cell_pad = pad + "  ", pad + "    "
     head, sep, tail = ",\n" + row_pad + "[\n" + cell_pad, ",\n" + cell_pad, "\n" + row_pad + "]"
-    rows = [head + json.dumps(row)[1:-1].replace(", ", sep) + tail for row in cells.tolist()]
+    rows = [head + sep.join(texts) + tail for texts in _row_texts(a, _json_texts)]
     rows[0] = "[" + rows[0][1:]
     return rows + ["\n" + pad + "]"]
 
@@ -187,9 +218,11 @@ def map_to_json(emap: EfficiencyMap) -> str:
     """JSON document with axes and row-major matrices (null = infeasible).
 
     The text is the fixed ``json.dumps(doc, indent=2)`` layout, joined once
-    from one flat list of pieces: field headers, axes and matrix rows.
+    from one flat list of pieces: field headers, axes and matrix rows.  Each
+    matrix is formatted by :func:`_row_texts`, so one that varies along one
+    axis only is formatted once per point of that axis.
     """
-    axes = ["[\n    " + json.dumps(a.tolist())[1:-1].replace(", ", ",\n    ") + "\n  ]"
+    axes = ["[\n    " + ",\n    ".join(_json_texts(a)) + "\n  ]"
             for a in (emap.force_axis, emap.velocity_axis)]
     pieces = [
         '{\n  "force_axis": ', axes[0], ',\n  "velocity_axis": ', axes[1],

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import re
 from dataclasses import fields, is_dataclass, replace
@@ -28,7 +29,7 @@ from emlaopt.configio import (
 )
 from emlaopt.control import DisturbanceProfile, nominal_disturbance, published_gains
 from emlaopt.manipulator import ClosedChainStage, RigidBodyParams, rnea
-from emlaopt.presets import benchmark_problem, default_manipulator, lift_emla
+from emlaopt.presets import benchmark_problem, default_manipulator, default_map_grid, lift_emla
 from emlaopt.trajopt import TrajectoryResult
 
 # the stored 5x5 grid winner of the benchmark's inputs
@@ -270,39 +271,54 @@ def test_inline_manipulator_of_the_preset_builds_it_again():
     assert np.array_equal(rnea(model, q, 0.1 * q, q)[1], rnea(MODEL, q, 0.1 * q, q)[1])
 
 
+def keywords(preset, n_args: int = 0) -> set:
+    """The keys a block of the ``preset`` function reads besides "preset":
+    its parameters after the ``n_args`` its builder passes."""
+    return set(list(inspect.signature(preset).parameters)[n_args:])
+
+
 ALL = None  # every key of the block is optional
-# (builder, config, where the block sits in it, its path, its optional keys)
+# (builder, config, where the block sits in it, its path, its optional keys, the
+# keys its reader takes besides those it names: a preset function's keywords; an
+# inline block names every field its reader takes)
 BLOCKS = [
-    (build_actuator, ACTUATOR_DOC, (), "actuator", {"drive", "name"}),
-    (build_actuator, ACTUATOR_DOC, ("motor",), "actuator.motor", set()),
-    (build_actuator, ACTUATOR_DOC, ("drivetrain",), "actuator.drivetrain", set()),
-    (build_actuator, ACTUATOR_DOC, ("drive",), "actuator.drive", ALL),
-    (build_actuator, {"preset": "lift_6kw"}, (), "actuator", ALL),
-    (build_manipulator, MANIPULATOR_DOC, (), "manipulator", {"gravity", "base_pos", "base_angle"}),
-    (build_manipulator, MANIPULATOR_DOC, ("base",), "manipulator.base", set()),
-    (build_manipulator, MANIPULATOR_DOC, ("stages", 0), "manipulator.stages[0]", {"mount_angle"}),
-    (build_manipulator, MANIPULATOR_DOC, ("stages", 0, "geometry"),
-     "manipulator.stages[0].geometry", set()),
-    (build_manipulator, MANIPULATOR_DOC, ("stages", 1, "rod"), "manipulator.stages[1].rod", set()),
-    (build_manipulator, MANIPULATOR_DOC, ("stages", 2), "manipulator.stages[2]", {"mount_angle"}),
-    (build_manipulator, {"preset": "default", "gravity": 9.81}, (), "manipulator", ALL),
-    (lambda d: build_problem(d, MODEL), PROBLEM_DOC, (), "problem",
-     {"weights", "criterion_scales", "degree", "n_ctrl", "n_partitions"}),
-    (lambda d: build_problem(d, MODEL), {"preset": "benchmark", "n_partitions": 16}, (),
-     "problem", ALL),
-    (lambda d: build_gains(d, 3), GAINS_DOC, (), "gains", set()),
-    (lambda d: build_gains(d, 3), [dict(GAINS_DOC) for _ in range(3)], (1,), "gains[1]",
+    (build_actuator, ACTUATOR_DOC, (), "actuator", {"drive", "name"}, set()),
+    (build_actuator, ACTUATOR_DOC, ("motor",), "actuator.motor", set(), set()),
+    (build_actuator, ACTUATOR_DOC, ("drivetrain",), "actuator.drivetrain", set(), set()),
+    (build_actuator, ACTUATOR_DOC, ("drive",), "actuator.drive", ALL, set()),
+    (build_actuator, {"preset": "lift_6kw"}, (), "actuator", ALL, keywords(lift_emla)),
+    (build_manipulator, MANIPULATOR_DOC, (), "manipulator", {"gravity", "base_pos", "base_angle"},
      set()),
-    (lambda d: build_gains(d, 3), {"preset": "published"}, (), "gains", ALL),
-    (build_disturbance, to_doc(nominal_disturbance()), (), "disturbance", ALL),
-    (build_disturbance, {"preset": "nominal"}, (), "disturbance", ALL),
-    (build_outer, dict(to_doc(BilevelConfig()), method="grid"), (), "outer", ALL),
+    (build_manipulator, MANIPULATOR_DOC, ("base",), "manipulator.base", set(), set()),
+    (build_manipulator, MANIPULATOR_DOC, ("stages", 0), "manipulator.stages[0]", {"mount_angle"},
+     set()),
+    (build_manipulator, MANIPULATOR_DOC, ("stages", 0, "geometry"),
+     "manipulator.stages[0].geometry", set(), set()),
+    (build_manipulator, MANIPULATOR_DOC, ("stages", 1, "rod"), "manipulator.stages[1].rod", set(),
+     set()),
+    (build_manipulator, MANIPULATOR_DOC, ("stages", 2), "manipulator.stages[2]", {"mount_angle"},
+     set()),
+    (build_manipulator, {"preset": "default", "gravity": 9.81}, (), "manipulator", ALL,
+     keywords(default_manipulator)),
+    (lambda d: build_problem(d, MODEL), PROBLEM_DOC, (), "problem",
+     {"weights", "criterion_scales", "degree", "n_ctrl", "n_partitions"}, set()),
+    (lambda d: build_problem(d, MODEL), {"preset": "benchmark", "n_partitions": 16}, (),
+     "problem", ALL, keywords(benchmark_problem, 1)),
+    (lambda d: build_gains(d, 3), GAINS_DOC, (), "gains", set(), set()),
+    (lambda d: build_gains(d, 3), [dict(GAINS_DOC) for _ in range(3)], (1,), "gains[1]",
+     set(), set()),
+    (lambda d: build_gains(d, 3), {"preset": "published"}, (), "gains", ALL,
+     keywords(published_gains)),
+    (build_disturbance, to_doc(nominal_disturbance()), (), "disturbance", ALL, set()),
+    (build_disturbance, {"preset": "nominal"}, (), "disturbance", ALL,
+     keywords(nominal_disturbance)),
+    (build_outer, dict(to_doc(BilevelConfig()), method="grid"), (), "outer", ALL, set()),
     (lambda d: build_map_axes(d, lift_emla()),
-     {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}, (), "grid", set()),
+     {"force": [1.2e4, 4.2e4, 5], "velocity": [0.004, 0.135, 5]}, (), "grid", set(), set()),
     (lambda d: build_map_axes(d, lift_emla()), {"preset": "default", "n_force": 12}, (),
-     "grid", ALL),
+     "grid", ALL, keywords(default_map_grid, 1)),
     (lambda d: build_preset_axes(d, [lift_emla()]), {"n_force": 12, "n_velocity": 12}, (),
-     "maps", ALL),
+     "maps", ALL, keywords(default_map_grid, 1)),
 ]
 
 
@@ -312,17 +328,24 @@ def _at(doc, where):
     return doc
 
 
-@pytest.mark.parametrize("build, doc, where, path, optional", BLOCKS,
-                         ids=[f"{b[3]}-{'preset' if 'preset' in _at(b[1], b[2]) else 'inline'}"
-                              for b in BLOCKS])
+def is_unread(key, block, reads) -> bool:
+    """Whether no reader of ``block`` takes ``key``; "preset" is in every
+    block's schema: it turns an inline block into a preset one."""
+    return key not in block and key not in reads and key != "preset"
+
+
+BLOCK_IDS = [f"{b[3]}-{'preset' if 'preset' in _at(b[1], b[2]) else 'inline'}" for b in BLOCKS]
+
+
+@pytest.mark.parametrize("build, doc, where, path, optional, reads", BLOCKS, ids=BLOCK_IDS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_every_block_names_an_unread_or_missing_key(build, doc, where, path, optional, data):
+def test_every_block_names_an_unread_or_missing_key(build, doc, where, path, optional, reads,
+                                                    data):
     block = _at(doc, where)
     build(copy.deepcopy(doc))  # the block as written builds
-    # "preset" is in every block's schema: it turns an inline block into a preset one
     key = data.draw(st.text(min_size=1, max_size=12).filter(
-        lambda k: k not in block and k != "preset"), label="unread key")
+        lambda k: is_unread(k, block, reads)), label="unread key")
     bad = copy.deepcopy(doc)
     _at(bad, where)[key] = 1.0
     with pytest.raises(ConfigError) as exc:
@@ -335,6 +358,15 @@ def test_every_block_names_an_unread_or_missing_key(build, doc, where, path, opt
     del _at(bad, where)[dropped]
     with pytest.raises(ConfigError, match=re.escape(f"{path}.{dropped}")):
         build(bad)
+
+
+@pytest.mark.parametrize("block_id, key, value", [("grid-preset", "n_velocity", 12),
+                                                  ("problem-preset", "n_ctrl", 10)])
+def test_a_key_a_preset_reads_is_never_drawn_as_unread(block_id, key, value):
+    # the draw above once took "n_velocity" for the grid preset block, which builds with it
+    build, doc, where, path, optional, reads = BLOCKS[BLOCK_IDS.index(block_id)]
+    assert not is_unread(key, _at(doc, where), reads)
+    build(dict(doc, **{key: value}))
 
 
 def test_sliced_write_is_the_whole_encoding(tmp_path):

@@ -252,8 +252,33 @@ def small_maps(draw):
     return EfficiencyMap(f, v, eta, losses, feasible)
 
 
+def grid_map(feasible, **losses):
+    """A map on the axes 0, 1, ..., eta 0.5 on its feasible cells and NaN on
+    the others, the given losses and zero for the rest."""
+    feasible = np.array(feasible, dtype=bool)
+    n_f, n_v = feasible.shape
+    full = {k: np.array(losses.get(k, np.zeros(feasible.shape)), dtype=float) for k in LOSS_KEYS}
+    return EfficiencyMap(np.arange(n_f, dtype=float), np.arange(n_v, dtype=float),
+                         np.where(feasible, 0.5, np.nan), full, feasible)
+
+
+# value-equal but not bit-equal along rows: bit-equal down the columns, and neither
+SIGNED_ZEROS = grid_map(np.ones((2, 2)), p_cu=[[0.0, -0.0], [0.0, -0.0]],
+                        p_sw=[[0.0, -0.0], [-0.0, 0.0]])
+# a force-only and a velocity-only loss, each non-finite on its infeasible cells
+ONE_AXIS_NON_FINITE = grid_map([[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                               p_cu=[[2.5] * 3, [np.nan] * 3, [np.inf] * 3],
+                               p_mech=[[4.0, np.nan, -np.inf]] * 3)
+# a feasible cell whose loss is NaN is written as the number, not as the token
+FEASIBLE_NAN = grid_map(np.ones((2, 3)), p_co=[[np.nan, 1.0, 2.0], [3.0, 4.0, 5.0]],
+                        p_sc=[[np.nan] * 3] * 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_maps())
+@example(SIGNED_ZEROS)
+@example(ONE_AXIS_NON_FINITE)
+@example(FEASIBLE_NAN)
 def test_writers_match_per_cell_reference(emap):
     text = map_to_json(emap)
     assert map_to_csv(emap) == reference_csv(emap)
@@ -269,17 +294,34 @@ def test_preset_maps_match_per_cell_reference(n):
         assert map_to_json(emap) == reference_json(emap)
 
 
-def test_json_writer_peak_stays_near_its_length(emla):
-    emap = build_efficiency_map(emla, *default_map_grid(emla, 120, 120))
+@pytest.fixture(scope="module")
+def dense_map(emla):
+    return build_efficiency_map(emla, *default_map_grid(emla, 120, 120))
+
+
+def traced_peak(write, emap):
+    """The text ``write(emap)`` returns and the traced peak of that call."""
     tracemalloc.start()
     try:
-        text = map_to_json(emap)
+        text = write(emap)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return text, peak
+
+
+def test_json_writer_peak_stays_near_its_length(dense_map):
+    text, peak = traced_peak(map_to_json, dense_map)
     # the row pieces and the text joined from them, about 2x its length; a writer that
     # copies partial documents into larger ones goes past this bound
     assert peak <= 2.5 * len(text)
+
+
+def test_csv_writer_peak_stays_near_its_length(dense_map):
+    text, peak = traced_peak(map_to_csv, dense_map)
+    # the force blocks and the text joined from them, 2.5x its length; a writer that
+    # holds every cell's text of the map at once goes past this bound
+    assert peak <= 2.75 * len(text)
 
 
 NO_POSITIVE_CELL = EfficiencyMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
