@@ -13,6 +13,8 @@ points are the boundary rates) and force sample, n(n_ctrl - 3) + n(M + 1),
 and no equality.  The derivatives of (q, q̇, f_x) by the decision vector
 are built once per iterate, from analytic basis blocks and one batch of
 inverse-dynamics differences (central in q, exact unit steps in q̇ and q̈).
+SLSQP solves for z / s, s the inverse square root of the cost's Gauss–Newton
+diagonal at the start point, so its identity start fits the cost's curvature.
 """
 
 import json
@@ -224,10 +226,21 @@ class TrajectoryResult:
 
 
 def _solve_slsqp(kern, z0):
-    """SLSQP from z0; returns (x, converged, nit, max constraint violation)."""
+    """SLSQP from z0 on y = z / s, s = d^(-1/2) for the ``curvature`` d at z0
+    floored at 1e-12 of its largest entry (s = 1 where d is zero or not
+    finite), so that SLSQP's identity start fits the cost's curvature.  Each
+    evaluation and the returned x take z = s y clipped to the box, bit for
+    bit.  Returns (x, converged, nit, max constraint violation)."""
     import warnings
 
     from scipy.optimize import minimize as scipy_minimize
+
+    lo, hi = np.array(kern.bounds).T
+    d = kern.curvature(z0)
+    finite = np.isfinite(d)
+    d = np.where(finite, np.maximum(d, 1e-12 * d[finite].max(initial=0.0)), 0.0)
+    s = np.divide(1.0, np.sqrt(d), out=np.ones_like(d), where=d > 0)
+    z_of = lambda y: np.clip(s * y, lo, hi)
 
     with warnings.catch_warnings():
         # SLSQP's line search probes slightly outside the box and clips;
@@ -236,16 +249,18 @@ def _solve_slsqp(kern, z0):
             "ignore", message="Values in x were outside bounds", category=RuntimeWarning
         )
         res = scipy_minimize(
-            kern.cost,
-            z0,
-            jac=kern.cost_grad,
+            lambda y: kern.cost(z_of(y)),
+            z0 / s,
+            jac=lambda y: s * kern.cost_grad(z_of(y)),
             method="SLSQP",
-            bounds=kern.bounds,
-            constraints=[{"type": "ineq", "fun": kern.ineq, "jac": kern.ineq_jac}],
+            bounds=list(zip(lo / s, hi / s)),
+            constraints=[{"type": "ineq", "fun": lambda y: kern.ineq(z_of(y)),
+                          "jac": lambda y: kern.ineq_jac(z_of(y)) * s}],
             options={"maxiter": SLSQP_MAXITER, "ftol": 1e-10},
         )
-    viol = np.maximum(0.0, -kern.ineq(res.x)).max()
-    return res.x, bool(res.status == 0 and viol <= CONSTRAINT_TOL), int(res.nit), float(viol)
+    x = z_of(res.x)
+    viol = np.maximum(0.0, -kern.ineq(x)).max()
+    return x, bool(res.status == 0 and viol <= CONSTRAINT_TOL), int(res.nit), float(viol)
 
 
 class _Transcription:
@@ -374,6 +389,20 @@ class _Transcription:
         # explicit dt = t/m dependence of both criteria
         grad[-1] += self.weights @ (vals["psi"] / t_final)
         return grad
+
+    def curvature(self, z):
+        """Diagonal of the cost's Gauss–Newton Hessian, sum_j (dr_j/dz_i)^2, for
+        the residuals r = [sqrt(dt w̃_1) f, sqrt(dt w̃_2) f q̇] whose half
+        squared norm is the cost (w̃: the weights over ``criterion_scales``);
+        dt = t_final / M adds r / (2 t_final) to the t_final column."""
+        vals, jac = self.values(z), self.jacobians(z)
+        f, qd = vals["f"][..., None], vals["qd"][..., None]
+        w = self.weights / self.problem.criterion_scales
+        dt_col = np.eye(len(z))[-1] * (0.5 / vals["t_final"])
+        d_f = jac["f"] + f * dt_col
+        d_fv = jac["f"] * qd + f * jac["qd"] + f * qd * dt_col
+        return vals["dt"] * (w[0] * np.einsum("kaz,kaz->z", d_f, d_f)
+                             + w[1] * np.einsum("kaz,kaz->z", d_fv, d_fv))
 
     # -- constraints, in SLSQP's sign: ineq >= 0 ---------------------------
     def ineq(self, z):

@@ -355,3 +355,28 @@ def test_other_inner_errors_still_propagate(monkeypatch, model, maps, small_prob
     )
     with pytest.raises(ZeroDivisionError):
         solve_outer(cfg, small_problem, model, maps)
+
+
+def test_grid_solves_stay_inside_their_boxes(monkeypatch, model, maps):
+    # SLSQP works on scaled variables y = z / s, and each solve maps its
+    # result back as s y clipped to the box: every decision vector the 26
+    # solves of the benchmark grid return lies inside the q and t_final
+    # bounds bit for bit (without the clip, s y can pass a bound by rounding)
+    import emlaopt.bilevel as bilevel
+
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(solve_inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bilevel, "solve_inner", recording)
+    problem = benchmark_problem(model)
+    res = solve_outer(BilevelConfig(), problem, model, maps)
+    assert len(results) == 26 and all(r.converged for r in results)
+    assert np.array_equal(res.weights_opt, [0.05, 1.0])
+    t_lower, t_upper = problem.check_boundary_feasible()
+    for r in results:
+        free = r.control_points[2:-2]
+        assert np.all(free >= problem.q_lower) and np.all(free <= problem.q_upper)
+        assert t_lower <= r.t_final <= t_upper

@@ -1,11 +1,13 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from conftest import spline_states
 from oracles import evaluate_dynamics, two_sided_box_rows
@@ -462,3 +464,84 @@ def test_perturbed_batch_matches_its_slices(small_problem, model, dynamics):
             assert moved[:, b].all() == (i == k) and not np.delete(moved, b, axis=1).any()
     same = rnea(model, *(np.broadcast_to(vals[x], (5 * n, m1, n)) for x in names))[1]
     assert all(np.array_equal(row, vals["f"]) for row in same)
+
+
+@pytest.mark.parametrize("w", [[0.3, 0.7], [1.0, 0.0], [0.0, 1.0]])
+def test_curvature_matches_central_differences(small_problem, moving_problem, model, dynamics, w):
+    # the scaling's diagonal is sum_j (dr_j/dz_i)^2 for the residuals r whose
+    # half squared norm is the cost; r is built here from the sampled values
+    # alone, so dt = t_final / M moves with the t_final column as well
+    for p in (small_problem, moving_problem):
+        kern = _Transcription(p, dynamics, np.array(w))
+        z = jittered_z(kern, model, 5, 0.4)
+        w_tilde = kern.weights / p.criterion_scales
+
+        def residuals(z):
+            vals = kern.values(z)
+            f, fv, dt = vals["f"], vals["f"] * vals["qd"], vals["dt"]
+            return np.concatenate([np.sqrt(dt * w_tilde[0]) * f.ravel(),
+                                   np.sqrt(dt * w_tilde[1]) * fv.ravel()])
+
+        reference = (central_jacobian(residuals, z) ** 2).sum(axis=0)
+        d = kern.curvature(z)
+        assert len(d) == len(z) and np.all(reference > 0)
+        assert np.abs(d / reference - 1.0).max() <= 1e-6, np.abs(d / reference - 1.0).max()
+
+
+def test_zero_forces_give_the_straight_line(small_problem):
+    # forces that vanish identically make the cost and its curvature zero,
+    # so every variable keeps the unit scale and SLSQP stops at the start
+    zero = lambda q, qd, qdd: (qd, np.zeros_like(q))
+    kern = _Transcription(small_problem, zero, np.array([0.5, 0.5]))
+    z0 = kern.free(kern.initial_guess())
+    assert np.array_equal(kern.curvature(z0), np.zeros(len(z0)))
+    res = solve_inner(small_problem, zero)
+    assert res.converged and res.cost == 0.0
+    assert np.all(np.isfinite(res.control_points))
+    assert np.array_equal(res.control_points[2:-2].ravel(), z0[:-1])
+    assert res.t_final == z0[-1]
+
+
+@pytest.fixture(scope="module")
+def centre_solve(model, dynamics):
+    """The cold solve at the centre of the benchmark's weight box."""
+    return solve_inner(benchmark_problem(model), dynamics, weights=np.array([0.525, 0.525]))
+
+
+def test_centre_solve_iteration_budget(centre_solve):
+    """SLSQP starts its BFGS matrix at the identity, so the variables are
+    scaled by the cost's Gauss–Newton curvature at the start point; the cold
+    centre solve of the benchmark problem may then take at most 22
+    iterations (without the scaling it took 27)."""
+    res = centre_solve
+    assert res.converged
+    assert 0 < res.outer_iterations <= 22, res.outer_iterations
+
+
+def tight_resolve_cost(kern, z):
+    """The cost after an unscaled SLSQP re-solve from z at ftol = 1e-14, and
+    that solve's worst scaled constraint violation."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Values in x were outside bounds")
+        ref = minimize(kern.cost, z, jac=kern.cost_grad, method="SLSQP", bounds=kern.bounds,
+                       constraints=[{"type": "ineq", "fun": kern.ineq, "jac": kern.ineq_jac}],
+                       options={"maxiter": 500, "ftol": 1e-14})
+    return kern.cost(ref.x), np.maximum(0.0, -kern.ineq(ref.x)).max()
+
+
+@pytest.mark.parametrize("w, warm", [([1.0, 0.05], False), ([0.525, 0.525], False),
+                                     ([0.05, 1.0], True)])
+def test_inner_cost_matches_tight_resolve(model, dynamics, centre_solve, w, warm):
+    # the scaled solve stops at ftol = 1e-10 on the same cost, so an
+    # unscaled re-solve at ftol = 1e-14 from its optimum gains at most 1e-9
+    # of it (the worst grid point gained 1.6e-10)
+    p = benchmark_problem(model)
+    start = np.concatenate([centre_solve.control_points.ravel(), [centre_solve.t_final]])
+    res = solve_inner(p, dynamics, weights=np.array(w), initial_guess=start if warm else None)
+    assert res.converged
+    kern = _Transcription(p, dynamics, np.array(w))
+    z = kern.free(np.concatenate([res.control_points.ravel(), [res.t_final]]))
+    cost = kern.cost(z)
+    reference, violation = tight_resolve_cost(kern, z)
+    assert violation <= CONSTRAINT_TOL
+    assert abs(cost - reference) <= 1e-9 * abs(reference), (cost - reference) / reference
