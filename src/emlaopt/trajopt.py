@@ -10,9 +10,10 @@ collocation points only.  The piston speed v_x is the stroke rate q̇ (the
 strokes are the generalized coordinates), so its box is merged into the q̇
 box.  SLSQP gets one inequality row per inner rate-polygon point (the end
 points are the boundary rates) and force sample, n(n_ctrl - 3) + n(M + 1),
-and no equality.  The derivatives of (q, q̇, f_x) by the decision vector
-are built once per iterate, from analytic basis blocks and one batch of
-inverse-dynamics differences (central in q, exact unit steps in q̇ and q̈).
+and no equality.  Each iterate makes one inverse-dynamics call, on the
+states and their differences (central in q, exact unit steps in q̇ and q̈);
+its values and, with analytic basis blocks, the derivatives of (q, q̇, f_x)
+by the decision vector all come from that call.
 SLSQP solves for z / s, s the inverse square root of the cost's Gauss–Newton
 diagonal at the start point, so its identity start fits the cost's curvature.
 """
@@ -304,8 +305,7 @@ class _Transcription:
         self.boxes = [p.rate_box, (p.fx_lower, p.fx_upper)]
         self.box_scales = [np.maximum(1.0, np.maximum(abs(lo), abs(hi))) for lo, hi in self.boxes]
         self.bounds = list(zip(np.tile(p.q_lower, n_free), np.tile(p.q_upper, n_free))) + [t_box]
-        self._value_cache = (None, None)
-        self._jac_cache = (None, None)
+        self._cache = (None, None)
 
     def initial_guess(self):
         frac = np.linspace(0.0, 1.0, self.n_ctrl)[:, None]
@@ -317,75 +317,64 @@ class _Transcription:
         return np.concatenate([packed[2 * self.n: -2 * self.n - 1], packed[-1:]])
 
     # -- evaluation --------------------------------------------------------
-    def values(self, z):
+    def evaluate(self, z):
+        """Everything the solver reads at z, from one dynamics run over 5n + 1
+        copies of the states: joint b's q at ±FD_STEP, q̇ at ±1 and q̈ at +1,
+        and last the states themselves, whose row is f_x.  f_x is quadratic
+        in q̇ and affine in q̈ at fixed q, so the unit steps, the last against
+        the f_x row, are exact to rounding.  ``f_partials`` holds d f_x /
+        d(x_k)_b for x = q, q̇, q̈ in row k n + b, each (M+1, n); they are
+        chained through the state derivatives into d(q̇, f_x)/dz, each
+        (M+1, n, n_z), and d(rates)/dz.  The last z evaluated is cached."""
         key = z.tobytes()
-        if self._value_cache[0] == key:
-            return self._value_cache[1]
-        t_final = z[-1]
+        if self._cache[0] == key:
+            return self._cache[1]
+        n, t_final = self.n, z[-1]
         c = self.end_base + t_final * self.end_slope
-        c[2:-2] = z[:-1].reshape(-1, self.n)
-        q, qd, qdd, rates = [b @ c / t_final**k for b, _, _, k in self.maps]
-        f = self.dynamics(q, qd, qdd)[1]
+        c[2:-2] = z[:-1].reshape(-1, n)
+        states = [b @ c / t_final**k for b, _, _, k in self.maps]
+        q, qd, qdd, rates = states
+        eye = np.eye(n)[:, None, :]
+        batch = [np.repeat(x[None], 5 * n + 1, axis=0) for x in (q, qd, qdd)]
+        for x, first, step in ((batch[0], 0, FD_STEP), (batch[1], 2 * n, 1.0)):
+            x[first: first + 2 * n: 2] += step * eye
+            x[first + 1: first + 2 * n: 2] -= step * eye
+        batch[2][4 * n: 5 * n] += eye
+        forces = self.dynamics(*batch)[1]
+        f = forces[-1]
+        partials = np.concatenate([(forces[0: 2 * n: 2] - forces[1: 2 * n: 2]) / (2 * FD_STEP),
+                                   (forces[2 * n: 4 * n: 2] - forces[2 * n + 1: 4 * n: 2]) / 2.0,
+                                   forces[4 * n: 5 * n] - f])
+        dx = []
+        for (_, block, slope, k), x in zip(self.maps, states):
+            d = block / t_final**k
+            d[..., -1] = slope / t_final**k - k * x / t_final
+            dx.append(d)
         dt = t_final / self.m
         psi_raw = np.array([criterion_effort(f, dt), criterion_power(f, qd, dt)])
         psi = psi_raw / self.problem.criterion_scales
         out = {
             "c": c, "t_final": t_final, "q": q, "qd": qd, "qdd": qdd,
             "rates": rates, "f": f, "dt": dt, "psi": psi, "psi_raw": psi_raw,
-            "cost": float(self.weights @ psi),
+            "cost": float(self.weights @ psi), "f_partials": partials,
+            "d_qd": dx[1], "d_rates": dx[3],
+            "d_f": partials.transpose(1, 2, 0) @ np.concatenate(dx[:3], axis=1),
         }
-        self._value_cache = (key, out)
-        return out
-
-    def force_partials(self, vals):
-        """d f_x / d(x_k)_b for x = q, q̇, q̈ in row k n + b, each (M+1, n), from
-        one dynamics run over 5n copies of the states: joint b's q at
-        ±FD_STEP, q̇ at ±1 and q̈ at +1.  f_x is quadratic in q̇ and affine in
-        q̈ at fixed q, so the unit steps, the last against the value row, are
-        exact to rounding."""
-        n, eye = self.n, np.eye(self.n)[:, None, :]
-        q, qd, qdd = [np.repeat(vals[x][None], 5 * n, axis=0) for x in ("q", "qd", "qdd")]
-        for x, first, step in ((q, 0, FD_STEP), (qd, 2 * n, 1.0)):
-            x[first: first + 2 * n: 2] += step * eye
-            x[first + 1: first + 2 * n: 2] -= step * eye
-        qdd[4 * n:] += eye
-        f = self.dynamics(q, qd, qdd)[1]
-        return np.concatenate([(f[0: 2 * n: 2] - f[1: 2 * n: 2]) / (2 * FD_STEP),
-                               (f[2 * n: 4 * n: 2] - f[2 * n + 1: 4 * n: 2]) / 2.0,
-                               f[4 * n:] - vals["f"]])
-
-    def jacobians(self, z):
-        """d(q̇, f_x)/dz, each of shape (M+1, n, n_z), and d(rates)/dz; the
-        :meth:`force_partials` are chained through the state derivatives in
-        one batched product."""
-        key = z.tobytes()
-        if self._jac_cache[0] == key:
-            return self._jac_cache[1]
-        vals = self.values(z)
-        t_final = vals["t_final"]
-        dx = []
-        for (_, block, slope, k), name in zip(self.maps, ("q", "qd", "qdd", "rates")):
-            d = block / t_final**k
-            d[..., -1] = slope / t_final**k - k * vals[name] / t_final
-            dx.append(d)
-        df = self.force_partials(vals).transpose(1, 2, 0) @ np.concatenate(dx[:3], axis=1)
-        out = {"qd": dx[1], "f": df, "rates": dx[3]}
-        self._jac_cache = (key, out)
+        self._cache = (key, out)
         return out
 
     def cost(self, z):
-        return self.values(z)["cost"]
+        return self.evaluate(z)["cost"]
 
     def cost_grad(self, z):
-        vals = self.values(z)
-        jac = self.jacobians(z)
+        vals = self.evaluate(z)
         f, qd, dt, t_final = vals["f"], vals["qd"], vals["dt"], vals["t_final"]
         w = self.weights / self.problem.criterion_scales
         # sensitivities of the scaled cost to the sampled forces and rates
         fv = f * qd
         d_f = w[0] * dt * f + w[1] * dt * fv * qd
         d_qd = w[1] * dt * fv * f
-        grad = np.einsum("ka,kaz->z", d_f, jac["f"]) + np.einsum("ka,kaz->z", d_qd, jac["qd"])
+        grad = np.einsum("ka,kaz->z", d_f, vals["d_f"]) + np.einsum("ka,kaz->z", d_qd, vals["d_qd"])
         # explicit dt = t/m dependence of both criteria
         grad[-1] += self.weights @ (vals["psi"] / t_final)
         return grad
@@ -395,12 +384,12 @@ class _Transcription:
         the residuals r = [sqrt(dt w̃_1) f, sqrt(dt w̃_2) f q̇] whose half
         squared norm is the cost (w̃: the weights over ``criterion_scales``);
         dt = t_final / M adds r / (2 t_final) to the t_final column."""
-        vals, jac = self.values(z), self.jacobians(z)
+        vals = self.evaluate(z)
         f, qd = vals["f"][..., None], vals["qd"][..., None]
         w = self.weights / self.problem.criterion_scales
         dt_col = np.eye(len(z))[-1] * (0.5 / vals["t_final"])
-        d_f = jac["f"] + f * dt_col
-        d_fv = jac["f"] * qd + f * jac["qd"] + f * qd * dt_col
+        d_f = vals["d_f"] + f * dt_col
+        d_fv = vals["d_f"] * qd + f * vals["d_qd"] + f * qd * dt_col
         return vals["dt"] * (w[0] * np.einsum("kaz,kaz->z", d_f, d_f)
                              + w[1] * np.einsum("kaz,kaz->z", d_fv, d_fv))
 
@@ -409,7 +398,7 @@ class _Transcription:
         """Scaled margins to the nearer side of the q̇ box on the inner rate
         polygon, which with the boundary rates bound q̇ at every instant, and
         of the f_x box at every sample: min(hi - x, x - lo) / s."""
-        vals = self.values(z)
+        vals = self.evaluate(z)
         return np.concatenate([
             (np.minimum(hi - x, x - lo) / s).ravel()
             for x, (lo, hi), s in zip((vals["rates"], vals["f"]), self.boxes, self.box_scales)
@@ -417,9 +406,9 @@ class _Transcription:
 
     def ineq_jac(self, z):
         """The nearer side's row of each margin; a tie takes the upper side."""
-        vals, jac = self.values(z), self.jacobians(z)
+        vals = self.evaluate(z)
         rows = []
-        for x, d, (lo, hi), s in zip((vals["rates"], vals["f"]), (jac["rates"], jac["f"]),
+        for x, d, (lo, hi), s in zip((vals["rates"], vals["f"]), (vals["d_rates"], vals["d_f"]),
                                      self.boxes, self.box_scales):
             sign = 1.0 - 2.0 * (hi - x <= x - lo)
             rows.append((d / s[:, None] * sign[..., None]).reshape(-1, d.shape[-1]))
@@ -434,9 +423,11 @@ def solve_inner(
 ) -> TrajectoryResult:
     """Solve the transcribed NLP for one weight vector.
 
-    ``dynamics`` maps batched (q, qd, qdd) with shape (M+1, n) to the pair
-    (v_x, f_x); only f_x is used, since in stroke coordinates v_x is qd, and
-    the ``vx_*`` box is intersected with the ``qd_*`` box.  ``weights``
+    ``dynamics`` maps batched (q, qd, qdd) with shape (..., M+1, n) to the
+    pair (v_x, f_x); only f_x is used, since in stroke coordinates v_x is qd,
+    and the ``vx_*`` box is intersected with the ``qd_*`` box.  Each point
+    SLSQP asks for costs one call, on 5n + 1 copies of the states: their
+    differences, then the states themselves.  ``weights``
     overrides ``problem.weights`` and is checked the same way.  The start is
     the deterministic straight-line guess unless ``initial_guess`` provides
     a packed [c.ravel(), t_final] vector (used for warm starts); only its
@@ -446,7 +437,7 @@ def solve_inner(
     kern = _Transcription(problem, dynamics, problem.weights if weights is None else weights)
     z0 = kern.initial_guess() if initial_guess is None else np.asarray(initial_guess, dtype=float)
     x, converged, nit, violation = _solve_slsqp(kern, kern.free(z0))
-    vals = kern.values(x)
+    vals = kern.evaluate(x)
     return TrajectoryResult(
         degree=problem.degree,
         control_points=vals["c"],

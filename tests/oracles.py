@@ -619,9 +619,9 @@ def two_sided_box_rows(kern, z):
     boundary rates) and then of the f_x samples, with their Jacobians
     -dx/dz / s and dx/dz / s, as SLSQP got them when each side had a row of
     its own."""
-    vals, jac = kern.values(z), kern.jacobians(z)
+    vals = kern.evaluate(z)
     upper, lower, d_upper, d_lower = [], [], [], []
-    for x, d, (lo, hi), s in zip((vals["rates"], vals["f"]), (jac["rates"], jac["f"]),
+    for x, d, (lo, hi), s in zip((vals["rates"], vals["f"]), (vals["d_rates"], vals["d_f"]),
                                  kern.boxes, kern.box_scales):
         scaled = (d / s[:, None]).reshape(-1, d.shape[-1])
         upper.append(((hi - x) / s).ravel())

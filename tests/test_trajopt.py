@@ -417,8 +417,8 @@ def test_rate_and_acceleration_partials_match_6d_oracle(small_problem, moving_pr
     # of each sample's largest partial
     for p in (small_problem, moving_problem):
         kern = _Transcription(p, dynamics, np.array([0.5, 0.5]))
-        vals = kern.values(jittered_z(kern, model, seed, t_frac))
-        partials = kern.force_partials(vals)
+        vals = kern.evaluate(jittered_z(kern, model, seed, t_frac))
+        partials = vals["f_partials"]
         n = kern.n
         for k, name in ((1, "qd"), (2, "qdd")):
             for b in range(n):
@@ -437,10 +437,10 @@ def test_rate_and_acceleration_partials_match_6d_oracle(small_problem, moving_pr
 
 
 def test_perturbed_batch_matches_its_slices(small_problem, model, dynamics):
-    # the dynamics gives each of the 5n copies force_partials runs in one
-    # batch the bits it gives that copy alone, and every unperturbed copy
-    # the value row's bits, so the one-sided qdd difference against the
-    # value row is exact to rounding
+    # the dynamics gives each of the 5n + 1 copies evaluate runs in one batch
+    # the bits it gives that copy alone, and the last copy is the states
+    # themselves, whose forces are f_x, so the one-sided qdd difference
+    # against that row is exact to rounding
     calls = []
 
     def recording(q, qd, qdd):
@@ -448,12 +448,11 @@ def test_perturbed_batch_matches_its_slices(small_problem, model, dynamics):
         return dynamics(q, qd, qdd)
 
     kern = _Transcription(small_problem, recording, np.array([0.5, 0.5]))
-    vals = kern.values(jittered_z(kern, model, 3, 0.3))
-    kern.force_partials(vals)
-    batch = calls[-1]
+    vals = kern.evaluate(jittered_z(kern, model, 3, 0.3))
+    [batch] = calls
     n, m1 = kern.n, small_problem.n_partitions + 1
     names = ("q", "qd", "qdd")
-    assert [x.shape for x in batch] == [(5 * n, m1, n)] * 3
+    assert [x.shape for x in batch] == [(5 * n + 1, m1, n)] * 3
     forces = rnea(model, *batch)[1]
     for j in range(5 * n):
         assert np.array_equal(forces[j], rnea(model, *(x[j] for x in batch))[1])
@@ -462,8 +461,29 @@ def test_perturbed_batch_matches_its_slices(small_problem, model, dynamics):
         for i, name in enumerate(names):
             moved = batch[i][j] != vals[name]
             assert moved[:, b].all() == (i == k) and not np.delete(moved, b, axis=1).any()
-    same = rnea(model, *(np.broadcast_to(vals[x], (5 * n, m1, n)) for x in names))[1]
-    assert all(np.array_equal(row, vals["f"]) for row in same)
+    assert all(np.array_equal(x[-1], vals[name]) for x, name in zip(batch, names))
+    assert np.array_equal(forces[-1], vals["f"])
+    assert np.array_equal(rnea(model, *(vals[x] for x in names))[1], vals["f"])
+
+
+def test_one_dynamics_call_per_point(small_problem, model, dynamics):
+    # every quantity SLSQP reads at a point comes from one dynamics call
+    # there, and asking again at that point costs none
+    calls = []
+
+    def recording(q, qd, qdd):
+        calls.append(q.shape)
+        return dynamics(q, qd, qdd)
+
+    kern = _Transcription(small_problem, recording, np.array([0.5, 0.5]))
+    reads = (kern.cost, kern.cost_grad, kern.ineq, kern.ineq_jac, kern.curvature)
+    for seed, first in enumerate(reads):
+        z = jittered_z(kern, model, seed, 0.3)
+        first(z)
+        assert len(calls) == seed + 1, first.__name__
+        for read in reads:
+            read(z.copy())
+        assert len(calls) == seed + 1, first.__name__
 
 
 @pytest.mark.parametrize("w", [[0.3, 0.7], [1.0, 0.0], [0.0, 1.0]])
@@ -477,7 +497,7 @@ def test_curvature_matches_central_differences(small_problem, moving_problem, mo
         w_tilde = kern.weights / p.criterion_scales
 
         def residuals(z):
-            vals = kern.values(z)
+            vals = kern.evaluate(z)
             f, fv, dt = vals["f"], vals["f"] * vals["qd"], vals["dt"]
             return np.concatenate([np.sqrt(dt * w_tilde[0]) * f.ravel(),
                                    np.sqrt(dt * w_tilde[1]) * fv.ravel()])
