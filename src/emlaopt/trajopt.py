@@ -227,11 +227,13 @@ class TrajectoryResult:
 
 
 def _solve_slsqp(kern, z0):
-    """SLSQP from z0 on y = z / s, s = d^(-1/2) for the ``curvature`` d at z0
-    floored at 1e-12 of its largest entry (s = 1 where d is zero or not
-    finite), so that SLSQP's identity start fits the cost's curvature.  Each
-    evaluation and the returned x take z = s y clipped to the box, bit for
-    bit.  Returns (x, converged, nit, max constraint violation)."""
+    """SLSQP from y0 = z0 / s on y, z = z0 + s (y - y0) clipped to the box,
+    s = d^(-1/2) for the ``curvature`` d at z0 floored at 1e-12 of its
+    largest entry (s = 1 where d is zero or not finite), so that SLSQP's
+    identity start fits the cost's curvature.  Its first point is z0 bit
+    for bit, which the curvature has evaluated.  Each evaluation and the
+    returned x take that z.  Returns (x, converged, nit, max constraint
+    violation)."""
     import warnings
 
     from scipy.optimize import minimize as scipy_minimize
@@ -241,7 +243,8 @@ def _solve_slsqp(kern, z0):
     finite = np.isfinite(d)
     d = np.where(finite, np.maximum(d, 1e-12 * d[finite].max(initial=0.0)), 0.0)
     s = np.divide(1.0, np.sqrt(d), out=np.ones_like(d), where=d > 0)
-    z_of = lambda y: np.clip(s * y, lo, hi)
+    y0 = z0 / s
+    z_of = lambda y: np.clip(z0 + s * (y - y0), lo, hi)
 
     with warnings.catch_warnings():
         # SLSQP's line search probes slightly outside the box and clips;
@@ -251,7 +254,7 @@ def _solve_slsqp(kern, z0):
         )
         res = scipy_minimize(
             lambda y: kern.cost(z_of(y)),
-            z0 / s,
+            y0,
             jac=lambda y: s * kern.cost_grad(z_of(y)),
             method="SLSQP",
             bounds=list(zip(lo / s, hi / s)),
