@@ -283,10 +283,13 @@ def build_outer(doc, path: str = "outer") -> BilevelConfig:
 def _axis(spec, path: str) -> np.ndarray:
     try:
         lo, hi, n = spec
-        return np.linspace(number(lo, path), number(hi, path), check_count(n, "n"))
+        lo, hi = number(lo, path), number(hi, path)
+        if not lo < hi:
+            raise ValueError("an empty axis")
+        return np.linspace(lo, hi, check_count(n, "n", 2))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: need a grid specification [lo, hi, n] with an integer "
-                          f"n and finite numbers lo and hi, got {spec!r}") from exc
+                          f"n >= 2 and finite numbers lo < hi, got {spec!r}") from exc
 
 
 def build_map_axes(doc, actuator: EmlaModel, path: str = "grid"):

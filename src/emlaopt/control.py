@@ -542,8 +542,8 @@ class StabilityAudit:
     """Numerical Lyapunov descent summary for one tracking run."""
 
     zeta: float
-    zeta_fit: float
-    strictly_decreasing: bool
+    zeta_fit: float | None
+    strictly_decreasing: bool | None
     fit_window: tuple
     descent_violations: int
 
@@ -555,7 +555,9 @@ def lyapunov_audit(traces: TrackingTraces, gains, disturbance_bound: float = 0.0
     ``zeta`` is the closed-form min(delta, k*sigma) over every subsystem;
     ``zeta_fit`` is the slope of a least-squares line through log V over
     the initial decay window (from the start until the first sample that
-    fails to decrease, i.e. until the numerical floor).  The sample-wise
+    fails to decrease, i.e. until the numerical floor).  A run that starts
+    on its reference, V(0) = 0, has no decay to fit, so both ``zeta_fit``
+    and ``strictly_decreasing`` are ``None``.  The sample-wise
     check counts violations of V(t+dt) <= V(t)(1 - zeta dt) + bound*dt,
     reported rather than asserted because the bound term is an estimate.
     ``gains`` holds one :class:`SubsystemGains` per actuator.
@@ -574,7 +576,9 @@ def lyapunov_audit(traces: TrackingTraces, gains, disturbance_bound: float = 0.0
     seg_v = v[window[0]: window[1]]
     strictly = bool(np.all(np.diff(seg_v) < 0.0)) and len(seg_v) >= 2
     mask = seg_v > 0
-    if mask.sum() >= 2:
+    if v[0] == 0.0:
+        zeta_fit = strictly = None
+    elif mask.sum() >= 2:
         slope = np.polyfit(seg_t[mask], np.log(seg_v[mask]), 1)[0]
         zeta_fit = -float(slope)
     else:

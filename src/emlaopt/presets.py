@@ -135,8 +135,8 @@ def default_map_grid(model: EmlaModel, n_force: int = 40, n_velocity: int = 40):
         raise ValueError(f"actuator {model.name!r} has no default map grid (presets: "
                          f"{sorted(MAP_ENVELOPES)}); give explicit 'force' and 'velocity' "
                          "axes [lo, hi, n]")
-    check_count(n_force, "n_force")
-    check_count(n_velocity, "n_velocity")
+    check_count(n_force, "n_force", 2)
+    check_count(n_velocity, "n_velocity", 2)
     (f_lo, f_hi), (v_lo, v_hi) = MAP_ENVELOPES[model.name]
     return np.linspace(f_lo, f_hi, n_force), np.linspace(v_lo, v_hi, n_velocity)
 

@@ -468,7 +468,8 @@ def test_map_inline_actuator_default_grid_exits_2(tmp_path, capsys):
 
 
 def test_bilevel_single_point_map_axis_exits_2(tmp_path, capsys):
-    # a 1-point axis has no cell to interpolate in: every rating was NaN
+    # a 1-point axis has no cell to interpolate in: every rating was NaN,
+    # and the map's own check later named no config field
     cfg = write(tmp_path, "bl.json", {
         "manipulator": {"preset": "default"},
         "problem": {"preset": "benchmark", "n_partitions": 16, "n_ctrl": 8},
@@ -478,7 +479,8 @@ def test_bilevel_single_point_map_axis_exits_2(tmp_path, capsys):
     })
     assert run(["bilevel", "--config", cfg, "--out", str(tmp_path / "bl")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: force_axis") and "Traceback" not in err
+    assert err.startswith("error: maps: n_force must be an integer >= 2, got 1")
+    assert "Traceback" not in err
     assert not (tmp_path / "bl" / "manifest.json").exists()
 
 
@@ -559,9 +561,9 @@ NAN, INF = float("nan"), float("inf")
              "grid": dict(EXPLICIT_GRID, force=[12000, 42000, 5.7])},
      "grid.force: need a grid specification [lo, hi, n] with an integer n"),
     ("map", {"actuator": {"preset": "lift_6kw"}, "grid": {"preset": "default", "n_force": 12.5}},
-     "grid: n_force must be an integer >= 1, got 12.5"),
+     "grid: n_force must be an integer >= 2, got 12.5"),
     ("bilevel", dict(BL_CFG, maps={"n_velocity": 7.5}),
-     "maps: n_velocity must be an integer >= 1, got 7.5"),
+     "maps: n_velocity must be an integer >= 2, got 7.5"),
     ("track", {"disturbance": {"force_noise_std": 0.02, "n_tones": 24.5}},
      "disturbance: it takes only ['force_noise_std', 'param_perturbation', 'seed'], "
      "got unknown keys ['n_tones']"),
@@ -620,6 +622,20 @@ NAN, INF = float("nan"), float("inf")
      "problem: the force box fx_* must be wider than zero"),
     ("trajopt", {"problem": {"preset": "benchmark", "n_ctrl": 3}},
      "problem: n_ctrl must be an integer >= 4, got 3"),
+    ("map", {"actuator": {"preset": "lift_6kw"},
+             "grid": dict(EXPLICIT_GRID, force=[1.2e4, 4.2e4, 1])},
+     "grid.force: need a grid specification [lo, hi, n] with an integer n >= 2 and finite "
+     "numbers lo < hi, got [12000.0, 42000.0, 1]"),
+    ("map", {"actuator": {"preset": "lift_6kw"},
+             "grid": dict(EXPLICIT_GRID, velocity=[0.135, 0.004, 5])},
+     "grid.velocity: need a grid specification [lo, hi, n] with an integer n >= 2"),
+    ("map", {"actuator": {"preset": "lift_6kw"},
+             "grid": dict(EXPLICIT_GRID, force=[1.2e4, 1.2e4, 5])},
+     "grid.force: need a grid specification [lo, hi, n] with an integer n >= 2"),
+    ("map", {"actuator": {"preset": "lift_6kw"}, "grid": {"preset": "default", "n_force": 1}},
+     "grid: n_force must be an integer >= 2, got 1"),
+    ("bilevel", dict(BL_CFG, maps={"n_velocity": 1}),
+     "maps: n_velocity must be an integer >= 2, got 1"),
     *[("map", {"actuator": _with(ACTUATOR_DOC, ("drivetrain",), **{key: 1e5}),
                "grid": EXPLICIT_GRID},
        f"actuator.drivetrain: it takes only {sorted(f.name for f in fields(DriveTrainParams))}, "
@@ -632,7 +648,8 @@ NAN, INF = float("nan"), float("inf")
         "weights-string", "weights-bool", "weights-beyond-float", "position-error-string", "position-error-bool",
         "vector-nan", "vector-infinity", "axis-bool", "axis-string", "inertia-string",
         "artifacts-number", "require-tracking-string", "position-error-length", "vector-length",
-        "rate-box-empty", "force-box-zero", "n_ctrl-3",
+        "rate-box-empty", "force-box-zero", "n_ctrl-3", "axis-one-point", "axis-reversed",
+        "axis-empty", "count-grid-preset-one", "count-maps-one",
         *REMOVED_DRIVETRAIN_KEYS])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
                                                 command, cfg, match):
@@ -652,8 +669,10 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     # entry of a list is named by its index; a list of the wrong length is
     # quoted whole.  A weight beyond the float range ended in an
     # OverflowError traceback.  An empty rate box (qd_* and vx_* each valid
-    # alone) and a force box of zero width reached SLSQP.  The shaft is
-    # rigid, so the drivetrain's six stiffnesses are unknown keys
+    # alone) and a force box of zero width reached SLSQP.  A map axis of
+    # one point, or with lo >= hi, failed in the map's own check, whose
+    # message named no config field.  The shaft is rigid, so the
+    # drivetrain's six stiffnesses are unknown keys
     if command == "track":
         cfg = dict(cfg, trajectory=pose_reference)
     path = write(tmp_path, "cfg.json", cfg)

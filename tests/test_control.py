@@ -139,6 +139,17 @@ def test_regulation_lyapunov_strictly_decreasing(regulation_traces, acts):
     assert audit.fit_window[1] >= 50
 
 
+def test_run_without_initial_error_has_no_decay_to_audit(regulation_traces):
+    # a run that starts on its reference has V(0) = 0, so V can only rise
+    # at first: the decay fit and the strict-descent flag are undefined
+    # there, not a failure, while the analytic zeta still holds
+    v = regulation_traces.lyapunov.copy()
+    v[0] = 0.0
+    audit = lyapunov_audit(replace(regulation_traces, lyapunov=v), [published_gains()] * 3)
+    assert audit.zeta_fit is None and audit.strictly_decreasing is None
+    assert audit.zeta == 63.0
+
+
 def test_lyapunov_value_reevaluation(regulation_traces):
     v = lyapunov_value(regulation_traces, [published_gains()] * 3)
     assert np.array_equal(regulation_traces.lyapunov, v)
