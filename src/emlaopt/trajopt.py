@@ -14,7 +14,7 @@ and no equality.  Each iterate makes one inverse-dynamics call, on the
 states and their differences (central in q, exact unit steps in q̇ and q̈);
 its values and, with analytic basis blocks, the derivatives of (q, q̇, f_x)
 by the decision vector all come from that call.
-SLSQP solves for z / s, s the inverse square root of the cost's Gauss–Newton
+SLSQP steps in z / s, s the inverse square root of the cost's Gauss–Newton
 diagonal at the start point, so its identity start fits the cost's curvature.
 """
 
@@ -335,8 +335,7 @@ class _Transcription:
         n, t_final = self.n, z[-1]
         c = self.end_base + t_final * self.end_slope
         c[2:-2] = z[:-1].reshape(-1, n)
-        states = [b @ c / t_final**k for b, _, _, k in self.maps]
-        q, qd, qdd, rates = states
+        q, qd, qdd, rates = states = [b @ c / t_final**k for b, _, _, k in self.maps]
         eye = np.eye(n)[:, None, :]
         batch = [np.repeat(x[None], 5 * n + 1, axis=0) for x in (q, qd, qdd)]
         for x, first, step in ((batch[0], 0, FD_STEP), (batch[1], 2 * n, 1.0)):
