@@ -10,10 +10,9 @@ collocation points only.  The piston speed v_x is the stroke rate q̇ (the
 strokes are the generalized coordinates), so its box is merged into the q̇
 box.  SLSQP gets one inequality row per inner rate-polygon point (the end
 points are the boundary rates) and force sample, n(n_ctrl - 3) + n(M + 1),
-and no equality.  Each iterate makes one inverse-dynamics call, on the
-states and their differences (central in q, exact unit steps in q̇ and q̈);
-its values and, with analytic basis blocks, the derivatives of (q, q̇, f_x)
-by the decision vector all come from that call.
+and no equality.  One inverse-dynamics call per iterate, on the states and
+their differences (central in q, exact unit steps in q̇ and q̈), gives the
+values and, with analytic basis blocks, the derivatives by the decision vector.
 SLSQP steps in z / s, s the inverse square root of the cost's Gauss–Newton
 diagonal at the start point, so its identity start fits the cost's curvature.
 """
@@ -227,13 +226,11 @@ class TrajectoryResult:
 
 
 def _solve_slsqp(kern, z0):
-    """SLSQP from y0 = z0 / s on y, z = z0 + s (y - y0) clipped to the box,
-    s = d^(-1/2) for the ``curvature`` d at z0 floored at 1e-12 of its
-    largest entry (s = 1 where d is zero or not finite), so that SLSQP's
-    identity start fits the cost's curvature.  Its first point is z0 bit
-    for bit, which the curvature has evaluated.  Each evaluation and the
-    returned x take that z.  Returns (x, converged, nit, max constraint
-    violation)."""
+    """SLSQP from y0 = z0 / s on y, z = z0 + s (y - y0) clipped to the box, s =
+    d^(-1/2) for the ``curvature`` d at z0 floored at 1e-12 of its largest
+    entry (s = 1 where d is zero or not finite): SLSQP's identity start fits
+    the cost's curvature, and its first point is z0, which ``curvature`` has
+    evaluated.  Returns (x, converged, nit, max constraint violation)."""
     import warnings
 
     from scipy.optimize import minimize as scipy_minimize

@@ -486,6 +486,20 @@ def test_one_dynamics_call_per_point(small_problem, model, dynamics):
         assert len(calls) == seed + 1, first.__name__
 
 
+def test_slsqp_starts_at_the_evaluated_start_point(small_problem, dynamics):
+    # the scaling evaluates the start point, and SLSQP's first point is that
+    # start point bit for bit, so the cache serves it: the second call is
+    # SLSQP's first step away, not the start point again to the last bit
+    calls = []
+
+    def recording(q, qd, qdd):
+        calls.append(q[-1].copy())
+        return dynamics(q, qd, qdd)
+
+    solve_inner(small_problem, recording)
+    assert not np.allclose(calls[1], calls[0], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("w", [[0.3, 0.7], [1.0, 0.0], [0.0, 1.0]])
 def test_curvature_matches_central_differences(small_problem, moving_problem, model, dynamics, w):
     # the scaling's diagonal is sum_j (dr_j/dz_i)^2 for the residuals r whose
