@@ -22,21 +22,24 @@ angles, shaft speeds, q- and d-axis currents of all actuators (one row of
 n_a each), then each actuator's four estimates.  The right-hand side reads
 that state as a list of floats, calls :func:`closed_loop` once per
 actuator and returns one array in the same layout.  Its other NumPy work
-is the reference (q, qd and the load force, one spline call,
-:func:`reference_spline`) and the tone noise, once per instant: Radau
-returns to each step's three stage instants in every Newton iteration, so
-the last three instants' rows are kept.  Radau's Jacobian (one 8x8 block
+is the reference (q, qd and the load force from :func:`reference_spline`)
+and the tone noise.  Radau calls the right-hand side at each attempted
+step's three stage instants in every Newton iteration, so the rows of those
+three instants are built once per attempt, in one spline call and one noise
+call, and looked up by instant.  Radau's Jacobian (one 8x8 block
 per actuator) is :func:`closed_loop`'s complex-step derivative, exact to
 rounding, and the recorded traces are :func:`closed_loop` on each
 actuator's columns of every output sample.  Floats and arrays round
 alike, so the traces hold the values the integration used, bit for bit.
 
-Radau is SciPy's, through :class:`_Radau`, a subclass that factors each
-distinct iteration matrix once.  SciPy drops its LU factors whenever it
-proposes a step at least 1.2x longer, then clamps that step back to the
-cap below and factors the same two matrices again; the subclass returns
-the cached factors instead, and calls LAPACK directly.  Every step, stage
-value and trace is the same, bit for bit, as with ``method="Radau"``.
+Radau is :class:`_RadauIIA`, a Radau IIA solver of order 5 on SciPy's
+public ``OdeSolver`` interface that does the arithmetic of SciPy's
+``Radau`` in its order, so every step, stage value and trace is the same,
+bit for bit, as with ``method="Radau"``.  It does less work per step: it
+calls the right-hand side and LAPACK directly, factors each distinct
+iteration matrix once (SciPy factors the same two matrices again after the
+cap below clamps a proposed longer step), and keeps the step's scalars in
+Python floats.
 
 Radau's step is capped at :data:`RADAU_MAX_STEP`.  Longer steps make its
 simplified Newton iteration fail even with a Jacobian evaluated at the
@@ -50,13 +53,14 @@ says nothing about Q3 at those stage values.  No loop constant predicts
 the cap (see the constant), so it is a measured one.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from warnings import warn
 
 import numpy as np
-from scipy.integrate import Radau, solve_ivp
-from scipy.linalg import LinAlgWarning, get_lapack_funcs
+from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
 from .drivetrain import DriveTrainParams, equivalent_params
 from .effmap import EmlaModel
@@ -82,67 +86,305 @@ RADAU_MAX_STEP = 1e-3
 COMPLEX_STEP = 1e-20
 
 
-class _Radau(Radau):
-    """SciPy's Radau IIA, factoring each distinct iteration matrix once.
+# Radau IIA of order 5 (Hairer & Wanner, Solving Ordinary Differential
+# Equations II, Sec. IV.8) in the form and with the constants of SciPy's
+# ``Radau``: collocation nodes C, error weights E, the transformation T of
+# the stage matrix A = T diag(MU_REAL, MU_COMPLEX, conj) T^-1 (TI = T^-1,
+# whose rows give the real and the complex transformed system), and the
+# dense-output coefficients P
+S6 = 6 ** 0.5
+RADAU_C = np.array([(4 - S6) / 10, (4 + S6) / 10, 1])
+RADAU_E = np.array([-13 - 7 * S6, -13 + 7 * S6, -1]) / 3
+MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
+              - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
+RADAU_T = np.array([
+    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+    [1, 1, 0]])
+RADAU_TI = np.array([
+    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
+TI_REAL = RADAU_TI[0]
+TI_COMPLEX = RADAU_TI[1] + 1j * RADAU_TI[2]
+RADAU_P = np.array([
+    [13/3 + 7*S6/3, -23/3 - 22*S6/3, 10/3 + 5 * S6],
+    [13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6],
+    [1/3, -8/3, 10/3]])
+NEWTON_MAXITER = 6  # Newton iterations per collocation solve
+MIN_FACTOR = 0.2  # smallest and largest step-size change factors
+MAX_FACTOR = 10
+EPS = np.finfo(float).eps
+# real and complex LAPACK LU factor and solve routines
+LAPACK_LU = ((dgetrf, dgetrs), (zgetrf, zgetrs))
 
-    ``Radau`` factors the real and the complex iteration matrix whenever it
-    has dropped its factors, and it drops them whenever it proposes a step
-    at least 1.2x longer, even when the step cap then clamps that step back
-    to the one it just took.  This subclass keeps the factors of the last
-    two matrices it factored and returns them for an equal matrix
-    (``np.array_equal``) without counting an ``nlu``, as Hairer's RADAU5
-    keeps its factorization while the step size does not change.  So
-    ``nlu`` counts distinct factorizations; every step is the same, bit for
-    bit.
 
-    It factors and solves with LAPACK ``?getrf``/``?getrs`` directly,
-    skipping the array-API wrappers of ``scipy.linalg.lu_factor`` and
-    ``lu_solve`` but keeping their checks: a finite matrix and right-hand
-    side, ``ValueError`` on an illegal argument and ``LinAlgWarning`` on an
-    exactly singular pivot.  The routine is chosen by the matrix's type;
-    Radau solves each factorization only with vectors of that type.  It
-    takes dense Jacobians only.  ``lu`` and ``solve_lu`` are attributes that
-    ``Radau.__init__`` sets, not public SciPy API.
+def _rms(x):
+    """SciPy's RMS norm, sqrt(x . x) / sqrt(x.size), as one dot product."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
-    ``steps`` receives the end time of every accepted step.
+
+def _check_finite(*arrays):
+    """``ValueError`` unless every array is finite, as ``lu_solve`` checks."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
+    """Step-size factor of the error norm, with the two-step (Gustafsson)
+    controller when the previous step's size and error norm are known."""
+    if error_norm_old is None or h_abs_old is None or error_norm == 0:
+        multiplier = 1
+    else:
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+    return min(1, multiplier) * (error_norm ** -0.25 if error_norm else math.inf)
+
+
+class _RadauOutput(DenseOutput):
+    """The collocation polynomial of one step, y_old + Q [x, x^2, x^3] at
+    x = (t - t_old) / h, the same products in the same order as SciPy's
+    ``tile``/``cumprod`` form."""
+
+    def __init__(self, t_old, t, y_old, Q):
+        super().__init__(t_old, t)
+        self.h, self.y_old, self.Q = t - t_old, y_old, Q
+
+    def _call_impl(self, t):
+        x = (t - self.t_old) / self.h
+        y = np.dot(self.Q, np.array([x, x * x, x * x * x]))
+        y += self.y_old[:, None] if y.ndim == 2 else self.y_old
+        return y
+
+
+class _RadauIIA(OdeSolver):
+    """Radau IIA of order 5, step for step SciPy's ``Radau``.
+
+    It does ``Radau``'s arithmetic in ``Radau``'s order, so every step,
+    stage value, dense output and nfev/njev is the same, bit for bit, as
+    with ``method="Radau"``, and differs in how much work each step takes:
+
+    - the Newton loop calls ``fun`` itself, three stages at a time, and
+      counts ``nfev``; ``fun`` must return a float array of shape (n,);
+    - it factors each distinct iteration matrix mu/h I - J once.  ``Radau``
+      drops its LU factors whenever it proposes a step at least 1.2x
+      longer, even when the step cap then clamps that step back to the one
+      it just took; this solver keeps the factors of the last real and the
+      last complex matrix, keyed by mu/h and the Jacobian array, as
+      Hairer's RADAU5 keeps its factorization while the step size does not
+      change.  So ``nlu`` counts distinct factorizations;
+    - LAPACK ``?getrf``/``?getrs`` are called directly, with the checks of
+      ``lu_factor``/``lu_solve``: ``ValueError`` on a non-finite matrix or
+      right-hand side (checked when the solution's norm is not finite) and
+      ``LinAlgWarning`` on an exactly singular pivot;
+    - norms are one dot product and the step's scalars Python floats.
+
+    ``jac(t, y)`` is required and returns a dense Jacobian.
+    ``steps`` receives the end time of every accepted step.  ``prefetch``,
+    when given, is called with each attempted step's three stage instants
+    before its collocation solves, the instants at which the Newton loop
+    then calls ``fun``.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, steps, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.steps = steps
-        self.factored = []  # (matrix, factors) of the last two matrices factored
-        self.lu = self._lu
-        self.solve_lu = self._solve_lu
+    def __init__(self, fun, t0, y0, t_bound, jac, steps, max_step=np.inf, rtol=1e-3, atol=1e-6,
+                 first_step=None, vectorized=False, prefetch=None):
+        super().__init__(fun, t0, y0, t_bound, vectorized)
+        self.rhs, self.jac, self.steps, self.prefetch = fun, jac, steps, prefetch
+        self.direction = float(self.direction)
+        self.max_step, self.rtol, self.atol = max_step, rtol, np.asarray(atol)
+        self.newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
+        self.f = self._eval(t0, self.y)
+        self.h_abs = self._initial_step() if first_step is None else first_step
+        self.h_abs_old = self.error_norm_old = None
+        self.J = np.array(jac(t0, self.y), dtype=float)
+        self.njev = 1
+        self.I = np.identity(self.n)
+        self.current_jac = True
+        self.lu_real = self.lu_complex = None
+        self.kept = [None, None]  # (mu/h, J, factors) of the last real and complex matrix
+        self.sol = None
 
-    def _lu(self, a):
-        for matrix, factors in self.factored:
-            if np.array_equal(matrix, a):
-                return factors
-        self.nlu += 1
-        a = np.asarray_chkfinite(a)
-        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
-        lu, piv, info = getrf(a)
+    def _eval(self, t, y):
+        self.nfev += 1
+        return self.rhs(t, y)
+
+    def _initial_step(self):
+        """SciPy's initial step for an error of order 3 (Hairer, Norsett &
+        Wanner, Solving Ordinary Differential Equations I, Sec. II.4)."""
+        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        f1 = self._eval(t0 + h0 * direction, y0 + h0 * direction * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.25
+        return min(100 * h0, h1, interval_length, self.max_step)
+
+    def _factor(self, kind, mu_h, J):
+        """LU factors of mu_h I - J (``kind`` 0 real, 1 complex), reused when
+        the last matrix of that kind had the same mu_h and J."""
+        kept = self.kept[kind]
+        if kept is not None and kept[0] == mu_h and kept[1] is J:
+            return kept[2]
+        a = mu_h * self.I - J
+        _check_finite(a)
+        getrf, getrs = LAPACK_LU[kind]
+        lu, piv, info = getrf(a, overwrite_a=True)
         if info < 0:
             raise ValueError(f"illegal value in {-info}th argument of internal getrf (lu_factor)")
         if info > 0:
             warn(f"Diagonal number {info} is exactly zero. Singular matrix.", LinAlgWarning,
                  stacklevel=2)
+        self.nlu += 1
         factors = lu, piv, getrs
-        self.factored = self.factored[-1:] + [(a, factors)]
+        self.kept[kind] = mu_h, J, factors
         return factors
 
-    def _solve_lu(self, factors, b):
+    @staticmethod
+    def _solve(factors, b):
         lu, piv, getrs = factors
-        x, info = getrs(lu, piv, np.asarray_chkfinite(b), overwrite_b=True)
+        x, info = getrs(lu, piv, b)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal gesv|posv")
         return x
 
+    def _collocate(self, stages, y, h, Z0, scale, lu_real, lu_complex):
+        """SciPy's ``solve_collocation_system``: simplified Newton iterations
+        on W = TI Z; returns (converged, iterations, Z, rate)."""
+        M_real = MU_REAL / h
+        M_complex = MU_COMPLEX / h
+        W = RADAU_TI.dot(Z0)
+        Z = Z0
+        dW = np.empty_like(W)
+        dW_norm_old = rate = None
+        fun, tol = self.rhs, self.newton_tol
+        t0, t1, t2 = stages
+        for k in range(NEWTON_MAXITER):
+            Y = y + Z
+            F = np.array([fun(t0, Y[0]), fun(t1, Y[1]), fun(t2, Y[2])])
+            self.nfev += 3
+            if not np.isfinite(F).all():
+                break
+            f_real = F.T.dot(TI_REAL) - M_real * W[0]
+            f_complex = F.T.dot(TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
+            dW[0] = self._solve(lu_real, f_real)
+            dW_complex = self._solve(lu_complex, f_complex)
+            dW[1] = dW_complex.real
+            dW[2] = dW_complex.imag
+            dW_norm = _rms(dW / scale)
+            if not math.isfinite(dW_norm):
+                _check_finite(f_real, f_complex)
+            if dW_norm_old is not None:
+                rate = dW_norm / dW_norm_old
+            if rate is not None and (rate >= 1 or
+                                     rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol):
+                break
+            W += dW
+            Z = RADAU_T.dot(W)
+            if dW_norm == 0 or rate is not None and rate / (1 - rate) * dW_norm < tol:
+                return True, k + 1, Z, rate
+            dW_norm_old = dW_norm
+        return False, k + 1, Z, rate
+
     def _step_impl(self):
-        accepted, message = super()._step_impl()
-        if accepted:
-            self.steps.append(self.t)
-        return accepted, message
+        t, y, f, direction = self.t, self.y, self.f, self.direction
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs, h_abs_old, error_norm_old = self.max_step, None, None
+        elif self.h_abs < min_step:
+            h_abs, h_abs_old, error_norm_old = min_step, None, None
+        else:
+            h_abs, h_abs_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
+        J, current_jac = self.J, self.current_jac
+        lu_real, lu_complex = self.lu_real, self.lu_complex
+        newton_scale = self.atol + np.abs(y) * self.rtol
+
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            stages = [t + h * c for c in RADAU_C.tolist()]
+            if self.prefetch is not None:
+                self.prefetch(stages)
+            Z0 = np.zeros((3, self.n)) if self.sol is None else self.sol(stages).T - y
+
+            while True:
+                if lu_real is None or lu_complex is None:
+                    lu_real = self._factor(0, MU_REAL / h, J)
+                    lu_complex = self._factor(1, MU_COMPLEX / h, J)
+                converged, n_iter, Z, rate = self._collocate(
+                    stages, y, h, Z0, newton_scale, lu_real, lu_complex)
+                if converged or current_jac:
+                    break
+                J = self._jacobian(t, y)
+                current_jac = True
+                lu_real = lu_complex = None
+            if not converged:
+                h_abs *= 0.5
+                lu_real = lu_complex = None
+                continue
+
+            y_new = y + Z[-1]
+            ZE = Z.T.dot(RADAU_E) / h
+            b = f + ZE
+            error = self._solve(lu_real, b)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = _rms(error / scale)
+            if not math.isfinite(error_norm):
+                _check_finite(b)
+            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
+            if rejected and error_norm > 1:
+                b = self._eval(t, y + error) + ZE
+                error = self._solve(lu_real, b)
+                error_norm = _rms(error / scale)
+                if not math.isfinite(error_norm):
+                    _check_finite(b)
+            if not error_norm > 1:
+                break
+            factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+            h_abs *= max(MIN_FACTOR, safety * factor)
+            lu_real = lu_complex = None
+            rejected = True
+
+        recompute_jac = n_iter > 2 and rate > 1e-3
+        factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        factor = min(MAX_FACTOR, safety * factor)
+        if not recompute_jac and factor < 1.2:
+            factor = 1
+        else:
+            lu_real = lu_complex = None
+        f_new = self._eval(t_new, y_new)
+        if recompute_jac:
+            J = self._jacobian(t_new, y_new)
+        current_jac = recompute_jac
+
+        self.h_abs_old, self.error_norm_old = self.h_abs, error_norm
+        self.h_abs = h_abs * factor
+        self.t, self.y, self.f, self.J = t_new, y_new, f_new, J
+        self.lu_real, self.lu_complex, self.current_jac = lu_real, lu_complex, current_jac
+        self.sol = _RadauOutput(t, t_new, y, np.dot(Z.T, RADAU_P))
+        self.steps.append(t_new)
+        return True, None
+
+    def _jacobian(self, t, y):
+        self.njev += 1
+        return np.array(self.jac(t, y), dtype=float)
+
+    def _dense_output_impl(self):
+        return self.sol
 
 
 @dataclass(frozen=True)
@@ -265,9 +507,49 @@ class _ToneNoise:
         self.amp /= np.sqrt(0.5 * np.sum(self.amp**2, axis=-1, keepdims=True))
         self.omega = 2.0 * np.pi * freq  # the product 2*pi*f*t forms left to right
 
-    def __call__(self, t: float):
-        """Noise of the channels at time ``t``, shape (n_channels,)."""
+    def __call__(self, t):
+        """Noise of the channels at time ``t``, shape (n_channels,), or at
+        each of the instants ``t``, shape (len(t), n_channels)."""
+        t = np.asarray(t)[..., None, None]
         return np.add.reduce(self.amp * np.sin(self.omega * t + self.phase), axis=-1)
+
+
+class _ReferenceRows:
+    """The right-hand side's reference at an instant: the row [q, qd,
+    f_load] of all joints, as a tuple of floats.
+
+    q, qd and the trajectory's force are :func:`reference_spline` at the
+    instant clamped to [0, t_final]; under a ``disturbance`` with load
+    noise, each joint's force gains its channel of the seeded tone noise at
+    the instant itself, scaled by ``force_noise_std`` times the joint's peak
+    reference force.  :meth:`prefetch` builds the rows of several instants
+    in one spline call and one noise call and keeps them until the next
+    prefetch.  A call returns a kept row, or builds the row of its one
+    instant the same way; each instant's row has the same bits either way.
+    """
+
+    def __init__(self, reference: TrajectoryResult, disturbance: DisturbanceProfile):
+        self.spline = reference_spline(reference)
+        self.t_end = reference.t_final
+        self.n_a = reference.q.shape[1]
+        self.noise = _ToneNoise(np.random.default_rng(disturbance.seed), self.n_a)
+        self.scale = (disturbance.force_noise_std * np.abs(reference.f_x).max(axis=0)
+                      if disturbance.force_noise_std else None)
+        self.kept = {}
+
+    def rows(self, times) -> np.ndarray:
+        """The rows of ``times``, shape (len(times), 3 n_a)."""
+        rows = self.spline([min(max(t, 0.0), self.t_end) for t in times])
+        if self.scale is not None:
+            rows[:, 2 * self.n_a:] += self.scale * self.noise(times)
+        return rows
+
+    def prefetch(self, times):
+        self.kept = dict(zip(times, map(tuple, self.rows(times).tolist())))
+
+    def __call__(self, t) -> tuple:
+        row = self.kept.get(t)
+        return tuple(self.rows([t])[0].tolist()) if row is None else row
 
 
 @dataclass
@@ -367,10 +649,12 @@ def simulate_tracking(
     The reference trajectory is evaluated exactly from its spline; the
     per-joint load force is the trajectory's inverse-dynamics force plus
     the configured disturbance.  Both come from :func:`reference_spline`,
-    one spline call per instant.  The controller reads the plant's
-    states as they are.  ``dt`` is the output sampling step of
+    one spline call per attempted Radau step.  The controller reads the
+    plant's states as they are.  ``dt`` is the output sampling step of
     the returned traces, not an integration step (the stiff solver
-    adapts).  Radau's Newton iterations use :func:`closed_loop`'s
+    adapts); the traces hold a sample every ``dt`` and end at
+    ``duration``, onto which the last sample within dt/2 of it moves.
+    Radau's Newton iterations use :func:`closed_loop`'s
     complex-step derivative as Jacobian, and its steps are capped at
     :data:`RADAU_MAX_STEP`, a measured bound past which those iterations
     fail.  ``solver`` records its status, work counters, accepted steps
@@ -389,7 +673,8 @@ def simulate_tracking(
         raise ValueError(f"dt must be > 0, got {dt!r}")
 
     t_end = reference.t_final
-    ref = reference_spline(reference)
+    reference_row = _ReferenceRows(reference, disturbance)
+    ref = reference_row.spline
 
     # one stacked parameter object per side: the controller's nominal
     # motor, and the (possibly skewed) plant reflected once for the run
@@ -399,27 +684,10 @@ def simulate_tracking(
     plant_eq = equivalent_params(plant_drive)
     f_eq = equivalent_params(drive).load_ratio
 
-    rng = np.random.default_rng(disturbance.seed)
-    peak_force = np.abs(reference.f_x).max(axis=0)
-    force_noise = _ToneNoise(rng, n_a)
-
     # one closed_loop record of Python floats per actuator
     loops = [((g.delta.tolist(), g.epsilon.tolist(), g.k.tolist(), g.sigma.tolist()), *joint)
              for g, *joint in zip(gains, f_eq.tolist(), _per_joint(motor), _per_joint(plant_motor),
                                   _per_joint(plant_eq))]
-    force_scale = (disturbance.force_noise_std * peak_force).tolist()
-
-    # the reference row [q, qd, f_load] of the joints at t.  Radau evaluates
-    # each step's three stage instants again in every Newton iteration: on
-    # the grid winner's first 2 s, 6,787 distinct instants among 16,982
-    # evaluations
-    @lru_cache(maxsize=3)
-    def reference_row(t):
-        row = ref(min(max(t, 0.0), t_end)).tolist()
-        if disturbance.force_noise_std:
-            row[2 * n_a:] = [f + c * w for f, c, w in
-                             zip(row[2 * n_a:], force_scale, force_noise(t).tolist())]
-        return tuple(row)
 
     # Radau state: [theta, omega, i_q, i_d] rows of n_a, then the four
     # estimates phi of each joint.  Of a list of it, s[j:4 * n_a:n_a] is
@@ -461,24 +729,31 @@ def simulate_tracking(
     y0[:n_a] = (q0 + err0) / f_eq
     y0[n_a: 2 * n_a] = qd0 / f_eq
 
-    # output grid: regular sampling plus the exact collocation instants so
-    # reference columns can carry the trajectory samples verbatim
+    # output grid: a sample every dt from 0, the last one, which lies within
+    # dt/2 of duration, moved onto it (a run shorter than dt/2 keeps 0), plus
+    # the exact collocation instants so reference columns can carry the
+    # trajectory samples verbatim
     base_grid = np.arange(0.0, duration + 0.5 * dt, dt)
-    base_grid[-1] = min(base_grid[-1], duration)
+    base_grid = np.append(base_grid[:-1] if len(base_grid) > 1 else base_grid, duration)
     colloc = reference.times[reference.times <= duration + 1e-12]
     t_eval = np.union1d(base_grid, colloc)
+    # Radau calls rhs at each attempted step's three stage instants in every
+    # Newton iteration, so their reference rows are built once per attempt,
+    # in one batch: on the grid winner's first 2 s, 6,875 distinct instants
+    # among 17,188 evaluations
     steps = []
     sol = solve_ivp(
         rhs,
         (0.0, duration),
         y0,
-        method=_Radau,
+        method=_RadauIIA,
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
         jac=jac,
         max_step=RADAU_MAX_STEP,
         steps=steps,
+        prefetch=reference_row.prefetch,
     )
     if not sol.success:
         raise RuntimeError(f"closed-loop integration failed: {sol.message}")

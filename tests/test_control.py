@@ -1,6 +1,8 @@
 import csv
+import inspect
 import io
 import json
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
+from scipy.linalg import LinAlgWarning
 
 from emlaopt.control import (
+    MU_REAL,
     NOISE_BAND_HZ,
     NOISE_TONES,
     DisturbanceProfile,
@@ -26,6 +30,8 @@ from emlaopt.control import (
     simulate_tracking,
     traces_to_csv,
     tracking_errors,
+    _RadauIIA,
+    _ReferenceRows,
 )
 from emlaopt.bspline import clamped_knots
 from emlaopt.drivetrain import equivalent_params
@@ -321,6 +327,21 @@ def test_traces_csv_matches_per_row_reference(run, request):
     assert traces_to_csv(traces) == reference_traces_csv(traces)
 
 
+@pytest.mark.parametrize("dt, duration", [(0.3, 1.0), (1.0, 0.4)])
+def test_traces_end_at_duration(acts, dt, duration):
+    # dt does not divide duration: the regular samples stopped short of it
+    # (at 0.9 s and at the 0.213 s collocation instant), though Radau
+    # integrated to the end
+    reference = TrajectoryResult.from_dict(json.loads(WINNER.read_text())["trajectory"])
+    traces = simulate_tracking(acts, reference, [published_gains()] * 3,
+                               disturbance=nominal_disturbance(), dt=dt, duration=duration)
+    assert traces.times[-1] == duration
+    assert len(traces.lyapunov) == len(traces.times)
+    # the last regular sample moved onto duration: no near-duplicate of it
+    regular = np.setdiff1d(traces.times, reference.times)
+    assert np.all(np.diff(regular) > 0.5 * dt)
+
+
 def test_disturbance_profile_bound():
     d = DisturbanceProfile(force_noise_std=0.02)
     assert d.bound(1e4) == pytest.approx(600.0)
@@ -538,9 +559,11 @@ def test_rhs_matches_its_array_oracle(rhs_and_oracles, disturbed, t, off, phi):
     assert np.array_equal(rhs(t, y), oracle(t, y))
 
 
-def stock_radau(fun, t_span, y0, method, steps, **options):
+def stock_radau(fun, t_span, y0, method, steps, prefetch=None, **options):
     """solve_ivp with SciPy's own Radau, its accepted steps counted by a
-    never-firing event, which is checked at t0 and after each of them."""
+    never-firing event, which is checked at t0 and after each of them.
+    ``prefetch`` is dropped: SciPy's Radau warns about an option it does not
+    take."""
     checks = []
 
     def count_step(t, y):
@@ -574,3 +597,118 @@ def test_radau_subclass_takes_stock_radau_steps(acts):
     assert solver == stock.solver
     assert cached.solver["nsteps"] > 0
     assert cached.solver["nlu"] < stock.solver["nlu"]
+
+
+# Van der Pol at mu = 1e3 (Hairer & Wanner II, Sec. IV.1): stiff relaxation
+# oscillations whose fast jumps make Radau fail Newton iterations, halve
+# and reject steps
+VDP_MU = 1e3
+
+
+def vdp(t, y):
+    return np.array([y[1], VDP_MU * (1 - y[0] ** 2) * y[1] - y[0]])
+
+
+def vdp_jac(t, y):
+    return np.array([[0.0, 1.0], [-2 * VDP_MU * y[0] * y[1] - 1.0, VDP_MU * (1 - y[0] ** 2)]])
+
+
+def lines_run(code, run):
+    """``run()`` and the line numbers it executed in ``code``."""
+    hit = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, hit
+
+
+def test_radau_iia_takes_stock_radau_steps_on_a_stiff_problem():
+    # the branches the closed loop may never reach, each named by its line
+    branches = {"Newton failure refreshes J": "J = self._jacobian(t, y)",
+                "step halving": "h_abs *= 0.5",
+                "rejected step re-estimated": "b = self._eval(t, y + error) + ZE",
+                "last step clipped to t_bound": "t_new = self.t_bound"}
+    source, first = inspect.getsourcelines(_RadauIIA._step_impl)
+    line = {name: first + next(i for i, text in enumerate(source) if snippet in text)
+            for name, snippet in branches.items()}
+    options = dict(t_span=(0.0, 3000.0), y0=[2.0, 0.0], t_eval=np.linspace(0.0, 3000.0, 11),
+                   rtol=1e-3, atol=1e-5, jac=vdp_jac)
+    steps = []
+    sol, hit = lines_run(_RadauIIA._step_impl.__code__, lambda: solve_ivp(
+        vdp, method=_RadauIIA, steps=steps, **options))
+    stock_steps = []
+    stock = stock_radau(vdp, method="Radau", steps=stock_steps, **options)
+    assert {name: line[name] in hit for name in branches} == dict.fromkeys(branches, True)
+    assert sol.success and stock.success
+    assert np.array_equal(sol.t, stock.t) and np.array_equal(sol.y, stock.y)
+    assert (sol.nfev, sol.njev) == (stock.nfev, stock.njev)
+    assert steps == stock_steps
+    assert sol.nlu <= stock.nlu
+
+
+def integrate(method, fun, jac, **options):
+    """solve_ivp of ``fun`` from y = [1] over (0, 0.01) by ``method``."""
+    extra = {"steps": []} if method is _RadauIIA else {}
+    return solve_ivp(fun, (0.0, 0.01), [1.0], method=method, jac=jac, **extra, **options)
+
+
+@pytest.mark.parametrize("method", [_RadauIIA, "Radau"], ids=["RadauIIA", "stock"])
+def test_exactly_singular_iteration_matrix_warns(method):
+    # y' = lam y with lam = MU_REAL / h: the first real iteration matrix
+    # MU_REAL / h - lam is exactly zero
+    h = 1e-3
+    lam = MU_REAL / h
+    with pytest.warns(LinAlgWarning, match="exactly zero"):
+        integrate(method, lambda t, y: lam * y, lambda t, y: np.array([[lam]]), first_step=h)
+
+
+@pytest.mark.parametrize("method", [_RadauIIA, "Radau"], ids=["RadauIIA", "stock"])
+def test_non_finite_iteration_matrix_raises(method):
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        integrate(method, lambda t, y: -y, lambda t, y: np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize("method", [_RadauIIA, "Radau"], ids=["RadauIIA", "stock"])
+def test_non_finite_right_hand_side_raises(method):
+    # the derivative at t0, the first call, is NaN: the first error
+    # estimate solves the iteration matrix against f + ZE
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return np.full(1, np.nan) if len(calls) == 1 else -y
+
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        integrate(method, fun, lambda t, y: np.array([[-1.0]]), first_step=1e-3)
+
+
+def bits(rows):
+    return np.array(rows, dtype=float).view(np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    noise=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+    seed=st.integers(0, 2**32 - 1),
+    times=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=4),
+)
+def test_prefetched_rows_are_the_per_instant_rows(noise, seed, times):
+    # the ramp ends at 1 s: instants outside [0, 1] read the clamped spline
+    # but the noise at the instant itself
+    reference = ramp_reference()
+    disturbance = DisturbanceProfile(force_noise_std=noise, seed=seed)
+    per_instant = _ReferenceRows(reference, disturbance)
+    expected = [per_instant(t) for t in times]
+    rows = _ReferenceRows(reference, disturbance)
+    rows.prefetch(times)
+    assert set(rows.kept) == set(times)
+    assert np.array_equal(bits([rows(t) for t in times]), bits(expected))
