@@ -198,14 +198,16 @@ def _solve_point(args):
     """Inner solve and outer objective at one weight vector; module-level so
     worker processes can run it.
 
-    Returns (F, TrajectoryResult), or None when the inner solve leaves the
-    chains' feasible strokes or reaches a fold, so that one point fails
-    without ending the sweep.
+    ``evaluation`` is the transcription's evaluation at ``initial_guess``,
+    which the solve's first point reuses.  Returns (F, TrajectoryResult), or
+    None when the inner solve leaves the chains' feasible strokes or reaches
+    a fold, so that one point fails without ending the sweep.
     """
-    model, problem, weights, eta_maps, initial_guess = args
+    model, problem, weights, eta_maps, initial_guess, evaluation = args
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
     try:
-        result = solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess)
+        result = solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess,
+                             _evaluation=[evaluation])
     except (StrokeRangeError, SingularConfigurationError):
         return None
     return efficiency_objective(result, map_eta_fns(eta_maps))[0], result
@@ -221,22 +223,27 @@ def solve_outer(
     """Run the leader-level weight search over the weight-box lattice.
 
     One inner solve at the box centre gives the shared warm start; then
-    every lattice point is solved from it (in ``jobs`` worker processes
-    when ``jobs`` > 1), so the outcome is independent of evaluation order.
-    A point whose inner solve fails or does not converge is traced with
-    F = -inf and never wins; a failed centre solve raises.  The best
-    converged point is returned.
+    every lattice point is solved from it (in up to ``jobs`` worker
+    processes, one per point at most, when ``jobs`` > 1), so the outcome is
+    independent of evaluation order.  The transcription's evaluation does
+    not depend on the weights, so each point also gets the centre solve's
+    last one, which lies at the warm start, and its solve starts without a
+    dynamics call.  A point whose inner solve fails or does not converge is
+    traced with F = -inf and never wins; a failed centre solve raises.  The
+    best converged point is returned.
     """
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
     lo, hi = config.weight_lower, config.weight_upper
-    base = solve_inner(problem, dynamics, weights=0.5 * (lo + hi))
+    centre = [None]
+    base = solve_inner(problem, dynamics, weights=0.5 * (lo + hi), _evaluation=centre)
     warm = np.concatenate([base.control_points.ravel(), [base.t_final]])
 
     axes = [np.linspace(lo[i], hi[i], config.grid_points) for i in range(len(lo))]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    tasks = [(model, problem, w, eta_maps, warm) for w in mesh]
+    tasks = [(model, problem, w, eta_maps, warm, centre[0]) for w in mesh]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork-context pool starts all its workers on the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             points = list(pool.map(_solve_point, tasks))
     else:
         points = [_solve_point(t) for t in tasks]

@@ -26,7 +26,7 @@ from .bilevel import (
     samples_outside_map,
     solve_outer,
 )
-from .configio import ConfigError, load_json, write_artifacts
+from .configio import ConfigError, load_json, load_json_text, write_artifacts
 from .control import (
     lyapunov_audit,
     simulate_tracking,
@@ -193,6 +193,17 @@ def run_report(config: dict, seed: int, jobs: int) -> dict:
     return {"report.json": json.dumps(report, indent=2)}
 
 
+def worker_count(text: str) -> int:
+    """The ``--jobs`` argument: an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 RUNNERS = {
     "map": run_map,
     "trajopt": run_trajopt,
@@ -214,12 +225,12 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1, help="bilevel grid worker processes")
+        p.add_argument("--jobs", type=worker_count, default=1,
+                       help="bilevel grid worker processes, at most one per grid point")
     args = parser.parse_args(argv)
 
     try:
-        config_text = Path(args.config).read_text()
-        config = load_json(args.config)
+        config_text, config = load_json_text(args.config)
         files = RUNNERS[args.command](config, args.seed, args.jobs)
         write_artifacts(args.out, files, config_text, args.seed)
     except (ValueError, RuntimeError, FileNotFoundError) as exc:

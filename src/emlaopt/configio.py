@@ -33,12 +33,18 @@ class ConfigError(ValueError):
 
 
 def load_json(path) -> dict:
+    return load_json_text(path)[1]
+
+
+def load_json_text(path) -> tuple[str, dict]:
+    """The text of the JSON file at ``path``, read once, and its document;
+    a missing file or a syntax error raises ``ConfigError`` naming the path."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{path}: file does not exist")
     text = path.read_text()
     try:
-        return json.loads(text)
+        return text, json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 

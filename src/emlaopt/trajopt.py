@@ -19,6 +19,7 @@ diagonal at the start point, so its identity start fits the cost's curvature.
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -264,6 +265,25 @@ def _solve_slsqp(kern, z0):
     return x, bool(res.status == 0 and viol <= CONSTRAINT_TOL), int(res.nit), float(viol)
 
 
+@lru_cache(maxsize=8)
+def _constants(n_ctrl: int, degree: int, m: int, n: int):
+    """The transcription's weight- and problem-free constants: for B_0, B_1
+    and B_2 on the M + 1 collocation points and for D less its end rows,
+    the pair (b, b ⊗ I on the free rows), c[j, a] at z[(j - 2) n + a], with
+    a zero t_final column, (len(b), n, n_z).  Cached per (n_ctrl, degree, M,
+    n) for the life of the process, so every array is read-only."""
+    basis = basis_matrices(n_ctrl, degree, np.arange(m + 1) / m)
+    inner = derivative_matrix(n_ctrl, degree)[1:-1]
+    out = []
+    for b in (*basis, inner):
+        kron = np.einsum("kj,ab->kajb", b[:, 2:-2], np.eye(n)).reshape(len(b), n, -1)
+        block = np.concatenate([kron, np.zeros((len(b), n, 1))], axis=-1)
+        for x in (b, block):
+            x.setflags(write=False)
+        out.append((b, block))
+    return tuple(out)
+
+
 class _Transcription:
     """Evaluation kernel: decision vector -> trajectories, criteria, derivatives.
 
@@ -278,34 +298,27 @@ class _Transcription:
     ``check_boundary_feasible``, t_final.  Each inner rate-polygon point and
     f_x sample of a joint gives one row, the scaled margin to the nearer
     side of its box: 25 variables and 180 rows on the benchmark problem.
+    The bases and blocks come read-only from ``_constants``, shared by every
+    kernel of the same shape; only ``cost`` and its derivatives read the
+    weights, so ``cache`` may hand in another weight vector's evaluation.
     """
 
-    def __init__(self, problem: NlpProblem, dynamics, weights):
+    def __init__(self, problem: NlpProblem, dynamics, weights, cache=None):
         p = self.problem = problem
         self.dynamics = dynamics
         self.n, self.n_ctrl, self.m = p.n_joints, p.n_ctrl, p.n_partitions
         t_box = p.check_boundary_feasible()
         self.end_base, self.end_slope = p.end_points()
-        basis = basis_matrices(p.n_ctrl, p.degree, np.arange(self.m + 1) / self.m)
         n_free = self.n_ctrl - 4
-
-        def block(b):
-            # b ⊗ I on the free rows, c[j, a] at z[(j - 2) n + a], and a t_final
-            # column set per iterate: (len(b), n, n_z)
-            kron = np.einsum("kj,ab->kajb", b[:, 2:-2], np.eye(self.n))
-            kron = kron.reshape(len(b), self.n, n_free * self.n)
-            return np.concatenate([kron, np.zeros((len(b), self.n, 1))], axis=-1)
-
         # (b, its block, b slope, k) of q, q̇, q̈ and the inner rate polygon
-        inner = derivative_matrix(p.n_ctrl, p.degree)[1:-1]
-        self.maps = [(b, block(b), b @ self.end_slope, k)
-                     for b, k in zip((*basis, inner), (0, 1, 2, 1))]
+        self.maps = [(b, block, b @ self.end_slope, k) for (b, block), k in
+                     zip(_constants(p.n_ctrl, p.degree, self.m, self.n), (0, 1, 2, 1))]
         self.weights_raw = check_weights(weights)
         self.weights = self.weights_raw / self.weights_raw.sum()
         self.boxes = [p.rate_box, (p.fx_lower, p.fx_upper)]
         self.box_scales = [np.maximum(1.0, np.maximum(abs(lo), abs(hi))) for lo, hi in self.boxes]
         self.bounds = list(zip(np.tile(p.q_lower, n_free), np.tile(p.q_upper, n_free))) + [t_box]
-        self._cache = (None, None)
+        self._cache = [None] if cache is None else cache
 
     def initial_guess(self):
         frac = np.linspace(0.0, 1.0, self.n_ctrl)[:, None]
@@ -325,10 +338,13 @@ class _Transcription:
         the f_x row, are exact to rounding.  ``f_partials`` holds d f_x /
         d(x_k)_b for x = q, q̇, q̈ in row k n + b, each (M+1, n); they are
         chained through the state derivatives into d(q̇, f_x)/dz, each
-        (M+1, n, n_z), and d(rates)/dz.  The last z evaluated is cached."""
+        (M+1, n, n_z), and d(rates)/dz.  Nothing in it depends on the weights,
+        so a kernel of another weight vector may start from it: the last z
+        evaluated is cached as the pair (z bytes, values) in the one-item list
+        ``self._cache``, which the caller may own."""
         key = z.tobytes()
-        if self._cache[0] == key:
-            return self._cache[1]
+        if self._cache[0] is not None and self._cache[0][0] == key:
+            return self._cache[0][1]
         n, t_final = self.n, z[-1]
         c = self.end_base + t_final * self.end_slope
         c[2:-2] = z[:-1].reshape(-1, n)
@@ -355,15 +371,14 @@ class _Transcription:
         out = {
             "c": c, "t_final": t_final, "q": q, "qd": qd, "qdd": qdd,
             "rates": rates, "f": f, "dt": dt, "psi": psi, "psi_raw": psi_raw,
-            "cost": float(self.weights @ psi), "f_partials": partials,
-            "d_qd": dx[1], "d_rates": dx[3],
+            "f_partials": partials, "d_qd": dx[1], "d_rates": dx[3],
             "d_f": partials.transpose(1, 2, 0) @ np.concatenate(dx[:3], axis=1),
         }
-        self._cache = (key, out)
+        self._cache[0] = (key, out)
         return out
 
     def cost(self, z):
-        return self.evaluate(z)["cost"]
+        return float(self.weights @ self.evaluate(z)["psi"])
 
     def cost_grad(self, z):
         vals = self.evaluate(z)
@@ -419,6 +434,7 @@ def solve_inner(
     dynamics,
     weights=None,
     initial_guess=None,
+    _evaluation=None,
 ) -> TrajectoryResult:
     """Solve the transcribed NLP for one weight vector.
 
@@ -432,8 +448,14 @@ def solve_inner(
     a packed [c.ravel(), t_final] vector (used for warm starts); only its
     free rows and t_final are read, since the boundary states fix the four
     end control points.  The solve is deterministic given the start point.
+    ``_evaluation`` is private plumbing for the leader's grid: a one-item
+    list that holds the solve's evaluation cache.  An item the caller put
+    there, the last evaluation of a solve of the same problem and dynamics,
+    serves this solve if it asks for that point; on return the item is the
+    evaluation at this solve's solution.
     """
-    kern = _Transcription(problem, dynamics, problem.weights if weights is None else weights)
+    kern = _Transcription(problem, dynamics, problem.weights if weights is None else weights,
+                          cache=_evaluation)
     z0 = kern.initial_guess() if initial_guess is None else np.asarray(initial_guess, dtype=float)
     x, converged, nit, violation = _solve_slsqp(kern, kern.free(z0))
     vals = kern.evaluate(x)

@@ -1,6 +1,6 @@
 import csv
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -302,13 +302,15 @@ def test_invalid_config_rejected():
 
 
 def failing_solve_inner(fail_at):
-    """solve_inner that raises the given error at the given weights."""
+    """solve_inner that raises the given error at the given weights; the
+    grid's private keywords (the warm-start evaluation) pass through."""
 
-    def solve(problem, dynamics, weights, initial_guess=None):
+    def solve(problem, dynamics, weights, initial_guess=None, **private):
         for w, error in fail_at:
             if np.allclose(weights, w):
                 raise error("injected failure")
-        return solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess)
+        return solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess,
+                           **private)
 
     return solve
 
@@ -380,3 +382,67 @@ def test_grid_solves_stay_inside_their_boxes(monkeypatch, model, maps):
         free = r.control_points[2:-2]
         assert np.all(free >= problem.q_lower) and np.all(free <= problem.q_upper)
         assert t_lower <= r.t_final <= t_upper
+
+
+def test_grid_points_start_from_the_centre_evaluation(monkeypatch, model, maps, small_problem):
+    # the transcription's evaluation does not depend on the weights, so each
+    # grid point starts from the centre solve's last one, at its warm start:
+    # one dynamics call fewer per point than a warm-started solve_inner run
+    # on its own, with every field of the result the same
+    import emlaopt.bilevel as bilevel
+
+    grid_calls, alone_calls, results = [], [], []
+
+    def counting(*args):
+        grid_calls.append(1)
+        return rnea(*args)
+
+    def recording(*args, **kwargs):
+        results.append(solve_inner(*args, **kwargs))
+        return results[-1]
+
+    def alone(q, qd, qdd):
+        alone_calls.append(1)
+        return rnea(model, q, qd, qdd)
+
+    monkeypatch.setattr(bilevel, "rnea", counting)
+    monkeypatch.setattr(bilevel, "solve_inner", recording)
+    cfg = BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=2)
+    solve_outer(cfg, small_problem, model, maps)
+    centre, grid = results[0], results[1:]
+    assert len(grid) == 4
+    warm = np.concatenate([centre.control_points.ravel(), [centre.t_final]])
+    solve_inner(small_problem, alone, weights=centre.weights)
+    for point in grid:
+        again = solve_inner(small_problem, alone, weights=point.weights, initial_guess=warm)
+        for f in fields(TrajectoryResult):
+            a, b = getattr(point, f.name), getattr(again, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+    assert len(grid_calls) == len(alone_calls) - len(grid)
+
+
+def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch, model, maps, small_problem):
+    # the fork-context pool starts every worker on its first submit, so a
+    # --jobs beyond the grid's point count would fork idle processes
+    import emlaopt.bilevel as bilevel
+
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bilevel, "ProcessPoolExecutor", RecordingPool)
+    cfg = BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=2)
+    for jobs in (5000, 3, 1):
+        solve_outer(cfg, small_problem, model, maps, jobs=jobs)
+    assert opened == [4, 3]

@@ -95,3 +95,18 @@ def test_degenerate_settings_rejected():
         basis_matrices(8, 1, np.array([0.5]))
     with pytest.raises(ValueError):
         basis_matrices(4, 5, np.array([0.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 30))),
+       st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_basis_equals_scipy_bit_for_bit(shape, drawn):
+    # the basis runs SciPy's recursion in its order, so SciPy's BSpline, the
+    # oracle here, gives every bit, signed zeros included, at the drawn
+    # points, at every knot and at both ends
+    degree, n_ctrl = shape
+    knots = clamped_knots(n_ctrl, degree)
+    s = np.concatenate([drawn, knots, [0.0, 1.0]])
+    reference = BSpline(knots, np.eye(n_ctrl), degree)
+    for nu, b in enumerate(basis_matrices(n_ctrl, degree, s)):
+        assert np.array_equal(b.view(np.uint64), reference(s, nu=nu).view(np.uint64)), nu

@@ -1,6 +1,9 @@
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -112,6 +115,25 @@ def test_bilevel_jobs_identical(bilevel_dir):
     assert run(["bilevel", "--config", cfg, "--out", str(out2), "--jobs", "2"]) == 0
     for name in ("bilevel.json", "trajectory.csv", "trace.csv"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_trajopt_and_bilevel_leave_scipy_interpolate_unloaded(bilevel_dir, tmp_path):
+    # the B-spline basis is evaluated in-house, so a fresh process that runs
+    # both solves never imports scipy.interpolate (track's reference spline
+    # still does)
+    _, bilevel_cfg, _ = bilevel_dir
+    traj_cfg = write(tmp_path, "traj.json", TRAJ_CFG)
+    script = ("import sys\nfrom emlaopt.cli import main\n"
+              "for command, config, out in zip(*[iter(sys.argv[1:])] * 3):\n"
+              "    assert main([command, '--config', config, '--out', out]) == 0\n"
+              "print(sorted(name for name in sys.modules if name.startswith('scipy.interpolate')))")
+    runs = ["trajopt", traj_cfg, str(tmp_path / "t"), "bilevel", bilevel_cfg, str(tmp_path / "b")]
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", script, *runs], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_track_pipeline_roundtrip(bilevel_dir, tmp_path):
@@ -494,6 +516,29 @@ def test_map_nan_axis_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: grid.force: need a grid specification") and "Traceback" not in err
     assert not (tmp_path / "m" / "manifest.json").exists()
+
+
+def exit_code(args):
+    """``main``'s return code, or the code of the exit argparse raises."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("extra, match", [
+    ([], "error: {config}: file does not exist\n"),
+    (["--jobs", "0"], "error: argument --jobs: must be an integer >= 1, got '0'\n"),
+    (["--jobs", "-3"], "error: argument --jobs: must be an integer >= 1, got '-3'\n"),
+], ids=["config-missing", "jobs-0", "jobs-negative"])
+def test_bad_command_line_exits_2(tmp_path, capsys, no_work, extra, match):
+    # a missing config was read twice and reported as "[Errno 2] No such
+    # file or directory"; --jobs 0 or -3 ran inline without a word
+    config = str(tmp_path / "missing.json")
+    assert exit_code(["bilevel", "--config", config, "--out", str(tmp_path / "o"), *extra]) == 2
+    err = capsys.readouterr().err
+    assert match.format(config=config) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_config_exit_code(tmp_path):

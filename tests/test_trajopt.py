@@ -486,6 +486,21 @@ def test_one_dynamics_call_per_point(small_problem, model, dynamics):
         assert len(calls) == seed + 1, first.__name__
 
 
+def test_constants_are_shared_and_read_only(small_problem, dynamics):
+    # the bases and Kronecker blocks depend on (n_ctrl, degree, M, n) alone:
+    # every kernel of that shape reads the same arrays, which no kernel may
+    # write
+    one = _Transcription(small_problem, dynamics, np.array([0.5, 0.5]))
+    two = _Transcription(replace(small_problem, q_init=small_problem.q_init + 0.01), dynamics,
+                         np.array([1.0, 0.05]))
+    for (b, block, _, _), (b2, block2, _, _) in zip(one.maps, two.maps):
+        assert b is b2 and block is block2
+        for x in (b, block):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+
+
 def test_slsqp_starts_at_the_evaluated_start_point(small_problem, dynamics):
     # the scaling evaluates the start point, and SLSQP's first point is that
     # start point bit for bit, so the cache serves it: the second call is
