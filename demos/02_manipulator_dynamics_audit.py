@@ -21,7 +21,7 @@ print("stroke boxes [m]:", np.round(lo, 3), "to", np.round(hi, 3))
 
 # static check at mid stroke
 q0 = 0.5 * (lo + hi)
-_, f_static = rnea(model, q0, np.zeros(3), np.zeros(3))
+f_static = rnea(model, q0, np.zeros(3), np.zeros(3))
 print("\nstatic piston forces at mid stroke [kN]:", np.round(f_static / 1e3, 2))
 h = 1e-6
 grad = [
@@ -40,8 +40,8 @@ ds = (30 * tau**2 - 60 * tau**3 + 30 * tau**4) / t_final
 d2s = (60 * tau - 180 * tau**2 + 120 * tau**3) / t_final**2
 q, qd, qdd = q_a + (q_b - q_a) * s, (q_b - q_a) * ds, (q_b - q_a) * d2s
 
-v, f = rnea(model, q, qd, qdd)
-work = simpson(np.sum(v * f, axis=1), x=ts)
+f = rnea(model, q, qd, qdd)  # the piston speeds are the stroke rates qd
+work = simpson(np.sum(qd * f, axis=1), x=ts)
 d_pe = potential_energy(model, q[-1]) - potential_energy(model, q[0])
 print(f"\nover the {t_final:g} s rest-to-rest motion:")
 print(f"  piston work             = {work:12.6f} J")

@@ -51,8 +51,7 @@ def run_trajopt(config: dict, seed: int, jobs: int) -> dict:
                         "a trajopt config")
     model = configio.build_manipulator(config.get("manipulator"))
     problem = configio.build_problem(config.get("problem"), model)
-    weights = config.get("weights")
-    weights = None if weights is None else configio.vector(weights, "weights")
+    weights = configio.vector(config.get("weights", [0.5, 0.5]), "weights")
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
     result = solve_inner(problem, dynamics, weights=weights)
     return {
@@ -121,8 +120,7 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
         initial_position_error=position_error,
         duration=duration,
     )
-    audit = lyapunov_audit(traces, gains,
-                           disturbance_bound=disturbance.bound(np.abs(reference.f_x).max()))
+    audit = lyapunov_audit(traces, gains)
     errors = tracking_errors(traces, settle_time=settle_time)
     summary = {
         "tracking_errors": errors,
@@ -130,7 +128,6 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
             "zeta": audit.zeta,
             "zeta_fit": audit.zeta_fit,
             "strictly_decreasing": audit.strictly_decreasing,
-            "descent_violations": audit.descent_violations,
         },
         "solver": traces.solver,
     }
@@ -193,15 +190,20 @@ def run_report(config: dict, seed: int, jobs: int) -> dict:
     return {"report.json": json.dumps(report, indent=2)}
 
 
-def worker_count(text: str) -> int:
-    """The ``--jobs`` argument: an integer >= 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return jobs
+def integer_at_least(minimum: int):
+    """The argparse type of an integer >= ``minimum``: ``--seed`` takes 0 and
+    ``--jobs`` 1."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 RUNNERS = {
@@ -224,8 +226,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=worker_count, default=1,
+        p.add_argument("--seed", type=integer_at_least(0), default=0)
+        p.add_argument("--jobs", type=integer_at_least(1), default=1,
                        help="bilevel grid worker processes, at most one per grid point")
     args = parser.parse_args(argv)
 
@@ -233,9 +235,15 @@ def main(argv=None) -> int:
         config_text, config = load_json_text(args.config)
         files = RUNNERS[args.command](config, args.seed, args.jobs)
         write_artifacts(args.out, files, config_text, args.seed)
-    except (ValueError, RuntimeError, FileNotFoundError) as exc:
+    except (ValueError, RuntimeError) as exc:
         # ConfigError is a ValueError; model and solver errors exit 2 without a traceback
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a path the run cannot read or write: a directory named as a file, or
+        # a file where --out needs a directory
+        where = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        print(f"error: {where}", file=sys.stderr)
         return 2
     print(f"{args.command}: wrote {len(files) + 1} artifacts to {args.out}")
     return 0

@@ -246,12 +246,11 @@ def build_manipulator(doc, path: str = "manipulator") -> ChainModel:
 def build_problem(doc, model: ChainModel, path: str = "problem") -> NlpProblem:
     """Preset 'benchmark' (the default) or an inline problem: the
     ``NlpProblem`` fields, every array one entry per joint of ``model``
-    except the two ``weights`` and ``criterion_scales``."""
+    except the two ``criterion_scales``."""
     if _is_preset(doc):
         return _preset(doc, path, {"benchmark": presets.benchmark_problem}, model)
-    pair = partial(vector, n=2)
     return read(NlpProblem, doc, path, {np.ndarray: partial(vector, n=model.n_joints),
-                                        "weights": pair, "criterion_scales": pair})
+                                        "criterion_scales": partial(vector, n=2)})
 
 
 def build_gains(doc, n_joints: int, path: str = "gains") -> list:

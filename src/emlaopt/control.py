@@ -481,10 +481,6 @@ class DisturbanceProfile:
                              f"{self.param_perturbation!r}")
         check_count(self.seed, "seed", minimum=0)
 
-    def bound(self, peak_force: float) -> float:
-        """Recorded sup-norm bound of the additive force disturbance."""
-        return 3.0 * self.force_noise_std * peak_force
-
 
 def nominal_disturbance() -> DisturbanceProfile:
     """Default study disturbance: 2% band-limited load noise, 5% parameter skew."""
@@ -820,10 +816,9 @@ class StabilityAudit:
     zeta_fit: float | None
     strictly_decreasing: bool | None
     fit_window: tuple
-    descent_violations: int
 
 
-def lyapunov_audit(traces: TrackingTraces, gains, disturbance_bound: float = 0.0) -> StabilityAudit:
+def lyapunov_audit(traces: TrackingTraces, gains) -> StabilityAudit:
     """Audit the recorded V(t), ``traces.lyapunov``, against the analytic
     descent structure.
 
@@ -832,10 +827,8 @@ def lyapunov_audit(traces: TrackingTraces, gains, disturbance_bound: float = 0.0
     the initial decay window (from the start until the first sample that
     fails to decrease, i.e. until the numerical floor).  A run that starts
     on its reference, V(0) = 0, has no decay to fit, so both ``zeta_fit``
-    and ``strictly_decreasing`` are ``None``.  The sample-wise
-    check counts violations of V(t+dt) <= V(t)(1 - zeta dt) + bound*dt,
-    reported rather than asserted because the bound term is an estimate.
-    ``gains`` holds one :class:`SubsystemGains` per actuator.
+    and ``strictly_decreasing`` are ``None``.  ``gains`` holds one
+    :class:`SubsystemGains` per actuator.
     """
     zeta = min(min(g.delta.min(), (g.k * g.sigma).min()) for g in gains)
     v = traces.lyapunov
@@ -858,17 +851,11 @@ def lyapunov_audit(traces: TrackingTraces, gains, disturbance_bound: float = 0.0
         zeta_fit = -float(slope)
     else:
         zeta_fit = 0.0
-
-    dt = np.diff(t)
-    lhs = v[1:]
-    rhs = v[:-1] * np.maximum(0.0, 1.0 - zeta * dt) + disturbance_bound * dt
-    violations = int(np.sum(lhs > rhs + 1e-15))
     return StabilityAudit(
         zeta=float(zeta),
         zeta_fit=zeta_fit,
         strictly_decreasing=strictly,
         fit_window=window,
-        descent_violations=violations,
     )
 
 

@@ -397,11 +397,12 @@ def _as_states(model: ChainModel, q, qd, qdd):
 
 
 def rnea(model: ChainModel, q, qd, qdd):
-    """Inverse dynamics: piston velocities and forces for a stroke trajectory.
+    """Inverse dynamics: the piston forces f_x for a stroke trajectory, of
+    ``q``'s shape.
 
-    Accepts single configurations (shape (n,)) or batches (..., n); the
-    piston velocities equal the stroke rates since the strokes are the
-    generalized coordinates.
+    Accepts single configurations (shape (n,)) or batches (..., n).  The
+    piston velocities are the stroke rates ``qd`` themselves, since the
+    strokes are the generalized coordinates.
 
     The forces come from the planar force-only kernel, which builds no
     frames or wrench dicts; the tests audit it against the 6-D recursion
@@ -409,7 +410,7 @@ def rnea(model: ChainModel, q, qd, qdd):
     triangle and ``SingularConfigurationError`` at a fold.
     """
     q, qd, qdd = _as_states(model, q, qd, qdd)
-    return qd[0].copy(), _piston_forces(model, q, qd, qdd)[0]
+    return _piston_forces(model, q, qd, qdd)[0]
 
 
 def potential_energy(model: ChainModel, q):

@@ -217,7 +217,6 @@ def benchmark_problem(model: ChainModel = None, n_partitions: int = 50, n_ctrl: 
         q_final=np.array([0.34, 0.545, 0.05]),
         qd_init=np.zeros(3),
         qd_final=np.zeros(3),
-        weights=np.array([0.5, 0.5]),
         criterion_scales=np.array([2.0e9, 1.0e7]),
         n_partitions=n_partitions,
         n_ctrl=n_ctrl,

@@ -89,7 +89,6 @@ class NlpProblem:
     q_final: np.ndarray
     qd_init: np.ndarray
     qd_final: np.ndarray
-    weights: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5]))
     criterion_scales: np.ndarray = field(default_factory=lambda: np.ones(2))
     degree: int = 5
     n_ctrl: int = 12
@@ -110,7 +109,6 @@ class NlpProblem:
                                ("force box fx_*", (self.fx_lower, self.fx_upper))):
             if np.any(lo >= hi):
                 raise ValueError(f"the {name} must be wider than zero, got [{lo}, {hi}]")
-        check_weights(self.weights)
         for name in ("degree", "n_ctrl", "n_partitions"):
             check_count(getattr(self, name), name)
         # the boundary states fix c_0, c_1, c_{n-2} and c_{n-1}, four distinct points
@@ -159,8 +157,8 @@ class NlpProblem:
 
 @dataclass
 class TrajectoryResult:
-    """Solved trajectory sampled on its collocation grid; its fields but
-    ``initial_guess`` are the keys of ``trajectory.json``, in that order."""
+    """Solved trajectory sampled on its collocation grid; its fields are the
+    keys of ``trajectory.json``, in that order."""
 
     degree: int
     control_points: np.ndarray
@@ -179,7 +177,6 @@ class TrajectoryResult:
     constraint_violation: float
     converged: bool
     outer_iterations: int
-    initial_guess: np.ndarray = None
 
     def __post_init__(self):
         # the controller and the report index each sampled array by (time, joint)
@@ -193,7 +190,7 @@ class TrajectoryResult:
                                  f"expected {samples}")
 
     def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "initial_guess"}
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
 
     @classmethod
@@ -355,7 +352,7 @@ class _Transcription:
             x[first: first + 2 * n: 2] += step * eye
             x[first + 1: first + 2 * n: 2] -= step * eye
         batch[2][4 * n: 5 * n] += eye
-        forces = self.dynamics(*batch)[1]
+        forces = self.dynamics(*batch)
         f = forces[-1]
         partials = np.concatenate([(forces[0: 2 * n: 2] - forces[1: 2 * n: 2]) / (2 * FD_STEP),
                                    (forces[2 * n: 4 * n: 2] - forces[2 * n + 1: 4 * n: 2]) / 2.0,
@@ -432,18 +429,18 @@ class _Transcription:
 def solve_inner(
     problem: NlpProblem,
     dynamics,
-    weights=None,
+    weights,
     initial_guess=None,
     _evaluation=None,
 ) -> TrajectoryResult:
-    """Solve the transcribed NLP for one weight vector.
+    """Solve the transcribed NLP for the criterion ``weights``, two finite
+    nonnegative numbers with a positive sum.
 
     ``dynamics`` maps batched (q, qd, qdd) with shape (..., M+1, n) to the
-    pair (v_x, f_x); only f_x is used, since in stroke coordinates v_x is qd,
-    and the ``vx_*`` box is intersected with the ``qd_*`` box.  Each point
-    SLSQP asks for costs one call, on 5n + 1 copies of the states: their
-    differences, then the states themselves.  ``weights``
-    overrides ``problem.weights`` and is checked the same way.  The start is
+    piston forces f_x of the same shape; in stroke coordinates v_x is qd, and
+    the ``vx_*`` box is intersected with the ``qd_*`` box.  Each point SLSQP
+    asks for costs one call, on 5n + 1 copies of the states: their
+    differences, then the states themselves.  The start is
     the deterministic straight-line guess unless ``initial_guess`` provides
     a packed [c.ravel(), t_final] vector (used for warm starts); only its
     free rows and t_final are read, since the boundary states fix the four
@@ -454,8 +451,7 @@ def solve_inner(
     serves this solve if it asks for that point; on return the item is the
     evaluation at this solve's solution.
     """
-    kern = _Transcription(problem, dynamics, problem.weights if weights is None else weights,
-                          cache=_evaluation)
+    kern = _Transcription(problem, dynamics, weights, cache=_evaluation)
     z0 = kern.initial_guess() if initial_guess is None else np.asarray(initial_guess, dtype=float)
     x, converged, nit, violation = _solve_slsqp(kern, kern.free(z0))
     vals = kern.evaluate(x)
@@ -477,6 +473,5 @@ def solve_inner(
         constraint_violation=violation,
         converged=converged,
         outer_iterations=nit,
-        initial_guess=z0,
     )
 

@@ -88,8 +88,8 @@ def test_criterion_02_energy_balance(model):
         n_ctrl = 9
         c = lo + (hi - lo) * rng.uniform(0.12, 0.88, (n_ctrl, 3))
         q, qd, qdd = spline_states(5, c, 1.0, ts)
-        v, f = rnea(model, q, qd, qdd)
-        work = simpson(np.sum(v * f, axis=1), x=ts)
+        f = rnea(model, q, qd, qdd)
+        work = simpson(np.sum(qd * f, axis=1), x=ts)
         e0 = kinetic_energy(model, q[0], qd[0]) + potential_energy(model, q[0])
         e1 = kinetic_energy(model, q[-1], qd[-1]) + potential_energy(model, q[-1])
         rel = abs(work - (e1 - e0)) / max(1.0, abs(e1 - e0))
@@ -175,7 +175,7 @@ def test_criterion_06_inner_nlp_contract(model, model_no_gravity, full_problem, 
         q_init=pose, q_final=pose, qd_init=np.zeros(3), qd_final=np.zeros(3),
     )
     dyn0 = lambda q, qd, qdd: rnea(model_no_gravity, q, qd, qdd)
-    res0 = solve_inner(trivial, dyn0)
+    res0 = solve_inner(trivial, dyn0, weights=np.array([0.5, 0.5]))
     trivial_ok = res0.psi_raw["effort"] <= 1e-12 and res0.psi_raw["power"] <= 1e-12
 
     viol_ok = True

@@ -83,6 +83,17 @@ def test_trajopt_determinism(tmp_path):
         (tmp_path / "r2" / "trajectory.csv").read_bytes()
 
 
+def test_trajopt_weights_default_to_equal_halves(tmp_path):
+    # the top-level weights are the one place the follower's weights are set;
+    # left out, they are (0.5, 0.5), the value the problem's own default gave
+    bare = write(tmp_path, "bare.json", {k: v for k, v in TRAJ_CFG.items() if k != "weights"})
+    given = write(tmp_path, "given.json", dict(TRAJ_CFG, weights=[0.5, 0.5]))
+    assert run(["trajopt", "--config", bare, "--out", str(tmp_path / "bare")]) == 0
+    assert run(["trajopt", "--config", given, "--out", str(tmp_path / "given")]) == 0
+    for name in ("trajectory.csv", "trajectory.json"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
+
+
 @pytest.fixture(scope="module")
 def bilevel_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bilevel")
@@ -163,8 +174,12 @@ def test_track_pipeline_roundtrip(bilevel_dir, tmp_path):
                 assert got[f"fx_ref{j}"] == row[f"fx{j}"]
             matched += 1
     assert matched == len(traj_rows)
+    # the audit reports what the theory fixes; a descent count under a force
+    # bound could not fail, so it is gone
+    summary = json.loads((trk / "tracking.json").read_text())
+    assert sorted(summary["lyapunov"]) == ["strictly_decreasing", "zeta", "zeta_fit"]
     # Radau's exit status and work counters travel with the summary
-    solver = json.loads((trk / "tracking.json").read_text())["solver"]
+    solver = summary["solver"]
     assert solver["status"] == 0 and solver["message"]
     assert min(solver[k] for k in ("nfev", "njev", "nlu", "nsteps", "max_step")) > 0
     # each factorization is two LU calls (the real and the complex system);
@@ -526,18 +541,48 @@ def exit_code(args):
         return exc.code
 
 
-@pytest.mark.parametrize("extra, match", [
-    ([], "error: {config}: file does not exist\n"),
-    (["--jobs", "0"], "error: argument --jobs: must be an integer >= 1, got '0'\n"),
-    (["--jobs", "-3"], "error: argument --jobs: must be an integer >= 1, got '-3'\n"),
-], ids=["config-missing", "jobs-0", "jobs-negative"])
-def test_bad_command_line_exits_2(tmp_path, capsys, no_work, extra, match):
+@pytest.mark.parametrize("command, extra, match", [
+    ("bilevel", [], "error: {config}: file does not exist\n"),
+    ("bilevel", ["--jobs", "0"], "error: argument --jobs: must be an integer >= 1, got '0'\n"),
+    ("bilevel", ["--jobs", "-3"], "error: argument --jobs: must be an integer >= 1, got '-3'\n"),
+    ("track", ["--seed", "-100"], "error: argument --seed: must be an integer >= 0, got '-100'\n"),
+    ("map", ["--seed", "-5"], "error: argument --seed: must be an integer >= 0, got '-5'\n"),
+    ("map", ["--seed", "1.5"], "error: argument --seed: must be an integer >= 0, got '1.5'\n"),
+], ids=["config-missing", "jobs-0", "jobs-negative", "track-seed-negative", "map-seed-negative",
+        "map-seed-float"])
+def test_bad_command_line_exits_2(tmp_path, capsys, no_work, command, extra, match):
     # a missing config was read twice and reported as "[Errno 2] No such
-    # file or directory"; --jobs 0 or -3 ran inline without a word
+    # file or directory"; --jobs 0 or -3 ran inline without a word.  A
+    # negative --seed reached track's disturbance, whose message named its
+    # shifted seed and not --seed, and map wrote it to the manifest
     config = str(tmp_path / "missing.json")
-    assert exit_code(["bilevel", "--config", config, "--out", str(tmp_path / "o"), *extra]) == 2
+    assert exit_code([command, "--config", config, "--out", str(tmp_path / "o"), *extra]) == 2
     err = capsys.readouterr().err
     assert match.format(config=config) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["config-directory", "trajectory-directory", "out-file",
+                                  "out-under-file"])
+def test_unusable_path_exits_2(tmp_path, capsys, case):
+    # each ended in an IsADirectoryError, FileExistsError or
+    # NotADirectoryError traceback with exit 1
+    folder, file = tmp_path / "folder", tmp_path / "file"
+    folder.mkdir()
+    file.write_text("")
+    command, config, out = "map", write(tmp_path, "map.json", MAP_CFG), tmp_path / "o"
+    if case == "config-directory":
+        config = culprit = folder
+    elif case == "trajectory-directory":
+        command, culprit = "track", folder
+        config = write(tmp_path, "track.json", {"trajectory": str(folder)})
+    elif case == "out-file":
+        out = culprit = file
+    else:
+        out = culprit = file / "sub"
+    assert run([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {culprit}: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -629,8 +674,13 @@ NAN, INF = float("nan"), float("inf")
      "problem: t_lower must be finite and > 0, got 0"),
     ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, q_lower=["0.1", "0.1", "0.1"])),
      "problem.q_lower[0]: expected a finite number, got '0.1'"),
-    ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, weights=[True, True])),
-     "problem.weights[0]: expected a finite number, got True"),
+    ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, criterion_scales=[True, True])),
+     "problem.criterion_scales[0]: expected a finite number, got True"),
+    ("trajopt", dict(TRAJ_CFG, problem=dict(PROBLEM_DOC, weights=[0.5, 0.5])),
+     "problem: it takes only ['criterion_scales', 'degree', 'fx_lower', 'fx_upper', 'n_ctrl', "
+     "'n_partitions', 'q_final', 'q_init', 'q_lower', 'q_upper', 'qd_final', 'qd_init', "
+     "'qd_lower', 'qd_upper', 't_lower', 't_upper', 'vx_lower', 'vx_upper'], "
+     "got unknown keys ['weights']"),
     ("trajopt", dict(TRAJ_CFG, weights=["0.9", "0.1"]),
      "weights[0]: expected a finite number, got '0.9'"),
     ("trajopt", dict(TRAJ_CFG, weights=[True, False]),
@@ -690,7 +740,8 @@ NAN, INF = float("nan"), float("inf")
         "count-inline-float", "count-inline-degree", "count-grid-n", "count-grid-preset-n",
         "count-maps-n", "count-n_tones", "count-seed", "regeneration", "sensor_noise_std",
         "band_hz", "gravity-inline", "gravity-preset", "t_lower", "vector-string", "vector-bool",
-        "weights-string", "weights-bool", "weights-beyond-float", "position-error-string", "position-error-bool",
+        "problem-weights", "weights-string", "weights-bool", "weights-beyond-float",
+        "position-error-string", "position-error-bool",
         "vector-nan", "vector-infinity", "axis-bool", "axis-string", "inertia-string",
         "artifacts-number", "require-tracking-string", "position-error-length", "vector-length",
         "rate-box-empty", "force-box-zero", "n_ctrl-3", "axis-one-point", "axis-reversed",

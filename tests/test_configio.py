@@ -112,7 +112,7 @@ def test_inline_manipulator_single_stage():
     assert model.n_joints == 2
     lo, hi = model.stroke_limits()
     q = 0.5 * (lo + hi)
-    v, f = rnea(model, q, np.zeros(2), np.zeros(2))
+    f = rnea(model, q, np.zeros(2), np.zeros(2))
     assert np.all(np.isfinite(f))
 
 
@@ -137,6 +137,15 @@ def test_inline_problem(model):
     assert problem.n_partitions == 20
     with pytest.raises(ConfigError, match="q_lower"):
         build_problem({k: v for k, v in doc.items() if k != "q_lower"}, model)
+
+
+def test_inline_problem_takes_no_weights():
+    # the follower's weights are an argument of its solve, set by the
+    # trajopt config's top level or by the leader, not by the problem
+    with pytest.raises(ConfigError) as info:
+        build_problem(dict(PROBLEM_DOC, weights=[0.5, 0.5]), MODEL)
+    assert str(info.value).startswith("problem: it takes only ['criterion_scales', ")
+    assert str(info.value).endswith("got unknown keys ['weights']")
 
 
 def test_disturbance_seed_offset():
@@ -203,8 +212,8 @@ def winner_with_a_string_entry():
      "problem.q_lower", "[0]: expected a finite number, got '0.1'"),
     (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=[0.1, False, True]),
      "problem.q_lower", "[1]: expected a finite number, got False"),
-    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, weights=["0.9", "0.1"]),
-     "problem.weights", "[0]: expected a finite number, got '0.9'"),
+    (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, criterion_scales=["2e9", "1e7"]),
+     "problem.criterion_scales", "[0]: expected a finite number, got '2e9'"),
     (lambda d: build_problem(d, MODEL), dict(PROBLEM_DOC, q_lower=0.1),
      "problem.q_lower", ": expected a list of 3 numbers, got 0.1"),
     (build_manipulator, dict(MANIPULATOR_DOC, base=dict(MANIPULATOR_DOC["base"],
@@ -213,7 +222,7 @@ def winner_with_a_string_entry():
     (TrajectoryResult.from_dict, winner_with_a_string_entry(),
      "trajectory.q", "[3][1]: expected a finite number, got '0.5'"),
 ], ids=["<lambda>-doc0-problem.q_lower", "<lambda>-doc1-problem.q_lower",
-        "<lambda>-doc2-problem.weights", "<lambda>-doc3-problem.q_lower",
+        "<lambda>-doc2-problem.criterion_scales", "<lambda>-doc3-problem.q_lower",
         "build_manipulator-doc4-manipulator.base.com", "from_dict-winner-trajectory.q"])
 def test_vector_takes_a_list_of_numbers(build, doc, path, error):
     # np.asarray(value, dtype=float) built these as the numbers they spell.
@@ -268,7 +277,7 @@ def test_inline_manipulator_of_the_preset_builds_it_again():
     assert to_doc(model) == to_doc(MODEL)
     lo, hi = MODEL.stroke_limits()
     q = 0.5 * (lo + hi)
-    assert np.array_equal(rnea(model, q, 0.1 * q, q)[1], rnea(MODEL, q, 0.1 * q, q)[1])
+    assert np.array_equal(rnea(model, q, 0.1 * q, q), rnea(MODEL, q, 0.1 * q, q))
 
 
 def keywords(preset, n_args: int = 0) -> set:
@@ -301,7 +310,7 @@ BLOCKS = [
     (build_manipulator, {"preset": "default", "gravity": 9.81}, (), "manipulator", ALL,
      keywords(default_manipulator)),
     (lambda d: build_problem(d, MODEL), PROBLEM_DOC, (), "problem",
-     {"weights", "criterion_scales", "degree", "n_ctrl", "n_partitions"}, set()),
+     {"criterion_scales", "degree", "n_ctrl", "n_partitions"}, set()),
     (lambda d: build_problem(d, MODEL), {"preset": "benchmark", "n_partitions": 16}, (),
      "problem", ALL, keywords(benchmark_problem, 1)),
     (lambda d: build_gains(d, 3), GAINS_DOC, (), "gains", set(), set()),

@@ -342,11 +342,6 @@ def test_traces_end_at_duration(acts, dt, duration):
     assert np.all(np.diff(regular) > 0.5 * dt)
 
 
-def test_disturbance_profile_bound():
-    d = DisturbanceProfile(force_noise_std=0.02)
-    assert d.bound(1e4) == pytest.approx(600.0)
-
-
 @pytest.mark.parametrize("field, value", [
     ("force_noise_std", -0.5), ("force_noise_std", np.nan), ("force_noise_std", np.inf),
     ("param_perturbation", -1.0), ("param_perturbation", -2.0), ("param_perturbation", np.nan),

@@ -120,7 +120,7 @@ def test_ground_wrench_equals_momentum_rate_plus_gravity(model):
 def test_static_forces_match_potential_gradient(model):
     lo, hi = model.stroke_limits()
     q = lo + (hi - lo) * 0.5
-    _, f = rnea(model, q, np.zeros(3), np.zeros(3))
+    f = rnea(model, q, np.zeros(3), np.zeros(3))
     h = 1e-6
     for i in range(3):
         dq = np.zeros(3)
@@ -131,8 +131,8 @@ def test_static_forces_match_potential_gradient(model):
 
 def test_doubling_masses_doubles_static_forces(model):
     q, _, _ = random_state(model)
-    _, f1 = rnea(model, q, np.zeros(3), np.zeros(3))
-    _, f2 = rnea(scaled_masses(model, 2.0), q, np.zeros(3), np.zeros(3))
+    f1 = rnea(model, q, np.zeros(3), np.zeros(3))
+    f2 = rnea(scaled_masses(model, 2.0), q, np.zeros(3), np.zeros(3))
     assert np.allclose(f2, 2.0 * f1, rtol=1e-12)
 
 
@@ -151,10 +151,10 @@ def test_power_identity_on_smooth_trajectory(model):
 
     ts = np.linspace(0.0, 0.63, 1500)
     q, qd, qdd = traj(ts)
-    v, f = rnea(model, q, qd, qdd)
+    f = rnea(model, q, qd, qdd)
     from scipy.integrate import simpson
 
-    work = simpson(np.sum(v * f, axis=1), x=ts)
+    work = simpson(np.sum(qd * f, axis=1), x=ts)
     e0 = kinetic_energy(model, q[0], qd[0]) + potential_energy(model, q[0])
     e1 = kinetic_energy(model, q[-1], qd[-1]) + potential_energy(model, q[-1])
     assert abs(work - (e1 - e0)) <= 1e-5 * max(1.0, abs(e1 - e0))
@@ -163,12 +163,12 @@ def test_power_identity_on_smooth_trajectory(model):
 def test_actuator_force_equals_virtual_work_dynamically(model):
     """f . qd equals the mechanical energy rate at a random dynamic state."""
     q, qd, qdd = random_state(model)
-    v, f = rnea(model, q, qd, qdd)
+    f = rnea(model, q, qd, qdd)
     h = 1e-6
     e_p = kinetic_energy(model, q + h * qd, qd + h * qdd) + potential_energy(model, q + h * qd)
     e_m = kinetic_energy(model, q - h * qd, qd - h * qdd) + potential_energy(model, q - h * qd)
     e_dot = (e_p - e_m) / (2 * h)
-    assert np.isclose(np.sum(f * v), e_dot, rtol=1e-6, atol=1e-2)
+    assert np.isclose(np.sum(f * qd), e_dot, rtol=1e-6, atol=1e-2)
 
 
 def test_stage_total_equals_net_wrench_sum(model):
@@ -222,17 +222,25 @@ def test_batch_matches_scalar(model):
     qs = np.stack([q, q * 1.01, q * 0.99])
     qds = np.stack([qd, -qd, 0.5 * qd])
     qdds = np.stack([qdd, qdd, -qdd])
-    vb, fb = rnea(model, qs, qds, qdds)
+    fb = rnea(model, qs, qds, qdds)
     for k in range(3):
-        v1, f1 = rnea(model, qs[k], qds[k], qdds[k])
-        assert np.array_equal(fb[k], f1)
-        assert np.array_equal(vb[k], v1)
+        assert np.array_equal(fb[k], rnea(model, qs[k], qds[k], qdds[k]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 5, 3)])
+def test_rnea_returns_forces_of_the_shape_of_q(model, shape):
+    # the piston velocities are the stroke rates themselves, so rnea returns
+    # the forces alone
+    state = random_state(model)
+    f = rnea(model, *(np.broadcast_to(x, shape) for x in state))
+    assert isinstance(f, np.ndarray) and f.shape == shape
+    assert np.array_equal(f.reshape(-1, 3), np.tile(rnea(model, *state), (f.size // 3, 1)))
 
 
 def test_zero_gravity_zero_motion_zero_forces(model_no_gravity):
     lo, hi = model_no_gravity.stroke_limits()
     q = 0.5 * (lo + hi)
-    f = rnea(model_no_gravity, q, np.zeros(3), np.zeros(3))[1]
+    f = rnea(model_no_gravity, q, np.zeros(3), np.zeros(3))
     assert np.abs(f).max() < 1e-9
 
 
@@ -314,10 +322,9 @@ def row_scale(*forces):
 @given(model_and_states())
 def test_planar_kernel_matches_6d_oracle(case):
     model, q, qd, qdd = case
-    v, f = rnea(model, q, qd, qdd)
+    f = rnea(model, q, qd, qdd)
     oracle = evaluate_dynamics(model, q, qd, qdd).piston_forces
     assert f.shape == oracle.shape == q.shape
-    assert np.array_equal(v, qd)
     err = np.abs(f - oracle).max(axis=-1)
     assert np.all(err <= 1e-9 * row_scale(oracle))
 
@@ -365,10 +372,10 @@ def test_planar_kernel_is_affine_in_acceleration(case, delta):
     model, q, qd, qdd = case
     zero = np.zeros_like(q)
     d = np.broadcast_to(delta, q.shape)
-    f_hi = rnea(model, q, qd, qdd + d)[1]
-    f_lo = rnea(model, q, qd, qdd)[1]
-    m_hi = rnea(model, q, zero, d)[1]
-    m_lo = rnea(model, q, zero, zero)[1]
+    f_hi = rnea(model, q, qd, qdd + d)
+    f_lo = rnea(model, q, qd, qdd)
+    m_hi = rnea(model, q, zero, d)
+    m_lo = rnea(model, q, zero, zero)
     err = np.abs((f_hi - f_lo) - (m_hi - m_lo)).max(axis=-1)
     assert np.all(err <= 1e-9 * row_scale(f_hi, f_lo, m_hi, m_lo))
 
@@ -380,13 +387,13 @@ def test_each_model_keeps_its_own_kernel_plan():
     a = default_manipulator()
     copies = (scaled_masses(a, 2.0), replace(a, base_angle=0.3), turned_and_shifted(a))
     q, qd, qdd = random_state(a)
-    first = rnea(a, q, qd, qdd)[1]
+    first = rnea(a, q, qd, qdd)
     for b in copies:
-        f_b = rnea(b, q, qd, qdd)[1]
+        f_b = rnea(b, q, qd, qdd)
         assert not np.array_equal(f_b, first)
-        assert np.array_equal(rnea(a, q, qd, qdd)[1], first)
-        assert np.array_equal(f_b, rnea(replace(b), q, qd, qdd)[1])
-    assert np.array_equal(first, rnea(default_manipulator(), q, qd, qdd)[1])
+        assert np.array_equal(rnea(a, q, qd, qdd), first)
+        assert np.array_equal(f_b, rnea(replace(b), q, qd, qdd))
+    assert np.array_equal(first, rnea(default_manipulator(), q, qd, qdd))
 
 
 def test_rnea_ufunc_call_budget(monkeypatch):
@@ -410,10 +417,10 @@ def test_rnea_ufunc_call_budget(monkeypatch):
     grid = np.linspace(0.05, 0.95, 51)[:, None]
     q = lo + (hi - lo) * grid
     qd, qdd = np.cos(7.0 * grid + [0, 1, 2]), 3.0 * np.sin(5.0 * grid + [2, 0, 1])
-    plain = rnea(model, q, qd, qdd)[1]
+    plain = rnea(model, q, qd, qdd)
     as_states = manipulator._as_states
     monkeypatch.setattr(manipulator, "_as_states", lambda *args: tuple(
         x.view(Counting) for x in as_states(*args)))
-    counted = rnea(model, q, qd, qdd)[1]
+    counted = rnea(model, q, qd, qdd)
     assert 0 < len(calls) <= 420, len(calls)
     assert np.array_equal(counted, plain)
