@@ -6,8 +6,9 @@ efficiency characteristics, and the time-aggregated squared total
 efficiency becomes the outer objective.  The search evaluates every point
 of a lattice over the weight box; the inner objective depends on the
 weights only through their ratio, so the box is a 1-D family of rays and
-an exhaustive lattice covers it.  The search is deterministic and records
-its full evaluation trace.
+an exhaustive lattice covers it.  Each distinct ray is solved once, by
+continuation out from the box centre's ray.  The search is deterministic
+and records its full evaluation trace.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -194,23 +195,36 @@ def map_eta_fns(maps: list[EfficiencyMap]):
     return [m.interp_eta for m in maps]
 
 
-def _solve_point(args):
-    """Inner solve and outer objective at one weight vector; module-level so
-    worker processes can run it.
+def _sweep(args):
+    """Solve one sweep of weight rays in order; module-level so a worker
+    process can run it.
 
-    ``evaluation`` is the transcription's evaluation at ``initial_guess``,
-    which the solve's first point reuses.  Returns (F, TrajectoryResult), or
-    None when the inner solve leaves the chains' feasible strokes or reaches
-    a fold, so that one point fails without ending the sweep.
+    ``args`` is (model, problem, eta_maps, rays, start, evaluation): ``rays``
+    holds the raw weights of each ray's first lattice point, ``start`` the
+    centre solve's optimum, packed as [c.ravel(), t_final], and
+    ``evaluation`` the transcription's evaluation there.  Each ray starts
+    from the last converged solve before it, or from ``start``, with that
+    solve's last evaluation, which lies at the warm start, so its first point
+    costs no dynamics call.  Returns one (F, TrajectoryResult) per ray, or
+    None where the inner solve leaves the chains' feasible strokes or reaches
+    a fold, so that one ray fails without ending the sweep.
     """
-    model, problem, weights, eta_maps, initial_guess, evaluation = args
+    model, problem, eta_maps, rays, start, evaluation = args
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
-    try:
-        result = solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess,
-                             _evaluation=[evaluation])
-    except (StrokeRangeError, SingularConfigurationError):
-        return None
-    return efficiency_objective(result, map_eta_fns(eta_maps))[0], result
+    out = []
+    for w in rays:
+        cache = [evaluation]
+        try:
+            result = solve_inner(problem, dynamics, weights=w, initial_guess=start,
+                                 _evaluation=cache)
+        except (StrokeRangeError, SingularConfigurationError):
+            out.append(None)
+            continue
+        out.append((efficiency_objective(result, map_eta_fns(eta_maps))[0], result))
+        if result.converged:
+            start = np.concatenate([result.control_points.ravel(), [result.t_final]])
+            evaluation = cache[0]
+    return out
 
 
 def solve_outer(
@@ -222,35 +236,48 @@ def solve_outer(
 ) -> BilevelResult:
     """Run the leader-level weight search over the weight-box lattice.
 
-    One inner solve at the box centre gives the shared warm start; then
-    every lattice point is solved from it (in up to ``jobs`` worker
-    processes, one per point at most, when ``jobs`` > 1), so the outcome is
-    independent of evaluation order.  The transcription's evaluation does
-    not depend on the weights, so each point also gets the centre solve's
-    last one, which lies at the warm start, and its solve starts without a
-    dynamics call.  A point whose inner solve fails or does not converge is
-    traced with F = -inf and never wins; a failed centre solve raises.  The
-    best converged point is returned.
+    The inner problem reads the weights only through their normalized value
+    w / sum(w), so the lattice points are grouped by its bits into rays, and
+    each ray is solved once, at its first point in meshgrid order; the other
+    points on it take its F.  One cold inner solve at the box centre starts
+    two continuation sweeps out from the centre's ray: the rays at or above
+    it in ascending order, and those below it in descending order (see
+    :func:`_sweep`).  With ``jobs`` > 1 the sweeps run in one worker process
+    each; every ray's start depends only on its sweep, so the outcome does
+    not depend on ``jobs``.  A point whose inner solve fails or does not
+    converge is traced with F = -inf and never wins; a failed centre solve
+    raises.  The best converged point is returned.
     """
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
     lo, hi = config.weight_lower, config.weight_upper
-    centre = [None]
-    base = solve_inner(problem, dynamics, weights=0.5 * (lo + hi), _evaluation=centre)
-    warm = np.concatenate([base.control_points.ravel(), [base.t_final]])
+    mid = 0.5 * (lo + hi)
+    cache = [None]
+    base = solve_inner(problem, dynamics, weights=mid, _evaluation=cache)
+    start = np.concatenate([base.control_points.ravel(), [base.t_final]])
 
     axes = [np.linspace(lo[i], hi[i], config.grid_points) for i in range(len(lo))]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    tasks = [(model, problem, w, eta_maps, warm, centre[0]) for w in mesh]
-    if jobs > 1:
-        # the fork-context pool starts all its workers on the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            points = list(pool.map(_solve_point, tasks))
+    keys = [tuple(w / w.sum()) for w in mesh]
+    rays = {}
+    for key, w in zip(keys, mesh):
+        rays.setdefault(key, w)
+    centre = tuple(mid / mid.sum())
+    order = sorted(rays)
+    sweeps = [[k for k in order if k >= centre], [k for k in order[::-1] if k < centre]]
+    tasks = [(model, problem, eta_maps, [rays[k] for k in sweep], start, cache[0])
+             for sweep in sweeps if sweep]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(_sweep, tasks))
     else:
-        points = [_solve_point(t) for t in tasks]
+        points = [_sweep(t) for t in tasks]
+    solved = dict(zip(sweeps[0] + sweeps[1], [p for sweep in points for p in sweep]))
 
     trace = []
     best = None
-    for w, point in zip(mesh, points):
+    for w, key in zip(mesh, keys):
+        point = solved[key]
         ok = point is not None and point[1].converged
         trace.append((np.array(w), point[0] if ok else float("-inf"), ok))
         if ok and (best is None or point[0] > best[1]):
@@ -264,5 +291,5 @@ def solve_outer(
         inner=result,
         summary=efficiency_summary(result.v_x, result.f_x, map_eta_fns(eta_maps)),
         trace=trace,
-        n_inner_solves=len(trace) + 1,
+        n_inner_solves=len(rays) + 1,
     )

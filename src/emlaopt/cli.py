@@ -228,7 +228,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=integer_at_least(0), default=0)
         p.add_argument("--jobs", type=integer_at_least(1), default=1,
-                       help="bilevel grid worker processes, at most one per grid point")
+                       help="bilevel sweep worker processes, at most one per sweep")
     args = parser.parse_args(argv)
 
     try:

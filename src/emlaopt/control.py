@@ -815,7 +815,6 @@ class StabilityAudit:
     zeta: float
     zeta_fit: float | None
     strictly_decreasing: bool | None
-    fit_window: tuple
 
 
 def lyapunov_audit(traces: TrackingTraces, gains) -> StabilityAudit:
@@ -839,9 +838,9 @@ def lyapunov_audit(traces: TrackingTraces, gains) -> StabilityAudit:
         if v[i] >= v[i - 1]:
             end = i
             break
-    window = (0, max(end, 2))
-    seg_t = t[window[0]: window[1]]
-    seg_v = v[window[0]: window[1]]
+    end = max(end, 2)
+    seg_t = t[:end]
+    seg_v = v[:end]
     strictly = bool(np.all(np.diff(seg_v) < 0.0)) and len(seg_v) >= 2
     mask = seg_v > 0
     if v[0] == 0.0:
@@ -855,7 +854,6 @@ def lyapunov_audit(traces: TrackingTraces, gains) -> StabilityAudit:
         zeta=float(zeta),
         zeta_fit=zeta_fit,
         strictly_decreasing=strictly,
-        fit_window=window,
     )
 
 

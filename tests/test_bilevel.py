@@ -164,11 +164,47 @@ def grid_result(model, maps, small_problem):
     return cfg, solve_outer(cfg, small_problem, model, maps)
 
 
+def packed(result):
+    return np.concatenate([result.control_points.ravel(), [result.t_final]])
+
+
 def centre_start(problem, dynamics, cfg):
-    """The packed start of every grid point of ``cfg``: the control points
-    and final time of a re-run of the leader's centre solve."""
-    centre = solve_inner(problem, dynamics, weights=0.5 * (cfg.weight_lower + cfg.weight_upper))
-    return np.concatenate([centre.control_points.ravel(), [centre.t_final]])
+    """The control points and final time of a re-run of the leader's centre
+    solve of ``cfg``, packed."""
+    mid = 0.5 * (cfg.weight_lower + cfg.weight_upper)
+    return packed(solve_inner(problem, dynamics, weights=mid))
+
+
+def ray_chain(cfg, w):
+    """The raw weights the leader solves before the ray of ``w`` in its
+    sweep, from the centre's ray out: the first lattice point (in meshgrid
+    order) of each ray between the centre's ray and that of ``w``.  A ray is
+    a value of w1 / (w1 + w2); the rays at or above the centre's are swept in
+    ascending order, those below it in descending order."""
+    lo, hi = cfg.weight_lower, cfg.weight_upper
+    firsts = {}
+    for a in np.linspace(lo[0], hi[0], cfg.grid_points):
+        for b in np.linspace(lo[1], hi[1], cfg.grid_points):
+            firsts.setdefault(a / (a + b), np.array([a, b]))
+    mid = 0.5 * (lo + hi)
+    centre, ray = mid[0] / mid.sum(), w[0] / (w[0] + w[1])
+    if ray >= centre:
+        between = sorted(r for r in firsts if centre <= r < ray)
+    else:
+        between = sorted((r for r in firsts if ray < r < centre), reverse=True)
+    return [firsts[r] for r in between]
+
+
+def sweep_start(problem, dynamics, cfg, w):
+    """The packed start the leader gives the ray of ``w``: a re-run of the
+    centre solve, then of every ray before it in its sweep, each from the
+    optimum before it."""
+    start = centre_start(problem, dynamics, cfg)
+    for v in ray_chain(cfg, w):
+        result = solve_inner(problem, dynamics, weights=v, initial_guess=start)
+        assert result.converged
+        start = packed(result)
+    return start
 
 
 def test_grid_search_returns_exhaustive_max(grid_result):
@@ -220,9 +256,11 @@ def test_rescaled_optimum_weights_reproduce(model, dynamics, grid_result, small_
 
 
 def test_rerunning_inner_at_optimum_reproduces(model, dynamics, grid_result, small_problem, eta_fns):
+    # the winner's ray starts from the optimum of the ray before it in its sweep
     cfg, res = grid_result
+    assert len(ray_chain(cfg, res.weights_opt)) > 0
     again = solve_inner(small_problem, dynamics, weights=res.weights_opt,
-                        initial_guess=centre_start(small_problem, dynamics, cfg))
+                        initial_guess=sweep_start(small_problem, dynamics, cfg, res.weights_opt))
     assert np.array_equal(again.control_points, res.inner.control_points)
     value, _, _ = efficiency_objective(again, eta_fns)
     assert abs(value - res.outer_value) <= 1e-8
@@ -307,36 +345,52 @@ def test_invalid_config_rejected():
         BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], method="nelder-mead")
 
 
-def failing_solve_inner(fail_at):
+def failing_solve_inner(fail_at, calls=None):
     """solve_inner that raises the given error at the given weights; the
-    grid's private keywords (the warm-start evaluation) pass through."""
+    grid's private keywords (the warm-start evaluation) pass through.  Each
+    call's (weights, initial_guess, result or None) is appended to ``calls``
+    if given."""
 
     def solve(problem, dynamics, weights, initial_guess=None, **private):
-        for w, error in fail_at:
-            if np.allclose(weights, w):
-                raise error("injected failure")
-        return solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess,
-                           **private)
+        result = None
+        try:
+            for w, error in fail_at:
+                if np.allclose(weights, w):
+                    raise error("injected failure")
+            result = solve_inner(problem, dynamics, weights=weights, initial_guess=initial_guess,
+                                 **private)
+            return result
+        finally:
+            if calls is not None:
+                calls.append((np.asarray(weights), initial_guess, result))
 
     return solve
 
 
 def test_failed_grid_points_do_not_abort_sweep(monkeypatch, model, maps, small_problem):
+    # on the 3x3 lattice the ascending sweep runs 0.5, (1, 0.55), (0.55, 0.1),
+    # (1, 0.1) and the descending one (0.55, 1), (0.1, 0.55), (0.1, 1) by
+    # w1 / (w1 + w2): each failure has a ray after it in its sweep, which
+    # starts from the optimum of the last converged ray before the failure
     import emlaopt.bilevel as bilevel
 
+    calls = []
     monkeypatch.setattr(bilevel, "solve_inner", failing_solve_inner(
-        [([1.0, 0.1], StrokeRangeError), ([0.1, 1.0], SingularConfigurationError)]
+        [([0.55, 0.1], StrokeRangeError), ([0.1, 0.55], SingularConfigurationError)], calls
     ))
     cfg = BilevelConfig(
-        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=2
+        weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=3
     )
     res = solve_outer(cfg, small_problem, model, maps)
-    assert len(res.trace) == 4 and res.n_inner_solves == 5
+    assert len(res.trace) == 9 and res.n_inner_solves == len(calls) == 8
     rows = {tuple(np.round(w, 6)): (value, ok) for w, value, ok in res.trace}
-    for failed in ((1.0, 0.1), (0.1, 1.0)):
+    for failed in ((0.55, 0.1), (0.1, 0.55)):
         assert rows[failed] == (float("-inf"), False)
+    solved = {tuple(np.round(w, 6)): (start, result) for w, start, result in calls}
+    for after, last_converged in (((1.0, 0.1), (1.0, 0.55)), ((0.1, 1.0), (0.55, 1.0))):
+        assert np.array_equal(solved[after][0], packed(solved[last_converged][1]))
     survivors = [(w, v) for w, v, ok in res.trace if ok]
-    assert len(survivors) == 2
+    assert len(survivors) == 7
     w_best, v_best = max(survivors, key=lambda e: e[1])
     assert np.array_equal(res.weights_opt, w_best) and res.outer_value == v_best
 
@@ -367,8 +421,9 @@ def test_other_inner_errors_still_propagate(monkeypatch, model, maps, small_prob
 
 def test_grid_solves_stay_inside_their_boxes(monkeypatch, model, maps):
     # SLSQP works on scaled variables y = z / s, and each solve maps its
-    # result back as s y clipped to the box: every decision vector the 26
-    # solves of the benchmark grid return lies inside the q and t_final
+    # result back as s y clipped to the box: every decision vector the 22
+    # solves of the benchmark grid (the centre and the 21 distinct weight
+    # rays of the 5x5 lattice) return lies inside the q and t_final
     # bounds bit for bit (without the clip, s y can pass a bound by rounding)
     import emlaopt.bilevel as bilevel
 
@@ -381,7 +436,7 @@ def test_grid_solves_stay_inside_their_boxes(monkeypatch, model, maps):
     monkeypatch.setattr(bilevel, "solve_inner", recording)
     problem = benchmark_problem(model)
     res = solve_outer(BilevelConfig(), problem, model, maps)
-    assert len(results) == 26 and all(r.converged for r in results)
+    assert len(results) == res.n_inner_solves == 22 and all(r.converged for r in results)
     assert np.array_equal(res.weights_opt, [0.05, 1.0])
     t_lower, t_upper = problem.check_boundary_feasible()
     for r in results:
@@ -390,11 +445,12 @@ def test_grid_solves_stay_inside_their_boxes(monkeypatch, model, maps):
         assert t_lower <= r.t_final <= t_upper
 
 
-def test_grid_points_start_from_the_centre_evaluation(monkeypatch, model, maps, small_problem):
+def test_each_ray_starts_from_its_neighbours_evaluation(monkeypatch, model, maps, small_problem):
     # the transcription's evaluation does not depend on the weights, so each
-    # grid point starts from the centre solve's last one, at its warm start:
-    # one dynamics call fewer per point than a warm-started solve_inner run
-    # on its own, with every field of the result the same
+    # ray starts from the last evaluation of the solve before it in its
+    # sweep, at its warm start: one dynamics call fewer per ray than a
+    # solve_inner run on its own from that optimum, with every field of the
+    # result the same
     import emlaopt.bilevel as bilevel
 
     grid_calls, alone_calls, results = [], [], []
@@ -413,23 +469,27 @@ def test_grid_points_start_from_the_centre_evaluation(monkeypatch, model, maps, 
 
     monkeypatch.setattr(bilevel, "rnea", counting)
     monkeypatch.setattr(bilevel, "solve_inner", recording)
-    cfg = BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=2)
+    cfg = BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=3)
     solve_outer(cfg, small_problem, model, maps)
     centre, grid = results[0], results[1:]
-    assert len(grid) == 4
-    warm = np.concatenate([centre.control_points.ravel(), [centre.t_final]])
+    assert len(grid) == 7  # the diagonal is one ray
+    by_weights = {tuple(r.weights): r for r in grid}
     solve_inner(small_problem, alone, weights=centre.weights)
     for point in grid:
-        again = solve_inner(small_problem, alone, weights=point.weights, initial_guess=warm)
+        chain = ray_chain(cfg, point.weights)
+        before = by_weights[tuple(chain[-1])] if chain else centre
+        again = solve_inner(small_problem, alone, weights=point.weights,
+                            initial_guess=packed(before))
         for f in fields(TrajectoryResult):
             a, b = getattr(point, f.name), getattr(again, f.name)
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
     assert len(grid_calls) == len(alone_calls) - len(grid)
 
 
-def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch, model, maps, small_problem):
+def test_pool_has_at_most_one_worker_per_sweep(monkeypatch, model, maps, small_problem):
     # the fork-context pool starts every worker on its first submit, so a
-    # --jobs beyond the grid's point count would fork idle processes
+    # --jobs beyond the number of sweeps would fork idle processes; a search
+    # with one sweep runs inline
     import emlaopt.bilevel as bilevel
 
     opened = []
@@ -451,4 +511,38 @@ def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch, model, maps, sm
     cfg = BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=2)
     for jobs in (5000, 3, 1):
         solve_outer(cfg, small_problem, model, maps, jobs=jobs)
-    assert opened == [4, 3]
+    one_ray = BilevelConfig(weight_lower=[0.3, 0.7], weight_upper=[0.3, 0.7], grid_points=1)
+    solve_outer(one_ray, small_problem, model, maps, jobs=3)
+    assert opened == [2, 2]
+
+
+def test_asymmetric_even_grid_sweeps_out_from_the_centre_ray(monkeypatch, model, maps,
+                                                              small_problem):
+    # the centre (0.55, 0.5) of this box is no lattice point, and rays lie on
+    # both sides of its ray: each distinct ray is solved once, from the
+    # optimum of the ray before it in its sweep, every point of a ray takes
+    # its F, and a two-worker pool gives the same result
+    import emlaopt.bilevel as bilevel
+
+    calls = []
+    monkeypatch.setattr(bilevel, "solve_inner", failing_solve_inner([], calls))
+    cfg = BilevelConfig(weight_lower=[0.1, 0.2], weight_upper=[1.0, 0.8], grid_points=4)
+    res = solve_outer(cfg, small_problem, model, maps)
+    centre, rays = calls[0], calls[1:]
+    assert not any(np.array_equal(w, centre[0]) for w, _, _ in res.trace)
+    ray_of = lambda w: w[0] / w.sum()
+    swept = [ray_of(w) for w, _, _ in rays]
+    assert min(swept) < ray_of(centre[0]) <= max(swept)
+    assert len(rays) == len({tuple(w / w.sum()) for w, _, _ in res.trace}) < len(res.trace)
+    assert res.n_inner_solves == len(calls)
+    solved = {tuple(w): result for w, _, result in calls}
+    for w, start, _ in rays:
+        chain = ray_chain(cfg, w)
+        before = solved[tuple(chain[-1])] if chain else centre[2]
+        assert np.array_equal(start, packed(before))
+    for w, value, ok in res.trace:
+        first = next(r for v, _, r in rays if tuple(v / v.sum()) == tuple(w / w.sum()))
+        assert ok and value == efficiency_objective(first, map_eta_fns(maps))[0]
+    monkeypatch.undo()
+    pooled = solve_outer(cfg, small_problem, model, maps, jobs=2)
+    assert pooled.to_dict() == res.to_dict()
