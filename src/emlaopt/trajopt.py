@@ -13,8 +13,9 @@ points are the boundary rates) and force sample, n(n_ctrl - 3) + n(M + 1),
 and no equality.  One inverse-dynamics call per iterate, on the states and
 their differences (central in q, exact unit steps in q̇ and q̈), gives the
 values and, with analytic basis blocks, the derivatives by the decision vector.
-SLSQP steps in z / s, s the inverse square root of the cost's Gauss–Newton
-diagonal at the start point, so its identity start fits the cost's curvature.
+SLSQP steps in y, z = z0 + S y with S S^T the inverse of the cost's full
+Gauss–Newton Hessian at the start point, so its identity start fits the
+cost's curvature and its couplings.
 """
 
 import json
@@ -224,39 +225,40 @@ class TrajectoryResult:
 
 
 def _solve_slsqp(kern, z0):
-    """SLSQP from y0 = z0 / s on y, z = z0 + s (y - y0) clipped to the box, s =
-    d^(-1/2) for the ``curvature`` d at z0 floored at 1e-12 of its largest
-    entry (s = 1 where d is zero or not finite): SLSQP's identity start fits
-    the cost's curvature, and its first point is z0, which ``curvature`` has
-    evaluated.  Returns (x, converged, nit, max constraint violation)."""
-    import warnings
-
+    """SLSQP from y0 = 0 on y, z = z0 + S y clipped to the box, S = V Λ^(-1/2)
+    for the ``gauss_newton`` H = V Λ V^T at z0, Λ floored at 1e-12 of its
+    largest entry (S = I where H is not finite or has no positive
+    eigenvalue): SLSQP's identity start fits the cost's curvature, and its
+    first point is z0, which ``gauss_newton`` has evaluated.  S mixes the
+    variables, so the q and t_final box reaches SLSQP as the linear rows
+    [z - lo; hi - z], which its steps keep to rounding.  Returns (x,
+    converged, nit, max constraint violation)."""
     from scipy.optimize import minimize as scipy_minimize
 
     lo, hi = np.array(kern.bounds).T
-    d = kern.curvature(z0)
-    finite = np.isfinite(d)
-    d = np.where(finite, np.maximum(d, 1e-12 * d[finite].max(initial=0.0)), 0.0)
-    s = np.divide(1.0, np.sqrt(d), out=np.ones_like(d), where=d > 0)
-    y0 = z0 / s
-    z_of = lambda y: np.clip(z0 + s * (y - y0), lo, hi)
+    h = kern.gauss_newton(z0)
+    s = np.eye(len(z0))
+    if np.isfinite(h).all():
+        lam, v = np.linalg.eigh(h)
+        if lam[-1] > 0:
+            s = v / np.sqrt(np.maximum(lam, 1e-12 * lam[-1]))
+    box_jac = np.concatenate([s, -s])
+    z_of = lambda y: np.clip(z0 + s @ y, lo, hi)
 
-    with warnings.catch_warnings():
-        # SLSQP's line search probes slightly outside the box and clips;
-        # routine behavior, not actionable for callers
-        warnings.filterwarnings(
-            "ignore", message="Values in x were outside bounds", category=RuntimeWarning
-        )
-        res = scipy_minimize(
-            lambda y: kern.cost(z_of(y)),
-            y0,
-            jac=lambda y: s * kern.cost_grad(z_of(y)),
-            method="SLSQP",
-            bounds=list(zip(lo / s, hi / s)),
-            constraints=[{"type": "ineq", "fun": lambda y: kern.ineq(z_of(y)),
-                          "jac": lambda y: kern.ineq_jac(z_of(y)) * s}],
-            options={"maxiter": SLSQP_MAXITER, "ftol": 1e-10},
-        )
+    def box(y):
+        z = z0 + s @ y
+        return np.concatenate([z - lo, hi - z])
+
+    res = scipy_minimize(
+        lambda y: kern.cost(z_of(y)),
+        np.zeros(len(z0)),
+        jac=lambda y: kern.cost_grad(z_of(y)) @ s,
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": lambda y: kern.ineq(z_of(y)),
+                      "jac": lambda y: kern.ineq_jac(z_of(y)) @ s},
+                     {"type": "ineq", "fun": box, "jac": lambda y: box_jac}],
+        options={"maxiter": SLSQP_MAXITER, "ftol": 1e-10},
+    )
     x = z_of(res.x)
     viol = np.maximum(0.0, -kern.ineq(x)).max()
     return x, bool(res.status == 0 and viol <= CONSTRAINT_TOL), int(res.nit), float(viol)
@@ -390,9 +392,9 @@ class _Transcription:
         grad[-1] += self.weights @ (vals["psi"] / t_final)
         return grad
 
-    def curvature(self, z):
-        """Diagonal of the cost's Gauss–Newton Hessian, sum_j (dr_j/dz_i)^2, for
-        the residuals r = [sqrt(dt w̃_1) f, sqrt(dt w̃_2) f q̇] whose half
+    def gauss_newton(self, z):
+        """The cost's Gauss–Newton Hessian, sum_j dr_j/dz dr_j/dz^T, (n_z, n_z),
+        for the residuals r = [sqrt(dt w̃_1) f, sqrt(dt w̃_2) f q̇] whose half
         squared norm is the cost (w̃: the weights over ``criterion_scales``);
         dt = t_final / M adds r / (2 t_final) to the t_final column."""
         vals = self.evaluate(z)
@@ -401,8 +403,8 @@ class _Transcription:
         dt_col = np.eye(len(z))[-1] * (0.5 / vals["t_final"])
         d_f = vals["d_f"] + f * dt_col
         d_fv = vals["d_f"] * qd + f * vals["d_qd"] + f * qd * dt_col
-        return vals["dt"] * (w[0] * np.einsum("kaz,kaz->z", d_f, d_f)
-                             + w[1] * np.einsum("kaz,kaz->z", d_fv, d_fv))
+        return vals["dt"] * (w[0] * np.einsum("kaz,kay->zy", d_f, d_f)
+                             + w[1] * np.einsum("kaz,kay->zy", d_fv, d_fv))
 
     # -- constraints, in SLSQP's sign: ineq >= 0 ---------------------------
     def ineq(self, z):

@@ -419,12 +419,11 @@ def test_other_inner_errors_still_propagate(monkeypatch, model, maps, small_prob
         solve_outer(cfg, small_problem, model, maps)
 
 
-def test_grid_solves_stay_inside_their_boxes(monkeypatch, model, maps):
-    # SLSQP works on scaled variables y = z / s, and each solve maps its
-    # result back as s y clipped to the box: every decision vector the 22
-    # solves of the benchmark grid (the centre and the 21 distinct weight
-    # rays of the 5x5 lattice) return lies inside the q and t_final
-    # bounds bit for bit (without the clip, s y can pass a bound by rounding)
+@pytest.fixture(scope="module")
+def benchmark_grid(model, maps):
+    """The leader's search on the benchmark problem and every ``solve_inner``
+    result it made: the centre and the 21 distinct weight rays of the 5x5
+    lattice."""
     import emlaopt.bilevel as bilevel
 
     results = []
@@ -433,9 +432,19 @@ def test_grid_solves_stay_inside_their_boxes(monkeypatch, model, maps):
         results.append(solve_inner(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(bilevel, "solve_inner", recording)
     problem = benchmark_problem(model)
-    res = solve_outer(BilevelConfig(), problem, model, maps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bilevel, "solve_inner", recording)
+        res = solve_outer(BilevelConfig(), problem, model, maps)
+    return problem, res, results
+
+
+def test_grid_solves_stay_inside_their_boxes(benchmark_grid):
+    # SLSQP works on y, z = z0 + S y, and each solve maps its result back
+    # as z clipped to the box: every decision vector the 22 solves of the
+    # benchmark grid return lies inside the q and t_final bounds bit for
+    # bit (without the clip, S y can pass a bound by rounding)
+    problem, res, results = benchmark_grid
     assert len(results) == res.n_inner_solves == 22 and all(r.converged for r in results)
     assert np.array_equal(res.weights_opt, [0.05, 1.0])
     t_lower, t_upper = problem.check_boundary_feasible()
@@ -443,6 +452,16 @@ def test_grid_solves_stay_inside_their_boxes(monkeypatch, model, maps):
         free = r.control_points[2:-2]
         assert np.all(free >= problem.q_lower) and np.all(free <= problem.q_upper)
         assert t_lower <= r.t_final <= t_upper
+
+
+def test_grid_iteration_budget(benchmark_grid):
+    # SLSQP starts from the cost's full Gauss–Newton Hessian at each start
+    # point, so the 22 solves of the benchmark grid take at most 140
+    # iterations in all (125 measured; 234 with the diagonal scaling)
+    _, _, results = benchmark_grid
+    assert len(results) == 22
+    total = sum(r.outer_iterations for r in results)
+    assert total <= 140, total
 
 
 def test_each_ray_starts_from_its_neighbours_evaluation(monkeypatch, model, maps, small_problem):

@@ -476,7 +476,7 @@ def test_one_dynamics_call_per_point(small_problem, model, dynamics):
         return dynamics(q, qd, qdd)
 
     kern = _Transcription(small_problem, recording, np.array([0.5, 0.5]))
-    reads = (kern.cost, kern.cost_grad, kern.ineq, kern.ineq_jac, kern.curvature)
+    reads = (kern.cost, kern.cost_grad, kern.ineq, kern.ineq_jac, kern.gauss_newton)
     for seed, first in enumerate(reads):
         z = jittered_z(kern, model, seed, 0.3)
         first(z)
@@ -502,9 +502,10 @@ def test_constants_are_shared_and_read_only(small_problem, dynamics):
 
 
 def test_slsqp_starts_at_the_evaluated_start_point(small_problem, dynamics):
-    # the scaling evaluates the start point, and SLSQP's first point is that
-    # start point bit for bit, so the cache serves it: the second call is
-    # SLSQP's first step away, not the start point again to the last bit
+    # the preconditioner evaluates the start point, and SLSQP's first point
+    # is that start point bit for bit, so the cache serves it: the second
+    # call is SLSQP's first step away, not the start point again to the
+    # last bit
     calls = []
 
     def recording(q, qd, qdd):
@@ -516,10 +517,11 @@ def test_slsqp_starts_at_the_evaluated_start_point(small_problem, dynamics):
 
 
 @pytest.mark.parametrize("w", [[0.3, 0.7], [1.0, 0.0], [0.0, 1.0]])
-def test_curvature_matches_central_differences(small_problem, moving_problem, model, dynamics, w):
-    # the scaling's diagonal is sum_j (dr_j/dz_i)^2 for the residuals r whose
-    # half squared norm is the cost; r is built here from the sampled values
-    # alone, so dt = t_final / M moves with the t_final column as well
+def test_gauss_newton_matches_central_differences(small_problem, moving_problem, model, dynamics,
+                                                  w):
+    # the preconditioner is J_r^T J_r for the residuals r whose half squared
+    # norm is the cost; r is built here from the sampled values alone, so
+    # dt = t_final / M moves with the t_final column as well
     for p in (small_problem, moving_problem):
         kern = _Transcription(p, dynamics, np.array(w))
         z = jittered_z(kern, model, 5, 0.4)
@@ -531,19 +533,25 @@ def test_curvature_matches_central_differences(small_problem, moving_problem, mo
             return np.concatenate([np.sqrt(dt * w_tilde[0]) * f.ravel(),
                                    np.sqrt(dt * w_tilde[1]) * fv.ravel()])
 
-        reference = (central_jacobian(residuals, z) ** 2).sum(axis=0)
-        d = kern.curvature(z)
-        assert len(d) == len(z) and np.all(reference > 0)
-        assert np.abs(d / reference - 1.0).max() <= 1e-6, np.abs(d / reference - 1.0).max()
+        jac = central_jacobian(residuals, z)
+        reference = jac.T @ jac
+        h = kern.gauss_newton(z)
+        d = np.diag(reference)
+        assert h.shape == (len(z), len(z)) and np.all(d > 0)
+        assert np.abs(np.diag(h) / d - 1.0).max() <= 1e-6, np.abs(np.diag(h) / d - 1.0).max()
+        # off the diagonal, relative to the geometric mean of the two diagonal entries
+        off = np.abs(h - reference) / np.sqrt(np.outer(d, d))
+        np.fill_diagonal(off, 0.0)
+        assert off.max() <= 1e-6, off.max()
 
 
 def test_zero_forces_give_the_straight_line(small_problem):
-    # forces that vanish identically make the cost and its curvature zero,
-    # so every variable keeps the unit scale and SLSQP stops at the start
+    # forces that vanish identically make the cost and its Gauss–Newton
+    # Hessian zero, so SLSQP steps in z itself (S = I) and stops at the start
     zero = lambda q, qd, qdd: np.zeros_like(q)
     kern = _Transcription(small_problem, zero, np.array([0.5, 0.5]))
     z0 = kern.free(kern.initial_guess())
-    assert np.array_equal(kern.curvature(z0), np.zeros(len(z0)))
+    assert np.array_equal(kern.gauss_newton(z0), np.zeros((len(z0), len(z0))))
     res = solve_inner(small_problem, zero, weights=np.array([0.5, 0.5]))
     assert res.converged and res.cost == 0.0
     assert np.all(np.isfinite(res.control_points))
@@ -558,10 +566,11 @@ def centre_solve(model, dynamics):
 
 
 def test_centre_solve_iteration_budget(centre_solve):
-    """SLSQP starts its BFGS matrix at the identity, so the variables are
-    scaled by the cost's Gauss–Newton curvature at the start point; the cold
-    centre solve of the benchmark problem may then take at most 22
-    iterations (without the scaling it took 27)."""
+    """SLSQP starts its BFGS matrix at the identity, so it steps in
+    variables preconditioned by the cost's full Gauss–Newton Hessian at the
+    start point; the cold centre solve of the benchmark problem may then
+    take at most 22 iterations (19 measured; 18 with the diagonal of that
+    Hessian alone, 27 without any scaling)."""
     res = centre_solve
     assert res.converged
     assert 0 < res.outer_iterations <= 22, res.outer_iterations
@@ -581,9 +590,9 @@ def tight_resolve_cost(kern, z):
 @pytest.mark.parametrize("w, warm", [([1.0, 0.05], False), ([0.525, 0.525], False),
                                      ([0.05, 1.0], True)])
 def test_inner_cost_matches_tight_resolve(model, dynamics, centre_solve, w, warm):
-    # the scaled solve stops at ftol = 1e-10 on the same cost, so an
+    # the preconditioned solve stops at ftol = 1e-10 on the same cost, so an
     # unscaled re-solve at ftol = 1e-14 from its optimum gains at most 1e-9
-    # of it (the worst grid point gained 1.6e-10)
+    # of it (the worst grid point gained 5.6e-11)
     p = benchmark_problem(model)
     start = np.concatenate([centre_solve.control_points.ravel(), [centre_solve.t_final]])
     res = solve_inner(p, dynamics, weights=np.array(w), initial_guess=start if warm else None)
@@ -594,3 +603,38 @@ def test_inner_cost_matches_tight_resolve(model, dynamics, centre_solve, w, warm
     reference, violation = tight_resolve_cost(kern, z)
     assert violation <= CONSTRAINT_TOL
     assert abs(cost - reference) <= 1e-9 * abs(reference), (cost - reference) / reference
+
+
+@pytest.mark.parametrize("w", [[0.05, 1.0], [1.0, 0.05]])
+def test_warm_solve_keeps_the_box_before_the_clip(monkeypatch, model, dynamics, centre_solve, w):
+    # SLSQP steps in y, z = z0 + S y with a full S, and gets the q and
+    # t_final box as linear rows, [z - lo; hi - z], which its QP steps keep
+    # to rounding: at every point it asks for, z before the clip leaves the
+    # box by at most 1e-12 of max(1, |bound|).  Both solves end with
+    # coordinates on a bound, so some rows are active.
+    import scipy.optimize
+
+    minimize_, rows = scipy.optimize.minimize, []
+
+    def recorded(fun):
+        def wrapper(y):
+            rows.append(fun(y))
+            return rows[-1]
+        return wrapper
+
+    def recording(fun, x0, **kwargs):
+        for con in kwargs["constraints"]:
+            con["fun"] = recorded(con["fun"])
+        return minimize_(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    p = benchmark_problem(model)
+    start = np.concatenate([centre_solve.control_points.ravel(), [centre_solve.t_final]])
+    res = solve_inner(p, dynamics, weights=np.array(w), initial_guess=start)
+    assert res.converged
+    lo, hi = np.array(_Transcription(p, dynamics, np.array(w)).bounds).T
+    scale = np.maximum(1.0, np.abs(np.concatenate([lo, hi])))
+    box = np.array([r for r in rows if len(r) == 2 * len(lo)]) / scale
+    assert len(box) > res.outer_iterations
+    assert box.min() >= -1e-12, box.min()
+    assert np.abs(box[-1]).min() <= 1e-12
