@@ -7,11 +7,10 @@ efficiency becomes the outer objective.  The search evaluates every point
 of a lattice over the weight box; the inner objective depends on the
 weights only through their ratio, so the box is a 1-D family of rays and
 an exhaustive lattice covers it.  Each distinct ray is solved once, by
-continuation out from the box centre's ray.  The search is deterministic
-and records its full evaluation trace.
+continuation out from the box centre's ray, in one process.  The search is
+deterministic and records its full evaluation trace.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +165,7 @@ class BilevelResult:
     inner: TrajectoryResult
     summary: dict
     trace: list  # (weights, F, converged) in evaluation order
-    n_inner_solves: int
+    n_inner_solves: int  # solve_inner calls: the centre's, and one per ray it does not stand for
 
     def trace_to_csv(self) -> str:
         """One row per evaluated point, each formatted in one step."""
@@ -195,44 +194,11 @@ def map_eta_fns(maps: list[EfficiencyMap]):
     return [m.interp_eta for m in maps]
 
 
-def _sweep(args):
-    """Solve one sweep of weight rays in order; module-level so a worker
-    process can run it.
-
-    ``args`` is (model, problem, eta_maps, rays, start, evaluation): ``rays``
-    holds the raw weights of each ray's first lattice point, ``start`` the
-    centre solve's optimum, packed as [c.ravel(), t_final], and
-    ``evaluation`` the transcription's evaluation there.  Each ray starts
-    from the last converged solve before it, or from ``start``, with that
-    solve's last evaluation, which lies at the warm start, so its first point
-    costs no dynamics call.  Returns one (F, TrajectoryResult) per ray, or
-    None where the inner solve leaves the chains' feasible strokes or reaches
-    a fold, so that one ray fails without ending the sweep.
-    """
-    model, problem, eta_maps, rays, start, evaluation = args
-    dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
-    out = []
-    for w in rays:
-        cache = [evaluation]
-        try:
-            result = solve_inner(problem, dynamics, weights=w, initial_guess=start,
-                                 _evaluation=cache)
-        except (StrokeRangeError, SingularConfigurationError):
-            out.append(None)
-            continue
-        out.append((efficiency_objective(result, map_eta_fns(eta_maps))[0], result))
-        if result.converged:
-            start = np.concatenate([result.control_points.ravel(), [result.t_final]])
-            evaluation = cache[0]
-    return out
-
-
 def solve_outer(
     config: BilevelConfig,
     problem: NlpProblem,
     model: ChainModel,
     eta_maps: list[EfficiencyMap],
-    jobs: int = 1,
 ) -> BilevelResult:
     """Run the leader-level weight search over the weight-box lattice.
 
@@ -240,20 +206,25 @@ def solve_outer(
     w / sum(w), so the lattice points are grouped by its bits into rays, and
     each ray is solved once, at its first point in meshgrid order; the other
     points on it take its F.  One cold inner solve at the box centre starts
-    two continuation sweeps out from the centre's ray: the rays at or above
-    it in ascending order, and those below it in descending order (see
-    :func:`_sweep`).  With ``jobs`` > 1 the sweeps run in one worker process
-    each; every ray's start depends only on its sweep, so the outcome does
-    not depend on ``jobs``.  A point whose inner solve fails or does not
-    converge is traced with F = -inf and never wins; a failed centre solve
-    raises.  The best converged point is returned.
+    two continuation sweeps out from the centre's ray: the rays above it in
+    ascending order, and those below it in descending order.  If the centre
+    solve converged and its ray is a lattice ray, it is that ray's solve, so
+    when that ray wins, ``inner.weights`` holds the centre's weights, which
+    lie on w*'s ray; otherwise the centre's ray heads the ascending sweep.
+    Each ray starts from the optimum of the last converged solve before it in
+    its sweep, or from the centre's, with that solve's last evaluation, which
+    lies at the warm start, so its first point costs no dynamics call.  A
+    point whose inner solve does not converge, leaves the chains' feasible
+    strokes or reaches a fold is traced with F = -inf and never wins, and
+    its sweep goes on; a failed centre solve raises.  The best converged
+    point is returned.
     """
     dynamics = lambda q, qd, qdd: rnea(model, q, qd, qdd)
+    eta_fns = map_eta_fns(eta_maps)
     lo, hi = config.weight_lower, config.weight_upper
     mid = 0.5 * (lo + hi)
     cache = [None]
     base = solve_inner(problem, dynamics, weights=mid, _evaluation=cache)
-    start = np.concatenate([base.control_points.ravel(), [base.t_final]])
 
     axes = [np.linspace(lo[i], hi[i], config.grid_points) for i in range(len(lo))]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -263,21 +234,29 @@ def solve_outer(
         rays.setdefault(key, w)
     centre = tuple(mid / mid.sum())
     order = sorted(rays)
-    sweeps = [[k for k in order if k >= centre], [k for k in order[::-1] if k < centre]]
-    tasks = [(model, problem, eta_maps, [rays[k] for k in sweep], start, cache[0])
-             for sweep in sweeps if sweep]
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep, tasks))
-    else:
-        points = [_sweep(t) for t in tasks]
-    solved = dict(zip(sweeps[0] + sweeps[1], [p for sweep in points for p in sweep]))
+    solved = {}
+    if base.converged and centre in rays:
+        solved[centre] = (efficiency_objective(base, eta_fns)[0], base)
+        order.remove(centre)
+    for sweep in ([k for k in order if k >= centre], [k for k in order[::-1] if k < centre]):
+        start = np.concatenate([base.control_points.ravel(), [base.t_final]])
+        evaluation = cache[0]
+        for key in sweep:
+            step = [evaluation]
+            try:
+                result = solve_inner(problem, dynamics, weights=rays[key], initial_guess=start,
+                                     _evaluation=step)
+            except (StrokeRangeError, SingularConfigurationError):
+                continue
+            solved[key] = (efficiency_objective(result, eta_fns)[0], result)
+            if result.converged:
+                start = np.concatenate([result.control_points.ravel(), [result.t_final]])
+                evaluation = step[0]
 
     trace = []
     best = None
     for w, key in zip(mesh, keys):
-        point = solved[key]
+        point = solved.get(key)
         ok = point is not None and point[1].converged
         trace.append((np.array(w), point[0] if ok else float("-inf"), ok))
         if ok and (best is None or point[0] > best[1]):
@@ -289,7 +268,7 @@ def solve_outer(
         weights_opt=w_opt,
         outer_value=value,
         inner=result,
-        summary=efficiency_summary(result.v_x, result.f_x, map_eta_fns(eta_maps)),
+        summary=efficiency_summary(result.v_x, result.f_x, eta_fns),
         trace=trace,
-        n_inner_solves=len(rays) + 1,
+        n_inner_solves=1 + len(order),
     )

@@ -6,7 +6,7 @@ reproducible byte for byte given the same config and seed.
 
     emlaopt map      --config map.json      --out out/map
     emlaopt trajopt  --config trajopt.json  --out out/traj
-    emlaopt bilevel  --config bilevel.json  --out out/bilevel [--jobs 4]
+    emlaopt bilevel  --config bilevel.json  --out out/bilevel
     emlaopt track    --config track.json    --out out/track   [--seed 3]
     emlaopt report   --config report.json   --out out/report
 """
@@ -38,7 +38,7 @@ from .manipulator import rnea
 from .trajopt import TrajectoryResult, solve_inner
 
 
-def run_map(config: dict, seed: int, jobs: int) -> dict:
+def run_map(config: dict, seed: int) -> dict:
     configio.check_keys(config, "config", ("actuator", "grid"), "a map config")
     actuator = configio.build_actuator(config.get("actuator"))
     force, velocity = configio.build_map_axes(config.get("grid"), actuator)
@@ -46,7 +46,7 @@ def run_map(config: dict, seed: int, jobs: int) -> dict:
     return {"efficiency_map.csv": map_to_csv(emap), "efficiency_map.json": map_to_json(emap)}
 
 
-def run_trajopt(config: dict, seed: int, jobs: int) -> dict:
+def run_trajopt(config: dict, seed: int) -> dict:
     configio.check_keys(config, "config", ("manipulator", "problem", "weights"),
                         "a trajopt config")
     model = configio.build_manipulator(config.get("manipulator"))
@@ -60,7 +60,7 @@ def run_trajopt(config: dict, seed: int, jobs: int) -> dict:
     }
 
 
-def run_bilevel(config: dict, seed: int, jobs: int) -> dict:
+def run_bilevel(config: dict, seed: int) -> dict:
     configio.check_keys(config, "config", ("manipulator", "problem", "actuators", "outer", "maps"),
                         "a bilevel config")
     model = configio.build_manipulator(config.get("manipulator"))
@@ -71,7 +71,7 @@ def run_bilevel(config: dict, seed: int, jobs: int) -> dict:
     cfg = configio.build_outer(config.get("outer"))
     axes = configio.build_preset_axes(config.get("maps"), actuators)
     maps = [build_efficiency_map(a, *ax) for a, ax in zip(actuators, axes)]
-    result = solve_outer(cfg, problem, model, maps, jobs=jobs)
+    result = solve_outer(cfg, problem, model, maps)
     doc = result.to_dict()
     doc["quartile_occupancy"] = quartile_occupancy(result.inner.v_x, result.inner.f_x, maps)
     doc["samples_outside_map"] = samples_outside_map(result.inner.v_x, result.inner.f_x, maps)
@@ -83,7 +83,7 @@ def run_bilevel(config: dict, seed: int, jobs: int) -> dict:
     }
 
 
-def run_track(config: dict, seed: int, jobs: int) -> dict:
+def run_track(config: dict, seed: int) -> dict:
     configio.check_keys(config, "config", (
         "trajectory", "actuators", "gains", "disturbance", "duration", "settle_time", "dt",
         "initial_position_error"), "a track config")
@@ -137,7 +137,7 @@ def run_track(config: dict, seed: int, jobs: int) -> dict:
     }
 
 
-def run_report(config: dict, seed: int, jobs: int) -> dict:
+def run_report(config: dict, seed: int) -> dict:
     configio.check_keys(config, "config", ("artifacts", "actuators", "require_tracking"),
                         "a report config")
     art_dir = Path(configio.file_path(config.get("artifacts", "."), "artifacts", "a directory"))
@@ -191,8 +191,7 @@ def run_report(config: dict, seed: int, jobs: int) -> dict:
 
 
 def integer_at_least(minimum: int):
-    """The argparse type of an integer >= ``minimum``: ``--seed`` takes 0 and
-    ``--jobs`` 1."""
+    """The argparse type of an integer >= ``minimum``."""
 
     def parse(text: str) -> int:
         try:
@@ -228,12 +227,12 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=integer_at_least(0), default=0)
         p.add_argument("--jobs", type=integer_at_least(1), default=1,
-                       help="bilevel sweep worker processes, at most one per sweep")
+                       help="no effect; every command runs in one process")
     args = parser.parse_args(argv)
 
     try:
         config_text, config = load_json_text(args.config)
-        files = RUNNERS[args.command](config, args.seed, args.jobs)
+        files = RUNNERS[args.command](config, args.seed)
         write_artifacts(args.out, files, config_text, args.seed)
     except (ValueError, RuntimeError) as exc:
         # ConfigError is a ValueError; model and solver errors exit 2 without a traceback

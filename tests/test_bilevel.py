@@ -179,8 +179,9 @@ def ray_chain(cfg, w):
     """The raw weights the leader solves before the ray of ``w`` in its
     sweep, from the centre's ray out: the first lattice point (in meshgrid
     order) of each ray between the centre's ray and that of ``w``.  A ray is
-    a value of w1 / (w1 + w2); the rays at or above the centre's are swept in
-    ascending order, those below it in descending order."""
+    a value of w1 / (w1 + w2); the rays above the centre's are swept in
+    ascending order, those below it in descending order, and a converged
+    centre solve stands for its own ray."""
     lo, hi = cfg.weight_lower, cfg.weight_upper
     firsts = {}
     for a in np.linspace(lo[0], hi[0], cfg.grid_points):
@@ -189,7 +190,7 @@ def ray_chain(cfg, w):
     mid = 0.5 * (lo + hi)
     centre, ray = mid[0] / mid.sum(), w[0] / (w[0] + w[1])
     if ray >= centre:
-        between = sorted(r for r in firsts if centre <= r < ray)
+        between = sorted(r for r in firsts if centre < r < ray)
     else:
         between = sorted((r for r in firsts if ray < r < centre), reverse=True)
     return [firsts[r] for r in between]
@@ -368,9 +369,10 @@ def failing_solve_inner(fail_at, calls=None):
 
 
 def test_failed_grid_points_do_not_abort_sweep(monkeypatch, model, maps, small_problem):
-    # on the 3x3 lattice the ascending sweep runs 0.5, (1, 0.55), (0.55, 0.1),
-    # (1, 0.1) and the descending one (0.55, 1), (0.1, 0.55), (0.1, 1) by
-    # w1 / (w1 + w2): each failure has a ray after it in its sweep, which
+    # on the 3x3 lattice the centre solve stands for the diagonal, the
+    # ascending sweep runs (1, 0.55), (0.55, 0.1), (1, 0.1) and the
+    # descending one (0.55, 1), (0.1, 0.55), (0.1, 1) by w1 / (w1 + w2):
+    # each failure has a ray after it in its sweep, which
     # starts from the optimum of the last converged ray before the failure
     import emlaopt.bilevel as bilevel
 
@@ -382,7 +384,7 @@ def test_failed_grid_points_do_not_abort_sweep(monkeypatch, model, maps, small_p
         weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=3
     )
     res = solve_outer(cfg, small_problem, model, maps)
-    assert len(res.trace) == 9 and res.n_inner_solves == len(calls) == 8
+    assert len(res.trace) == 9 and res.n_inner_solves == len(calls) == 7
     rows = {tuple(np.round(w, 6)): (value, ok) for w, value, ok in res.trace}
     for failed in ((0.55, 0.1), (0.1, 0.55)):
         assert rows[failed] == (float("-inf"), False)
@@ -422,8 +424,8 @@ def test_other_inner_errors_still_propagate(monkeypatch, model, maps, small_prob
 @pytest.fixture(scope="module")
 def benchmark_grid(model, maps):
     """The leader's search on the benchmark problem and every ``solve_inner``
-    result it made: the centre and the 21 distinct weight rays of the 5x5
-    lattice."""
+    result it made: the centre, which stands for its own ray, and the other
+    20 distinct weight rays of the 5x5 lattice."""
     import emlaopt.bilevel as bilevel
 
     results = []
@@ -441,11 +443,11 @@ def benchmark_grid(model, maps):
 
 def test_grid_solves_stay_inside_their_boxes(benchmark_grid):
     # SLSQP works on y, z = z0 + S y, and each solve maps its result back
-    # as z clipped to the box: every decision vector the 22 solves of the
+    # as z clipped to the box: every decision vector the 21 solves of the
     # benchmark grid return lies inside the q and t_final bounds bit for
     # bit (without the clip, S y can pass a bound by rounding)
     problem, res, results = benchmark_grid
-    assert len(results) == res.n_inner_solves == 22 and all(r.converged for r in results)
+    assert len(results) == res.n_inner_solves == 21 and all(r.converged for r in results)
     assert np.array_equal(res.weights_opt, [0.05, 1.0])
     t_lower, t_upper = problem.check_boundary_feasible()
     for r in results:
@@ -456,10 +458,11 @@ def test_grid_solves_stay_inside_their_boxes(benchmark_grid):
 
 def test_grid_iteration_budget(benchmark_grid):
     # SLSQP starts from the cost's full Gauss–Newton Hessian at each start
-    # point, so the 22 solves of the benchmark grid take at most 140
-    # iterations in all (125 measured; 234 with the diagonal scaling)
+    # point, so the 21 solves of the benchmark grid take at most 140
+    # iterations in all (124 measured; 234 with the diagonal scaling and the
+    # centre's ray solved twice)
     _, _, results = benchmark_grid
-    assert len(results) == 22
+    assert len(results) == 21
     total = sum(r.outer_iterations for r in results)
     assert total <= 140, total
 
@@ -491,7 +494,7 @@ def test_each_ray_starts_from_its_neighbours_evaluation(monkeypatch, model, maps
     cfg = BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=3)
     solve_outer(cfg, small_problem, model, maps)
     centre, grid = results[0], results[1:]
-    assert len(grid) == 7  # the diagonal is one ray
+    assert len(grid) == 6  # the diagonal is the centre's ray
     by_weights = {tuple(r.weights): r for r in grid}
     solve_inner(small_problem, alone, weights=centre.weights)
     for point in grid:
@@ -505,42 +508,12 @@ def test_each_ray_starts_from_its_neighbours_evaluation(monkeypatch, model, maps
     assert len(grid_calls) == len(alone_calls) - len(grid)
 
 
-def test_pool_has_at_most_one_worker_per_sweep(monkeypatch, model, maps, small_problem):
-    # the fork-context pool starts every worker on its first submit, so a
-    # --jobs beyond the number of sweeps would fork idle processes; a search
-    # with one sweep runs inline
-    import emlaopt.bilevel as bilevel
-
-    opened = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(bilevel, "ProcessPoolExecutor", RecordingPool)
-    cfg = BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=2)
-    for jobs in (5000, 3, 1):
-        solve_outer(cfg, small_problem, model, maps, jobs=jobs)
-    one_ray = BilevelConfig(weight_lower=[0.3, 0.7], weight_upper=[0.3, 0.7], grid_points=1)
-    solve_outer(one_ray, small_problem, model, maps, jobs=3)
-    assert opened == [2, 2]
-
-
 def test_asymmetric_even_grid_sweeps_out_from_the_centre_ray(monkeypatch, model, maps,
                                                               small_problem):
     # the centre (0.55, 0.5) of this box is no lattice point, and rays lie on
     # both sides of its ray: each distinct ray is solved once, from the
-    # optimum of the ray before it in its sweep, every point of a ray takes
-    # its F, and a two-worker pool gives the same result
+    # optimum of the ray before it in its sweep, and every point of a ray
+    # takes its F
     import emlaopt.bilevel as bilevel
 
     calls = []
@@ -562,6 +535,46 @@ def test_asymmetric_even_grid_sweeps_out_from_the_centre_ray(monkeypatch, model,
     for w, value, ok in res.trace:
         first = next(r for v, _, r in rays if tuple(v / v.sum()) == tuple(w / w.sum()))
         assert ok and value == efficiency_objective(first, map_eta_fns(maps))[0]
-    monkeypatch.undo()
-    pooled = solve_outer(cfg, small_problem, model, maps, jobs=2)
-    assert pooled.to_dict() == res.to_dict()
+
+
+def test_converged_centre_solve_stands_for_its_ray(monkeypatch, model, maps, small_problem):
+    # the centre (0.55, 0.55) of the 3x3 box lies on the diagonal's ray, so
+    # no later solve lies on that ray and every diagonal point takes the
+    # centre's F; a one-point box makes the centre solve alone
+    import emlaopt.bilevel as bilevel
+
+    calls = []
+    monkeypatch.setattr(bilevel, "solve_inner", failing_solve_inner([], calls))
+    cfg = BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=3)
+    res = solve_outer(cfg, small_problem, model, maps)
+    centre = calls[0][2]
+    assert res.n_inner_solves == len(calls) == 7
+    assert all(w[0] != w[1] for w, _, _ in calls[1:])
+    diagonal = [(value, ok) for w, value, ok in res.trace if w[0] == w[1]]
+    assert diagonal == [(efficiency_objective(centre, map_eta_fns(maps))[0], True)] * 3
+    one_point = BilevelConfig(weight_lower=[0.3, 0.7], weight_upper=[0.3, 0.7], grid_points=1)
+    assert solve_outer(one_point, small_problem, model, maps).n_inner_solves == 1
+
+
+def test_unconverged_centre_solve_leaves_its_ray_to_the_sweep(monkeypatch, model, maps,
+                                                              small_problem):
+    # a centre solve that stops short of convergence still starts both
+    # sweeps, and its ray heads the ascending one, solved from the centre's
+    # optimum at the ray's first lattice point
+    import emlaopt.bilevel as bilevel
+
+    calls = []
+    solve = failing_solve_inner([], calls)
+
+    def unconverged_centre(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        return replace(result, converged=False) if len(calls) == 1 else result
+
+    monkeypatch.setattr(bilevel, "solve_inner", unconverged_centre)
+    cfg = BilevelConfig(weight_lower=[0.1, 0.1], weight_upper=[1.0, 1.0], grid_points=3)
+    res = solve_outer(cfg, small_problem, model, maps)
+    assert res.n_inner_solves == len(calls) == 8
+    (w, start, again), centre = calls[1], calls[0][2]
+    assert np.array_equal(w, [0.1, 0.1]) and np.array_equal(start, packed(centre))
+    diagonal = [(value, ok) for w, value, ok in res.trace if w[0] == w[1]]
+    assert diagonal == [(efficiency_objective(again, map_eta_fns(maps))[0], True)] * 3

@@ -162,8 +162,9 @@ def test_track_pipeline_roundtrip(bilevel_dir, tmp_path):
     # samples verbatim
     import csv as _csv
 
-    traj_rows = list(_csv.DictReader((out / "trajectory.csv").open()))
-    track_rows = list(_csv.DictReader((trk / "tracking.csv").open()))
+    with open(out / "trajectory.csv") as traj, open(trk / "tracking.csv") as track:
+        traj_rows = list(_csv.DictReader(traj))
+        track_rows = list(_csv.DictReader(track))
     by_time = {row["t"]: row for row in track_rows}
     matched = 0
     for row in traj_rows:
