@@ -8,11 +8,14 @@ stroke-rate boxes hold on the control polygons, so by the convex-hull
 property they hold at every instant; the force box holds at the M+1
 collocation points only.  The piston speed v_x is the stroke rate q̇ (the
 strokes are the generalized coordinates), so its box is merged into the q̇
-box.  SLSQP gets one inequality row per inner rate-polygon point (the end
-points are the boundary rates) and force sample, n(n_ctrl - 3) + n(M + 1),
-and no equality.  One inverse-dynamics call per iterate, on the states and
-their differences (central in q, exact unit steps in q̇ and q̈), gives the
-values and, with analytic basis blocks, the derivatives by the decision vector.
+box.  The transcription has one inequality row per inner rate-polygon point
+(the end points are the boundary rates) and force sample, n(n_ctrl - 3) +
+n(M + 1), and no equality.  SLSQP gets the rate rows, and a joint's force
+rows only once a point it starts or stops at leaves that joint's force box;
+convergence is judged on every row.  One inverse-dynamics call per iterate,
+on the states and their differences (central in q, exact unit steps in q̇
+and q̈), gives the values and, with analytic basis blocks, the derivatives
+by the decision vector.
 SLSQP steps in y, z = z0 + S y with S S^T the inverse of the cost's full
 Gauss–Newton Hessian at the start point, so its identity start fits the
 cost's curvature and its couplings.
@@ -225,14 +228,40 @@ class TrajectoryResult:
 
 
 def _solve_slsqp(kern, z0):
+    """SLSQP in rounds of ``_slsqp_round``.  Each round gets the rate-polygon
+    rows, the box rows and the force rows of the joints in play: at first
+    those whose force box z0 leaves (read from z0's evaluation, which the
+    first round's preconditioner needs anyway).  A round that stops outside
+    the force box of a joint not yet in play adds that joint and starts the
+    next round at its stop, so there are at most n_joints restarts, all
+    within one SLSQP_MAXITER budget.  On the benchmark problem no force box
+    is left, and SLSQP never re-linearizes the 153 force rows.  Returns (x,
+    converged, nit summed over the rounds, max constraint violation), the
+    last two over all rows at x, seen by SLSQP or not."""
+    joints = kern.force_violated(z0)
+    nit = 0
+    while True:
+        x, res = _slsqp_round(kern, z0, joints, SLSQP_MAXITER - nit)
+        nit += int(res.nit)
+        new = kern.force_violated(x) & ~joints
+        if not new.any() or nit >= SLSQP_MAXITER:
+            break
+        joints |= new
+        z0 = x
+    viol = np.maximum(0.0, -kern.ineq(x)).max()
+    return x, bool(res.status == 0 and viol <= CONSTRAINT_TOL), nit, float(viol)
+
+
+def _slsqp_round(kern, z0, joints, maxiter):
     """SLSQP from y0 = 0 on y, z = z0 + S y clipped to the box, S = V Λ^(-1/2)
     for the ``gauss_newton`` H = V Λ V^T at z0, Λ floored at 1e-12 of its
     largest entry (S = I where H is not finite or has no positive
     eigenvalue): SLSQP's identity start fits the cost's curvature, and its
     first point is z0, which ``gauss_newton`` has evaluated.  S mixes the
     variables, so the q and t_final box reaches SLSQP as the linear rows
-    [z - lo; hi - z], which its steps keep to rounding.  Returns (x,
-    converged, nit, max constraint violation)."""
+    [z - lo; hi - z], which its steps keep to rounding; the other rows are
+    ``ineq``'s, with the force rows of the joints in the boolean mask
+    ``joints``.  Returns (x, SciPy's result)."""
     from scipy.optimize import minimize as scipy_minimize
 
     lo, hi = np.array(kern.bounds).T
@@ -254,14 +283,12 @@ def _solve_slsqp(kern, z0):
         np.zeros(len(z0)),
         jac=lambda y: kern.cost_grad(z_of(y)) @ s,
         method="SLSQP",
-        constraints=[{"type": "ineq", "fun": lambda y: kern.ineq(z_of(y)),
-                      "jac": lambda y: kern.ineq_jac(z_of(y)) @ s},
+        constraints=[{"type": "ineq", "fun": lambda y: kern.ineq(z_of(y), joints),
+                      "jac": lambda y: kern.ineq_jac(z_of(y), joints) @ s},
                      {"type": "ineq", "fun": box, "jac": lambda y: box_jac}],
-        options={"maxiter": SLSQP_MAXITER, "ftol": 1e-10},
+        options={"maxiter": maxiter, "ftol": 1e-10},
     )
-    x = z_of(res.x)
-    viol = np.maximum(0.0, -kern.ineq(x)).max()
-    return x, bool(res.status == 0 and viol <= CONSTRAINT_TOL), int(res.nit), float(viol)
+    return z_of(res.x), res
 
 
 @lru_cache(maxsize=8)
@@ -296,7 +323,9 @@ class _Transcription:
     t_final.  The q box bounds the free rows and, through
     ``check_boundary_feasible``, t_final.  Each inner rate-polygon point and
     f_x sample of a joint gives one row, the scaled margin to the nearer
-    side of its box: 25 variables and 180 rows on the benchmark problem.
+    side of its box: 25 variables and 180 rows on the benchmark problem, of
+    which ``ineq`` builds the 27 rate rows and the force rows of the joints
+    it is given.
     The bases and blocks come read-only from ``_constants``, shared by every
     kernel of the same shape; only ``cost`` and its derivatives read the
     weights, so ``cache`` may hand in another weight vector's evaluation.
@@ -407,22 +436,32 @@ class _Transcription:
                              + w[1] * np.einsum("kaz,kay->zy", d_fv, d_fv))
 
     # -- constraints, in SLSQP's sign: ineq >= 0 ---------------------------
-    def ineq(self, z):
+    def force_violated(self, z):
+        """Per joint, whether some f_x sample at z leaves its force box."""
+        f, (lo, hi) = self.evaluate(z)["f"], self.boxes[1]
+        return ((f < lo) | (f > hi)).any(axis=0)
+
+    def _families(self, z, joints):
+        """(x, dx/dz, lo, hi, scale) of the inner rate polygon and of the f_x
+        samples of ``joints`` (every joint if None)."""
+        vals = self.evaluate(z)
+        c = slice(None) if joints is None else joints
+        ((rate_lo, rate_hi), (f_lo, f_hi)), (rate_s, f_s) = self.boxes, self.box_scales
+        return [(vals["rates"], vals["d_rates"], rate_lo, rate_hi, rate_s),
+                (vals["f"][:, c], vals["d_f"][:, c], f_lo[c], f_hi[c], f_s[c])]
+
+    def ineq(self, z, joints=None):
         """Scaled margins to the nearer side of the q̇ box on the inner rate
         polygon, which with the boundary rates bound q̇ at every instant, and
-        of the f_x box at every sample: min(hi - x, x - lo) / s."""
-        vals = self.evaluate(z)
-        return np.concatenate([
-            (np.minimum(hi - x, x - lo) / s).ravel()
-            for x, (lo, hi), s in zip((vals["rates"], vals["f"]), self.boxes, self.box_scales)
-        ])
+        of the f_x box at every sample of the joints in the boolean mask
+        ``joints`` (every joint if None): min(hi - x, x - lo) / s."""
+        return np.concatenate([(np.minimum(hi - x, x - lo) / s).ravel()
+                               for x, _, lo, hi, s in self._families(z, joints)])
 
-    def ineq_jac(self, z):
+    def ineq_jac(self, z, joints=None):
         """The nearer side's row of each margin; a tie takes the upper side."""
-        vals = self.evaluate(z)
         rows = []
-        for x, d, (lo, hi), s in zip((vals["rates"], vals["f"]), (vals["d_rates"], vals["d_f"]),
-                                     self.boxes, self.box_scales):
+        for x, d, lo, hi, s in self._families(z, joints):
             sign = 1.0 - 2.0 * (hi - x <= x - lo)
             rows.append((d / s[:, None] * sign[..., None]).reshape(-1, d.shape[-1]))
         return np.concatenate(rows)
@@ -447,6 +486,9 @@ def solve_inner(
     a packed [c.ravel(), t_final] vector (used for warm starts); only its
     free rows and t_final are read, since the boundary states fix the four
     end control points.  The solve is deterministic given the start point.
+    SLSQP sees a joint's force rows only once a round starts or stops
+    outside its force box (``_solve_slsqp``); ``outer_iterations`` sums the
+    rounds, and ``converged`` and ``constraint_violation`` read every row.
     ``_evaluation`` is private plumbing for the leader's grid: a one-item
     list that holds the solve's evaluation cache.  An item the caller put
     there, the last evaluation of a solve of the same problem and dynamics,

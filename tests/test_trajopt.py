@@ -638,3 +638,80 @@ def test_warm_solve_keeps_the_box_before_the_clip(monkeypatch, model, dynamics, 
     assert len(box) > res.outer_iterations
     assert box.min() >= -1e-12, box.min()
     assert np.abs(box[-1]).min() <= 1e-12
+
+
+@pytest.fixture
+def slsqp_rounds(monkeypatch):
+    """Every SLSQP call a solve makes, as (rows of each constraint at the
+    start, SciPy's result)."""
+    import scipy.optimize
+
+    minimize_, rounds = scipy.optimize.minimize, []
+
+    def recording(fun, x0, **kwargs):
+        res = minimize_(fun, x0, **kwargs)
+        rounds.append(([len(con["fun"](x0)) for con in kwargs["constraints"]], res))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    return rounds
+
+
+def test_selected_rows_are_the_full_rows_of_those_joints(small_problem, model, dynamics):
+    # a selection builds the rate-polygon rows and the force rows of its
+    # joints only, with the values and derivatives of the full rows
+    kern = _Transcription(small_problem, dynamics, np.array([0.5, 0.5]))
+    z = jittered_z(kern, model, 3, 0.3)
+    n, n_rates = kern.n, kern.n * (small_problem.n_ctrl - 3)
+    full, full_jac = kern.ineq(z), kern.ineq_jac(z)
+    for joints in ([], [1], [0, 2], [0, 1, 2]):
+        rows = np.concatenate([np.arange(n_rates),
+                               n_rates + np.add.outer(np.arange(small_problem.n_partitions + 1) * n,
+                                                      joints).ravel()]).astype(int)
+        mask = np.isin(np.arange(n), joints)
+        assert np.array_equal(kern.ineq(z, mask), full[rows])
+        assert np.array_equal(kern.ineq_jac(z, mask), full_jac[rows])
+
+
+def test_centre_solve_gets_no_force_row(slsqp_rounds, model, dynamics):
+    # the benchmark's forces keep well inside their box (a scaled margin of
+    # 0.18 or more at every grid optimum), so the centre solve hands SLSQP
+    # the 27 rate-polygon rows and the 50 box rows, and none of the 153
+    # force rows; it stops inside every force box in one round
+    res = solve_inner(benchmark_problem(model), dynamics, weights=np.array([0.525, 0.525]))
+    assert res.converged
+    assert [rows for rows, _ in slsqp_rounds] == [[27, 50]]
+    assert res.outer_iterations == slsqp_rounds[0][1].nit
+
+
+def test_force_rows_join_when_a_round_stops_outside_their_box(slsqp_rounds, model_no_gravity):
+    # the start keeps inside a force cap that the free optimum exceeds: the
+    # first round gets no force row and stops outside the cap, so the
+    # violated joint's rows join and SLSQP starts again from that stop;
+    # the solve ends on the cap, as a full-row solve from the same start does
+    problem = replace(benchmark_problem(model_no_gravity, n_partitions=20, n_ctrl=10),
+                      t_lower=4.0, t_upper=4.0)
+    # O(1) costs, so that SLSQP's absolute ftol of 1e-10 is a relative one
+    problem = replace(problem, criterion_scales=problem.criterion_scales * 1e-3)
+    dyn = lambda q, qd, qdd: rnea(model_no_gravity, q, qd, qdd)
+    w = np.array([0.5, 0.5])
+
+    def capped(frac):
+        cap = frac * np.abs(free.f_x).max()
+        return replace(problem, fx_upper=np.full(3, cap), fx_lower=np.full(3, -cap)), cap
+
+    free = solve_inner(problem, dyn, weights=w)
+    low = solve_inner(capped(0.8)[0], dyn, weights=w)
+    start = np.concatenate([low.control_points.ravel(), [low.t_final]])
+    tight, cap = capped(0.9)
+    slsqp_rounds.clear()
+    res = solve_inner(tight, dyn, weights=w, initial_guess=start)
+    kern = _Transcription(tight, dyn, w)
+    assert not kern.force_violated(kern.free(start)).any()
+    assert [rows for rows, _ in slsqp_rounds] == [[21, 38], [42, 38]]
+    assert res.outer_iterations == sum(r.nit for _, r in slsqp_rounds)
+    assert res.converged and res.constraint_violation <= CONSTRAINT_TOL
+    assert abs(np.abs(res.f_x).max() - cap) <= CONSTRAINT_TOL * cap
+    reference, violation = tight_resolve_cost(kern, kern.free(start))
+    assert violation <= CONSTRAINT_TOL
+    assert abs(res.cost - reference) <= 1e-9 * reference
