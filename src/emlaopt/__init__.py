@@ -25,6 +25,7 @@ from .control import (
     nominal_disturbance,
     published_gains,
     simulate_tracking,
+    stack_params,
     tracking_errors,
 )
 from .drivetrain import DriveTrainParams, equivalent_params, rotary_linear_map
@@ -42,11 +43,9 @@ from .manipulator import (
 from .pmsm import (
     PmsmParams,
     dq_voltages,
-    current_derivatives,
     electromagnetic_torque,
     torque_to_iq,
 )
-from .statespace import emla_rhs, stack_params
 from .trajopt import (
     NlpProblem,
     TrajectoryResult,

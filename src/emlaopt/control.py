@@ -14,23 +14,29 @@ implicit stiff solver rather than fixed explicit stepping.  One function,
 :func:`closed_loop`, holds each actuator's loop: the four subsystem errors
 Q1 = x - x_ref (position), Q2 = qd - qd_ref - kappa_1 (velocity),
 Q3 = i_q - i_q_ref and Q4 = i_d - 0, each fed back as
--(delta + eps*phi)/2 * Q, :func:`~emlaopt.pmsm.torque_to_iq` for the
-current reference, :func:`~emlaopt.statespace.emla_rhs` for the plant and
-the adaptive law for the estimates.  It is plain arithmetic, so it runs
+-(delta + eps*phi)/2 * Q, the current reference, the plant's dq current
+and shaft equations and the adaptive law for the estimates, all written
+out in one body.  It reads the actuator's constants from one flat record
+of plain numbers (:func:`loop_record`), built once per run, so one call
+does all of one actuator's arithmetic.  It is plain arithmetic, so it runs
 on Python floats or on arrays alike.  Radau's state holds the shaft
 angles, shaft speeds, q- and d-axis currents of all actuators (one row of
 n_a each), then each actuator's four estimates.  The right-hand side reads
 that state as a list of floats, calls :func:`closed_loop` once per
-actuator and returns one array in the same layout.  Its other NumPy work
-is the reference (q, qd and the load force from :func:`reference_spline`)
-and the tone noise.  Radau calls the right-hand side at each attempted
-step's three stage instants in every Newton iteration, so the rows of those
-three instants are built once per attempt, in one spline call and one noise
-call, and looked up by instant.  Radau's Jacobian (one 8x8 block
-per actuator) is :func:`closed_loop`'s complex-step derivative, exact to
-rounding, and the recorded traces are :func:`closed_loop` on each
+actuator on the actuator's record as floats and returns one array in the
+same layout.  Its other NumPy work is the reference (q, qd and the load
+force from :func:`reference_spline`) and the tone noise.  Radau calls the
+right-hand side at each attempted step's three stage instants in every
+Newton iteration, so the rows of those three instants are built once per
+attempt, in one spline call and one noise call, and looked up by instant.
+Radau's Jacobian (one 8x8 block per actuator) is :func:`closed_loop`'s
+complex-step derivative on the record stacked over the actuators, exact
+to rounding, and the recorded traces are :func:`closed_loop` on each
 actuator's columns of every output sample.  Floats and arrays round
 alike, so the traces hold the values the integration used, bit for bit.
+The plant's dq model, composed of separate functions as the equations
+are written, is the tests' oracle (``tests/oracles.py``), which the
+right-hand side matches bit for bit.
 
 Radau is :class:`_RadauIIA`, a Radau IIA solver of order 5 on SciPy's
 public ``OdeSolver`` interface that does the arithmetic of SciPy's
@@ -62,10 +68,9 @@ from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
-from .drivetrain import DriveTrainParams, equivalent_params
+from .drivetrain import DriveTrainParams, EquivalentParams, equivalent_params
 from .effmap import EmlaModel
-from .pmsm import PmsmParams, electromagnetic_torque, torque_to_iq
-from .statespace import emla_rhs, stack_params
+from .pmsm import PmsmParams, electromagnetic_torque
 from .trajopt import TrajectoryResult, check_count
 
 # Radau step cap [s], measured on the stored 5x5 grid winner (first 2 s,
@@ -410,18 +415,56 @@ def published_gains() -> SubsystemGains:
     return SubsystemGains(75000.0, 9.0, 7.0, 9.0)
 
 
+def stack_params(items):
+    """One params dataclass whose fields are (n,) arrays over ``items``.
+
+    The stacked object runs every actuator of a manipulator through the
+    motor and drivetrain functions in one call.
+    """
+    cls = type(items[0])
+    return cls(**{f.name: np.array([getattr(p, f.name) for p in items], dtype=float)
+                  for f in fields(cls)})
+
+
+def loop_record(gains, f_eq, motor: PmsmParams, plant: PmsmParams, eq: EquivalentParams):
+    """:func:`closed_loop`'s constants of every actuator, shape (28, n_a).
+
+    ``gains`` holds one :class:`SubsystemGains` per actuator; ``f_eq`` is the
+    controller's nominal force-to-torque ratio and ``motor`` its nominal
+    motor, ``plant`` the plant's motor and ``eq`` its reflected
+    ``equivalent_params``, each stacked over the actuators.  The rows are
+    delta and epsilon of the four subsystems, (-k)*sigma and (0.5*epsilon)*k
+    of the four, f_eq, the nominal torque constant 1.5*p*psi, then the
+    plant's p, R, L_d, L_q, psi, L_d - L_q, 1.5*p, J_eq, b_eq and f_eq.  Each
+    product is formed once, in the order the equations form it, so the loop
+    rounds as the plant's composed model does.  Column j, as Python floats,
+    is actuator j's record.
+    """
+    delta, eps, k, sigma = (np.stack([getattr(g, a) for g in gains], axis=1)
+                            for a in ("delta", "epsilon", "k", "sigma"))
+    return np.array([*delta, *eps, *(-k * sigma), *(0.5 * eps * k),
+                     f_eq, 1.5 * motor.pole_pairs * motor.pm_flux,
+                     plant.pole_pairs, plant.stator_resistance, plant.inductance_d,
+                     plant.inductance_q, plant.pm_flux, plant.inductance_d - plant.inductance_q,
+                     1.5 * plant.pole_pairs, eq.inertia, eq.damping, eq.load_ratio])
+
+
 def closed_loop(actuator, x, phi, ref):
     """One actuator's controller, plant and estimate rates.
 
-    ``actuator`` is (gains, f_eq, motor, plant, eq): the four subsystems'
-    (delta, epsilon, k, sigma), each four values; the controller's nominal
-    force-to-torque ratio and motor; the plant's motor and its reflected
-    ``equivalent_params``.  ``x`` is [theta, omega, i_q, i_d], ``phi`` the
-    four estimates and ``ref`` [q_ref, qd_ref, f_load].  Each subsystem's
-    feedback is kappa = -(delta + epsilon*phi)/2 * Q (dissipative for
-    phi >= 0) and its estimate follows phi_dot = -k*sigma*phi +
-    (epsilon*k/2) Q^2, which is nonnegative at phi = 0, so a nonnegative
-    estimate stays nonnegative under exact integration.
+    ``actuator`` is the actuator's :func:`loop_record`, its 28 constants as
+    floats or each an array.  ``x`` is [theta, omega, i_q, i_d], ``phi``
+    the four estimates and ``ref`` [q_ref, qd_ref, f_load].  Each
+    subsystem's feedback is kappa = -(delta + epsilon*phi)/2 * Q
+    (dissipative for phi >= 0) and its estimate follows phi_dot =
+    -k*sigma*phi + (epsilon*k/2) Q^2, which is nonnegative at phi = 0, so a
+    nonnegative estimate stays nonnegative under exact integration.  The
+    velocity loop's torque command becomes the i_q reference through the
+    nominal motor's torque constant (the reluctance term vanishes at the
+    zero d-axis reference).  The plant is the dq current equations
+    L_d di_d = V_d - R i_d + p omega L_q i_q and L_q di_q = V_q - R i_q -
+    p omega (L_d i_d + psi), and the rigid shaft J_eq domega = tau - b_eq
+    omega - f_eq f_load with tau = 1.5 p i_q (psi + (L_d - L_q) i_d).
 
     Returns the errors (Q1..Q4), the i_q reference, (V_d, V_q), the plant's
     rates in ``x``'s order and the estimates' rates.  Everything is
@@ -432,8 +475,8 @@ def closed_loop(actuator, x, phi, ref):
     comparison or branch on a state or error value: the tracking Jacobian
     is its complex-step derivative, checked by central differences.
     """
-    (d1, d2, d3, d4), (e1, e2, e3, e4), (k1, k2, k3, k4), (s1, s2, s3, s4) = actuator[0]
-    f_eq, motor, plant, eq = actuator[1:]
+    (d1, d2, d3, d4, e1, e2, e3, e4, kd1, kd2, kd3, kd4, ke1, ke2, ke3, ke4,
+     f_eq, k_t, n_p, r, l_d, l_q, psi, dl, c_t, j_eq, b_eq, load_ratio) = actuator
     theta, omega, i_q, i_d = x
     p1, p2, p3, p4 = phi
     q_ref, qd_ref, f_load = ref
@@ -443,14 +486,16 @@ def closed_loop(actuator, x, phi, ref):
     g4 = -0.5 * (d4 + e4 * p4)
     q1 = f_eq * theta - q_ref
     q2 = f_eq * omega - qd_ref - g1 * q1  # offset by the position's virtual control
-    iq_ref = torque_to_iq(motor, g2 * q2)
+    iq_ref = g2 * q2 / k_t
     q3 = i_q - iq_ref
     q4 = i_d - 0.0  # the d-axis reference is zero
     v_d, v_q = g4 * q4, g3 * q3
-    di_d, di_q, domega, dtheta = emla_rhs(plant, eq, (i_d, i_q, omega, theta), (v_d, v_q), f_load)
-    rates = (-k1 * s1 * p1 + 0.5 * e1 * k1 * (q1 * q1), -k2 * s2 * p2 + 0.5 * e2 * k2 * (q2 * q2),
-             -k3 * s3 * p3 + 0.5 * e3 * k3 * (q3 * q3), -k4 * s4 * p4 + 0.5 * e4 * k4 * (q4 * q4))
-    return (q1, q2, q3, q4), iq_ref, (v_d, v_q), (dtheta, domega, di_q, di_d), rates
+    di_d = (v_d - r * i_d + n_p * omega * l_q * i_q) / l_d
+    di_q = (v_q - r * i_q - n_p * omega * (l_d * i_d + psi)) / l_q
+    domega = (c_t * i_q * (psi + dl * i_d) - b_eq * omega - load_ratio * f_load) / j_eq
+    rates = (kd1 * p1 + ke1 * (q1 * q1), kd2 * p2 + ke2 * (q2 * q2),
+             kd3 * p3 + ke3 * (q3 * q3), kd4 * p4 + ke4 * (q4 * q4))
+    return (q1, q2, q3, q4), iq_ref, (v_d, v_q), (omega, domega, di_q, di_d), rates
 
 
 # band [Hz] and number of sine tones of the load-force noise
@@ -580,14 +625,6 @@ def _perturbed(motor: PmsmParams, drivetrain: DriveTrainParams, fraction: float)
     )
 
 
-def _per_joint(stacked) -> list:
-    """One record of Python floats per actuator from a record of (n_a,)
-    arrays: a params dataclass or an ``EquivalentParams``."""
-    columns = stacked if isinstance(stacked, tuple) else [
-        getattr(stacked, f.name) for f in fields(stacked)]
-    return [type(stacked)(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
-
-
 def reference_spline(reference: TrajectoryResult):
     """One ``BSpline`` whose columns are [q, qd, f_x] of ``reference``.
 
@@ -673,39 +710,36 @@ def simulate_tracking(
     ref = reference_row.spline
 
     # one stacked parameter object per side: the controller's nominal
-    # motor, and the (possibly skewed) plant reflected once for the run
+    # motor, and the (possibly skewed) plant reflected once for the run;
+    # closed_loop's record of them, stacked for the Jacobian and one row
+    # of Python floats per actuator for the rhs and the traces
     motor = stack_params([m.motor for m in actuator_models])
     drive = stack_params([m.drivetrain for m in actuator_models])
     plant_motor, plant_drive = _perturbed(motor, drive, disturbance.param_perturbation)
-    plant_eq = equivalent_params(plant_drive)
     f_eq = equivalent_params(drive).load_ratio
-
-    # one closed_loop record of Python floats per actuator
-    loops = [((g.delta.tolist(), g.epsilon.tolist(), g.k.tolist(), g.sigma.tolist()), *joint)
-             for g, *joint in zip(gains, f_eq.tolist(), _per_joint(motor), _per_joint(plant_motor),
-                                  _per_joint(plant_eq))]
+    stacked = loop_record(gains, f_eq, motor, plant_motor, equivalent_params(plant_drive))
 
     # Radau state: [theta, omega, i_q, i_d] rows of n_a, then the four
     # estimates phi of each joint.  Of a list of it, s[j:4 * n_a:n_a] is
     # joint j's plant state and s[k:k + 4], k = 4 * (n_a + j), its
-    # estimates; joint j's [q_ref, qd_ref, f_load] is row[j::n_a]
+    # estimates; joint j's [q_ref, qd_ref, f_load] is row[j::n_a].  The
+    # plan holds each joint's record as floats and those three slices
+    plan = [(loop, slice(j, 4 * n_a, n_a), slice(4 * (n_a + j), 4 * (n_a + j) + 4),
+             slice(j, None, n_a)) for j, loop in enumerate(stacked.T.tolist())]
+
     def rhs(t, y):
         s = y.tolist()
         row = reference_row(t)
         out = [0.0] * (8 * n_a)
-        for j, loop in enumerate(loops):
-            k = 4 * (n_a + j)
-            *_, out[j:4 * n_a:n_a], out[k:k + 4] = closed_loop(
-                loop, s[j:4 * n_a:n_a], s[k:k + 4], row[j::n_a])
+        for loop, x_at, phi_at, ref_at in plan:
+            values = closed_loop(loop, s[x_at], s[phi_at], row[ref_at])
+            out[x_at], out[phi_at] = values[3], values[4]
         return np.array(out)
 
     # Jacobian of rhs: one 8x8 block per actuator over its local state
     # [theta, omega, i_q, i_d, phi_1..phi_4], scattered to the Radau layout.
     # One closed_loop call on all actuators, each local state (row, joint)
     # stepped by i*h along each column, gives the blocks as Im(rates) / h
-    stacked = (tuple(np.stack([getattr(g, a) for g in gains], axis=1)
-                     for a in ("delta", "epsilon", "k", "sigma")),
-               f_eq, motor, plant_motor, plant_eq)
     where = np.concatenate((np.arange(4 * n_a).reshape(4, n_a),
                             4 * n_a + np.arange(4 * n_a).reshape(n_a, 4).T))  # (8, n_a)
     probe = 1j * COMPLEX_STEP * np.eye(8)[:, :, None]  # (row, column, 1)
@@ -760,8 +794,8 @@ def simulate_tracking(
     # closed_loop once per actuator on its columns of every output sample
     t = sol.t
     ref_rows = ref(np.clip(t, 0.0, t_end)).T
-    per_joint = [closed_loop(loop, sol.y[j:4 * n_a:n_a], sol.y[4 * (n_a + j):4 * (n_a + j) + 4],
-                             ref_rows[j::n_a]) for j, loop in enumerate(loops)]
+    per_joint = [closed_loop(loop, sol.y[x_at], sol.y[phi_at], ref_rows[ref_at])
+                 for loop, x_at, phi_at, ref_at in plan]
     q_err = np.array([r[0] for r in per_joint]).transpose(2, 0, 1)  # (n_t, n_a, 4)
     iq_ref = np.array([r[1] for r in per_joint]).T
     v_d, v_q = np.array([r[2] for r in per_joint]).transpose(1, 2, 0)

@@ -1,7 +1,8 @@
 """PMSM electrical model in the rotor (dq) reference frame.
 
-Covers the dq voltage equations, their inverse for the current
-derivatives, the electromagnetic torque and its inverse for i_q.
+Covers the dq voltage equations, the electromagnetic torque and its
+inverse for i_q.  The tracking loop writes the current equations out in
+:func:`emlaopt.control.closed_loop`.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ class PmsmParams:
     """Electrical constants of one permanent-magnet synchronous motor.
 
     Every field may also be an (n,) array holding n motors at once (see
-    :func:`emlaopt.statespace.stack_params`); the functions below then act
+    :func:`emlaopt.control.stack_params`); the functions below then act
     on each motor elementwise.
 
     Attributes:
@@ -45,7 +46,7 @@ class PmsmParams:
 def dq_voltages(params: PmsmParams, i_d: float, i_q: float, omega_m: float) -> tuple[float, float]:
     """dq stator voltages that hold the given currents steady.
 
-    Returns (V_d, V_q).  :func:`current_derivatives` solves the same
+    Returns (V_d, V_q).  The plant's current equations solve the same
     relations for the current rates, which are zero at these voltages.
     """
     p = params.pole_pairs
@@ -56,24 +57,6 @@ def dq_voltages(params: PmsmParams, i_d: float, i_q: float, omega_m: float) -> t
         + p * omega_m * params.pm_flux
     )
     return v_d, v_q
-
-
-def current_derivatives(
-    params: PmsmParams, i_d, i_q, omega_m, v_d, v_q
-) -> tuple[float, float]:
-    """Solve the dq voltage equations for (di_d/dt, di_q/dt)."""
-    p = params.pole_pairs
-    di_d = (
-        v_d
-        - params.stator_resistance * i_d
-        + p * omega_m * params.inductance_q * i_q
-    ) / params.inductance_d
-    di_q = (
-        v_q
-        - params.stator_resistance * i_q
-        - p * omega_m * (params.inductance_d * i_d + params.pm_flux)
-    ) / params.inductance_q
-    return di_d, di_q
 
 
 def electromagnetic_torque(params: PmsmParams, i_d, i_q):

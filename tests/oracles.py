@@ -15,8 +15,12 @@ same physics, which only tests read:
   :func:`coriolis_matrix`, :func:`gravity_wrench`, :func:`net_force`);
 * the loop-closure angles with their time derivatives, including the pin
   angle's (:func:`loop_closure`, :func:`closure_rates`);
-* the first-order model of one EMLA and its stored energy
-  (:func:`linearize`, :func:`stored_energy`);
+* the nonlinear model of one EMLA, composed as its equations are
+  written: the dq current equations (:func:`current_derivatives`) and
+  the rigid shaft driven by the electromagnetic torque (:func:`emla_rhs`),
+  which ``emlaopt.control.closed_loop`` writes out inline; its
+  first-order model and its stored energy (:func:`linearize`,
+  :func:`stored_energy`);
 * the adaptive law of one subsystem's estimate, on arrays
   (:func:`adaptive_rate`);
 * the transcription's box rows in their two-row form, one row per side
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from emlaopt.chain import ClosedChainGeometry
-from emlaopt.drivetrain import DriveTrainParams, equivalent_params
+from emlaopt.drivetrain import DriveTrainParams, EquivalentParams, equivalent_params
 from emlaopt.manipulator import (
     SINGULARITY_TOL,
     ChainModel,
@@ -44,7 +48,7 @@ from emlaopt.manipulator import (
     RigidBodyParams,
     SingularConfigurationError,
 )
-from emlaopt.pmsm import PmsmParams
+from emlaopt.pmsm import PmsmParams, electromagnetic_torque
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -515,7 +519,43 @@ def _iter_bodies(model: ChainModel):
 
 
 # ---------------------------------------------------------------------------
-# one EMLA: linearization and stored energy
+# one EMLA: vector field, linearization and stored energy
+
+
+def current_derivatives(params: PmsmParams, i_d, i_q, omega_m, v_d, v_q) -> tuple:
+    """Solve the dq voltage equations for (di_d/dt, di_q/dt)."""
+    p = params.pole_pairs
+    di_d = (
+        v_d
+        - params.stator_resistance * i_d
+        + p * omega_m * params.inductance_q * i_q
+    ) / params.inductance_d
+    di_q = (
+        v_q
+        - params.stator_resistance * i_q
+        - p * omega_m * (params.inductance_d * i_d + params.pm_flux)
+    ) / params.inductance_q
+    return di_d, di_q
+
+
+def emla_rhs(params: PmsmParams, eq: EquivalentParams, x, u, f_x) -> tuple:
+    """Nonlinear vector field in [i_d, i_q, omega, theta] order, input [V_d, V_q].
+
+    The dq current equations couple with the reflected mechanics of a
+    rigid shaft: the electromagnetic torque drives the equivalent inertia
+    against viscous drag and the load force reflected through the
+    transmission.  No term depends on the shaft angle.  ``eq`` is
+    ``equivalent_params(drivetrain)``.  Returns the four rates as a tuple:
+    floats for one actuator's floats, (n,) arrays for stacked (n,)
+    parameters, ``x`` (4, n), ``u`` a pair of (n,) voltages and ``f_x`` (n,)
+    load forces.
+    """
+    i_d, i_q, omega, _ = x
+    v_d, v_q = u
+    di_d, di_q = current_derivatives(params, i_d, i_q, omega, v_d, v_q)
+    torque = electromagnetic_torque(params, i_d, i_q)
+    domega = (torque - eq.damping * omega - eq.load_ratio * f_x) / eq.inertia
+    return di_d, di_q, domega, omega
 
 
 @dataclass(frozen=True)
@@ -538,7 +578,7 @@ def linearize(
     The bilinear speed/current products are expanded to first order around
     (omega0, iq0, id0); r collects the expansion residuals plus the load
     force term.  States [i_d, i_q, omega, theta] and inputs [V_d, V_q], in
-    the order of ``emlaopt.statespace.emla_rhs``.
+    the order of :func:`emla_rhs`.
     """
     eq = equivalent_params(drivetrain)
     p = params.pole_pairs

@@ -27,11 +27,11 @@ from emlaopt.control import (
 from emlaopt.drivetrain import equivalent_params, rotary_linear_map
 from emlaopt.manipulator import ClosedChainStage, rnea
 from emlaopt.presets import benchmark_problem, default_map_grid
-from emlaopt.statespace import emla_rhs
 from emlaopt.trajopt import solve_inner
 from conftest import spline_states
 from oracles import (
     OperatingPoint,
+    emla_rhs,
     evaluate_dynamics,
     kinetic_energy,
     linearize,

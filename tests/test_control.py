@@ -22,24 +22,26 @@ from emlaopt.control import (
     SubsystemGains,
     TrackingTraces,
     closed_loop,
+    loop_record,
     lyapunov_audit,
     lyapunov_value,
     nominal_disturbance,
     published_gains,
     reference_spline,
     simulate_tracking,
+    stack_params,
     traces_to_csv,
     tracking_errors,
     _RadauIIA,
     _ReferenceRows,
+    _perturbed,
 )
 from emlaopt.bspline import clamped_knots
 from emlaopt.drivetrain import equivalent_params
 from emlaopt.pmsm import torque_to_iq
-from emlaopt.statespace import emla_rhs, stack_params
 from emlaopt.trajopt import TrajectoryResult
 from conftest import constant_pose_reference
-from oracles import adaptive_rate
+from oracles import adaptive_rate, emla_rhs
 
 # the stored 5x5 grid winner of the benchmark's inputs
 WINNER = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "winner_bilevel.json"
@@ -50,19 +52,19 @@ def law(delta, eps, phi, q_err):
     return -(delta + eps * phi) / 2 * q_err
 
 
-def loop_record(act, gains):
-    """closed_loop's record of actuator ``act`` under ``gains``, its plant
-    the nominal one."""
-    eq = equivalent_params(act.drivetrain)
-    return ((gains.delta, gains.epsilon, gains.k, gains.sigma), eq.load_ratio, act.motor,
-            act.motor, eq)
+def float_record(act, gains):
+    """closed_loop's record of actuator ``act`` under ``gains`` as Python
+    floats, its plant the nominal one."""
+    motor = stack_params([act.motor])
+    eq = equivalent_params(stack_params([act.drivetrain]))
+    return loop_record([gains], eq.load_ratio, motor, motor, eq)[:, 0].tolist()
 
 
 def at_rest_reference(act, gains, x=(0.0, 0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0, 0.0)):
     """closed_loop at state ``x`` = [theta, omega, i_q, i_d] and estimates
     ``phi`` against a reference at rest at zero: then Q1 = f_eq*theta, Q2 =
     f_eq*omega - kappa_1 and Q4 = i_d; with theta = omega = 0 also Q3 = i_q."""
-    return closed_loop(loop_record(act, gains), x, phi, (0.0, 0.0, 0.0))
+    return closed_loop(float_record(act, gains), x, phi, (0.0, 0.0, 0.0))
 
 
 def test_control_law_published_gain_value(acts):
@@ -379,22 +381,29 @@ def ramp_reference():
     return reference
 
 
-def captured_closed_loop(acts, disturbance, gains=None):
-    """The right-hand side, Jacobian and initial state that simulate_tracking
-    hands to Radau for :func:`ramp_reference` (the published gains when
-    ``gains`` is None)."""
+def captured_solve_ivp(acts, disturbance, gains=None):
+    """The arguments simulate_tracking hands to solve_ivp for
+    :func:`ramp_reference` (the published gains when ``gains`` is None):
+    ``fun``, ``y0`` and the options."""
     reference = ramp_reference()
     gains = [published_gains()] * 3 if gains is None else gains
     seen = {}
 
     def capture(fun, t_span, y0, **kwargs):
-        seen.update(fun=fun, jac=kwargs["jac"], y0=y0)
+        seen.update(kwargs, fun=fun, y0=y0)
         raise _Captured
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("emlaopt.control.solve_ivp", capture)
         with pytest.raises(_Captured):
             simulate_tracking(acts, reference, gains, disturbance=disturbance)
+    return seen
+
+
+def captured_closed_loop(acts, disturbance, gains=None):
+    """The right-hand side, Jacobian and initial state that simulate_tracking
+    hands to Radau for :func:`ramp_reference`."""
+    seen = captured_solve_ivp(acts, disturbance, gains)
     return seen["fun"], seen["jac"], seen["y0"]
 
 
@@ -466,18 +475,18 @@ def test_closed_loop_jacobian_matches_central_differences(
 
 
 def test_jacobian_follows_the_loop(acts):
-    # a shaft spring put into the plant's vector field reaches the Jacobian
-    # with no edit to it: the Jacobian differentiates closed_loop, which
-    # calls emla_rhs
-    def sprung(params, eq, x, u, f_x):
-        di_d, di_q, domega, dtheta = emla_rhs(params, eq, x, u, f_x)
-        return di_d, di_q, domega - 0.05 * x[3] / eq.inertia, dtheta
+    # a shaft spring put into the loop reaches the Jacobian with no edit to
+    # it: the rhs and the Jacobian both call closed_loop, looked up when
+    # they run, and the Jacobian is its complex-step derivative
+    def sprung(actuator, x, phi, ref):
+        *out, (dtheta, domega, di_q, di_d), rates = closed_loop(actuator, x, phi, ref)
+        return (*out, (dtheta, domega - 50.0 * x[0], di_q, di_d), rates)
 
     # a state off the reference, as in the central-difference test above
     off = np.array([[20.0, -15.0, 30.0], [500.0, -300.0, 200.0], [25.0, -10.0, 40.0],
                     [3.0, -2.0, 1.0]])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("emlaopt.control.emla_rhs", sprung)
+        mp.setattr("emlaopt.control.closed_loop", sprung)
         rhs, jac, y0 = captured_closed_loop(acts, nominal_disturbance())
         y = np.concatenate(((y0[:12].reshape(4, 3) + off).ravel(), np.full(12, 1.0)))
         exact, fd = jac(0.4, y), central_differences(rhs, 0.4, y)
@@ -552,6 +561,88 @@ def test_rhs_matches_its_array_oracle(rhs_and_oracles, disturbed, t, off, phi):
     (rhs, y0), oracle = rhs_and_oracles[disturbed]
     y = np.concatenate((y0[:12] + off, phi))
     assert np.array_equal(rhs(t, y), oracle(t, y))
+
+
+class ComplexQuotient(float):
+    """A float divisor by which a quotient a / b rounds as NumPy rounds the
+    real part of a complex quotient whose imaginary parts are zero:
+    a * (1 / b) (Smith's algorithm), one rounding more than a / b.  As the
+    right operand of a float's ``/`` it takes over; every other operation
+    is a float's."""
+
+    def __rtruediv__(self, other):
+        return other * (1.0 / float(self))
+
+
+def loop_values(out):
+    """closed_loop's 15 returned values, stacked: an array of shape (15,)
+    from floats, or (15, n) from arrays of n."""
+    q_err, iq_ref, volts, x_rates, rates = out
+    return np.array([*q_err, iq_ref, *volts, *x_rates, *rates])
+
+
+# per actuator: theta, omega, i_q, i_d; q_ref, qd_ref, f_load
+STATE_SCALE = np.array([[2000.0], [300.0], [20.0], [20.0]])
+REF_SCALE = np.array([[1.0], [0.5], [4e4]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=arrays(float, (4, 3), elements=st.floats(-1.0, 1.0)),
+    phi=arrays(float, (4, 3), elements=st.floats(0.0, 10.0)),
+    ref=arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)),
+)
+def test_closed_loop_rounds_floats_and_arrays_alike(acts, x, phi, ref):
+    # one implementation for all three callers: the rhs on each actuator's
+    # record as floats, the traces on arrays and the Jacobian on complex
+    # arrays, under mixed gains and the skewed plant
+    motor = stack_params([a.motor for a in acts])
+    drive = stack_params([a.drivetrain for a in acts])
+    plant, plant_drive = _perturbed(motor, drive, nominal_disturbance().param_perturbation)
+    record = loop_record(MIXED_GAINS, equivalent_params(drive).load_ratio, motor, plant,
+                         equivalent_params(plant_drive))
+    x, ref = STATE_SCALE * x, REF_SCALE * ref
+    columns = [[c[:, j].tolist() for c in (x, phi, ref)] for j in range(3)]
+    floats = np.stack([loop_values(closed_loop(loop, *column))
+                       for loop, column in zip(record.T.tolist(), columns)], axis=1)
+    # column j of the stacked record gives actuator j's bits
+    assert np.array_equal(bits(loop_values(closed_loop(record, x, phi, ref))), bits(floats))
+    # a zero imaginary part stays zero, and the real part is the floats'
+    # value, every quotient a / b rounded as a complex one, a * (1 / b)
+    z = loop_values(closed_loop(record, x + 0j, phi + 0j, ref + 0j))
+    assert np.all(z.imag == 0.0)
+    rounded = np.stack([loop_values(closed_loop(list(map(ComplexQuotient, loop)), *column))
+                        for loop, column in zip(record.T.tolist(), columns)], axis=1)
+    assert np.array_equal(z.real, rounded)
+
+
+def test_rhs_call_budget(acts):
+    """One rhs evaluation at a prefetched instant, as Radau makes it, may
+    make at most 5 Python calls on three actuators (the rhs, the reference
+    row lookup and closed_loop once per actuator; the plant helpers made it
+    17) and 3 builtin ones (the state's ``tolist``, the row's ``dict.get``
+    and the result's ``np.array``), so no helper call creeps back into
+    the loop."""
+    seen = captured_solve_ivp(acts, nominal_disturbance(), MIXED_GAINS)
+    rhs, y = seen["fun"], seen["y0"] + 0.5
+    seen["prefetch"]([0.25, 0.5, 0.75])
+    expected = rhs(0.5, y)
+    calls, builtins = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call" and arg is not sys.setprofile:
+            builtins.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        counted = rhs(0.5, y)
+    finally:
+        sys.setprofile(None)
+    assert 0 < len(calls) <= 5, calls
+    assert len(builtins) <= 3, builtins
+    assert np.array_equal(counted, expected)
 
 
 def stock_radau(fun, t_span, y0, method, steps, prefetch=None, **options):

@@ -1,3 +1,8 @@
+"""The EMLA's state-space model, held in ``tests/oracles.py``: the
+nonlinear vector field ``emla_rhs`` that ``control.closed_loop`` writes
+out inline, its first-order model and its stored energy, and the motor
+functions on stacked parameters."""
+
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,16 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emlaopt.control import stack_params
 from emlaopt.drivetrain import DriveTrainParams, equivalent_params
-from emlaopt.pmsm import (
-    PmsmParams,
-    current_derivatives,
-    electromagnetic_torque,
-    torque_to_iq,
-)
+from emlaopt.pmsm import PmsmParams, electromagnetic_torque, torque_to_iq
 from emlaopt.presets import actuators, lift_emla
-from emlaopt.statespace import emla_rhs, stack_params
-from oracles import OperatingPoint, linearize, stored_energy
+from oracles import OperatingPoint, current_derivatives, emla_rhs, linearize, stored_energy
 
 EMLA = lift_emla()
 PARAMS, DT = EMLA.motor, EMLA.drivetrain
