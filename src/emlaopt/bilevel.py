@@ -61,11 +61,11 @@ def total_efficiency(v_x, f_x, eta_fns):
     return eta[()], flagged[()]
 
 
-def efficiency_objective(result: TrajectoryResult, eta_fns):
+def efficiency_objective(result: TrajectoryResult, eta_fns) -> float:
     """F = 0.5 dt sum_k eta_Act^2 over the collocation samples."""
     dt = result.t_final / (len(result.times) - 1)
-    eta, flagged = total_efficiency(result.v_x, result.f_x, eta_fns)
-    return 0.5 * dt * float(np.sum(eta**2)), eta, flagged
+    eta, _ = total_efficiency(result.v_x, result.f_x, eta_fns)
+    return 0.5 * dt * float(np.sum(eta**2))
 
 
 def efficiency_summary(v_x, f_x, eta_fns) -> dict:
@@ -236,7 +236,7 @@ def solve_outer(
     order = sorted(rays)
     solved = {}
     if base.converged and centre in rays:
-        solved[centre] = (efficiency_objective(base, eta_fns)[0], base)
+        solved[centre] = (efficiency_objective(base, eta_fns), base)
         order.remove(centre)
     for sweep in ([k for k in order if k >= centre], [k for k in order[::-1] if k < centre]):
         start = np.concatenate([base.control_points.ravel(), [base.t_final]])
@@ -248,7 +248,7 @@ def solve_outer(
                                      _evaluation=step)
             except (StrokeRangeError, SingularConfigurationError):
                 continue
-            solved[key] = (efficiency_objective(result, eta_fns)[0], result)
+            solved[key] = (efficiency_objective(result, eta_fns), result)
             if result.converged:
                 start = np.concatenate([result.control_points.ravel(), [result.t_final]])
                 evaluation = step[0]

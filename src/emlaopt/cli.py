@@ -28,6 +28,8 @@ from .bilevel import (
 )
 from .configio import ConfigError, load_json, load_json_text, write_artifacts
 from .control import (
+    OUTPUT_DT,
+    SETTLE_TIME,
     lyapunov_audit,
     simulate_tracking,
     traces_to_csv,
@@ -87,7 +89,7 @@ def run_track(config: dict, seed: int) -> dict:
     configio.check_keys(config, "config", (
         "trajectory", "actuators", "gains", "disturbance", "duration", "settle_time", "dt",
         "initial_position_error"), "a track config")
-    dt = configio.number(config.get("dt", 2e-3), "dt")
+    dt = configio.number(config.get("dt", OUTPUT_DT), "dt")
     if dt <= 0:
         raise ConfigError(f"dt: the output sampling step must be > 0, got {dt!r}")
     duration = config.get("duration")
@@ -95,7 +97,7 @@ def run_track(config: dict, seed: int) -> dict:
         duration = configio.number(duration, "duration")
         if duration <= 0:
             raise ConfigError(f"duration: the run length must be > 0, got {duration!r}")
-    settle_time = configio.number(config.get("settle_time", 0.2), "settle_time")
+    settle_time = configio.number(config.get("settle_time", SETTLE_TIME), "settle_time")
     doc = load_json(configio.file_path(config.get("trajectory"), "trajectory",
                                        "a trajectory.json or bilevel.json"))
     if "trajectory" in doc:  # bilevel.json wraps the trajectory

@@ -196,23 +196,18 @@ def build_actuators(doc, path: str = "actuators") -> list:
     return [build_actuator(d, f"{path}[{i}]") for i, d in enumerate(doc)]
 
 
-def _body(gravity):
-    """A converter from a body block {mass, inertia, com} to ``RigidBodyParams``
-    under ``gravity`` (the dataclass default when ``None``); ``inertia`` is 3
-    principal values or a 3x3 matrix."""
-    kwargs = {} if gravity is None else {"gravity": [0.0, 0.0, gravity]}
-
-    def body(doc, path):
-        check_keys(doc, path, ("mass", "inertia", "com"), "a body",
-                   required=("mass", "inertia", "com"))
-        inertia = vector(doc["inertia"], f"{path}.inertia")
-        if inertia.shape == (3,):
-            inertia = np.diag(inertia)
-        if inertia.shape != (3, 3):
-            raise ConfigError(f"{path}.inertia: expected 3 principal values or a 3x3 matrix")
-        return RigidBodyParams(mass=doc["mass"], inertia=inertia,
-                               com_offset=vector(doc["com"], f"{path}.com", 3), **kwargs)
-    return body
+def _body(doc, path):
+    """A body block {mass, inertia, com} as ``RigidBodyParams``; ``inertia``
+    is 3 principal values or a 3x3 matrix."""
+    check_keys(doc, path, ("mass", "inertia", "com"), "a body",
+               required=("mass", "inertia", "com"))
+    inertia = vector(doc["inertia"], f"{path}.inertia")
+    if inertia.shape == (3,):
+        inertia = np.diag(inertia)
+    if inertia.shape != (3, 3):
+        raise ConfigError(f"{path}.inertia: expected 3 principal values or a 3x3 matrix")
+    return RigidBodyParams(mass=doc["mass"], inertia=inertia,
+                           com_offset=vector(doc["com"], f"{path}.com", 3))
 
 
 STAGE_TYPES = {"closed_chain": ClosedChainStage, "telescope": TelescopeStage}
@@ -220,14 +215,13 @@ STAGE_TYPES = {"closed_chain": ClosedChainStage, "telescope": TelescopeStage}
 
 def build_manipulator(doc, path: str = "manipulator") -> ChainModel:
     """Preset 'default' (the default) or an inline chain: the ``ChainModel``
-    fields plus the ``gravity`` every body is built with; each stage holds the
-    fields of the class its ``type`` names in ``STAGE_TYPES``."""
-    gravity = doc.get("gravity") if isinstance(doc, dict) else None
-    if gravity is not None:
-        number(gravity, f"{path}.gravity")
+    fields, ``gravity`` among them, which a preset block takes too; each stage
+    holds the fields of the class its ``type`` names in ``STAGE_TYPES``."""
+    if isinstance(doc, dict) and "gravity" in doc:
+        doc = dict(doc, gravity=number(doc["gravity"], f"{path}.gravity"))
     if _is_preset(doc):
         return _preset(doc, path, {"default": presets.default_manipulator})
-    convert = {RigidBodyParams: _body(gravity), np.ndarray: partial(vector, n=3)}
+    convert = {RigidBodyParams: _body, np.ndarray: partial(vector, n=3)}
 
     def stage(sd, spath):
         kind = sd.get("type") if isinstance(sd, dict) else None
@@ -240,7 +234,7 @@ def build_manipulator(doc, path: str = "manipulator") -> ChainModel:
             raise ConfigError(f"{spath}: expected a list of stages")
         return tuple(stage(sd, f"{spath}[{i}]") for i, sd in enumerate(docs))
 
-    return read(ChainModel, doc, path, dict(convert, stages=stages), extra=("gravity",))
+    return read(ChainModel, doc, path, dict(convert, stages=stages))
 
 
 def build_problem(doc, model: ChainModel, path: str = "problem") -> NlpProblem:

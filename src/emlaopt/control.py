@@ -85,6 +85,9 @@ from .trajopt import TrajectoryResult, check_count
 # from 4x to 1/4x the published value.
 RADAU_MAX_STEP = 1e-3
 
+OUTPUT_DT = 2e-3  # default output sampling step [s] of the traces
+SETTLE_TIME = 0.2  # default instant [s], past the start-up, that tracking_errors measures from
+
 # complex step h of the closed-loop Jacobian: Im f(y + i*h*e_c) / h is the
 # derivative of an analytic f along e_c up to O(h^2), with no difference to
 # cancel (Squire & Trapp, SIAM Review 40, 1998)
@@ -466,10 +469,10 @@ def closed_loop(actuator, x, phi, ref):
     p omega (L_d i_d + psi), and the rigid shaft J_eq domega = tau - b_eq
     omega - f_eq f_load with tau = 1.5 p i_q (psi + (L_d - L_q) i_d).
 
-    Returns the errors (Q1..Q4), the i_q reference, (V_d, V_q), the plant's
-    rates in ``x``'s order and the estimates' rates.  Everything is
-    arithmetic: Python floats give one evaluation, arrays of equal shape
-    give one per element, rounded alike.
+    Returns the errors (Q1..Q4), (V_d, V_q), the plant's rates in ``x``'s
+    order and the estimates' rates.  Everything is arithmetic: Python
+    floats give one evaluation, arrays of equal shape give one per element,
+    rounded alike.
 
     It must stay analytic in the state, with no ``abs``, ``min``/``max``,
     comparison or branch on a state or error value: the tracking Jacobian
@@ -495,7 +498,7 @@ def closed_loop(actuator, x, phi, ref):
     domega = (c_t * i_q * (psi + dl * i_d) - b_eq * omega - load_ratio * f_load) / j_eq
     rates = (kd1 * p1 + ke1 * (q1 * q1), kd2 * p2 + ke2 * (q2 * q2),
              kd3 * p3 + ke3 * (q3 * q3), kd4 * p4 + ke4 * (q4 * q4))
-    return (q1, q2, q3, q4), iq_ref, (v_d, v_q), (omega, domega, di_q, di_d), rates
+    return (q1, q2, q3, q4), (v_d, v_q), (omega, domega, di_q, di_d), rates
 
 
 # band [Hz] and number of sine tones of the load-force noise
@@ -509,8 +512,9 @@ class DisturbanceProfile:
 
     ``force_noise_std`` scales band-limited noise (:data:`NOISE_TONES`
     tones in :data:`NOISE_BAND_HZ`) relative to the peak reference force;
-    ``param_perturbation`` multiplies the plant's resistance/inertia/damping
-    style parameters by (1 + fraction).  The noise is seeded.
+    ``param_perturbation`` multiplies the plant's stator resistance, motor
+    inertia and viscous damping by (1 + fraction) and divides its PM flux
+    by it (:func:`_perturbed`).  The noise is seeded.
     """
 
     force_noise_std: float = 0.0
@@ -595,16 +599,14 @@ class _ReferenceRows:
 
 @dataclass
 class TrackingTraces:
-    """Dense closed-loop traces of one tracking run."""
+    """Dense closed-loop traces of one tracking run: the columns
+    ``traces_to_csv`` writes (the i_q reference is i_q - Q3)."""
 
     times: np.ndarray
-    position: np.ndarray  # (n_t, n_a) load-side [m]
-    velocity: np.ndarray
-    position_ref: np.ndarray
+    velocity: np.ndarray  # (n_t, n_a) load-side [m/s]
     velocity_ref: np.ndarray
     i_q: np.ndarray
     i_d: np.ndarray
-    i_q_ref: np.ndarray
     v_q: np.ndarray
     v_d: np.ndarray
     q_err: np.ndarray  # (n_t, n_a, 4)
@@ -671,7 +673,7 @@ def simulate_tracking(
     reference: TrajectoryResult,
     gains,
     disturbance: DisturbanceProfile = None,
-    dt: float = 1e-3,
+    dt: float = OUTPUT_DT,
     initial_position_error=None,
     duration: float = None,
     rtol: float = 1e-6,
@@ -733,7 +735,7 @@ def simulate_tracking(
         out = [0.0] * (8 * n_a)
         for loop, x_at, phi_at, ref_at in plan:
             values = closed_loop(loop, s[x_at], s[phi_at], row[ref_at])
-            out[x_at], out[phi_at] = values[3], values[4]
+            out[x_at], out[phi_at] = values[2], values[3]
         return np.array(out)
 
     # Jacobian of rhs: one 8x8 block per actuator over its local state
@@ -797,23 +799,19 @@ def simulate_tracking(
     per_joint = [closed_loop(loop, sol.y[x_at], sol.y[phi_at], ref_rows[ref_at])
                  for loop, x_at, phi_at, ref_at in plan]
     q_err = np.array([r[0] for r in per_joint]).transpose(2, 0, 1)  # (n_t, n_a, 4)
-    iq_ref = np.array([r[1] for r in per_joint]).T
-    v_d, v_q = np.array([r[2] for r in per_joint]).transpose(1, 2, 0)
-    theta, omega, i_q, i_d = sol.y[:4 * n_a].reshape(4, n_a, -1).transpose(0, 2, 1)
-    q_ref, qd_ref, f_ref = ref_rows.reshape(3, n_a, -1).transpose(0, 2, 1)
+    v_d, v_q = np.array([r[1] for r in per_joint]).transpose(1, 2, 0)
+    _, omega, i_q, i_d = sol.y[:4 * n_a].reshape(4, n_a, -1).transpose(0, 2, 1)
+    _, qd_ref, f_ref = ref_rows.reshape(3, n_a, -1).transpose(0, 2, 1)
     # reference columns carry the trajectory samples verbatim at the
     # collocation instants
     k = np.minimum(np.searchsorted(reference.times, t), len(reference.times) - 1)
     colloc_hit = (reference.times[k] == t)[:, None]
     traces = TrackingTraces(
         times=t,
-        position=f_eq * theta,
         velocity=f_eq * omega,
-        position_ref=np.where(colloc_hit, reference.q[k], q_ref),
         velocity_ref=np.where(colloc_hit, reference.qd[k], qd_ref),
         i_q=i_q,
         i_d=i_d,
-        i_q_ref=iq_ref,
         v_q=v_q,
         v_d=v_d,
         q_err=q_err,
@@ -891,7 +889,7 @@ def lyapunov_audit(traces: TrackingTraces, gains) -> StabilityAudit:
     )
 
 
-def tracking_errors(traces: TrackingTraces, settle_time: float = 0.2) -> dict:
+def tracking_errors(traces: TrackingTraces, settle_time: float = SETTLE_TIME) -> dict:
     """RMS force/velocity tracking errors after the initial transient,
     normalized by each joint's reference peak.  Raises ``ValueError`` when
     no sample lies at or after ``settle_time``."""
@@ -900,7 +898,7 @@ def tracking_errors(traces: TrackingTraces, settle_time: float = 0.2) -> dict:
         raise ValueError(f"no tracking sample at or after settle_time = {settle_time} s "
                          f"(the run ends at {traces.times[-1]} s)")
     out = {"velocity_rms_frac": [], "force_rms_frac": [], "settle_time": settle_time}
-    for j in range(traces.position.shape[1]):
+    for j in range(traces.velocity.shape[1]):
         v_err = traces.velocity[mask, j] - traces.velocity_ref[mask, j]
         v_peak = max(np.abs(traces.velocity_ref[:, j]).max(), 1e-12)
         f_err = traces.force_em[mask, j] - traces.force_ref[mask, j]
@@ -916,7 +914,7 @@ def traces_to_csv(traces: TrackingTraces) -> str:
     Each row is formatted in one step (``%.12g`` per field) from a float
     table of the whole run.
     """
-    n_a = traces.position.shape[1]
+    n_a = traces.velocity.shape[1]
     header = ["t"]
     for j in range(1, n_a + 1):
         header += [

@@ -33,7 +33,7 @@ class EmlaModel:
         """Operating point (omega_m, i_q, v_d, v_q) delivering (f_x, v_x), with i_d = 0."""
         tau_m, omega_m = rotary_linear_map(self.drivetrain, f_x, v_x)
         i_q = torque_to_iq(self.motor, tau_m)
-        v_d, v_q = dq_voltages(self.motor, 0.0, i_q, omega_m)
+        v_d, v_q = dq_voltages(self.motor, i_q, omega_m)
         return omega_m, i_q, v_d, v_q
 
     def cell(self, f_x, v_x):
@@ -50,9 +50,7 @@ class EmlaModel:
             | (np.hypot(v_d, v_q) > self.drive.max_voltage)
             | (np.multiply(f_x, v_x) < 0)
         )
-        losses = loss_breakdown(
-            self.motor, self.drivetrain, self.drive, 0.0, i_q, omega_m, f_x, v_x
-        )
+        losses = loss_breakdown(self.motor, self.drivetrain, self.drive, i_q, omega_m, f_x, v_x)
         eta = efficiency(f_x, v_x, losses)
         return np.where(feasible, eta, np.nan)[()], losses, feasible
 

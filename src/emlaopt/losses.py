@@ -94,35 +94,29 @@ class LossBreakdown:
         return self.p_ee + self.p_em
 
 
-def stator_flux_magnitude(params: PmsmParams, i_d, i_q):
-    """|psi_s| from the current operating currents [Wb]."""
-    return np.hypot(params.pm_flux + params.inductance_d * i_d, params.inductance_q * i_q)
-
-
 def loss_breakdown(
     params: PmsmParams,
     drivetrain: DriveTrainParams,
     drive: DriveConfig,
-    i_d,
     i_q,
     omega_m,
     f_x,
     v_x,
 ) -> LossBreakdown:
-    """Evaluate every loss source at the given operating points.
+    """Evaluate every loss source at the given operating points, at i_d = 0.
 
     The mechanical state is taken as given (omega_m consistent with v_x via
     the ideal transmission when called from the map generator).  All
     components are nonnegative by construction.
     """
     eq = equivalent_params(drivetrain)
-    i_mag = np.hypot(i_d, i_q)
+    i_mag = np.abs(i_q)
     w = np.abs(params.pole_pairs * omega_m)
-    psi = stator_flux_magnitude(params, i_d, i_q)
+    psi = np.hypot(params.pm_flux, params.inductance_q * i_q)  # |psi_s| at i_d = 0
     return LossBreakdown(
         p_sw=drive.switching_coeff * SWITCHING_FREQ * DC_LINK_VOLTAGE * i_mag,
         p_d=drive.on_state_voltage * i_mag + ON_STATE_RESISTANCE * i_mag**2,
-        p_cu=1.5 * params.stator_resistance * (i_d**2 + i_q**2),
+        p_cu=1.5 * params.stator_resistance * i_q**2,
         p_hys=HYSTERESIS_COEFF * w * psi**2,
         p_eddy=drive.eddy_coeff * w**2 * psi**2,
         p_add=EXCESS_COEFF * w**1.5 * psi**2,

@@ -38,15 +38,12 @@ class RigidBodyParams:
     """Mass, rotational inertia about the COM (in body axes) and COM offset.
 
     ``com_offset`` runs from the body frame origin to the center of mass,
-    expressed in the body frame.  ``gravity`` is the magnitude-signed world
-    vector of the gravity terms (default [0, 0, 9.81]; the force it gives
-    is the support force the body requires).
+    expressed in the body frame.
     """
 
     mass: float
     inertia: np.ndarray
     com_offset: np.ndarray
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 9.81]))
 
     def __post_init__(self):
         inertia = np.asarray(self.inertia, dtype=float)
@@ -60,7 +57,6 @@ class RigidBodyParams:
             raise ValueError("inertia must be positive definite")
         object.__setattr__(self, "inertia", inertia)
         object.__setattr__(self, "com_offset", np.asarray(self.com_offset, dtype=float))
-        object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
 
 
 def planar_angle(v):
@@ -142,12 +138,14 @@ class TelescopeStage:
 
 @dataclass(frozen=True)
 class ChainModel:
-    """Fixed base plus an ordered stack of actuated stages."""
+    """Fixed base plus an ordered stack of actuated stages, every body under
+    one ``gravity`` [m/s^2] along world -z (a tilted one is a turned base)."""
 
     base: RigidBodyParams
     stages: tuple
     base_pos: np.ndarray = field(default_factory=lambda: np.zeros(3))
     base_angle: float = 0.0
+    gravity: float = 9.81
 
     def __post_init__(self):
         object.__setattr__(self, "base_pos", np.asarray(self.base_pos, dtype=float))
@@ -244,14 +242,14 @@ def _prismatic(frame, disp, rate, accel):
             a + (accel + 1j * (alpha * disp + rate * w)), alpha)
 
 
-def _body(body: RigidBodyParams):
+def _body(body: RigidBodyParams, g: float):
     """The constants :func:`_net` and :func:`_potential` read: m, the COM
-    offset r, i m r, the gravity support force m g, the inertia about the
-    frame origin, conj(r) and conj(m g), vectors as x - i z."""
+    offset r, i m r, the gravity support force m g under gravity ``g``, the
+    inertia about the frame origin, conj(r) and conj(m g), vectors as x - i z."""
     m = float(body.mass)
     rx, rz = float(body.com_offset[0]), float(body.com_offset[2])
     r = complex(rx, -rz)
-    gravity = complex(m * float(body.gravity[0]), -m * float(body.gravity[2]))
+    gravity = complex(0.0, -m * g)
     i_origin = float(body.inertia[1, 1]) + m * (rx * rx + rz * rz)
     return m, r, 1j * m * r, gravity, i_origin, r.conjugate(), gravity.conjugate()
 
@@ -281,6 +279,7 @@ def _build_planar_plan(model: ChainModel):
     and body constants of :func:`_forward`.  Nothing reads the last stage's
     mount frame, so it is the identity."""
     base = _fixed(_GROUND, *_fixed_pose(model.base_angle, model.base_pos))
+    g = float(model.gravity)
     steps = []
     for k, stage in enumerate(model.stages):
         last = k == model.n_joints - 1
@@ -289,10 +288,11 @@ def _build_planar_plan(model: ChainModel):
             theta_a = stage.base_angle
             steps.append((stage, mount, _fixed_pose(theta_a, stage.hinge_pos),
                           _fixed_pose(theta_a + math.pi, stage.anchor_pos),
-                          _body(stage.boom), _body(stage.barrel), _body(stage.rod)))
+                          _body(stage.boom, g), _body(stage.barrel, g), _body(stage.rod, g)))
         else:
-            steps.append((stage, mount, _fixed_pose(0.0, stage.slide_pos), _body(stage.carriage)))
-    return base, _body(model.base), tuple(steps)
+            steps.append((stage, mount, _fixed_pose(0.0, stage.slide_pos),
+                          _body(stage.carriage, g)))
+    return base, _body(model.base, g), tuple(steps)
 
 
 def _forward(model: ChainModel, q, qd, qdd):
@@ -414,7 +414,7 @@ def rnea(model: ChainModel, q, qd, qdd):
 
 
 def potential_energy(model: ChainModel, q):
-    """Total gravitational potential energy [J] (g from each body's params).
+    """Total gravitational potential energy [J] under the model's gravity.
 
     The sum over the bodies, base included, of m g . r_com, with each
     center of mass placed by the kernel's forward pass.  Raises as

@@ -1,7 +1,7 @@
 """PMSM electrical model in the rotor (dq) reference frame.
 
-Covers the dq voltage equations, the electromagnetic torque and its
-inverse for i_q.  The tracking loop writes the current equations out in
+Covers the steady dq voltages at i_d = 0, the electromagnetic torque and
+its inverse for i_q.  The tracking loop writes the current equations out in
 :func:`emlaopt.control.closed_loop`.
 """
 
@@ -43,19 +43,15 @@ class PmsmParams:
             raise ValueError("pm_flux must be > 0")
 
 
-def dq_voltages(params: PmsmParams, i_d: float, i_q: float, omega_m: float) -> tuple[float, float]:
-    """dq stator voltages that hold the given currents steady.
+def dq_voltages(params: PmsmParams, i_q: float, omega_m: float) -> tuple[float, float]:
+    """dq stator voltages that hold the given i_q, and i_d = 0, steady.
 
     Returns (V_d, V_q).  The plant's current equations solve the same
     relations for the current rates, which are zero at these voltages.
     """
     p = params.pole_pairs
-    v_d = params.stator_resistance * i_d - p * omega_m * params.inductance_q * i_q
-    v_q = (
-        params.stator_resistance * i_q
-        + p * omega_m * params.inductance_d * i_d
-        + p * omega_m * params.pm_flux
-    )
+    v_d = -(p * omega_m * params.inductance_q * i_q)
+    v_q = params.stator_resistance * i_q + p * omega_m * params.pm_flux
     return v_d, v_q
 
 

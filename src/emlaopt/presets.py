@@ -17,14 +17,9 @@ from .pmsm import PmsmParams
 from .trajopt import NlpProblem, check_count
 
 
-def _planar_body(mass, iyy, com, gravity=9.81):
+def _planar_body(mass, iyy, com):
     inertia = np.diag([0.6 * iyy, iyy, 0.6 * iyy])
-    return RigidBodyParams(
-        mass=mass,
-        inertia=inertia,
-        com_offset=np.asarray(com, dtype=float),
-        gravity=np.array([0.0, 0.0, gravity]),
-    )
+    return RigidBodyParams(mass=mass, inertia=inertia, com_offset=np.asarray(com, dtype=float))
 
 
 def lift_emla() -> EmlaModel:
@@ -162,17 +157,18 @@ def default_manipulator(gravity: float = 9.81) -> ChainModel:
         stroke_max=0.57,
     )
     return ChainModel(
-        base=_planar_body(400.0, 40.0, [0.0, 0.0, 0.4], gravity),
+        base=_planar_body(400.0, 40.0, [0.0, 0.0, 0.4]),
         base_pos=np.zeros(3),
+        gravity=gravity,
         stages=(
             ClosedChainStage(
                 name="lift",
                 geometry=lift_geom,
                 hinge_pos=np.array([0.20, 0.0, 0.80]),
                 anchor_pos=np.array([0.55, 0.0, 0.25]),
-                boom=_planar_body(320.0, 180.0, [1.3, 0.0, 0.05], gravity),
-                barrel=_planar_body(45.0, 1.8, [0.28, 0.0, 0.0], gravity),
-                rod=_planar_body(28.0, 0.9, [-0.15, 0.0, 0.0], gravity),
+                boom=_planar_body(320.0, 180.0, [1.3, 0.0, 0.05]),
+                barrel=_planar_body(45.0, 1.8, [0.28, 0.0, 0.0]),
+                rod=_planar_body(28.0, 0.9, [-0.15, 0.0, 0.0]),
                 mount_pos=np.array([2.6, 0.0, 0.0]),
             ),
             ClosedChainStage(
@@ -180,14 +176,14 @@ def default_manipulator(gravity: float = 9.81) -> ChainModel:
                 geometry=tilt_geom,
                 hinge_pos=np.zeros(3),
                 anchor_pos=np.array([-0.75, 0.0, 0.18]),
-                boom=_planar_body(210.0, 70.0, [0.9, 0.0, 0.0], gravity),
-                barrel=_planar_body(32.0, 1.2, [0.25, 0.0, 0.0], gravity),
-                rod=_planar_body(20.0, 0.6, [-0.12, 0.0, 0.0], gravity),
+                boom=_planar_body(210.0, 70.0, [0.9, 0.0, 0.0]),
+                barrel=_planar_body(32.0, 1.2, [0.25, 0.0, 0.0]),
+                rod=_planar_body(20.0, 0.6, [-0.12, 0.0, 0.0]),
                 mount_pos=np.array([0.4, 0.0, -0.12]),
             ),
             TelescopeStage(
                 name="telescope",
-                carriage=_planar_body(450.0, 50.0, [0.8, 0.0, -0.05], gravity),
+                carriage=_planar_body(450.0, 50.0, [0.8, 0.0, -0.05]),
                 slide_pos=np.zeros(3),
                 stroke_min=0.0,
                 stroke_max=0.9,

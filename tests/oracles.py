@@ -100,28 +100,31 @@ def coriolis_matrix(body: RigidBodyParams, omega) -> np.ndarray:
     return np.concatenate([top, bottom], axis=-2)
 
 
-def gravity_wrench(body: RigidBodyParams, rot_world) -> np.ndarray:
-    """Gravity term [m R g; m skew(r) R g] with R mapping world vectors into the body frame."""
+def gravity_wrench(body: RigidBodyParams, rot_world, gravity) -> np.ndarray:
+    """Gravity term [m R g; m skew(r) R g] with R mapping world vectors into
+    the body frame, for the world vector ``gravity`` ([0, 0, g] for a model
+    under g; the force it gives is the support force the body requires)."""
     rot_world = np.asarray(rot_world, dtype=float)
     r_ai = np.swapaxes(rot_world, -1, -2)
-    g_body = np.einsum("...ij,j->...i", r_ai, body.gravity) * body.mass
+    g_body = np.einsum("...ij,j->...i", r_ai, gravity) * body.mass
     ang = np.cross(np.broadcast_to(body.com_offset, g_body.shape), g_body)
     return np.concatenate([g_body, ang], axis=-1)
 
 
-def net_force(body: RigidBodyParams, vel, acc, rot_world):
+def net_force(body: RigidBodyParams, vel, acc, rot_world, gravity):
     """Net wrench a body requires for its current motion, in its own frame.
 
     ``vel`` and ``acc`` are the body-frame spatial velocity and its apparent
     (frame-relative) time derivative; ``rot_world`` maps body coordinates to
-    the world (gravity) frame.  Returns M dV + C(w) V + G.
+    the world (gravity) frame.  Returns M dV + C(w) V + G under the world
+    vector ``gravity`` (see :func:`gravity_wrench`).
     """
     v = np.asarray(vel, dtype=float)
     a = np.asarray(acc, dtype=float)
     return (
         np.einsum("ij,...j->...i", mass_matrix(body), a)
         + np.einsum("...ij,...j->...i", coriolis_matrix(body, v[..., 3:]), v)
-        + gravity_wrench(body, rot_world)
+        + gravity_wrench(body, rot_world, gravity)
     )
 
 
@@ -302,8 +305,14 @@ class DynamicsState:
     piston_forces: np.ndarray  # (..., n)
 
 
-def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
+def model_gravity(model: ChainModel) -> np.ndarray:
+    """The world gravity vector of ``model``: its g along -z, as [0, 0, g]."""
+    return np.array([0.0, 0.0, model.gravity])
+
+
+def _evaluate(model: ChainModel, q, qd, qdd, gravity=None) -> DynamicsState:
     q, qd, qdd = (np.asarray(x, dtype=float) for x in (q, qd, qdd))
+    gravity = model_gravity(model) if gravity is None else np.asarray(gravity, dtype=float)
     if q.shape != qd.shape or q.shape != qdd.shape or q.shape[-1] != model.n_joints:
         raise ValueError("q, qd, qdd must share shape (..., n_joints)")
     batch = q.shape[:-1]
@@ -319,7 +328,7 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
     base_state = _fixed_child(ground, rot_y(model.base_angle), model.base_pos)
     frames["base"] = base_state
 
-    net = {"base": net_force(model.base, base_state[2], base_state[3], base_state[0])}
+    net = {"base": net_force(model.base, base_state[2], base_state[3], base_state[0], gravity)}
     chain_angles = {}
     per_stage = []  # bookkeeping for the backward pass
 
@@ -362,9 +371,10 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
                     f"{nm}.mount": mount,
                 }
             )
-            net[f"{nm}.boom"] = net_force(stage.boom, boom[2], boom[3], boom[0])
-            net[f"{nm}.barrel"] = net_force(stage.barrel, barrel[2], barrel[3], barrel[0])
-            net[f"{nm}.rod"] = net_force(stage.rod, rod[2], rod[3], rod[0])
+            net[f"{nm}.boom"] = net_force(stage.boom, boom[2], boom[3], boom[0], gravity)
+            net[f"{nm}.barrel"] = net_force(stage.barrel, barrel[2], barrel[3], barrel[0],
+                                            gravity)
+            net[f"{nm}.rod"] = net_force(stage.rod, rod[2], rod[3], rod[0], gravity)
             chain_angles[nm] = (qh, qa, qp)
             per_stage.append(("chain", stage, {"q_pin": qp, "c": c}))
             state = mount
@@ -377,7 +387,7 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
             frames[f"{nm}.carriage"] = carriage
             frames[f"{nm}.mount"] = mount
             net[f"{nm}.carriage"] = net_force(
-                stage.carriage, carriage[2], carriage[3], carriage[0]
+                stage.carriage, carriage[2], carriage[3], carriage[0], gravity
             )
             per_stage.append(("telescope", stage, {"x": x}))
             state = mount
@@ -474,13 +484,15 @@ def _evaluate(model: ChainModel, q, qd, qdd) -> DynamicsState:
     )
 
 
-def evaluate_dynamics(model: ChainModel, q, qd, qdd) -> DynamicsState:
+def evaluate_dynamics(model: ChainModel, q, qd, qdd, gravity=None) -> DynamicsState:
     """Full 6-D evaluation: frames, net and transmitted wrenches, piston forces.
 
     Its ``piston_forces`` resolve every pin and bearing force, and they
-    equal :func:`emlaopt.manipulator.rnea`'s to rounding.
+    equal :func:`emlaopt.manipulator.rnea`'s to rounding.  ``gravity`` is
+    a world vector in place of the model's [0, 0, g]: one tilted in the x-z
+    plane, which the program expresses by turning the base.
     """
-    return _evaluate(model, q, qd, qdd)
+    return _evaluate(model, q, qd, qdd, gravity)
 
 
 def kinetic_energy(model: ChainModel, q, qd):
@@ -496,14 +508,14 @@ def kinetic_energy(model: ChainModel, q, qd):
 
 
 def potential_energy(model: ChainModel, q):
-    """Total gravitational potential energy [J] (g from each body's params)."""
+    """Total gravitational potential energy [J] under the model's gravity."""
     qz = np.zeros_like(np.asarray(q, dtype=float))
     state = _evaluate(model, q, qz, qz)
     total = 0.0
     for name, body in _iter_bodies(model):
         r_w, p_w = state.frames[name][0], state.frames[name][1]
         com_world = p_w + _mat_vec(r_w, np.broadcast_to(body.com_offset, p_w.shape))
-        total = total + body.mass * np.einsum("...i,i->...", com_world, body.gravity)
+        total = total + body.mass * np.einsum("...i,i->...", com_world, model_gravity(model))
     return total
 
 

@@ -131,15 +131,15 @@ def test_objective_constant_efficiency_value():
         psi=np.zeros(2), psi_raw={}, weights=np.array([0.5, 0.5]), cost=0.0,
         constraint_violation=0.0, converged=True, outer_iterations=1, degree=5,
     )
-    value, eta, flagged = efficiency_objective(traj, [const_eta(1.0)] * 2)
+    value = efficiency_objective(traj, [const_eta(1.0)] * 2)
     dt = 3.0 / m
     assert np.isclose(value, 0.5 * dt * (m + 1))
-    assert not flagged.any()
+    assert not total_efficiency(traj.v_x, traj.f_x, [const_eta(1.0)] * 2)[1].any()
 
 
 def test_objective_riemann_refinement(model, dynamics, eta_fns):
     res = solve_inner(benchmark_problem(model), dynamics, weights=np.array([0.3, 0.7]))
-    value, _, _ = efficiency_objective(res, eta_fns)
+    value = efficiency_objective(res, eta_fns)
     times = np.linspace(0.0, res.t_final, 2 * len(res.times) - 1)
     q, qd, qdd = spline_states(res.degree, res.control_points, res.t_final, times)
     dt = res.t_final / (len(times) - 1)
@@ -150,9 +150,9 @@ def test_objective_riemann_refinement(model, dynamics, eta_fns):
 
 def test_outer_cost_reevaluation(model, dynamics, eta_fns, small_problem):
     result = solve_inner(small_problem, dynamics, weights=np.array([0.4, 0.6]))
-    value, _, _ = efficiency_objective(result, eta_fns)
+    value = efficiency_objective(result, eta_fns)
     back = TrajectoryResult.from_dict(result.to_dict())
-    value2, _, _ = efficiency_objective(back, eta_fns)
+    value2 = efficiency_objective(back, eta_fns)
     assert abs(value2 - value) <= 1e-10 * max(1.0, value)
 
 
@@ -251,8 +251,8 @@ def test_rescaled_optimum_weights_reproduce(model, dynamics, grid_result, small_
     one = solve_inner(small_problem, dynamics, weights=res.weights_opt, initial_guess=start)
     two = solve_inner(small_problem, dynamics, weights=2.0 * res.weights_opt, initial_guess=start)
     assert np.abs(one.control_points - two.control_points).max() <= 1e-9
-    v1, _, _ = efficiency_objective(one, eta_fns)
-    v2, _, _ = efficiency_objective(two, eta_fns)
+    v1 = efficiency_objective(one, eta_fns)
+    v2 = efficiency_objective(two, eta_fns)
     assert abs(v1 - v2) <= 1e-8
 
 
@@ -263,7 +263,7 @@ def test_rerunning_inner_at_optimum_reproduces(model, dynamics, grid_result, sma
     again = solve_inner(small_problem, dynamics, weights=res.weights_opt,
                         initial_guess=sweep_start(small_problem, dynamics, cfg, res.weights_opt))
     assert np.array_equal(again.control_points, res.inner.control_points)
-    value, _, _ = efficiency_objective(again, eta_fns)
+    value = efficiency_objective(again, eta_fns)
     assert abs(value - res.outer_value) <= 1e-8
 
 
@@ -274,7 +274,7 @@ def test_degenerate_weight_box(model, maps, small_problem, dynamics, eta_fns):
     assert np.array_equal(res.weights_opt, w0)
     again = solve_inner(small_problem, dynamics, weights=w0,
                         initial_guess=centre_start(small_problem, dynamics, cfg))
-    value, *_ = efficiency_objective(again, eta_fns)
+    value = efficiency_objective(again, eta_fns)
     assert abs(value - res.outer_value) <= 1e-9
 
 
@@ -534,7 +534,7 @@ def test_asymmetric_even_grid_sweeps_out_from_the_centre_ray(monkeypatch, model,
         assert np.array_equal(start, packed(before))
     for w, value, ok in res.trace:
         first = next(r for v, _, r in rays if tuple(v / v.sum()) == tuple(w / w.sum()))
-        assert ok and value == efficiency_objective(first, map_eta_fns(maps))[0]
+        assert ok and value == efficiency_objective(first, map_eta_fns(maps))
 
 
 def test_converged_centre_solve_stands_for_its_ray(monkeypatch, model, maps, small_problem):
@@ -551,7 +551,7 @@ def test_converged_centre_solve_stands_for_its_ray(monkeypatch, model, maps, sma
     assert res.n_inner_solves == len(calls) == 7
     assert all(w[0] != w[1] for w, _, _ in calls[1:])
     diagonal = [(value, ok) for w, value, ok in res.trace if w[0] == w[1]]
-    assert diagonal == [(efficiency_objective(centre, map_eta_fns(maps))[0], True)] * 3
+    assert diagonal == [(efficiency_objective(centre, map_eta_fns(maps)), True)] * 3
     one_point = BilevelConfig(weight_lower=[0.3, 0.7], weight_upper=[0.3, 0.7], grid_points=1)
     assert solve_outer(one_point, small_problem, model, maps).n_inner_solves == 1
 
@@ -577,4 +577,4 @@ def test_unconverged_centre_solve_leaves_its_ray_to_the_sweep(monkeypatch, model
     (w, start, again), centre = calls[1], calls[0][2]
     assert np.array_equal(w, [0.1, 0.1]) and np.array_equal(start, packed(centre))
     diagonal = [(value, ok) for w, value, ok in res.trace if w[0] == w[1]]
-    assert diagonal == [(efficiency_objective(again, map_eta_fns(maps))[0], True)] * 3
+    assert diagonal == [(efficiency_objective(again, map_eta_fns(maps)), True)] * 3

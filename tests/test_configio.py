@@ -280,6 +280,16 @@ def test_inline_manipulator_of_the_preset_builds_it_again():
     assert np.array_equal(rnea(model, q, 0.1 * q, q), rnea(MODEL, q, 0.1 * q, q))
 
 
+@pytest.mark.parametrize("doc", [dict(MANIPULATOR_DOC, gravity=None),
+                                 {"preset": "default", "gravity": None}], ids=["inline", "preset"])
+def test_a_null_gravity_is_not_a_number(doc):
+    # gravity is a finite number like every other scalar: null built the
+    # inline block under 9.81 and the preset with NaN forces
+    with pytest.raises(ConfigError) as info:
+        build_manipulator(doc)
+    assert str(info.value) == "manipulator.gravity: expected a finite number, got None"
+
+
 def keywords(preset, n_args: int = 0) -> set:
     """The keys a block of the ``preset`` function reads besides "preset":
     its parameters after the ``n_args`` its builder passes."""

@@ -70,7 +70,7 @@ def at_rest_reference(act, gains, x=(0.0, 0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0, 0.
 def test_control_law_published_gain_value(acts):
     # delta = 75000, eps = 9, phi = 0, Q = 1e-3 -> kappa = -37.5, for the
     # current subsystems' feedback, the voltages
-    q_err, _, (v_d, v_q), _, _ = at_rest_reference(acts[0], published_gains(),
+    q_err, (v_d, v_q), _, _ = at_rest_reference(acts[0], published_gains(),
                                                    x=(0.0, 0.0, 1e-3, 1e-3))
     assert q_err[2:] == (1e-3, 1e-3)
     assert v_d == pytest.approx(-37.5) and v_q == pytest.approx(-37.5)
@@ -82,7 +82,7 @@ def test_control_law_dissipative_sign(acts):
     for _ in range(50):
         theta, i_q, i_d = rng.standard_normal(3)
         phi = np.abs(rng.standard_normal(4))
-        (q1, q2, q3, q4), _, (v_d, v_q), _, _ = at_rest_reference(
+        (q1, q2, q3, q4), (v_d, v_q), _, _ = at_rest_reference(
             acts[0], g, x=(theta, 0.0, i_q, i_d), phi=phi)
         # at omega = qd_ref = 0 the velocity error is -kappa_1 exactly
         for kappa, nu, q in ((-q2, 0, q1), (v_q, 2, q3), (v_d, 3, q4)):
@@ -263,19 +263,21 @@ def nominal_traces(acts):
 def test_traces_obey_control_law(acts, nominal_traces):
     # every output sample satisfies the cascade the simulation integrates
     tr, g = nominal_traces, published_gains()
-    # the reference columns hold the trajectory samples verbatim at the
+    # Q2 is the velocity error offset by the position's virtual control; the
+    # reference columns hold the trajectory samples verbatim at the
     # collocation instants, the controller the spline: they agree to rounding
-    assert np.allclose(tr.q_err[..., 0], tr.position - tr.position_ref,
-                       rtol=1e-9, atol=1e-14 * np.abs(tr.position).max())
+    kappa_1 = law(g.delta[0], g.epsilon[0], tr.phi[..., 0], tr.q_err[..., 0])
+    assert np.allclose(tr.q_err[..., 1], tr.velocity - tr.velocity_ref - kappa_1,
+                       rtol=1e-9, atol=1e-14 * np.abs(kappa_1).max())
     assert np.abs(tr.q_err[..., 2]).max() > 1e-4  # the current loops are working
     for nu, v in ((2, tr.v_q), (3, tr.v_d)):
         kappa = law(g.delta[nu], g.epsilon[nu], tr.phi[..., nu], tr.q_err[..., nu])
         assert np.allclose(v, kappa, rtol=1e-12, atol=0.0)
+    # the velocity loop's torque command is the i_q reference, i_q - Q3
     for j, a in enumerate(acts):
         torque = law(g.delta[1], g.epsilon[1], tr.phi[:, j, 1], tr.q_err[:, j, 1])
-        assert np.allclose(tr.i_q_ref[:, j], torque_to_iq(a.motor, torque),
-                           rtol=1e-12, atol=0.0)
-    assert np.allclose(tr.q_err[..., 2], tr.i_q - tr.i_q_ref, rtol=1e-12, atol=1e-12)
+        assert np.allclose(tr.i_q[:, j] - tr.q_err[:, j, 2], torque_to_iq(a.motor, torque),
+                           rtol=1e-12, atol=1e-12)
     assert np.array_equal(tr.q_err[..., 3], tr.i_d)
 
 
@@ -296,7 +298,7 @@ def test_load_pulse_reconverges(acts):
 
 def reference_traces_csv(traces):
     """The per-row writer the array writer replaced, kept as its oracle."""
-    n_a = traces.position.shape[1]
+    n_a = traces.velocity.shape[1]
     header = ["t"]
     for j in range(1, n_a + 1):
         header += [
@@ -575,10 +577,10 @@ class ComplexQuotient(float):
 
 
 def loop_values(out):
-    """closed_loop's 15 returned values, stacked: an array of shape (15,)
-    from floats, or (15, n) from arrays of n."""
-    q_err, iq_ref, volts, x_rates, rates = out
-    return np.array([*q_err, iq_ref, *volts, *x_rates, *rates])
+    """closed_loop's 14 returned values, stacked: an array of shape (14,)
+    from floats, or (14, n) from arrays of n."""
+    q_err, volts, x_rates, rates = out
+    return np.array([*q_err, *volts, *x_rates, *rates])
 
 
 # per actuator: theta, omega, i_q, i_d; q_ref, qd_ref, f_load

@@ -53,7 +53,7 @@ def test_steady_state_solves_the_circuit(emla):
     tau, omega_ref = rotary_linear_map(emla.drivetrain, f, v)
     assert np.isclose(omega, omega_ref)
     assert np.isclose(electromagnetic_torque(emla.motor, 0.0, i_q), tau)
-    vd_ref, vq_ref = dq_voltages(emla.motor, 0.0, i_q, omega)
+    vd_ref, vq_ref = dq_voltages(emla.motor, i_q, omega)
     assert np.isclose(v_d, vd_ref) and np.isclose(v_q, vq_ref)
 
 

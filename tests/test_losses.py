@@ -16,19 +16,19 @@ def emla():
 
 
 def test_no_flow_no_loss(emla):
-    lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 0.0, 0.0, 0.0, 0.0, 0.0)
+    lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 0.0, 0.0, 0.0, 0.0)
     assert lb.total == 0.0
 
 
 def test_copper_loss_matches_dq_accounting(emla):
     i_q = 8.0
-    lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 0.0, i_q, 0.0, 0.0, 0.0)
+    lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, i_q, 0.0, 0.0, 0.0)
     assert np.isclose(lb.p_cu, 1.5 * emla.motor.stator_resistance * i_q**2)
 
 
 def test_mechanical_loss_is_viscous_dissipation(emla):
     omega = 140.0
-    lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 0.0, 0.0, omega, 0.0, 0.0)
+    lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 0.0, omega, 0.0, 0.0)
     b_eq = equivalent_params(emla.drivetrain).damping
     assert np.isclose(lb.p_mech, b_eq * omega**2)
 
@@ -36,10 +36,10 @@ def test_mechanical_loss_is_viscous_dissipation(emla):
 def test_aggregation_identities(emla):
     rng = np.random.default_rng(2)
     for _ in range(50):
-        i_d, i_q = rng.uniform(-10, 10, 2)
+        i_q = rng.uniform(-10, 10)
         omega = rng.uniform(-300, 300)
         f, v = rng.uniform(0, 4e4), rng.uniform(0, 0.1)
-        lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, i_d, i_q, omega, f, v)
+        lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, i_q, omega, f, v)
         vals = [lb.p_sw, lb.p_d, lb.p_cu, lb.p_hys, lb.p_eddy, lb.p_add, lb.p_mech, lb.p_sc]
         assert all(x >= 0 for x in vals)
         assert np.isclose(lb.p_ee, lb.p_sw + lb.p_d + lb.p_cu + lb.p_co, rtol=0, atol=1e-12)
@@ -47,9 +47,9 @@ def test_aggregation_identities(emla):
 
 
 def test_efficiency_limits(emla):
-    zero = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 0.0, 0.0, 0.0, 0.0, 0.0)
+    zero = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 0.0, 0.0, 0.0, 0.0)
     assert efficiency(100.0, 0.1, zero) == 1.0
-    lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 0.0, 4.0, 50.0, 0.0, 0.0)
+    lb = loss_breakdown(emla.motor, emla.drivetrain, emla.drive, 4.0, 50.0, 0.0, 0.0)
     assert efficiency(0.0, 0.1, lb) == 0.0
     assert efficiency(100.0, 0.0, lb) == 0.0
 

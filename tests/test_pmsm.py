@@ -10,13 +10,13 @@ PARAMS = PmsmParams(
 
 
 def test_dq_voltages_zero_state():
-    assert dq_voltages(PARAMS, 0.0, 0.0, 0.0) == (0.0, 0.0)
+    assert dq_voltages(PARAMS, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_dq_voltages_steady_state():
     i_q = 6.0
     omega = 120.0
-    v_d, v_q = dq_voltages(PARAMS, 0.0, i_q, omega)
+    v_d, v_q = dq_voltages(PARAMS, i_q, omega)
     p = PARAMS.pole_pairs
     assert np.isclose(v_d, -p * omega * PARAMS.inductance_q * i_q)
     assert np.isclose(v_q, PARAMS.stator_resistance * i_q + p * omega * PARAMS.pm_flux)
@@ -24,20 +24,21 @@ def test_dq_voltages_steady_state():
 
 def test_dq_voltages_term_by_term():
     rng = np.random.default_rng(0)
-    i_d, i_q, w = rng.standard_normal(3)
-    v_d, v_q = dq_voltages(PARAMS, i_d, i_q, w)
-    r, ld, lq, p, psi = 0.4, 7e-3, 9e-3, 3, 0.2
-    assert np.isclose(v_d, r * i_d - p * w * lq * i_q, rtol=0, atol=1e-14)
-    assert np.isclose(v_q, r * i_q + p * w * ld * i_d + p * w * psi, rtol=0, atol=1e-14)
+    i_q, w = rng.standard_normal(2)
+    v_d, v_q = dq_voltages(PARAMS, i_q, w)
+    r, lq, p, psi = 0.4, 9e-3, 3, 0.2
+    assert np.isclose(v_d, -p * w * lq * i_q, rtol=0, atol=1e-14)
+    assert np.isclose(v_q, r * i_q + p * w * psi, rtol=0, atol=1e-14)
 
 
 def test_current_derivatives_invert_voltages():
-    # the voltages that hold the currents steady give zero current rates
+    # the voltages that hold the currents steady at i_d = 0 give zero
+    # current rates
     rng = np.random.default_rng(1)
     for _ in range(20):
-        i_d, i_q, w = rng.standard_normal(3)
-        v_d, v_q = dq_voltages(PARAMS, i_d, i_q, w)
-        did, diq = current_derivatives(PARAMS, i_d, i_q, w, v_d, v_q)
+        i_q, w = rng.standard_normal(2)
+        v_d, v_q = dq_voltages(PARAMS, i_q, w)
+        did, diq = current_derivatives(PARAMS, 0.0, i_q, w, v_d, v_q)
         assert abs(did) < 1e-12
         assert abs(diq) < 1e-12
 

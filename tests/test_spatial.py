@@ -52,25 +52,28 @@ def test_chain_frame_change_preserves_power_pairing():
         assert abs(v_a @ f_a - v_b @ f_b) < 1e-10 * max(1, abs(v_a @ f_a))
 
 
-def body(mass=7.0, com=(0.2, 0.0, -0.1), gravity=9.81):
+# the world gravity vector of a model under g = 9.81
+GRAVITY = np.array([0.0, 0.0, 9.81])
+
+
+def body(mass=7.0, com=(0.2, 0.0, -0.1)):
     inertia = np.diag([0.4, 0.5, 0.3])
-    return RigidBodyParams(mass=mass, inertia=inertia, com_offset=np.array(com),
-                           gravity=np.array([0.0, 0.0, gravity]))
+    return RigidBodyParams(mass=mass, inertia=inertia, com_offset=np.array(com))
 
 
 def test_net_force_statics_is_gravity_wrench():
     b = body()
     r_w = random_rotation()
-    out = net_force(b, np.zeros(6), np.zeros(6), r_w)
-    g_body = b.mass * r_w.T @ np.array([0, 0, 9.81])
+    out = net_force(b, np.zeros(6), np.zeros(6), r_w, GRAVITY)
+    g_body = b.mass * r_w.T @ GRAVITY
     assert np.allclose(out[:3], g_body, atol=1e-12)
     assert np.allclose(out[3:], np.cross(b.com_offset, g_body), atol=1e-12)
 
 
 def test_net_force_pure_linear_acceleration():
-    b = body(com=(0.0, 0.0, 0.0), gravity=0.0)
+    b = body(com=(0.0, 0.0, 0.0))
     acc = np.array([1.0, -2.0, 0.5, 0.0, 0.0, 0.0])
-    out = net_force(b, np.zeros(6), acc, np.eye(3))
+    out = net_force(b, np.zeros(6), acc, np.eye(3), np.zeros(3))
     assert np.allclose(out[:3], b.mass * acc[:3])
     assert np.allclose(out[3:], 0.0)
 
@@ -106,7 +109,7 @@ def test_net_force_matches_momentum_rate():
     r, _ = pose(t0)
     vel = body_velocity(t0)
     acc = (body_velocity(t0 + h) - body_velocity(t0 - h)) / (2 * h)
-    out = net_force(b, vel, acc, r)
+    out = net_force(b, vel, acc, r, GRAVITY)
 
     m_mat = mass_matrix(b)
 
@@ -123,7 +126,7 @@ def test_net_force_matches_momentum_rate():
     v_origin_w = r @ vel[:3]
     expected_lin = r.T @ hdot_w[:3]
     expected_ang = r.T @ (hdot_w[3:] + np.cross(v_origin_w, p_lin_w))
-    grav = gravity_wrench(b, r)
+    grav = gravity_wrench(b, r, GRAVITY)
     assert np.allclose(out[:3] - grav[:3], expected_lin, rtol=1e-4, atol=1e-4)
     assert np.allclose(out[3:] - grav[3:], expected_ang, rtol=1e-4, atol=1e-4)
 
