@@ -44,6 +44,6 @@ for label, dist in (("nominal plant, no disturbance", None),
     print("  peak |i_q| per joint [A]:", np.round(np.abs(traces.i_q).max(axis=0), 1))
 
 audit = lyapunov_audit(traces, gains)
-print(f"\ndescent-constant audit: zeta = min(delta, k*sigma) = {audit.zeta:.0f}")
+print(f"\ndescent-constant audit: zeta = min(delta, k*sigma) = {audit['zeta']:.0f}")
 print("(the regulation experiment in the test suite shows the undisturbed "
       "V(t) decaying strictly; a tracking run rides its quasi-steady floor)")

@@ -18,7 +18,6 @@ from .bspline import basis_matrices, clamped_knots
 from .chain import ClosedChainGeometry, StrokeRangeError
 from .control import (
     DisturbanceProfile,
-    StabilityAudit,
     SubsystemGains,
     TrackingTraces,
     lyapunov_audit,

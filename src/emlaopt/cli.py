@@ -122,15 +122,9 @@ def run_track(config: dict, seed: int) -> dict:
         initial_position_error=position_error,
         duration=duration,
     )
-    audit = lyapunov_audit(traces, gains)
-    errors = tracking_errors(traces, settle_time=settle_time)
     summary = {
-        "tracking_errors": errors,
-        "lyapunov": {
-            "zeta": audit.zeta,
-            "zeta_fit": audit.zeta_fit,
-            "strictly_decreasing": audit.strictly_decreasing,
-        },
+        "tracking_errors": tracking_errors(traces, settle_time=settle_time),
+        "lyapunov": lyapunov_audit(traces, gains),
         "solver": traces.solver,
     }
     return {

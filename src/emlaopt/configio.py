@@ -5,9 +5,9 @@ variables).  Components can be given inline or pulled from the shipped
 presets with {"preset": "<name>"}; a builder given ``None`` builds its
 default preset.  A preset block takes only the keyword parameters of its
 preset function, and an inline block only the fields of the dataclass it
-builds (:func:`read`), so a key nothing reads is an error, never ignored.
-Parse and validation errors carry the file position or the dotted field
-path that failed.
+builds (:func:`read`), so a key nothing reads is an error, never ignored,
+and each value is read by its declared type (``READERS``).  Parse and
+validation errors carry the file position or the dotted field path.
 """
 
 import hashlib
@@ -77,6 +77,13 @@ def number(value, path: str) -> float:
     raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
+def integer(value, path: str) -> int:
+    """``value``, checked to be a JSON integer (not a bool or a number such as 4.0)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def boolean(value, path: str) -> bool:
     """``value``, checked to be a JSON ``true`` or ``false`` (not a string or a number)."""
     if not isinstance(value, bool):
@@ -120,6 +127,10 @@ def vector(value, path: str, n: int = None) -> np.ndarray:
         number(entry, path + (f"[{k // width}][{k % width}]" if rows else f"[{k}]"))
 
 
+# the reader of a value of each declared type, called as (value, path)
+READERS = {float: number, int: integer, bool: boolean, np.ndarray: vector}
+
+
 def _call(build, path: str, *args, **kwargs):
     """``build(*args, **kwargs)``, a ``ValueError`` or ``TypeError`` it raises
     turned into a ``ConfigError`` at ``path``."""
@@ -136,11 +147,12 @@ def read(cls, doc, path: str, convert=None, extra=()):
     of ``cls`` plus the ``extra`` keys its caller reads itself.
 
     A field without a default is required.  Its value goes through
-    ``convert[name]``, else ``convert[type]``, else, for a dataclass-typed
-    field, ``read`` of that class; a converter is called as
-    ``(value, path)``.  Otherwise the value goes to ``cls`` as it is.
+    ``convert[name]``, else ``convert[type]``, else ``READERS[type]``, else,
+    for a dataclass-typed field, ``read`` of that class; a converter is
+    called as ``(value, path)``.  A value of another type (a ``str``) goes
+    to ``cls`` as it is.
     """
-    convert = convert or {}
+    convert = {**READERS, **(convert or {})}
     specs = fields(cls)
     check_keys(doc, path, [f.name for f in specs] + list(extra), required=[
         f.name for f in specs if f.default is MISSING and f.default_factory is MISSING])
@@ -164,12 +176,16 @@ def _preset(doc, path: str, choices: dict, *args):
     if not isinstance(name, str) or name not in choices:
         raise ConfigError(f"{path}.preset: unknown preset {name!r}; available: {sorted(choices)}")
     overrides = {k: v for k, v in (doc or {}).items() if k != "preset"}
-    check_keys(overrides, path, _takes(choices[name], len(args)), f"the {name!r} preset")
+    overrides = _keywords(overrides, path, choices[name], len(args), f"the {name!r} preset")
     return _call(choices[name], path, *args, **overrides)
 
 
-def _takes(function, n_args: int = 0) -> list:
-    return list(inspect.signature(function).parameters)[n_args:]
+def _keywords(doc, path: str, function, n_args: int = 0, owner: str = "it") -> dict:
+    """``doc``, checked to name only parameters of ``function`` after its
+    first ``n_args``, each value read by ``READERS`` of its annotated type."""
+    params = dict(list(inspect.signature(function).parameters.items())[n_args:])
+    check_keys(doc, path, params, owner)
+    return {k: READERS[params[k].annotation](v, f"{path}.{k}") for k, v in doc.items()}
 
 
 def _is_preset(doc) -> bool:
@@ -206,7 +222,7 @@ def _body(doc, path):
         inertia = np.diag(inertia)
     if inertia.shape != (3, 3):
         raise ConfigError(f"{path}.inertia: expected 3 principal values or a 3x3 matrix")
-    return RigidBodyParams(mass=doc["mass"], inertia=inertia,
+    return RigidBodyParams(mass=number(doc["mass"], f"{path}.mass"), inertia=inertia,
                            com_offset=vector(doc["com"], f"{path}.com", 3))
 
 
@@ -217,8 +233,6 @@ def build_manipulator(doc, path: str = "manipulator") -> ChainModel:
     """Preset 'default' (the default) or an inline chain: the ``ChainModel``
     fields, ``gravity`` among them, which a preset block takes too; each stage
     holds the fields of the class its ``type`` names in ``STAGE_TYPES``."""
-    if isinstance(doc, dict) and "gravity" in doc:
-        doc = dict(doc, gravity=number(doc["gravity"], f"{path}.gravity"))
     if _is_preset(doc):
         return _preset(doc, path, {"default": presets.default_manipulator})
     convert = {RigidBodyParams: _body, np.ndarray: partial(vector, n=3)}
@@ -249,14 +263,15 @@ def build_problem(doc, model: ChainModel, path: str = "problem") -> NlpProblem:
 
 def build_gains(doc, n_joints: int, path: str = "gains") -> list:
     """Preset 'published' (the default), one inline ``SubsystemGains`` block
-    for every joint, or a list of one block per joint."""
+    for every joint, or a list of one block per joint; a gain is a number or a list of 4."""
     if _is_preset(doc):
         return [_preset(doc, path, {"published": published_gains})] * n_joints
     if isinstance(doc, list):
         if len(doc) != n_joints:
             raise ConfigError(f"{path}: expected {n_joints} gain sets")
         return [build_gains(d, 1, f"{path}[{i}]")[0] for i, d in enumerate(doc)]
-    return [read(SubsystemGains, doc, path)] * n_joints
+    gain = lambda v, key: vector(v, key, 4) if isinstance(v, list) else number(v, key)
+    return [read(SubsystemGains, doc, path, {np.ndarray: gain})] * n_joints
 
 
 def build_disturbance(doc, seed_offset: int = 0, path: str = "disturbance") -> DisturbanceProfile:
@@ -305,7 +320,7 @@ def build_map_axes(doc, actuator: EmlaModel, path: str = "grid"):
 def build_preset_axes(doc, actuators, path: str = "maps") -> list:
     """The preset map axes of each of ``actuators``; ``doc`` holds only the
     point counts the 'default' map grid takes."""
-    counts = check_keys({} if doc is None else doc, path, _takes(presets.default_map_grid, 1))
+    counts = _keywords({} if doc is None else doc, path, presets.default_map_grid, 1)
     return [_call(presets.default_map_grid, path, a, **counts) for a in actuators]
 
 

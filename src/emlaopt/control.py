@@ -613,7 +613,7 @@ class TrackingTraces:
     phi: np.ndarray  # (n_t, n_a, 4)
     force_em: np.ndarray  # electromagnetic force tau_m / f_eq
     force_ref: np.ndarray  # load-force reference from the trajectory
-    lyapunov: np.ndarray
+    lyapunov: np.ndarray  # V(t), which lyapunov_audit fits
     solver: dict  # Radau status, message, nfev, njev, nlu, nsteps, max_step
 
 
@@ -840,53 +840,31 @@ def lyapunov_value(traces: TrackingTraces, gains) -> np.ndarray:
     return v
 
 
-@dataclass
-class StabilityAudit:
-    """Numerical Lyapunov descent summary for one tracking run."""
-
-    zeta: float
-    zeta_fit: float | None
-    strictly_decreasing: bool | None
-
-
-def lyapunov_audit(traces: TrackingTraces, gains) -> StabilityAudit:
-    """Audit the recorded V(t), ``traces.lyapunov``, against the analytic
-    descent structure.
+def lyapunov_audit(traces: TrackingTraces, gains) -> dict:
+    """The ``lyapunov`` block of ``tracking.json``: the recorded V(t),
+    ``traces.lyapunov`` of a run of at least two samples, against the
+    analytic descent structure.
 
     ``zeta`` is the closed-form min(delta, k*sigma) over every subsystem;
-    ``zeta_fit`` is the slope of a least-squares line through log V over
-    the initial decay window (from the start until the first sample that
-    fails to decrease, i.e. until the numerical floor).  A run that starts
-    on its reference, V(0) = 0, has no decay to fit, so both ``zeta_fit``
-    and ``strictly_decreasing`` are ``None``.  ``gains`` holds one
-    :class:`SubsystemGains` per actuator.
+    ``gains`` holds one :class:`SubsystemGains` per actuator.
+    ``strictly_decreasing`` says whether V fell over the first output step,
+    V(t_1) < V(t_0).  ``zeta_fit`` is minus the slope of a least-squares line
+    through log V over the decay window: the samples from the start up to
+    the first one at which V does not fall (the whole run if V falls
+    throughout), at least two, of which those with V = 0 are left out; it is
+    0.0 when fewer than two are left.  A run that starts on its reference,
+    V(0) = 0, has no decay to fit, so both are ``None``.
     """
-    zeta = min(min(g.delta.min(), (g.k * g.sigma).min()) for g in gains)
-    v = traces.lyapunov
-    t = traces.times
-
-    end = len(v)
-    for i in range(1, len(v)):
-        if v[i] >= v[i - 1]:
-            end = i
-            break
-    end = max(end, 2)
-    seg_t = t[:end]
-    seg_v = v[:end]
-    strictly = bool(np.all(np.diff(seg_v) < 0.0)) and len(seg_v) >= 2
-    mask = seg_v > 0
+    zeta = float(min(min(g.delta.min(), (g.k * g.sigma).min()) for g in gains))
+    v, t = traces.lyapunov, traces.times
     if v[0] == 0.0:
-        zeta_fit = strictly = None
-    elif mask.sum() >= 2:
-        slope = np.polyfit(seg_t[mask], np.log(seg_v[mask]), 1)[0]
-        zeta_fit = -float(slope)
-    else:
-        zeta_fit = 0.0
-    return StabilityAudit(
-        zeta=float(zeta),
-        zeta_fit=zeta_fit,
-        strictly_decreasing=strictly,
-    )
+        return {"zeta": zeta, "zeta_fit": None, "strictly_decreasing": None}
+    rises = np.flatnonzero(np.diff(v) >= 0.0)
+    end = max(rises[0] + 1, 2) if rises.size else len(v)
+    fit = v[:end] > 0.0
+    log_v = np.log(v[:end][fit])
+    zeta_fit = -float(np.polyfit(t[:end][fit], log_v, 1)[0]) if len(log_v) >= 2 else 0.0
+    return {"zeta": zeta, "zeta_fit": zeta_fit, "strictly_decreasing": bool(v[1] < v[0])}
 
 
 def tracking_errors(traces: TrackingTraces, settle_time: float = SETTLE_TIME) -> dict:

@@ -209,7 +209,6 @@ class TrajectoryResult:
             return {k: configio.number(value[k], f"{path}.{k}") for k in keys}
 
         return configio.read(cls, doc, "trajectory", {
-            float: configio.number, np.ndarray: configio.vector, bool: configio.boolean,
             "degree": lambda n, path: check_count(n, "degree"),
             "outer_iterations": lambda n, path: check_count(n, "outer_iterations", 0),
             "psi_raw": criteria,

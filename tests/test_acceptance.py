@@ -222,14 +222,14 @@ def test_criterion_08_tracking_control(acts, bilevel_run, regulation_traces):
 
     # undisturbed regulation of a 1e-8 m initial error, integrated tightly
     audit = lyapunov_audit(regulation_traces, gains)
-    lyap_ok = audit.strictly_decreasing and audit.zeta_fit > 0.0 and audit.zeta == 63.0
+    lyap_ok = audit["strictly_decreasing"] and audit["zeta_fit"] > 0.0 and audit["zeta"] == 63.0
     ok = rms_ok and lyap_ok
     report(8, ok, f"published gains (k=7, sigma=9, delta=75000, eps=9): velocity RMS "
                   f"{[f'{x*100:.2f}%' for x in errors['velocity_rms_frac']]}, force RMS "
                   f"{[f'{x*100:.2f}%' for x in errors['force_rms_frac']]} of reference "
                   f"peaks (tol 2%); undisturbed V(t) strictly decreasing "
-                  f"({audit.strictly_decreasing}) with zeta_fit={audit.zeta_fit:.0f} > 0; "
-                  f"zeta audit min(delta, k*sigma) = {audit.zeta:.0f} (expect 63)")
+                  f"({audit['strictly_decreasing']}) with zeta_fit={audit['zeta_fit']:.0f} > 0; "
+                  f"zeta audit min(delta, k*sigma) = {audit['zeta']:.0f} (expect 63)")
 
 
 def test_criterion_09_determinism(tmp_path):

@@ -334,12 +334,14 @@ def test_bilevel_invalid_weight_lower_exits_2(tmp_path, capsys, monkeypatch, low
 
 @pytest.mark.parametrize("outer, match", [
     ({"grid_points": 0}, "grid_points must be"),
-    ({"grid_points": 2.5}, "grid_points must be"),
+    ({"grid_points": 2.5}, "outer.grid_points: expected an integer, got 2.5"),
     ({"method": "nelder-mead"}, "outer.method"),
     ({"maxiter": 40}, "outer: it takes only ['grid_points', 'method', 'weight_lower', "
                       "'weight_upper'], got unknown keys ['maxiter']"),
     ({"warm_start": False}, "got unknown keys ['warm_start']"),
-])
+], ids=["outer0-grid_points must be", "outer1-grid_points must be", "outer2-outer.method",
+        "outer3-outer: it takes only ['grid_points', 'method', 'weight_lower', 'weight_upper'], "
+        "got unknown keys ['maxiter']", "outer4-got unknown keys ['warm_start']"])
 def test_bilevel_invalid_outer_block_exits_2(tmp_path, capsys, monkeypatch, outer, match):
     # grid_points 0 used to build the maps and solve the centre point first;
     # the Nelder-Mead keys would now be ignored, so they are refused
@@ -639,26 +641,26 @@ NAN, INF = float("nan"), float("inf")
     ("map", {"actuator": {"preset": "lift_6kw"}, "grid": dict(EXPLICIT_GRID, n_points=8)},
      "grid: an explicit grid takes only ['force', 'velocity'], got unknown keys ['n_points']"),
     ("trajopt", {"problem": {"preset": "benchmark", "n_partitions": 20.5}},
-     "problem: n_partitions must be an integer >= 1, got 20.5"),
+     "problem.n_partitions: expected an integer, got 20.5"),
     ("trajopt", {"problem": {"preset": "benchmark", "n_ctrl": 8.0}},
-     "problem: n_ctrl must be an integer >= 1, got 8.0"),
+     "problem.n_ctrl: expected an integer, got 8.0"),
     ("trajopt", {"problem": {"preset": "benchmark", "n_partitions": True}},
-     "problem: n_partitions must be an integer >= 1, got True"),
+     "problem.n_partitions: expected an integer, got True"),
     ("trajopt", {"problem": dict(PROBLEM_DOC, n_partitions=20.5)},
-     "problem: n_partitions must be an integer >= 1, got 20.5"),
+     "problem.n_partitions: expected an integer, got 20.5"),
     ("trajopt", {"problem": dict(PROBLEM_DOC, degree=5.0)},
-     "problem: degree must be an integer >= 1, got 5.0"),
+     "problem.degree: expected an integer, got 5.0"),
     ("map", {"actuator": {"preset": "lift_6kw"},
              "grid": dict(EXPLICIT_GRID, force=[12000, 42000, 5.7])},
      "grid.force: need a grid specification [lo, hi, n] with an integer n"),
     ("map", {"actuator": {"preset": "lift_6kw"}, "grid": {"preset": "default", "n_force": 12.5}},
-     "grid: n_force must be an integer >= 2, got 12.5"),
+     "grid.n_force: expected an integer, got 12.5"),
     ("bilevel", dict(BL_CFG, maps={"n_velocity": 7.5}),
-     "maps: n_velocity must be an integer >= 2, got 7.5"),
+     "maps.n_velocity: expected an integer, got 7.5"),
     ("track", {"disturbance": {"force_noise_std": 0.02, "n_tones": 24.5}},
      "disturbance: it takes only ['force_noise_std', 'param_perturbation', 'seed'], "
      "got unknown keys ['n_tones']"),
-    ("track", {"disturbance": {"seed": 1.5}}, "disturbance: seed must be an integer >= 0"),
+    ("track", {"disturbance": {"seed": 1.5}}, "disturbance.seed: expected an integer, got 1.5"),
     ("map", dict(MAP_CFG, allow_regeneration="false"),
      "config: a map config takes only ['actuator', 'grid'], "
      "got unknown keys ['allow_regeneration']"),
@@ -776,6 +778,52 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and match in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+# (command, top-level key, its block, where the field's block sits in it, the field)
+TYPED_FIELDS = [
+    ("map", "actuator", ACTUATOR_DOC, ("motor",), "stator_resistance"),
+    ("map", "actuator", ACTUATOR_DOC, ("motor",), "pole_pairs"),
+    ("map", "actuator", ACTUATOR_DOC, ("drivetrain",), "gear_ratio"),
+    ("map", "actuator", ACTUATOR_DOC, ("drive",), "max_current"),
+    ("trajopt", "manipulator", MANIPULATOR_DOC, ("stages", 0, "geometry"), "rocker_len"),
+    ("trajopt", "manipulator", MANIPULATOR_DOC, (), "base_angle"),
+    ("trajopt", "manipulator", MANIPULATOR_DOC, ("stages", 1), "mount_angle"),
+    ("trajopt", "manipulator", MANIPULATOR_DOC, ("stages", 2, "carriage"), "mass"),
+    ("track", "gains", GAINS_DOC, (), "delta"),
+    ("track", "disturbance", {"force_noise_std": 0.02}, (), "force_noise_std"),
+]
+
+
+def _field_path(key, where, name):
+    return key + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where) + "." + name
+
+
+MISTYPED = [
+    *[(*row, value) for row in TYPED_FIELDS for value in (True, "0.3", None)],
+    ("map", "actuator", ACTUATOR_DOC, ("motor",), "pole_pairs", 4.5),
+    ("map", "actuator", ACTUATOR_DOC, ("drive",), "max_current", INF),
+]
+
+
+@pytest.mark.parametrize("command, key, doc, where, name, value", MISTYPED,
+                         ids=[f"{_field_path(row[1], *row[3:5])}={row[5]!r}" for row in MISTYPED])
+def test_mistyped_inline_field_exits_2_naming_it(tmp_path, capsys, no_work, pose_reference,
+                                                 command, key, doc, where, name, value):
+    # each value once built a model, ended in a traceback or exited with
+    # Python's message naming only the block.  JSON's Infinity is not a
+    # finite number: a drive without a limit leaves the key out
+    cfg = {key: _with(doc, where, **{name: value})}
+    if command == "map":
+        cfg["grid"] = EXPLICIT_GRID
+    if command == "track":
+        cfg["trajectory"] = pose_reference
+    path = write(tmp_path, "cfg.json", cfg)
+    assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    kind = "an integer" if name == "pole_pairs" else "a finite number"
+    assert capsys.readouterr().err == (
+        f"error: {_field_path(key, where, name)}: expected {kind}, got {value!r}\n")
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 

@@ -3,7 +3,7 @@ import hashlib
 import inspect
 import json
 import re
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from emlaopt.bilevel import BilevelConfig
 from emlaopt.configio import (
+    READERS,
+    STAGE_TYPES,
     WRITE_SLICE,
     ConfigError,
     build_actuator,
@@ -27,10 +29,24 @@ from emlaopt.configio import (
     vector,
     write_artifacts,
 )
-from emlaopt.control import DisturbanceProfile, nominal_disturbance, published_gains
-from emlaopt.manipulator import ClosedChainStage, RigidBodyParams, rnea
-from emlaopt.presets import benchmark_problem, default_manipulator, default_map_grid, lift_emla
-from emlaopt.trajopt import TrajectoryResult
+from emlaopt.control import (
+    DisturbanceProfile,
+    SubsystemGains,
+    nominal_disturbance,
+    published_gains,
+)
+from emlaopt.effmap import EmlaModel
+from emlaopt.manipulator import ChainModel, ClosedChainStage, RigidBodyParams, rnea
+from emlaopt.pmsm import PmsmParams
+from emlaopt.presets import (
+    ACTUATOR_PRESETS,
+    actuators,
+    benchmark_problem,
+    default_manipulator,
+    default_map_grid,
+    lift_emla,
+)
+from emlaopt.trajopt import NlpProblem, TrajectoryResult
 
 # the stored 5x5 grid winner of the benchmark's inputs
 WINNER = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "winner_bilevel.json"
@@ -386,6 +402,56 @@ def test_a_key_a_preset_reads_is_never_drawn_as_unread(block_id, key, value):
     build, doc, where, path, optional, reads = BLOCKS[BLOCK_IDS.index(block_id)]
     assert not is_unread(key, _at(doc, where), reads)
     build(dict(doc, **{key: value}))
+
+
+# the dataclasses a config block or a trajectory.json builds, besides those
+# their fields hold
+CONFIG_CLASSES = (EmlaModel, ChainModel, *STAGE_TYPES.values(), NlpProblem, SubsystemGains,
+                  DisturbanceProfile, BilevelConfig, TrajectoryResult)
+# the field types and names whose builder reads them with a reader of its own
+BUILDER_READS = {RigidBodyParams, "stages", "psi_raw", "degree", "outer_iterations"}
+# each preset function and the arguments its builder passes before a block's keys
+PRESETS = [*[(f, 0) for f in ACTUATOR_PRESETS.values()], (actuators, 0),
+           (default_manipulator, 0), (benchmark_problem, 1), (published_gains, 0),
+           (nominal_disturbance, 0), (default_map_grid, 1)]
+
+
+def unread_fields(classes) -> list:
+    """The fields of ``classes``, and of every dataclass their fields hold,
+    whose declared type has no reader: none of ``READERS``' types, no
+    dataclass, not ``str`` and, neither by type nor by name, in
+    ``BUILDER_READS``."""
+    unread, todo, seen = [], list(classes), set()
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        for f in fields(cls):
+            if f.type in BUILDER_READS or f.name in BUILDER_READS:
+                continue
+            if is_dataclass(f.type):
+                todo.append(f.type)
+            elif f.type not in READERS and f.type is not str:
+                unread.append(f"{cls.__name__}.{f.name}")
+    return unread
+
+
+def test_every_config_field_has_a_reader():
+    # a float field without a reader went to its model unchecked: a null
+    # mount_angle ended in a TypeError traceback in the first rnea call
+    assert unread_fields(CONFIG_CLASSES) == []
+
+    @dataclass
+    class Scratch:
+        name: str
+        motor: PmsmParams
+        impedance: complex
+
+    assert unread_fields([Scratch]) == ["Scratch.impedance"]
+    # a preset block's keys are read by their parameters' annotated types
+    assert all(p.annotation in READERS for preset, n_args in PRESETS
+               for p in list(inspect.signature(preset).parameters.values())[n_args:])
 
 
 def test_sliced_write_is_the_whole_encoding(tmp_path):

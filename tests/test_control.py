@@ -5,6 +5,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,9 +141,9 @@ def test_gains_validation():
 
 def test_regulation_lyapunov_strictly_decreasing(regulation_traces, acts):
     audit = lyapunov_audit(regulation_traces, [published_gains()] * 3)
-    assert audit.zeta == 63.0
-    assert audit.strictly_decreasing
-    assert audit.zeta_fit > 0.0
+    assert audit["zeta"] == 63.0
+    assert audit["strictly_decreasing"]
+    assert audit["zeta_fit"] > 0.0
     # the decay window spans well past the initial transient
     assert np.all(np.diff(regulation_traces.lyapunov[:50]) < 0)
 
@@ -154,8 +155,52 @@ def test_run_without_initial_error_has_no_decay_to_audit(regulation_traces):
     v = regulation_traces.lyapunov.copy()
     v[0] = 0.0
     audit = lyapunov_audit(replace(regulation_traces, lyapunov=v), [published_gains()] * 3)
-    assert audit.zeta_fit is None and audit.strictly_decreasing is None
-    assert audit.zeta == 63.0
+    assert audit["zeta_fit"] is None and audit["strictly_decreasing"] is None
+    assert audit["zeta"] == 63.0
+
+
+def decay_audit(times, v):
+    """``lyapunov_audit``'s two fitted figures by their definition: the decay
+    window runs from the start while V falls, over at least two samples;
+    its positive samples are fitted, and it is strictly decreasing or not."""
+    if v[0] == 0.0:
+        return None, None
+    end = 1
+    while end < len(v) and v[end] < v[end - 1]:
+        end += 1
+    window = list(zip(times, v))[:max(end, 2)]
+    kept = [(t, x) for t, x in window if x > 0.0]
+    zeta_fit = 0.0
+    if len(kept) >= 2:
+        t_kept, v_kept = (np.array(c) for c in zip(*kept))
+        zeta_fit = -float(np.polyfit(t_kept, np.log(v_kept), 1)[0])
+    strictly = all(b < a for (_, a), (_, b) in zip(window, window[1:]))
+    return zeta_fit, strictly
+
+
+# V's step factors: 0 drops V to zero, 1 is a plateau, 2 a rise
+V_FACTORS = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 1.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(v0=st.one_of(st.just(0.0), st.floats(1e-12, 1e3)),
+       factors=st.lists(V_FACTORS, min_size=1, max_size=12),
+       steps=st.lists(st.floats(1e-4, 1.0), min_size=12, max_size=12))
+@example(v0=1.0, factors=[1.0, 0.5], steps=[0.1] * 12)  # a plateau at once
+@example(v0=1.0, factors=[0.5, 0.0, 0.0], steps=[0.1] * 12)  # a zero ends the window
+@example(v0=1.0, factors=[2.0, 0.5, 0.5], steps=[0.1] * 12)  # a rise at once: 2 samples
+@example(v0=0.0, factors=[1.0, 2.0], steps=[0.1] * 12)  # V(0) = 0
+@example(v0=1.0, factors=[0.9] * 12, steps=[1e-4, 1.0] * 6)  # falls throughout
+def test_audit_window_follows_its_definition(v0, factors, steps):
+    # the audit finds the window's end in one np.diff and reads the first
+    # step for strictly_decreasing; the plain loop above is its definition
+    v = np.cumprod([v0, *factors])
+    times = np.concatenate([[0.0], np.cumsum(steps[:len(factors)])])
+    traces = SimpleNamespace(times=times, lyapunov=v)
+    audit = lyapunov_audit(traces, [published_gains()] * 3)
+    zeta_fit, strictly = decay_audit(times.tolist(), v.tolist())
+    assert repr(audit) == repr({"zeta": 63.0, "zeta_fit": zeta_fit,
+                                "strictly_decreasing": strictly})
 
 
 def test_lyapunov_value_reevaluation(regulation_traces):
