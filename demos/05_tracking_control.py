@@ -39,6 +39,8 @@ for label, dist in (("nominal plant, no disturbance", None),
     print(f"\n{label}:")
     print("  velocity RMS error (% of peak):",
           [f"{x * 100:.3f}" for x in err["velocity_rms_frac"]])
+    # the force the plant's shaft delivered, with the plant's own constants:
+    # the skew shows in the currents, not as a force error
     print("  force RMS error    (% of peak):",
           [f"{x * 100:.3f}" for x in err["force_rms_frac"]])
     print("  peak |i_q| per joint [A]:", np.round(np.abs(traces.i_q).max(axis=0), 1))

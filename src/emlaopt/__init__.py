@@ -29,7 +29,7 @@ from .control import (
 )
 from .drivetrain import DriveTrainParams, equivalent_params, rotary_linear_map
 from .effmap import EfficiencyMap, EmlaModel, build_efficiency_map, map_from_json, map_to_csv, map_to_json
-from .losses import DriveConfig, LossBreakdown, efficiency, loss_breakdown
+from .losses import DriveConfig, efficiency, loss_breakdown
 from .manipulator import (
     ChainModel,
     ClosedChainStage,
@@ -39,12 +39,7 @@ from .manipulator import (
     potential_energy,
     rnea,
 )
-from .pmsm import (
-    PmsmParams,
-    dq_voltages,
-    electromagnetic_torque,
-    torque_to_iq,
-)
+from .pmsm import PmsmParams, dq_voltages, torque_to_iq
 from .trajopt import (
     NlpProblem,
     TrajectoryResult,

@@ -18,7 +18,14 @@ import numpy as np
 from .chain import StrokeRangeError
 from .effmap import EfficiencyMap
 from .manipulator import ChainModel, SingularConfigurationError, rnea
-from .trajopt import NlpProblem, TrajectoryResult, check_count, check_weights, solve_inner
+from .trajopt import (
+    NlpProblem,
+    TrajectoryResult,
+    check_count,
+    check_weights,
+    normalize_weights,
+    solve_inner,
+)
 
 
 def _rate(v, f, eta_fns):
@@ -203,11 +210,12 @@ def solve_outer(
     """Run the leader-level weight search over the weight-box lattice.
 
     The inner problem reads the weights only through their normalized value
-    w / sum(w), so the lattice points are grouped by its bits into rays, and
-    each ray is solved once, at its first point in meshgrid order; the other
-    points on it take its F.  One cold inner solve at the box centre starts
-    two continuation sweeps out from the centre's ray: the rays above it in
-    ascending order, and those below it in descending order.  If the centre
+    w / sum(w) (``normalize_weights``), so the lattice points are grouped by
+    its bits into rays, and each ray is solved once, at its first point in
+    meshgrid order; the other points on it take its F.  One cold inner
+    solve at the box centre starts two continuation sweeps out from the
+    centre's ray: the rays above it in ascending order, and those below it
+    in descending order.  If the centre
     solve converged and its ray is a lattice ray, it is that ray's solve, so
     when that ray wins, ``inner.weights`` holds the centre's weights, which
     lie on w*'s ray; otherwise the centre's ray heads the ascending sweep.
@@ -223,17 +231,17 @@ def solve_outer(
     eta_fns = map_eta_fns(eta_maps)
     lo, hi = config.weight_lower, config.weight_upper
     mid = 0.5 * (lo + hi)
-    cache = [None]
-    base = solve_inner(problem, dynamics, weights=mid, _evaluation=cache)
-
     axes = [np.linspace(lo[i], hi[i], config.grid_points) for i in range(len(lo))]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    keys = [tuple(w / w.sum()) for w in mesh]
+    keys = [tuple(normalize_weights(w)) for w in mesh]
     rays = {}
     for key, w in zip(keys, mesh):
         rays.setdefault(key, w)
-    centre = tuple(mid / mid.sum())
+    centre = tuple(normalize_weights(mid))
     order = sorted(rays)
+
+    cache = [None]
+    base = solve_inner(problem, dynamics, weights=mid, _evaluation=cache)
     solved = {}
     if base.converged and centre in rays:
         solved[centre] = (efficiency_objective(base, eta_fns), base)

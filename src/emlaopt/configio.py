@@ -13,7 +13,7 @@ validation errors carry the file position or the dotted field path.
 import hashlib
 import inspect
 import json
-from dataclasses import MISSING, fields, is_dataclass, replace
+from dataclasses import MISSING, fields, replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -78,9 +78,15 @@ def number(value, path: str) -> float:
 
 
 def integer(value, path: str) -> int:
-    """``value``, checked to be a JSON integer (not a bool or a number such as 4.0)."""
+    """``value``, checked to be a JSON integer (not a bool or a number such as
+    4.0) that a float can hold, as the models compute with it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: expected an integer within the float range, "
+                          f"got {value!r}") from None
     return value
 
 
@@ -88,6 +94,13 @@ def boolean(value, path: str) -> bool:
     """``value``, checked to be a JSON ``true`` or ``false`` (not a string or a number)."""
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+def string(value, path: str) -> str:
+    """``value``, checked to be a JSON string (not a number or null)."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
     return value
 
 
@@ -128,7 +141,7 @@ def vector(value, path: str, n: int = None) -> np.ndarray:
 
 
 # the reader of a value of each declared type, called as (value, path)
-READERS = {float: number, int: integer, bool: boolean, np.ndarray: vector}
+READERS = {float: number, int: integer, bool: boolean, str: string, np.ndarray: vector}
 
 
 def _call(build, path: str, *args, **kwargs):
@@ -147,10 +160,9 @@ def read(cls, doc, path: str, convert=None, extra=()):
     of ``cls`` plus the ``extra`` keys its caller reads itself.
 
     A field without a default is required.  Its value goes through
-    ``convert[name]``, else ``convert[type]``, else ``READERS[type]``, else,
-    for a dataclass-typed field, ``read`` of that class; a converter is
-    called as ``(value, path)``.  A value of another type (a ``str``) goes
-    to ``cls`` as it is.
+    ``convert[name]``, else ``convert[type]``, else ``READERS[type]``, else
+    (a dataclass-typed field) ``read`` of that class; a converter is called
+    as ``(value, path)``.
     """
     convert = {**READERS, **(convert or {})}
     specs = fields(cls)
@@ -158,11 +170,9 @@ def read(cls, doc, path: str, convert=None, extra=()):
         f.name for f in specs if f.default is MISSING and f.default_factory is MISSING])
 
     def value(f):
-        conv = convert.get(f.name) or convert.get(f.type)
-        if conv is None and is_dataclass(f.type):
-            conv = partial(read, f.type)
+        conv = convert.get(f.name) or convert.get(f.type) or partial(read, f.type)
         key = f"{path}.{f.name}"
-        return doc[f.name] if conv is None else _call(conv, key, doc[f.name], key)
+        return _call(conv, key, doc[f.name], key)
 
     return _call(lambda: cls(**{f.name: value(f) for f in specs if f.name in doc}), path)
 

@@ -31,9 +31,10 @@ Newton iteration, so the rows of those three instants are built once per
 attempt, in one spline call and one noise call, and looked up by instant.
 Radau's Jacobian (one 8x8 block per actuator) is :func:`closed_loop`'s
 complex-step derivative on the record stacked over the actuators, exact
-to rounding, and the recorded traces are :func:`closed_loop` on each
-actuator's columns of every output sample.  Floats and arrays round
-alike, so the traces hold the values the integration used, bit for bit.
+to rounding, and the recorded traces, the tracked force among them, are
+:func:`closed_loop` on each actuator's columns of every output sample.
+Floats and arrays round alike, so the traces hold the values the
+integration used, bit for bit.
 The plant's dq model, composed of separate functions as the equations
 are written, is the tests' oracle (``tests/oracles.py``), which the
 right-hand side matches bit for bit.
@@ -70,7 +71,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
 from .drivetrain import DriveTrainParams, EquivalentParams, equivalent_params
 from .effmap import EmlaModel
-from .pmsm import PmsmParams, electromagnetic_torque
+from .pmsm import PmsmParams
 from .trajopt import TrajectoryResult, check_count
 
 # Radau step cap [s], measured on the stored 5x5 grid winner (first 2 s,
@@ -467,10 +468,11 @@ def closed_loop(actuator, x, phi, ref):
     zero d-axis reference).  The plant is the dq current equations
     L_d di_d = V_d - R i_d + p omega L_q i_q and L_q di_q = V_q - R i_q -
     p omega (L_d i_d + psi), and the rigid shaft J_eq domega = tau - b_eq
-    omega - f_eq f_load with tau = 1.5 p i_q (psi + (L_d - L_q) i_d).
+    omega - f_eq f_load with tau = 1.5 p i_q (psi + (L_d - L_q) i_d), the
+    plant's own motor constants.
 
-    Returns the errors (Q1..Q4), (V_d, V_q), the plant's rates in ``x``'s
-    order and the estimates' rates.  Everything is arithmetic: Python
+    Returns the errors (Q1..Q4), (V_d, V_q, tau), the plant's rates in
+    ``x``'s order and the estimates' rates.  Everything is arithmetic: Python
     floats give one evaluation, arrays of equal shape give one per element,
     rounded alike.
 
@@ -495,10 +497,11 @@ def closed_loop(actuator, x, phi, ref):
     v_d, v_q = g4 * q4, g3 * q3
     di_d = (v_d - r * i_d + n_p * omega * l_q * i_q) / l_d
     di_q = (v_q - r * i_q - n_p * omega * (l_d * i_d + psi)) / l_q
-    domega = (c_t * i_q * (psi + dl * i_d) - b_eq * omega - load_ratio * f_load) / j_eq
+    tau = c_t * i_q * (psi + dl * i_d)
+    domega = (tau - b_eq * omega - load_ratio * f_load) / j_eq
     rates = (kd1 * p1 + ke1 * (q1 * q1), kd2 * p2 + ke2 * (q2 * q2),
              kd3 * p3 + ke3 * (q3 * q3), kd4 * p4 + ke4 * (q4 * q4))
-    return (q1, q2, q3, q4), (v_d, v_q), (omega, domega, di_q, di_d), rates
+    return (q1, q2, q3, q4), (v_d, v_q, tau), (omega, domega, di_q, di_d), rates
 
 
 # band [Hz] and number of sine tones of the load-force noise
@@ -600,7 +603,9 @@ class _ReferenceRows:
 @dataclass
 class TrackingTraces:
     """Dense closed-loop traces of one tracking run: the columns
-    ``traces_to_csv`` writes (the i_q reference is i_q - Q3)."""
+    ``traces_to_csv`` writes (the i_q reference is i_q - Q3).  Every
+    column but the references is :func:`closed_loop` or the state it
+    integrates, at the output samples."""
 
     times: np.ndarray
     velocity: np.ndarray  # (n_t, n_a) load-side [m/s]
@@ -611,7 +616,7 @@ class TrackingTraces:
     v_d: np.ndarray
     q_err: np.ndarray  # (n_t, n_a, 4)
     phi: np.ndarray  # (n_t, n_a, 4)
-    force_em: np.ndarray  # electromagnetic force tau_m / f_eq
+    force_em: np.ndarray  # the plant's shaft torque tau over f_eq [N]
     force_ref: np.ndarray  # load-force reference from the trajectory
     lyapunov: np.ndarray  # V(t), which lyapunov_audit fits
     solver: dict  # Radau status, message, nfev, njev, nlu, nsteps, max_step
@@ -693,7 +698,11 @@ def simulate_tracking(
     complex-step derivative as Jacobian, and its steps are capped at
     :data:`RADAU_MAX_STEP`, a measured bound past which those iterations
     fail.  ``solver`` records its status, work counters, accepted steps
-    (``nsteps``) and the step cap (``max_step``).  ``gains`` holds one
+    (``nsteps``) and the step cap (``max_step``).  The traces are
+    :func:`closed_loop` once per actuator on its columns of the output
+    samples; ``force_em`` is its torque tau, formed with the plant's own
+    motor constants, over f_eq, the force the shaft delivered, so a
+    parameter skew does not read as a force error.  ``gains`` holds one
     :class:`SubsystemGains` per actuator.  ``duration`` (the reference's
     ``t_final`` when ``None``) and ``dt`` must be > 0.
     """
@@ -799,7 +808,7 @@ def simulate_tracking(
     per_joint = [closed_loop(loop, sol.y[x_at], sol.y[phi_at], ref_rows[ref_at])
                  for loop, x_at, phi_at, ref_at in plan]
     q_err = np.array([r[0] for r in per_joint]).transpose(2, 0, 1)  # (n_t, n_a, 4)
-    v_d, v_q = np.array([r[1] for r in per_joint]).transpose(1, 2, 0)
+    v_d, v_q, tau = np.array([r[1] for r in per_joint]).transpose(1, 2, 0)
     _, omega, i_q, i_d = sol.y[:4 * n_a].reshape(4, n_a, -1).transpose(0, 2, 1)
     _, qd_ref, f_ref = ref_rows.reshape(3, n_a, -1).transpose(0, 2, 1)
     # reference columns carry the trajectory samples verbatim at the
@@ -816,8 +825,7 @@ def simulate_tracking(
         v_d=v_d,
         q_err=q_err,
         phi=sol.y[4 * n_a:].T.reshape(len(t), n_a, 4),
-        # electromagnetic force produced, rated with the nominal motor constants
-        force_em=electromagnetic_torque(motor, i_d, i_q) / f_eq,
+        force_em=tau / f_eq,
         force_ref=np.where(colloc_hit, reference.f_x[k], f_ref),
         lyapunov=None,
         solver={"status": int(sol.status), "message": str(sol.message),

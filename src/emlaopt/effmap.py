@@ -37,12 +37,13 @@ class EmlaModel:
         return omega_m, i_q, v_d, v_q
 
     def cell(self, f_x, v_x):
-        """Efficiency, loss breakdown and feasibility at (f_x, v_x) points.
+        """Efficiency, loss record and feasibility at (f_x, v_x) points.
 
         Points beyond the current/voltage limits, and regenerating points,
         are infeasible: their efficiency is NaN, so they are excluded from
         the map rather than clamped.  The losses are evaluated at every
-        point.
+        point; the record is :func:`emlaopt.losses.loss_breakdown`'s, the
+        map's six loss columns.
         """
         omega_m, i_q, v_d, v_q = self.steady_state(f_x, v_x)
         feasible = ~(
@@ -140,10 +141,7 @@ def build_efficiency_map(model: EmlaModel, force_grid, velocity_grid) -> Efficie
     velocity_axis = np.asarray(velocity_grid, dtype=float)
     ff, vv = np.meshgrid(force_axis, velocity_axis, indexing="ij")
     eta, losses, feasible = model.cell(ff, vv)
-    columns = {
-        k: np.where(feasible, getattr(losses, k), np.nan)
-        for k in ("p_cu", "p_co", "p_sw", "p_d", "p_mech", "p_sc")
-    }
+    columns = {k: np.where(feasible, v, np.nan) for k, v in losses.items()}
     return EfficiencyMap(force_axis, velocity_axis, eta, columns, feasible)
 
 

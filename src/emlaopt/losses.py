@@ -2,12 +2,13 @@
 
 The loss taxonomy follows the usual drive + PMSM + screw decomposition:
 switching and conduction losses in the motor control drive, copper and core
-(hysteresis, eddy, additional) losses in the machine, viscous loss at the
-shaft, and the screw-mechanism loss.  The coefficients no actuator preset
-sets are module constants; the ones the presets set, and the drive limits,
-are fields of :class:`DriveConfig`.  The functions take scalars or
-broadcastable arrays of operating points and return results of the
-broadcast shape.
+(hysteresis + eddy + excess) losses in the machine, viscous loss at the
+shaft, and the screw-mechanism loss.  :func:`loss_breakdown` returns them as
+one dict, the six loss columns of the efficiency map in the map's order.
+The coefficients no actuator preset sets are module constants; the ones the
+presets set, and the drive limits, are fields of :class:`DriveConfig`.  The
+functions take scalars or broadcastable arrays of operating points and
+return results of the broadcast shape.
 """
 
 from dataclasses import dataclass, field
@@ -57,43 +58,6 @@ class DriveConfig:
                 raise ValueError(f"{name} must be > 0 (inf for no limit)")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-source power losses in watts, plus the two stage aggregates.
-
-    Each field is a scalar or an array over the operating points it was
-    evaluated at.
-    """
-
-    p_sw: np.ndarray
-    p_d: np.ndarray
-    p_cu: np.ndarray
-    p_hys: np.ndarray
-    p_eddy: np.ndarray
-    p_add: np.ndarray
-    p_mech: np.ndarray
-    p_sc: np.ndarray
-
-    @property
-    def p_co(self) -> float:
-        """Total core loss."""
-        return self.p_hys + self.p_eddy + self.p_add
-
-    @property
-    def p_ee(self) -> float:
-        """Electric-to-electromagnetic stage loss: switching + conduction + copper + core."""
-        return self.p_sw + self.p_d + self.p_cu + self.p_co
-
-    @property
-    def p_em(self) -> float:
-        """Electromagnetic-to-mechanical stage loss: shaft viscous + screw."""
-        return self.p_mech + self.p_sc
-
-    @property
-    def total(self) -> float:
-        return self.p_ee + self.p_em
-
-
 def loss_breakdown(
     params: PmsmParams,
     drivetrain: DriveTrainParams,
@@ -102,37 +66,44 @@ def loss_breakdown(
     omega_m,
     f_x,
     v_x,
-) -> LossBreakdown:
-    """Evaluate every loss source at the given operating points, at i_d = 0.
+) -> dict:
+    """Every loss source at the given operating points, at i_d = 0, in watts.
 
-    The mechanical state is taken as given (omega_m consistent with v_x via
-    the ideal transmission when called from the map generator).  All
-    components are nonnegative by construction.
+    Returns the map's six loss columns, ``p_cu, p_co, p_sw, p_d, p_mech,
+    p_sc`` in that order (``effmap.MAP_CSV_HEADER[3:9]``): copper, core
+    (hysteresis + eddy + excess), switching, conduction, shaft viscous and
+    screw loss.  The mechanical state is taken as given (omega_m consistent
+    with v_x via the ideal transmission when called from the map
+    generator).  All are nonnegative by construction.
     """
     eq = equivalent_params(drivetrain)
     i_mag = np.abs(i_q)
     w = np.abs(params.pole_pairs * omega_m)
     psi = np.hypot(params.pm_flux, params.inductance_q * i_q)  # |psi_s| at i_d = 0
-    return LossBreakdown(
-        p_sw=drive.switching_coeff * SWITCHING_FREQ * DC_LINK_VOLTAGE * i_mag,
-        p_d=drive.on_state_voltage * i_mag + ON_STATE_RESISTANCE * i_mag**2,
-        p_cu=1.5 * params.stator_resistance * i_q**2,
-        p_hys=HYSTERESIS_COEFF * w * psi**2,
-        p_eddy=drive.eddy_coeff * w**2 * psi**2,
-        p_add=EXCESS_COEFF * w**1.5 * psi**2,
-        p_mech=eq.damping * omega_m**2,
-        p_sc=(1.0 - SCREW_EFFICIENCY) * np.abs(f_x * v_x),
-    )
+    return {
+        "p_cu": 1.5 * params.stator_resistance * i_q**2,
+        "p_co": (HYSTERESIS_COEFF * w * psi**2 + drive.eddy_coeff * w**2 * psi**2
+                 + EXCESS_COEFF * w**1.5 * psi**2),
+        "p_sw": drive.switching_coeff * SWITCHING_FREQ * DC_LINK_VOLTAGE * i_mag,
+        "p_d": drive.on_state_voltage * i_mag + ON_STATE_RESISTANCE * i_mag**2,
+        "p_mech": eq.damping * omega_m**2,
+        "p_sc": (1.0 - SCREW_EFFICIENCY) * np.abs(f_x * v_x),
+    }
 
 
-def efficiency(f_x, v_x, losses: LossBreakdown):
+def efficiency(f_x, v_x, losses: dict):
     """Conversion efficiency eta = P_out / (P_out + P_EE + P_EM) in [0, 1].
 
-    Only motoring points (f_x * v_x > 0) are rated: at zero output power
-    and in the regenerative quadrant the efficiency is 0.
+    ``losses`` is a :func:`loss_breakdown` record.  P_EE, the
+    electric-to-electromagnetic stage, is switching + conduction + copper +
+    core loss; P_EM, the electromagnetic-to-mechanical stage, is shaft
+    viscous + screw loss.  Only motoring points (f_x * v_x > 0) are rated:
+    at zero output power and in the regenerative quadrant the efficiency
+    is 0.
     """
     p_out = np.multiply(f_x, v_x)
-    p_loss = losses.total
+    p_loss = ((losses["p_sw"] + losses["p_d"] + losses["p_cu"] + losses["p_co"])
+              + (losses["p_mech"] + losses["p_sc"]))
     eta = np.zeros(np.broadcast(p_out, p_loss).shape)
     np.divide(p_out, p_out + p_loss, out=eta, where=p_out > 0.0)
     return eta[()]

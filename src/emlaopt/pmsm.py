@@ -1,8 +1,9 @@
 """PMSM electrical model in the rotor (dq) reference frame.
 
-Covers the steady dq voltages at i_d = 0, the electromagnetic torque and
-its inverse for i_q.  The tracking loop writes the current equations out in
-:func:`emlaopt.control.closed_loop`.
+Covers the steady dq voltages at i_d = 0 and the q-axis current of a
+torque demand.  The tracking loop writes the current equations and the
+electromagnetic torque out in :func:`emlaopt.control.closed_loop`; the
+tests' oracle (``tests/oracles.py``) composes them from separate functions.
 """
 
 from dataclasses import dataclass
@@ -55,13 +56,7 @@ def dq_voltages(params: PmsmParams, i_q: float, omega_m: float) -> tuple[float, 
     return v_d, v_q
 
 
-def electromagnetic_torque(params: PmsmParams, i_d, i_q):
-    """Electromagnetic torque (3/2) p i_q [psi_PM + (L_d - L_q) i_d] in N*m."""
-    dl = params.inductance_d - params.inductance_q
-    return 1.5 * params.pole_pairs * i_q * (params.pm_flux + dl * i_d)
-
-
 def torque_to_iq(params: PmsmParams, torque):
-    """Invert the torque expression for i_q at i_d = 0, where the reluctance
-    term vanishes."""
+    """Invert the torque (3/2) p i_q [psi_PM + (L_d - L_q) i_d] for i_q at
+    i_d = 0, where the reluctance term vanishes."""
     return torque / (1.5 * params.pole_pairs * params.pm_flux)

@@ -62,6 +62,12 @@ def check_weights(weights, name: str = "weights") -> np.ndarray:
     return w
 
 
+def normalize_weights(w: np.ndarray) -> np.ndarray:
+    """w / sum(w), the point of the weights' ray that the follower's cost
+    reads; the leader keys its rays by these bits."""
+    return w / w.sum()
+
+
 def check_count(n, name: str, minimum: int = 1):
     """``n``, checked to be an integer (not a bool) >= ``minimum``; raises
     ``ValueError`` rather than truncate a float."""
@@ -341,7 +347,7 @@ class _Transcription:
         self.maps = [(b, block, b @ self.end_slope, k) for (b, block), k in
                      zip(_constants(p.n_ctrl, p.degree, self.m, self.n), (0, 1, 2, 1))]
         self.weights_raw = check_weights(weights)
-        self.weights = self.weights_raw / self.weights_raw.sum()
+        self.weights = normalize_weights(self.weights_raw)
         self.boxes = [p.rate_box, (p.fx_lower, p.fx_upper)]
         self.box_scales = [np.maximum(1.0, np.maximum(abs(lo), abs(hi))) for lo, hi in self.boxes]
         self.bounds = list(zip(np.tile(p.q_lower, n_free), np.tile(p.q_upper, n_free))) + [t_box]

@@ -16,8 +16,9 @@ same physics, which only tests read:
 * the loop-closure angles with their time derivatives, including the pin
   angle's (:func:`loop_closure`, :func:`closure_rates`);
 * the nonlinear model of one EMLA, composed as its equations are
-  written: the dq current equations (:func:`current_derivatives`) and
-  the rigid shaft driven by the electromagnetic torque (:func:`emla_rhs`),
+  written: the dq current equations (:func:`current_derivatives`), the
+  electromagnetic torque (:func:`electromagnetic_torque`) and the rigid
+  shaft it drives (:func:`emla_rhs`),
   which ``emlaopt.control.closed_loop`` writes out inline; its
   first-order model and its stored energy (:func:`linearize`,
   :func:`stored_energy`);
@@ -48,7 +49,7 @@ from emlaopt.manipulator import (
     RigidBodyParams,
     SingularConfigurationError,
 )
-from emlaopt.pmsm import PmsmParams, electromagnetic_torque
+from emlaopt.pmsm import PmsmParams
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -548,6 +549,12 @@ def current_derivatives(params: PmsmParams, i_d, i_q, omega_m, v_d, v_q) -> tupl
         - p * omega_m * (params.inductance_d * i_d + params.pm_flux)
     ) / params.inductance_q
     return di_d, di_q
+
+
+def electromagnetic_torque(params: PmsmParams, i_d, i_q):
+    """Electromagnetic torque (3/2) p i_q [psi_PM + (L_d - L_q) i_d] in N*m."""
+    dl = params.inductance_d - params.inductance_q
+    return 1.5 * params.pole_pairs * i_q * (params.pm_flux + dl * i_d)
 
 
 def emla_rhs(params: PmsmParams, eq: EquivalentParams, x, u, f_x) -> tuple:

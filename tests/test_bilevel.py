@@ -21,7 +21,7 @@ from emlaopt.bilevel import (
 from emlaopt.chain import StrokeRangeError
 from emlaopt.manipulator import SingularConfigurationError, rnea
 from emlaopt.presets import benchmark_problem
-from emlaopt.trajopt import TrajectoryResult, solve_inner
+from emlaopt.trajopt import TrajectoryResult, _Transcription, normalize_weights, solve_inner
 from conftest import spline_states
 
 
@@ -395,6 +395,37 @@ def test_failed_grid_points_do_not_abort_sweep(monkeypatch, model, maps, small_p
     assert len(survivors) == 7
     w_best, v_best = max(survivors, key=lambda e: e[1])
     assert np.array_equal(res.weights_opt, w_best) and res.outer_value == v_best
+
+
+class _Captured(Exception):
+    """Raised by a stand-in for the leader's first inner solve."""
+
+
+def test_every_ray_key_is_the_followers_weights(model, small_problem, dynamics):
+    # the leader groups the benchmark lattice into rays by the bits of each
+    # point's normalized weights; each key must be the very vector the
+    # follower's cost reads at that point, or two points the follower cannot
+    # tell apart would be solved twice, or two it can would share one F
+    import emlaopt.bilevel as bilevel
+
+    seen = []
+
+    def recorded(w):
+        seen.append((w, normalize_weights(w)))
+        return seen[-1][1]
+
+    def first_solve(*args, **kwargs):
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bilevel, "normalize_weights", recorded)
+        mp.setattr(bilevel, "solve_inner", first_solve)
+        with pytest.raises(_Captured):
+            solve_outer(BilevelConfig(), small_problem, model, [])
+    assert len(seen) == 5 * 5 + 1  # the lattice, then the box centre
+    for w, key in seen:
+        follower = _Transcription(small_problem, dynamics, w).weights
+        assert key.tobytes() == follower.tobytes()
 
 
 def test_failed_center_solve_raises(monkeypatch, model, maps, small_problem):

@@ -732,6 +732,11 @@ NAN, INF = float("nan"), float("inf")
      "grid.force: need a grid specification [lo, hi, n] with an integer n >= 2"),
     ("map", {"actuator": {"preset": "lift_6kw"}, "grid": {"preset": "default", "n_force": 1}},
      "grid: n_force must be an integer >= 2, got 1"),
+    ("map", {"actuator": _with(ACTUATOR_DOC, ("motor",), pole_pairs=10**400),
+             "grid": EXPLICIT_GRID},
+     "actuator.motor.pole_pairs: expected an integer within the float range, got 1000"),
+    ("trajopt", {"problem": {"preset": "benchmark", "n_partitions": 10**400}},
+     "problem.n_partitions: expected an integer within the float range, got 1000"),
     ("bilevel", dict(BL_CFG, maps={"n_velocity": 1}),
      "maps: n_velocity must be an integer >= 2, got 1"),
     *[("map", {"actuator": _with(ACTUATOR_DOC, ("drivetrain",), **{key: 1e5}),
@@ -748,7 +753,8 @@ NAN, INF = float("nan"), float("inf")
         "vector-nan", "vector-infinity", "axis-bool", "axis-string", "inertia-string",
         "artifacts-number", "require-tracking-string", "position-error-length", "vector-length",
         "rate-box-empty", "force-box-zero", "n_ctrl-3", "axis-one-point", "axis-reversed",
-        "axis-empty", "count-grid-preset-one", "count-maps-one",
+        "axis-empty", "count-grid-preset-one", "count-maps-one", "pole-pairs-beyond-float",
+        "count-beyond-float",
         *REMOVED_DRIVETRAIN_KEYS])
 def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_reference,
                                                 command, cfg, match):
@@ -767,8 +773,9 @@ def test_inline_block_or_count_rejected_exits_2(tmp_path, capsys, no_work, pose_
     # traceback, and the string "false" demanded tracking.json.  A bad
     # entry of a list is named by its index; a list of the wrong length is
     # quoted whole.  A weight beyond the float range ended in an
-    # OverflowError traceback.  An empty rate box (qd_* and vx_* each valid
-    # alone) and a force box of zero width reached SLSQP.  A map axis of
+    # OverflowError traceback, and so did a pole_pairs beyond it.  An empty
+    # rate box (qd_* and vx_* each valid alone) and a force box of zero
+    # width reached SLSQP.  A map axis of
     # one point, or with lo >= hi, failed in the map's own check, whose
     # message named no config field.  The shaft is rigid, so the
     # drivetrain's six stiffnesses are unknown keys
@@ -804,7 +811,11 @@ MISTYPED = [
     *[(*row, value) for row in TYPED_FIELDS for value in (True, "0.3", None)],
     ("map", "actuator", ACTUATOR_DOC, ("motor",), "pole_pairs", 4.5),
     ("map", "actuator", ACTUATOR_DOC, ("drive",), "max_current", INF),
+    ("map", "actuator", ACTUATOR_DOC, (), "name", 5),
+    ("trajopt", "manipulator", MANIPULATOR_DOC, ("stages", 0), "name", 5),
 ]
+# what each field's reader expects, "a finite number" for every other field
+EXPECTED = {"pole_pairs": "an integer", "name": "a string"}
 
 
 @pytest.mark.parametrize("command, key, doc, where, name, value", MISTYPED,
@@ -813,7 +824,8 @@ def test_mistyped_inline_field_exits_2_naming_it(tmp_path, capsys, no_work, pose
                                                  command, key, doc, where, name, value):
     # each value once built a model, ended in a traceback or exited with
     # Python's message naming only the block.  JSON's Infinity is not a
-    # finite number: a drive without a limit leaves the key out
+    # finite number: a drive without a limit leaves the key out.  A number
+    # as a name went to the model as it is, and the run exited 0
     cfg = {key: _with(doc, where, **{name: value})}
     if command == "map":
         cfg["grid"] = EXPLICIT_GRID
@@ -821,7 +833,7 @@ def test_mistyped_inline_field_exits_2_naming_it(tmp_path, capsys, no_work, pose
         cfg["trajectory"] = pose_reference
     path = write(tmp_path, "cfg.json", cfg)
     assert run([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    kind = "an integer" if name == "pole_pairs" else "a finite number"
+    kind = EXPECTED.get(name, "a finite number")
     assert capsys.readouterr().err == (
         f"error: {_field_path(key, where, name)}: expected {kind}, got {value!r}\n")
     assert not (tmp_path / "o" / "manifest.json").exists()

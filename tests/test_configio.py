@@ -25,6 +25,7 @@ from emlaopt.configio import (
     build_outer,
     build_preset_axes,
     build_problem,
+    integer,
     number,
     vector,
     write_artifacts,
@@ -269,6 +270,16 @@ def test_an_integer_beyond_the_float_range_is_a_config_error(call, path):
     assert str(info.value).startswith(path + ": expected a finite number, got ")
 
 
+@pytest.mark.parametrize("value", [BEYOND_FLOAT, -BEYOND_FLOAT])
+def test_an_integer_count_beyond_the_float_range_is_a_config_error(value):
+    # an inline pole_pairs of 10**400 built a motor and ended in an
+    # OverflowError traceback when the map converted it to a float
+    with pytest.raises(ConfigError) as info:
+        integer(value, "x")
+    assert str(info.value).startswith("x: expected an integer within the float range, got ")
+    assert integer(2**1000, "x") == 2**1000
+
+
 def test_an_integer_within_the_float_range_is_its_float():
     # np.isfinite raised a TypeError on any integer beyond int64
     assert number(10**300, "x") == 1e300
@@ -419,8 +430,7 @@ PRESETS = [*[(f, 0) for f in ACTUATOR_PRESETS.values()], (actuators, 0),
 def unread_fields(classes) -> list:
     """The fields of ``classes``, and of every dataclass their fields hold,
     whose declared type has no reader: none of ``READERS``' types, no
-    dataclass, not ``str`` and, neither by type nor by name, in
-    ``BUILDER_READS``."""
+    dataclass and, neither by type nor by name, in ``BUILDER_READS``."""
     unread, todo, seen = [], list(classes), set()
     while todo:
         cls = todo.pop()
@@ -432,7 +442,7 @@ def unread_fields(classes) -> list:
                 continue
             if is_dataclass(f.type):
                 todo.append(f.type)
-            elif f.type not in READERS and f.type is not str:
+            elif f.type not in READERS:
                 unread.append(f"{cls.__name__}.{f.name}")
     return unread
 
@@ -447,8 +457,9 @@ def test_every_config_field_has_a_reader():
         name: str
         motor: PmsmParams
         impedance: complex
+        tags: list
 
-    assert unread_fields([Scratch]) == ["Scratch.impedance"]
+    assert unread_fields([Scratch]) == ["Scratch.impedance", "Scratch.tags"]
     # a preset block's keys are read by their parameters' annotated types
     assert all(p.annotation in READERS for preset, n_args in PRESETS
                for p in list(inspect.signature(preset).parameters.values())[n_args:])

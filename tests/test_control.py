@@ -71,8 +71,8 @@ def at_rest_reference(act, gains, x=(0.0, 0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0, 0.
 def test_control_law_published_gain_value(acts):
     # delta = 75000, eps = 9, phi = 0, Q = 1e-3 -> kappa = -37.5, for the
     # current subsystems' feedback, the voltages
-    q_err, (v_d, v_q), _, _ = at_rest_reference(acts[0], published_gains(),
-                                                   x=(0.0, 0.0, 1e-3, 1e-3))
+    q_err, (v_d, v_q, _), _, _ = at_rest_reference(acts[0], published_gains(),
+                                                      x=(0.0, 0.0, 1e-3, 1e-3))
     assert q_err[2:] == (1e-3, 1e-3)
     assert v_d == pytest.approx(-37.5) and v_q == pytest.approx(-37.5)
 
@@ -83,7 +83,7 @@ def test_control_law_dissipative_sign(acts):
     for _ in range(50):
         theta, i_q, i_d = rng.standard_normal(3)
         phi = np.abs(rng.standard_normal(4))
-        (q1, q2, q3, q4), (v_d, v_q), _, _ = at_rest_reference(
+        (q1, q2, q3, q4), (v_d, v_q, _), _, _ = at_rest_reference(
             acts[0], g, x=(theta, 0.0, i_q, i_d), phi=phi)
         # at omega = qd_ref = 0 the velocity error is -kappa_1 exactly
         for kappa, nu, q in ((-q2, 0, q1), (v_q, 2, q3), (v_d, 3, q4)):
@@ -391,6 +391,35 @@ def test_traces_end_at_duration(acts, dt, duration):
     assert np.all(np.diff(regular) > 0.5 * dt)
 
 
+def test_force_figure_measures_tracking_not_the_skew(acts):
+    # force_em was the shaft current rated with the nominal motor, so a
+    # plant skew s read as a force error of about s per joint: on the
+    # stored winner's first second with 2% noise (seed 8) force_rms_frac
+    # went from 2.4/8.7/3.3% at s = 0 to 60.9/61.2/61.7% at s = 0.6.  Rated
+    # with the plant's own constants it reads 3.0/9.1/4.5% at s = 0.6
+    reference = TrajectoryResult.from_dict(json.loads(WINNER.read_text())["trajectory"])
+    gains = [published_gains()] * 3
+
+    def run(skew):
+        return simulate_tracking(acts, reference, gains, duration=1.0,
+                                 disturbance=DisturbanceProfile(0.02, skew, 8))
+
+    skewed = run(0.6)
+    figure = tracking_errors(skewed)["force_rms_frac"]
+    undisturbed = tracking_errors(run(0.0))["force_rms_frac"]
+    assert np.all(np.abs(np.subtract(figure, undisturbed)) <= 0.015), (figure, undisturbed)
+    # force_em is the torque closed_loop integrates, over f_eq, bit for bit
+    motor = stack_params([a.motor for a in acts])
+    drive = stack_params([a.drivetrain for a in acts])
+    plant, plant_drive = _perturbed(motor, drive, 0.6)
+    f_eq = equivalent_params(drive).load_ratio
+    record = loop_record(gains, f_eq, motor, plant, equivalent_params(plant_drive))
+    zero = np.zeros_like(skewed.i_q)
+    _, (_, _, tau), _, _ = closed_loop(record, (zero, zero, skewed.i_q, skewed.i_d),
+                                       [zero] * 4, [zero] * 3)
+    assert np.array_equal(bits(skewed.force_em), bits(tau / f_eq))
+
+
 @pytest.mark.parametrize("field, value", [
     ("force_noise_std", -0.5), ("force_noise_std", np.nan), ("force_noise_std", np.inf),
     ("param_perturbation", -1.0), ("param_perturbation", -2.0), ("param_perturbation", np.nan),
@@ -622,10 +651,10 @@ class ComplexQuotient(float):
 
 
 def loop_values(out):
-    """closed_loop's 14 returned values, stacked: an array of shape (14,)
-    from floats, or (14, n) from arrays of n."""
-    q_err, volts, x_rates, rates = out
-    return np.array([*q_err, *volts, *x_rates, *rates])
+    """closed_loop's 15 returned values, stacked: an array of shape (15,)
+    from floats, or (15, n) from arrays of n."""
+    q_err, drive, x_rates, rates = out
+    return np.array([*q_err, *drive, *x_rates, *rates])
 
 
 # per actuator: theta, omega, i_q, i_d; q_ref, qd_ref, f_load

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from emlaopt.pmsm import PmsmParams, dq_voltages, electromagnetic_torque, torque_to_iq
-from oracles import current_derivatives
+from emlaopt.pmsm import PmsmParams, dq_voltages, torque_to_iq
+from oracles import current_derivatives, electromagnetic_torque
 
 PARAMS = PmsmParams(
     stator_resistance=0.4, inductance_d=7e-3, inductance_q=9e-3, pole_pairs=3, pm_flux=0.2

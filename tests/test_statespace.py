@@ -12,9 +12,16 @@ from hypothesis import strategies as st
 
 from emlaopt.control import stack_params
 from emlaopt.drivetrain import DriveTrainParams, equivalent_params
-from emlaopt.pmsm import PmsmParams, electromagnetic_torque, torque_to_iq
+from emlaopt.pmsm import PmsmParams, torque_to_iq
 from emlaopt.presets import actuators, lift_emla
-from oracles import OperatingPoint, current_derivatives, emla_rhs, linearize, stored_energy
+from oracles import (
+    OperatingPoint,
+    current_derivatives,
+    electromagnetic_torque,
+    emla_rhs,
+    linearize,
+    stored_energy,
+)
 
 EMLA = lift_emla()
 PARAMS, DT = EMLA.motor, EMLA.drivetrain
