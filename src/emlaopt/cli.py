@@ -12,7 +12,6 @@ reproducible byte for byte given the same config and seed.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .bilevel import (
     samples_outside_map,
     solve_outer,
 )
-from .configio import ConfigError, load_json, load_json_text, write_artifacts
+from .configio import ConfigError, json_text, load_json, load_json_text, write_artifacts
 from .control import (
     OUTPUT_DT,
     SETTLE_TIME,
@@ -78,7 +77,7 @@ def run_bilevel(config: dict, seed: int) -> dict:
     doc["quartile_occupancy"] = quartile_occupancy(result.inner.v_x, result.inner.f_x, maps)
     doc["samples_outside_map"] = samples_outside_map(result.inner.v_x, result.inner.f_x, maps)
     return {
-        "bilevel.json": json.dumps(doc, indent=2),
+        "bilevel.json": json_text(doc),
         "trajectory.csv": result.inner.to_csv(),
         "trajectory.json": result.inner.to_json(),
         "trace.csv": result.trace_to_csv(),
@@ -129,7 +128,7 @@ def run_track(config: dict, seed: int) -> dict:
     }
     return {
         "tracking.csv": traces_to_csv(traces),
-        "tracking.json": json.dumps(summary, indent=2),
+        "tracking.json": json_text(summary),
     }
 
 
@@ -183,7 +182,7 @@ def run_report(config: dict, seed: int) -> dict:
         missing.append("tracking.json")
     if missing:
         raise ConfigError("missing artifacts: " + ", ".join(missing))
-    return {"report.json": json.dumps(report, indent=2)}
+    return {"report.json": json_text(report)}
 
 
 def integer_at_least(minimum: int):

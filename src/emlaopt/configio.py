@@ -38,7 +38,9 @@ def load_json(path) -> dict:
 
 def load_json_text(path) -> tuple[str, dict]:
     """The text of the JSON file at ``path``, read once, and its document;
-    a missing file or a syntax error raises ``ConfigError`` naming the path."""
+    a missing file, a syntax error or a value ``json.loads`` cannot convert
+    (an integer of more digits than Python converts) raises ``ConfigError``
+    naming the path."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{path}: file does not exist")
@@ -47,6 +49,8 @@ def load_json_text(path) -> tuple[str, dict]:
         return text, json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def check_keys(doc, path: str, takes, owner: str = "it", required=()) -> dict:
@@ -334,6 +338,45 @@ def build_preset_axes(doc, actuators, path: str = "maps") -> list:
     return [_call(presets.default_map_grid, path, a, **counts) for a in actuators]
 
 
+# the types the C encoder writes as one JSON scalar each
+_SCALARS = {type(None), bool, int, float}
+
+
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)`` for a document whose keys are strings.
+
+    ``json.dumps`` takes its C encoder only without ``indent``, and the
+    pure-Python one makes calls per value.  So a list of scalars, or a list of
+    non-empty lists of them, is encoded by one C-encoder call and laid out by
+    replacing its separators: ``"], ["`` before ``", "``, which no number
+    holds.  Dicts, strings and any other list recurse.
+    """
+    return _json_text(doc, "\n")
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` at the line break and indentation ``pad`` of its first line."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [json.dumps(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    types = set(map(type, value))
+    if types <= _SCALARS:
+        return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + pad + "]"
+    if (types == {list} and all(value)
+            and set(map(type, chain.from_iterable(value))) <= _SCALARS):
+        cell = inner + "  "
+        rows = json.dumps(value)[2:-2].replace("], [", inner + "]," + inner + "[" + cell)
+        return "[" + inner + "[" + cell + rows.replace(", ", "," + cell) + inner + "]" + pad + "]"
+    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + pad + "]"
+
+
 # characters of an artifact encoded, hashed and written at a time
 WRITE_SLICE = 1 << 20
 
@@ -364,13 +407,14 @@ def write_artifacts(out_dir, files: dict, config_text: str, seed: int) -> Path:
         return digest.hexdigest()
 
     try:
-        manifest = {
-            "version": __version__,
-            "seed": seed,
+        outputs = {name: put(name, text) for name, text in files.items()}
+        manifest = {  # keys in sorted order, as are the outputs
             "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-            "outputs": {name: put(name, text) for name, text in files.items()},
+            "outputs": dict(sorted(outputs.items())),
+            "seed": seed,
+            "version": __version__,
         }
-        put("manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+        put("manifest.json", json_text(manifest))
     except BaseException:
         for f in written:
             f.unlink(missing_ok=True)

@@ -21,7 +21,6 @@ Gauss–Newton Hessian at the start point, so its identity start fits the
 cost's curvature and its couplings.
 """
 
-import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from numbers import Integral
@@ -221,7 +220,9 @@ class TrajectoryResult:
         })
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        from .configio import json_text  # configio imports this module
+
+        return json_text(self.to_dict())
 
     def to_csv(self) -> str:
         n = self.q.shape[1]

@@ -217,6 +217,33 @@ def test_report_from_bare_trajectory(bilevel_dir, tmp_path):
     assert doc["samples_outside_map"] == bilevel["samples_outside_map"]
 
 
+def test_every_json_artifact_has_the_indent_2_layout(bilevel_dir, tmp_path):
+    # each JSON artifact is json.dumps(doc, indent=2) of its own document, the
+    # manifest's with sorted keys; a short track and two reports join the bilevel run
+    _, _, out = bilevel_dir
+    track = write(tmp_path, "track.json", {
+        "trajectory": str(out / "bilevel.json"), "duration": 0.3, "dt": 0.01})
+    assert run(["track", "--config", track, "--out", str(tmp_path / "trk")]) == 0
+    both = tmp_path / "both"
+    both.mkdir()
+    for source, name in ((out, "bilevel.json"), (tmp_path / "trk", "tracking.json")):
+        (both / name).write_bytes((source / name).read_bytes())
+    report = write(tmp_path, "report.json", {"artifacts": str(both), "require_tracking": True})
+    assert run(["report", "--config", report, "--out", str(tmp_path / "rep")]) == 0
+    bare = write(tmp_path, "bare.json", {"artifacts": str(out)})
+    assert run(["report", "--config", bare, "--out", str(tmp_path / "rep_bare")]) == 0
+    assert run(["map", "--config", write(tmp_path, "map.json", MAP_CFG),
+                "--out", str(tmp_path / "map")]) == 0
+    written = {p.relative_to(p.parent.parent).as_posix(): p.read_text()
+               for d in (out, tmp_path / "trk", tmp_path / "rep", tmp_path / "rep_bare",
+                         tmp_path / "map") for p in d.glob("*.json")}
+    assert {"out/bilevel.json", "out/trajectory.json", "trk/tracking.json", "rep/report.json",
+            "rep_bare/report.json", "map/efficiency_map.json", "map/manifest.json"} < set(written)
+    for name, text in written.items():
+        sort_keys = name.endswith("manifest.json")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=sort_keys), name
+
+
 @pytest.mark.parametrize("artifact", ["bilevel.json", "trajectory.json"])
 def test_report_unknown_actuators_preset_exits_2(bilevel_dir, tmp_path, capsys, artifact):
     # with a bilevel.json the key was never read: report.json was written
@@ -258,6 +285,18 @@ def test_bad_json_reports_line(tmp_path):
     bad.write_text('{\n  "actuator": {,}\n}')
     with pytest.raises(ConfigError, match="line 2"):
         load_json(bad)
+
+
+def test_an_integer_of_too_many_digits_names_the_config_file(tmp_path, capsys):
+    # json.loads refuses to convert an integer of more than 4,300 digits with a
+    # plain ValueError, not a JSONDecodeError
+    cfg = tmp_path / "map.json"
+    cfg.write_text('{"actuator": {"preset": "lift_6kw"}, '
+                   '"grid": {"preset": "default", "n_force": ' + "1" * 5001 + '}}')
+    assert run(["map", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and "4300 digits" in err and "Traceback" not in err
+    assert not (tmp_path / "m").exists()
 
 
 def test_unknown_preset_reports_path():

@@ -26,6 +26,7 @@ from emlaopt.configio import (
     build_preset_axes,
     build_problem,
     integer,
+    json_text,
     number,
     vector,
     write_artifacts,
@@ -485,3 +486,24 @@ def test_a_write_failing_partway_leaves_no_output(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_artifacts(tmp_path / "out", files, "{}", 0)
     assert list((tmp_path / "out").iterdir()) == []
+
+
+# values the C encoder writes as scalars: NaN, ±inf, -0.0 and ints beyond 2**64 among them
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=2**64, max_value=2**200).flatmap(
+               lambda n: st.sampled_from([n, -n]))
+           | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]))
+# strings that hold the separators the layout replaces, quotes and non-ASCII text
+TEXTS = st.text(max_size=6) | st.sampled_from(
+    [", ", "], [", "a, b", "[1], [2]", '"', 'say "hi", then go', "\\", "Grüße, 東京", "\u2028"])
+ROWS = st.lists(SCALARS, max_size=4)  # ragged and empty rows
+# tuples, which json.dumps writes as lists, stand for a list or for its rows
+LEAVES = (SCALARS | TEXTS | st.lists(SCALARS, max_size=5) | st.lists(ROWS, max_size=4)
+          | st.lists(SCALARS, max_size=5).map(tuple) | st.lists(ROWS.map(tuple), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.recursive(LEAVES, lambda children: st.lists(children, max_size=4)
+                        | st.dictionaries(TEXTS, children, max_size=4), max_leaves=25))
+def test_json_text_is_the_indent_2_dump(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2)
